@@ -22,20 +22,11 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .checks import execute_check, max_abs_diff
+from .checks import compare, max_abs_diff, run_laws
 from .errors import InvariantViolation, NotInvertibleError, UsageError
-from .sampling import DEFAULT_MAGNITUDE, CounterRng, rand_coeffs
+from .sampling import DEFAULT_MAGNITUDE, rand_coeffs
 
 MAX_LEVEL = 5
-
-LAW_NAMES = (
-    "realness",
-    "commutativity",
-    "associativity",
-    "alternativity",
-    "nicely-normed",
-    "norm-multiplicativity",
-)
 
 # The property ladder: which laws are expected to hold at each level.
 _LADDER = {
@@ -263,30 +254,25 @@ def _compositions(arity: int, grade: int):
 
 
 # ---------------------------------------------------------------------------
-# the law suite
+# the law suite (the ladder laws need no context)
 
 
-def _eval_realness(inputs):
+def _eval_realness(_, inputs):
     (a,) = inputs
-    ac = conj_coeffs(a)
-    return max_abs_diff(ac, a), ac, a
+    return compare(conj_coeffs(a), a)
 
 
-def _eval_commutativity(inputs):
+def _eval_commutativity(_, inputs):
     a, b = inputs
-    lhs = mul_coeffs(a, b)
-    rhs = mul_coeffs(b, a)
-    return max_abs_diff(lhs, rhs), lhs, rhs
+    return compare(mul_coeffs(a, b), mul_coeffs(b, a))
 
 
-def _eval_associativity(inputs):
+def _eval_associativity(_, inputs):
     a, b, c = inputs
-    lhs = mul_coeffs(mul_coeffs(a, b), c)
-    rhs = mul_coeffs(a, mul_coeffs(b, c))
-    return max_abs_diff(lhs, rhs), lhs, rhs
+    return compare(mul_coeffs(mul_coeffs(a, b), c), mul_coeffs(a, mul_coeffs(b, c)))
 
 
-def _eval_alternativity(inputs):
+def _eval_alternativity(_, inputs):
     x, y = inputs
     xy = mul_coeffs(x, y)
     lhs1 = mul_coeffs(mul_coeffs(x, x), y)
@@ -294,12 +280,10 @@ def _eval_alternativity(inputs):
     r1 = max_abs_diff(lhs1, rhs1)
     if r1 > 0:
         return r1, lhs1, rhs1
-    lhs2 = mul_coeffs(xy, y)
-    rhs2 = mul_coeffs(x, mul_coeffs(y, y))
-    return max_abs_diff(lhs2, rhs2), lhs2, rhs2
+    return compare(mul_coeffs(xy, y), mul_coeffs(x, mul_coeffs(y, y)))
 
 
-def _eval_nicely_normed(inputs):
+def _eval_nicely_normed(_, inputs):
     (a,) = inputs
     # (i) a + a* is real: non-real coefficients of the sum must vanish
     tail = tuple(c + d for c, d in zip(a[1:], conj_coeffs(a)[1:]))
@@ -318,7 +302,7 @@ def _eval_nicely_normed(inputs):
     return 0, lhs, rhs
 
 
-def _eval_norm_multiplicativity(inputs):
+def _eval_norm_multiplicativity(_, inputs):
     a, b = inputs
     lhs = norm_coeffs(mul_coeffs(a, b))
     rhs = norm_coeffs(a) * norm_coeffs(b)
@@ -328,14 +312,14 @@ def _eval_norm_multiplicativity(inputs):
     return d, (lhs,), (rhs,)
 
 
-_LAW_EVAL = {
-    "realness": (_eval_realness, 1),
-    "commutativity": (_eval_commutativity, 2),
-    "associativity": (_eval_associativity, 3),
-    "alternativity": (_eval_alternativity, 2),
-    "nicely-normed": (_eval_nicely_normed, 1),
-    "norm-multiplicativity": (_eval_norm_multiplicativity, 2),
-}
+LADDER_LAWS = (
+    ("realness", _eval_realness, 1),
+    ("commutativity", _eval_commutativity, 2),
+    ("associativity", _eval_associativity, 3),
+    ("alternativity", _eval_alternativity, 2),
+    ("nicely-normed", _eval_nicely_normed, 1),
+    ("norm-multiplicativity", _eval_norm_multiplicativity, 2),
+)
 
 
 def law_suite(level: int,
@@ -356,26 +340,14 @@ def law_suite(level: int,
     if not 0 <= level <= max_level:
         raise UsageError(f"level must be within 0..{max_level}")
     n = 1 << level
-    reports = []
-    for law in LAW_NAMES:
-        evaluate, arity = _LAW_EVAL[law]
-        suite_id = f"cdalg/{law}/level-{level}/{mode}"
-
-        def sampler(i, arity=arity, suite_id=suite_id):
-            rng = CounterRng(seed, suite_id, i)
-            return tuple(rand_coeffs(rng, n, mode, magnitude) for _ in range(arity))
-
-        reports.append(execute_check(
-            law, f"level-{level}", evaluate,
-            structured=structured_tuples(level, arity, structured_cap),
-            sampler=sampler, samples=samples, seed=seed, mode=mode,
-            tolerance=tolerance, expect_holds=_LADDER[law](level),
-            workers=workers))
-    return reports
-
-
-def ladder_expectation(level: int) -> dict:
-    return {law: _LADDER[law](level) for law in LAW_NAMES}
+    return run_laws(
+        LADDER_LAWS, f"level-{level}", None,
+        structured=lambda arity: structured_tuples(level, arity, structured_cap),
+        draw=lambda rng, arity, i: tuple(rand_coeffs(rng, n, mode, magnitude)
+                                         for _ in range(arity)),
+        suite=lambda law: f"cdalg/{law}/level-{level}/{mode}",
+        expect=lambda law: _LADDER[law](level), samples=samples, seed=seed,
+        mode=mode, tolerance=tolerance, workers=workers)
 
 
 # ---------------------------------------------------------------------------
@@ -390,9 +362,8 @@ def zero_divisor_search(level: int, mode: str = "exact") -> Optional[tuple]:
     zero (levels <= 3).  In float mode the witness pair is scaled to unit
     norm for reporting.
     """
-    if level < 0:
-        raise UsageError("level must be >= 0")
-    n = 1 << level
+    if not 0 <= level <= MAX_LEVEL:
+        raise UsageError(f"level must be within 0..{MAX_LEVEL}")
     _, pairs = _structured_elements(level)
     for a in pairs:
         for b in pairs:

@@ -10,14 +10,15 @@ partition of the index range across workers.
 
 from __future__ import annotations
 
-import json
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Iterable, Optional
 
 from .errors import InvariantViolation
+from .sampling import CounterRng
 
 STATUS_HOLDS_EXACT = "holds-exact"
 STATUS_HOLDS_SAMPLED = "holds-sampled"
@@ -154,11 +155,12 @@ def execute_check(law: str,
             best = None
             worst = 0
             for i in range(lo, hi):
-                residual, lhs, rhs = evaluate(sampler(i))
+                inputs = sampler(i)
+                residual, lhs, rhs = evaluate(inputs)
                 if residual > worst:
                     worst = residual
                 if residual > threshold:
-                    best = _Violation(i, residual, sampler(i), lhs, rhs)
+                    best = _Violation(i, residual, inputs, lhs, rhs)
                     break
             return best, worst
 
@@ -200,6 +202,43 @@ def execute_check(law: str,
     )
 
 
+def run_laws(rows,
+             instance: str,
+             ctx,
+             *,
+             draw: Callable,
+             suite: Callable,
+             structured: Callable = lambda shape: (),
+             expect: Callable = lambda law: True,
+             samples: int = 0,
+             seed: int = 0,
+             mode: str = "exact",
+             tolerance: float = 1e-9,
+             workers: int = 1) -> list:
+    """Check a table of laws and return one report per row, in table order.
+
+    Each row is (law, evaluate, shape).  evaluate(ctx, inputs) returns
+    (residual, lhs, rhs); shape describes one input tuple (usually its
+    arity) and is handed to structured(shape), which yields the exact
+    inputs, and to draw(rng, shape, i), which builds sample i from
+    rng = CounterRng(seed, suite(law), i).  An empty shape (arity 0) is
+    judged on its structured inputs alone.  expect(law) says whether the
+    law should hold.
+    """
+    reports = []
+    for law, evaluate, shape in rows:
+        suite_id = suite(law)
+
+        def sampler(i, shape=shape, suite_id=suite_id):
+            return draw(CounterRng(seed, suite_id, i), shape, i)
+
+        reports.append(execute_check(
+            law, instance, partial(evaluate, ctx), structured=structured(shape),
+            sampler=sampler, samples=samples if shape else 0, seed=seed, mode=mode,
+            tolerance=tolerance, expect_holds=expect(law), workers=workers))
+    return reports
+
+
 def max_abs_diff(a: tuple, b: tuple):
     """Largest absolute coefficient difference; the residual used everywhere."""
     worst = 0
@@ -212,5 +251,6 @@ def max_abs_diff(a: tuple, b: tuple):
     return worst
 
 
-def reports_to_json(doc: ReportDocument) -> bytes:
-    return json.dumps(doc.to_dict(), indent=2).encode() + b"\n"
+def compare(lhs, rhs) -> tuple:
+    """(residual, lhs, rhs) for a law whose two sides are coefficient tuples."""
+    return max_abs_diff(lhs, rhs), lhs, rhs

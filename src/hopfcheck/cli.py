@@ -11,6 +11,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -129,6 +130,12 @@ def run(config: RunConfig) -> ReportDocument:
     """Execute the configured suite and assemble the report document."""
     if config.samples < 1:
         raise UsageError("samples must be >= 1")
+    if config.workers < 1:
+        raise UsageError("workers must be >= 1")
+    if config.grid < 1:
+        raise UsageError("grid must be >= 1")
+    if not 0 <= config.tolerance < math.inf:
+        raise UsageError("tolerance must be a finite number >= 0")
     if config.mode not in ("exact", "float"):
         raise UsageError(f"unknown mode {config.mode!r}")
     t0 = time.perf_counter()

@@ -18,13 +18,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+
 from .cdalg import conj_coeffs, mul_coeffs, norm_coeffs
-from .checks import LawReport, ReportDocument, execute_check, max_abs_diff
+from .checks import LawReport, ReportDocument, compare, execute_check, max_abs_diff, run_laws
 from .errors import UsageError
 from .laws import (ImaginaroidInstance, assoc_check, hspace_check,
                    imaginaroid_instance, sphere_hspace_carrier)
 from .joinmul import oracle_equivalence_suite, unit_law_check
-from .sampling import CounterRng, rand_quarter_pair, rand_unit
+from .sampling import rand_quarter_pair, rand_unit
 from .spheremodel import JoinPoint, SuspPoint
 
 #: fibration name -> imaginaroid whose suspension is the fiber sphere G
@@ -73,6 +74,68 @@ def _translate(u, v, w):
     return mul_coeffs(u, w), mul_coeffs(conj_coeffs(w), v)
 
 
+def _arc_join_point(u, v, c, s) -> JoinPoint:
+    return JoinPoint(tuple(c * a for a in u), tuple(s * b for b in v))
+
+
+# fiber laws: law((inst, gap), inputs) with inputs = ((u, v, c, s), w, ...),
+# an arc point and one or two translations; gap is the separation threshold
+
+
+def _fiber_membership(ctx, inputs):
+    inst, _ = ctx
+    (u, v, c, s), w = inputs
+    u2, v2 = _translate(u, v, w)
+    return compare(hopf_map(_arc_join_point(u2, v2, c, s), inst).coords,
+                   hopf_map(_arc_join_point(u, v, c, s), inst).coords)
+
+
+def _fiber_completeness(ctx, inputs):
+    (u, v, c, s), w = inputs
+    u2, v2 = _translate(u, v, w)
+    # recover the translation from the first factors, then predict the second
+    w_rec = mul_coeffs(conj_coeffs(u), u2)
+    predicted = mul_coeffs(conj_coeffs(w_rec), v)
+    r = max(max_abs_diff(w_rec, w), max_abs_diff(predicted, v2))
+    return r, predicted, v2
+
+
+def _fiber_separation(ctx, inputs):
+    _, gap = ctx
+    (u, v, c, s), w1, w2 = inputs
+    u1, v1 = _translate(u, v, w1)
+    u2, v2 = _translate(u, v, w2)
+    if max(max_abs_diff(u1, u2), max_abs_diff(v1, v2)) > gap:
+        return 0, None, None
+    return 1, (u1, v1), (u2, v2)
+
+
+def _fiber_polar(ctx, inputs):
+    inst, _ = ctx
+    (u, v, c, s), _ = inputs
+    north = hopf_map(JoinPoint(u, tuple(0 * b for b in v)), inst)
+    south = hopf_map(JoinPoint(tuple(0 * a for a in u), v), inst)
+    want_n = SuspPoint.north(len(u)).coords
+    want_s = SuspPoint.south(len(u)).coords
+    r = max(max_abs_diff(north.coords, want_n), max_abs_diff(south.coords, want_s))
+    if r > 0:
+        return r, north.coords, want_n
+    # a genuine arc point must avoid both poles
+    mixed = hopf_map(_arc_join_point(u, v, c, s), inst)
+    if abs(mixed.coords[0]) >= 1:
+        return 1, mixed.coords, "interior"
+    return 0, None, None
+
+
+#: the shape is the input arity: an arc point plus one or two translations
+FIBER_LAWS = (
+    ("fiber-membership", _fiber_membership, 2),
+    ("fiber-completeness", _fiber_completeness, 2),
+    ("fiber-separation", _fiber_separation, 3),
+    ("fiber-polar", _fiber_polar, 2),
+)
+
+
 def fiber_check(inst: HopfInstance,
                 samples: int = 10000,
                 seed: int = 0,
@@ -88,92 +151,21 @@ def fiber_check(inst: HopfInstance,
     (4) polar fibers: the poles pull back to the inl / inr copies of G.
     """
     dim = inst.fiber_dim
-    instance = inst.name
+    gap = tolerance if mode == "float" else 0
 
-    def arc_sample(rng, mode):
-        u = rand_unit(rng, dim, mode)
-        v = rand_unit(rng, dim, mode)
-        c, s = rand_quarter_pair(rng, mode)
-        return u, v, c, s
+    def draw(rng, arity, i):
+        arc = (rand_unit(rng, dim, mode), rand_unit(rng, dim, mode)) + rand_quarter_pair(rng, mode)
+        ws = [rand_unit(rng, dim, mode)]
+        while len(ws) < arity - 1:
+            w = rand_unit(rng, dim, mode)
+            if max_abs_diff(ws[0], w) > gap:
+                ws.append(w)
+        return (arc, *ws)
 
-    def membership(inputs):
-        (u, v, c, s), w = inputs
-        X = JoinPoint(tuple(c * a for a in u), tuple(s * b for b in v))
-        u2, v2 = _translate(u, v, w)
-        X2 = JoinPoint(tuple(c * a for a in u2), tuple(s * b for b in v2))
-        lhs = hopf_map(X2, inst).coords
-        rhs = hopf_map(X, inst).coords
-        return max_abs_diff(lhs, rhs), lhs, rhs
-
-    def completeness(inputs):
-        (u, v, c, s), w = inputs
-        u2, v2 = _translate(u, v, w)
-        # recover the translation from the first factors, then predict the second
-        w_rec = mul_coeffs(conj_coeffs(u), u2)
-        predicted = mul_coeffs(conj_coeffs(w_rec), v)
-        r = max_abs_diff(w_rec, w)
-        if r > 0:
-            d = max_abs_diff(predicted, v2)
-            if d > r:
-                r = d
-        else:
-            r = max_abs_diff(predicted, v2)
-        return r, predicted, v2
-
-    def separation(inputs):
-        (u, v, c, s), w1, w2 = inputs
-        u1, v1 = _translate(u, v, w1)
-        u2, v2 = _translate(u, v, w2)
-        d = max(max_abs_diff(u1, u2), max_abs_diff(v1, v2))
-        gap = tolerance if mode == "float" else 0
-        if d > gap:
-            return 0, None, None
-        return 1, (u1, v1), (u2, v2)
-
-    def polar(inputs):
-        (u, v, c, s), _ = inputs
-        north = hopf_map(JoinPoint(u, tuple(0 * b for b in v)), inst)
-        south = hopf_map(JoinPoint(tuple(0 * a for a in u), v), inst)
-        want_n = SuspPoint.north(dim).coords
-        want_s = SuspPoint.south(dim).coords
-        r = max(max_abs_diff(north.coords, want_n), max_abs_diff(south.coords, want_s))
-        if r > 0:
-            return r, north.coords, want_n
-        # a genuine arc point must avoid both poles
-        mixed = hopf_map(JoinPoint(tuple(c * a for a in u), tuple(s * b for b in v)), inst)
-        head = mixed.coords[0]
-        margin = abs(head) - 1
-        if margin >= 0:
-            return 1, mixed.coords, "interior"
-        return 0, None, None
-
-    def sampler_two(i, law):
-        rng = CounterRng(seed, f"fiber/{instance}/{law}/{mode}", i)
-        return arc_sample(rng, mode), rand_unit(rng, dim, mode)
-
-    def sampler_three(i, law):
-        rng = CounterRng(seed, f"fiber/{instance}/{law}/{mode}", i)
-        base = arc_sample(rng, mode)
-        w1 = rand_unit(rng, dim, mode)
-        while True:
-            w2 = rand_unit(rng, dim, mode)
-            if max_abs_diff(w1, w2) > (tolerance if mode == "float" else 0):
-                return base, w1, w2
-
-    laws = [
-        ("fiber-membership", membership, sampler_two),
-        ("fiber-completeness", completeness, sampler_two),
-        ("fiber-separation", separation, sampler_three),
-        ("fiber-polar", polar, sampler_two),
-    ]
-    reports = []
-    for law, evaluate, sampler in laws:
-        reports.append(execute_check(
-            law, instance, evaluate,
-            sampler=lambda i, law=law, sampler=sampler: sampler(i, law),
-            samples=samples, seed=seed, mode=mode, tolerance=tolerance,
-            workers=workers))
-    return reports
+    return run_laws(
+        FIBER_LAWS, inst.name, (inst, gap), draw=draw,
+        suite=lambda law: f"fiber/{inst.name}/{law}/{mode}", samples=samples,
+        seed=seed, mode=mode, tolerance=tolerance, workers=workers)
 
 
 def dimension_report(inst: HopfInstance, seed: int = 0) -> LawReport:

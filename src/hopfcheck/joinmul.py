@@ -24,12 +24,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Callable
 
 from .cdalg import conj_coeffs, mul_coeffs, norm_coeffs
-from .checks import execute_check, max_abs_diff
+from .checks import compare, max_abs_diff, run_laws
 from .errors import PreconditionError, UsageError
-from .laws import HSpaceCarrier, ImaginaroidInstance, _signed_basis
+from .laws import HSPACE_UNIT_LAWS, HSpaceCarrier, ImaginaroidInstance, _signed_basis
 from .sampling import CounterRng, quarter_grid, rand_quarter_pair, rand_unit
 from .spheremodel import FLOAT_VIEW_EPS, JoinPoint, SpherePoint
 
@@ -261,6 +262,17 @@ def sample_join_point(rng: CounterRng, inst: ImaginaroidInstance, view: str,
 VIEW_KINDS = ("inl", "inr", "glue")
 
 
+def _oracle_equivalence(inst, inputs):
+    X, Y = inputs
+    return compare(join_mul_syn(X, Y, inst).flatten(),
+                   join_mul_alg(X, Y, inst.level + 1).flatten())
+
+
+#: one law per view combination; the shape is the pair of views to sample
+ORACLE_LAWS = tuple((f"oracle-equivalence[{kx},{ky}]", _oracle_equivalence, (kx, ky))
+                    for kx in VIEW_KINDS for ky in VIEW_KINDS)
+
+
 def oracle_equivalence_suite(inst: ImaginaroidInstance,
                              samples: int = 10000,
                              seed: int = 0,
@@ -270,28 +282,13 @@ def oracle_equivalence_suite(inst: ImaginaroidInstance,
                              workers: int = 1) -> list:
     """join_mul_syn against the doubled-algebra product, per view combination."""
     instance = JOIN_INSTANCE.get(inst.name, inst.name)
-    level = inst.level + 1
-    per_case = max(1, samples // 9)
-    reports = []
-    for kx in VIEW_KINDS:
-        for ky in VIEW_KINDS:
-            law = f"oracle-equivalence[{kx},{ky}]"
-
-            def sampler(i, kx=kx, ky=ky, law=law):
-                rng = CounterRng(seed, f"joinmul/{instance}/{law}/{mode}", i)
-                return (sample_join_point(rng, inst, kx, mode),
-                        sample_join_point(rng, inst, ky, mode))
-
-            def evaluate(inputs):
-                X, Y = inputs
-                syn = join_mul_syn(X, Y, inst).flatten()
-                alg = join_mul_alg(X, Y, level).flatten()
-                return max_abs_diff(syn, alg), syn, alg
-
-            reports.append(execute_check(
-                law, instance, evaluate, sampler=sampler, samples=per_case,
-                seed=seed, mode=mode, tolerance=tolerance, workers=workers))
-    return reports
+    return run_laws(
+        ORACLE_LAWS, instance, inst,
+        draw=lambda rng, views, i: tuple(sample_join_point(rng, inst, v, mode)
+                                         for v in views),
+        suite=lambda law: f"joinmul/{instance}/{law}/{mode}",
+        samples=max(1, samples // 9), seed=seed, mode=mode, tolerance=tolerance,
+        workers=workers)
 
 
 def unit_law_check(inst: ImaginaroidInstance,
@@ -301,40 +298,88 @@ def unit_law_check(inst: ImaginaroidInstance,
                    *,
                    tolerance: float = 1e-9,
                    workers: int = 1) -> list:
-    """inl(1) X = X = X inl(1), exact on point constructors, sampled on arcs."""
-    instance = JOIN_INSTANCE.get(inst.name, inst.name)
-    dim = inst.susp_dim
-    zero = (Fraction(0),) * dim
-    unit = JoinPoint(inst.unit, zero)
-    structured = [(JoinPoint(p, zero),) for p in _signed_basis(dim)]
-    structured += [(JoinPoint(zero, p),) for p in _signed_basis(dim)]
+    """inl(1) X = X = X inl(1), exact on point constructors, sampled on arcs.
 
-    def sampler(i):
-        rng = CounterRng(seed, f"joinmul/{instance}/unit/{mode}", i)
-        return (sample_join_point(rng, inst, VIEW_KINDS[i % 3], mode),)
-
-    def left_unit(inputs):
-        (X,) = inputs
-        lhs = join_mul_syn(unit, X, inst).flatten()
-        return max_abs_diff(lhs, X.flatten()), lhs, X.flatten()
-
-    def right_unit(inputs):
-        (X,) = inputs
-        lhs = join_mul_syn(X, unit, inst).flatten()
-        return max_abs_diff(lhs, X.flatten()), lhs, X.flatten()
-
-    return [
-        execute_check("left-unit", instance, left_unit, structured=structured,
-                      sampler=sampler, samples=samples, seed=seed, mode=mode,
-                      tolerance=tolerance, workers=workers),
-        execute_check("right-unit", instance, right_unit, structured=structured,
-                      sampler=sampler, samples=samples, seed=seed, mode=mode,
-                      tolerance=tolerance, workers=workers),
-    ]
+    The H-space unit laws of the join carrier, with samples cycling
+    through the three views.
+    """
+    carrier = join_hspace_carrier(inst)
+    return run_laws(
+        HSPACE_UNIT_LAWS, carrier.name, carrier,
+        structured=lambda arity: product(carrier.structured, repeat=arity),
+        draw=lambda rng, arity, i: (sample_join_point(rng, inst, VIEW_KINDS[i % 3], mode),),
+        suite=lambda law: f"joinmul/{carrier.name}/unit/{mode}", samples=samples,
+        seed=seed, mode=mode, tolerance=tolerance, workers=workers)
 
 
 # ---------------------------------------------------------------------------
-# filler verification on a parameter grid
+# filler verification on a parameter grid: law(params, inputs) with params
+# the quarter-circle grid and inputs = (x,), the corner that fixes D_x
+
+_EDGE_ENDPOINTS = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
+
+
+def _filler_unit_norm(params, inputs):
+    (x,) = inputs
+    filler = reduced_diamond_filler(x)
+    worst = 0
+    at = None
+    for sigma in params:
+        for tau in params:
+            pt = filler.evaluate(sigma, tau)
+            r = norm_coeffs(pt.left) + norm_coeffs(pt.right) - 1
+            if r < 0:
+                r = -r
+            if r > worst:
+                worst, at = r, (sigma, tau)
+    if worst > 0:
+        return worst, at, "unit"
+    return 0, None, None
+
+
+def _worst_pair(pairs):
+    """(residual, got, want) of the worst (got, want) pair; zero with no sides if none differ."""
+    worst = 0
+    bad = None
+    for got, want in pairs:
+        r = max_abs_diff(got, want)
+        if r > worst:
+            worst, bad = r, (got, want)
+    if worst > 0:
+        return worst, bad[0], bad[1]
+    return 0, None, None
+
+
+def _filler_boundary(params, inputs):
+    (x,) = inputs
+    filler = reduced_diamond_filler(x)
+    return _worst_pair(
+        (filler.evaluate(sigma, tau).flatten(), filler.edge_expectation(sigma, tau).flatten())
+        for fixed in _EDGE_ENDPOINTS for t in params for sigma, tau in ((fixed, t), (t, fixed)))
+
+
+def _filler_pole_reduction(params, inputs):
+    (x,) = inputs
+    unit_pt = SpherePoint.basis(x.dim, 0)
+    if x.coords == unit_pt.coords:
+        ref = fill_refl_diamond("horizontal", DiamondProblem(
+            a=-unit_pt, a2=unit_pt, b=unit_pt, b2=unit_pt))
+    elif x.coords == (-unit_pt).coords:
+        ref = fill_refl_diamond("vertical", DiamondProblem(
+            a=-unit_pt, a2=-unit_pt, b=unit_pt, b2=-unit_pt))
+    else:
+        return 0, None, None
+    filler = reduced_diamond_filler(x)
+    return _worst_pair(
+        (filler.evaluate(sigma, tau).flatten(), ref.evaluate(sigma, tau).flatten())
+        for sigma in params for tau in params)
+
+
+DIAMOND_LAWS = (
+    ("filler-unit-norm", _filler_unit_norm, 1),
+    ("filler-boundary", _filler_boundary, 1),
+    ("filler-pole-reduction", _filler_pole_reduction, 1),
+)
 
 
 def diamond_suite(inst: ImaginaroidInstance,
@@ -345,98 +390,22 @@ def diamond_suite(inst: ImaginaroidInstance,
                   *,
                   tolerance: float = 1e-9,
                   workers: int = 1) -> list:
-    """Grid checks of the reduced filler: norms, boundary edges, pole reductions."""
+    """Grid checks of the reduced filler: norms, boundary edges, pole reductions.
+
+    Samples 0 and 1 are the poles; the rest are random unit corners.
+    """
     instance = JOIN_INSTANCE.get(inst.name, inst.name)
     dim = inst.susp_dim
-    params = quarter_grid(grid)
-    endpoints = [(Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))]
-    north = SpherePoint.basis(dim, 0)
-    south = SpherePoint.basis(dim, 0, -1)
 
-    def sample_x(i):
-        if i == 0:
-            return north
-        if i == 1:
-            return south
-        rng = CounterRng(seed, f"diamond/{instance}/x/{mode}", i)
-        return SpherePoint(rand_unit(rng, dim, mode))
+    def draw(rng, arity, i):
+        if i < 2:
+            return (SpherePoint.basis(dim, 0, 1 - 2 * i),)
+        return (SpherePoint(rand_unit(rng, dim, mode)),)
 
-    n_points = max(samples, 2)
-
-    def norm_identity(inputs):
-        (x,) = inputs
-        filler = reduced_diamond_filler(x)
-        worst = 0
-        at = None
-        for sigma in params:
-            for tau in params:
-                pt = filler.evaluate(sigma, tau)
-                r = norm_coeffs(pt.left) + norm_coeffs(pt.right) - 1
-                if r < 0:
-                    r = -r
-                if r > worst:
-                    worst, at = r, (sigma, tau)
-        if worst > 0:
-            return worst, at, "unit"
-        return 0, None, None
-
-    def boundary_edges(inputs):
-        (x,) = inputs
-        filler = reduced_diamond_filler(x)
-        worst = 0
-        bad = None
-        for fixed in endpoints:
-            for t in params:
-                for sigma, tau in ((fixed, t), (t, fixed)):
-                    got = filler.evaluate(sigma, tau).flatten()
-                    want = filler.edge_expectation(sigma, tau).flatten()
-                    r = max_abs_diff(got, want)
-                    if r > worst:
-                        worst, bad = r, (got, want)
-        if worst > 0:
-            return worst, bad[0], bad[1]
-        return 0, None, None
-
-    def pole_reduction(inputs):
-        (x,) = inputs
-        if x.coords == north.coords:
-            unit_pt = SpherePoint.basis(dim, 0)
-            ref = fill_refl_diamond("horizontal", DiamondProblem(
-                a=-unit_pt, a2=unit_pt, b=unit_pt, b2=unit_pt))
-        elif x.coords == south.coords:
-            unit_pt = SpherePoint.basis(dim, 0)
-            ref = fill_refl_diamond("vertical", DiamondProblem(
-                a=-unit_pt, a2=-unit_pt, b=unit_pt, b2=-unit_pt))
-        else:
-            return 0, None, None
-        filler = reduced_diamond_filler(x)
-        worst = 0
-        bad = None
-        for sigma in params:
-            for tau in params:
-                got = filler.evaluate(sigma, tau).flatten()
-                want = ref.evaluate(sigma, tau).flatten()
-                r = max_abs_diff(got, want)
-                if r > worst:
-                    worst, bad = r, (got, want)
-        if worst > 0:
-            return worst, bad[0], bad[1]
-        return 0, None, None
-
-    def sampler(i):
-        return (sample_x(i),)
-
-    return [
-        execute_check("filler-unit-norm", instance, norm_identity,
-                      sampler=sampler, samples=n_points, seed=seed,
-                      mode=mode, tolerance=tolerance, workers=workers),
-        execute_check("filler-boundary", instance, boundary_edges,
-                      sampler=sampler, samples=n_points, seed=seed,
-                      mode=mode, tolerance=tolerance, workers=workers),
-        execute_check("filler-pole-reduction", instance, pole_reduction,
-                      sampler=sampler, samples=n_points, seed=seed,
-                      mode=mode, tolerance=tolerance, workers=workers),
-    ]
+    return run_laws(
+        DIAMOND_LAWS, instance, quarter_grid(grid), draw=draw,
+        suite=lambda law: f"diamond/{instance}/x/{mode}", samples=max(samples, 2),
+        seed=seed, mode=mode, tolerance=tolerance, workers=workers)
 
 
 # ---------------------------------------------------------------------------

@@ -16,12 +16,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable, Optional
+from functools import partial
+from itertools import product
+from typing import Callable
 
 from .cdalg import conj_coeffs, mul_coeffs
-from .checks import LawReport, execute_check, max_abs_diff
+from .checks import LawReport, compare, execute_check, max_abs_diff, run_laws
 from .errors import PreconditionError, UsageError
-from .sampling import CounterRng, rand_unit
+from .sampling import rand_unit
 
 
 def _signed_basis(dim: int) -> tuple:
@@ -32,6 +34,17 @@ def _signed_basis(dim: int) -> tuple:
             c[i] = Fraction(s)
             out.append(tuple(c))
     return tuple(out)
+
+
+def _basis_tuples(dim: int):
+    """structured(arity) for run_laws: all arity-tuples of signed basis vectors."""
+    basis = _signed_basis(dim)
+    return lambda arity: product(basis, repeat=arity)
+
+
+def _unit_points(dim: int, mode: str):
+    """draw(rng, arity, i) for run_laws: arity random unit vectors of R^dim."""
+    return lambda rng, arity, i: tuple(rand_unit(rng, dim, mode) for _ in range(arity))
 
 
 # ---------------------------------------------------------------------------
@@ -51,12 +64,6 @@ class SpheroidInstance:
     mul: Callable
     conj: Callable
     neg: Callable
-
-    def sample(self, rng: CounterRng, mode: str) -> tuple:
-        return rand_unit(rng, self.dim, mode)
-
-    def structured(self) -> tuple:
-        return _signed_basis(self.dim)
 
 
 @dataclass
@@ -93,18 +100,8 @@ class ImaginaroidInstance:
         return conj_coeffs(x)
 
     def neg(self, x: tuple) -> tuple:
+        # also the base negation: the base sphere carries the same coordinates
         return tuple(-c for c in x)
-
-    def base_neg(self, a: tuple) -> tuple:
-        return tuple(-c for c in a)
-
-    def sample_susp(self, rng: CounterRng, mode: str) -> tuple:
-        return rand_unit(rng, self.susp_dim, mode)
-
-    def sample_base(self, rng: CounterRng, mode: str) -> Optional[tuple]:
-        if self.base_dim == 0:
-            return None
-        return rand_unit(rng, self.base_dim, mode)
 
     def induced_spheroid(self) -> SpheroidInstance:
         """The suspension as a spheroid (this is what the laws certify)."""
@@ -148,16 +145,88 @@ def imaginaroid_instance(name: str) -> ImaginaroidInstance:
 
 
 # ---------------------------------------------------------------------------
-# suites
+# suites: law(s, inputs) for a structure s with unit, mul, conj and neg
 
 
-def _pair_sampler(inst, suite: str, seed: int, mode: str, arity: int):
-    def sampler(i):
-        rng = CounterRng(seed, suite, i)
-        return tuple(inst.sample(rng, mode) if isinstance(inst, SpheroidInstance)
-                     else inst.sample_susp(rng, mode)
-                     for _ in range(arity))
-    return sampler
+def _one_star(s, inputs):
+    return compare(s.conj(s.unit), s.unit)
+
+
+def _neg_star(s, inputs):
+    (x,) = inputs
+    return compare(s.conj(s.neg(x)), s.neg(s.conj(x)))
+
+
+def _neg_involution(s, inputs):
+    (x,) = inputs
+    return compare(s.neg(s.neg(x)), x)
+
+
+def _star_involution(s, inputs):
+    (x,) = inputs
+    return compare(s.conj(s.conj(x)), x)
+
+
+def _mul_neg(s, inputs):
+    x, y = inputs
+    return compare(s.mul(x, s.neg(y)), s.neg(s.mul(x, y)))
+
+
+def _star_mul(s, inputs):
+    x, y = inputs
+    return compare(s.conj(s.mul(x, y)), s.mul(s.conj(y), s.conj(x)))
+
+
+def _star_left_inverse(s, inputs):
+    (x,) = inputs
+    return compare(s.mul(s.conj(x), x), s.unit)
+
+
+def _star_right_inverse(s, inputs):
+    (x,) = inputs
+    return compare(s.mul(x, s.conj(x)), s.unit)
+
+
+def _neg_mul(s, inputs):
+    x, y = inputs
+    return compare(s.mul(s.neg(x), y), s.neg(s.mul(x, y)))
+
+
+def _one_mul(s, inputs):
+    (x,) = inputs
+    return compare(s.mul(s.unit, x), x)
+
+
+def _mul_one(s, inputs):
+    (x,) = inputs
+    return compare(s.mul(x, s.unit), x)
+
+
+def _associativity(s, inputs):
+    x, y, z = inputs
+    return compare(s.mul(s.mul(x, y), z), s.mul(x, s.mul(y, z)))
+
+
+SPHEROID_LAWS = (
+    ("one-star", _one_star, 0),
+    ("neg-star", _neg_star, 1),
+    ("neg-involution", _neg_involution, 1),
+    ("star-involution", _star_involution, 1),
+    ("mul-neg", _mul_neg, 2),
+    ("star-mul", _star_mul, 2),
+    ("star-left-inverse", _star_left_inverse, 1),
+    # derived: these follow from the six above, checked independently
+    ("star-right-inverse", _star_right_inverse, 1),
+    ("neg-mul", _neg_mul, 2),
+)
+
+IMAGINAROID_LAWS = (
+    ("mul-neg", _mul_neg, 2),
+    ("star-right-inverse", _star_right_inverse, 1),
+    ("star-mul", _star_mul, 2),
+    ("one-mul", _one_mul, 1),
+    ("mul-one", _mul_one, 1),
+)
 
 
 def spheroid_check(inst: SpheroidInstance,
@@ -168,97 +237,10 @@ def spheroid_check(inst: SpheroidInstance,
                    tolerance: float = 1e-9,
                    workers: int = 1) -> list:
     """The six spheroid laws plus the two derived ones, one report per law."""
-    unit, mul, conj, neg = inst.unit, inst.mul, inst.conj, inst.neg
-
-    def law_unit_conj(inputs):
-        lhs = conj(unit)
-        return max_abs_diff(lhs, unit), lhs, unit
-
-    def law_neg_star(inputs):
-        (x,) = inputs
-        lhs = conj(neg(x))
-        rhs = neg(conj(x))
-        return max_abs_diff(lhs, rhs), lhs, rhs
-
-    def law_neg_involution(inputs):
-        (x,) = inputs
-        lhs = neg(neg(x))
-        return max_abs_diff(lhs, x), lhs, x
-
-    def law_star_involution(inputs):
-        (x,) = inputs
-        lhs = conj(conj(x))
-        return max_abs_diff(lhs, x), lhs, x
-
-    def law_mul_neg(inputs):
-        x, y = inputs
-        lhs = mul(x, neg(y))
-        rhs = neg(mul(x, y))
-        return max_abs_diff(lhs, rhs), lhs, rhs
-
-    def law_star_mul(inputs):
-        x, y = inputs
-        lhs = conj(mul(x, y))
-        rhs = mul(conj(y), conj(x))
-        return max_abs_diff(lhs, rhs), lhs, rhs
-
-    def law_star_left_inverse(inputs):
-        (x,) = inputs
-        lhs = mul(conj(x), x)
-        return max_abs_diff(lhs, unit), lhs, unit
-
-    # derived: these follow from the six above, checked independently
-    def law_star_right_inverse(inputs):
-        (x,) = inputs
-        lhs = mul(x, conj(x))
-        return max_abs_diff(lhs, unit), lhs, unit
-
-    def law_neg_mul(inputs):
-        x, y = inputs
-        lhs = mul(neg(x), y)
-        rhs = neg(mul(x, y))
-        return max_abs_diff(lhs, rhs), lhs, rhs
-
-    laws = [
-        ("one-star", law_unit_conj, 0),
-        ("neg-star", law_neg_star, 1),
-        ("neg-involution", law_neg_involution, 1),
-        ("star-involution", law_star_involution, 1),
-        ("mul-neg", law_mul_neg, 2),
-        ("star-mul", law_star_mul, 2),
-        ("star-left-inverse", law_star_left_inverse, 1),
-        ("star-right-inverse", law_star_right_inverse, 1),
-        ("neg-mul", law_neg_mul, 2),
-    ]
-    return _run_point_laws(inst, laws, samples, seed, mode, tolerance, workers)
-
-
-def _run_point_laws(inst, laws, samples, seed, mode, tolerance, workers) -> list:
-    structured_points = inst.structured() if isinstance(inst, SpheroidInstance) \
-        else _signed_basis(inst.susp_dim)
-    name = inst.name
-    reports = []
-    for law, evaluate, arity in laws:
-        if arity == 0:
-            structured = [()]
-            sampler, n = None, 0
-        else:
-            structured = _tuples(structured_points, arity)
-            sampler = _pair_sampler(inst, f"laws/{name}/{law}/{mode}", seed, mode, arity)
-            n = samples
-        reports.append(execute_check(
-            law, name, evaluate, structured=structured, sampler=sampler,
-            samples=n, seed=seed, mode=mode, tolerance=tolerance,
-            workers=workers))
-    return reports
-
-
-def _tuples(points, arity):
-    if arity == 1:
-        return [(p,) for p in points]
-    if arity == 2:
-        return [(p, q) for p in points for q in points]
-    return [(p, q, r) for p in points for q in points for r in points]
+    return run_laws(
+        SPHEROID_LAWS, inst.name, inst, structured=_basis_tuples(inst.dim),
+        draw=_unit_points(inst.dim, mode), suite=lambda law: f"laws/{inst.name}/{law}/{mode}",
+        samples=samples, seed=seed, mode=mode, tolerance=tolerance, workers=workers)
 
 
 def imaginaroid_check(inst: ImaginaroidInstance,
@@ -268,73 +250,23 @@ def imaginaroid_check(inst: ImaginaroidInstance,
                       *,
                       tolerance: float = 1e-9,
                       workers: int = 1) -> list:
-    """The imaginaroid laws on the suspension, then the spheroid suite it induces."""
-    unit, mul, conj, neg = inst.unit, inst.mul, inst.conj, inst.neg
+    """The imaginaroid laws on the suspension, then the spheroid suite it induces.
 
-    def law_base_neg_involution(inputs):
-        (a,) = inputs
-        lhs = inst.base_neg(inst.base_neg(a))
-        return max_abs_diff(lhs, a), lhs, a
-
-    def law_mul_neg(inputs):
-        x, y = inputs
-        lhs = mul(x, neg(y))
-        rhs = neg(mul(x, y))
-        return max_abs_diff(lhs, rhs), lhs, rhs
-
-    def law_star_right_inverse(inputs):
-        (x,) = inputs
-        lhs = mul(x, conj(x))
-        return max_abs_diff(lhs, unit), lhs, unit
-
-    def law_star_mul(inputs):
-        x, y = inputs
-        lhs = conj(mul(x, y))
-        rhs = mul(conj(y), conj(x))
-        return max_abs_diff(lhs, rhs), lhs, rhs
-
-    def law_one_mul(inputs):
-        (x,) = inputs
-        lhs = mul(unit, x)
-        return max_abs_diff(lhs, x), lhs, x
-
-    def law_mul_one(inputs):
-        (x,) = inputs
-        lhs = mul(x, unit)
-        return max_abs_diff(lhs, x), lhs, x
-
-    reports = []
-
-    # base negation must be involutive (vacuous for the empty base)
-    if inst.base_dim > 0:
-        base_structured = [(p,) for p in _signed_basis(inst.base_dim)]
-
-        def base_sampler(i):
-            rng = CounterRng(seed, f"laws/{inst.name}/base-neg/{mode}", i)
-            return (inst.sample_base(rng, mode),)
-
-        reports.append(execute_check(
-            "base-neg-involution", inst.name, law_base_neg_involution,
-            structured=base_structured, sampler=base_sampler, samples=samples,
-            seed=seed, mode=mode, tolerance=tolerance, workers=workers))
-    else:
-        reports.append(execute_check(
-            "base-neg-involution", inst.name, lambda inputs: (0, None, None),
-            structured=[], sampler=None, samples=0, seed=seed, mode=mode,
-            tolerance=tolerance, workers=workers))
-
-    laws = [
-        ("mul-neg", law_mul_neg, 2),
-        ("star-right-inverse", law_star_right_inverse, 1),
-        ("star-mul", law_star_mul, 2),
-        ("one-mul", law_one_mul, 1),
-        ("mul-one", law_mul_one, 1),
-    ]
-    reports.extend(_run_point_laws(inst, laws, samples, seed, mode, tolerance, workers))
-    reports.extend(spheroid_check(
-        inst.induced_spheroid(), samples=samples, seed=seed, mode=mode,
-        tolerance=tolerance, workers=workers))
-    return reports
+    The suspension laws share their bodies with the spheroid suite, which
+    runs them again on the induced spheroid under its own instance name.
+    """
+    kw = dict(seed=seed, mode=mode, tolerance=tolerance, workers=workers)
+    # base negation must be involutive; an empty base has nothing to sample
+    reports = run_laws(
+        (("base-neg-involution", _neg_involution, 1),), inst.name, inst,
+        structured=_basis_tuples(inst.base_dim), draw=_unit_points(inst.base_dim, mode),
+        suite=lambda law: f"laws/{inst.name}/base-neg/{mode}",
+        samples=samples if inst.base_dim else 0, **kw)
+    reports += run_laws(
+        IMAGINAROID_LAWS, inst.name, inst, structured=_basis_tuples(inst.susp_dim),
+        draw=_unit_points(inst.susp_dim, mode),
+        suite=lambda law: f"laws/{inst.name}/{law}/{mode}", samples=samples, **kw)
+    return reports + spheroid_check(inst.induced_spheroid(), samples=samples, **kw)
 
 
 def assoc_check(inst: ImaginaroidInstance,
@@ -346,20 +278,12 @@ def assoc_check(inst: ImaginaroidInstance,
                 workers: int = 1,
                 expect_holds: bool = True) -> LawReport:
     """(xy)z = x(yz) on the suspension; a pass unlocks the join construction."""
-    mul = inst.mul
-
-    def law(inputs):
-        x, y, z = inputs
-        lhs = mul(mul(x, y), z)
-        rhs = mul(x, mul(y, z))
-        return max_abs_diff(lhs, rhs), lhs, rhs
-
-    report = execute_check(
-        "associativity", inst.name, law,
-        structured=_tuples(_signed_basis(inst.susp_dim), 3),
-        sampler=_pair_sampler(inst, f"laws/{inst.name}/assoc/{mode}", seed, mode, 3),
-        samples=samples, seed=seed, mode=mode, tolerance=tolerance,
-        workers=workers, expect_holds=expect_holds)
+    (report,) = run_laws(
+        (("associativity", _associativity, 3),), inst.name, inst,
+        structured=_basis_tuples(inst.susp_dim), draw=_unit_points(inst.susp_dim, mode),
+        suite=lambda law: f"laws/{inst.name}/assoc/{mode}",
+        expect=lambda law: expect_holds, samples=samples, seed=seed, mode=mode,
+        tolerance=tolerance, workers=workers)
     if report.holds:
         inst.assoc_verified = True
     return report
@@ -403,18 +327,18 @@ def corner_transport_residual(inst: ImaginaroidInstance, a, b, c, d):
     return worst, detail
 
 
+def _corner_transport(inst, inputs):
+    worst, detail = corner_transport_residual(inst, *inputs)
+    if detail is None:
+        return 0, None, None
+    return worst, detail[1], detail[2]
+
+
 def corner_transport_check(inst: ImaginaroidInstance, a, b, c, d,
                            *, allow_unverified: bool = False) -> LawReport:
     """Check the four corner identities for one 4-tuple of suspension points."""
     _require_assoc(inst, allow_unverified)
-
-    def evaluate(inputs):
-        worst, detail = corner_transport_residual(inst, *inputs)
-        if detail is None:
-            return 0, None, None
-        return worst, detail[1], detail[2]
-
-    return execute_check("corner-transport", inst.name, evaluate,
+    return execute_check("corner-transport", inst.name, partial(_corner_transport, inst),
                          structured=[(a, b, c, d)], samples=0)
 
 
@@ -429,18 +353,13 @@ def corner_transport_suite(inst: ImaginaroidInstance,
                            expect_holds: bool = True) -> LawReport:
     """Corner identities over random unit 4-tuples of the suspension."""
     _require_assoc(inst, allow_unverified)
-
-    def evaluate(inputs):
-        worst, detail = corner_transport_residual(inst, *inputs)
-        if detail is None:
-            return 0, None, None
-        return worst, detail[1], detail[2]
-
-    return execute_check(
-        "corner-transport", inst.name, evaluate,
-        sampler=_pair_sampler(inst, f"laws/{inst.name}/corner/{mode}", seed, mode, 4),
-        samples=samples, seed=seed, mode=mode, tolerance=tolerance,
-        workers=workers, expect_holds=expect_holds)
+    (report,) = run_laws(
+        (("corner-transport", _corner_transport, 4),), inst.name, inst,
+        draw=_unit_points(inst.susp_dim, mode),
+        suite=lambda law: f"laws/{inst.name}/corner/{mode}",
+        expect=lambda law: expect_holds, samples=samples, seed=seed, mode=mode,
+        tolerance=tolerance, workers=workers)
+    return report
 
 
 def _require_assoc(inst: ImaginaroidInstance, allow_unverified: bool):
@@ -490,6 +409,53 @@ def sphere_hspace_carrier(name: str) -> HSpaceCarrier:
         serialize=lambda p: p)
 
 
+def _serialized(c: HSpaceCarrier, lhs, rhs):
+    return c.residual(lhs, rhs), c.serialize(lhs), c.serialize(rhs)
+
+
+def _left_unit(c, inputs):
+    (x,) = inputs
+    return _serialized(c, c.mul(c.unit, x), x)
+
+
+def _right_unit(c, inputs):
+    (x,) = inputs
+    return _serialized(c, c.mul(x, c.unit), x)
+
+
+def _left_inv(c, inputs):
+    a, x = inputs
+    return _serialized(c, c.mul(c.star(a), c.mul(a, x)), x)
+
+
+def _left_inv_alt(c, inputs):
+    a, x = inputs
+    return _serialized(c, c.mul(a, c.mul(c.star(a), x)), x)
+
+
+def _right_inv(c, inputs):
+    a, x = inputs
+    return _serialized(c, c.mul(c.mul(x, a), c.star(a)), x)
+
+
+def _right_inv_alt(c, inputs):
+    a, x = inputs
+    return _serialized(c, c.mul(c.mul(x, c.star(a)), a), x)
+
+
+HSPACE_UNIT_LAWS = (
+    ("left-unit", _left_unit, 1),
+    ("right-unit", _right_unit, 1),
+)
+
+HSPACE_LAWS = HSPACE_UNIT_LAWS + (
+    ("left-translation-inverse", _left_inv, 2),
+    ("left-translation-inverse-alt", _left_inv_alt, 2),
+    ("right-translation-inverse", _right_inv, 2),
+    ("right-translation-inverse-alt", _right_inv_alt, 2),
+)
+
+
 def hspace_check(carrier: HSpaceCarrier,
                  samples: int = 10000,
                  seed: int = 0,
@@ -498,55 +464,9 @@ def hspace_check(carrier: HSpaceCarrier,
                  tolerance: float = 1e-9,
                  workers: int = 1) -> list:
     """Unit laws plus two-sided conjugate-inverse identities for translations."""
-    unit, mul, star, res = carrier.unit, carrier.mul, carrier.star, carrier.residual
-
-    def left_unit(inputs):
-        (x,) = inputs
-        lhs = mul(unit, x)
-        return res(lhs, x), carrier.serialize(lhs), carrier.serialize(x)
-
-    def right_unit(inputs):
-        (x,) = inputs
-        lhs = mul(x, unit)
-        return res(lhs, x), carrier.serialize(lhs), carrier.serialize(x)
-
-    def left_inv(inputs):
-        a, x = inputs
-        lhs = mul(star(a), mul(a, x))
-        return res(lhs, x), carrier.serialize(lhs), carrier.serialize(x)
-
-    def left_inv_alt(inputs):
-        a, x = inputs
-        lhs = mul(a, mul(star(a), x))
-        return res(lhs, x), carrier.serialize(lhs), carrier.serialize(x)
-
-    def right_inv(inputs):
-        a, x = inputs
-        lhs = mul(mul(x, a), star(a))
-        return res(lhs, x), carrier.serialize(lhs), carrier.serialize(x)
-
-    def right_inv_alt(inputs):
-        a, x = inputs
-        lhs = mul(mul(x, star(a)), a)
-        return res(lhs, x), carrier.serialize(lhs), carrier.serialize(x)
-
-    laws = [
-        ("left-unit", left_unit, 1),
-        ("right-unit", right_unit, 1),
-        ("left-translation-inverse", left_inv, 2),
-        ("left-translation-inverse-alt", left_inv_alt, 2),
-        ("right-translation-inverse", right_inv, 2),
-        ("right-translation-inverse-alt", right_inv_alt, 2),
-    ]
-    reports = []
-    for law, evaluate, arity in laws:
-        def sampler(i, arity=arity, law=law):
-            rng = CounterRng(seed, f"hspace/{carrier.name}/{law}/{mode}", i)
-            return tuple(carrier.sample(rng, mode) for _ in range(arity))
-
-        reports.append(execute_check(
-            law, carrier.name, evaluate,
-            structured=_tuples(carrier.structured, arity),
-            sampler=sampler, samples=samples, seed=seed, mode=mode,
-            tolerance=tolerance, workers=workers))
-    return reports
+    return run_laws(
+        HSPACE_LAWS, carrier.name, carrier,
+        structured=lambda arity: product(carrier.structured, repeat=arity),
+        draw=lambda rng, arity, i: tuple(carrier.sample(rng, mode) for _ in range(arity)),
+        suite=lambda law: f"hspace/{carrier.name}/{law}/{mode}", samples=samples,
+        seed=seed, mode=mode, tolerance=tolerance, workers=workers)

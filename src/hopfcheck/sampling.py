@@ -68,14 +68,6 @@ def rand_coeffs(rng: CounterRng, n: int, mode: str, magnitude: int = DEFAULT_MAG
     return tuple(rand_scalar(rng, mode, magnitude) for _ in range(n))
 
 
-def rand_nonzero_coeffs(rng: CounterRng, n: int, mode: str,
-                        magnitude: int = DEFAULT_MAGNITUDE) -> tuple:
-    while True:
-        c = rand_coeffs(rng, n, mode, magnitude)
-        if any(c):
-            return c
-
-
 def stereographic(vec: tuple) -> tuple:
     """Map a vector in R^(d-1) to the unit sphere of R^d, exactly for rationals."""
     if not vec:

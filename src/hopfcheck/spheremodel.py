@@ -231,11 +231,3 @@ def join_to_susp(x: JoinPoint) -> SuspPoint:
     if len(x.left) != 1:
         raise UsageError("left factor must be one-dimensional")
     return SuspPoint(x.left + x.right)
-
-
-def sphere_to_susp(p: SpherePoint) -> SuspPoint:
-    return SuspPoint(p.coords)
-
-
-def susp_to_sphere(x: SuspPoint) -> SpherePoint:
-    return SpherePoint(x.coords)

@@ -6,6 +6,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from hopfcheck import __version__
 from hopfcheck.checks import ReportDocument
 from hopfcheck.cli import emit, main
@@ -46,8 +48,28 @@ def test_unknown_flag_exits_2():
     assert run_cli("laws", "--level", "1", "--frobnicate") == 2
 
 
-def test_bad_sample_count_exits_2():
-    assert run_cli("laws", "--level", "1", "--samples", "0") == 2
+#: values outside the documented flag ranges (most once gave a traceback or a silent pass)
+BAD_INPUTS = {
+    "samples-0": ("laws", "--level", "1", "--samples", "0"),
+    "grid-0": ("diamond", "--grid", "0"),
+    "grid-negative": ("diamond", "--grid", "-3"),
+    "tolerance-negative": ("laws", "--level", "1", "--mode", "float", "--tolerance", "-1"),
+    "tolerance-nan": ("laws", "--level", "4", "--mode", "float", "--tolerance", "nan"),
+    "tolerance-inf": ("laws", "--level", "1", "--mode", "float", "--tolerance", "inf"),
+    "workers-negative": ("laws", "--level", "1", "--workers", "-4"),
+    "workers-0": ("laws", "--level", "1", "--workers", "0"),
+    "laws-level-6": ("laws", "--level", "6"),
+    "zerodiv-level-6": ("zerodiv", "--level", "6"),
+    "zerodiv-level-negative": ("zerodiv", "--level", "-1"),
+}
+
+
+@pytest.mark.parametrize("argv", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+def test_bad_input_exits_2(argv, capsys):
+    samples = () if "--samples" in argv else ("--samples", "5")
+    assert run_cli(*argv, *samples) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("hopfcheck: ") and err.count("\n") == 1
 
 
 def test_unwritable_output_exits_2(tmp_path):
