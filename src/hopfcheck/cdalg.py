@@ -24,9 +24,10 @@ from typing import Optional, Sequence
 
 from .checks import compare, max_abs_diff, run_laws
 from .errors import InvariantViolation, NotInvertibleError, UsageError
-from .sampling import DEFAULT_MAGNITUDE, rand_coeffs
+from .sampling import rand_coeffs
 
 MAX_LEVEL = 5
+STRUCTURED_CAP = 6000   # structured inputs scanned per ladder law
 
 # The property ladder: which laws are expected to hold at each level.
 _LADDER = {
@@ -328,23 +329,19 @@ def law_suite(level: int,
               seed: int = 0,
               *,
               tolerance: float = 1e-9,
-              magnitude: int = DEFAULT_MAGNITUDE,
-              structured_cap: int = 6000,
-              workers: int = 1,
-              max_level: int = MAX_LEVEL) -> list:
+              workers: int = 1) -> list:
     """Check the whole property ladder at one level.
 
     Returns one report per law.  Expected failures (e.g. associativity at
     level 3) are marked expected and do not count against the run.
     """
-    if not 0 <= level <= max_level:
-        raise UsageError(f"level must be within 0..{max_level}")
+    if not 0 <= level <= MAX_LEVEL:
+        raise UsageError(f"level must be within 0..{MAX_LEVEL}")
     n = 1 << level
     return run_laws(
         LADDER_LAWS, f"level-{level}", None,
-        structured=lambda arity: structured_tuples(level, arity, structured_cap),
-        draw=lambda rng, arity, i: tuple(rand_coeffs(rng, n, mode, magnitude)
-                                         for _ in range(arity)),
+        structured=lambda arity: structured_tuples(level, arity, STRUCTURED_CAP),
+        draw=lambda rng, arity, i: tuple(rand_coeffs(rng, n, mode) for _ in range(arity)),
         suite=lambda law: f"cdalg/{law}/level-{level}/{mode}",
         expect=lambda law: _LADDER[law](level), samples=samples, seed=seed,
         mode=mode, tolerance=tolerance, workers=workers)

@@ -19,6 +19,7 @@ from typing import Callable, Iterable, Optional
 
 from .errors import InvariantViolation
 from .sampling import CounterRng
+from .spheremodel import JoinPoint, SpherePoint
 
 STATUS_HOLDS_EXACT = "holds-exact"
 STATUS_HOLDS_SAMPLED = "holds-sampled"
@@ -33,7 +34,8 @@ def scalar_to_json(x):
 
 
 def coeffs_to_json(value):
-    if isinstance(value, (tuple, list)):
+    """Coefficient sequences (tuples, lists, sphere and join points) go to lists of scalars."""
+    if isinstance(value, (tuple, list, SpherePoint, JoinPoint)):
         return [coeffs_to_json(v) for v in value]
     return scalar_to_json(value)
 
@@ -239,7 +241,7 @@ def run_laws(rows,
     return reports
 
 
-def max_abs_diff(a: tuple, b: tuple):
+def max_abs_diff(a: Iterable, b: Iterable):
     """Largest absolute coefficient difference; the residual used everywhere."""
     worst = 0
     for x, y in zip(a, b):
@@ -252,5 +254,5 @@ def max_abs_diff(a: tuple, b: tuple):
 
 
 def compare(lhs, rhs) -> tuple:
-    """(residual, lhs, rhs) for a law whose two sides are coefficient tuples."""
+    """(residual, lhs, rhs) for a law whose two sides are coefficient sequences."""
     return max_abs_diff(lhs, rhs), lhs, rhs

@@ -264,8 +264,7 @@ VIEW_KINDS = ("inl", "inr", "glue")
 
 def _oracle_equivalence(inst, inputs):
     X, Y = inputs
-    return compare(join_mul_syn(X, Y, inst).flatten(),
-                   join_mul_alg(X, Y, inst.level + 1).flatten())
+    return compare(join_mul_syn(X, Y, inst), join_mul_alg(X, Y, inst.level + 1))
 
 
 #: one law per view combination; the shape is the pair of views to sample
@@ -354,7 +353,7 @@ def _filler_boundary(params, inputs):
     (x,) = inputs
     filler = reduced_diamond_filler(x)
     return _worst_pair(
-        (filler.evaluate(sigma, tau).flatten(), filler.edge_expectation(sigma, tau).flatten())
+        (filler.evaluate(sigma, tau), filler.edge_expectation(sigma, tau))
         for fixed in _EDGE_ENDPOINTS for t in params for sigma, tau in ((fixed, t), (t, fixed)))
 
 
@@ -371,7 +370,7 @@ def _filler_pole_reduction(params, inputs):
         return 0, None, None
     filler = reduced_diamond_filler(x)
     return _worst_pair(
-        (filler.evaluate(sigma, tau).flatten(), ref.evaluate(sigma, tau).flatten())
+        (filler.evaluate(sigma, tau), ref.evaluate(sigma, tau))
         for sigma in params for tau in params)
 
 
@@ -435,6 +434,4 @@ def join_hspace_carrier(inst: ImaginaroidInstance) -> HSpaceCarrier:
         mul=lambda X, Y: join_mul_syn(X, Y, inst),
         star=star,
         sample=sample,
-        structured=structured,
-        residual=lambda X, Y: max_abs_diff(X.flatten(), Y.flatten()),
-        serialize=lambda X: X.flatten())
+        structured=structured)

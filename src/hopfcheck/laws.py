@@ -115,19 +115,11 @@ class ImaginaroidInstance:
 
 
 def spheroid_instance(name: str) -> SpheroidInstance:
-    """Provided spheroids: the sign group and the induced circle/quaternion spheres."""
-    if name == "s0":
-        return SpheroidInstance(
-            name="s0", dim=1,
-            unit=(Fraction(1),),
-            mul=lambda x, y: (x[0] * y[0],),
-            conj=lambda x: x,
-            neg=lambda x: (-x[0],))
-    if name == "s1":
-        return replace(imaginaroid_instance("s0").induced_spheroid(), name="s1")
-    if name == "s3":
-        return replace(imaginaroid_instance("s2").induced_spheroid(), name="s3")
-    raise UsageError(f"unknown spheroid instance {name!r}")
+    """Provided spheroids: the sign group, circle and quaternion sphere, as induced spheroids."""
+    bases = {"s0": "empty", "s1": "s0", "s3": "s2"}
+    if name not in bases:
+        raise UsageError(f"unknown spheroid instance {name!r}")
+    return replace(imaginaroid_instance(bases[name]).induced_spheroid(), name=name)
 
 
 def imaginaroid_instance(name: str) -> ImaginaroidInstance:
@@ -376,10 +368,11 @@ def _require_assoc(inst: ImaginaroidInstance, allow_unverified: bool):
 class HSpaceCarrier:
     """A pointed carrier with multiplication and a conjugation-like inverse.
 
-    Points are opaque; sample/structured produce them, mul/star combine
-    them and residual compares them.  Translation invertibility is checked
-    through explicit two-sided conjugate inverses, which is sound for all
-    carriers provided here (groups or alternative-algebra spheres).
+    Points are coordinate sequences (tuples or join points), so the laws
+    compare them like spheroid points; sample/structured produce them and
+    mul/star combine them.  Translation invertibility is checked through
+    explicit two-sided conjugate inverses, which is sound for all carriers
+    provided here (groups or alternative-algebra spheres).
     """
 
     name: str
@@ -388,64 +381,43 @@ class HSpaceCarrier:
     star: Callable
     sample: Callable          # (rng, mode) -> point
     structured: tuple
-    residual: Callable        # (x, y) -> scalar
-    serialize: Callable       # point -> json-ready coefficients
 
 
 def sphere_hspace_carrier(name: str) -> HSpaceCarrier:
     """Carriers backed directly by a Cayley-Dickson sphere: s0, s1, s3."""
-    levels = {"s0": 0, "s1": 1, "s3": 2}
-    if name not in levels:
-        raise UsageError(f"unknown sphere carrier {name!r}")
-    dim = 1 << levels[name]
+    s = spheroid_instance(name)
     return HSpaceCarrier(
         name=name,
-        unit=(Fraction(1),) + (Fraction(0),) * (dim - 1),
-        mul=mul_coeffs,
-        star=conj_coeffs,
-        sample=lambda rng, mode: rand_unit(rng, dim, mode),
-        structured=_signed_basis(dim),
-        residual=max_abs_diff,
-        serialize=lambda p: p)
-
-
-def _serialized(c: HSpaceCarrier, lhs, rhs):
-    return c.residual(lhs, rhs), c.serialize(lhs), c.serialize(rhs)
-
-
-def _left_unit(c, inputs):
-    (x,) = inputs
-    return _serialized(c, c.mul(c.unit, x), x)
-
-
-def _right_unit(c, inputs):
-    (x,) = inputs
-    return _serialized(c, c.mul(x, c.unit), x)
+        unit=s.unit,
+        mul=s.mul,
+        star=s.conj,
+        sample=lambda rng, mode: rand_unit(rng, s.dim, mode),
+        structured=_signed_basis(s.dim))
 
 
 def _left_inv(c, inputs):
     a, x = inputs
-    return _serialized(c, c.mul(c.star(a), c.mul(a, x)), x)
+    return compare(c.mul(c.star(a), c.mul(a, x)), x)
 
 
 def _left_inv_alt(c, inputs):
     a, x = inputs
-    return _serialized(c, c.mul(a, c.mul(c.star(a), x)), x)
+    return compare(c.mul(a, c.mul(c.star(a), x)), x)
 
 
 def _right_inv(c, inputs):
     a, x = inputs
-    return _serialized(c, c.mul(c.mul(x, a), c.star(a)), x)
+    return compare(c.mul(c.mul(x, a), c.star(a)), x)
 
 
 def _right_inv_alt(c, inputs):
     a, x = inputs
-    return _serialized(c, c.mul(c.mul(x, c.star(a)), a), x)
+    return compare(c.mul(c.mul(x, c.star(a)), a), x)
 
 
 HSPACE_UNIT_LAWS = (
-    ("left-unit", _left_unit, 1),
-    ("right-unit", _right_unit, 1),
+    ("left-unit", _one_mul, 1),
+    ("right-unit", _mul_one, 1),
 )
 
 HSPACE_LAWS = HSPACE_UNIT_LAWS + (

@@ -16,8 +16,8 @@ from fractions import Fraction
 
 _MASK = (1 << 64) - 1
 
-#: default bound on numerators/denominators of random rationals
-DEFAULT_MAGNITUDE = 10
+#: bound on numerators/denominators of random rationals and on random floats
+MAGNITUDE = 10
 
 
 def _suite_key(suite: str) -> int:
@@ -54,18 +54,18 @@ class CounterRng:
         return 1 if self.next_u64() & 1 else -1
 
 
-def rand_fraction(rng: CounterRng, magnitude: int = DEFAULT_MAGNITUDE) -> Fraction:
-    return Fraction(rng.randint(-magnitude, magnitude), rng.randint(1, magnitude))
+def rand_fraction(rng: CounterRng) -> Fraction:
+    return Fraction(rng.randint(-MAGNITUDE, MAGNITUDE), rng.randint(1, MAGNITUDE))
 
 
-def rand_scalar(rng: CounterRng, mode: str, magnitude: int = DEFAULT_MAGNITUDE):
+def rand_scalar(rng: CounterRng, mode: str):
     if mode == "exact":
-        return rand_fraction(rng, magnitude)
-    return rng.uniform(-magnitude, magnitude)
+        return rand_fraction(rng)
+    return rng.uniform(-MAGNITUDE, MAGNITUDE)
 
 
-def rand_coeffs(rng: CounterRng, n: int, mode: str, magnitude: int = DEFAULT_MAGNITUDE) -> tuple:
-    return tuple(rand_scalar(rng, mode, magnitude) for _ in range(n))
+def rand_coeffs(rng: CounterRng, n: int, mode: str) -> tuple:
+    return tuple(rand_scalar(rng, mode) for _ in range(n))
 
 
 def stereographic(vec: tuple) -> tuple:
@@ -77,8 +77,7 @@ def stereographic(vec: tuple) -> tuple:
     return ((1 - n2) / denom,) + tuple(2 * c / denom for c in vec)
 
 
-def rand_unit(rng: CounterRng, dim: int, mode: str,
-              magnitude: int = DEFAULT_MAGNITUDE) -> tuple:
+def rand_unit(rng: CounterRng, dim: int, mode: str) -> tuple:
     """Random point on the unit sphere of R^dim (exactly unit in exact mode)."""
     if dim < 1:
         raise ValueError("ambient dimension must be >= 1")
@@ -86,27 +85,23 @@ def rand_unit(rng: CounterRng, dim: int, mode: str,
         one = Fraction(1) if mode == "exact" else 1.0
         return (rng.sign() * one,)
     if mode == "exact":
-        vec = tuple(rand_fraction(rng, magnitude) for _ in range(dim - 1))
+        vec = tuple(rand_fraction(rng) for _ in range(dim - 1))
     else:
-        vec = tuple(rng.uniform(-magnitude, magnitude) for _ in range(dim - 1))
+        vec = tuple(rng.uniform(-MAGNITUDE, MAGNITUDE) for _ in range(dim - 1))
     return stereographic(vec)
 
 
-def rand_quarter_pair(rng: CounterRng, mode: str, magnitude: int = DEFAULT_MAGNITUDE,
-                      interior: bool = True) -> tuple:
-    """Random (c, s) with c, s >= 0 and c^2 + s^2 = 1.
+def rand_quarter_pair(rng: CounterRng, mode: str) -> tuple:
+    """Random (c, s) with c, s > 0 and c^2 + s^2 = 1.
 
-    interior=True keeps both components strictly positive, so the pair
-    parameterizes a genuine glue arc point rather than an endpoint.
+    Both components are strictly positive, so the pair parameterizes a
+    genuine glue arc point rather than an endpoint.
     """
     if mode == "exact":
-        den = rng.randint(2, 4 * magnitude)
-        lo, hi = (1, den - 1) if interior else (0, den)
-        t = Fraction(rng.randint(lo, hi), den)
+        den = rng.randint(2, 4 * MAGNITUDE)
+        t = Fraction(rng.randint(1, den - 1), den)
     else:
-        t = rng.uniform(0.0, 1.0)
-        if interior:
-            t = 0.5 * t + 0.25
+        t = 0.5 * rng.uniform(0.0, 1.0) + 0.25
     t2 = t * t
     return ((1 - t2) / (1 + t2), 2 * t / (1 + t2))
 

@@ -57,6 +57,9 @@ class SpherePoint:
     def __post_init__(self):
         _check_unit(self.coords, "sphere point")
 
+    def __iter__(self):
+        return iter(self.coords)
+
     @property
     def dim(self) -> int:
         return len(self.coords)
@@ -99,12 +102,6 @@ class SuspPoint:
         """The point (c, s*a) with (c, s) on the full circle c^2 + s^2 = 1."""
         return cls((c,) + tuple(s * x for x in a.coords))
 
-    def is_north(self) -> bool:
-        return self.coords[0] == 1 and not any(self.coords[1:])
-
-    def is_south(self) -> bool:
-        return self.coords[0] == -1 and not any(self.coords[1:])
-
 
 def susp_neg(x: SuspPoint) -> SuspPoint:
     """The antipode: swaps the poles and reverses each meridian through -a."""
@@ -118,7 +115,10 @@ def susp_conj(x: SuspPoint) -> SuspPoint:
 
 @dataclass(frozen=True)
 class JoinPoint:
-    """Embedded point of join(X, Y): vectors (p, q) with |p|^2 + |q|^2 = 1."""
+    """Embedded point of join(X, Y): vectors (p, q) with |p|^2 + |q|^2 = 1.
+
+    It iterates as its coordinates p + q, so laws compare and report it like a tuple.
+    """
 
     left: tuple
     right: tuple
@@ -126,9 +126,8 @@ class JoinPoint:
     def __post_init__(self):
         _check_unit(self.left + self.right, "join point")
 
-    @property
-    def dims(self) -> tuple:
-        return (len(self.left), len(self.right))
+    def __iter__(self):
+        return iter(self.left + self.right)
 
     def flatten(self) -> tuple:
         return self.left + self.right
@@ -190,16 +189,15 @@ def join_view(x: JoinPoint) -> JoinView:
         c=c, s=s)
 
 
-def join_functor(f: Callable, g: Callable, x: JoinPoint, *, check: bool = True) -> JoinPoint:
+def join_functor(f: Callable, g: Callable, x: JoinPoint) -> JoinPoint:
     """Apply maps factorwise: (p, q) -> (f p, g q).
 
     f and g take and return raw coordinate tuples and must be linear and
-    norm-preserving for the image to stay in the join; with check=True
-    their images of the standard basis are probed for orthonormality.
+    norm-preserving for the image to stay in the join; their images of the
+    standard basis are probed for orthonormality.
     """
-    if check:
-        _check_orthonormal(f, len(x.left), "left map")
-        _check_orthonormal(g, len(x.right), "right map")
+    _check_orthonormal(f, len(x.left), "left map")
+    _check_orthonormal(g, len(x.right), "right map")
     return JoinPoint(tuple(f(x.left)), tuple(g(x.right)))
 
 

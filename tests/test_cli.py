@@ -109,6 +109,45 @@ def test_failing_law_serializes_witness_coefficients(tmp_path):
     assert all(isinstance(c, (int, float, str)) for c in witness["inputs"][0])
 
 
+#: float runs with --tolerance 0 whose sampled laws find witnesses: the
+#: associativity check of the fiber fails (hspace s7, complex), a join law
+#: fails on join points (real) or a filler law on sphere points (diamond)
+FAILING_FLOAT_RUNS = {
+    "hspace-s7": ("hspace", "--instance", "s7"),
+    "fibration-complex": ("fibration", "--instance", "complex"),
+    "fibration-real": ("fibration", "--instance", "real"),
+    "diamond-s2": ("diamond", "--instance", "s2", "--grid", "4"),
+}
+
+
+def _is_coordinates(x):
+    return isinstance(x, list) and all(isinstance(c, (int, float, str)) for c in x)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("argv", FAILING_FLOAT_RUNS.values(), ids=FAILING_FLOAT_RUNS.keys())
+def test_failing_float_run_reports_witnesses(argv, fmt, capsys):
+    code = run_cli(*argv, "--mode", "float", "--tolerance", "0", "--samples", "8",
+                   "--seed", "3", "--format", fmt)
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert err == ""
+    if fmt == "json":
+        failing = [r for r in json.loads(out)["reports"] if r["status"] == "fails"]
+    else:
+        failing = [dict(r, witness=json.loads(r["witness"]))
+                   for r in csv.DictReader(io.StringIO(out)) if r["status"] == "fails"]
+    assert failing
+    for r in failing:
+        inputs = r["witness"]["inputs"]
+        if r["law"].startswith("fiber-"):
+            # an arc point (u, v, c, s) followed by translations
+            (u, v, c, s), *ws = inputs
+            assert isinstance(c, float) and isinstance(s, float)
+            inputs = [u, v, *ws]
+        assert all(_is_coordinates(x) for x in inputs), r["law"]
+
+
 def test_zero_divisor_witness_round_trip(tmp_path):
     code, doc = run_cli_json(
         tmp_path, "zerodiv", "--level", "4", "--samples", "1")

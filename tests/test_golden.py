@@ -89,8 +89,7 @@ def _broken_conj_spheroid():
 def _broken_unit_carrier():
     c = sphere_hspace_carrier("s1")
     return type(c)(name="broken-unit", unit=(Fraction(0), Fraction(1)), mul=c.mul,
-                   star=c.star, sample=c.sample, structured=c.structured,
-                   residual=c.residual, serialize=c.serialize)
+                   star=c.star, sample=c.sample, structured=c.structured)
 
 
 def _library_suites(mode: str) -> dict:

@@ -1,14 +1,19 @@
 """Spheroid, imaginaroid, associativity and H-space suites."""
 
+import json
 from fractions import Fraction
 
 import pytest
 
+from hopfcheck.checks import ReportDocument
+from hopfcheck.cli import emit
 from hopfcheck.errors import PreconditionError
+from hopfcheck.joinmul import join_hspace_carrier
 from hopfcheck.laws import (assoc_check, corner_transport_check,
                             corner_transport_suite,
                             hspace_check, imaginaroid_check, imaginaroid_instance,
                             spheroid_check, spheroid_instance, sphere_hspace_carrier)
+from hopfcheck.spheremodel import JoinPoint
 
 
 def F(n, d=1):
@@ -175,11 +180,22 @@ def test_sphere_hspace_checks_exact(name):
         "right-translation-inverse", "right-translation-inverse-alt"}
 
 
-def test_hspace_detects_broken_unit():
-    carrier = sphere_hspace_carrier("s1")
+@pytest.mark.parametrize("kind", ["sphere", "join"])
+def test_hspace_detects_broken_unit(kind):
+    if kind == "sphere":
+        carrier, unit = sphere_hspace_carrier("s1"), (F(0), F(1))
+    else:
+        inst = imaginaroid_instance("s0")
+        assert assoc_check(inst, samples=20, seed=12).holds
+        # inr(1) in place of the unit inl(1)
+        carrier, unit = join_hspace_carrier(inst), JoinPoint((F(0), F(0)), inst.unit)
     broken = type(carrier)(
-        name="broken", unit=(F(0), F(1)), mul=carrier.mul, star=carrier.star,
-        sample=carrier.sample, structured=carrier.structured,
-        residual=carrier.residual, serialize=carrier.serialize)
-    reports = {r.law: r for r in hspace_check(broken, samples=40, seed=12)}
-    assert not reports["left-unit"].holds
+        name="broken", unit=unit, mul=carrier.mul, star=carrier.star,
+        sample=carrier.sample, structured=carrier.structured)
+    reports = hspace_check(broken, samples=40, seed=12)
+    assert not {r.law: r for r in reports}["left-unit"].holds
+    doc = json.loads(emit(ReportDocument("0", {}, reports).finalize(), "json"))
+    (left_unit,) = [r for r in doc["reports"] if r["law"] == "left-unit"]
+    (x,) = left_unit["witness"]["inputs"]
+    assert len(x) == len(tuple(unit))
+    assert all(isinstance(c, str) for c in x + left_unit["witness"]["lhs"])
