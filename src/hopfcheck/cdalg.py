@@ -10,16 +10,26 @@ level doubles the previous one with
 
 taken literally, so the induced quaternion basis satisfies e1 e2 = -e3
 (the mirror of the textbook orientation; every law checked here is
-orientation-independent).  Coefficients are exact rationals or floats;
-multiplication is the naive O(4^n) recursion, which is plenty at desk
-scale (levels are capped at 5 by default).
+orientation-independent).  Coefficients are exact rationals or floats
+(levels are capped at 5).
+
+Basis products satisfy e_i e_j = +-e_(i xor j) at every level, so exact
+multiplication is one loop over a per-level sign table, built on first use
+from the doubling rule and skipping zero coefficients.  Exact operands are
+lifted to integer numerators over their common denominator, multiplied as
+ints and divided back once; all-int operands give ints, and any Fraction
+operand gives Fractions, as the recursion does.  Float operands keep the
+recursion (`_mul_recursive`): float addition does not associate, so the
+summation order is part of the result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
+from math import lcm
 from typing import Optional, Sequence
 
 from .checks import compare, max_abs_diff, run_laws
@@ -49,7 +59,70 @@ def conj_coeffs(a: tuple) -> tuple:
     return (a[0],) + tuple(-c for c in a[1:])
 
 
+@cache
+def _sign_table(n: int) -> tuple:
+    """Row i, entry j is True when e_i e_j = -e_(i xor j) at dimension n.
+
+    Built by the doubling rule from the half-size table: with h = n/2,
+    e_i = (e_i, 0) and e_(h+i) = (0, e_i), the four blocks are e_i e_j,
+    e_i* e_j, e_j e_i and -e_j e_i*, and e_i* = -e_i except for e_0.
+    """
+    if n == 1:
+        return ((False,),)
+    h = n // 2
+    half = _sign_table(h)
+    top = tuple(row + tuple(neg != (i > 0) for neg in row)
+                for i, row in enumerate(half))
+    bottom = tuple(tuple(half[j][i] for j in range(h))
+                   + tuple(half[j][i] == (i > 0) for j in range(h))
+                   for i in range(h))
+    return top + bottom
+
+
+_INT = frozenset((int,))
+_EXACT = frozenset((int, Fraction))
+
+
+def _mul_table(a, b) -> tuple:
+    """Product of int coefficient sequences through the sign table."""
+    n = len(a)
+    signs = _sign_table(n)
+    out = [0] * n
+    terms = [(j, y) for j, y in enumerate(b) if y]
+    for i, x in enumerate(a):
+        if x:
+            row = signs[i]
+            for j, y in terms:
+                if row[j]:
+                    out[i ^ j] -= x * y
+                else:
+                    out[i ^ j] += x * y
+    return tuple(out)
+
+
+def _lift(a: tuple):
+    """Integer numerators of `a` over their least common denominator."""
+    d = lcm(*(c.denominator for c in a))
+    return [c.numerator * (d // c.denominator) for c in a], d
+
+
 def mul_coeffs(a: tuple, b: tuple) -> tuple:
+    """Product of two coefficient tuples of one level; the path follows the scalar types."""
+    if type(a[0]) is float:   # float mode, routed before the type scan
+        return _mul_recursive(a, b)
+    kinds = {*map(type, a), *map(type, b)}
+    if kinds <= _INT:
+        return _mul_table(a, b)
+    if kinds <= _EXACT:
+        na, da = _lift(a)
+        nb, db = _lift(b)
+        d = da * db
+        return tuple(Fraction(c, d) for c in _mul_table(na, nb))
+    return _mul_recursive(a, b)
+
+
+def _mul_recursive(a: tuple, b: tuple) -> tuple:
+    """The doubling formula applied recursively; the float kernel."""
     n = len(a)
     if n == 1:
         return (a[0] * b[0],)
@@ -60,10 +133,10 @@ def mul_coeffs(a: tuple, b: tuple) -> tuple:
     h = n // 2
     p, q = a[:h], a[h:]
     r, w = b[:h], b[h:]
-    left = mul_coeffs(p, r)
-    sub = mul_coeffs(w, conj_coeffs(q))
-    right = mul_coeffs(conj_coeffs(p), w)
-    add = mul_coeffs(r, q)
+    left = _mul_recursive(p, r)
+    sub = _mul_recursive(w, conj_coeffs(q))
+    right = _mul_recursive(conj_coeffs(p), w)
+    add = _mul_recursive(r, q)
     return (tuple(x - y for x, y in zip(left, sub))
             + tuple(x + y for x, y in zip(right, add)))
 

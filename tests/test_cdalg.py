@@ -6,14 +6,17 @@ sign convention it encodes (e1 e2 = -e3, cyclic) is what the doubling
 formula literally produces.
 """
 
+import sys
+import threading
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hopfcheck.cdalg import (CDElement, associator, cd_conj, cd_inverse, cd_mul,
-                             cd_norm, commutator, law_suite, mul_coeffs,
-                             norm_coeffs, zero_divisor_search)
+from hopfcheck.cdalg import (CDElement, _mul_recursive, _sign_table, associator,
+                             cd_conj, cd_inverse, cd_mul, cd_norm, commutator,
+                             law_suite, mul_coeffs, norm_coeffs, zero_divisor_search)
 from hopfcheck.errors import NotInvertibleError, UsageError
 from hopfcheck.sampling import CounterRng, rand_coeffs
 
@@ -88,6 +91,113 @@ def test_mul_is_bilinear(a, b, s, t):
     rhs = (a * b).scale(s + t)
     assert lhs.coeffs == rhs.coeffs
     assert (a * (b.scale(s))).coeffs == (a * b).scale(s).coeffs
+
+
+# --- the sign-table kernel against the recursion ----------------------------
+
+small_ints = st.integers(min_value=-6, max_value=6)
+small_floats = st.floats(min_value=-5, max_value=5, allow_nan=False)
+SCALARS = {
+    "int": small_ints,
+    "fraction": small_fractions,
+    "mixed": st.one_of(small_ints, small_fractions),
+    "float": small_floats,
+}
+
+
+def operand_pairs(scalar):
+    def pair(level):
+        vec = st.tuples(*[scalar] * (1 << level))
+        return st.tuples(vec, vec)
+    return st.integers(min_value=0, max_value=5).flatmap(pair)
+
+
+@pytest.mark.parametrize("kind", sorted(SCALARS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_kernel_matches_recursion(kind, data):
+    # equal values and the same scalar type in every coordinate:
+    # 0, Fraction(0) and 0.0 are told apart
+    a, b = data.draw(operand_pairs(SCALARS[kind]))
+    got, want = mul_coeffs(a, b), _mul_recursive(a, b)
+    assert got == want
+    assert [type(c) for c in got] == [type(c) for c in want]
+
+
+def test_kernel_sparse_and_zero_operands_keep_types():
+    a = (0, Fraction(0), 0, 0)
+    assert mul_coeffs(a, (1, 0, 0, 0)) == (Fraction(0),) * 4
+    assert all(type(c) is Fraction for c in mul_coeffs(a, (1, 0, 0, 0)))
+    assert all(type(c) is int for c in mul_coeffs((0,) * 4, (0, 2, 0, 0)))
+    assert all(type(c) is float for c in mul_coeffs((0,) * 4, (0.0, 0, 0, 0)))
+
+
+def _basis(level, i):
+    c = [0] * (1 << level)
+    c[i] = 1
+    return tuple(c)
+
+
+@pytest.mark.parametrize("level", range(6))
+def test_basis_products_are_signed_xor(level):
+    # agreeing with the recursion also pins its convention e1 e2 = -e3
+    n = 1 << level
+    for i in range(n):
+        for j in range(n):
+            got = mul_coeffs(_basis(level, i), _basis(level, j))
+            assert got == _mul_recursive(_basis(level, i), _basis(level, j))
+            support = [k for k, c in enumerate(got) if c]
+            assert support == [i ^ j] and got[i ^ j] in (1, -1)
+
+
+def test_lazy_tables_are_safe_across_threads():
+    # worker threads may build the same level's table at once
+    a = tuple(range(1, 33))
+    b = tuple(range(32, 0, -1))
+    want = _mul_recursive(a, b)
+    results = []
+    saved = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        _sign_table.cache_clear()
+        threads = [threading.Thread(target=lambda: results.append(mul_coeffs(a, b)))
+                   for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(saved)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [want] * 8
+
+
+# --- zero-divisor census (de Marrais, "The 42 Assessors", 2000) -------------
+
+def _two_term_sums(level):
+    # (e_i +/- e_j) for i < j, lexicographic over indices, then signs
+    n = 1 << level
+    out = []
+    for i, j in combinations(range(n), 2):
+        for si, sj in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+            c = [0] * n
+            c[i], c[j] = si, sj
+            out.append(tuple(c))
+    return out
+
+
+@pytest.mark.parametrize("level,pairs,assessors",
+                         [(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0), (4, 1344, 42)])
+def test_two_term_zero_divisor_census(level, pairs, assessors):
+    sums = _two_term_sums(level)
+    hits = [(a, b) for a in sums for b in sums if not any(mul_coeffs(a, b))]
+    assert len(hits) == pairs
+    assert len({tuple(k for k, c in enumerate(a) if c) for a, _ in hits}) == assessors
+    if hits:
+        # first hit in scan order: (e1 + e10)(e4 - e15)
+        a, b = hits[0]
+        assert {k: c for k, c in enumerate(a) if c} == {1: 1, 10: 1}
+        assert {k: c for k, c in enumerate(b) if c} == {4: 1, 15: -1}
 
 
 # --- conjugation ------------------------------------------------------------
