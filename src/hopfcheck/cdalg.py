@@ -35,6 +35,7 @@ from typing import Optional, Sequence
 from .checks import compare, max_abs_diff, run_laws
 from .errors import InvariantViolation, NotInvertibleError, UsageError
 from .sampling import rand_coeffs
+from .spheremodel import is_exact
 
 MAX_LEVEL = 5
 STRUCTURED_CAP = 6000   # structured inputs scanned per ladder law
@@ -230,8 +231,7 @@ def cd_norm(a: CDElement):
     """
     prod = mul_coeffs(a.coeffs, conj_coeffs(a.coeffs))
     sumsq = norm_coeffs(a.coeffs)
-    exact = not any(isinstance(c, float) for c in a.coeffs)
-    if exact:
+    if is_exact(a.coeffs):
         if any(prod[1:]) or prod[0] != sumsq:
             raise InvariantViolation(f"a a* is not real at level {a.level}: {prod}")
     else:
@@ -401,8 +401,7 @@ def law_suite(level: int,
               samples: int = 10000,
               seed: int = 0,
               *,
-              tolerance: float = 1e-9,
-              workers: int = 1) -> list:
+              tolerance: float = 1e-9) -> list:
     """Check the whole property ladder at one level.
 
     Returns one report per law.  Expected failures (e.g. associativity at
@@ -417,7 +416,7 @@ def law_suite(level: int,
         draw=lambda rng, arity, i: tuple(rand_coeffs(rng, n, mode) for _ in range(arity)),
         suite=lambda law: f"cdalg/{law}/level-{level}/{mode}",
         expect=lambda law: _LADDER[law](level), samples=samples, seed=seed,
-        mode=mode, tolerance=tolerance, workers=workers)
+        mode=mode, tolerance=tolerance)
 
 
 # ---------------------------------------------------------------------------

@@ -3,15 +3,14 @@
 A check runs in two phases.  The structured phase scans a deterministic,
 capped stream of exact inputs (small integer coefficients) and yields the
 minimal witness when the law fails on one of them.  The sampling phase
-evaluates `samples` random inputs indexed 0..samples-1; each input is
-derived from (seed, suite id, index) so the outcome is identical for any
-partition of the index range across workers.
+evaluates `samples` random inputs indexed 0..samples-1 in order, on one
+thread; each input is derived from (seed, suite id, index), so sample i is
+the same whatever ran before it.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -106,7 +105,6 @@ class ReportDocument:
 
 @dataclass
 class _Violation:
-    index: int          # -1 for structured-phase witnesses
     residual: object
     inputs: tuple
     lhs: object
@@ -138,7 +136,10 @@ def execute_check(law: str,
     evaluate(inputs) -> (residual, lhs, rhs); the law holds on the inputs
     when the residual is zero (exact mode) or at most `tolerance` (float
     mode).  Structured inputs are always judged exactly.  sampler(index)
-    builds the random inputs for the sampling phase.
+    builds the random inputs for the sampling phase, which stops at the
+    first residual above the threshold.  `workers` is accepted and ignored:
+    the scan runs on the calling thread (pure-Python arithmetic gains
+    nothing from threads), and the keyword stays for callers that pass it.
     """
     t0 = time.perf_counter()
     threshold = 0 if mode == "exact" else tolerance
@@ -149,37 +150,18 @@ def execute_check(law: str,
     for inputs in structured:
         residual, lhs, rhs = evaluate(inputs)
         if residual > 0:
-            violation = _Violation(-1, residual, inputs, lhs, rhs)
+            violation = _Violation(residual, inputs, lhs, rhs)
             break
 
-    if violation is None and sampler is not None and samples > 0:
-        def scan(lo: int, hi: int):
-            best = None
-            worst = 0
-            for i in range(lo, hi):
-                inputs = sampler(i)
-                residual, lhs, rhs = evaluate(inputs)
-                if residual > worst:
-                    worst = residual
-                if residual > threshold:
-                    best = _Violation(i, residual, inputs, lhs, rhs)
-                    break
-            return best, worst
-
-        if workers <= 1:
-            violation, worst = scan(0, samples)
-            max_residual = max(max_residual, worst)
-        else:
-            step = -(-samples // workers)
-            bounds = [(w * step, min((w + 1) * step, samples)) for w in range(workers)]
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                parts = list(pool.map(lambda b: scan(*b), bounds))
-            hits = [p[0] for p in parts if p[0] is not None]
-            if hits:
-                violation = min(hits, key=lambda v: v.index)
-                max_residual = violation.residual
-            else:
-                max_residual = max([max_residual] + [p[1] for p in parts])
+    if violation is None and sampler is not None:
+        for i in range(samples):
+            inputs = sampler(i)
+            residual, lhs, rhs = evaluate(inputs)
+            if residual > max_residual:
+                max_residual = residual
+            if residual > threshold:
+                violation = _Violation(residual, inputs, lhs, rhs)
+                break
 
     if violation is not None:
         status = STATUS_FAILS
@@ -215,8 +197,7 @@ def run_laws(rows,
              samples: int = 0,
              seed: int = 0,
              mode: str = "exact",
-             tolerance: float = 1e-9,
-             workers: int = 1) -> list:
+             tolerance: float = 1e-9) -> list:
     """Check a table of laws and return one report per row, in table order.
 
     Each row is (law, evaluate, shape).  evaluate(ctx, inputs) returns
@@ -237,7 +218,7 @@ def run_laws(rows,
         reports.append(execute_check(
             law, instance, partial(evaluate, ctx), structured=structured(shape),
             sampler=sampler, samples=samples if shape else 0, seed=seed, mode=mode,
-            tolerance=tolerance, expect_holds=expect(law), workers=workers))
+            tolerance=tolerance, expect_holds=expect(law)))
     return reports
 
 

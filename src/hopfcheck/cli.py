@@ -83,7 +83,8 @@ def _parser() -> argparse.ArgumentParser:
     common.add_argument("--format", dest="fmt", choices=("json", "csv", "text"),
                         default="text")
     common.add_argument("--workers", type=int, default=1,
-                        help="sample-partition workers; reports are identical for any count")
+                        help="accepted and recorded in the report config; checks run on "
+                             "one thread and reports do not depend on it")
 
     p = sub.add_parser("laws", parents=[common],
                        help="property ladder of one Cayley-Dickson level")
@@ -117,15 +118,6 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _verified_imaginaroid(name: str, config: RunConfig):
-    """Instance plus its associativity report (which gates the join suites)."""
-    inst = imaginaroid_instance(name)
-    report = assoc_check(inst, samples=config.samples, seed=config.seed,
-                         mode=config.mode, tolerance=config.tolerance,
-                         workers=config.workers)
-    return inst, report
-
-
 def run(config: RunConfig) -> ReportDocument:
     """Execute the configured suite and assemble the report document."""
     if config.samples < 1:
@@ -140,7 +132,7 @@ def run(config: RunConfig) -> ReportDocument:
         raise UsageError(f"unknown mode {config.mode!r}")
     t0 = time.perf_counter()
     kw = dict(samples=config.samples, seed=config.seed, mode=config.mode,
-              tolerance=config.tolerance, workers=config.workers)
+              tolerance=config.tolerance)
     cmd = config.subcommand
 
     if cmd == "laws":
@@ -153,7 +145,8 @@ def run(config: RunConfig) -> ReportDocument:
         reports = imaginaroid_check(imaginaroid_instance(config.instance), **kw)
     elif cmd == "hspace":
         if config.instance == "s7":
-            inst, assoc = _verified_imaginaroid("s2", config)
+            inst = imaginaroid_instance("s2")
+            assoc = assoc_check(inst, **kw)
             reports = [assoc]
             if assoc.holds:     # the join suites need an associative fiber
                 reports += hspace_check(join_hspace_carrier(inst), **kw)
@@ -165,8 +158,8 @@ def run(config: RunConfig) -> ReportDocument:
                                 grid=config.grid, **kw)
     elif cmd == "fiber":
         inst = hopf_instance(config.instance)
-        _, assoc = _verified_imaginaroid(FIBRATIONS[config.instance], config)
-        reports = [assoc] + fiber_check(inst, **kw)
+        # fiber_check first: it rejects a vacuous float tolerance before any work
+        reports = fiber_check(inst, **kw) + [assoc_check(inst.imag, **kw)]
     elif cmd == "fibration":
         names = tuple(FIBRATIONS) if config.instance == "all" else (config.instance,)
         reports = []

@@ -141,15 +141,22 @@ def fiber_check(inst: HopfInstance,
                 seed: int = 0,
                 mode: str = "exact",
                 *,
-                tolerance: float = 1e-9,
-                workers: int = 1) -> list:
+                tolerance: float = 1e-9) -> list:
     """Verify the fiber structure of the projection.
 
     (1) membership: translates of a fiber point stay in the fiber;
     (2) completeness: two same-image points differ by the recovered translation;
     (3) separation: distinct translations move the point;
     (4) polar fibers: the poles pull back to the inl / inr copies of G.
+
+    Separation draws a second translation farther than `tolerance` from
+    the first and reports a residual of 0 or 1, so in float mode a
+    tolerance of 1 or more is rejected: it would pass every pair, and
+    from 2 up the draw could never end (unit coordinates differ by at
+    most 2).
     """
+    if mode == "float" and tolerance >= 1:
+        raise UsageError("fiber checks need a float tolerance < 1")
     dim = inst.fiber_dim
     gap = tolerance if mode == "float" else 0
 
@@ -165,7 +172,7 @@ def fiber_check(inst: HopfInstance,
     return run_laws(
         FIBER_LAWS, inst.name, (inst, gap), draw=draw,
         suite=lambda law: f"fiber/{inst.name}/{law}/{mode}", samples=samples,
-        seed=seed, mode=mode, tolerance=tolerance, workers=workers)
+        seed=seed, mode=mode, tolerance=tolerance)
 
 
 def dimension_report(inst: HopfInstance, seed: int = 0) -> LawReport:
@@ -187,25 +194,17 @@ def fibration_report(inst: HopfInstance,
                      mode: str = "exact",
                      *,
                      tolerance: float = 1e-9,
-                     workers: int = 1,
                      version: str = "0") -> ReportDocument:
     """Aggregate suite for one fibration: fiber H-space laws, join unit laws,
     oracle equivalence of the join multiplication, fiber structure, dimensions."""
     t0 = time.perf_counter()
+    kw = dict(samples=samples, seed=seed, mode=mode, tolerance=tolerance)
+    reports = fiber_check(inst, **kw)     # first: it rejects a vacuous tolerance
     imag = inst.imag
-    assoc = assoc_check(imag, samples=samples, seed=seed, mode=mode,
-                        tolerance=tolerance, workers=workers)
-    carrier = sphere_hspace_carrier(f"s{imag.susp_dim - 1}")
-    reports = [assoc]
-    reports += hspace_check(carrier, samples=samples, seed=seed, mode=mode,
-                            tolerance=tolerance, workers=workers)
+    assoc = assoc_check(imag, **kw)
+    reports += [assoc] + hspace_check(sphere_hspace_carrier(f"s{imag.susp_dim - 1}"), **kw)
     if assoc.holds:     # the join suites need an associative fiber
-        reports += unit_law_check(imag, samples=samples, seed=seed, mode=mode,
-                                  tolerance=tolerance, workers=workers)
-        reports += oracle_equivalence_suite(imag, samples=samples, seed=seed, mode=mode,
-                                            tolerance=tolerance, workers=workers)
-    reports += fiber_check(inst, samples=samples, seed=seed, mode=mode,
-                           tolerance=tolerance, workers=workers)
+        reports += unit_law_check(imag, **kw) + oracle_equivalence_suite(imag, **kw)
     reports.append(dimension_report(inst, seed=seed))
     for r in reports:
         # namespace the sub-suite instances under the fibration's own name

@@ -32,7 +32,7 @@ from .checks import compare, max_abs_diff, run_laws
 from .errors import PreconditionError, UsageError
 from .laws import HSPACE_UNIT_LAWS, HSpaceCarrier, ImaginaroidInstance, _signed_basis
 from .sampling import CounterRng, quarter_grid, rand_quarter_pair, rand_unit
-from .spheremodel import FLOAT_VIEW_EPS, JoinPoint, SpherePoint
+from .spheremodel import FLOAT_VIEW_EPS, JoinPoint, SpherePoint, is_exact
 
 #: report-instance names for the join carriers, keyed by imaginaroid name
 JOIN_INSTANCE = {"empty": "s1", "s0": "s3", "s2": "s7"}
@@ -205,8 +205,7 @@ def join_mul_syn(X: JoinPoint, Y: JoinPoint, inst: ImaginaroidInstance,
     r, w = Y.left, Y.right
     p2, q2 = norm_coeffs(p), norm_coeffs(q)
     r2, w2 = norm_coeffs(r), norm_coeffs(w)
-    eps2 = 0 if not any(isinstance(c, float) for c in X.flatten() + Y.flatten()) \
-        else FLOAT_VIEW_EPS ** 2
+    eps2 = 0 if is_exact(X.flatten() + Y.flatten()) else FLOAT_VIEW_EPS ** 2
 
     if q2 <= eps2:                      # X = inl(p)
         return JoinPoint(mul(p, r), mul(conj(p), w))
@@ -277,8 +276,7 @@ def oracle_equivalence_suite(inst: ImaginaroidInstance,
                              seed: int = 0,
                              mode: str = "exact",
                              *,
-                             tolerance: float = 1e-9,
-                             workers: int = 1) -> list:
+                             tolerance: float = 1e-9) -> list:
     """join_mul_syn against the doubled-algebra product, per view combination."""
     instance = JOIN_INSTANCE.get(inst.name, inst.name)
     return run_laws(
@@ -286,8 +284,7 @@ def oracle_equivalence_suite(inst: ImaginaroidInstance,
         draw=lambda rng, views, i: tuple(sample_join_point(rng, inst, v, mode)
                                          for v in views),
         suite=lambda law: f"joinmul/{instance}/{law}/{mode}",
-        samples=max(1, samples // 9), seed=seed, mode=mode, tolerance=tolerance,
-        workers=workers)
+        samples=max(1, samples // 9), seed=seed, mode=mode, tolerance=tolerance)
 
 
 def unit_law_check(inst: ImaginaroidInstance,
@@ -295,8 +292,7 @@ def unit_law_check(inst: ImaginaroidInstance,
                    seed: int = 0,
                    mode: str = "exact",
                    *,
-                   tolerance: float = 1e-9,
-                   workers: int = 1) -> list:
+                   tolerance: float = 1e-9) -> list:
     """inl(1) X = X = X inl(1), exact on point constructors, sampled on arcs.
 
     The H-space unit laws of the join carrier, with samples cycling
@@ -308,7 +304,7 @@ def unit_law_check(inst: ImaginaroidInstance,
         structured=lambda arity: product(carrier.structured, repeat=arity),
         draw=lambda rng, arity, i: (sample_join_point(rng, inst, VIEW_KINDS[i % 3], mode),),
         suite=lambda law: f"joinmul/{carrier.name}/unit/{mode}", samples=samples,
-        seed=seed, mode=mode, tolerance=tolerance, workers=workers)
+        seed=seed, mode=mode, tolerance=tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -387,8 +383,7 @@ def diamond_suite(inst: ImaginaroidInstance,
                   seed: int = 0,
                   mode: str = "exact",
                   *,
-                  tolerance: float = 1e-9,
-                  workers: int = 1) -> list:
+                  tolerance: float = 1e-9) -> list:
     """Grid checks of the reduced filler: norms, boundary edges, pole reductions.
 
     Samples 0 and 1 are the poles; the rest are random unit corners.
@@ -404,7 +399,7 @@ def diamond_suite(inst: ImaginaroidInstance,
     return run_laws(
         DIAMOND_LAWS, instance, quarter_grid(grid), draw=draw,
         suite=lambda law: f"diamond/{instance}/x/{mode}", samples=max(samples, 2),
-        seed=seed, mode=mode, tolerance=tolerance, workers=workers)
+        seed=seed, mode=mode, tolerance=tolerance)
 
 
 # ---------------------------------------------------------------------------

@@ -226,13 +226,12 @@ def spheroid_check(inst: SpheroidInstance,
                    seed: int = 0,
                    mode: str = "exact",
                    *,
-                   tolerance: float = 1e-9,
-                   workers: int = 1) -> list:
+                   tolerance: float = 1e-9) -> list:
     """The six spheroid laws plus the two derived ones, one report per law."""
     return run_laws(
         SPHEROID_LAWS, inst.name, inst, structured=_basis_tuples(inst.dim),
         draw=_unit_points(inst.dim, mode), suite=lambda law: f"laws/{inst.name}/{law}/{mode}",
-        samples=samples, seed=seed, mode=mode, tolerance=tolerance, workers=workers)
+        samples=samples, seed=seed, mode=mode, tolerance=tolerance)
 
 
 def imaginaroid_check(inst: ImaginaroidInstance,
@@ -240,14 +239,13 @@ def imaginaroid_check(inst: ImaginaroidInstance,
                       seed: int = 0,
                       mode: str = "exact",
                       *,
-                      tolerance: float = 1e-9,
-                      workers: int = 1) -> list:
+                      tolerance: float = 1e-9) -> list:
     """The imaginaroid laws on the suspension, then the spheroid suite it induces.
 
     The suspension laws share their bodies with the spheroid suite, which
     runs them again on the induced spheroid under its own instance name.
     """
-    kw = dict(seed=seed, mode=mode, tolerance=tolerance, workers=workers)
+    kw = dict(seed=seed, mode=mode, tolerance=tolerance)
     # base negation must be involutive; an empty base has nothing to sample
     reports = run_laws(
         (("base-neg-involution", _neg_involution, 1),), inst.name, inst,
@@ -267,7 +265,6 @@ def assoc_check(inst: ImaginaroidInstance,
                 mode: str = "exact",
                 *,
                 tolerance: float = 1e-9,
-                workers: int = 1,
                 expect_holds: bool = True) -> LawReport:
     """(xy)z = x(yz) on the suspension; a pass unlocks the join construction."""
     (report,) = run_laws(
@@ -275,7 +272,7 @@ def assoc_check(inst: ImaginaroidInstance,
         structured=_basis_tuples(inst.susp_dim), draw=_unit_points(inst.susp_dim, mode),
         suite=lambda law: f"laws/{inst.name}/assoc/{mode}",
         expect=lambda law: expect_holds, samples=samples, seed=seed, mode=mode,
-        tolerance=tolerance, workers=workers)
+        tolerance=tolerance)
     if report.holds:
         inst.assoc_verified = True
     return report
@@ -340,7 +337,6 @@ def corner_transport_suite(inst: ImaginaroidInstance,
                            mode: str = "exact",
                            *,
                            tolerance: float = 1e-9,
-                           workers: int = 1,
                            allow_unverified: bool = False,
                            expect_holds: bool = True) -> LawReport:
     """Corner identities over random unit 4-tuples of the suspension."""
@@ -350,7 +346,7 @@ def corner_transport_suite(inst: ImaginaroidInstance,
         draw=_unit_points(inst.susp_dim, mode),
         suite=lambda law: f"laws/{inst.name}/corner/{mode}",
         expect=lambda law: expect_holds, samples=samples, seed=seed, mode=mode,
-        tolerance=tolerance, workers=workers)
+        tolerance=tolerance)
     return report
 
 
@@ -433,12 +429,11 @@ def hspace_check(carrier: HSpaceCarrier,
                  seed: int = 0,
                  mode: str = "exact",
                  *,
-                 tolerance: float = 1e-9,
-                 workers: int = 1) -> list:
+                 tolerance: float = 1e-9) -> list:
     """Unit laws plus two-sided conjugate-inverse identities for translations."""
     return run_laws(
         HSPACE_LAWS, carrier.name, carrier,
         structured=lambda arity: product(carrier.structured, repeat=arity),
         draw=lambda rng, arity, i: tuple(carrier.sample(rng, mode) for _ in range(arity)),
         suite=lambda law: f"hspace/{carrier.name}/{law}/{mode}", samples=samples,
-        seed=seed, mode=mode, tolerance=tolerance, workers=workers)
+        seed=seed, mode=mode, tolerance=tolerance)

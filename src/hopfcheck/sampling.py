@@ -1,8 +1,8 @@
 """Deterministic sample generation.
 
 Every random draw is made from a counter-based generator keyed by
-(seed, suite id, sample index), so a suite produces identical samples no
-matter how its index range is partitioned across workers.  Exact-mode
+(seed, suite id, sample index), so sample i of a suite depends on its
+index alone, not on the samples drawn before it.  Exact-mode
 samples are rationals with bounded numerators and denominators; sphere
 points are generated through the rational parametrization
 y -> ((1 - |y|^2) / (1 + |y|^2), 2y / (1 + |y|^2)), which lands exactly on

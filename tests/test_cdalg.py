@@ -151,7 +151,7 @@ def test_basis_products_are_signed_xor(level):
 
 
 def test_lazy_tables_are_safe_across_threads():
-    # worker threads may build the same level's table at once
+    # threads that call the library may build the same level's table at once
     a = tuple(range(1, 33))
     b = tuple(range(32, 0, -1))
     want = _mul_recursive(a, b)

@@ -5,10 +5,11 @@ import io
 import json
 import subprocess
 import sys
+import threading
 
 import pytest
 
-from hopfcheck import __version__
+from hopfcheck import __version__, cdalg
 from hopfcheck.checks import ReportDocument
 from hopfcheck.cli import emit, main
 
@@ -61,6 +62,10 @@ BAD_INPUTS = {
     "laws-level-6": ("laws", "--level", "6"),
     "zerodiv-level-6": ("zerodiv", "--level", "6"),
     "zerodiv-level-negative": ("zerodiv", "--level", "-1"),
+    "fiber-float-tolerance-1.5": ("fiber", "--instance", "quaternionic", "--mode", "float",
+                                  "--tolerance", "1.5"),
+    "fibration-float-tolerance-2": ("fibration", "--instance", "real", "--mode", "float",
+                                    "--tolerance", "2"),
 }
 
 
@@ -205,6 +210,19 @@ def test_reports_identical_across_worker_counts(tmp_path):
     a, b = _strip_durations(one), _strip_durations(four)
     a["config"]["workers"] = b["config"]["workers"] = None
     assert a == b
+
+
+def test_sampling_runs_on_one_thread(monkeypatch):
+    seen = set()
+    original = cdalg.mul_coeffs
+
+    def recording(a, b):
+        seen.add(threading.get_ident())
+        return original(a, b)
+
+    monkeypatch.setattr(cdalg, "mul_coeffs", recording)
+    assert run_cli("laws", "--level", "2", "--samples", "200", "--workers", "4") == 0
+    assert seen == {threading.get_ident()}
 
 
 def test_same_seed_same_bytes_modulo_duration(tmp_path):
