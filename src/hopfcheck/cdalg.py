@@ -101,7 +101,7 @@ def _mul_table(a, b) -> tuple:
     return tuple(out)
 
 
-def _lift(a: tuple):
+def lift(a: tuple):
     """Integer numerators of `a` over their least common denominator."""
     d = lcm(*(c.denominator for c in a))
     return [c.numerator * (d // c.denominator) for c in a], d
@@ -115,8 +115,8 @@ def mul_coeffs(a: tuple, b: tuple) -> tuple:
     if kinds <= _INT:
         return _mul_table(a, b)
     if kinds <= _EXACT:
-        na, da = _lift(a)
-        nb, db = _lift(b)
+        na, da = lift(a)
+        nb, db = lift(b)
         d = da * db
         return tuple(Fraction(c, d) for c in _mul_table(na, nb))
     return _mul_recursive(a, b)

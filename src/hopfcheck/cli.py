@@ -1,8 +1,9 @@
 """Command-line harness: run suites, emit JSON/CSV/text reports.
 
 Exit codes: 0 when every report matched its expectation (the property
-ladder's known failures count as expected), 1 on any unexpected outcome,
-2 on usage errors.  HOPFCHECK_SEED overrides --seed when set.
+ladder's known failures count as expected), 1 on any unexpected outcome
+or internal error (one line on stderr), 2 on usage errors.  HOPFCHECK_SEED
+overrides --seed when set.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from . import __version__
 from .checks import (STATUS_FAILS, STATUS_HOLDS_EXACT, LawReport, ReportDocument,
                      coeffs_to_json)
 from .cdalg import law_suite, zero_divisor_search
-from .errors import UsageError
+from .errors import InvariantViolation, NotInvertibleError, PreconditionError, UsageError
 from .hopf import FIBRATIONS, fiber_check, fibration_report, hopf_instance
 from .joinmul import diamond_suite, join_hspace_carrier, oracle_equivalence_suite
 from .laws import (assoc_check, hspace_check, imaginaroid_check,
@@ -259,6 +260,9 @@ def main(argv=None) -> int:
     except UsageError as err:
         print(f"hopfcheck: {err}", file=sys.stderr)
         return EXIT_USAGE
+    except (PreconditionError, InvariantViolation, NotInvertibleError) as err:
+        print(f"hopfcheck: internal error: {type(err).__name__}: {err}", file=sys.stderr)
+        return EXIT_UNEXPECTED
 
     payload = emit(doc, config.fmt)
     if config.output:

@@ -18,6 +18,14 @@ multiplication on S is associative this reproduces, in embedded
 coordinates, exactly the doubled-algebra product of the next
 Cayley-Dickson level: join_mul_alg is that product and serves as the
 independent oracle for join_mul_syn.
+
+D_x and the edge values are each written once, for any scalar type.  The
+grid laws check an exact corner on integer numerators: the corner and
+each parameter pair (c, s) are lifted once to integers over a common
+denominator, a grid point holds when |L|^2 + |R|^2 equals the squared
+denominator, and a boundary point when its integer vector equals the
+edge's.  Fractions are built only for a nonzero residual and its witness.
+Float corners take the Fraction/float path through SquareFiller unchanged.
 """
 
 from __future__ import annotations
@@ -27,7 +35,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Callable
 
-from .cdalg import conj_coeffs, mul_coeffs, norm_coeffs
+from .cdalg import conj_coeffs, lift, mul_coeffs, norm_coeffs
 from .checks import compare, max_abs_diff, run_laws
 from .errors import PreconditionError, UsageError
 from .laws import HSPACE_UNIT_LAWS, HSpaceCarrier, ImaginaroidInstance, _signed_basis
@@ -82,18 +90,30 @@ class SquareFiller:
 
     def edge_expectation(self, sigma, tau) -> JoinPoint:
         """Boundary value demanded at parameters on the square's edges."""
-        cs, ss = sigma
-        ct, st = tau
         p = self.problem
-        if tau == (1, 0):
-            return JoinPoint(_scale(cs, p.a.coords), _scale(ss, p.b.coords))
-        if tau == (0, 1):
-            return JoinPoint(_scale(ss, p.a2.coords), _scale(cs, p.b2.coords))
-        if sigma == (1, 0):
-            return JoinPoint(_scale(ct, p.a.coords), _scale(st, p.b2.coords))
-        if sigma == (0, 1):
-            return JoinPoint(_scale(st, p.a2.coords), _scale(ct, p.b.coords))
-        raise UsageError("edge expectation requested off the boundary")
+        return JoinPoint(*_edge_blocks(sigma, tau, p.a.coords, p.a2.coords,
+                                       p.b.coords, p.b2.coords))
+
+
+def _edge_blocks(sigma, tau, a, a2, b, b2) -> tuple:
+    """Blocks (left, right) that the glue-arc edges a->b, a2->b2, a->b2, a2->b demand.
+
+    Scalar-generic.  On integer numerators the endpoints (1, 0) and (0, 1)
+    lift to themselves over denominator 1, so the endpoint comparisons
+    still find the edge, and the value comes out over the moving
+    parameter's denominator times the corners' one.
+    """
+    cs, ss = sigma
+    ct, st = tau
+    if tau == (1, 0):
+        return _scale(cs, a), _scale(ss, b)
+    if tau == (0, 1):
+        return _scale(ss, a2), _scale(cs, b2)
+    if sigma == (1, 0):
+        return _scale(ct, a), _scale(st, b2)
+    if sigma == (0, 1):
+        return _scale(st, a2), _scale(ct, b)
+    raise UsageError("edge expectation requested off the boundary")
 
 
 def fill_refl_diamond(kind: str, problem: DiamondProblem) -> SquareFiller:
@@ -173,13 +193,22 @@ def reduced_diamond_filler(x: SpherePoint) -> SquareFiller:
     xc = x.coords
 
     def evaluate(sigma, tau):
-        cs, ss = sigma
-        ct, st = tau
-        return JoinPoint(
-            _add(_scale(-(cs * ct), one), _scale(ss * st, xc)),
-            _add(_scale(ss * ct, one), _scale(cs * st, xc)))
+        return JoinPoint(*_reduced_blocks(sigma, tau, one, xc))
 
     return SquareFiller(problem, evaluate)
+
+
+def _reduced_blocks(sigma, tau, one, x) -> tuple:
+    """The blocks (left, right) of D_x(sigma, tau), for any scalar type.
+
+    Fractions or floats give the point itself.  Integer numerators of
+    sigma and tau (over d_sigma, d_tau) and of one and x (over d_x) give
+    the point scaled by d_sigma * d_tau * d_x.
+    """
+    cs, ss = sigma
+    ct, st = tau
+    return (_add(_scale(-(cs * ct), one), _scale(ss * st, x)),
+            _add(_scale(ss * ct, one), _scale(cs * st, x)))
 
 
 # ---------------------------------------------------------------------------
@@ -314,19 +343,49 @@ def unit_law_check(inst: ImaginaroidInstance,
 _EDGE_ENDPOINTS = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
 
 
+def _edge_params(ends, params):
+    """Boundary parameters in scan order: (end, t) and (t, end) for each end, then t."""
+    return (pair for end in ends for t in params for pair in ((end, t), (t, end)))
+
+
+def _lifted(pairs) -> list:
+    """Each exact pair as (integer numerators, common denominator)."""
+    return [(tuple(n), d) for n, d in map(lift, pairs)]
+
+
+def _lifted_corner(x: SpherePoint) -> tuple:
+    """The corner's reduced-diamond data (one, x) as integer numerators over d_x."""
+    xn, dx = lift(x.coords)
+    return (dx,) + (0,) * (len(xn) - 1), tuple(xn), dx
+
+
+def _unit_residuals(params, x):
+    """(residual, sigma, tau) per grid point; an exact corner yields only nonzero ones."""
+    if not is_exact(x.coords):
+        filler = reduced_diamond_filler(x)
+        for sigma in params:
+            for tau in params:
+                pt = filler.evaluate(sigma, tau)
+                yield abs(norm_coeffs(pt.left) + norm_coeffs(pt.right) - 1), sigma, tau
+        return
+    one, xn, dx = _lifted_corner(x)
+    grid = list(zip(params, _lifted(params)))
+    for sigma, (ns, ds) in grid:
+        for tau, (nt, dt) in grid:
+            left, right = _reduced_blocks(ns, nt, one, xn)
+            d2 = (ds * dt * dx) ** 2    # |D_x|^2 = 1 scaled by the squared denominator
+            diff = norm_coeffs(left) + norm_coeffs(right) - d2
+            if diff:
+                yield Fraction(abs(diff), d2), sigma, tau
+
+
 def _filler_unit_norm(params, inputs):
     (x,) = inputs
-    filler = reduced_diamond_filler(x)
     worst = 0
     at = None
-    for sigma in params:
-        for tau in params:
-            pt = filler.evaluate(sigma, tau)
-            r = norm_coeffs(pt.left) + norm_coeffs(pt.right) - 1
-            if r < 0:
-                r = -r
-            if r > worst:
-                worst, at = r, (sigma, tau)
+    for r, sigma, tau in _unit_residuals(params, x):
+        if r > worst:
+            worst, at = r, (sigma, tau)
     if worst > 0:
         return worst, at, "unit"
     return 0, None, None
@@ -345,12 +404,28 @@ def _worst_pair(pairs):
     return 0, None, None
 
 
+def _boundary_pairs(params, x):
+    """(filler value, edge value) per boundary point; an exact corner yields only unequal ones."""
+    if not is_exact(x.coords):
+        filler = reduced_diamond_filler(x)
+        for sigma, tau in _edge_params(_EDGE_ENDPOINTS, params):
+            yield filler.evaluate(sigma, tau), filler.edge_expectation(sigma, tau)
+        return
+    one, xn, dx = _lifted_corner(x)
+    minus_one = _neg(one)
+    for (ns, ds), (nt, dt) in _edge_params(_lifted(_EDGE_ENDPOINTS), _lifted(params)):
+        # one of ds, dt is 1 (an endpoint), so both sides are over ds * dt * dx
+        left, right = _reduced_blocks(ns, nt, one, xn)
+        edge_left, edge_right = _edge_blocks(ns, nt, minus_one, xn, one, xn)
+        got, want = left + right, edge_left + edge_right
+        if got != want:
+            d = ds * dt * dx
+            yield (tuple(Fraction(c, d) for c in got), tuple(Fraction(c, d) for c in want))
+
+
 def _filler_boundary(params, inputs):
     (x,) = inputs
-    filler = reduced_diamond_filler(x)
-    return _worst_pair(
-        (filler.evaluate(sigma, tau), filler.edge_expectation(sigma, tau))
-        for fixed in _EDGE_ENDPOINTS for t in params for sigma, tau in ((fixed, t), (t, fixed)))
+    return _worst_pair(_boundary_pairs(params, x))
 
 
 def _filler_pole_reduction(params, inputs):

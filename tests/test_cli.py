@@ -9,9 +9,10 @@ import threading
 
 import pytest
 
-from hopfcheck import __version__, cdalg
+from hopfcheck import __version__, cdalg, cli
 from hopfcheck.checks import ReportDocument
 from hopfcheck.cli import emit, main
+from hopfcheck.errors import InvariantViolation, NotInvertibleError, PreconditionError
 
 REPORT_KEYS = {"law", "instance", "status", "samples", "tolerance",
                "max_residual", "seed", "duration_ms", "expected"}
@@ -47,6 +48,19 @@ def test_unknown_subcommand_exits_2():
 
 def test_unknown_flag_exits_2():
     assert run_cli("laws", "--level", "1", "--frobnicate") == 2
+
+
+@pytest.mark.parametrize("error", [PreconditionError, InvariantViolation, NotInvertibleError])
+def test_internal_error_exits_1_with_one_line(error, monkeypatch, capsys):
+    def run(config):
+        raise error("injected")
+
+    monkeypatch.setattr(cli, "run", run)
+    assert run_cli("spheroid", "--instance", "s0", "--samples", "1") == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("hopfcheck: internal error: ")
+    assert len(err.splitlines()) == 1
 
 
 #: values outside the documented flag ranges (most once gave a traceback or a silent pass)

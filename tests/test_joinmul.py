@@ -1,12 +1,17 @@
 """Square fillers and the join multiplication against the doubled-algebra oracle."""
 
+from contextlib import nullcontext
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from hopfcheck import joinmul
 from hopfcheck.cdalg import conj_coeffs, mul_coeffs, norm_coeffs
+from hopfcheck.checks import max_abs_diff, run_laws
 from hopfcheck.errors import PreconditionError, UsageError
-from hopfcheck.joinmul import (DiamondProblem, diamond_suite, fill_refl_diamond,
+from hopfcheck.joinmul import (DIAMOND_LAWS, DiamondProblem, diamond_suite, fill_refl_diamond,
                                join_mul_alg, join_mul_syn, oracle_equivalence_suite,
                                reduced_diamond_filler, sample_join_point,
                                unit_law_check)
@@ -340,3 +345,119 @@ def test_diamond_suite_exact():
         "filler-unit-norm", "filler-boundary", "filler-pole-reduction"}
     assert all(r.holds for r in reports)
     assert all(r.status == "holds-exact" for r in reports)
+
+
+# --- the exact grid laws against the Fraction bodies they replaced -------------
+
+def _fraction_unit_norm(params, inputs):
+    (x,) = inputs
+    filler = reduced_diamond_filler(x)
+    worst = 0
+    at = None
+    for sigma in params:
+        for tau in params:
+            pt = filler.evaluate(sigma, tau)
+            r = norm_coeffs(pt.left) + norm_coeffs(pt.right) - 1
+            if r < 0:
+                r = -r
+            if r > worst:
+                worst, at = r, (sigma, tau)
+    if worst > 0:
+        return worst, at, "unit"
+    return 0, None, None
+
+
+def _fraction_boundary(params, inputs):
+    (x,) = inputs
+    filler = reduced_diamond_filler(x)
+    worst = 0
+    bad = None
+    for fixed in ((F(1), F(0)), (F(0), F(1))):
+        for t in params:
+            for sigma, tau in ((fixed, t), (t, fixed)):
+                got = filler.evaluate(sigma, tau)
+                want = filler.edge_expectation(sigma, tau)
+                r = max_abs_diff(got, want)
+                if r > worst:
+                    worst, bad = r, (got, want)
+    if worst > 0:
+        return worst, bad[0], bad[1]
+    return 0, None, None
+
+
+def _typed(value):
+    """The value with each scalar tagged by its type; points and pairs become tuples."""
+    if value is None or isinstance(value, str):
+        return value
+    if isinstance(value, (tuple, list, JoinPoint)):
+        return tuple(_typed(v) for v in value)
+    return type(value).__name__, value
+
+
+@st.composite
+def exact_corners(draw):
+    dim = draw(st.sampled_from((1, 2, 4)))
+    if draw(st.booleans()):
+        return SpherePoint.basis(dim, 0, draw(st.sampled_from((1, -1))))
+    rng = CounterRng(draw(st.integers(0, 2 ** 32)), "test/filler-grid", 0)
+    return SpherePoint(rand_unit(rng, dim, "exact"))
+
+
+def _swapped_blocks(sigma, tau, one, x, original=joinmul._reduced_blocks):
+    # still on the unit sphere, so the Fraction bodies run; off every edge value
+    return original(sigma, tau, one, x)[::-1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(exact_corners(), st.integers(1, 8), st.booleans())
+def test_exact_grid_laws_match_fraction_bodies(x, grid, perturbed):
+    params = quarter_grid(grid)
+    patch = mock.patch.object(joinmul, "_reduced_blocks", _swapped_blocks)
+    with patch if perturbed else nullcontext():
+        for fast, reference in ((joinmul._filler_unit_norm, _fraction_unit_norm),
+                                (joinmul._filler_boundary, _fraction_boundary)):
+            assert _typed(fast(params, (x,))) == _typed(reference(params, (x,)))
+        if perturbed:
+            assert joinmul._filler_boundary(params, (x,))[0] > 0
+
+
+def _dropped_left(original):
+    # shrinks the norm, so the residual |L|^2 + |R|^2 - 1 is negative
+    def perturbed(*args):
+        left, right = original(*args)
+        return tuple(0 * c for c in left), right
+    return perturbed
+
+
+def _negated_right(original):
+    def perturbed(*args):
+        left, right = original(*args)
+        return left, tuple(-c for c in right)
+    return perturbed
+
+
+@pytest.mark.parametrize("target, perturb, failing", [
+    ("_reduced_blocks", _dropped_left, {"filler-unit-norm", "filler-boundary"}),
+    ("_edge_blocks", _negated_right, {"filler-boundary"}),
+], ids=["filler", "edge"])
+def test_broken_filler_fails_its_grid_laws(target, perturb, failing, monkeypatch):
+    monkeypatch.setattr(joinmul, target, perturb(getattr(joinmul, target)))
+    # the pole row is left out: it evaluates through JoinPoint, whose unit
+    # check raises UsageError on the broken filler before the law can judge it
+    rows = [row for row in DIAMOND_LAWS if row[0] != "filler-pole-reduction"]
+    reports = run_laws(
+        rows, "s7", quarter_grid(6),
+        draw=lambda rng, arity, i: (SpherePoint(rand_unit(rng, 4, "exact")),),
+        suite=lambda law: "test/broken-filler", samples=5, seed=19)
+    by_law = {r.law: r for r in reports}
+    assert {law for law, r in by_law.items() if r.status == "fails"} == failing
+    for law in failing:
+        assert by_law[law].witness is not None
+    if "filler-unit-norm" in failing:
+        unit = by_law["filler-unit-norm"]
+        (x,) = (tuple(map(Fraction, coords)) for coords in unit.witness["inputs"])
+        sigma, tau = (tuple(map(Fraction, pair)) for pair in unit.witness["lhs"])
+        one = (F(1),) + (F(0),) * (len(x) - 1)
+        left, right = joinmul._reduced_blocks(sigma, tau, one, x)
+        assert unit.witness["rhs"] == "unit"
+        assert float(abs(norm_coeffs(left) + norm_coeffs(right) - 1)) == unit.max_residual
