@@ -18,9 +18,12 @@ multiplication is one loop over a per-level sign table, built on first use
 from the doubling rule and skipping zero coefficients.  Exact operands are
 lifted to integer numerators over their common denominator, multiplied as
 ints and divided back once; all-int operands give ints, and any Fraction
-operand gives Fractions, as the recursion does.  Float operands keep the
-recursion (`_mul_recursive`): float addition does not associate, so the
-summation order is part of the result.
+operand gives Fractions, as the recursion does.  Float operands, and any
+mix that is not all int and Fraction, go through a straight-line kernel
+per level, traced once from the recursion (`_mul_recursive`) on first use:
+it takes every product, sum and difference of the recursion in its order,
+because float addition does not associate and the summation order is part
+of the result.  Both kernels give what the recursion gives, bit for bit.
 """
 
 from __future__ import annotations
@@ -29,13 +32,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
-from math import lcm
 from typing import Optional, Sequence
 
 from .checks import compare, max_abs_diff, run_laws
 from .errors import InvariantViolation, NotInvertibleError, UsageError
 from .sampling import rand_coeffs
-from .spheremodel import is_exact
+from .spheremodel import is_exact, lift, norm_coeffs
 
 MAX_LEVEL = 5
 STRUCTURED_CAP = 6000   # structured inputs scanned per ladder law
@@ -101,29 +103,22 @@ def _mul_table(a, b) -> tuple:
     return tuple(out)
 
 
-def lift(a: tuple):
-    """Integer numerators of `a` over their least common denominator."""
-    d = lcm(*(c.denominator for c in a))
-    return [c.numerator * (d // c.denominator) for c in a], d
-
-
 def mul_coeffs(a: tuple, b: tuple) -> tuple:
     """Product of two coefficient tuples of one level; the path follows the scalar types."""
-    if type(a[0]) is float:   # float mode, routed before the type scan
-        return _mul_recursive(a, b)
-    kinds = {*map(type, a), *map(type, b)}
-    if kinds <= _INT:
-        return _mul_table(a, b)
-    if kinds <= _EXACT:
-        na, da = lift(a)
-        nb, db = lift(b)
-        d = da * db
-        return tuple(Fraction(c, d) for c in _mul_table(na, nb))
-    return _mul_recursive(a, b)
+    if type(a[0]) is not float:   # float mode skips the type scan
+        kinds = {*map(type, a), *map(type, b)}
+        if kinds <= _INT:
+            return _mul_table(a, b)
+        if kinds <= _EXACT:
+            na, da = lift(a)
+            nb, db = lift(b)
+            d = da * db
+            return tuple(Fraction(c, d) for c in _mul_table(na, nb))
+    return _float_kernel(len(a))(a, b)
 
 
 def _mul_recursive(a: tuple, b: tuple) -> tuple:
-    """The doubling formula applied recursively; the float kernel."""
+    """The doubling formula applied recursively; traced into `_float_kernel`."""
     n = len(a)
     if n == 1:
         return (a[0] * b[0],)
@@ -142,9 +137,62 @@ def _mul_recursive(a: tuple, b: tuple) -> tuple:
             + tuple(x + y for x, y in zip(right, add)))
 
 
-def norm_coeffs(a: tuple):
-    """Sum of squared coefficients; equals the real part of a a* at every level."""
-    return sum(c * c for c in a)
+class _Traced:
+    """A value inside a traced product, held as the source text of its expression.
+
+    `*`, `+` and `-` return the combined expression.  Unary `-` returns a
+    local that holds the negation, one per distinct operand, recorded in
+    `negs` (expression -> local name, in the order first needed).
+    """
+
+    __slots__ = ("src", "negs")
+
+    def __init__(self, src: str, negs: dict):
+        self.src = src
+        self.negs = negs
+
+    def _op(self, op: str, other: "_Traced") -> "_Traced":
+        return _Traced(f"({self.src} {op} {other.src})", self.negs)
+
+    def __mul__(self, other):
+        return self._op("*", other)
+
+    def __add__(self, other):
+        return self._op("+", other)
+
+    def __sub__(self, other):
+        return self._op("-", other)
+
+    def __neg__(self):
+        name = self.negs.get(self.src)
+        if name is None:
+            name = self.negs[self.src] = f"n{len(self.negs)}"
+        return _Traced(name, self.negs)
+
+
+@cache
+def _float_kernel(n: int):
+    """`_mul_recursive` at dimension n, traced once into a straight-line function.
+
+    kernel(a, b) unpacks both operands into locals, computes each distinct
+    negation the recursion takes once, then returns the recursion's
+    expressions.  Every product, sum and difference has the recursion's
+    operands in its order, and negation is exact, so results are
+    bit-identical to the recursion's for every scalar type, signed zeros and
+    Fraction-float mixes included.
+    """
+    negs = {}
+    a = tuple(_Traced(f"a{i}", negs) for i in range(n))
+    b = tuple(_Traced(f"b{i}", negs) for i in range(n))
+    out = _mul_recursive(a, b)
+    lines = [f"({', '.join(x.src for x in a)},) = a",
+             f"({', '.join(x.src for x in b)},) = b",
+             *(f"{name} = -{src}" for src, name in negs.items()),
+             f"return ({', '.join(x.src for x in out)},)"]
+    source = "def kernel(a, b):\n" + "".join(f"    {line}\n" for line in lines)
+    scope = {}
+    exec(compile(source, f"<cdalg float kernel, dim {n}>", "exec"), scope)
+    return scope["kernel"]
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +400,7 @@ def _eval_alternativity(_, inputs):
     lhs1 = mul_coeffs(mul_coeffs(x, x), y)
     rhs1 = mul_coeffs(x, xy)
     r1 = max_abs_diff(lhs1, rhs1)
-    if r1 > 0:
+    if not r1 <= 0:   # a NaN residual fails here too
         return r1, lhs1, rhs1
     return compare(mul_coeffs(xy, y), mul_coeffs(x, mul_coeffs(y, y)))
 
@@ -368,7 +416,7 @@ def _eval_nicely_normed(_, inputs):
     lhs = mul_coeffs(a, conj_coeffs(a))
     rhs = mul_coeffs(conj_coeffs(a), a)
     r = max_abs_diff(lhs, rhs)
-    if r > 0:
+    if not r <= 0:
         return r, lhs, rhs
     # (iii) a a* > 0 for nonzero a
     if any(a) and lhs[0] <= 0:

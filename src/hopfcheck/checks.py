@@ -137,9 +137,11 @@ def execute_check(law: str,
     when the residual is zero (exact mode) or at most `tolerance` (float
     mode).  Structured inputs are always judged exactly.  sampler(index)
     builds the random inputs for the sampling phase, which stops at the
-    first residual above the threshold.  `workers` is accepted and ignored:
-    the scan runs on the calling thread (pure-Python arithmetic gains
-    nothing from threads), and the keyword stays for callers that pass it.
+    first residual above the threshold.  A NaN residual is never within
+    the threshold, so it fails the law in either phase.  `workers` is
+    accepted and ignored: the scan runs on the calling thread (pure-Python
+    arithmetic gains nothing from threads), and the keyword stays for
+    callers that pass it.
     """
     t0 = time.perf_counter()
     threshold = 0 if mode == "exact" else tolerance
@@ -149,7 +151,7 @@ def execute_check(law: str,
     # structured inputs are exact; any nonzero residual is a witness
     for inputs in structured:
         residual, lhs, rhs = evaluate(inputs)
-        if residual > 0:
+        if not residual <= 0:
             violation = _Violation(residual, inputs, lhs, rhs)
             break
 
@@ -159,7 +161,7 @@ def execute_check(law: str,
             residual, lhs, rhs = evaluate(inputs)
             if residual > max_residual:
                 max_residual = residual
-            if residual > threshold:
+            if not residual <= threshold:
                 violation = _Violation(residual, inputs, lhs, rhs)
                 break
 
@@ -223,13 +225,19 @@ def run_laws(rows,
 
 
 def max_abs_diff(a: Iterable, b: Iterable):
-    """Largest absolute coefficient difference; the residual used everywhere."""
+    """Largest absolute coefficient difference; the residual used everywhere.
+
+    A NaN difference is returned as soon as it is seen, so it cannot hide
+    behind a larger finite one.
+    """
     worst = 0
     for x, y in zip(a, b):
         d = x - y
         if d < 0:
             d = -d
-        if d > worst:
+        if not d <= worst:
+            if d != d:
+                return d
             worst = d
     return worst
 

@@ -13,6 +13,9 @@ from __future__ import annotations
 
 import hashlib
 from fractions import Fraction
+from functools import cache
+
+from .spheremodel import norm_coeffs
 
 _MASK = (1 << 64) - 1
 
@@ -20,6 +23,7 @@ _MASK = (1 << 64) - 1
 MAGNITUDE = 10
 
 
+@cache   # hashed once per suite id, not once per sample
 def _suite_key(suite: str) -> int:
     return int.from_bytes(hashlib.sha256(suite.encode()).digest()[:8], "big")
 
@@ -72,7 +76,7 @@ def stereographic(vec: tuple) -> tuple:
     """Map a vector in R^(d-1) to the unit sphere of R^d, exactly for rationals."""
     if not vec:
         raise ValueError("stereographic needs a source vector of dim >= 1")
-    n2 = sum(c * c for c in vec)
+    n2 = norm_coeffs(vec)
     denom = 1 + n2
     return ((1 - n2) / denom,) + tuple(2 * c / denom for c in vec)
 

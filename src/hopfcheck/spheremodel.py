@@ -8,6 +8,11 @@ special case join(S^0, X), realized as a unit vector whose first
 coordinate plays the suspension axis: the poles are N = (1, 0, ...) and
 S = (-1, 0, ...), and the meridian through a base point a is
 theta -> (cos theta, sin theta * a).
+
+Every point is checked for unit norm when it is built.  Exact
+coordinates are lifted to integer numerators over a common denominator
+(`lift`), so the check compares integers; float sums of squares run left
+to right, so float results do not depend on the Python version.
 """
 
 from __future__ import annotations
@@ -21,18 +26,52 @@ from .errors import UsageError
 
 FLOAT_POINT_EPS = 1e-12   # unit-norm slack for float-mode points
 FLOAT_VIEW_EPS = 1e-12    # a factor with norm below this counts as zero
+_EXACT = frozenset((int, Fraction))
 
 
 def is_exact(coords) -> bool:
     return not any(isinstance(c, float) for c in coords)
 
 
+def lift(a: tuple):
+    """Integer numerators of exact `a` over their least common denominator."""
+    d = math.lcm(*(c.denominator for c in a))
+    return [c.numerator * (d // c.denominator) for c in a], d
+
+
+def _sum_squares(a):
+    # left to right: Python 3.12 made sum() of floats compensated, and float
+    # reports must not depend on the Python version
+    total = 0
+    for c in a:
+        total += c * c
+    return total
+
+
+def norm_coeffs(a: tuple):
+    """Sum of squared coefficients; equals the real part of a a* at every level.
+
+    Exact operands holding a Fraction are lifted once and squared on
+    integer numerators; the result is the same Fraction the direct sum
+    gives.  Every other operand is summed left to right.
+    """
+    if a and type(a[0]) is not float:
+        kinds = set(map(type, a))
+        if Fraction in kinds and kinds <= _EXACT:
+            n, d = lift(a)
+            return Fraction(_sum_squares(n), d * d)
+    return _sum_squares(a)
+
+
 def _check_unit(coords, what: str):
-    total = sum(c * c for c in coords)
     if is_exact(coords):
-        if total != 1:
-            raise UsageError(f"{what} is not on the unit sphere: |x|^2 = {total}")
-    elif abs(total - 1) > FLOAT_POINT_EPS:
+        n, d = lift(coords)
+        if _sum_squares(n) != d * d:
+            raise UsageError(
+                f"{what} is not on the unit sphere: |x|^2 = {norm_coeffs(coords)}")
+        return
+    total = _sum_squares(coords)
+    if not abs(total - 1) <= FLOAT_POINT_EPS:   # NaN and infinities fail too
         raise UsageError(f"{what} is off the unit sphere by {abs(total - 1):.3e}")
 
 
@@ -166,8 +205,8 @@ def join_embed(u: SpherePoint, v: SpherePoint, c, s) -> JoinPoint:
 
 def join_view(x: JoinPoint) -> JoinView:
     """Recover the constructor view from the embedded coordinates."""
-    p2 = sum(c * c for c in x.left)
-    q2 = sum(c * c for c in x.right)
+    p2 = norm_coeffs(x.left)
+    q2 = norm_coeffs(x.right)
     if is_exact(x.flatten()):
         if q2 == 0:
             return JoinView("inl", u=SpherePoint(x.left))

@@ -6,6 +6,7 @@ sign convention it encodes (e1 e2 = -e3, cyclic) is what the doubling
 formula literally produces.
 """
 
+import subprocess
 import sys
 import threading
 from fractions import Fraction
@@ -14,8 +15,8 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hopfcheck.cdalg import (CDElement, _mul_recursive, _sign_table, associator,
-                             cd_conj, cd_inverse, cd_mul, cd_norm, commutator,
+from hopfcheck.cdalg import (CDElement, _float_kernel, _mul_recursive, _sign_table,
+                             associator, cd_conj, cd_inverse, cd_mul, cd_norm, commutator,
                              law_suite, mul_coeffs, norm_coeffs, zero_divisor_search)
 from hopfcheck.errors import NotInvertibleError, UsageError
 from hopfcheck.sampling import CounterRng, rand_coeffs
@@ -97,11 +98,13 @@ def test_mul_is_bilinear(a, b, s, t):
 
 small_ints = st.integers(min_value=-6, max_value=6)
 small_floats = st.floats(min_value=-5, max_value=5, allow_nan=False)
+signed_zeros = st.sampled_from((0.0, -0.0))
 SCALARS = {
     "int": small_ints,
     "fraction": small_fractions,
     "mixed": st.one_of(small_ints, small_fractions),
-    "float": small_floats,
+    "float": st.one_of(small_floats, signed_zeros),
+    "float-mixed": st.one_of(small_floats, signed_zeros, small_ints, small_fractions),
 }
 
 
@@ -116,12 +119,10 @@ def operand_pairs(scalar):
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_kernel_matches_recursion(kind, data):
-    # equal values and the same scalar type in every coordinate:
-    # 0, Fraction(0) and 0.0 are told apart
+    # equal values and the same scalar type in every coordinate: repr tells
+    # 0, Fraction(0), 0.0 and -0.0 apart
     a, b = data.draw(operand_pairs(SCALARS[kind]))
-    got, want = mul_coeffs(a, b), _mul_recursive(a, b)
-    assert got == want
-    assert [type(c) for c in got] == [type(c) for c in want]
+    assert repr(mul_coeffs(a, b)) == repr(_mul_recursive(a, b))
 
 
 def test_kernel_sparse_and_zero_operands_keep_types():
@@ -150,17 +151,26 @@ def test_basis_products_are_signed_xor(level):
             assert support == [i ^ j] and got[i ^ j] in (1, -1)
 
 
-def test_lazy_tables_are_safe_across_threads():
+def _float_operands():
+    rng = CounterRng(0, "test/float-kernel-threads", 0)
+    return (tuple(rng.uniform(-5, 5) for _ in range(32)),
+            tuple(-0.0 if i % 5 else rng.uniform(-5, 5) for i in range(32)))
+
+
+@pytest.mark.parametrize("table,operands", [
+    (_sign_table, (tuple(range(1, 33)), tuple(range(32, 0, -1)))),
+    (_float_kernel, _float_operands()),
+], ids=["sign-table", "float-kernel"])
+def test_lazy_tables_are_safe_across_threads(table, operands):
     # threads that call the library may build the same level's table at once
-    a = tuple(range(1, 33))
-    b = tuple(range(32, 0, -1))
-    want = _mul_recursive(a, b)
+    a, b = operands
+    want = repr(_mul_recursive(a, b))
     results = []
     saved = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        _sign_table.cache_clear()
-        threads = [threading.Thread(target=lambda: results.append(mul_coeffs(a, b)))
+        table.cache_clear()
+        threads = [threading.Thread(target=lambda: results.append(repr(mul_coeffs(a, b))))
                    for _ in range(8)]
         for t in threads:
             t.start()
@@ -170,6 +180,36 @@ def test_lazy_tables_are_safe_across_threads():
         sys.setswitchinterval(saved)
     assert not any(t.is_alive() for t in threads)
     assert results == [want] * 8
+
+
+# --- the traced float kernel against the recursion -------------------------
+
+@pytest.mark.parametrize("level", range(6))
+def test_float_kernel_signed_zeros_and_operand_mixes(level):
+    n = 1 << level
+    rng = CounterRng(0, "test/float-kernel", level)
+    floats = tuple(rng.uniform(-5, 5) for _ in range(n))
+    zeros = tuple(-0.0 if i % 3 else 0.0 for i in range(n))
+    # Fraction(0) included: -Fraction(0) is +0, while -0.0 keeps its sign
+    fractions = tuple(Fraction(i - n // 2, 3) for i in range(n))
+    ints = tuple(range(-(n // 2), n - n // 2))
+    mixed = tuple(column[i % 4] for i, column in enumerate(zip(floats, zeros, fractions, ints)))
+    for a in (floats, zeros, fractions, ints, mixed):
+        for b in (floats, zeros, mixed):
+            assert repr(mul_coeffs(a, b)) == repr(_mul_recursive(a, b))
+            assert repr(mul_coeffs(b, a)) == repr(_mul_recursive(b, a))
+
+
+def test_float_kernel_is_built_on_first_use():
+    # importing the package and answering --version trace no kernel
+    code = ("import contextlib, io\n"
+            "from hopfcheck import cdalg, cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    cli.main(['--version'])\n"
+            "assert cdalg._float_kernel.cache_info().currsize == 0\n"
+            "cdalg.mul_coeffs((1.0, 2.0), (3.0, 4.0))\n"
+            "assert cdalg._float_kernel.cache_info().currsize == 1\n")
+    subprocess.run([sys.executable, "-c", code], check=True)
 
 
 # --- zero-divisor census (de Marrais, "The 42 Assessors", 2000) -------------
@@ -229,6 +269,30 @@ def test_norm_examples():
 def test_norm_equals_coefficient_square_sum(coeffs):
     a = CDElement.from_coeffs(coeffs)
     assert cd_norm(a) == sum(c * c for c in coeffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.one_of(small_fractions, small_ints), min_size=1, max_size=32))
+def test_lifted_norm_matches_fraction_sum(coeffs):
+    # the lifted path must give the direct sum's value and scalar type
+    a = tuple(coeffs)
+    want = sum(c * c for c in a)
+    got = norm_coeffs(a)
+    assert got == want
+    assert type(got) is type(want)
+
+
+def test_norm_of_empty_tuple_is_int_zero():
+    assert norm_coeffs(()) == 0 and type(norm_coeffs(())) is int
+
+
+def test_float_norm_accumulates_left_to_right():
+    # a compensated sum (Python 3.12+ sum()) would keep the small squares
+    a = (1.0,) + (1e-8,) * 8
+    total = 0
+    for c in a:
+        total += c * c
+    assert norm_coeffs(a) == total == 1.0
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,5 +1,6 @@
 """Sphere, suspension and join coordinate models."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,30 @@ def test_sphere_point_requires_unit_norm():
     SpherePoint((F(3, 5), F(4, 5)))
     with pytest.raises(UsageError):
         SpherePoint((F(1, 2), F(1, 2)))
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: SpherePoint((F(1, 2), F(1, 2))), "sphere point is not on the unit sphere: |x|^2 = 1/2"),
+    (lambda: SpherePoint((1, 1)), "sphere point is not on the unit sphere: |x|^2 = 2"),
+    (lambda: SuspPoint((F(2), F(0))), "suspension point is not on the unit sphere: |x|^2 = 4"),
+    (lambda: JoinPoint((F(3, 5),), (F(4, 5), F(1, 7))),
+     "join point is not on the unit sphere: |x|^2 = 50/49"),
+    (lambda: JoinPoint((), ()), "join point is not on the unit sphere: |x|^2 = 0"),
+])
+def test_off_sphere_exact_point_message(make, message):
+    with pytest.raises(UsageError) as err:
+        make()
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("coords", [
+    (math.nan, 0.0), (1.0, math.nan), (math.inf, 0.0), (math.nan, F(1)),
+])
+def test_non_finite_point_is_rejected(coords):
+    with pytest.raises(UsageError):
+        SpherePoint(coords)
+    with pytest.raises(UsageError):
+        JoinPoint(coords[:1], coords[1:])
 
 
 def test_stereographic_lands_on_sphere():
