@@ -34,7 +34,7 @@ from functools import cache
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .checks import compare, max_abs_diff, run_laws
+from .checks import compare, max_abs_diff, run_laws, worst_of
 from .errors import InvariantViolation, NotInvertibleError, UsageError
 from .sampling import rand_coeffs
 from .spheremodel import is_exact, lift, norm_coeffs
@@ -86,8 +86,8 @@ _INT = frozenset((int,))
 _EXACT = frozenset((int, Fraction))
 
 
-def _mul_table(a, b) -> tuple:
-    """Product of int coefficient sequences through the sign table."""
+def mul_ints(a, b) -> tuple:
+    """Product of int coefficient sequences of one level, through the sign table."""
     n = len(a)
     signs = _sign_table(n)
     out = [0] * n
@@ -108,12 +108,12 @@ def mul_coeffs(a: tuple, b: tuple) -> tuple:
     if type(a[0]) is not float:   # float mode skips the type scan
         kinds = {*map(type, a), *map(type, b)}
         if kinds <= _INT:
-            return _mul_table(a, b)
+            return mul_ints(a, b)
         if kinds <= _EXACT:
             na, da = lift(a)
             nb, db = lift(b)
             d = da * db
-            return tuple(Fraction(c, d) for c in _mul_table(na, nb))
+            return tuple(Fraction(c, d) for c in mul_ints(na, nb))
     return _float_kernel(len(a))(a, b)
 
 
@@ -409,8 +409,8 @@ def _eval_nicely_normed(_, inputs):
     (a,) = inputs
     # (i) a + a* is real: non-real coefficients of the sum must vanish
     tail = tuple(c + d for c, d in zip(a[1:], conj_coeffs(a)[1:]))
-    worst = max((abs(c) for c in tail), default=0)
-    if worst > 0:
+    worst, _ = worst_of(tail, abs)
+    if not worst <= 0:
         return worst, tail, tuple(0 * c for c in tail)
     # (ii) a a* = a* a
     lhs = mul_coeffs(a, conj_coeffs(a))

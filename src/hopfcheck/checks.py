@@ -227,11 +227,15 @@ def run_laws(rows,
 def max_abs_diff(a: Iterable, b: Iterable):
     """Largest absolute coefficient difference; the residual used everywhere.
 
-    A NaN difference is returned as soon as it is seen, so it cannot hide
-    behind a larger finite one.
+    Equal exact coordinates are skipped without subtracting, so all-equal
+    sides give int 0.  Float coordinates are always subtracted, so inf
+    against inf still gives NaN.  A NaN difference is returned as soon as
+    it is seen, so it cannot hide behind a larger finite one.
     """
     worst = 0
     for x, y in zip(a, b):
+        if x == y and type(x) is not float:
+            continue
         d = x - y
         if d < 0:
             d = -d
@@ -240,6 +244,23 @@ def max_abs_diff(a: Iterable, b: Iterable):
                 return d
             worst = d
     return worst
+
+
+def worst_of(items: Iterable, residual: Callable = lambda r: r) -> tuple:
+    """(residual, item) of the item with the largest residual(item).
+
+    Items whose residual is not above 0 are passed over, so with none left
+    the result is (0, None).  A NaN residual is returned with its item as
+    soon as it is seen: max() and `r > worst` would both drop it.
+    """
+    worst, at = 0, None
+    for item in items:
+        r = residual(item)
+        if not r <= worst:
+            if r != r:
+                return r, item
+            worst, at = r, item
+    return worst, at
 
 
 def compare(lhs, rhs) -> tuple:

@@ -20,7 +20,8 @@ import time
 from dataclasses import dataclass
 
 from .cdalg import conj_coeffs, mul_coeffs, norm_coeffs
-from .checks import LawReport, ReportDocument, compare, execute_check, max_abs_diff, run_laws
+from .checks import (LawReport, ReportDocument, compare, execute_check, max_abs_diff, run_laws,
+                     worst_of)
 from .errors import UsageError
 from .laws import (ImaginaroidInstance, assoc_check, hspace_check,
                    imaginaroid_instance, sphere_hspace_carrier)
@@ -96,7 +97,7 @@ def _fiber_completeness(ctx, inputs):
     # recover the translation from the first factors, then predict the second
     w_rec = mul_coeffs(conj_coeffs(u), u2)
     predicted = mul_coeffs(conj_coeffs(w_rec), v)
-    r = max(max_abs_diff(w_rec, w), max_abs_diff(predicted, v2))
+    r, _ = worst_of((max_abs_diff(w_rec, w), max_abs_diff(predicted, v2)))
     return r, predicted, v2
 
 
@@ -117,8 +118,8 @@ def _fiber_polar(ctx, inputs):
     south = hopf_map(JoinPoint(tuple(0 * a for a in u), v), inst)
     want_n = SuspPoint.north(len(u)).coords
     want_s = SuspPoint.south(len(u)).coords
-    r = max(max_abs_diff(north.coords, want_n), max_abs_diff(south.coords, want_s))
-    if r > 0:
+    r, _ = worst_of((max_abs_diff(north.coords, want_n), max_abs_diff(south.coords, want_s)))
+    if not r <= 0:
         return r, north.coords, want_n
     # a genuine arc point must avoid both poles
     mixed = hopf_map(_arc_join_point(u, v, c, s), inst)

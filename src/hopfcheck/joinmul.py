@@ -26,6 +26,11 @@ denominator, a grid point holds when |L|^2 + |R|^2 equals the squared
 denominator, and a boundary point when its integer vector equals the
 edge's.  Fractions are built only for a nonzero residual and its witness.
 Float corners take the Fraction/float path through SquareFiller unchanged.
+
+join_mul_syn works the same way on all-Fraction operands: each point is
+lifted once, the view cases and the arc formula run on integer numerators
+through the sign-table kernel, and each output coordinate is built as a
+Fraction once (see `_arc_blocks`).
 """
 
 from __future__ import annotations
@@ -33,10 +38,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from operator import itemgetter
 from typing import Callable
 
-from .cdalg import conj_coeffs, lift, mul_coeffs, norm_coeffs
-from .checks import compare, max_abs_diff, run_laws
+from .cdalg import conj_coeffs, lift, mul_coeffs, mul_ints, norm_coeffs
+from .checks import compare, max_abs_diff, run_laws, worst_of
 from .errors import PreconditionError, UsageError
 from .laws import HSPACE_UNIT_LAWS, HSpaceCarrier, ImaginaroidInstance, _signed_basis
 from .sampling import CounterRng, quarter_grid, rand_quarter_pair, rand_unit
@@ -225,6 +231,14 @@ def join_mul_syn(X: JoinPoint, Y: JoinPoint, inst: ImaginaroidInstance,
     the rational form below and products can be chained exactly.  The
     normalized filler route computes the same vector (see the tests); this
     form merely avoids the square roots of the block norms.
+
+    Operands whose coordinates are all Fractions are lifted once each, X
+    to integer numerators over d_X and Y over d_Y.  Every product of a
+    view case pairs a block of X with one of Y, so it runs on ints and is
+    divided by d_X d_Y once; the views are told apart on the integer
+    squared norms, and two arcs multiply on ints (`_arc_blocks`).  Values
+    and scalar types are those of the rational form.  Other operands
+    (floats, ints, int/Fraction mixes) take the rational form directly.
     """
     if not inst.assoc_verified and not allow_unverified:
         raise PreconditionError(
@@ -232,9 +246,22 @@ def join_mul_syn(X: JoinPoint, Y: JoinPoint, inst: ImaginaroidInstance,
     mul, conj = inst.mul, inst.conj
     p, q = X.left, X.right
     r, w = Y.left, Y.right
-    p2, q2 = norm_coeffs(p), norm_coeffs(q)
-    r2, w2 = norm_coeffs(r), norm_coeffs(w)
-    eps2 = 0 if is_exact(X.flatten() + Y.flatten()) else FLOAT_VIEW_EPS ** 2
+    xs, ys = X.flatten(), Y.flatten()
+    eps2 = 0 if is_exact(xs + ys) else FLOAT_VIEW_EPS ** 2
+    lifted = eps2 == 0 and all(type(c) is Fraction for c in xs + ys)
+    if lifted:
+        (xn, dx), (yn, dy) = lift(xs), lift(ys)
+        d = dx * dy
+        h = len(p)
+        p, q, r, w = xn[:h], xn[h:], yn[:h], yn[h:]
+        p2, q2, r2, w2 = (sum(c * c for c in v) for v in (p, q, r, w))
+        conj = conj_coeffs
+
+        def mul(a, b):
+            return tuple(Fraction(c, d) for c in mul_ints(a, b))
+    else:
+        p2, q2 = norm_coeffs(p), norm_coeffs(q)
+        r2, w2 = norm_coeffs(r), norm_coeffs(w)
 
     if q2 <= eps2:                      # X = inl(p)
         return JoinPoint(mul(p, r), mul(conj(p), w))
@@ -244,6 +271,8 @@ def join_mul_syn(X: JoinPoint, Y: JoinPoint, inst: ImaginaroidInstance,
         return JoinPoint(mul(p, r), mul(r, q))
     if r2 <= eps2:                      # Y = inr(w)
         return JoinPoint(_neg(mul(w, conj(q))), mul(conj(p), w))
+    if lifted:
+        return JoinPoint(*_arc_blocks(p, q, r, w, p2, q2, r2, d))
 
     # two arcs: f, g transport of the reduced diamond, written homogeneously
     K = mul(mul(mul(conj(r), conj(p)), w), conj(q))
@@ -252,6 +281,31 @@ def join_mul_syn(X: JoinPoint, Y: JoinPoint, inst: ImaginaroidInstance,
     rq = mul(r, q)
     right = tuple(n + t / (r2 * q2) for n, t in zip(rq, mul(mul(r, K), q)))
     return JoinPoint(left, right)
+
+
+def _arc_blocks(P, Q, R, W, p2, q2, r2, d) -> tuple:
+    """The two-arc product of join_mul_syn on integer numerators.
+
+    P, Q are X's blocks over d_X and R, W are Y's over d_Y, with
+    d = d_X d_Y and p2, q2, r2 the squared norms of P, Q, R.  Clearing the
+    denominators of the rational form, with M = P R and K = R* P* W Q* on
+    ints, gives
+
+        left  = (M p2 r2 - M K) / (d p2 r2)
+        right = (R Q r2 q2 + (R K) Q) / (d r2 q2)
+
+    Every product runs through the sign-table kernel, and each output
+    coordinate is built as a Fraction once.
+    """
+    K = mul_ints(mul_ints(mul_ints(conj_coeffs(R), conj_coeffs(P)), W), conj_coeffs(Q))
+    M = mul_ints(P, R)
+    pr2, rq2 = p2 * r2, r2 * q2
+    den = d * pr2
+    left = tuple(Fraction(m * pr2 - t, den) for m, t in zip(M, mul_ints(M, K)))
+    den = d * rq2
+    right = tuple(Fraction(n * rq2 + t, den)
+                  for n, t in zip(mul_ints(R, Q), mul_ints(mul_ints(R, K), Q)))
+    return left, right
 
 
 def join_mul_alg(X: JoinPoint, Y: JoinPoint, level: int) -> JoinPoint:
@@ -381,27 +435,18 @@ def _unit_residuals(params, x):
 
 def _filler_unit_norm(params, inputs):
     (x,) = inputs
-    worst = 0
-    at = None
-    for r, sigma, tau in _unit_residuals(params, x):
-        if r > worst:
-            worst, at = r, (sigma, tau)
-    if worst > 0:
-        return worst, at, "unit"
-    return 0, None, None
+    worst, at = worst_of(_unit_residuals(params, x), itemgetter(0))
+    if at is None:
+        return 0, None, None
+    return worst, at[1:], "unit"
 
 
 def _worst_pair(pairs):
     """(residual, got, want) of the worst (got, want) pair; zero with no sides if none differ."""
-    worst = 0
-    bad = None
-    for got, want in pairs:
-        r = max_abs_diff(got, want)
-        if r > worst:
-            worst, bad = r, (got, want)
-    if worst > 0:
-        return worst, bad[0], bad[1]
-    return 0, None, None
+    worst, bad = worst_of(pairs, lambda pair: max_abs_diff(*pair))
+    if bad is None:
+        return 0, None, None
+    return worst, bad[0], bad[1]
 
 
 def _boundary_pairs(params, x):

@@ -21,7 +21,7 @@ from itertools import product
 from typing import Callable
 
 from .cdalg import conj_coeffs, mul_coeffs
-from .checks import LawReport, compare, execute_check, max_abs_diff, run_laws
+from .checks import LawReport, compare, execute_check, max_abs_diff, run_laws, worst_of
 from .errors import PreconditionError, UsageError
 from .sampling import rand_unit
 
@@ -306,14 +306,7 @@ def corner_transport_residual(inst: ImaginaroidInstance, a, b, c, d):
         ("g(1) = cb", g(unit), mul(c, b)),
         ("g(xhat) = a* d", g(xhat), mul(conj(a), d)),
     ]
-    worst = 0
-    detail = None
-    for label, lhs, rhs in checks:
-        r = max_abs_diff(lhs, rhs)
-        if r > worst:
-            worst = r
-            detail = (label, lhs, rhs)
-    return worst, detail
+    return worst_of(checks, lambda check: max_abs_diff(check[1], check[2]))
 
 
 def _corner_transport(inst, inputs):

@@ -6,12 +6,16 @@ index alone, not on the samples drawn before it.  Exact-mode
 samples are rationals with bounded numerators and denominators; sphere
 points are generated through the rational parametrization
 y -> ((1 - |y|^2) / (1 + |y|^2), 2y / (1 + |y|^2)), which lands exactly on
-the unit sphere.
+the unit sphere.  Exact sphere points and quarter-circle pairs evaluate
+that map on integer numerators over a common denominator and build each
+output Fraction once; the draws, their order and the values are those of
+the Fraction formulas.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from fractions import Fraction
 from functools import cache
 
@@ -82,30 +86,44 @@ def stereographic(vec: tuple) -> tuple:
 
 
 def rand_unit(rng: CounterRng, dim: int, mode: str) -> tuple:
-    """Random point on the unit sphere of R^dim (exactly unit in exact mode)."""
+    """Random point on the unit sphere of R^dim (exactly unit in exact mode).
+
+    Exact mode draws y_i = a_i / d_i (numerator, then denominator, as
+    rand_fraction does) and evaluates the stereographic map on integer
+    numerators: with L = lcm(d_i), A_i = a_i L / d_i and S = sum A_i^2 the
+    point is ((L^2 - S) / (L^2 + S), 2 A_i L / (L^2 + S)).
+    """
     if dim < 1:
         raise ValueError("ambient dimension must be >= 1")
     if dim == 1:
         one = Fraction(1) if mode == "exact" else 1.0
         return (rng.sign() * one,)
-    if mode == "exact":
-        vec = tuple(rand_fraction(rng) for _ in range(dim - 1))
-    else:
-        vec = tuple(rng.uniform(-MAGNITUDE, MAGNITUDE) for _ in range(dim - 1))
-    return stereographic(vec)
+    if mode != "exact":
+        return stereographic(tuple(rng.uniform(-MAGNITUDE, MAGNITUDE) for _ in range(dim - 1)))
+    drawn = [(rng.randint(-MAGNITUDE, MAGNITUDE), rng.randint(1, MAGNITUDE))
+             for _ in range(dim - 1)]
+    lcm = math.lcm(*(d for _, d in drawn))
+    nums = [a * (lcm // d) for a, d in drawn]
+    l2 = lcm * lcm
+    s = sum(a * a for a in nums)
+    den = l2 + s
+    return (Fraction(l2 - s, den),) + tuple(Fraction(2 * a * lcm, den) for a in nums)
 
 
 def rand_quarter_pair(rng: CounterRng, mode: str) -> tuple:
     """Random (c, s) with c, s > 0 and c^2 + s^2 = 1.
 
     Both components are strictly positive, so the pair parameterizes a
-    genuine glue arc point rather than an endpoint.
+    genuine glue arc point rather than an endpoint.  Exact mode draws
+    t = k / den and returns ((den^2 - k^2) / (den^2 + k^2), 2 k den / (den^2 + k^2)),
+    the rational point of t computed on integers.
     """
     if mode == "exact":
         den = rng.randint(2, 4 * MAGNITUDE)
-        t = Fraction(rng.randint(1, den - 1), den)
-    else:
-        t = 0.5 * rng.uniform(0.0, 1.0) + 0.25
+        k = rng.randint(1, den - 1)
+        total = den * den + k * k
+        return Fraction(den * den - k * k, total), Fraction(2 * k * den, total)
+    t = 0.5 * rng.uniform(0.0, 1.0) + 0.25
     t2 = t * t
     return ((1 - t2) / (1 + t2), 2 * t / (1 + t2))
 

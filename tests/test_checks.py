@@ -1,12 +1,15 @@
-"""The check executor and its residual (a NaN never reads as a pass), and the
-sampler's cached suite key."""
+"""The check executor and its residual (a NaN never reads as a pass), the
+residual-combining sites, and the sampler's cached suite key."""
 
 import hashlib
 import math
 
+from fractions import Fraction
+
 import pytest
 
-from hopfcheck.checks import STATUS_FAILS, compare, execute_check, max_abs_diff
+from hopfcheck import cdalg, hopf, joinmul, laws
+from hopfcheck.checks import STATUS_FAILS, compare, execute_check, max_abs_diff, worst_of
 from hopfcheck.sampling import CounterRng, _suite_key
 
 NAN = math.nan
@@ -24,6 +27,75 @@ def test_max_abs_diff_returns_nan(lhs, rhs):
 def test_max_abs_diff_finite():
     assert max_abs_diff((1.0, 2.0), (1.5, -1.0)) == 3.0
     assert max_abs_diff((), ()) == 0
+
+
+def _typed(x):
+    return type(x), x
+
+
+@pytest.mark.parametrize("lhs,rhs,want", [
+    ((Fraction(1, 3), 2, Fraction(0)), (Fraction(1, 3), 2, Fraction(0)), 0),
+    ((1.0, 0.5), (1.0, 0.5), 0),
+    ((-0.0, 0.0), (0.0, -0.0), 0),                  # signed zeros are equal
+    ((Fraction(1), 1.0), (1, Fraction(1)), 0),      # equal across types
+    ((Fraction(1, 2), Fraction(2)), (Fraction(1, 2), Fraction(3, 4)), Fraction(5, 4)),
+    ((1, 5), (1, 2), 3),
+], ids=["fractions", "floats", "signed-zeros", "mixed-types", "fraction-diff", "int-diff"])
+def test_max_abs_diff_equal_coordinates_keep_value_and_type(lhs, rhs, want):
+    # all-equal sides give int 0, as before equal coordinates were skipped
+    assert _typed(max_abs_diff(lhs, rhs)) == _typed(want)
+
+
+@pytest.mark.parametrize("lhs,rhs", [
+    ((1.0, NAN), (1.0, 2.0)),
+    ((1.0, 2.0), (1.0, NAN)),
+    ((NAN,), (NAN,)),
+    ((math.inf,), (math.inf,)),    # inf - inf is NaN: float coordinates are subtracted
+])
+def test_max_abs_diff_nan_in_either_position(lhs, rhs):
+    assert math.isnan(max_abs_diff(lhs, rhs))
+
+
+def test_worst_of():
+    assert worst_of(()) == (0, None)
+    assert worst_of((0, 0.0, Fraction(0))) == (0, None)
+    assert worst_of((1, 3, 2, 3)) == (3, 3)
+    assert worst_of(["a", "ccc", "bb", "eee"], len) == (3, "ccc")   # the first worst
+    # a NaN is returned with its item at once, before or after finite residuals
+    r, item = worst_of([(5.0, "x"), (NAN, "y"), (9.0, "z")], lambda pair: pair[0])
+    assert math.isnan(r) and item[1] == "y"
+    assert math.isnan(worst_of((0, NAN, 1))[0])
+
+
+ONE = (1.0, 0.0, 0.0, 0.0)
+NAN_ARC = ((ONE, (NAN, 0.0, 0.0, 0.0), 0.6, 0.8), ONE)
+
+
+@pytest.mark.parametrize("site", [
+    lambda: hopf._fiber_completeness(None, NAN_ARC),
+    lambda: laws.corner_transport_residual(
+        laws.imaginaroid_instance("s2"), (0.0, NAN, 0.0, 0.0), ONE, ONE, ONE),
+    lambda: joinmul._worst_pair([((2.0,), (1.0,)), ((NAN,), (1.0,)), ((9.0,), (1.0,))]),
+], ids=["fiber-completeness", "corner-transport", "worst-pair"])
+def test_combined_residuals_keep_nan(site):
+    assert math.isnan(site()[0])
+
+
+def test_nicely_normed_part_i_keeps_nan():
+    # the NaN sits after a zero, where max() kept the zero and passed part (i)
+    residual, lhs, rhs = cdalg._eval_nicely_normed(None, ((1.0, 0.0, NAN, 0.0),))
+    assert math.isnan(residual)
+    assert len(lhs) == 3    # part (i) reports the non-real tail of a + a*
+
+
+def test_nan_translation_fails_fiber_completeness_with_witness():
+    report = execute_check(
+        "fiber-completeness", "quaternionic", lambda inputs: hopf._fiber_completeness(None, inputs),
+        structured=[NAN_ARC], mode="float")
+    assert report.status == STATUS_FAILS
+    assert math.isnan(report.max_residual)
+    assert report.witness["inputs"][1] == list(ONE)
+    assert all(math.isnan(c) for c in report.witness["lhs"])
 
 
 def _nan_law(where):

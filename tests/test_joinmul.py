@@ -11,13 +11,13 @@ from hopfcheck import joinmul
 from hopfcheck.cdalg import conj_coeffs, mul_coeffs, norm_coeffs
 from hopfcheck.checks import max_abs_diff, run_laws
 from hopfcheck.errors import PreconditionError, UsageError
-from hopfcheck.joinmul import (DIAMOND_LAWS, DiamondProblem, diamond_suite, fill_refl_diamond,
-                               join_mul_alg, join_mul_syn, oracle_equivalence_suite,
-                               reduced_diamond_filler, sample_join_point,
-                               unit_law_check)
-from hopfcheck.laws import assoc_check, imaginaroid_instance
+from hopfcheck.joinmul import (DIAMOND_LAWS, VIEW_KINDS, DiamondProblem, diamond_suite,
+                               fill_refl_diamond, join_mul_alg, join_mul_syn,
+                               oracle_equivalence_suite, reduced_diamond_filler,
+                               sample_join_point, unit_law_check)
+from hopfcheck.laws import _signed_basis, assoc_check, imaginaroid_instance
 from hopfcheck.sampling import CounterRng, quarter_grid, rand_unit
-from hopfcheck.spheremodel import JoinPoint, SpherePoint, join_view
+from hopfcheck.spheremodel import FLOAT_VIEW_EPS, JoinPoint, SpherePoint, is_exact, join_view
 
 
 def F(n, d=1):
@@ -323,6 +323,104 @@ def test_glue_degenerates_continuously_to_inl_row():
     far = join_mul_syn(X_arc, Y, inst).flatten()
     near = join_mul_syn(X_inl, Y, inst).flatten()
     assert max(abs(p - q) for p, q in zip(far, near)) < 1e-9
+
+
+# --- the lifted products against the rational form they replaced ----------------
+
+def _rational_join_mul(X, Y, inst):
+    """join_mul_syn's body before exact operands were lifted to integers."""
+    mul, conj = inst.mul, inst.conj
+    p, q = X.left, X.right
+    r, w = Y.left, Y.right
+    p2, q2 = norm_coeffs(p), norm_coeffs(q)
+    r2, w2 = norm_coeffs(r), norm_coeffs(w)
+    eps2 = 0 if is_exact(X.flatten() + Y.flatten()) else FLOAT_VIEW_EPS ** 2
+
+    def neg(u):
+        return tuple(-a for a in u)
+
+    if q2 <= eps2:
+        return JoinPoint(mul(p, r), mul(conj(p), w))
+    if p2 <= eps2:
+        return JoinPoint(neg(mul(w, conj(q))), mul(r, q))
+    if w2 <= eps2:
+        return JoinPoint(mul(p, r), mul(r, q))
+    if r2 <= eps2:
+        return JoinPoint(neg(mul(w, conj(q))), mul(conj(p), w))
+    K = mul(mul(mul(conj(r), conj(p)), w), conj(q))
+    M = mul(p, r)
+    left = tuple(m - t / (p2 * r2) for m, t in zip(M, mul(M, K)))
+    rq = mul(r, q)
+    right = tuple(n + t / (r2 * q2) for n, t in zip(rq, mul(mul(r, K), q)))
+    return JoinPoint(left, right)
+
+
+#: level -> imaginaroid; level 3 is the non-associative octonion control
+LEVEL_INSTANCES = {1: "s0", 2: "s2", 3: "octonion-control"}
+ARCS = (ARC, ARC2, (F(8, 17), F(15, 17)))
+
+
+def _operand(data, inst, view):
+    """A join point of the given view: sampled (exact or float) or built from
+    signed basis vectors, with any integral Fraction coordinate possibly an int."""
+    dim = inst.susp_dim
+    if data.draw(st.booleans()):
+        rng = CounterRng(data.draw(st.integers(0, 2 ** 32)), "test/lifted-syn", 0)
+        X = sample_join_point(rng, inst, view, data.draw(st.sampled_from(("exact", "float"))))
+    else:
+        u, v = (data.draw(st.sampled_from(_signed_basis(dim))) for _ in range(2))
+        c, s = {"inl": E0, "inr": E0[::-1]}.get(view) or data.draw(st.sampled_from(ARCS))
+        X = JoinPoint(tuple(c * t for t in u), tuple(s * t for t in v))
+    to_int = data.draw(st.lists(st.booleans(), min_size=2 * dim, max_size=2 * dim))
+    coords = tuple(int(c) if flag and type(c) is Fraction and c.denominator == 1 else c
+                   for c, flag in zip(X.flatten(), to_int))
+    return JoinPoint(coords[:dim], coords[dim:])
+
+
+@pytest.mark.parametrize("view_y", VIEW_KINDS)
+@pytest.mark.parametrize("view_x", VIEW_KINDS)
+@pytest.mark.parametrize("level", sorted(LEVEL_INSTANCES))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_lifted_join_mul_matches_rational_form(level, view_x, view_y, data):
+    # inl/inr on either side reach the four zero-norm branches, glue x glue
+    # the integer arc; equal values and equal scalar types, int mixes included
+    inst = imaginaroid_instance(LEVEL_INSTANCES[level])
+    X, Y = _operand(data, inst, view_x), _operand(data, inst, view_y)
+    got = join_mul_syn(X, Y, inst, allow_unverified=True)
+    assert _typed(got) == _typed(_rational_join_mul(X, Y, inst))
+
+
+def _without_k_terms(original):
+    # K = R* P* W Q* vanishes with W: drops M K from left and (R K) Q from right
+    def perturbed(P, Q, R, W, p2, q2, r2, d):
+        return original(P, Q, R, [0] * len(W), p2, q2, r2, d)
+    return perturbed
+
+
+def _operands_swapped(original):
+    # the product Y X in place of X Y: still a unit point, so only the oracle sees it
+    def perturbed(P, Q, R, W, p2, q2, r2, d):
+        return original(R, W, P, Q, r2, sum(c * c for c in W), p2, d)
+    return perturbed
+
+
+def test_broken_lifted_arc_fails_oracle_equivalence(monkeypatch):
+    monkeypatch.setattr(joinmul, "_arc_blocks", _operands_swapped(joinmul._arc_blocks))
+    reports = {r.law: r for r in oracle_equivalence_suite(verified("s2"), samples=90, seed=20)}
+    assert {law for law, r in reports.items() if r.status == "fails"} == {
+        "oracle-equivalence[glue,glue]"}
+    witness = reports["oracle-equivalence[glue,glue]"].witness
+    assert len(witness["inputs"]) == 2 and witness["lhs"] != witness["rhs"]
+
+
+def test_lifted_arc_without_k_terms_leaves_the_sphere(monkeypatch):
+    monkeypatch.setattr(joinmul, "_arc_blocks", _without_k_terms(joinmul._arc_blocks))
+    inst = verified("s2")
+    X, Y = (sample_join_point(CounterRng(21, "test/no-k", i), inst, "glue", "exact")
+            for i in range(2))
+    with pytest.raises(UsageError, match="not on the unit sphere"):
+        join_mul_syn(X, Y, inst)
 
 
 # --- unit laws and the grid suite ------------------------------------------------
