@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import combinations
+from itertools import combinations, islice, product
 from typing import Optional, Sequence
 
 from .checks import compare, max_abs_diff, run_laws, worst_of
@@ -336,43 +336,15 @@ def structured_tuples(level: int, arity: int, cap: int):
 
     Tuples are graded by total term count and emitted grade by grade;
     within a grade, slots holding two-term sums come first and ties break
-    lexicographically.  The stream stops after `cap` tuples; callers fall
-    back to random search beyond that.
+    lexicographically.  Each slot pattern (2 = two-term sum, 1 = single)
+    is one lazy product, and the stream stops after `cap` tuples; callers
+    fall back to random search beyond that.
     """
-    singles, pairs = _structured_elements(level)
-    pools = (singles, pairs)
-    emitted = 0
-    for grade in range(arity, 2 * arity + 1):
-        for pattern in _compositions(arity, grade):
-            stack = [()]
-            for slot in pattern:
-                pool = pools[slot - 1]
-                stack = [t + (e,) for t in stack for e in pool]
-                if len(stack) > cap - emitted:
-                    # keep only what can still be emitted; order is preserved
-                    stack = stack[:cap - emitted + 1]
-            for tup in stack:
-                yield tup
-                emitted += 1
-                if emitted >= cap:
-                    return
-
-
-def _compositions(arity: int, grade: int):
-    """Slot complexity patterns (1 = single, 2 = pair sum), heavier slots first."""
-    out = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 0:
-            if remaining == 0:
-                out.append(tuple(prefix))
-            return
-        for c in (2, 1):
-            if c <= remaining:
-                rec(prefix + [c], remaining - c, slots - 1)
-
-    rec([], grade, arity)
-    return out
+    pools = _structured_elements(level)     # (singles, pairs)
+    stream = (tup for grade in range(arity, 2 * arity + 1)
+              for pattern in product((2, 1), repeat=arity) if sum(pattern) == grade
+              for tup in product(*(pools[slot - 1] for slot in pattern)))
+    return islice(stream, cap)
 
 
 # ---------------------------------------------------------------------------

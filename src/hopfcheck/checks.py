@@ -103,22 +103,6 @@ class ReportDocument:
         }
 
 
-@dataclass
-class _Violation:
-    residual: object
-    inputs: tuple
-    lhs: object
-    rhs: object
-
-
-def _witness_dict(v: _Violation) -> dict:
-    return {
-        "inputs": [coeffs_to_json(x) for x in v.inputs],
-        "lhs": coeffs_to_json(v.lhs),
-        "rhs": coeffs_to_json(v.rhs),
-    }
-
-
 def execute_check(law: str,
                   instance: str,
                   evaluate: Callable,
@@ -145,14 +129,14 @@ def execute_check(law: str,
     """
     t0 = time.perf_counter()
     threshold = 0 if mode == "exact" else tolerance
-    violation = None
+    violation = None    # (residual, inputs, lhs, rhs) of the witness
     max_residual = 0
 
     # structured inputs are exact; any nonzero residual is a witness
     for inputs in structured:
         residual, lhs, rhs = evaluate(inputs)
         if not residual <= 0:
-            violation = _Violation(residual, inputs, lhs, rhs)
+            violation = residual, inputs, lhs, rhs
             break
 
     if violation is None and sampler is not None:
@@ -162,13 +146,14 @@ def execute_check(law: str,
             if residual > max_residual:
                 max_residual = residual
             if not residual <= threshold:
-                violation = _Violation(residual, inputs, lhs, rhs)
+                violation = residual, inputs, lhs, rhs
                 break
 
     if violation is not None:
+        max_residual, inputs, lhs, rhs = violation
         status = STATUS_FAILS
-        witness = _witness_dict(violation)
-        max_residual = violation.residual
+        witness = {"inputs": [coeffs_to_json(x) for x in inputs],
+                   "lhs": coeffs_to_json(lhs), "rhs": coeffs_to_json(rhs)}
     else:
         status = STATUS_HOLDS_EXACT if mode == "exact" else STATUS_HOLDS_SAMPLED
         witness = None

@@ -66,6 +66,70 @@ class RunConfig:
         return d
 
 
+def _zerodiv(config: RunConfig, kw: dict) -> list:
+    t0 = time.perf_counter()
+    witness = zero_divisor_search(config.level, mode=config.mode)
+    expect_none = config.level <= 3
+    duration = (time.perf_counter() - t0) * 1000.0
+    if witness is not None:
+        a, b = witness
+        witness = {"inputs": [coeffs_to_json(a.coeffs), coeffs_to_json(b.coeffs)],
+                   "lhs": coeffs_to_json(tuple(0 for _ in a.coeffs)),
+                   "rhs": "zero product of nonzero factors"}
+    return [LawReport(
+        law="zero-divisor-search", instance=f"level-{config.level}",
+        status=STATUS_HOLDS_EXACT if witness is None else STATUS_FAILS, samples=0,
+        tolerance=None, max_residual=0.0, witness=witness, seed=config.seed,
+        duration_ms=duration, expected=(witness is None) == expect_none)]
+
+
+def _hspace(config: RunConfig, kw: dict) -> list:
+    if config.instance != "s7":
+        return hspace_check(sphere_hspace_carrier(config.instance), **kw)
+    inst = imaginaroid_instance("s2")
+    assoc = assoc_check(inst, **kw)
+    if not assoc.holds:     # the join suites need an associative fiber
+        return [assoc]
+    return ([assoc] + hspace_check(join_hspace_carrier(inst), **kw)
+            + oracle_equivalence_suite(inst, **kw))
+
+
+def _fiber(config: RunConfig, kw: dict) -> list:
+    inst = hopf_instance(config.instance)
+    # fiber_check first: it rejects a vacuous float tolerance before any work
+    return fiber_check(inst, **kw) + [assoc_check(inst.imag, **kw)]
+
+
+def _fibration(config: RunConfig, kw: dict) -> list:
+    names = tuple(FIBRATIONS) if config.instance == "all" else (config.instance,)
+    return [r for name in names for r in fibration_report(hopf_instance(name), **kw)]
+
+
+#: name -> (help, --instance choices or None for a --level row, --instance default
+#: or None for a required one, runner(config, kw) -> reports); only diamond adds --grid
+SUBCOMMANDS = {
+    "laws": (
+        "property ladder of one Cayley-Dickson level", None, None,
+        lambda config, kw: law_suite(config.level, **kw)),
+    "zerodiv": ("search two-term zero divisors at one level", None, None, _zerodiv),
+    "spheroid": (
+        "spheroid law suite", ("s0", "s1", "s3"), None,
+        lambda config, kw: spheroid_check(spheroid_instance(config.instance), **kw)),
+    "imaginaroid": (
+        "imaginaroid law suite", ("empty", "s0", "s2"), None,
+        lambda config, kw: imaginaroid_check(imaginaroid_instance(config.instance), **kw)),
+    "hspace": ("H-space law suite", ("s0", "s1", "s3", "s7"), None, _hspace),
+    "diamond": (
+        "evaluate square fillers on a parameter grid", ("empty", "s0", "s2"), "s2",
+        lambda config, kw: diamond_suite(imaginaroid_instance(config.instance),
+                                         grid=config.grid, **kw)),
+    "fiber": ("fiber structure checks", tuple(FIBRATIONS), None, _fiber),
+    "fibration": (
+        "aggregate report for one or all fibrations", tuple(FIBRATIONS) + ("all",), "all",
+        _fibration),
+}
+
+
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hopfcheck",
@@ -86,36 +150,17 @@ def _parser() -> argparse.ArgumentParser:
     common.add_argument("--workers", type=int, default=1,
                         help="accepted and recorded in the report config; checks run on "
                              "one thread and reports do not depend on it")
+    common.set_defaults(instance="", level=0, grid=64)
 
-    p = sub.add_parser("laws", parents=[common],
-                       help="property ladder of one Cayley-Dickson level")
-    p.add_argument("--level", type=int, required=True)
-
-    p = sub.add_parser("zerodiv", parents=[common],
-                       help="search two-term zero divisors at one level")
-    p.add_argument("--level", type=int, required=True)
-
-    p = sub.add_parser("spheroid", parents=[common], help="spheroid law suite")
-    p.add_argument("--instance", choices=("s0", "s1", "s3"), required=True)
-
-    p = sub.add_parser("imaginaroid", parents=[common], help="imaginaroid law suite")
-    p.add_argument("--instance", choices=("empty", "s0", "s2"), required=True)
-
-    p = sub.add_parser("hspace", parents=[common], help="H-space law suite")
-    p.add_argument("--instance", choices=("s0", "s1", "s3", "s7"), required=True)
-
-    p = sub.add_parser("diamond", parents=[common],
-                       help="evaluate square fillers on a parameter grid")
-    p.add_argument("--instance", choices=("empty", "s0", "s2"), default="s2")
-    p.add_argument("--grid", type=int, default=64)
-
-    p = sub.add_parser("fiber", parents=[common], help="fiber structure checks")
-    p.add_argument("--instance", choices=tuple(FIBRATIONS), required=True)
-
-    p = sub.add_parser("fibration", parents=[common],
-                       help="aggregate report for one or all fibrations")
-    p.add_argument("--instance", choices=tuple(FIBRATIONS) + ("all",), default="all")
-
+    for name, (help_text, instances, default, _) in SUBCOMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=help_text)
+        if instances is None:
+            p.add_argument("--level", type=int, required=True)
+        else:
+            p.add_argument("--instance", choices=instances, default=default,
+                           required=default is None)
+        if name == "diamond":
+            p.add_argument("--grid", type=int)   # default from common
     return parser
 
 
@@ -131,70 +176,17 @@ def run(config: RunConfig) -> ReportDocument:
         raise UsageError("tolerance must be a finite number >= 0")
     if config.mode not in ("exact", "float"):
         raise UsageError(f"unknown mode {config.mode!r}")
+    if config.subcommand not in SUBCOMMANDS:
+        raise UsageError(f"unknown subcommand {config.subcommand!r}")
     t0 = time.perf_counter()
     kw = dict(samples=config.samples, seed=config.seed, mode=config.mode,
               tolerance=config.tolerance)
-    cmd = config.subcommand
-
-    if cmd == "laws":
-        reports = law_suite(config.level, **kw)
-    elif cmd == "zerodiv":
-        reports = [_zerodiv_report(config)]
-    elif cmd == "spheroid":
-        reports = spheroid_check(spheroid_instance(config.instance), **kw)
-    elif cmd == "imaginaroid":
-        reports = imaginaroid_check(imaginaroid_instance(config.instance), **kw)
-    elif cmd == "hspace":
-        if config.instance == "s7":
-            inst = imaginaroid_instance("s2")
-            assoc = assoc_check(inst, **kw)
-            reports = [assoc]
-            if assoc.holds:     # the join suites need an associative fiber
-                reports += hspace_check(join_hspace_carrier(inst), **kw)
-                reports += oracle_equivalence_suite(inst, **kw)
-        else:
-            reports = hspace_check(sphere_hspace_carrier(config.instance), **kw)
-    elif cmd == "diamond":
-        reports = diamond_suite(imaginaroid_instance(config.instance),
-                                grid=config.grid, **kw)
-    elif cmd == "fiber":
-        inst = hopf_instance(config.instance)
-        # fiber_check first: it rejects a vacuous float tolerance before any work
-        reports = fiber_check(inst, **kw) + [assoc_check(inst.imag, **kw)]
-    elif cmd == "fibration":
-        names = tuple(FIBRATIONS) if config.instance == "all" else (config.instance,)
-        reports = []
-        for name in names:
-            doc = fibration_report(hopf_instance(name), version=__version__, **kw)
-            reports.extend(doc.reports)
-    else:
-        raise UsageError(f"unknown subcommand {cmd!r}")
-
+    *_, runner = SUBCOMMANDS[config.subcommand]
+    reports = runner(config, kw)
     doc = ReportDocument(version=__version__, config=config.echo(), reports=reports)
     doc.finalize()
     doc.duration_ms = (time.perf_counter() - t0) * 1000.0
     return doc
-
-
-def _zerodiv_report(config: RunConfig):
-    t0 = time.perf_counter()
-    witness = zero_divisor_search(config.level, mode=config.mode)
-    expect_none = config.level <= 3
-    duration = (time.perf_counter() - t0) * 1000.0
-    if witness is None:
-        return LawReport(
-            law="zero-divisor-search", instance=f"level-{config.level}",
-            status=STATUS_HOLDS_EXACT, samples=0, tolerance=None,
-            max_residual=0.0, witness=None, seed=config.seed,
-            duration_ms=duration, expected=expect_none)
-    a, b = witness
-    return LawReport(
-        law="zero-divisor-search", instance=f"level-{config.level}",
-        status=STATUS_FAILS, samples=0, tolerance=None, max_residual=0.0,
-        witness={"inputs": [coeffs_to_json(a.coeffs), coeffs_to_json(b.coeffs)],
-                 "lhs": coeffs_to_json(tuple(0 for _ in a.coeffs)),
-                 "rhs": "zero product of nonzero factors"},
-        seed=config.seed, duration_ms=duration, expected=not expect_none)
 
 
 def emit(doc: ReportDocument, fmt: str) -> bytes:
@@ -242,19 +234,7 @@ def main(argv=None) -> int:
             print(f"hopfcheck: invalid HOPFCHECK_SEED {env_seed!r}", file=sys.stderr)
             return EXIT_USAGE
 
-    config = RunConfig(
-        subcommand=args.subcommand,
-        instance=getattr(args, "instance", ""),
-        level=getattr(args, "level", 0),
-        mode=args.mode,
-        samples=args.samples,
-        seed=args.seed,
-        tolerance=args.tolerance,
-        output=args.output,
-        fmt=args.fmt,
-        grid=getattr(args, "grid", 64),
-        workers=args.workers,
-    )
+    config = RunConfig(**vars(args))
     try:
         doc = run(config)
     except UsageError as err:

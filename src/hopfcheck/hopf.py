@@ -11,23 +11,22 @@ The three instances are G = S^0, S^1, S^3, giving the real, complex and
 quaternionic fibrations S^0->S^1->S^1, S^1->S^3->S^2, S^3->S^7->S^4.
 The fiber over a non-polar point is the translate family
 (u, v) -> (u w, w* v); membership, completeness, separation and the polar
-fibers are checked concretely.
+fibers are checked concretely.  fibration_report returns the aggregate
+suite as a report list, like every other suite.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 from .cdalg import conj_coeffs, mul_coeffs, norm_coeffs
-from .checks import (LawReport, ReportDocument, compare, execute_check, max_abs_diff, run_laws,
-                     worst_of)
+from .checks import LawReport, compare, execute_check, max_abs_diff, run_laws, worst_of
 from .errors import UsageError
 from .laws import (ImaginaroidInstance, assoc_check, hspace_check,
                    imaginaroid_instance, sphere_hspace_carrier)
 from .joinmul import oracle_equivalence_suite, unit_law_check
 from .sampling import rand_quarter_pair, rand_unit
-from .spheremodel import JoinPoint, SuspPoint
+from .spheremodel import JoinPoint, SuspPoint, arc_point
 
 #: fibration name -> imaginaroid whose suspension is the fiber sphere G
 FIBRATIONS = {"real": "empty", "complex": "s0", "quaternionic": "s2"}
@@ -75,10 +74,6 @@ def _translate(u, v, w):
     return mul_coeffs(u, w), mul_coeffs(conj_coeffs(w), v)
 
 
-def _arc_join_point(u, v, c, s) -> JoinPoint:
-    return JoinPoint(tuple(c * a for a in u), tuple(s * b for b in v))
-
-
 # fiber laws: law((inst, gap), inputs) with inputs = ((u, v, c, s), w, ...),
 # an arc point and one or two translations; gap is the separation threshold
 
@@ -87,8 +82,8 @@ def _fiber_membership(ctx, inputs):
     inst, _ = ctx
     (u, v, c, s), w = inputs
     u2, v2 = _translate(u, v, w)
-    return compare(hopf_map(_arc_join_point(u2, v2, c, s), inst).coords,
-                   hopf_map(_arc_join_point(u, v, c, s), inst).coords)
+    return compare(hopf_map(arc_point(u2, v2, c, s), inst).coords,
+                   hopf_map(arc_point(u, v, c, s), inst).coords)
 
 
 def _fiber_completeness(ctx, inputs):
@@ -114,15 +109,15 @@ def _fiber_separation(ctx, inputs):
 def _fiber_polar(ctx, inputs):
     inst, _ = ctx
     (u, v, c, s), _ = inputs
-    north = hopf_map(JoinPoint(u, tuple(0 * b for b in v)), inst)
-    south = hopf_map(JoinPoint(tuple(0 * a for a in u), v), inst)
+    north = hopf_map(arc_point(u, v, 1, 0), inst)
+    south = hopf_map(arc_point(u, v, 0, 1), inst)
     want_n = SuspPoint.north(len(u)).coords
     want_s = SuspPoint.south(len(u)).coords
     r, _ = worst_of((max_abs_diff(north.coords, want_n), max_abs_diff(south.coords, want_s)))
     if not r <= 0:
         return r, north.coords, want_n
     # a genuine arc point must avoid both poles
-    mixed = hopf_map(_arc_join_point(u, v, c, s), inst)
+    mixed = hopf_map(arc_point(u, v, c, s), inst)
     if abs(mixed.coords[0]) >= 1:
         return 1, mixed.coords, "interior"
     return 0, None, None
@@ -194,11 +189,10 @@ def fibration_report(inst: HopfInstance,
                      seed: int = 0,
                      mode: str = "exact",
                      *,
-                     tolerance: float = 1e-9,
-                     version: str = "0") -> ReportDocument:
+                     tolerance: float = 1e-9) -> list:
     """Aggregate suite for one fibration: fiber H-space laws, join unit laws,
-    oracle equivalence of the join multiplication, fiber structure, dimensions."""
-    t0 = time.perf_counter()
+    oracle equivalence of the join multiplication, fiber structure, dimensions.
+    One report per law, each instance namespaced under the fibration's name."""
     kw = dict(samples=samples, seed=seed, mode=mode, tolerance=tolerance)
     reports = fiber_check(inst, **kw)     # first: it rejects a vacuous tolerance
     imag = inst.imag
@@ -211,19 +205,4 @@ def fibration_report(inst: HopfInstance,
         # namespace the sub-suite instances under the fibration's own name
         if not r.instance.startswith(inst.name):
             r.instance = f"{inst.name}:{r.instance}"
-    doc = ReportDocument(
-        version=version,
-        config={
-            "instance": inst.name,
-            "fiber": f"S^{inst.fiber_dim - 1}",
-            "total": f"S^{inst.total_dim - 1}",
-            "base": f"S^{inst.base_dim - 1}",
-            "samples": samples,
-            "seed": seed,
-            "mode": mode,
-            "tolerance": None if mode == "exact" else tolerance,
-        },
-        reports=reports)
-    doc.finalize()
-    doc.duration_ms = (time.perf_counter() - t0) * 1000.0
-    return doc
+    return reports

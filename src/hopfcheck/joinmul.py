@@ -19,13 +19,14 @@ coordinates, exactly the doubled-algebra product of the next
 Cayley-Dickson level: join_mul_alg is that product and serves as the
 independent oracle for join_mul_syn.
 
-D_x and the edge values are each written once, for any scalar type.  The
-grid laws check an exact corner on integer numerators: the corner and
-each parameter pair (c, s) are lifted once to integers over a common
-denominator, a grid point holds when |L|^2 + |R|^2 equals the squared
-denominator, and a boundary point when its integer vector equals the
-edge's.  Fractions are built only for a nonzero residual and its witness.
-Float corners take the Fraction/float path through SquareFiller unchanged.
+D_x and the edge values are each written once, for any scalar type, and
+each grid law has one body.  An exact corner and each parameter pair
+(c, s) are lifted once to integer numerators over a common denominator:
+a grid point holds when |L|^2 + |R|^2 equals the squared denominator, and
+a boundary point when its integer vector equals the edge's.  Fractions are
+built only for a nonzero residual and its witness.  A float corner runs
+the same body over denominator 1 with its Fraction grid pairs unlifted, so
+its values are SquareFiller's bit for bit, and a broken filler fails.
 
 join_mul_syn works the same way on all-Fraction operands: each point is
 lifted once, the view cases and the arc formula run on integer numerators
@@ -43,10 +44,11 @@ from typing import Callable
 
 from .cdalg import conj_coeffs, lift, mul_coeffs, mul_ints, norm_coeffs
 from .checks import compare, max_abs_diff, run_laws, worst_of
-from .errors import PreconditionError, UsageError
-from .laws import HSPACE_UNIT_LAWS, HSpaceCarrier, ImaginaroidInstance, _signed_basis
+from .errors import UsageError
+from .laws import (HSPACE_UNIT_LAWS, HSpaceCarrier, ImaginaroidInstance, _require_assoc,
+                   _signed_basis)
 from .sampling import CounterRng, quarter_grid, rand_quarter_pair, rand_unit
-from .spheremodel import FLOAT_VIEW_EPS, JoinPoint, SpherePoint, is_exact
+from .spheremodel import JoinPoint, SpherePoint, arc_point, is_exact, zero_norm_bound
 
 #: report-instance names for the join carriers, keyed by imaginaroid name
 JOIN_INSTANCE = {"empty": "s1", "s0": "s3", "s2": "s7"}
@@ -240,14 +242,12 @@ def join_mul_syn(X: JoinPoint, Y: JoinPoint, inst: ImaginaroidInstance,
     and scalar types are those of the rational form.  Other operands
     (floats, ints, int/Fraction mixes) take the rational form directly.
     """
-    if not inst.assoc_verified and not allow_unverified:
-        raise PreconditionError(
-            f"associativity of {inst.name} is unverified; run assoc_check first")
+    _require_assoc(inst, allow_unverified)
     mul, conj = inst.mul, inst.conj
     p, q = X.left, X.right
     r, w = Y.left, Y.right
     xs, ys = X.flatten(), Y.flatten()
-    eps2 = 0 if is_exact(xs + ys) else FLOAT_VIEW_EPS ** 2
+    eps2 = zero_norm_bound(xs + ys)
     lifted = eps2 == 0 and all(type(c) is Fraction for c in xs + ys)
     if lifted:
         (xn, dx), (yn, dy) = lift(xs), lift(ys)
@@ -337,8 +337,7 @@ def sample_join_point(rng: CounterRng, inst: ImaginaroidInstance, view: str,
         return JoinPoint(zero, rand_unit(rng, dim, mode))
     u = rand_unit(rng, dim, mode)
     v = rand_unit(rng, dim, mode)
-    c, s = rand_quarter_pair(rng, mode)
-    return JoinPoint(_scale(c, u), _scale(s, v))
+    return arc_point(u, v, *rand_quarter_pair(rng, mode))
 
 
 VIEW_KINDS = ("inl", "inr", "glue")
@@ -402,35 +401,29 @@ def _edge_params(ends, params):
     return (pair for end in ends for t in params for pair in ((end, t), (t, end)))
 
 
-def _lifted(pairs) -> list:
-    """Each exact pair as (integer numerators, common denominator)."""
-    return [(tuple(n), d) for n, d in map(lift, pairs)]
-
-
 def _lifted_corner(x: SpherePoint) -> tuple:
-    """The corner's reduced-diamond data (one, x) as integer numerators over d_x."""
-    xn, dx = lift(x.coords)
-    return (dx,) + (0,) * (len(xn) - 1), tuple(xn), dx
+    """(one, x, d_x, lift_pairs): the corner's reduced-diamond data over d_x, and
+    lift_pairs(pairs), each pair as (numerators, denominator).  An exact corner
+    and its pairs are lifted to integers; a float corner is carried over 1 with
+    `one` and the pairs in Fractions, the operands SquareFiller evaluation uses."""
+    if is_exact(x.coords):
+        xn, dx = lift(x.coords)
+        return ((dx,) + (0,) * (len(xn) - 1), tuple(xn), dx,
+                lambda pairs: [(tuple(n), d) for n, d in map(lift, pairs)])
+    return SpherePoint.basis(x.dim, 0).coords, x.coords, 1, lambda pairs: [(p, 1) for p in pairs]
 
 
 def _unit_residuals(params, x):
-    """(residual, sigma, tau) per grid point; an exact corner yields only nonzero ones."""
-    if not is_exact(x.coords):
-        filler = reduced_diamond_filler(x)
-        for sigma in params:
-            for tau in params:
-                pt = filler.evaluate(sigma, tau)
-                yield abs(norm_coeffs(pt.left) + norm_coeffs(pt.right) - 1), sigma, tau
-        return
-    one, xn, dx = _lifted_corner(x)
-    grid = list(zip(params, _lifted(params)))
+    """(residual, sigma, tau) for each grid point where |D_x|^2 is not 1."""
+    one, xn, dx, lift_pairs = _lifted_corner(x)
+    grid = list(zip(params, lift_pairs(params)))
     for sigma, (ns, ds) in grid:
         for tau, (nt, dt) in grid:
             left, right = _reduced_blocks(ns, nt, one, xn)
             d2 = (ds * dt * dx) ** 2    # |D_x|^2 = 1 scaled by the squared denominator
             diff = norm_coeffs(left) + norm_coeffs(right) - d2
             if diff:
-                yield Fraction(abs(diff), d2), sigma, tau
+                yield abs(diff) / Fraction(d2), sigma, tau
 
 
 def _filler_unit_norm(params, inputs):
@@ -450,22 +443,17 @@ def _worst_pair(pairs):
 
 
 def _boundary_pairs(params, x):
-    """(filler value, edge value) per boundary point; an exact corner yields only unequal ones."""
-    if not is_exact(x.coords):
-        filler = reduced_diamond_filler(x)
-        for sigma, tau in _edge_params(_EDGE_ENDPOINTS, params):
-            yield filler.evaluate(sigma, tau), filler.edge_expectation(sigma, tau)
-        return
-    one, xn, dx = _lifted_corner(x)
+    """(filler value, edge value) for each boundary point where the two differ."""
+    one, xn, dx, lift_pairs = _lifted_corner(x)
     minus_one = _neg(one)
-    for (ns, ds), (nt, dt) in _edge_params(_lifted(_EDGE_ENDPOINTS), _lifted(params)):
+    for (ns, ds), (nt, dt) in _edge_params(lift_pairs(_EDGE_ENDPOINTS), lift_pairs(params)):
         # one of ds, dt is 1 (an endpoint), so both sides are over ds * dt * dx
         left, right = _reduced_blocks(ns, nt, one, xn)
         edge_left, edge_right = _edge_blocks(ns, nt, minus_one, xn, one, xn)
         got, want = left + right, edge_left + edge_right
         if got != want:
-            d = ds * dt * dx
-            yield (tuple(Fraction(c, d) for c in got), tuple(Fraction(c, d) for c in want))
+            d = Fraction(ds * dt * dx)
+            yield tuple(c / d for c in got), tuple(c / d for c in want)
 
 
 def _filler_boundary(params, inputs):

@@ -115,20 +115,23 @@ def rand_quarter_pair(rng: CounterRng, mode: str) -> tuple:
 
     Both components are strictly positive, so the pair parameterizes a
     genuine glue arc point rather than an endpoint.  Exact mode draws
-    t = k / den and returns ((den^2 - k^2) / (den^2 + k^2), 2 k den / (den^2 + k^2)),
-    the rational point of t computed on integers.
+    t = k / den and returns its `quarter_point`.
     """
     if mode == "exact":
         den = rng.randint(2, 4 * MAGNITUDE)
-        k = rng.randint(1, den - 1)
-        total = den * den + k * k
-        return Fraction(den * den - k * k, total), Fraction(2 * k * den, total)
+        return quarter_point(rng.randint(1, den - 1), den)
     t = 0.5 * rng.uniform(0.0, 1.0) + 0.25
     t2 = t * t
     return ((1 - t2) / (1 + t2), 2 * t / (1 + t2))
 
 
+def quarter_point(k: int, den: int) -> tuple:
+    """The quarter-circle point ((1 - t^2) / (1 + t^2), 2t / (1 + t^2)) at t = k / den,
+    computed on integers over den^2 + k^2."""
+    total = den * den + k * k
+    return Fraction(den * den - k * k, total), Fraction(2 * k * den, total)
+
+
 def quarter_grid(n: int) -> list:
     """n+1 exact quarter-circle pairs from t = 0/n ... n/n, endpoints included."""
-    return [(lambda t: ((1 - t * t) / (1 + t * t), 2 * t / (1 + t * t)))(Fraction(k, n))
-            for k in range(n + 1)]
+    return [quarter_point(k, n) for k in range(n + 1)]

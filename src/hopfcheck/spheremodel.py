@@ -25,7 +25,7 @@ from typing import Callable, Optional
 from .errors import UsageError
 
 FLOAT_POINT_EPS = 1e-12   # unit-norm slack for float-mode points
-FLOAT_VIEW_EPS = 1e-12    # a factor with norm below this counts as zero
+FLOAT_VIEW_EPS = 1e-12    # a float block with norm up to this counts as zero
 _EXACT = frozenset((int, Fraction))
 
 
@@ -200,26 +200,38 @@ def join_embed(u: SpherePoint, v: SpherePoint, c, s) -> JoinPoint:
     """
     if not _quarter_pair_ok(c, s):
         raise UsageError(f"({c}, {s}) is not on the quarter circle")
-    return JoinPoint(tuple(c * x for x in u.coords), tuple(s * y for y in v.coords))
+    return arc_point(u, v, c, s)
+
+
+def arc_point(u, v, c, s) -> JoinPoint:
+    """The glue-arc point (c*u, s*v) of coordinate sequences u, v, unchecked (c, s)."""
+    return JoinPoint(tuple(c * x for x in u), tuple(s * y for y in v))
+
+
+def zero_norm_bound(coords):
+    """Squared norm at or below which a block of a join point with these coordinates
+    is zero: exactly zero, or for floats a norm up to FLOAT_VIEW_EPS."""
+    return 0 if is_exact(coords) else FLOAT_VIEW_EPS ** 2
 
 
 def join_view(x: JoinPoint) -> JoinView:
     """Recover the constructor view from the embedded coordinates."""
     p2 = norm_coeffs(x.left)
     q2 = norm_coeffs(x.right)
-    if is_exact(x.flatten()):
-        if q2 == 0:
+    eps2 = zero_norm_bound(x.flatten())
+    if eps2 == 0:
+        if q2 <= eps2:
             return JoinView("inl", u=SpherePoint(x.left))
-        if p2 == 0:
+        if p2 <= eps2:
             return JoinView("inr", v=SpherePoint(x.right))
         c = exact_sqrt(p2)
         s = exact_sqrt(q2)
     else:
         c = math.sqrt(p2)
         s = math.sqrt(q2)
-        if s < FLOAT_VIEW_EPS:
+        if q2 <= eps2:
             return JoinView("inl", u=SpherePoint(tuple(v / c for v in x.left)))
-        if c < FLOAT_VIEW_EPS:
+        if p2 <= eps2:
             return JoinView("inr", v=SpherePoint(tuple(v / s for v in x.right)))
     return JoinView(
         "glue",

@@ -15,9 +15,12 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hopfcheck import cdalg
 from hopfcheck.cdalg import (CDElement, _float_kernel, _mul_recursive, _sign_table,
-                             associator, cd_conj, cd_inverse, cd_mul, cd_norm, commutator,
-                             law_suite, mul_coeffs, norm_coeffs, zero_divisor_search)
+                             _structured_elements, associator, cd_conj, cd_inverse, cd_mul,
+                             cd_norm, commutator, law_suite, mul_coeffs, norm_coeffs,
+                             structured_tuples, zero_divisor_search)
+from hopfcheck.checks import STATUS_FAILS, execute_check
 from hopfcheck.errors import NotInvertibleError, UsageError
 from hopfcheck.sampling import CounterRng, rand_coeffs
 
@@ -458,6 +461,79 @@ def test_law_suite_deterministic():
 def test_law_suite_rejects_excessive_level():
     with pytest.raises(UsageError):
         law_suite(9, samples=1)
+
+
+# --- the structured witness stream against the list-stack generator it replaced --
+
+def _stacked_structured_tuples(level, arity, cap):
+    """structured_tuples as list stacks trimmed to the cap, over recursive slot patterns."""
+    singles, pairs = _structured_elements(level)
+    pools = (singles, pairs)
+    emitted = 0
+    for grade in range(arity, 2 * arity + 1):
+        for pattern in _compositions(arity, grade):
+            stack = [()]
+            for slot in pattern:
+                pool = pools[slot - 1]
+                stack = [t + (e,) for t in stack for e in pool]
+                if len(stack) > cap - emitted:
+                    stack = stack[:cap - emitted + 1]
+            for tup in stack:
+                yield tup
+                emitted += 1
+                if emitted >= cap:
+                    return
+
+
+def _compositions(arity, grade):
+    out = []
+
+    def rec(prefix, remaining, slots):
+        if slots == 0:
+            if remaining == 0:
+                out.append(tuple(prefix))
+            return
+        for c in (2, 1):
+            if c <= remaining:
+                rec(prefix + [c], remaining - c, slots - 1)
+
+    rec([], grade, arity)
+    return out
+
+
+@pytest.mark.parametrize("arity", [1, 2, 3])
+@pytest.mark.parametrize("level", range(6))
+def test_structured_stream_matches_list_stacks(level, arity):
+    for cap in (1, 7, 6000, 10 ** 5):
+        got = list(structured_tuples(level, arity, cap))
+        assert got == list(_stacked_structured_tuples(level, arity, cap))
+        assert len(got) <= cap
+
+
+# --- negative controls: a broken product fails nicely-normed parts (ii) and (iii) --
+
+def _first_ignored(original):
+    # a b -> 1 b: a a* = a* and a* a = a differ for a non-real a, breaking (ii)
+    return lambda a, b: original((1,) + (0,) * (len(a) - 1), b)
+
+
+def _negated(original):
+    # -(a b): a a* = a* a still holds, but a a* is no longer positive, breaking (iii)
+    return lambda a, b: tuple(-c for c in original(a, b))
+
+
+@pytest.mark.parametrize("perturb, lhs, rhs", [
+    (_first_ignored, [1, -1, 0, 0], [1, 1, 0, 0]),
+    (_negated, -2, "positive"),
+], ids=["part-ii", "part-iii"])
+def test_broken_product_fails_nicely_normed_with_witness(perturb, lhs, rhs, monkeypatch):
+    monkeypatch.setattr(cdalg, "mul_coeffs", perturb(cdalg.mul_coeffs))
+    a = (1, 1, 0, 0)
+    report = execute_check("nicely-normed", "level-2",
+                           lambda inputs: cdalg._eval_nicely_normed(None, inputs),
+                           structured=[(a,)])
+    assert report.status == STATUS_FAILS
+    assert report.witness == {"inputs": [list(a)], "lhs": lhs, "rhs": rhs}
 
 
 # --- zero divisors ----------------------------------------------------------

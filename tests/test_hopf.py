@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from hopfcheck import hopf
 from hopfcheck.cdalg import mul_coeffs
+from hopfcheck.checks import STATUS_FAILS, coeffs_to_json, execute_check
 from hopfcheck.hopf import (dimension_report, fiber_check, fibration_report,
                             hopf_instance, hopf_map)
 from hopfcheck.sampling import CounterRng, rand_quarter_pair, rand_unit
@@ -108,6 +110,35 @@ def test_real_fiber_structure():
     assert all(r.holds for r in reports)
 
 
+# negative controls: inputs that reach the witness branches of two fiber laws
+
+
+def _fiber_law_report(law, evaluate, inputs):
+    inst = hopf_instance("complex")
+    return execute_check(law, inst.name, lambda x: evaluate((inst, 0), x), structured=[inputs])
+
+
+def test_equal_translations_fail_fiber_separation_with_witness():
+    u, v, c, s = rational_pair(hopf_instance("complex"), 10)
+    w = rand_unit(CounterRng(10, "test/hopf/w", 0), 2, "exact")
+    report = _fiber_law_report("fiber-separation", hopf._fiber_separation, ((u, v, c, s), w, w))
+    assert report.status == STATUS_FAILS
+    assert report.max_residual == 1
+    translated = coeffs_to_json(hopf._translate(u, v, w))
+    assert report.witness["lhs"] == report.witness["rhs"] == translated
+
+
+def test_polar_arc_fails_fiber_polar_interior_with_witness():
+    u, v, _, _ = rational_pair(hopf_instance("complex"), 11)
+    w = rand_unit(CounterRng(11, "test/hopf/w", 0), 2, "exact")
+    # (c, s) = (1, 0) is the inl end of the arc: it lands on the north pole
+    report = _fiber_law_report("fiber-polar", hopf._fiber_polar, ((u, v, F(1), F(0)), w))
+    assert report.status == STATUS_FAILS
+    assert report.max_residual == 1
+    assert report.witness["lhs"] == ["1/1", "0/1", "0/1"]
+    assert report.witness["rhs"] == "interior"
+
+
 def test_translate_with_unit_is_identity():
     inst = hopf_instance("complex")
     u, v, c, s = rational_pair(inst, 9)
@@ -131,10 +162,9 @@ def test_dimension_bookkeeping():
 
 @pytest.mark.parametrize("name", ["real", "complex", "quaternionic"])
 def test_fibration_report_passes(name):
-    doc = fibration_report(hopf_instance(name), samples=150, seed=10)
-    assert doc.overall == "pass"
-    assert all(r.expected for r in doc.reports)
-    laws = {r.law for r in doc.reports}
+    reports = fibration_report(hopf_instance(name), samples=150, seed=10)
+    assert all(r.expected for r in reports)
+    laws = {r.law for r in reports}
     assert "fiber-membership" in laws
     assert "left-unit" in laws
     assert "dimension-bookkeeping" in laws

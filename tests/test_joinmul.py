@@ -325,6 +325,18 @@ def test_glue_degenerates_continuously_to_inl_row():
     assert max(abs(p - q) for p, q in zip(far, near)) < 1e-9
 
 
+def test_views_and_products_share_one_zero_block_rule():
+    # |q| = 1e-12 is not below FLOAT_VIEW_EPS, but |q|^2 is at most its square:
+    # both the view and the product call this point inl
+    X = JoinPoint((1.0, 0.0), (1e-12, 0.0))
+    assert join_view(X).kind == "inl"
+    inst = verified("s0")
+    Y = sample_join_point(CounterRng(0, "test/zero-block", 0), inst, "glue", "float")
+    got = join_mul_syn(X, Y, inst)
+    assert got.left == mul_coeffs(X.left, Y.left)
+    assert got.right == mul_coeffs(conj_coeffs(X.left), Y.right)
+
+
 # --- the lifted products against the rational form they replaced ----------------
 
 def _rational_join_mul(X, Y, inst):
@@ -519,6 +531,27 @@ def test_exact_grid_laws_match_fraction_bodies(x, grid, perturbed):
             assert joinmul._filler_boundary(params, (x,))[0] > 0
 
 
+@st.composite
+def float_corners(draw):
+    dim = draw(st.sampled_from((1, 2, 4)))
+    if draw(st.booleans()):
+        return SpherePoint(tuple(float(c) for c in SpherePoint.basis(dim, 0).coords))
+    rng = CounterRng(draw(st.integers(0, 2 ** 32)), "test/filler-grid/float", 0)
+    return SpherePoint(rand_unit(rng, dim, "float"))
+
+
+@settings(max_examples=40, deadline=None)
+@given(float_corners(), st.integers(1, 8), st.booleans())
+def test_float_grid_laws_match_square_filler_bodies(x, grid, perturbed):
+    # the reference bodies evaluate through SquareFiller: same values, bit for bit
+    params = quarter_grid(grid)
+    patch = mock.patch.object(joinmul, "_reduced_blocks", _swapped_blocks)
+    with patch if perturbed else nullcontext():
+        for fast, reference in ((joinmul._filler_unit_norm, _fraction_unit_norm),
+                                (joinmul._filler_boundary, _fraction_boundary)):
+            assert _typed(fast(params, (x,))) == _typed(reference(params, (x,)))
+
+
 def _dropped_left(original):
     # shrinks the norm, so the residual |L|^2 + |R|^2 - 1 is negative
     def perturbed(*args):
@@ -534,26 +567,29 @@ def _negated_right(original):
     return perturbed
 
 
-@pytest.mark.parametrize("target, perturb, failing", [
-    ("_reduced_blocks", _dropped_left, {"filler-unit-norm", "filler-boundary"}),
-    ("_edge_blocks", _negated_right, {"filler-boundary"}),
-], ids=["filler", "edge"])
-def test_broken_filler_fails_its_grid_laws(target, perturb, failing, monkeypatch):
+@pytest.mark.parametrize("target, perturb, failing, mode", [
+    ("_reduced_blocks", _dropped_left, {"filler-unit-norm", "filler-boundary"}, "exact"),
+    ("_edge_blocks", _negated_right, {"filler-boundary"}, "exact"),
+    ("_reduced_blocks", _dropped_left, {"filler-unit-norm", "filler-boundary"}, "float"),
+    ("_edge_blocks", _negated_right, {"filler-boundary"}, "float"),
+], ids=["filler", "edge", "filler-float", "edge-float"])
+def test_broken_filler_fails_its_grid_laws(target, perturb, failing, mode, monkeypatch):
     monkeypatch.setattr(joinmul, target, perturb(getattr(joinmul, target)))
     # the pole row is left out: it evaluates through JoinPoint, whose unit
     # check raises UsageError on the broken filler before the law can judge it
     rows = [row for row in DIAMOND_LAWS if row[0] != "filler-pole-reduction"]
     reports = run_laws(
         rows, "s7", quarter_grid(6),
-        draw=lambda rng, arity, i: (SpherePoint(rand_unit(rng, 4, "exact")),),
-        suite=lambda law: "test/broken-filler", samples=5, seed=19)
+        draw=lambda rng, arity, i: (SpherePoint(rand_unit(rng, 4, mode)),),
+        suite=lambda law: "test/broken-filler", samples=5, seed=19, mode=mode)
     by_law = {r.law: r for r in reports}
     assert {law for law, r in by_law.items() if r.status == "fails"} == failing
     for law in failing:
         assert by_law[law].witness is not None
     if "filler-unit-norm" in failing:
         unit = by_law["filler-unit-norm"]
-        (x,) = (tuple(map(Fraction, coords)) for coords in unit.witness["inputs"])
+        scalar = Fraction if mode == "exact" else float
+        (x,) = (tuple(map(scalar, coords)) for coords in unit.witness["inputs"])
         sigma, tau = (tuple(map(Fraction, pair)) for pair in unit.witness["lhs"])
         one = (F(1),) + (F(0),) * (len(x) - 1)
         left, right = joinmul._reduced_blocks(sigma, tau, one, x)
