@@ -14,8 +14,8 @@ orientation-independent).  Coefficients are exact rationals or floats
 (levels are capped at 5).
 
 Basis products satisfy e_i e_j = +-e_(i xor j) at every level, so exact
-multiplication is one loop over a per-level sign table, built on first use
-from the doubling rule and skipping zero coefficients.  Exact operands are
+multiplication is one loop over a per-level sign table, read off the
+recursion on first use and skipping zero coefficients.  Exact operands are
 lifted to integer numerators over their common denominator, multiplied as
 ints and divided back once; all-int operands give ints, and any Fraction
 operand gives Fractions, as the recursion does.  Float operands, and any
@@ -37,7 +37,7 @@ from typing import Optional, Sequence
 from .checks import compare, max_abs_diff, run_laws, worst_of
 from .errors import InvariantViolation, NotInvertibleError, UsageError
 from .sampling import rand_coeffs
-from .spheremodel import is_exact, lift, norm_coeffs
+from .spheremodel import _EXACT, basis_coords, is_exact, lift, norm_coeffs
 
 MAX_LEVEL = 5
 STRUCTURED_CAP = 6000   # structured inputs scanned per ladder law
@@ -62,28 +62,7 @@ def conj_coeffs(a: tuple) -> tuple:
     return (a[0],) + tuple(-c for c in a[1:])
 
 
-@cache
-def _sign_table(n: int) -> tuple:
-    """Row i, entry j is True when e_i e_j = -e_(i xor j) at dimension n.
-
-    Built by the doubling rule from the half-size table: with h = n/2,
-    e_i = (e_i, 0) and e_(h+i) = (0, e_i), the four blocks are e_i e_j,
-    e_i* e_j, e_j e_i and -e_j e_i*, and e_i* = -e_i except for e_0.
-    """
-    if n == 1:
-        return ((False,),)
-    h = n // 2
-    half = _sign_table(h)
-    top = tuple(row + tuple(neg != (i > 0) for neg in row)
-                for i, row in enumerate(half))
-    bottom = tuple(tuple(half[j][i] for j in range(h))
-                   + tuple(half[j][i] == (i > 0) for j in range(h))
-                   for i in range(h))
-    return top + bottom
-
-
 _INT = frozenset((int,))
-_EXACT = frozenset((int, Fraction))
 
 
 def mul_ints(a, b) -> tuple:
@@ -135,6 +114,18 @@ def _mul_recursive(a: tuple, b: tuple) -> tuple:
     add = _mul_recursive(r, q)
     return (tuple(x - y for x, y in zip(left, sub))
             + tuple(x + y for x, y in zip(right, add)))
+
+
+@cache
+def _sign_table(n: int) -> tuple:
+    """Row i, entry j is True when e_i e_j = -e_(i xor j) at dimension n.
+
+    Read off the recursion: e_i (1, 2, ..., n) holds -(j+1) at coordinate
+    i xor j exactly when the sign is negative.
+    """
+    ramp = tuple(range(1, n + 1))
+    rows = (_mul_recursive(basis_coords(n, i, 1), ramp) for i in range(n))
+    return tuple(tuple(row[i ^ j] < 0 for j in range(n)) for i, row in enumerate(rows))
 
 
 class _Traced:
@@ -230,9 +221,7 @@ class CDElement:
 
     @classmethod
     def basis(cls, level: int, i: int, sign: int = 1) -> "CDElement":
-        c = [Fraction(0)] * (1 << level)
-        c[i] = Fraction(sign)
-        return cls(level, tuple(c))
+        return cls(level, basis_coords(1 << level, i, Fraction(sign)))
 
     def _require_same_level(self, other: "CDElement"):
         if self.level != other.level:
@@ -315,12 +304,7 @@ def commutator(a: CDElement, b: CDElement) -> CDElement:
 
 def _structured_elements(level: int) -> tuple:
     n = 1 << level
-    singles = []
-    for i in range(n):
-        for s in (1, -1):
-            c = [0] * n
-            c[i] = s
-            singles.append(tuple(c))
+    singles = tuple(basis_coords(n, i, s) for i in range(n) for s in (1, -1))
     pairs = []
     for i, j in combinations(range(n), 2):
         for si, sj in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
@@ -328,7 +312,7 @@ def _structured_elements(level: int) -> tuple:
             c[i] = si
             c[j] = sj
             pairs.append(tuple(c))
-    return tuple(singles), tuple(pairs)
+    return singles, tuple(pairs)
 
 
 def structured_tuples(level: int, arity: int, cap: int):

@@ -11,12 +11,12 @@ the same whatever ran before it.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import partial
 from typing import Callable, Iterable, Optional
 
-from .errors import InvariantViolation
+from .errors import InvariantViolation, PreconditionError
 from .sampling import CounterRng
 from .spheremodel import JoinPoint, SpherePoint
 
@@ -47,10 +47,10 @@ class LawReport:
     samples: int
     tolerance: Optional[float]
     max_residual: float
-    witness: Optional[dict]
     seed: int
     duration_ms: float
     expected: bool
+    witness: Optional[dict]
 
     def __post_init__(self):
         if self.status == STATUS_FAILS and self.witness is None:
@@ -60,24 +60,17 @@ class LawReport:
             raise InvariantViolation("sampled report without tolerance/sample count")
 
     def to_dict(self) -> dict:
-        d = {
-            "law": self.law,
-            "instance": self.instance,
-            "status": self.status,
-            "samples": self.samples,
-            "tolerance": self.tolerance,
-            "max_residual": self.max_residual,
-            "seed": self.seed,
-            "duration_ms": self.duration_ms,
-            "expected": self.expected,
-        }
-        if self.witness is not None:
-            d["witness"] = self.witness
-        return d
+        """The fields in declaration order, without the witness when there is none."""
+        return {name: getattr(self, name) for name in REPORT_FIELDS
+                if name != "witness" or self.witness is not None}
 
     @property
     def holds(self) -> bool:
         return self.status != STATUS_FAILS
+
+
+#: the report's field names, in the order JSON and CSV write them
+REPORT_FIELDS = tuple(f.name for f in fields(LawReport))
 
 
 @dataclass
@@ -122,38 +115,21 @@ def execute_check(law: str,
     mode).  Structured inputs are always judged exactly.  sampler(index)
     builds the random inputs for the sampling phase, which stops at the
     first residual above the threshold.  A NaN residual is never within
-    the threshold, so it fails the law in either phase.  `workers` is
+    the threshold, so it fails the law in either phase, and so does an
+    exception from evaluate (see `_scan`).  `workers` is
     accepted and ignored: the scan runs on the calling thread (pure-Python
     arithmetic gains nothing from threads), and the keyword stays for
     callers that pass it.
     """
     t0 = time.perf_counter()
     threshold = 0 if mode == "exact" else tolerance
-    violation = None    # (residual, inputs, lhs, rhs) of the witness
-    max_residual = 0
-
+    sampled = map(sampler, range(samples)) if sampler is not None else ()
     # structured inputs are exact; any nonzero residual is a witness
-    for inputs in structured:
-        residual, lhs, rhs = evaluate(inputs)
-        if not residual <= 0:
-            violation = residual, inputs, lhs, rhs
-            break
-
-    if violation is None and sampler is not None:
-        for i in range(samples):
-            inputs = sampler(i)
-            residual, lhs, rhs = evaluate(inputs)
-            if residual > max_residual:
-                max_residual = residual
-            if not residual <= threshold:
-                violation = residual, inputs, lhs, rhs
-                break
-
-    if violation is not None:
-        max_residual, inputs, lhs, rhs = violation
+    max_residual, failure = _scan(evaluate, ((structured, 0), (sampled, threshold)))
+    if failure is not None:
+        inputs, sides = failure
         status = STATUS_FAILS
-        witness = {"inputs": [coeffs_to_json(x) for x in inputs],
-                   "lhs": coeffs_to_json(lhs), "rhs": coeffs_to_json(rhs)}
+        witness = {"inputs": [coeffs_to_json(x) for x in inputs], **sides}
     else:
         status = STATUS_HOLDS_EXACT if mode == "exact" else STATUS_HOLDS_SAMPLED
         witness = None
@@ -166,11 +142,36 @@ def execute_check(law: str,
         samples=samples,
         tolerance=None if mode == "exact" else tolerance,
         max_residual=float(max_residual),
-        witness=witness,
         seed=seed,
         duration_ms=duration_ms,
-        expected=(status != STATUS_FAILS) == expect_holds,
+        # a law that raised is never an expected failure
+        expected=(status != STATUS_FAILS) == expect_holds and "error" not in (witness or ()),
+        witness=witness,
     )
+
+
+def _scan(evaluate: Callable, phases) -> tuple:
+    """(max_residual, failure) over phases of (inputs, threshold), up to the first failing input.
+
+    failure is None, or (inputs, sides) with sides {"lhs", "rhs"} for a
+    residual above the threshold (then max_residual) or {"error":
+    "<Type>: <message>"} when evaluate raised.  A PreconditionError
+    propagates: it marks a skipped gate, not a law failing on an input.
+    """
+    max_residual = 0
+    for inputs_seq, threshold in phases:
+        for inputs in inputs_seq:
+            try:
+                residual, lhs, rhs = evaluate(inputs)
+            except PreconditionError:
+                raise
+            except Exception as err:    # a law that raises fails on these inputs
+                return max_residual, (inputs, {"error": f"{type(err).__name__}: {err}"})
+            if residual > max_residual:
+                max_residual = residual
+            if not residual <= threshold:
+                return residual, (inputs, {"lhs": coeffs_to_json(lhs), "rhs": coeffs_to_json(rhs)})
+    return max_residual, None
 
 
 def run_laws(rows,

@@ -19,8 +19,8 @@ import time
 from dataclasses import dataclass
 
 from . import __version__
-from .checks import (STATUS_FAILS, STATUS_HOLDS_EXACT, LawReport, ReportDocument,
-                     coeffs_to_json)
+from .checks import (REPORT_FIELDS, STATUS_FAILS, STATUS_HOLDS_EXACT, LawReport,
+                     ReportDocument, coeffs_to_json)
 from .cdalg import law_suite, zero_divisor_search
 from .errors import InvariantViolation, NotInvertibleError, PreconditionError, UsageError
 from .hopf import FIBRATIONS, fiber_check, fibration_report, hopf_instance
@@ -196,15 +196,11 @@ def emit(doc: ReportDocument, fmt: str) -> bytes:
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
-        writer.writerow(["law", "instance", "status", "samples", "tolerance",
-                         "max_residual", "seed", "duration_ms", "expected",
-                         "witness"])
-        for r in doc.reports:
-            writer.writerow([
-                r.law, r.instance, r.status, r.samples,
-                "" if r.tolerance is None else r.tolerance,
-                r.max_residual, r.seed, r.duration_ms, r.expected,
-                "" if r.witness is None else json.dumps(r.witness)])
+        writer.writerow(REPORT_FIELDS)
+        for row in (r.to_dict() for r in doc.reports):
+            if "witness" in row:
+                row["witness"] = json.dumps(row["witness"])
+            writer.writerow(row.get(name) for name in REPORT_FIELDS)   # None writes ""
         return buf.getvalue().encode()
     if fmt == "text":
         lines = [f"hopfcheck {doc.version}  overall={doc.overall}  "

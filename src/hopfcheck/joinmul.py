@@ -48,7 +48,7 @@ from .errors import UsageError
 from .laws import (HSPACE_UNIT_LAWS, HSpaceCarrier, ImaginaroidInstance, _require_assoc,
                    _signed_basis)
 from .sampling import CounterRng, quarter_grid, rand_quarter_pair, rand_unit
-from .spheremodel import JoinPoint, SpherePoint, arc_point, is_exact, zero_norm_bound
+from .spheremodel import JoinPoint, SpherePoint, arc_point, basis_coords, is_exact, zero_norm_bound
 
 #: report-instance names for the join carriers, keyed by imaginaroid name
 JOIN_INSTANCE = {"empty": "s1", "s0": "s3", "s2": "s7"}
@@ -194,9 +194,8 @@ def reduced_diamond_filler(x: SpherePoint) -> SquareFiller:
     embedded norms satisfy |left|^2 + |right|^2 = 1 identically, and at
     the poles x = +-1 this reduces to the two constant-side fillers.
     """
-    dim = x.dim
-    one = (Fraction(1),) + (Fraction(0),) * (dim - 1)
-    unit = SpherePoint(one)
+    unit = SpherePoint.basis(x.dim, 0)
+    one = unit.coords
     problem = DiamondProblem(a=-unit, a2=x, b=unit, b2=x)
     xc = x.coords
 
@@ -408,7 +407,7 @@ def _lifted_corner(x: SpherePoint) -> tuple:
     `one` and the pairs in Fractions, the operands SquareFiller evaluation uses."""
     if is_exact(x.coords):
         xn, dx = lift(x.coords)
-        return ((dx,) + (0,) * (len(xn) - 1), tuple(xn), dx,
+        return (basis_coords(len(xn), 0, dx), tuple(xn), dx,
                 lambda pairs: [(tuple(n), d) for n, d in map(lift, pairs)])
     return SpherePoint.basis(x.dim, 0).coords, x.coords, 1, lambda pairs: [(p, 1) for p in pairs]
 

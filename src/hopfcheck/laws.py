@@ -20,20 +20,14 @@ from functools import partial
 from itertools import product
 from typing import Callable
 
-from .cdalg import conj_coeffs, mul_coeffs
+from .cdalg import basis_coords, conj_coeffs, mul_coeffs
 from .checks import LawReport, compare, execute_check, max_abs_diff, run_laws, worst_of
 from .errors import PreconditionError, UsageError
 from .sampling import rand_unit
 
 
 def _signed_basis(dim: int) -> tuple:
-    out = []
-    for i in range(dim):
-        for s in (1, -1):
-            c = [Fraction(0)] * dim
-            c[i] = Fraction(s)
-            out.append(tuple(c))
-    return tuple(out)
+    return tuple(basis_coords(dim, i, Fraction(s)) for i in range(dim) for s in (1, -1))
 
 
 def _basis_tuples(dim: int):
@@ -90,7 +84,7 @@ class ImaginaroidInstance:
 
     @property
     def unit(self) -> tuple:
-        return (Fraction(1),) + (Fraction(0),) * (self.susp_dim - 1)
+        return basis_coords(self.susp_dim, 0, Fraction(1))
 
     def mul(self, x: tuple, y: tuple) -> tuple:
         return mul_coeffs(x, y)

@@ -89,9 +89,8 @@ def rand_unit(rng: CounterRng, dim: int, mode: str) -> tuple:
     """Random point on the unit sphere of R^dim (exactly unit in exact mode).
 
     Exact mode draws y_i = a_i / d_i (numerator, then denominator, as
-    rand_fraction does) and evaluates the stereographic map on integer
-    numerators: with L = lcm(d_i), A_i = a_i L / d_i and S = sum A_i^2 the
-    point is ((L^2 - S) / (L^2 + S), 2 A_i L / (L^2 + S)).
+    rand_fraction does) and evaluates the stereographic map on the integer
+    numerators a_i L / d_i over L = lcm(d_i).
     """
     if dim < 1:
         raise ValueError("ambient dimension must be >= 1")
@@ -103,11 +102,16 @@ def rand_unit(rng: CounterRng, dim: int, mode: str) -> tuple:
     drawn = [(rng.randint(-MAGNITUDE, MAGNITUDE), rng.randint(1, MAGNITUDE))
              for _ in range(dim - 1)]
     lcm = math.lcm(*(d for _, d in drawn))
-    nums = [a * (lcm // d) for a, d in drawn]
-    l2 = lcm * lcm
+    return _stereographic_ints([a * (lcm // d) for a, d in drawn], lcm)
+
+
+def _stereographic_ints(nums, den) -> tuple:
+    """`stereographic` at y = nums / den, on integers: with S = sum n_i^2 the point
+    is ((den^2 - S) / (den^2 + S), 2 n_i den / (den^2 + S)), one Fraction each."""
+    d2 = den * den
     s = sum(a * a for a in nums)
-    den = l2 + s
-    return (Fraction(l2 - s, den),) + tuple(Fraction(2 * a * lcm, den) for a in nums)
+    total = d2 + s
+    return (Fraction(d2 - s, total),) + tuple(Fraction(2 * a * den, total) for a in nums)
 
 
 def rand_quarter_pair(rng: CounterRng, mode: str) -> tuple:
@@ -120,16 +124,13 @@ def rand_quarter_pair(rng: CounterRng, mode: str) -> tuple:
     if mode == "exact":
         den = rng.randint(2, 4 * MAGNITUDE)
         return quarter_point(rng.randint(1, den - 1), den)
-    t = 0.5 * rng.uniform(0.0, 1.0) + 0.25
-    t2 = t * t
-    return ((1 - t2) / (1 + t2), 2 * t / (1 + t2))
+    return stereographic((0.5 * rng.uniform(0.0, 1.0) + 0.25,))
 
 
 def quarter_point(k: int, den: int) -> tuple:
     """The quarter-circle point ((1 - t^2) / (1 + t^2), 2t / (1 + t^2)) at t = k / den,
     computed on integers over den^2 + k^2."""
-    total = den * den + k * k
-    return Fraction(den * den - k * k, total), Fraction(2 * k * den, total)
+    return _stereographic_ints((k,), den)
 
 
 def quarter_grid(n: int) -> list:

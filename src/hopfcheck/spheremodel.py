@@ -39,6 +39,12 @@ def lift(a: tuple):
     return [c.numerator * (d // c.denominator) for c in a], d
 
 
+def basis_coords(dim: int, i: int, scalar) -> tuple:
+    """The coordinates scalar * e_i of R^dim, zeros of scalar's type (+-e_i for scalar +-1)."""
+    zero = type(scalar)(0)
+    return (zero,) * i + (scalar,) + (zero,) * (dim - 1 - i)
+
+
 def _sum_squares(a):
     # left to right: Python 3.12 made sum() of floats compensated, and float
     # reports must not depend on the Python version
@@ -105,9 +111,7 @@ class SpherePoint:
 
     @classmethod
     def basis(cls, dim: int, i: int, sign: int = 1) -> "SpherePoint":
-        c = [Fraction(0)] * dim
-        c[i] = Fraction(sign)
-        return cls(tuple(c))
+        return cls(basis_coords(dim, i, Fraction(sign)))
 
     def __neg__(self) -> "SpherePoint":
         return SpherePoint(tuple(-c for c in self.coords))
@@ -130,11 +134,11 @@ class SuspPoint:
 
     @classmethod
     def north(cls, base_dim: int) -> "SuspPoint":
-        return cls((Fraction(1),) + (Fraction(0),) * base_dim)
+        return cls(basis_coords(base_dim + 1, 0, Fraction(1)))
 
     @classmethod
     def south(cls, base_dim: int) -> "SuspPoint":
-        return cls((Fraction(-1),) + (Fraction(0),) * base_dim)
+        return cls(basis_coords(base_dim + 1, 0, Fraction(-1)))
 
     @classmethod
     def meridian(cls, a: SpherePoint, c, s) -> "SuspPoint":
@@ -253,11 +257,7 @@ def join_functor(f: Callable, g: Callable, x: JoinPoint) -> JoinPoint:
 
 
 def _check_orthonormal(f: Callable, dim: int, what: str):
-    images = []
-    for i in range(dim):
-        e = [Fraction(0)] * dim
-        e[i] = Fraction(1)
-        images.append(tuple(f(tuple(e))))
+    images = [tuple(f(basis_coords(dim, i, Fraction(1)))) for i in range(dim)]
     for i in range(dim):
         for j in range(i, dim):
             dot = sum(a * b for a, b in zip(images[i], images[j]))

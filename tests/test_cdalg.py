@@ -154,6 +154,25 @@ def test_basis_products_are_signed_xor(level):
             assert support == [i ^ j] and got[i ^ j] in (1, -1)
 
 
+def _doubling_rule_sign_table(n):
+    """The sign table built from the half-size one by the doubling rule, as the
+    library built it before reading it off the recursion: with h = n/2 the four
+    blocks are e_i e_j, e_i* e_j, e_j e_i and -e_j e_i*, and e_i* = -e_i but for e_0."""
+    if n == 1:
+        return ((False,),)
+    h = n // 2
+    half = _doubling_rule_sign_table(h)
+    top = tuple(row + tuple(neg != (i > 0) for neg in row) for i, row in enumerate(half))
+    bottom = tuple(tuple(half[j][i] for j in range(h))
+                   + tuple(half[j][i] == (i > 0) for j in range(h)) for i in range(h))
+    return top + bottom
+
+
+@pytest.mark.parametrize("level", range(6))
+def test_sign_table_equals_the_doubling_rule_table(level):
+    assert _sign_table(1 << level) == _doubling_rule_sign_table(1 << level)
+
+
 def _float_operands():
     rng = CounterRng(0, "test/float-kernel-threads", 0)
     return (tuple(rng.uniform(-5, 5) for _ in range(32)),

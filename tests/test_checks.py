@@ -1,5 +1,6 @@
-"""The check executor and its residual (a NaN never reads as a pass), the
-residual-combining sites, and the sampler's cached suite key."""
+"""The check executor and its residual (a NaN or an exception never reads as
+a pass), the report's field order, the residual-combining sites, and the
+sampler's cached suite key."""
 
 import hashlib
 import math
@@ -9,7 +10,9 @@ from fractions import Fraction
 import pytest
 
 from hopfcheck import cdalg, hopf, joinmul, laws
-from hopfcheck.checks import STATUS_FAILS, compare, execute_check, max_abs_diff, worst_of
+from hopfcheck.checks import (REPORT_FIELDS, STATUS_FAILS, compare, execute_check,
+                              max_abs_diff, worst_of)
+from hopfcheck.errors import PreconditionError
 from hopfcheck.sampling import CounterRng, _suite_key
 
 NAN = math.nan
@@ -122,6 +125,53 @@ def test_nan_law_fails_with_witness(where, phase, mode):
     assert math.isnan(report.max_residual)
     assert report.witness["inputs"] == [1.0]
     assert math.isnan(report.witness["lhs"][1])
+
+
+def _raises_on_three(inputs):
+    (x,) = inputs
+    if x == 3:
+        raise ValueError("three")
+    return x / 10, (x,), (0,)
+
+
+@pytest.mark.parametrize("expect_holds", [True, False])
+def test_law_that_raises_fails_with_witness(expect_holds):
+    report = execute_check("raising-law", "test", _raises_on_three,
+                           sampler=lambda i: (i,), samples=8, mode="float", tolerance=1.0,
+                           expect_holds=expect_holds)
+    assert report.status == STATUS_FAILS
+    assert not report.expected     # not even where the law is expected to fail
+    assert report.witness == {"inputs": [3], "error": "ValueError: three"}
+    assert report.max_residual == 0.2    # the largest residual before the exception
+    structured = execute_check("raising-law", "test", _raises_on_three,
+                               structured=[(0,), (3,), (5,)], expect_holds=expect_holds)
+    assert structured.witness == {"inputs": [3], "error": "ValueError: three"}
+    assert structured.max_residual == 0.0 and not structured.expected
+
+
+def test_skipped_gate_and_sampler_errors_propagate():
+    def gated(inputs):
+        raise PreconditionError("gate skipped")
+
+    with pytest.raises(PreconditionError):
+        execute_check("gated", "test", gated, structured=[()])
+
+    def sampler(i):
+        raise ValueError("bad draw")
+
+    with pytest.raises(ValueError, match="bad draw"):
+        execute_check("law", "test", _raises_on_three, sampler=sampler, samples=2)
+
+
+def test_report_dict_follows_the_field_order():
+    keys = ["law", "instance", "status", "samples", "tolerance", "max_residual", "seed",
+            "duration_ms", "expected"]
+    assert REPORT_FIELDS == tuple(keys + ["witness"])
+    holds = execute_check("law", "test", lambda inputs: (0, None, None), structured=[()])
+    fails = execute_check("law", "test", lambda inputs: (1, (1,), (0,)), structured=[()])
+    assert list(holds.to_dict()) == keys
+    assert list(fails.to_dict()) == keys + ["witness"]
+    assert fails.to_dict()["witness"] == {"inputs": [], "lhs": [1], "rhs": [0]}
 
 
 def test_suite_key_and_samples_unchanged():

@@ -31,6 +31,23 @@ def run_cli_json(tmp_path, *argv, name="out.json"):
 
 # --- exit codes -----------------------------------------------------------------
 
+def test_broken_kernel_fails_the_ladder_with_witnesses(tmp_path, monkeypatch):
+    original = cdalg.mul_ints
+
+    def flipped(a, b):    # one output coordinate with the wrong sign
+        out = original(a, b)
+        return out[:-1] + (-out[-1],)
+
+    monkeypatch.setattr(cdalg, "mul_ints", flipped)
+    code, doc = run_cli_json(tmp_path, "laws", "--level", "2", "--samples", "30")
+    assert code == 1 and doc["overall"] == "fail"
+    unexpected = [r for r in doc["reports"] if not r["expected"]]
+    assert unexpected
+    for r in unexpected:
+        assert r["status"] == "fails"
+        assert {"inputs", "lhs", "rhs"} <= set(r["witness"])
+
+
 def test_expected_ladder_failures_exit_zero(tmp_path):
     code, doc = run_cli_json(
         tmp_path, "laws", "--level", "3", "--mode", "exact", "--samples", "30")

@@ -1,5 +1,6 @@
 """Square fillers and the join multiplication against the doubled-algebra oracle."""
 
+import json
 from contextlib import nullcontext
 from fractions import Fraction
 from unittest import mock
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from hopfcheck import joinmul
 from hopfcheck.cdalg import conj_coeffs, mul_coeffs, norm_coeffs
 from hopfcheck.checks import max_abs_diff, run_laws
+from hopfcheck.cli import main
 from hopfcheck.errors import PreconditionError, UsageError
 from hopfcheck.joinmul import (DIAMOND_LAWS, VIEW_KINDS, DiamondProblem, diamond_suite,
                                fill_refl_diamond, join_mul_alg, join_mul_syn,
@@ -435,6 +437,25 @@ def test_lifted_arc_without_k_terms_leaves_the_sphere(monkeypatch):
         join_mul_syn(X, Y, inst)
 
 
+@pytest.mark.parametrize("argv", [("hspace", "--instance", "s7"),
+                                  ("fibration", "--instance", "quaternionic")])
+def test_cli_reports_a_raising_join_law_as_a_failure(argv, monkeypatch, tmp_path, capsys):
+    # the broken product leaves the sphere, so JoinPoint raises inside the laws
+    monkeypatch.setattr(joinmul, "_arc_blocks", _without_k_terms(joinmul._arc_blocks))
+    monkeypatch.delenv("HOPFCHECK_SEED", raising=False)
+    path = tmp_path / "out.json"
+    assert main([*argv, "--samples", "90", "--format", "json", "--output", str(path)]) == 1
+    assert capsys.readouterr().err == ""
+    raised = [r for r in json.loads(path.read_text())["reports"]
+              if "error" in r.get("witness", {})]
+    assert raised
+    for r in raised:
+        assert r["status"] == "fails" and not r["expected"]
+        assert r["witness"]["error"].startswith(
+            "UsageError: join point is not on the unit sphere")
+        assert len(r["witness"]["inputs"]) == 2
+
+
 # --- unit laws and the grid suite ------------------------------------------------
 
 @pytest.mark.parametrize("name", ["empty", "s0", "s2"])
@@ -567,25 +588,37 @@ def _negated_right(original):
     return perturbed
 
 
+_ALL_GRID_LAWS = {"filler-unit-norm", "filler-boundary", "filler-pole-reduction"}
+
+
 @pytest.mark.parametrize("target, perturb, failing, mode", [
-    ("_reduced_blocks", _dropped_left, {"filler-unit-norm", "filler-boundary"}, "exact"),
+    ("_reduced_blocks", _dropped_left, _ALL_GRID_LAWS, "exact"),
     ("_edge_blocks", _negated_right, {"filler-boundary"}, "exact"),
-    ("_reduced_blocks", _dropped_left, {"filler-unit-norm", "filler-boundary"}, "float"),
+    ("_reduced_blocks", _dropped_left, _ALL_GRID_LAWS, "float"),
     ("_edge_blocks", _negated_right, {"filler-boundary"}, "float"),
 ], ids=["filler", "edge", "filler-float", "edge-float"])
 def test_broken_filler_fails_its_grid_laws(target, perturb, failing, mode, monkeypatch):
     monkeypatch.setattr(joinmul, target, perturb(getattr(joinmul, target)))
-    # the pole row is left out: it evaluates through JoinPoint, whose unit
-    # check raises UsageError on the broken filler before the law can judge it
-    rows = [row for row in DIAMOND_LAWS if row[0] != "filler-pole-reduction"]
+
+    def draw(rng, arity, i):
+        # samples 3 and 4 are the poles, so the pole row runs on them
+        if i >= 3:
+            return (SpherePoint.basis(4, 0, 7 - 2 * i),)
+        return (SpherePoint(rand_unit(rng, 4, mode)),)
+
     reports = run_laws(
-        rows, "s7", quarter_grid(6),
-        draw=lambda rng, arity, i: (SpherePoint(rand_unit(rng, 4, mode)),),
+        DIAMOND_LAWS, "s7", quarter_grid(6), draw=draw,
         suite=lambda law: "test/broken-filler", samples=5, seed=19, mode=mode)
     by_law = {r.law: r for r in reports}
     assert {law for law, r in by_law.items() if r.status == "fails"} == failing
     for law in failing:
         assert by_law[law].witness is not None
+    if "filler-pole-reduction" in failing:
+        # the pole row evaluates through JoinPoint, whose unit check raises
+        # on the broken filler: the law fails with the error as its witness
+        pole = by_law["filler-pole-reduction"].witness
+        assert pole["inputs"] == [["1/1", "0/1", "0/1", "0/1"]]
+        assert pole["error"].startswith("UsageError: join point is not on the unit sphere")
     if "filler-unit-norm" in failing:
         unit = by_law["filler-unit-norm"]
         scalar = Fraction if mode == "exact" else float

@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from hopfcheck.cdalg import mul_coeffs
+from hopfcheck.cdalg import CDElement, _structured_elements, mul_coeffs
 from hopfcheck.errors import UsageError
 from hopfcheck.sampling import CounterRng, rand_unit, stereographic
-from hopfcheck.spheremodel import (JoinPoint, SpherePoint, SuspPoint, exact_sqrt,
+from hopfcheck.joinmul import reduced_diamond_filler
+from hopfcheck.laws import _signed_basis, imaginaroid_instance
+from hopfcheck.spheremodel import (JoinPoint, SpherePoint, SuspPoint, basis_coords, exact_sqrt,
                                    join_embed, join_functor, join_to_susp,
                                    join_view, susp_conj, susp_neg, susp_to_join)
 
@@ -219,3 +221,36 @@ def test_join_functor_by_unit_quaternion_keeps_norm():
     x = join_embed(rational_unit(4, 36), rational_unit(4, 37), F(5, 13), F(12, 13))
     y = join_functor(lambda t: mul_coeffs(w, t), lambda t: mul_coeffs(t, w), x)
     assert sum(c * c for c in y.flatten()) == 1
+
+
+# --- signed basis vectors: one builder, each caller's scalar type ------------------
+
+def _types(coords):
+    return tuple(type(c) for c in coords)
+
+
+def test_basis_coords_takes_the_scalar_type():
+    assert basis_coords(3, 1, F(-1)) == (0, -1, 0)
+    assert _types(basis_coords(3, 1, F(-1))) == (Fraction,) * 3
+    assert _types(basis_coords(2, 0, 5)) == (int, int)
+    assert basis_coords(1, 0, 7) == (7,)
+
+
+def test_basis_callers_keep_their_scalar_types():
+    fractions = [SpherePoint.basis(4, 2, -1).coords, SuspPoint.north(3).coords,
+                 SuspPoint.south(3).coords, CDElement.basis(2, 3, -1).coeffs,
+                 imaginaroid_instance("s2").unit,
+                 reduced_diamond_filler(SpherePoint.basis(4, 1)).problem.b.coords,
+                 *_signed_basis(3)]
+    for coords in fractions:
+        assert _types(coords) == (Fraction,) * len(coords)
+    assert SuspPoint.south(2).coords == (-1, 0, 0)
+    assert CDElement.basis(2, 3, -1).coeffs == (0, 0, 0, -1)
+    assert _signed_basis(2) == ((1, 0), (-1, 0), (0, 1), (0, -1))
+    singles, _ = _structured_elements(2)
+    assert all(_types(c) == (int,) * 4 for c in singles)
+    # the orthonormality probes of join_functor are Fraction basis vectors
+    probes = []
+    join_functor(lambda v: probes.append(v) or v, lambda v: v,
+                 JoinPoint((F(0), F(1)), (F(0),)))
+    assert probes[:2] == [(1, 0), (0, 1)] and all(_types(p) == (Fraction,) * 2 for p in probes)
