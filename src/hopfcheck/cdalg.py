@@ -23,7 +23,11 @@ mix that is not all int and Fraction, go through a straight-line kernel
 per level, traced once from the recursion (`_mul_recursive`) on first use:
 it takes every product, sum and difference of the recursion in its order,
 because float addition does not associate and the summation order is part
-of the result.  Both kernels give what the recursion gives, bit for bit.
+of the result.  An exact operand meeting an all-float one (a Fraction unit
+against a float sample) is converted to floats once at the entry, exact
+zeros kept as int 0 (`_meet_floats`); when both operands hold an exact
+coordinate, the mix enters the kernel as it is.  Both kernels give what
+the recursion gives, bit for bit.
 """
 
 from __future__ import annotations
@@ -84,7 +88,7 @@ def mul_ints(a, b) -> tuple:
 
 def mul_coeffs(a: tuple, b: tuple) -> tuple:
     """Product of two coefficient tuples of one level; the path follows the scalar types."""
-    if type(a[0]) is not float:   # float mode skips the type scan
+    if type(a[0]) is not float or type(b[0]) is not float:   # float mode skips the type scan
         kinds = {*map(type, a), *map(type, b)}
         if kinds <= _INT:
             return mul_ints(a, b)
@@ -93,7 +97,33 @@ def mul_coeffs(a: tuple, b: tuple) -> tuple:
             nb, db = lift(b)
             d = da * db
             return tuple(Fraction(c, d) for c in mul_ints(na, nb))
+        a, b = _meet_floats(a, b)
     return _float_kernel(len(a))(a, b)
+
+
+_FLOAT = frozenset((float,))
+
+
+def _meet_floats(a: tuple, b: tuple) -> tuple:
+    """(a, b) with an exact operand converted to floats once when the other is all float.
+
+    Every product term pairs one coordinate of a with one of b, and
+    Python evaluates exact x * float y as float(x) * y, so the float
+    kernel gives the same result on the converted operand.  Exact zeros
+    stay int 0: -Fraction(0) is +0 where -0.0 is not, and the kernel
+    negates operand coordinates.  An operand pair holding exact
+    coordinates on both sides is returned unchanged.
+    """
+    kinds_a, kinds_b = set(map(type, a)), set(map(type, b))
+    if kinds_a == _FLOAT and float not in kinds_b:
+        return a, _as_floats(b)
+    if kinds_b == _FLOAT and float not in kinds_a:
+        return _as_floats(a), b
+    return a, b
+
+
+def _as_floats(a: tuple) -> tuple:
+    return tuple([float(x) if x else 0 for x in a])
 
 
 def _mul_recursive(a: tuple, b: tuple) -> tuple:

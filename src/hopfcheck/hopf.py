@@ -18,6 +18,8 @@ suite as a report list, like every other suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cache
 
 from .cdalg import conj_coeffs, mul_coeffs, norm_coeffs
 from .checks import LawReport, compare, execute_check, max_abs_diff, run_laws, worst_of
@@ -26,7 +28,7 @@ from .laws import (ImaginaroidInstance, assoc_check, hspace_check,
                    imaginaroid_instance, sphere_hspace_carrier)
 from .joinmul import oracle_equivalence_suite, unit_law_check
 from .sampling import rand_quarter_pair, rand_unit
-from .spheremodel import JoinPoint, SuspPoint, arc_point
+from .spheremodel import JoinPoint, SuspPoint, arc_point, basis_coords
 
 #: fibration name -> imaginaroid whose suspension is the fiber sphere G
 FIBRATIONS = {"real": "empty", "complex": "s0", "quaternionic": "s2"}
@@ -106,16 +108,28 @@ def _fiber_separation(ctx, inputs):
     return 1, (u1, v1), (u2, v2)
 
 
+@cache
+def _poles(dim: int) -> tuple:
+    """The north and south poles of susp(G) for G in R^dim, as (exact, float) pairs."""
+    return tuple((pole, tuple(map(float, pole)))
+                 for pole in (basis_coords(dim + 1, 0, Fraction(sign)) for sign in (1, -1)))
+
+
+def _pole_residual(got: tuple, pole: tuple):
+    # float coordinates meet the float pole: x - 1.0 is what x - Fraction(1) evaluates to
+    exact, floats = pole
+    return max_abs_diff(got, floats if all(type(x) is float for x in got) else exact)
+
+
 def _fiber_polar(ctx, inputs):
     inst, _ = ctx
     (u, v, c, s), _ = inputs
-    north = hopf_map(arc_point(u, v, 1, 0), inst)
-    south = hopf_map(arc_point(u, v, 0, 1), inst)
-    want_n = SuspPoint.north(len(u)).coords
-    want_s = SuspPoint.south(len(u)).coords
-    r, _ = worst_of((max_abs_diff(north.coords, want_n), max_abs_diff(south.coords, want_s)))
-    if not r <= 0:
-        return r, north.coords, want_n
+    ends = (hopf_map(arc_point(u, v, 1, 0), inst).coords,
+            hopf_map(arc_point(u, v, 0, 1), inst).coords)
+    poles = _poles(len(u))
+    r, at = worst_of((0, 1), lambda k: _pole_residual(ends[k], poles[k]))
+    if not r <= 0:      # the pair of the pole that fails, with its exact coordinates
+        return r, ends[at], poles[at][0]
     # a genuine arc point must avoid both poles
     mixed = hopf_map(arc_point(u, v, c, s), inst)
     if abs(mixed.coords[0]) >= 1:

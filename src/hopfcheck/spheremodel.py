@@ -11,8 +11,9 @@ theta -> (cos theta, sin theta * a).
 
 Every point is checked for unit norm when it is built.  Exact
 coordinates are lifted to integer numerators over a common denominator
-(`lift`), so the check compares integers; float sums of squares run left
-to right, so float results do not depend on the Python version.
+(`lift`), so the check compares integers; float sums of squares and the
+orthonormality probes' dot products run left to right, so float results
+do not depend on the Python version.
 """
 
 from __future__ import annotations
@@ -29,7 +30,10 @@ FLOAT_VIEW_EPS = 1e-12    # a float block with norm up to this counts as zero
 _EXACT = frozenset((int, Fraction))
 
 
-def is_exact(coords) -> bool:
+def is_exact(coords: tuple) -> bool:
+    # a float first coordinate settles it: float points skip the scan
+    if coords and type(coords[0]) is float:
+        return False
     return not any(isinstance(c, float) for c in coords)
 
 
@@ -51,6 +55,14 @@ def _sum_squares(a):
     total = 0
     for c in a:
         total += c * c
+    return total
+
+
+def _dot(a, b):
+    # left to right, as _sum_squares
+    total = 0
+    for x, y in zip(a, b):
+        total += x * y
     return total
 
 
@@ -260,7 +272,7 @@ def _check_orthonormal(f: Callable, dim: int, what: str):
     images = [tuple(f(basis_coords(dim, i, Fraction(1)))) for i in range(dim)]
     for i in range(dim):
         for j in range(i, dim):
-            dot = sum(a * b for a, b in zip(images[i], images[j]))
+            dot = _dot(images[i], images[j])
             want = 1 if i == j else 0
             bad = (dot != want) if is_exact(images[i] + images[j]) \
                 else abs(dot - want) > 1e-9

@@ -6,6 +6,7 @@ sign convention it encodes (e1 e2 = -e3, cyclic) is what the doubling
 formula literally produces.
 """
 
+import math
 import subprocess
 import sys
 import threading
@@ -220,6 +221,52 @@ def test_float_kernel_signed_zeros_and_operand_mixes(level):
         for b in (floats, zeros, mixed):
             assert repr(mul_coeffs(a, b)) == repr(_mul_recursive(a, b))
             assert repr(mul_coeffs(b, a)) == repr(_mul_recursive(b, a))
+
+
+# --- the kernel entry: an exact operand meets an all-float one as floats ------
+
+exact_scalars = st.one_of(
+    st.sampled_from((0, Fraction(0))),
+    st.fractions(min_value=-10 ** 6, max_value=10 ** 6, max_denominator=10 ** 30),
+    st.integers(min_value=-10 ** 18, max_value=10 ** 18))
+float_scalars = st.one_of(
+    signed_zeros, st.sampled_from((math.inf, -math.inf, math.nan)), st.floats())
+# an exact zero must stay +0 under the kernel's negations, and only an output
+# coordinate whose terms are all zero shows the sign of a zero, so this pair is
+# drawn mostly from zeros and units
+sparse_exact = st.sampled_from((0, Fraction(0), 0, Fraction(0), 1, Fraction(-1)))
+sparse_floats = st.sampled_from((0.0, -0.0, 0.0, -0.0, 1.0, -1.0))
+
+
+@pytest.mark.parametrize("exact_first", [True, False], ids=["exact-float", "float-exact"])
+@pytest.mark.parametrize("scalars", [(exact_scalars, float_scalars, 0),
+                                     (sparse_exact, sparse_floats, 2)], ids=["wide", "sparse"])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_exact_operand_meets_all_float_operand_as_floats(scalars, exact_first, data):
+    # the converted operands give what the kernel gives on the unconverted ones
+    exact_scalar, float_scalar, min_level = scalars
+    n = 1 << data.draw(st.integers(min_value=min_level, max_value=5))
+    exact = data.draw(st.tuples(*[exact_scalar] * n))
+    floats = data.draw(st.tuples(*[float_scalar] * n))
+    a, b = (exact, floats) if exact_first else (floats, exact)
+    assert repr(mul_coeffs(a, b)) == repr(_float_kernel(n)(a, b))
+
+
+def test_exact_zero_is_not_converted_to_a_float_zero():
+    # the kernel negates a1; -Fraction(0) is +0 but -0.0 is not
+    a = (Fraction(1), Fraction(0), Fraction(0), Fraction(0))
+    b = (-0.0, 1.0, -0.0, 1.0)
+    want = repr(_float_kernel(4)(a, b))
+    assert repr(mul_coeffs(a, b)) == want
+    assert repr(_float_kernel(4)(tuple(map(float, a)), b)) != want
+
+
+def test_operands_both_holding_exact_coordinates_stay_unconverted():
+    # the exact product 1/10 * 1/10 rounds once; 0.1 * 0.1 would round twice
+    a = b = (Fraction(1, 10), 0.0)
+    assert repr(mul_coeffs(a, b)) == repr(_float_kernel(2)(a, b)) == "(0.01, 0.0)"
+    assert repr(_float_kernel(2)(tuple(map(float, a)), tuple(map(float, b)))) != "(0.01, 0.0)"
 
 
 def test_float_kernel_is_built_on_first_use():

@@ -3,6 +3,7 @@ a pass), the report's field order, the residual-combining sites, and the
 sampler's cached suite key."""
 
 import hashlib
+import itertools
 import math
 
 from fractions import Fraction
@@ -57,6 +58,36 @@ def test_max_abs_diff_equal_coordinates_keep_value_and_type(lhs, rhs, want):
 ])
 def test_max_abs_diff_nan_in_either_position(lhs, rhs):
     assert math.isnan(max_abs_diff(lhs, rhs))
+
+
+# --- max_abs_diff against the body it replaced ------------------------------------
+
+def _max_abs_diff_before(a, b):
+    """max_abs_diff's body before float coordinates skipped the equality test."""
+    worst = 0
+    for x, y in zip(a, b):
+        if x == y and type(x) is not float:
+            continue
+        d = x - y
+        if d < 0:
+            d = -d
+        if not d <= worst:
+            if d != d:
+                return d
+            worst = d
+    return worst
+
+
+PAIRING_SCALARS = (Fraction(1, 3), Fraction(0), Fraction(-2), Fraction(1), 0, 1, -2,
+                   0.0, -0.0, 1.0, -2.0, 1 / 3, NAN, math.inf, -math.inf)
+
+
+def test_max_abs_diff_matches_the_body_it_replaced():
+    # every Fraction/int/float pairing, NaN and signed zeros, on one and two coordinates
+    for x, y in itertools.product(PAIRING_SCALARS, repeat=2):
+        assert repr(_typed(max_abs_diff((x,), (y,)))) == repr(_typed(_max_abs_diff_before((x,), (y,))))
+    for a, b in itertools.product(itertools.product(PAIRING_SCALARS, repeat=2), repeat=2):
+        assert repr(_typed(max_abs_diff(a, b))) == repr(_typed(_max_abs_diff_before(a, b)))
 
 
 def test_worst_of():

@@ -6,11 +6,11 @@ import pytest
 
 from hopfcheck import hopf
 from hopfcheck.cdalg import mul_coeffs
-from hopfcheck.checks import STATUS_FAILS, coeffs_to_json, execute_check
+from hopfcheck.checks import STATUS_FAILS, coeffs_to_json, execute_check, max_abs_diff, worst_of
 from hopfcheck.hopf import (dimension_report, fiber_check, fibration_report,
                             hopf_instance, hopf_map)
 from hopfcheck.sampling import CounterRng, rand_quarter_pair, rand_unit
-from hopfcheck.spheremodel import JoinPoint, SuspPoint
+from hopfcheck.spheremodel import JoinPoint, SuspPoint, arc_point
 
 
 def F(n, d=1):
@@ -137,6 +137,65 @@ def test_polar_arc_fails_fiber_polar_interior_with_witness():
     assert report.max_residual == 1
     assert report.witness["lhs"] == ["1/1", "0/1", "0/1"]
     assert report.witness["rhs"] == "interior"
+
+
+def _fiber_polar_before(ctx, inputs):
+    """_fiber_polar's body before the poles were built once: it always paired the
+    north end with the north pole, whichever pole failed."""
+    inst, _ = ctx
+    (u, v, c, s), _ = inputs
+    north = hopf_map(arc_point(u, v, 1, 0), inst)
+    south = hopf_map(arc_point(u, v, 0, 1), inst)
+    want_n = SuspPoint.north(len(u)).coords
+    want_s = SuspPoint.south(len(u)).coords
+    r, _ = worst_of((max_abs_diff(north.coords, want_n), max_abs_diff(south.coords, want_s)))
+    if not r <= 0:
+        return r, north.coords, want_n
+    mixed = hopf_map(arc_point(u, v, c, s), inst)
+    if abs(mixed.coords[0]) >= 1:
+        return 1, mixed.coords, "interior"
+    return 0, None, None
+
+
+def _polar_inputs(name, mode, index):
+    inst = hopf_instance(name)
+    rng = CounterRng(12, f"test/hopf/polar/{mode}", index)
+    dim = inst.fiber_dim
+    arc = (rand_unit(rng, dim, mode), rand_unit(rng, dim, mode)) + rand_quarter_pair(rng, mode)
+    return (inst, 0), (arc, rand_unit(rng, dim, mode))
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("name", ["real", "complex", "quaternionic"])
+def test_fiber_polar_matches_the_body_it_replaced(name, mode):
+    # same residual, value and type; the same sides unless only the south end fails
+    for index in range(40):
+        ctx, inputs = _polar_inputs(name, mode, index)
+        r, lhs, rhs = hopf._fiber_polar(ctx, inputs)
+        r_before, lhs_before, rhs_before = _fiber_polar_before(ctx, inputs)
+        assert repr((type(r), r)) == repr((type(r_before), r_before))
+        (u, v, _, _), _ = inputs
+        north = hopf_map(arc_point(u, v, 1, 0), ctx[0]).coords
+        if r > 0 and max_abs_diff(north, rhs_before) < r:
+            south = hopf_map(arc_point(u, v, 0, 1), ctx[0]).coords
+            assert repr((lhs, rhs)) == repr((south, SuspPoint.south(len(u)).coords))
+        else:
+            assert repr((lhs, rhs)) == repr((lhs_before, rhs_before))
+
+
+def test_fiber_polar_witness_names_the_failing_pole():
+    # the north end lands on its pole exactly; the south end misses by one rounding
+    u = (1.0, 0.0, 0.0, 0.0)
+    v = rand_unit(CounterRng(1, "y", 0), 4, "float")
+    ctx, inputs = (hopf_instance("quaternionic"), 0), ((u, v, 0.6, 0.8), u)
+    r, lhs, rhs = hopf._fiber_polar(ctx, inputs)
+    assert r == 2.220446049250313e-16
+    assert rhs == SuspPoint.south(4).coords
+    assert lhs == hopf_map(arc_point(u, v, 0, 1), ctx[0]).coords
+    assert max_abs_diff(lhs, rhs) == r
+    # the body it replaced showed the north pair, whose sides agree
+    _, lhs_before, rhs_before = _fiber_polar_before(ctx, inputs)
+    assert max_abs_diff(lhs_before, rhs_before) == 0
 
 
 def test_translate_with_unit_is_identity():

@@ -10,9 +10,11 @@ from hopfcheck.errors import UsageError
 from hopfcheck.sampling import CounterRng, rand_unit, stereographic
 from hopfcheck.joinmul import reduced_diamond_filler
 from hopfcheck.laws import _signed_basis, imaginaroid_instance
-from hopfcheck.spheremodel import (JoinPoint, SpherePoint, SuspPoint, basis_coords, exact_sqrt,
-                                   join_embed, join_functor, join_to_susp,
-                                   join_view, susp_conj, susp_neg, susp_to_join)
+from hopfcheck.spheremodel import (FLOAT_POINT_EPS, JoinPoint, SpherePoint, SuspPoint,
+                                   _check_orthonormal, _check_unit, _sum_squares, basis_coords,
+                                   exact_sqrt, is_exact, join_embed, join_functor, join_to_susp,
+                                   join_view, lift, norm_coeffs, susp_conj, susp_neg,
+                                   susp_to_join)
 
 
 def F(n, d=1):
@@ -53,6 +55,41 @@ def test_non_finite_point_is_rejected(coords):
         SpherePoint(coords)
     with pytest.raises(UsageError):
         JoinPoint(coords[:1], coords[1:])
+
+
+# --- the unit check against the body it replaced ------------------------------------
+
+def _check_unit_before(coords, what):
+    """_check_unit's body before a float first coordinate skipped the exactness scan."""
+    if not any(isinstance(c, float) for c in coords):
+        n, d = lift(coords)
+        if _sum_squares(n) != d * d:
+            raise UsageError(
+                f"{what} is not on the unit sphere: |x|^2 = {norm_coeffs(coords)}")
+        return
+    total = _sum_squares(coords)
+    if not abs(total - 1) <= FLOAT_POINT_EPS:
+        raise UsageError(f"{what} is off the unit sphere by {abs(total - 1):.3e}")
+
+
+def _unit_message(check, coords):
+    try:
+        check(coords, "point")
+    except UsageError as err:
+        return str(err)
+    return None
+
+
+@pytest.mark.parametrize("coords", [
+    (1.0, 0.0), (0.6, 0.8), (-0.0, 1.0), (1.0, 1.0), (0.5, 0.5),          # float first
+    (math.nan, 0.0), (math.inf, 0.0), (math.nan, F(1)), (0.6, F(4, 5)),
+    (F(3, 5), F(4, 5)), (1, 0), (F(1, 2), F(1, 2)), (1, 1), (F(2),),    # exact first
+    (F(1), math.nan), (F(3, 5), 0.8), (0, 1.0), (F(1), 0.0, 0.5),        # mixed
+    (),
+], ids=repr)
+def test_check_unit_matches_the_body_it_replaced(coords):
+    assert is_exact(coords) == (not any(isinstance(c, float) for c in coords))
+    assert _unit_message(_check_unit, coords) == _unit_message(_check_unit_before, coords)
 
 
 def test_stereographic_lands_on_sphere():
@@ -221,6 +258,22 @@ def test_join_functor_by_unit_quaternion_keeps_norm():
     x = join_embed(rational_unit(4, 36), rational_unit(4, 37), F(5, 13), F(12, 13))
     y = join_functor(lambda t: mul_coeffs(w, t), lambda t: mul_coeffs(t, w), x)
     assert sum(c * c for c in y.flatten()) == 1
+
+
+# probe images whose inner product is 1e-9 plus rounding: summed left to right it
+# lies above the 1e-9 slack, correctly rounded (math.fsum, or the compensated
+# sum() of Python 3.12 and later) it lies below
+SLANTED_IMAGES = ((0.4650124371325089, 0.5225845047530341, 0.4825981172171566, 0.5270369303593118),
+                  (0.5395167758215431, -0.3912165909757872, 0.5038897363514542, -0.5495146596334555))
+
+
+def test_orthonormality_probe_sums_left_to_right():
+    u, w = SLANTED_IMAGES
+    products = [x * y for x, y in zip(u, w)]
+    left_to_right = ((products[0] + products[1]) + products[2]) + products[3]
+    assert math.fsum(products) <= 1e-9 < left_to_right
+    with pytest.raises(UsageError, match="left map is not norm-preserving"):
+        _check_orthonormal(lambda e: SLANTED_IMAGES[e.index(1)], 2, "left map")
 
 
 # --- signed basis vectors: one builder, each caller's scalar type ------------------
