@@ -28,6 +28,12 @@ against a float sample) is converted to floats once at the entry, exact
 zeros kept as int 0 (`_meet_floats`); when both operands hold an exact
 coordinate, the mix enters the kernel as it is.  Both kernels give what
 the recursion gives, bit for bit.
+
+A ladder law chooses its kernel once per evaluation (`_kernel_for`): on
+all-int inputs every product of the body calls `mul_ints` directly, since
+products of ints stay ints; any other input takes `mul_coeffs` for each
+product.  The zero-divisor search reads products of two-term sums off the
+sign table (`zero_pairs`) and confirms its witness with one kernel product.
 """
 
 from __future__ import annotations
@@ -35,8 +41,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, islice, product
-from typing import Optional, Sequence
+from itertools import chain, combinations, islice, product
+from typing import Callable, Iterator, Optional, Sequence
 
 from .checks import compare, max_abs_diff, run_laws, worst_of
 from .errors import InvariantViolation, NotInvertibleError, UsageError
@@ -332,16 +338,21 @@ def commutator(a: CDElement, b: CDElement) -> CDElement:
 # structured inputs: signed basis vectors, then signed two-term sums
 
 
+def _two_term_terms(n: int) -> tuple:
+    """(i, j, si, sj) of each two-term sum si e_i + sj e_j with i < j, in scan order."""
+    return tuple((i, j, si, sj) for i, j in combinations(range(n), 2)
+                 for si, sj in ((1, 1), (1, -1), (-1, 1), (-1, -1)))
+
+
 def _structured_elements(level: int) -> tuple:
     n = 1 << level
     singles = tuple(basis_coords(n, i, s) for i in range(n) for s in (1, -1))
     pairs = []
-    for i, j in combinations(range(n), 2):
-        for si, sj in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-            c = [0] * n
-            c[i] = si
-            c[j] = sj
-            pairs.append(tuple(c))
+    for i, j, si, sj in _two_term_terms(n):
+        c = [0] * n
+        c[i] = si
+        c[j] = sj
+        pairs.append(tuple(c))
     return singles, tuple(pairs)
 
 
@@ -365,30 +376,45 @@ def structured_tuples(level: int, arity: int, cap: int):
 # the law suite (the ladder laws need no context)
 
 
+def _kernel_for(inputs) -> Callable:
+    """The product for one law evaluation: `mul_ints` on all-int inputs, else `mul_coeffs`.
+
+    Products of ints stay ints, so one type check per evaluation settles
+    every product the law body takes.  Both names are read as module
+    globals at call time, so a replaced kernel is the one that runs.
+    """
+    if type(inputs[0][0]) is int and set(map(type, chain.from_iterable(inputs))) <= _INT:
+        return mul_ints
+    return mul_coeffs
+
+
 def _eval_realness(_, inputs):
     (a,) = inputs
     return compare(conj_coeffs(a), a)
 
 
 def _eval_commutativity(_, inputs):
+    mul = _kernel_for(inputs)
     a, b = inputs
-    return compare(mul_coeffs(a, b), mul_coeffs(b, a))
+    return compare(mul(a, b), mul(b, a))
 
 
 def _eval_associativity(_, inputs):
+    mul = _kernel_for(inputs)
     a, b, c = inputs
-    return compare(mul_coeffs(mul_coeffs(a, b), c), mul_coeffs(a, mul_coeffs(b, c)))
+    return compare(mul(mul(a, b), c), mul(a, mul(b, c)))
 
 
 def _eval_alternativity(_, inputs):
+    mul = _kernel_for(inputs)
     x, y = inputs
-    xy = mul_coeffs(x, y)
-    lhs1 = mul_coeffs(mul_coeffs(x, x), y)
-    rhs1 = mul_coeffs(x, xy)
+    xy = mul(x, y)
+    lhs1 = mul(mul(x, x), y)
+    rhs1 = mul(x, xy)
     r1 = max_abs_diff(lhs1, rhs1)
     if not r1 <= 0:   # a NaN residual fails here too
         return r1, lhs1, rhs1
-    return compare(mul_coeffs(xy, y), mul_coeffs(x, mul_coeffs(y, y)))
+    return compare(mul(xy, y), mul(x, mul(y, y)))
 
 
 def _eval_nicely_normed(_, inputs):
@@ -399,8 +425,9 @@ def _eval_nicely_normed(_, inputs):
     if not worst <= 0:
         return worst, tail, tuple(0 * c for c in tail)
     # (ii) a a* = a* a
-    lhs = mul_coeffs(a, conj_coeffs(a))
-    rhs = mul_coeffs(conj_coeffs(a), a)
+    mul = _kernel_for(inputs)
+    lhs = mul(a, conj_coeffs(a))
+    rhs = mul(conj_coeffs(a), a)
     r = max_abs_diff(lhs, rhs)
     if not r <= 0:
         return r, lhs, rhs
@@ -412,7 +439,7 @@ def _eval_nicely_normed(_, inputs):
 
 def _eval_norm_multiplicativity(_, inputs):
     a, b = inputs
-    lhs = norm_coeffs(mul_coeffs(a, b))
+    lhs = norm_coeffs(_kernel_for(inputs)(a, b))
     rhs = norm_coeffs(a) * norm_coeffs(b)
     d = lhs - rhs
     if d < 0:
@@ -457,25 +484,59 @@ def law_suite(level: int,
 # zero divisors
 
 
+def zero_pairs(level: int) -> Iterator[tuple]:
+    """Every pair (a, b) of two-term sums with a b = 0 by the sign table, in scan order.
+
+    With i != j and k != l, (s_i e_i + s_j e_j)(s_k e_k + s_l e_l) puts its
+    four terms at i^k, i^l, j^k and j^l (^ is xor).  i^k differs from i^l
+    and from j^k, and j^l does too, so two terms share a coordinate only
+    when i^k = j^l or i^l = j^k, and each of these is i^j = k^l.  Four
+    terms at distinct coordinates never cancel, so a b can vanish only when
+    i^j = k^l, and then exactly when both coinciding pairs cancel under
+    `_sign_table`.  The scan visits the same pairs in the same order as a
+    scan over all of them, skipping only those whose xors differ.
+    """
+    n = 1 << level
+    signs = _sign_table(n)
+    terms = [(*t, c) for t, c in zip(_two_term_terms(n), _structured_elements(level)[1])]
+    same_xor = {}
+    for t in terms:
+        same_xor.setdefault(t[0] ^ t[1], []).append(t)
+
+    def coeff(x, y, s):     # the coefficient of e_x e_y scaled by s, at e_(x xor y)
+        return -s if signs[x][y] else s
+
+    for i, j, si, sj, a in terms:
+        for k, l, sk, sl, b in same_xor[i ^ j]:
+            if (coeff(i, k, si * sk) == -coeff(j, l, sj * sl)
+                    and coeff(i, l, si * sl) == -coeff(j, k, sj * sk)):
+                yield a, b
+
+
 def zero_divisor_search(level: int, mode: str = "exact") -> Optional[tuple]:
     """First pair of nonzero two-term sums with exactly zero product.
 
     Scans (e_i +/- e_j)(e_k +/- e_l) in lexicographic order over indices
-    and signs.  Returns None when the whole family multiplies without a
-    zero (levels <= 3).  In float mode the witness pair is scaled to unit
-    norm for reporting.
+    and signs, reading the product off the sign table (`zero_pairs`: only
+    pairs with i xor j = k xor l can vanish), and confirms the first hit
+    with one kernel product; a kernel that disagrees raises
+    InvariantViolation.  Returns None when the whole family multiplies
+    without a zero (levels <= 3).  In float mode the witness pair is
+    scaled to unit norm for reporting.
     """
     if not 0 <= level <= MAX_LEVEL:
         raise UsageError(f"level must be within 0..{MAX_LEVEL}")
-    _, pairs = _structured_elements(level)
-    for a in pairs:
-        for b in pairs:
-            if not any(mul_coeffs(a, b)):
-                if mode == "float":
-                    scale = (1 / norm_coeffs(a)) ** 0.5
-                    a = tuple(float(c) * scale for c in a)
-                    b = tuple(float(c) * scale for c in b)
-                    return (CDElement(level, a), CDElement(level, b))
-                return (CDElement(level, tuple(Fraction(c) for c in a)),
-                        CDElement(level, tuple(Fraction(c) for c in b)))
-    return None
+    hit = next(zero_pairs(level), None)
+    if hit is None:
+        return None
+    a, b = hit
+    if any(mul_coeffs(a, b)):
+        raise InvariantViolation(
+            f"the sign table zeroes {a} {b} at level {level}, the kernel does not")
+    if mode == "float":
+        scale = (1 / norm_coeffs(a)) ** 0.5
+        a = tuple(float(c) * scale for c in a)
+        b = tuple(float(c) * scale for c in b)
+        return (CDElement(level, a), CDElement(level, b))
+    return (CDElement(level, tuple(Fraction(c) for c in a)),
+            CDElement(level, tuple(Fraction(c) for c in b)))

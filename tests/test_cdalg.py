@@ -7,11 +7,12 @@ formula literally produces.
 """
 
 import math
+import random
 import subprocess
 import sys
 import threading
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,7 +22,7 @@ from hopfcheck.cdalg import (CDElement, _float_kernel, _mul_recursive, _sign_tab
                              _structured_elements, associator, cd_conj, cd_inverse, cd_mul,
                              cd_norm, commutator, law_suite, mul_coeffs, norm_coeffs,
                              structured_tuples, zero_divisor_search)
-from hopfcheck.checks import STATUS_FAILS, execute_check
+from hopfcheck.checks import STATUS_FAILS, compare, execute_check, max_abs_diff, worst_of
 from hopfcheck.errors import NotInvertibleError, UsageError
 from hopfcheck.sampling import CounterRng, rand_coeffs
 
@@ -295,18 +296,40 @@ def _two_term_sums(level):
     return out
 
 
+def _sparse(c):
+    return {k: x for k, x in enumerate(c) if x}
+
+
+FIRST_WITNESS = ({1: 1, 10: 1}, {4: 1, 15: -1})      # (e1 + e10)(e4 - e15)
+
+
 @pytest.mark.parametrize("level,pairs,assessors",
                          [(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0), (4, 1344, 42)])
 def test_two_term_zero_divisor_census(level, pairs, assessors):
+    # the sign-table enumeration against a scan of every product through the kernel
     sums = _two_term_sums(level)
-    hits = [(a, b) for a in sums for b in sums if not any(mul_coeffs(a, b))]
+    hits = [(a, b) for a in sums for b in sums if not any(cdalg.mul_ints(a, b))]
+    assert list(cdalg.zero_pairs(level)) == hits
     assert len(hits) == pairs
     assert len({tuple(k for k, c in enumerate(a) if c) for a, _ in hits}) == assessors
     if hits:
-        # first hit in scan order: (e1 + e10)(e4 - e15)
         a, b = hits[0]
-        assert {k: c for k, c in enumerate(a) if c} == {1: 1, 10: 1}
-        assert {k: c for k, c in enumerate(b) if c} == {4: 1, 15: -1}
+        assert (_sparse(a), _sparse(b)) == FIRST_WITNESS
+
+
+def test_level5_zero_pairs_vanish_under_the_recursion():
+    # 20,160 ordered pairs at level 5 (Moreno, "The zero divisors of the
+    # Cayley-Dickson algebras over the real numbers", 1998).  The recursion
+    # runs traced into straight-line code (`_float_kernel`, the same
+    # operations in the same order, checked against `_mul_recursive` above):
+    # the literal recursion takes about 0.5 ms a product at level 5.
+    hits = list(cdalg.zero_pairs(5))
+    assert len(hits) == 20160
+    recursion = _float_kernel(32)
+    assert all(not any(recursion(a, b)) for a, b in hits)
+    assert all(not any(_mul_recursive(a, b)) for a, b in hits[::97])
+    a, b = hits[0]
+    assert (_sparse(a), _sparse(b)) == FIRST_WITNESS
 
 
 # --- conjugation ------------------------------------------------------------
@@ -593,7 +616,8 @@ def _negated(original):
     (_negated, -2, "positive"),
 ], ids=["part-ii", "part-iii"])
 def test_broken_product_fails_nicely_normed_with_witness(perturb, lhs, rhs, monkeypatch):
-    monkeypatch.setattr(cdalg, "mul_coeffs", perturb(cdalg.mul_coeffs))
+    # int inputs take `mul_ints` for every product of the evaluation
+    monkeypatch.setattr(cdalg, "mul_ints", perturb(cdalg.mul_ints))
     a = (1, 1, 0, 0)
     report = execute_check("nicely-normed", "level-2",
                            lambda inputs: cdalg._eval_nicely_normed(None, inputs),
@@ -624,7 +648,112 @@ def test_level4_zero_divisor_witness():
     assert list(b.coeffs) == want_b
 
 
+def test_level5_zero_divisor_witness_is_the_level4_one():
+    a, b = zero_divisor_search(5)
+    assert (_sparse(a.coeffs), _sparse(b.coeffs)) == FIRST_WITNESS
+    assert all(type(c) is Fraction for c in a.coeffs + b.coeffs)
+
+
 def test_level4_zero_divisor_float_mode_normalized():
     a, b = zero_divisor_search(4, mode="float")
     assert abs(norm_coeffs(a.coeffs) - 1) < 1e-12
     assert abs(norm_coeffs(b.coeffs) - 1) < 1e-12
+
+
+# --- one kernel choice per ladder evaluation against the per-product bodies --
+# These are the law bodies as they were when every product called
+# `mul_coeffs`, which picks its path from the types of each operand pair.
+
+def _per_product_commutativity(inputs):
+    a, b = inputs
+    return compare(mul_coeffs(a, b), mul_coeffs(b, a))
+
+
+def _per_product_associativity(inputs):
+    a, b, c = inputs
+    return compare(mul_coeffs(mul_coeffs(a, b), c), mul_coeffs(a, mul_coeffs(b, c)))
+
+
+def _per_product_alternativity(inputs):
+    x, y = inputs
+    xy = mul_coeffs(x, y)
+    lhs1 = mul_coeffs(mul_coeffs(x, x), y)
+    rhs1 = mul_coeffs(x, xy)
+    r1 = max_abs_diff(lhs1, rhs1)
+    if not r1 <= 0:
+        return r1, lhs1, rhs1
+    return compare(mul_coeffs(xy, y), mul_coeffs(x, mul_coeffs(y, y)))
+
+
+def _per_product_nicely_normed(inputs):
+    (a,) = inputs
+    tail = tuple(c + d for c, d in zip(a[1:], cdalg.conj_coeffs(a)[1:]))
+    worst, _ = worst_of(tail, abs)
+    if not worst <= 0:
+        return worst, tail, tuple(0 * c for c in tail)
+    lhs = mul_coeffs(a, cdalg.conj_coeffs(a))
+    rhs = mul_coeffs(cdalg.conj_coeffs(a), a)
+    r = max_abs_diff(lhs, rhs)
+    if not r <= 0:
+        return r, lhs, rhs
+    if any(a) and lhs[0] <= 0:
+        return 1, lhs[0], "positive"
+    return 0, lhs, rhs
+
+
+def _per_product_norm_multiplicativity(inputs):
+    a, b = inputs
+    lhs = norm_coeffs(mul_coeffs(a, b))
+    rhs = norm_coeffs(a) * norm_coeffs(b)
+    d = lhs - rhs
+    if d < 0:
+        d = -d
+    return d, (lhs,), (rhs,)
+
+
+PER_PRODUCT_BODIES = {
+    "realness": lambda inputs: cdalg._eval_realness(None, inputs),
+    "commutativity": _per_product_commutativity,
+    "associativity": _per_product_associativity,
+    "alternativity": _per_product_alternativity,
+    "nicely-normed": _per_product_nicely_normed,
+    "norm-multiplicativity": _per_product_norm_multiplicativity,
+}
+
+
+def _scalar(rng, kind):
+    if kind == "dense-int":
+        return rng.randint(-6, 6)
+    if kind == "fraction":
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+    if kind == "int-fraction":
+        return _scalar(rng, rng.choice(("dense-int", "fraction")))
+    if kind == "float":
+        return rng.choice((rng.uniform(-5, 5), rng.uniform(-5, 5), 0.0, -0.0))
+    return _scalar(rng, rng.choice(("dense-int", "fraction", "float")))   # exact-float
+
+
+def _ladder_inputs(level, arity, kind):
+    """Ten input tuples of one scalar kind for one ladder law at one level."""
+    n = 1 << level
+    if kind == "sparse-int":
+        return list(islice(structured_tuples(level, arity, 4000), 0, 4000, 400))
+    rng = random.Random(f"test/ladder-kernel/{level}/{arity}/{kind}")
+    out = []
+    for t in range(10):
+        operand_kinds = [kind] * arity
+        if kind == "exact-float" and t % 2:
+            # whole operands of one kind: an exact operand meets an all-float one
+            operand_kinds = [rng.choice(("dense-int", "fraction", "float")) for _ in range(arity)]
+        out.append(tuple(tuple(_scalar(rng, k) for _ in range(n)) for k in operand_kinds))
+    return out
+
+
+@pytest.mark.parametrize("level", range(6))
+@pytest.mark.parametrize("kind", ["sparse-int", "dense-int", "fraction", "int-fraction",
+                                  "float", "exact-float"])
+def test_ladder_bodies_match_per_product_bodies(level, kind):
+    for law, evaluate, arity in cdalg.LADDER_LAWS:
+        for inputs in _ladder_inputs(level, arity, kind):
+            got = evaluate(None, inputs)
+            assert repr(got) == repr(PER_PRODUCT_BODIES[law](inputs)), (law, inputs)

@@ -48,6 +48,37 @@ def test_broken_kernel_fails_the_ladder_with_witnesses(tmp_path, monkeypatch):
         assert {"inputs", "lhs", "rhs"} <= set(r["witness"])
 
 
+def test_broken_exact_kernel_fails_the_ladder_in_the_sampled_phase(tmp_path, monkeypatch):
+    # structured inputs are ints and take `mul_ints`; the sampled Fractions
+    # go through the flipped `mul_coeffs`
+    original = cdalg.mul_coeffs
+
+    def flipped(a, b):
+        out = original(a, b)
+        return out[:-1] + (-out[-1],)
+
+    monkeypatch.setattr(cdalg, "mul_coeffs", flipped)
+    code, doc = run_cli_json(tmp_path, "laws", "--level", "2", "--samples", "30")
+    assert code == 1 and doc["overall"] == "fail"
+    unexpected = [r for r in doc["reports"] if not r["expected"]]
+    assert unexpected
+    for r in unexpected:
+        assert r["status"] == "fails"
+        assert all("/" in c for x in r["witness"]["inputs"] for c in x)
+
+
+def test_kernel_without_zero_products_is_an_internal_error(monkeypatch, capsys):
+    # the sign table finds (e1 + e10)(e4 - e15); a kernel that disagrees is a fault
+    original = cdalg.mul_ints
+    monkeypatch.setattr(cdalg, "mul_ints", lambda a, b: tuple(c or 1 for c in original(a, b)))
+    assert run_cli("zerodiv", "--level", "4") == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("hopfcheck: internal error: ")
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
 def test_expected_ladder_failures_exit_zero(tmp_path):
     code, doc = run_cli_json(
         tmp_path, "laws", "--level", "3", "--mode", "exact", "--samples", "30")
