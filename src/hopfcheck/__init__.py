@@ -13,9 +13,9 @@ from .hopf import HopfInstance, fiber_check, fibration_report, hopf_instance, ho
 from .joinmul import (DiamondProblem, SquareFiller, diamond_suite, fill_refl_diamond,
                       join_mul_alg, join_mul_syn, oracle_equivalence_suite,
                       reduced_diamond_filler, unit_law_check)
-from .laws import (HSpaceCarrier, ImaginaroidInstance, SpheroidInstance, assoc_check,
-                   corner_transport_check, corner_transport_suite, hspace_check,
-                   imaginaroid_check, imaginaroid_instance, spheroid_check,
-                   spheroid_instance, sphere_hspace_carrier)
+from .laws import (Carrier, ImaginaroidInstance, assoc_check, corner_transport_check,
+                   corner_transport_suite, hspace_check, imaginaroid_check,
+                   imaginaroid_instance, spheroid_check, spheroid_instance,
+                   sphere_hspace_carrier)
 from .spheremodel import (JoinPoint, JoinView, SpherePoint, SuspPoint, join_embed,
                           join_functor, join_view, susp_conj, susp_neg)

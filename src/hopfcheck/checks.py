@@ -116,23 +116,25 @@ def execute_check(law: str,
     builds the random inputs for the sampling phase, which stops at the
     first residual above the threshold.  A NaN residual is never within
     the threshold, so it fails the law in either phase, and so does an
-    exception from evaluate (see `_scan`).  `workers` is
+    exception from evaluate (see `_scan`) or from the sampler (see
+    `_draws`).  `workers` is
     accepted and ignored: the scan runs on the calling thread (pure-Python
     arithmetic gains nothing from threads), and the keyword stays for
     callers that pass it.
     """
     t0 = time.perf_counter()
     threshold = 0 if mode == "exact" else tolerance
-    sampled = map(sampler, range(samples)) if sampler is not None else ()
+    draw_errors = []
+    sampled = _draws(sampler, samples, draw_errors) if sampler is not None else ()
     # structured inputs are exact; any nonzero residual is a witness
     max_residual, failure = _scan(evaluate, ((structured, 0), (sampled, threshold)))
     if failure is not None:
         inputs, sides = failure
-        status = STATUS_FAILS
         witness = {"inputs": [coeffs_to_json(x) for x in inputs], **sides}
-    else:
-        status = STATUS_HOLDS_EXACT if mode == "exact" else STATUS_HOLDS_SAMPLED
-        witness = None
+    else:   # None, or the failure of a sampler that raised
+        witness = draw_errors[0] if draw_errors else None
+    status = (STATUS_FAILS if witness is not None
+              else STATUS_HOLDS_EXACT if mode == "exact" else STATUS_HOLDS_SAMPLED)
 
     duration_ms = (time.perf_counter() - t0) * 1000.0
     return LawReport(
@@ -148,6 +150,21 @@ def execute_check(law: str,
         expected=(status != STATUS_FAILS) == expect_holds and "error" not in (witness or ()),
         witness=witness,
     )
+
+
+def _draws(sampler: Callable, samples: int, errors: list):
+    """sampler(0), sampler(1), ... up to samples, or until the sampler raises on
+    index i: that ends the stream and appends {"sample": i, "error":
+    "<Type>: <message>"} to errors.  A PreconditionError propagates."""
+    for i in range(samples):
+        try:
+            inputs = sampler(i)
+        except PreconditionError:
+            raise
+        except Exception as err:    # a sampler that raises fails the law at that sample
+            errors.append({"sample": i, "error": f"{type(err).__name__}: {err}"})
+            return
+        yield inputs
 
 
 def _scan(evaluate: Callable, phases) -> tuple:

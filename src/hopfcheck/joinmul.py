@@ -45,7 +45,7 @@ from typing import Callable
 from .cdalg import conj_coeffs, lift, mul_coeffs, mul_ints, norm_coeffs
 from .checks import compare, max_abs_diff, run_laws, worst_of
 from .errors import UsageError
-from .laws import (HSPACE_UNIT_LAWS, HSpaceCarrier, ImaginaroidInstance, _require_assoc,
+from .laws import (HSPACE_UNIT_LAWS, Carrier, ImaginaroidInstance, _require_assoc,
                    _signed_basis)
 from .sampling import CounterRng, quarter_grid, rand_quarter_pair, rand_unit
 from .spheremodel import JoinPoint, SpherePoint, arc_point, basis_coords, is_exact, zero_norm_bound
@@ -242,7 +242,7 @@ def join_mul_syn(X: JoinPoint, Y: JoinPoint, inst: ImaginaroidInstance,
     (floats, ints, int/Fraction mixes) take the rational form directly.
     """
     _require_assoc(inst, allow_unverified)
-    mul, conj = inst.mul, inst.conj
+    mul, conj = mul_coeffs, conj_coeffs
     p, q = X.left, X.right
     r, w = Y.left, Y.right
     xs, ys = X.flatten(), Y.flatten()
@@ -513,27 +513,26 @@ def diamond_suite(inst: ImaginaroidInstance,
 # the join carrier as an H-space
 
 
-def join_hspace_carrier(inst: ImaginaroidInstance) -> HSpaceCarrier:
-    """join(S, S) with the synthetic multiplication and the doubled conjugation."""
-    name = JOIN_INSTANCE.get(inst.name, inst.name)
+def join_hspace_carrier(inst: ImaginaroidInstance) -> Carrier:
+    """join(S, S) with the synthetic multiplication and the doubled conjugation.
+
+    Its laws never negate, so the carrier has no negation.
+    """
     dim = inst.susp_dim
     zero = (Fraction(0),) * dim
-    unit = JoinPoint(inst.unit, zero)
 
-    def star(X: JoinPoint) -> JoinPoint:
+    def conj(X: JoinPoint) -> JoinPoint:
         flat = conj_coeffs(X.flatten())
         return JoinPoint(flat[:dim], flat[dim:])
-
-    structured = tuple(JoinPoint(p, zero) for p in _signed_basis(dim)) + \
-        tuple(JoinPoint(zero, p) for p in _signed_basis(dim))
 
     def sample(rng: CounterRng, mode: str) -> JoinPoint:
         return sample_join_point(rng, inst, VIEW_KINDS[rng.randint(0, 2)], mode)
 
-    return HSpaceCarrier(
-        name=name,
-        unit=unit,
+    return Carrier(
+        name=JOIN_INSTANCE.get(inst.name, inst.name),
+        unit=JoinPoint(inst.unit, zero),
         mul=lambda X, Y: join_mul_syn(X, Y, inst),
-        star=star,
-        sample=sample,
-        structured=structured)
+        conj=conj,
+        structured=tuple(JoinPoint(p, zero) for p in _signed_basis(dim))
+        + tuple(JoinPoint(zero, p) for p in _signed_basis(dim)),
+        sample=sample)

@@ -10,6 +10,11 @@ low Cayley-Dickson levels:
     base A = S^2   -> susp A = S^3, level-2 (quaternion) multiplication
 
 plus the octonion sphere S^7 as a deliberately non-associative control.
+
+Spheroids, an imaginaroid's suspension and base sphere, and H-space
+carriers are each one `Carrier` record (unit, product, conjugation,
+negation, exact points and sampler), and every sphere suite reads its
+structured and sampled inputs off its carrier.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import partial
 from itertools import product
-from typing import Callable
+from typing import Callable, Optional
 
 from .cdalg import basis_coords, conj_coeffs, mul_coeffs
 from .checks import LawReport, compare, execute_check, max_abs_diff, run_laws, worst_of
@@ -30,34 +35,38 @@ def _signed_basis(dim: int) -> tuple:
     return tuple(basis_coords(dim, i, Fraction(s)) for i in range(dim) for s in (1, -1))
 
 
-def _basis_tuples(dim: int):
-    """structured(arity) for run_laws: all arity-tuples of signed basis vectors."""
-    basis = _signed_basis(dim)
-    return lambda arity: product(basis, repeat=arity)
-
-
-def _unit_points(dim: int, mode: str):
-    """draw(rng, arity, i) for run_laws: arity random unit vectors of R^dim."""
-    return lambda rng, arity, i: tuple(rand_unit(rng, dim, mode) for _ in range(arity))
-
-
 # ---------------------------------------------------------------------------
-# instances
+# carriers and instances
 
 
 @dataclass(frozen=True)
-class SpheroidInstance:
-    """A unit sphere with multiplication, conjugation and negation handles.
+class Carrier:
+    """A pointed structure with product, conjugation and negation, and its inputs.
 
-    All operation handles work on raw coordinate tuples.
+    Points are coordinate sequences (tuples or join points), so the laws
+    compare them as coefficient vectors.  A law of arity k scans every
+    k-tuple of the exact points in `structured`, then k points per sample
+    drawn with sample(rng, mode).  neg is None on a carrier whose laws
+    never negate.
     """
 
     name: str
-    dim: int
-    unit: tuple
+    unit: object
     mul: Callable
     conj: Callable
-    neg: Callable
+    structured: tuple
+    sample: Callable          # (rng, mode) -> point
+    neg: Optional[Callable] = None
+
+
+def _sphere_carrier(name: str, dim: int) -> Carrier:
+    """The unit sphere of R^dim with the Cayley-Dickson product, its signed
+    basis and uniform samples.  Build it when a suite runs: mul is read from
+    the module global then, so a profiler that rebinds mul_coeffs sees it."""
+    return Carrier(
+        name=name, unit=basis_coords(dim, 0, Fraction(1)), mul=mul_coeffs, conj=conj_coeffs,
+        structured=_signed_basis(dim), sample=lambda rng, mode: rand_unit(rng, dim, mode),
+        neg=lambda x: tuple(-c for c in x))
 
 
 @dataclass
@@ -65,7 +74,8 @@ class ImaginaroidInstance:
     """A base sphere with involutive negation plus multiplication on its suspension.
 
     level is the Cayley-Dickson level of the suspension's multiplication;
-    the base sphere sits in ambient dimension 2^level - 1.  assoc_verified
+    the base sphere sits in ambient dimension 2^level - 1.  The suites
+    check both spheres as carriers (`_sphere_carrier`).  assoc_verified
     is set by a passing assoc_check and gates the operations that assume
     an associative suspension.
     """
@@ -86,34 +96,17 @@ class ImaginaroidInstance:
     def unit(self) -> tuple:
         return basis_coords(self.susp_dim, 0, Fraction(1))
 
-    def mul(self, x: tuple, y: tuple) -> tuple:
-        return mul_coeffs(x, y)
 
-    def conj(self, x: tuple) -> tuple:
-        # the suspension conjugation: fix the axis, negate the base directions
-        return conj_coeffs(x)
-
-    def neg(self, x: tuple) -> tuple:
-        # also the base negation: the base sphere carries the same coordinates
-        return tuple(-c for c in x)
-
-    def induced_spheroid(self) -> SpheroidInstance:
-        """The suspension as a spheroid (this is what the laws certify)."""
-        return SpheroidInstance(
-            name=f"susp({self.name})",
-            dim=self.susp_dim,
-            unit=self.unit,
-            mul=self.mul,
-            conj=self.conj,
-            neg=self.neg)
-
-
-def spheroid_instance(name: str) -> SpheroidInstance:
-    """Provided spheroids: the sign group, circle and quaternion sphere, as induced spheroids."""
-    bases = {"s0": "empty", "s1": "s0", "s3": "s2"}
-    if name not in bases:
+def spheroid_instance(name: str) -> Carrier:
+    """Provided spheroids: the sign group s0, the circle s1 and the quaternion sphere s3."""
+    dims = {"s0": 1, "s1": 2, "s3": 4}
+    if name not in dims:
         raise UsageError(f"unknown spheroid instance {name!r}")
-    return replace(imaginaroid_instance(bases[name]).induced_spheroid(), name=name)
+    return _sphere_carrier(name, dims[name])
+
+
+#: the H-space carriers backed directly by a Cayley-Dickson sphere are the spheroids
+sphere_hspace_carrier = spheroid_instance
 
 
 def imaginaroid_instance(name: str) -> ImaginaroidInstance:
@@ -215,16 +208,25 @@ IMAGINAROID_LAWS = (
 )
 
 
-def spheroid_check(inst: SpheroidInstance,
+def _carrier_laws(rows, carrier: Carrier, *, mode: str, **kw) -> list:
+    """run_laws on a carrier: every arity-tuple of carrier.structured, then
+    sample i as arity points drawn with carrier.sample.  kw goes to run_laws."""
+    return run_laws(
+        rows, carrier.name, carrier, mode=mode,
+        structured=lambda arity: product(carrier.structured, repeat=arity),
+        draw=lambda rng, arity, i: tuple(carrier.sample(rng, mode) for _ in range(arity)),
+        **kw)
+
+
+def spheroid_check(carrier: Carrier,
                    samples: int = 10000,
                    seed: int = 0,
                    mode: str = "exact",
                    *,
                    tolerance: float = 1e-9) -> list:
     """The six spheroid laws plus the two derived ones, one report per law."""
-    return run_laws(
-        SPHEROID_LAWS, inst.name, inst, structured=_basis_tuples(inst.dim),
-        draw=_unit_points(inst.dim, mode), suite=lambda law: f"laws/{inst.name}/{law}/{mode}",
+    return _carrier_laws(
+        SPHEROID_LAWS, carrier, suite=lambda law: f"laws/{carrier.name}/{law}/{mode}",
         samples=samples, seed=seed, mode=mode, tolerance=tolerance)
 
 
@@ -234,23 +236,22 @@ def imaginaroid_check(inst: ImaginaroidInstance,
                       mode: str = "exact",
                       *,
                       tolerance: float = 1e-9) -> list:
-    """The imaginaroid laws on the suspension, then the spheroid suite it induces.
+    """The imaginaroid laws on the suspension, then the spheroid suite on it.
 
     The suspension laws share their bodies with the spheroid suite, which
-    runs them again on the induced spheroid under its own instance name.
+    runs them again on the suspension under its own instance name.
     """
     kw = dict(seed=seed, mode=mode, tolerance=tolerance)
     # base negation must be involutive; an empty base has nothing to sample
-    reports = run_laws(
-        (("base-neg-involution", _neg_involution, 1),), inst.name, inst,
-        structured=_basis_tuples(inst.base_dim), draw=_unit_points(inst.base_dim, mode),
+    reports = _carrier_laws(
+        (("base-neg-involution", _neg_involution, 1),), _sphere_carrier(inst.name, inst.base_dim),
         suite=lambda law: f"laws/{inst.name}/base-neg/{mode}",
         samples=samples if inst.base_dim else 0, **kw)
-    reports += run_laws(
-        IMAGINAROID_LAWS, inst.name, inst, structured=_basis_tuples(inst.susp_dim),
-        draw=_unit_points(inst.susp_dim, mode),
+    reports += _carrier_laws(
+        IMAGINAROID_LAWS, _sphere_carrier(inst.name, inst.susp_dim),
         suite=lambda law: f"laws/{inst.name}/{law}/{mode}", samples=samples, **kw)
-    return reports + spheroid_check(inst.induced_spheroid(), samples=samples, **kw)
+    return reports + spheroid_check(
+        _sphere_carrier(f"susp({inst.name})", inst.susp_dim), samples=samples, **kw)
 
 
 def assoc_check(inst: ImaginaroidInstance,
@@ -261,9 +262,8 @@ def assoc_check(inst: ImaginaroidInstance,
                 tolerance: float = 1e-9,
                 expect_holds: bool = True) -> LawReport:
     """(xy)z = x(yz) on the suspension; a pass unlocks the join construction."""
-    (report,) = run_laws(
-        (("associativity", _associativity, 3),), inst.name, inst,
-        structured=_basis_tuples(inst.susp_dim), draw=_unit_points(inst.susp_dim, mode),
+    (report,) = _carrier_laws(
+        (("associativity", _associativity, 3),), _sphere_carrier(inst.name, inst.susp_dim),
         suite=lambda law: f"laws/{inst.name}/assoc/{mode}",
         expect=lambda law: expect_holds, samples=samples, seed=seed, mode=mode,
         tolerance=tolerance)
@@ -276,7 +276,7 @@ def assoc_check(inst: ImaginaroidInstance,
 # the corner-transport identities (require an associative suspension)
 
 
-def corner_transport_residual(inst: ImaginaroidInstance, a, b, c, d):
+def corner_transport_residual(carrier: Carrier, a, b, c, d):
     """Residual of the four identities carrying the reduced diamond to a product diamond.
 
     With f(x) = -(ac)x and g(y) = (cy)b and the pivot
@@ -284,7 +284,7 @@ def corner_transport_residual(inst: ImaginaroidInstance, a, b, c, d):
 
         f(-1) = ac,   f(xhat) = -(d b*),   g(1) = cb,   g(xhat) = a* d.
     """
-    mul, conj, neg, unit = inst.mul, inst.conj, inst.neg, inst.unit
+    mul, conj, neg, unit = carrier.mul, carrier.conj, carrier.neg, carrier.unit
     ac = mul(a, c)
     xhat = mul(mul(mul(conj(c), conj(a)), d), conj(b))
 
@@ -303,8 +303,8 @@ def corner_transport_residual(inst: ImaginaroidInstance, a, b, c, d):
     return worst_of(checks, lambda check: max_abs_diff(check[1], check[2]))
 
 
-def _corner_transport(inst, inputs):
-    worst, detail = corner_transport_residual(inst, *inputs)
+def _corner_transport(carrier, inputs):
+    worst, detail = corner_transport_residual(carrier, *inputs)
     if detail is None:
         return 0, None, None
     return worst, detail[1], detail[2]
@@ -314,8 +314,10 @@ def corner_transport_check(inst: ImaginaroidInstance, a, b, c, d,
                            *, allow_unverified: bool = False) -> LawReport:
     """Check the four corner identities for one 4-tuple of suspension points."""
     _require_assoc(inst, allow_unverified)
-    return execute_check("corner-transport", inst.name, partial(_corner_transport, inst),
-                         structured=[(a, b, c, d)], samples=0)
+    return execute_check(
+        "corner-transport", inst.name,
+        partial(_corner_transport, _sphere_carrier(inst.name, inst.susp_dim)),
+        structured=[(a, b, c, d)], samples=0)
 
 
 def corner_transport_suite(inst: ImaginaroidInstance,
@@ -326,11 +328,11 @@ def corner_transport_suite(inst: ImaginaroidInstance,
                            tolerance: float = 1e-9,
                            allow_unverified: bool = False,
                            expect_holds: bool = True) -> LawReport:
-    """Corner identities over random unit 4-tuples of the suspension."""
+    """Corner identities over random unit 4-tuples of the suspension (no structured scan)."""
     _require_assoc(inst, allow_unverified)
-    (report,) = run_laws(
-        (("corner-transport", _corner_transport, 4),), inst.name, inst,
-        draw=_unit_points(inst.susp_dim, mode),
+    (report,) = _carrier_laws(
+        (("corner-transport", _corner_transport, 4),),
+        replace(_sphere_carrier(inst.name, inst.susp_dim), structured=()),
         suite=lambda law: f"laws/{inst.name}/corner/{mode}",
         expect=lambda law: expect_holds, samples=samples, seed=seed, mode=mode,
         tolerance=tolerance)
@@ -347,55 +349,24 @@ def _require_assoc(inst: ImaginaroidInstance, allow_unverified: bool):
 # H-space checks
 
 
-@dataclass(frozen=True)
-class HSpaceCarrier:
-    """A pointed carrier with multiplication and a conjugation-like inverse.
-
-    Points are coordinate sequences (tuples or join points), so the laws
-    compare them like spheroid points; sample/structured produce them and
-    mul/star combine them.  Translation invertibility is checked through
-    explicit two-sided conjugate inverses, which is sound for all carriers
-    provided here (groups or alternative-algebra spheres).
-    """
-
-    name: str
-    unit: object
-    mul: Callable
-    star: Callable
-    sample: Callable          # (rng, mode) -> point
-    structured: tuple
-
-
-def sphere_hspace_carrier(name: str) -> HSpaceCarrier:
-    """Carriers backed directly by a Cayley-Dickson sphere: s0, s1, s3."""
-    s = spheroid_instance(name)
-    return HSpaceCarrier(
-        name=name,
-        unit=s.unit,
-        mul=s.mul,
-        star=s.conj,
-        sample=lambda rng, mode: rand_unit(rng, s.dim, mode),
-        structured=_signed_basis(s.dim))
-
-
 def _left_inv(c, inputs):
     a, x = inputs
-    return compare(c.mul(c.star(a), c.mul(a, x)), x)
+    return compare(c.mul(c.conj(a), c.mul(a, x)), x)
 
 
 def _left_inv_alt(c, inputs):
     a, x = inputs
-    return compare(c.mul(a, c.mul(c.star(a), x)), x)
+    return compare(c.mul(a, c.mul(c.conj(a), x)), x)
 
 
 def _right_inv(c, inputs):
     a, x = inputs
-    return compare(c.mul(c.mul(x, a), c.star(a)), x)
+    return compare(c.mul(c.mul(x, a), c.conj(a)), x)
 
 
 def _right_inv_alt(c, inputs):
     a, x = inputs
-    return compare(c.mul(c.mul(x, c.star(a)), a), x)
+    return compare(c.mul(c.mul(x, c.conj(a)), a), x)
 
 
 HSPACE_UNIT_LAWS = (
@@ -411,16 +382,18 @@ HSPACE_LAWS = HSPACE_UNIT_LAWS + (
 )
 
 
-def hspace_check(carrier: HSpaceCarrier,
+def hspace_check(carrier: Carrier,
                  samples: int = 10000,
                  seed: int = 0,
                  mode: str = "exact",
                  *,
                  tolerance: float = 1e-9) -> list:
-    """Unit laws plus two-sided conjugate-inverse identities for translations."""
-    return run_laws(
-        HSPACE_LAWS, carrier.name, carrier,
-        structured=lambda arity: product(carrier.structured, repeat=arity),
-        draw=lambda rng, arity, i: tuple(carrier.sample(rng, mode) for _ in range(arity)),
-        suite=lambda law: f"hspace/{carrier.name}/{law}/{mode}", samples=samples,
-        seed=seed, mode=mode, tolerance=tolerance)
+    """Unit laws plus two-sided conjugate-inverse identities for translations.
+
+    Translation invertibility is checked through explicit two-sided
+    conjugate inverses, which is sound for all carriers provided here
+    (groups or alternative-algebra spheres).
+    """
+    return _carrier_laws(
+        HSPACE_LAWS, carrier, suite=lambda law: f"hspace/{carrier.name}/{law}/{mode}",
+        samples=samples, seed=seed, mode=mode, tolerance=tolerance)

@@ -13,7 +13,7 @@ import pytest
 from hopfcheck import cdalg, hopf, joinmul, laws
 from hopfcheck.checks import (REPORT_FIELDS, STATUS_FAILS, compare, execute_check,
                               max_abs_diff, worst_of)
-from hopfcheck.errors import PreconditionError
+from hopfcheck.errors import PreconditionError, UsageError
 from hopfcheck.sampling import CounterRng, _suite_key
 
 NAN = math.nan
@@ -108,7 +108,7 @@ NAN_ARC = ((ONE, (NAN, 0.0, 0.0, 0.0), 0.6, 0.8), ONE)
 @pytest.mark.parametrize("site", [
     lambda: hopf._fiber_completeness(None, NAN_ARC),
     lambda: laws.corner_transport_residual(
-        laws.imaginaroid_instance("s2"), (0.0, NAN, 0.0, 0.0), ONE, ONE, ONE),
+        laws.spheroid_instance("s3"), (0.0, NAN, 0.0, 0.0), ONE, ONE, ONE),
     lambda: joinmul._worst_pair([((2.0,), (1.0,)), ((NAN,), (1.0,)), ((9.0,), (1.0,))]),
 ], ids=["fiber-completeness", "corner-transport", "worst-pair"])
 def test_combined_residuals_keep_nan(site):
@@ -180,18 +180,27 @@ def test_law_that_raises_fails_with_witness(expect_holds):
     assert structured.max_residual == 0.0 and not structured.expected
 
 
-def test_skipped_gate_and_sampler_errors_propagate():
+@pytest.mark.parametrize("error", [ValueError, UsageError])
+def test_skipped_gate_propagates_and_sampler_error_fails(error):
     def gated(inputs):
         raise PreconditionError("gate skipped")
 
     with pytest.raises(PreconditionError):
         execute_check("gated", "test", gated, structured=[()])
+    with pytest.raises(PreconditionError):
+        execute_check("law", "test", _raises_on_three, sampler=gated, samples=2)
 
     def sampler(i):
-        raise ValueError("bad draw")
+        if i == 2:
+            raise error("bad draw")
+        return (i,)
 
-    with pytest.raises(ValueError, match="bad draw"):
-        execute_check("law", "test", _raises_on_three, sampler=sampler, samples=2)
+    for expect_holds in (True, False):
+        report = execute_check("law", "test", _raises_on_three, sampler=sampler, samples=5,
+                               mode="float", tolerance=1.0, expect_holds=expect_holds)
+        assert report.status == STATUS_FAILS and not report.expected
+        assert report.witness == {"sample": 2, "error": f"{error.__name__}: bad draw"}
+        assert report.max_residual == 0.1    # the largest residual before the sampler raised
 
 
 def test_report_dict_follows_the_field_order():

@@ -9,10 +9,11 @@ import threading
 
 import pytest
 
-from hopfcheck import __version__, cdalg, cli
+from hopfcheck import __version__, cdalg, cli, joinmul, laws
 from hopfcheck.checks import ReportDocument
 from hopfcheck.cli import emit, main
-from hopfcheck.errors import InvariantViolation, NotInvertibleError, PreconditionError
+from hopfcheck.errors import (InvariantViolation, NotInvertibleError, PreconditionError,
+                              UsageError)
 
 REPORT_KEYS = {"law", "instance", "status", "samples", "tolerance",
                "max_residual", "seed", "duration_ms", "expected"}
@@ -77,6 +78,44 @@ def test_kernel_without_zero_products_is_an_internal_error(monkeypatch, capsys):
     assert err.startswith("hopfcheck: internal error: ")
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("error", [ValueError, UsageError])
+def test_raising_sampler_fails_each_sampled_law(error, tmp_path, monkeypatch, capsys):
+    # neither a traceback nor a usage error: the sampled phase fails at sample 0
+    def rand_unit(rng, dim, mode):
+        raise error("no draw")
+
+    monkeypatch.setattr(laws, "rand_unit", rand_unit)
+    code, doc = run_cli_json(tmp_path, "spheroid", "--instance", "s1", "--samples", "5")
+    assert code == 1 and doc["overall"] == "fail"
+    assert capsys.readouterr().err == ""
+    by_law = {r["law"]: r for r in doc["reports"]}
+    assert len(by_law) == len(doc["reports"]) == len(laws.SPHEROID_LAWS)
+    assert by_law.pop("one-star")["status"] == "holds-exact"     # arity 0: never sampled
+    for r in by_law.values():
+        assert r["status"] == "fails" and not r["expected"]
+        assert r["witness"] == {"sample": 0, "error": f"{error.__name__}: no draw"}
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_broken_filler_fails_every_grid_law(mode, tmp_path, monkeypatch):
+    original = joinmul._reduced_blocks
+
+    def zero_left(sigma, tau, one, x):
+        left, right = original(sigma, tau, one, x)
+        return tuple(0 * c for c in left), right
+
+    monkeypatch.setattr(joinmul, "_reduced_blocks", zero_left)
+    code, doc = run_cli_json(tmp_path, "diamond", "--instance", "s2", "--grid", "4",
+                             "--samples", "4", "--mode", mode)
+    assert code == 1 and doc["overall"] == "fail"
+    by_law = {r["law"]: r for r in doc["reports"]}
+    assert set(by_law) == {"filler-unit-norm", "filler-boundary", "filler-pole-reduction"}
+    for r in by_law.values():
+        assert r["status"] == "fails" and not r["expected"] and r["witness"]["inputs"]
+    # the pole row builds JoinPoints, whose unit-norm check raises
+    assert by_law["filler-pole-reduction"]["witness"]["error"].startswith("UsageError: ")
 
 
 def test_expected_ladder_failures_exit_zero(tmp_path):

@@ -18,6 +18,7 @@ import contextlib
 import io
 import json
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -81,15 +82,12 @@ def _verified(name: str):
 
 
 def _broken_conj_spheroid():
-    inst = spheroid_instance("s1")
-    return type(inst)(name="broken-conj", dim=2, unit=inst.unit, mul=inst.mul,
-                      conj=lambda x: x, neg=inst.neg)
+    return replace(spheroid_instance("s1"), name="broken-conj", conj=lambda x: x)
 
 
 def _broken_unit_carrier():
-    c = sphere_hspace_carrier("s1")
-    return type(c)(name="broken-unit", unit=(Fraction(0), Fraction(1)), mul=c.mul,
-                   star=c.star, sample=c.sample, structured=c.structured)
+    return replace(sphere_hspace_carrier("s1"), name="broken-unit",
+                   unit=(Fraction(0), Fraction(1)))
 
 
 def _library_suites(mode: str) -> dict:

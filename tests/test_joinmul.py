@@ -343,7 +343,7 @@ def test_views_and_products_share_one_zero_block_rule():
 
 def _rational_join_mul(X, Y, inst):
     """join_mul_syn's body before exact operands were lifted to integers."""
-    mul, conj = inst.mul, inst.conj
+    mul, conj = mul_coeffs, conj_coeffs
     p, q = X.left, X.right
     r, w = Y.left, Y.right
     p2, q2 = norm_coeffs(p), norm_coeffs(q)
