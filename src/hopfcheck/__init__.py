@@ -4,18 +4,14 @@ floating-point law suites."""
 
 __version__ = "0.1.0"
 
-from .cdalg import (CDElement, associator, cd_conj, cd_inverse, cd_mul, cd_norm,
-                    commutator, law_suite, zero_divisor_search)
+from .cdalg import conj_coeffs, law_suite, mul_coeffs, norm_coeffs, zero_divisor_search
 from .checks import LawReport, ReportDocument
-from .errors import (InvariantViolation, NotInvertibleError, PreconditionError,
-                     UsageError)
+from .errors import InvariantViolation, PreconditionError, UsageError
 from .hopf import HopfInstance, fiber_check, fibration_report, hopf_instance, hopf_map
 from .joinmul import (DiamondProblem, SquareFiller, diamond_suite, fill_refl_diamond,
                       join_mul_alg, join_mul_syn, oracle_equivalence_suite,
                       reduced_diamond_filler, unit_law_check)
 from .laws import (Carrier, ImaginaroidInstance, assoc_check, corner_transport_check,
                    corner_transport_suite, hspace_check, imaginaroid_check,
-                   imaginaroid_instance, spheroid_check, spheroid_instance,
-                   sphere_hspace_carrier)
-from .spheremodel import (JoinPoint, JoinView, SpherePoint, SuspPoint, join_embed,
-                          join_functor, join_view, susp_conj, susp_neg)
+                   imaginaroid_instance, spheroid_check, spheroid_instance)
+from .spheremodel import JoinPoint, JoinView, SpherePoint, join_embed, join_functor, join_view

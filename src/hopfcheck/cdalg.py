@@ -10,8 +10,9 @@ level doubles the previous one with
 
 taken literally, so the induced quaternion basis satisfies e1 e2 = -e3
 (the mirror of the textbook orientation; every law checked here is
-orientation-independent).  Coefficients are exact rationals or floats
-(levels are capped at 5).
+orientation-independent).  An element is a tuple of its 2^n coefficients,
+e0 first; coefficients are exact rationals or floats (levels are capped
+at 5).
 
 Basis products satisfy e_i e_j = +-e_(i xor j) at every level, so exact
 multiplication is one loop over a per-level sign table, read off the
@@ -38,16 +39,15 @@ sign table (`zero_pairs`) and confirms its witness with one kernel product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import chain, combinations, islice, product
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional
 
 from .checks import compare, max_abs_diff, run_laws, worst_of
-from .errors import InvariantViolation, NotInvertibleError, UsageError
+from .errors import InvariantViolation, UsageError
 from .sampling import rand_coeffs
-from .spheremodel import _EXACT, basis_coords, is_exact, lift, norm_coeffs
+from .spheremodel import _EXACT, basis_coords, lift, norm_coeffs
 
 MAX_LEVEL = 5
 STRUCTURED_CAP = 6000   # structured inputs scanned per ladder law
@@ -220,118 +220,6 @@ def _float_kernel(n: int):
     scope = {}
     exec(compile(source, f"<cdalg float kernel, dim {n}>", "exec"), scope)
     return scope["kernel"]
-
-
-# ---------------------------------------------------------------------------
-# elements
-
-
-@dataclass(frozen=True)
-class CDElement:
-    """One element of the level-n algebra: 2^n coefficients, e0 first."""
-
-    level: int
-    coeffs: tuple
-
-    def __post_init__(self):
-        if len(self.coeffs) != 1 << self.level:
-            raise UsageError(
-                f"level {self.level} needs {1 << self.level} coefficients, "
-                f"got {len(self.coeffs)}")
-
-    @classmethod
-    def from_coeffs(cls, coeffs: Sequence) -> "CDElement":
-        coeffs = tuple(coeffs)
-        n = len(coeffs)
-        if n == 0 or n & (n - 1):
-            raise UsageError("coefficient count must be a power of two")
-        return cls(n.bit_length() - 1, coeffs)
-
-    @classmethod
-    def zero(cls, level: int) -> "CDElement":
-        return cls(level, (Fraction(0),) * (1 << level))
-
-    @classmethod
-    def one(cls, level: int) -> "CDElement":
-        return cls.basis(level, 0)
-
-    @classmethod
-    def basis(cls, level: int, i: int, sign: int = 1) -> "CDElement":
-        return cls(level, basis_coords(1 << level, i, Fraction(sign)))
-
-    def _require_same_level(self, other: "CDElement"):
-        if self.level != other.level:
-            raise UsageError(f"level mismatch: {self.level} vs {other.level}")
-
-    def __add__(self, other: "CDElement") -> "CDElement":
-        self._require_same_level(other)
-        return CDElement(self.level, tuple(x + y for x, y in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "CDElement") -> "CDElement":
-        self._require_same_level(other)
-        return CDElement(self.level, tuple(x - y for x, y in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> "CDElement":
-        return CDElement(self.level, tuple(-x for x in self.coeffs))
-
-    def __mul__(self, other: "CDElement") -> "CDElement":
-        return cd_mul(self, other)
-
-    def conj(self) -> "CDElement":
-        return cd_conj(self)
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    def scale(self, s) -> "CDElement":
-        return CDElement(self.level, tuple(s * c for c in self.coeffs))
-
-
-def cd_mul(a: CDElement, b: CDElement) -> CDElement:
-    a._require_same_level(b)
-    return CDElement(a.level, mul_coeffs(a.coeffs, b.coeffs))
-
-
-def cd_conj(a: CDElement) -> CDElement:
-    return CDElement(a.level, conj_coeffs(a.coeffs))
-
-
-def cd_norm(a: CDElement):
-    """The norm a a*: returns its real part after asserting the product is real.
-
-    The product a a* must match the coefficient-square sum exactly (or to
-    rounding in float mode); a mismatch means the kernel itself is broken.
-    """
-    prod = mul_coeffs(a.coeffs, conj_coeffs(a.coeffs))
-    sumsq = norm_coeffs(a.coeffs)
-    if is_exact(a.coeffs):
-        if any(prod[1:]) or prod[0] != sumsq:
-            raise InvariantViolation(f"a a* is not real at level {a.level}: {prod}")
-    else:
-        eps = 1e-9 * max(1.0, sumsq)
-        if any(abs(c) > eps for c in prod[1:]) or abs(prod[0] - sumsq) > eps:
-            raise InvariantViolation(f"a a* is not real at level {a.level}: {prod}")
-    return prod[0]
-
-
-def cd_inverse(a: CDElement) -> CDElement:
-    """a^-1 = a* / (a a*).  Defined whenever the norm is nonzero; the inverse
-    law itself may fail at level >= 4, which the law suite reports."""
-    n = cd_norm(a)
-    if n == 0:
-        raise NotInvertibleError("zero norm: not invertible")
-    return CDElement(a.level, tuple(c / n for c in conj_coeffs(a.coeffs)))
-
-
-def associator(a: CDElement, b: CDElement, c: CDElement) -> CDElement:
-    a._require_same_level(b)
-    a._require_same_level(c)
-    return (a * b) * c - a * (b * c)
-
-
-def commutator(a: CDElement, b: CDElement) -> CDElement:
-    a._require_same_level(b)
-    return a * b - b * a
 
 
 # ---------------------------------------------------------------------------
@@ -520,9 +408,10 @@ def zero_divisor_search(level: int, mode: str = "exact") -> Optional[tuple]:
     and signs, reading the product off the sign table (`zero_pairs`: only
     pairs with i xor j = k xor l can vanish), and confirms the first hit
     with one kernel product; a kernel that disagrees raises
-    InvariantViolation.  Returns None when the whole family multiplies
-    without a zero (levels <= 3).  In float mode the witness pair is
-    scaled to unit norm for reporting.
+    InvariantViolation.  Returns the pair as two coefficient tuples of
+    Fractions, or None when the whole family multiplies without a zero
+    (levels <= 3).  In float mode the pair is scaled to unit norm floats
+    for reporting.
     """
     if not 0 <= level <= MAX_LEVEL:
         raise UsageError(f"level must be within 0..{MAX_LEVEL}")
@@ -535,8 +424,5 @@ def zero_divisor_search(level: int, mode: str = "exact") -> Optional[tuple]:
             f"the sign table zeroes {a} {b} at level {level}, the kernel does not")
     if mode == "float":
         scale = (1 / norm_coeffs(a)) ** 0.5
-        a = tuple(float(c) * scale for c in a)
-        b = tuple(float(c) * scale for c in b)
-        return (CDElement(level, a), CDElement(level, b))
-    return (CDElement(level, tuple(Fraction(c) for c in a)),
-            CDElement(level, tuple(Fraction(c) for c in b)))
+        return tuple(float(c) * scale for c in a), tuple(float(c) * scale for c in b)
+    return tuple(map(Fraction, a)), tuple(map(Fraction, b))

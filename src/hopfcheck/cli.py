@@ -22,12 +22,11 @@ from . import __version__
 from .checks import (REPORT_FIELDS, STATUS_FAILS, STATUS_HOLDS_EXACT, LawReport,
                      ReportDocument, coeffs_to_json)
 from .cdalg import law_suite, zero_divisor_search
-from .errors import InvariantViolation, NotInvertibleError, PreconditionError, UsageError
+from .errors import InvariantViolation, PreconditionError, UsageError
 from .hopf import FIBRATIONS, fiber_check, fibration_report, hopf_instance
 from .joinmul import diamond_suite, join_hspace_carrier, oracle_equivalence_suite
 from .laws import (assoc_check, hspace_check, imaginaroid_check,
-                   imaginaroid_instance, spheroid_check, spheroid_instance,
-                   sphere_hspace_carrier)
+                   imaginaroid_instance, spheroid_check, spheroid_instance)
 
 EXIT_OK = 0
 EXIT_UNEXPECTED = 1
@@ -73,8 +72,8 @@ def _zerodiv(config: RunConfig, kw: dict) -> list:
     duration = (time.perf_counter() - t0) * 1000.0
     if witness is not None:
         a, b = witness
-        witness = {"inputs": [coeffs_to_json(a.coeffs), coeffs_to_json(b.coeffs)],
-                   "lhs": coeffs_to_json(tuple(0 for _ in a.coeffs)),
+        witness = {"inputs": [coeffs_to_json(a), coeffs_to_json(b)],
+                   "lhs": coeffs_to_json((0,) * len(a)),
                    "rhs": "zero product of nonzero factors"}
     return [LawReport(
         law="zero-divisor-search", instance=f"level-{config.level}",
@@ -85,7 +84,7 @@ def _zerodiv(config: RunConfig, kw: dict) -> list:
 
 def _hspace(config: RunConfig, kw: dict) -> list:
     if config.instance != "s7":
-        return hspace_check(sphere_hspace_carrier(config.instance), **kw)
+        return hspace_check(spheroid_instance(config.instance), **kw)
     inst = imaginaroid_instance("s2")
     assoc = assoc_check(inst, **kw)
     if not assoc.holds:     # the join suites need an associative fiber
@@ -236,7 +235,7 @@ def main(argv=None) -> int:
     except UsageError as err:
         print(f"hopfcheck: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except (PreconditionError, InvariantViolation, NotInvertibleError) as err:
+    except (PreconditionError, InvariantViolation) as err:
         print(f"hopfcheck: internal error: {type(err).__name__}: {err}", file=sys.stderr)
         return EXIT_UNEXPECTED
 

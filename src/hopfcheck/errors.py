@@ -5,10 +5,6 @@ class UsageError(ValueError):
     """Caller violated an operation's precondition (bad levels, bad parameters)."""
 
 
-class NotInvertibleError(ArithmeticError):
-    """Inverse requested for an element of zero norm."""
-
-
 class PreconditionError(RuntimeError):
     """A required verification (e.g. associativity) has not been run or failed."""
 

@@ -8,7 +8,8 @@ inl to the north pole, inr to the south pole, and the glue arc through
 
 which is polynomial in the coordinates, hence exact on rational points.
 The three instances are G = S^0, S^1, S^3, giving the real, complex and
-quaternionic fibrations S^0->S^1->S^1, S^1->S^3->S^2, S^3->S^7->S^4.
+quaternionic fibrations S^0->S^1->S^1, S^1->S^3->S^2, S^3->S^7->S^4;
+hopf_map lands in a `SpherePoint` of the base, axis coordinate first.
 The fiber over a non-polar point is the translate family
 (u, v) -> (u w, w* v); membership, completeness, separation and the polar
 fibers are checked concretely.  fibration_report returns the aggregate
@@ -24,11 +25,11 @@ from functools import cache
 from .cdalg import conj_coeffs, mul_coeffs, norm_coeffs
 from .checks import LawReport, compare, execute_check, max_abs_diff, run_laws, worst_of
 from .errors import UsageError
-from .laws import (ImaginaroidInstance, assoc_check, hspace_check,
-                   imaginaroid_instance, sphere_hspace_carrier)
+from .laws import (ImaginaroidInstance, assoc_check, hspace_check, imaginaroid_instance,
+                   spheroid_instance)
 from .joinmul import oracle_equivalence_suite, unit_law_check
 from .sampling import rand_quarter_pair, rand_unit
-from .spheremodel import JoinPoint, SuspPoint, arc_point, basis_coords
+from .spheremodel import JoinPoint, SpherePoint, arc_point, basis_coords, block_dim_error
 
 #: fibration name -> imaginaroid whose suspension is the fiber sphere G
 FIBRATIONS = {"real": "empty", "complex": "s0", "quaternionic": "s2"}
@@ -60,16 +61,19 @@ def hopf_instance(name: str) -> HopfInstance:
     return HopfInstance(name, imaginaroid_instance(FIBRATIONS[name]))
 
 
-def hopf_map(x: JoinPoint, inst: HopfInstance) -> SuspPoint:
-    """Project a point of join(G, G) to susp(G).
+def hopf_map(x: JoinPoint, inst: HopfInstance) -> SpherePoint:
+    """Project a point of join(G, G) to susp(G), a point of S^(n+1) for G = S^n.
 
     inl points land on the north pole, inr points on the south pole, and
-    the output is independent of the vanishing factor there.
+    the output is independent of the vanishing factor there.  Both blocks
+    must have G's ambient dimension.
     """
     p, q = x.left, x.right
+    if not len(p) == len(q) == inst.fiber_dim:
+        raise block_dim_error(inst.fiber_dim, x)
     head = norm_coeffs(p) - norm_coeffs(q)
     tail = tuple(2 * c for c in mul_coeffs(p, q))
-    return SuspPoint((head,) + tail)
+    return SpherePoint((head,) + tail)
 
 
 def _translate(u, v, w):
@@ -211,7 +215,7 @@ def fibration_report(inst: HopfInstance,
     reports = fiber_check(inst, **kw)     # first: it rejects a vacuous tolerance
     imag = inst.imag
     assoc = assoc_check(imag, **kw)
-    reports += [assoc] + hspace_check(sphere_hspace_carrier(f"s{imag.susp_dim - 1}"), **kw)
+    reports += [assoc] + hspace_check(spheroid_instance(f"s{imag.susp_dim - 1}"), **kw)
     if assoc.holds:     # the join suites need an associative fiber
         reports += unit_law_check(imag, **kw) + oracle_equivalence_suite(imag, **kw)
     reports.append(dimension_report(inst, seed=seed))

@@ -48,7 +48,8 @@ from .errors import UsageError
 from .laws import (HSPACE_UNIT_LAWS, Carrier, ImaginaroidInstance, _require_assoc,
                    _signed_basis)
 from .sampling import CounterRng, quarter_grid, rand_quarter_pair, rand_unit
-from .spheremodel import JoinPoint, SpherePoint, arc_point, basis_coords, is_exact, zero_norm_bound
+from .spheremodel import (JoinPoint, SpherePoint, arc_point, basis_coords, block_dim_error,
+                          is_exact, zero_norm_bound)
 
 #: report-instance names for the join carriers, keyed by imaginaroid name
 JOIN_INSTANCE = {"empty": "s1", "s0": "s3", "s2": "s7"}
@@ -240,11 +241,14 @@ def join_mul_syn(X: JoinPoint, Y: JoinPoint, inst: ImaginaroidInstance,
     squared norms, and two arcs multiply on ints (`_arc_blocks`).  Values
     and scalar types are those of the rational form.  Other operands
     (floats, ints, int/Fraction mixes) take the rational form directly.
+    Every block must have the suspension's dimension.
     """
     _require_assoc(inst, allow_unverified)
-    mul, conj = mul_coeffs, conj_coeffs
     p, q = X.left, X.right
     r, w = Y.left, Y.right
+    if not len(p) == len(q) == len(r) == len(w) == inst.susp_dim:
+        raise block_dim_error(inst.susp_dim, X, Y)
+    mul, conj = mul_coeffs, conj_coeffs
     xs, ys = X.flatten(), Y.flatten()
     eps2 = zero_norm_bound(xs + ys)
     lifted = eps2 == 0 and all(type(c) is Fraction for c in xs + ys)
@@ -311,13 +315,14 @@ def join_mul_alg(X: JoinPoint, Y: JoinPoint, level: int) -> JoinPoint:
     """Oracle: multiply the embedded pairs as one element of the doubled algebra.
 
     Valid through level 3, where the product of unit vectors is still a
-    unit vector; beyond that the output would leave the join model.
+    unit vector; beyond that the output would leave the join model.  Every
+    block must have dimension 2^(level - 1).
     """
     if level > 3:
         raise UsageError("doubled product does not preserve the norm beyond level 3")
     half = 1 << (level - 1)
-    if len(X.left) != half or len(Y.left) != half:
-        raise UsageError("embedded pair does not match the requested level")
+    if not len(X.left) == len(X.right) == len(Y.left) == len(Y.right) == half:
+        raise block_dim_error(half, X, Y)
     prod = mul_coeffs(X.flatten(), Y.flatten())
     return JoinPoint(prod[:half], prod[half:])
 

@@ -105,10 +105,6 @@ def spheroid_instance(name: str) -> Carrier:
     return _sphere_carrier(name, dims[name])
 
 
-#: the H-space carriers backed directly by a Cayley-Dickson sphere are the spheroids
-sphere_hspace_carrier = spheroid_instance
-
-
 def imaginaroid_instance(name: str) -> ImaginaroidInstance:
     """Provided imaginaroids, named by their base sphere.
 

@@ -3,11 +3,13 @@
 A point of join(X, Y) is stored directly in embedded coordinates: a pair
 (p, q) of ambient vectors with |p|^2 + |q|^2 = 1.  The constructor view
 (inl / inr / glue) is derived from the pair, never stored, which keeps
-every comparison exact in rational mode.  The suspension of X is the
-special case join(S^0, X), realized as a unit vector whose first
-coordinate plays the suspension axis: the poles are N = (1, 0, ...) and
-S = (-1, 0, ...), and the meridian through a base point a is
-theta -> (cos theta, sin theta * a).
+every comparison exact in rational mode.  The suspension of S^n is
+join(S^0, S^n), realized as S^(n+1): a `SpherePoint` whose first
+coordinate is the suspension axis, with poles N = (1, 0, ...) and
+S = (-1, 0, ...) and the meridian through a base point a
+theta -> (cos theta, sin theta * a).  The Cayley-Dickson conjugation fixes
+both poles and sends the meridian through a to the one through -a;
+negation swaps the poles.  `hopf.hopf_map` lands in a `SpherePoint`.
 
 Every point is checked for unit norm when it is built.  Exact
 coordinates are lifted to integer numerators over a common denominator
@@ -130,45 +132,6 @@ class SpherePoint:
 
 
 @dataclass(frozen=True)
-class SuspPoint:
-    """Point of the suspension of a sphere: first coordinate is the axis."""
-
-    coords: tuple
-
-    def __post_init__(self):
-        if len(self.coords) < 1:
-            raise UsageError("suspension point needs at least one coordinate")
-        _check_unit(self.coords, "suspension point")
-
-    @property
-    def base_dim(self) -> int:
-        return len(self.coords) - 1
-
-    @classmethod
-    def north(cls, base_dim: int) -> "SuspPoint":
-        return cls(basis_coords(base_dim + 1, 0, Fraction(1)))
-
-    @classmethod
-    def south(cls, base_dim: int) -> "SuspPoint":
-        return cls(basis_coords(base_dim + 1, 0, Fraction(-1)))
-
-    @classmethod
-    def meridian(cls, a: SpherePoint, c, s) -> "SuspPoint":
-        """The point (c, s*a) with (c, s) on the full circle c^2 + s^2 = 1."""
-        return cls((c,) + tuple(s * x for x in a.coords))
-
-
-def susp_neg(x: SuspPoint) -> SuspPoint:
-    """The antipode: swaps the poles and reverses each meridian through -a."""
-    return SuspPoint(tuple(-c for c in x.coords))
-
-
-def susp_conj(x: SuspPoint) -> SuspPoint:
-    """Fixes both poles and sends the meridian through a to the one through -a."""
-    return SuspPoint((x.coords[0],) + tuple(-c for c in x.coords[1:]))
-
-
-@dataclass(frozen=True)
 class JoinPoint:
     """Embedded point of join(X, Y): vectors (p, q) with |p|^2 + |q|^2 = 1.
 
@@ -186,6 +149,13 @@ class JoinPoint:
 
     def flatten(self) -> tuple:
         return self.left + self.right
+
+
+def block_dim_error(dim: int, *points: JoinPoint) -> UsageError:
+    """The error for join points whose blocks do not all have dimension dim.
+    Callers compare the block lengths inline: the check runs on every product."""
+    got = "; ".join(f"{len(x.left)} and {len(x.right)}" for x in points)
+    return UsageError(f"join point blocks must have dimension {dim}, got {got}")
 
 
 @dataclass(frozen=True)
@@ -279,16 +249,3 @@ def _check_orthonormal(f: Callable, dim: int, what: str):
             if bad:
                 raise UsageError(f"{what} is not norm-preserving on the probe basis")
 
-
-# --- the suspension as the join with S^0 -----------------------------------
-
-
-def susp_to_join(x: SuspPoint) -> JoinPoint:
-    """View a suspension point inside join(S^0, X): ((x0), tail)."""
-    return JoinPoint((x.coords[0],), x.coords[1:])
-
-
-def join_to_susp(x: JoinPoint) -> SuspPoint:
-    if len(x.left) != 1:
-        raise UsageError("left factor must be one-dimensional")
-    return SuspPoint(x.left + x.right)

@@ -12,8 +12,7 @@ import pytest
 from hopfcheck import __version__, cdalg, cli, joinmul, laws
 from hopfcheck.checks import ReportDocument
 from hopfcheck.cli import emit, main
-from hopfcheck.errors import (InvariantViolation, NotInvertibleError, PreconditionError,
-                              UsageError)
+from hopfcheck.errors import InvariantViolation, PreconditionError, UsageError
 
 REPORT_KEYS = {"law", "instance", "status", "samples", "tolerance",
                "max_residual", "seed", "duration_ms", "expected"}
@@ -137,7 +136,7 @@ def test_unknown_flag_exits_2():
     assert run_cli("laws", "--level", "1", "--frobnicate") == 2
 
 
-@pytest.mark.parametrize("error", [PreconditionError, InvariantViolation, NotInvertibleError])
+@pytest.mark.parametrize("error", [PreconditionError, InvariantViolation])
 def test_internal_error_exits_1_with_one_line(error, monkeypatch, capsys):
     def run(config):
         raise error("injected")
@@ -356,11 +355,11 @@ def test_invalid_env_seed_exits_2(monkeypatch):
 
 # --- console entry point --------------------------------------------------------------
 
-def test_module_invocation_matches_entry_point():
+def test_module_invocation_matches_entry_point(child_env):
     proc = subprocess.run(
         [sys.executable, "-m", "hopfcheck.cli", "laws", "--level", "1",
          "--samples", "10", "--format", "json"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=child_env)
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["overall"] == "pass"

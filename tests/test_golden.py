@@ -29,7 +29,7 @@ from hopfcheck.hopf import FIBRATIONS
 from hopfcheck.joinmul import diamond_suite, join_hspace_carrier, unit_law_check
 from hopfcheck.laws import (assoc_check, corner_transport_check, corner_transport_suite,
                             hspace_check, imaginaroid_check, imaginaroid_instance,
-                            spheroid_check, spheroid_instance, sphere_hspace_carrier)
+                            spheroid_check, spheroid_instance)
 
 GOLDEN = Path(__file__).parent / "golden"
 SAMPLES = 8
@@ -86,7 +86,7 @@ def _broken_conj_spheroid():
 
 
 def _broken_unit_carrier():
-    return replace(sphere_hspace_carrier("s1"), name="broken-unit",
+    return replace(spheroid_instance("s1"), name="broken-unit",
                    unit=(Fraction(0), Fraction(1)))
 
 

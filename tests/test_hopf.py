@@ -10,11 +10,17 @@ from hopfcheck.checks import STATUS_FAILS, coeffs_to_json, execute_check, max_ab
 from hopfcheck.hopf import (dimension_report, fiber_check, fibration_report,
                             hopf_instance, hopf_map)
 from hopfcheck.sampling import CounterRng, rand_quarter_pair, rand_unit
-from hopfcheck.spheremodel import JoinPoint, SuspPoint, arc_point
+from hopfcheck.errors import UsageError
+from hopfcheck.spheremodel import JoinPoint, SpherePoint, arc_point, basis_coords
 
 
 def F(n, d=1):
     return Fraction(n, d)
+
+
+def pole(dim, sign):
+    """The north (sign 1) or south (sign -1) pole of susp(G) for G in R^dim."""
+    return basis_coords(dim + 1, 0, F(sign))
 
 
 def rational_pair(inst, seed, index=0):
@@ -34,8 +40,8 @@ def test_poles(name):
     u, v, _, _ = rational_pair(inst, 1)
     dim = inst.fiber_dim
     zero = (F(0),) * dim
-    assert hopf_map(JoinPoint(u, zero), inst).coords == SuspPoint.north(dim).coords
-    assert hopf_map(JoinPoint(zero, v), inst).coords == SuspPoint.south(dim).coords
+    assert hopf_map(JoinPoint(u, zero), inst).coords == pole(dim, 1)
+    assert hopf_map(JoinPoint(zero, v), inst).coords == pole(dim, -1)
 
 
 def test_arc_lands_on_meridian_through_product():
@@ -72,7 +78,20 @@ def test_real_projection_is_the_squaring_map():
     # (p, q) on the circle goes to (p^2 - q^2, 2pq): the double cover
     p, q = F(3, 5), F(4, 5)
     out = hopf_map(JoinPoint((p,), (q,)), inst)
+    assert isinstance(out, SpherePoint)
     assert out.coords == (F(-7, 25), F(24, 25))
+
+
+@pytest.mark.parametrize("name,blocks", [
+    ("complex", ((F(3, 5),), (F(4, 5), F(0)))),
+    ("complex", ((F(3, 5), F(0)), (F(4, 5),))),
+    ("real", ((F(3, 5), F(0)), (F(4, 5), F(0)))),
+    ("quaternionic", ((F(3, 5), F(0)), (F(4, 5), F(0)))),
+])
+def test_projection_rejects_blocks_of_the_wrong_dimension(name, blocks):
+    inst = hopf_instance(name)
+    with pytest.raises(UsageError, match=f"dimension {inst.fiber_dim}"):
+        hopf_map(JoinPoint(*blocks), inst)
 
 
 def test_inl_copy_collapses_to_north():
@@ -82,7 +101,7 @@ def test_inl_copy_collapses_to_north():
     for idx in range(8):
         rng = CounterRng(5, "test/inl", idx)
         u = rand_unit(rng, dim, "exact")
-        assert hopf_map(JoinPoint(u, zero), inst).coords == SuspPoint.north(dim).coords
+        assert hopf_map(JoinPoint(u, zero), inst).coords == pole(dim, 1)
 
 
 # --- fibers --------------------------------------------------------------------
@@ -146,8 +165,8 @@ def _fiber_polar_before(ctx, inputs):
     (u, v, c, s), _ = inputs
     north = hopf_map(arc_point(u, v, 1, 0), inst)
     south = hopf_map(arc_point(u, v, 0, 1), inst)
-    want_n = SuspPoint.north(len(u)).coords
-    want_s = SuspPoint.south(len(u)).coords
+    want_n = pole(len(u), 1)
+    want_s = pole(len(u), -1)
     r, _ = worst_of((max_abs_diff(north.coords, want_n), max_abs_diff(south.coords, want_s)))
     if not r <= 0:
         return r, north.coords, want_n
@@ -178,7 +197,7 @@ def test_fiber_polar_matches_the_body_it_replaced(name, mode):
         north = hopf_map(arc_point(u, v, 1, 0), ctx[0]).coords
         if r > 0 and max_abs_diff(north, rhs_before) < r:
             south = hopf_map(arc_point(u, v, 0, 1), ctx[0]).coords
-            assert repr((lhs, rhs)) == repr((south, SuspPoint.south(len(u)).coords))
+            assert repr((lhs, rhs)) == repr((south, pole(len(u), -1)))
         else:
             assert repr((lhs, rhs)) == repr((lhs_before, rhs_before))
 
@@ -190,7 +209,7 @@ def test_fiber_polar_witness_names_the_failing_pole():
     ctx, inputs = (hopf_instance("quaternionic"), 0), ((u, v, 0.6, 0.8), u)
     r, lhs, rhs = hopf._fiber_polar(ctx, inputs)
     assert r == 2.220446049250313e-16
-    assert rhs == SuspPoint.south(4).coords
+    assert rhs == pole(4, -1)
     assert lhs == hopf_map(arc_point(u, v, 0, 1), ctx[0]).coords
     assert max_abs_diff(lhs, rhs) == r
     # the body it replaced showed the north pair, whose sides agree

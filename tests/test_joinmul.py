@@ -233,6 +233,26 @@ def test_alg_oracle_unit_case():
     assert join_mul_alg(one, X, 1 + inst.level).flatten() == X.flatten()
 
 
+#: operand pairs with a block whose dimension is not 2, the s0 suspension's
+WRONG_DIMENSION_PAIRS = [
+    (JoinPoint((F(1), F(0)), (F(0),)), JoinPoint((F(0), F(1)), (F(0),))),
+    (JoinPoint((F(1),), (F(0), F(0))), JoinPoint((F(1), F(0)), (F(0), F(0)))),
+    (JoinPoint((F(1), F(0)), (F(0), F(0))), JoinPoint((F(0), F(0), F(1)), (F(0),))),
+]
+
+
+@pytest.mark.parametrize("X,Y", WRONG_DIMENSION_PAIRS)
+def test_syn_rejects_blocks_of_the_wrong_dimension(X, Y):
+    with pytest.raises(UsageError, match="must have dimension 2"):
+        join_mul_syn(X, Y, imaginaroid_instance("s0"), allow_unverified=True)
+
+
+@pytest.mark.parametrize("X,Y", WRONG_DIMENSION_PAIRS)
+def test_alg_oracle_rejects_blocks_of_the_wrong_dimension(X, Y):
+    with pytest.raises(UsageError, match="must have dimension 2"):
+        join_mul_alg(X, Y, 2)
+
+
 # --- oracle equivalence (the module's central claim) ----------------------------
 
 @pytest.mark.parametrize("name", ["empty", "s0", "s2"])

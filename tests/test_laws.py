@@ -14,7 +14,7 @@ from hopfcheck.joinmul import join_hspace_carrier
 from hopfcheck.laws import (assoc_check, corner_transport_check,
                             corner_transport_suite,
                             hspace_check, imaginaroid_check, imaginaroid_instance,
-                            spheroid_check, spheroid_instance, sphere_hspace_carrier)
+                            spheroid_check, spheroid_instance)
 from hopfcheck.spheremodel import JoinPoint
 
 
@@ -171,7 +171,7 @@ def test_derived_laws_follow_when_primaries_hold():
 
 @pytest.mark.parametrize("name", ["s0", "s1", "s3"])
 def test_sphere_hspace_checks_exact(name):
-    reports = hspace_check(sphere_hspace_carrier(name), samples=150, seed=11)
+    reports = hspace_check(spheroid_instance(name), samples=150, seed=11)
     assert all_hold(reports)
     assert {r.law for r in reports} == {
         "left-unit", "right-unit",
@@ -182,7 +182,7 @@ def test_sphere_hspace_checks_exact(name):
 @pytest.mark.parametrize("kind", ["sphere", "join"])
 def test_hspace_detects_broken_unit(kind):
     if kind == "sphere":
-        carrier, unit = sphere_hspace_carrier("s1"), (F(0), F(1))
+        carrier, unit = spheroid_instance("s1"), (F(0), F(1))
     else:
         inst = imaginaroid_instance("s0")
         assert assoc_check(inst, samples=20, seed=12).holds

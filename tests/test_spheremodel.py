@@ -5,16 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from hopfcheck.cdalg import CDElement, _structured_elements, mul_coeffs
+from hopfcheck import hopf
+from hopfcheck.cdalg import _structured_elements, mul_coeffs
 from hopfcheck.errors import UsageError
 from hopfcheck.sampling import CounterRng, rand_unit, stereographic
 from hopfcheck.joinmul import reduced_diamond_filler
-from hopfcheck.laws import _signed_basis, imaginaroid_instance
-from hopfcheck.spheremodel import (FLOAT_POINT_EPS, JoinPoint, SpherePoint, SuspPoint,
-                                   _check_orthonormal, _check_unit, _sum_squares, basis_coords,
-                                   exact_sqrt, is_exact, join_embed, join_functor, join_to_susp,
-                                   join_view, lift, norm_coeffs, susp_conj, susp_neg,
-                                   susp_to_join)
+from hopfcheck.laws import _signed_basis, _sphere_carrier, imaginaroid_instance, spheroid_instance
+from hopfcheck.spheremodel import (FLOAT_POINT_EPS, JoinPoint, SpherePoint, _check_orthonormal,
+                                   _check_unit, _sum_squares, basis_coords, exact_sqrt, is_exact,
+                                   join_embed, join_functor, join_view, lift, norm_coeffs)
 
 
 def F(n, d=1):
@@ -36,7 +35,6 @@ def test_sphere_point_requires_unit_norm():
 @pytest.mark.parametrize("make,message", [
     (lambda: SpherePoint((F(1, 2), F(1, 2))), "sphere point is not on the unit sphere: |x|^2 = 1/2"),
     (lambda: SpherePoint((1, 1)), "sphere point is not on the unit sphere: |x|^2 = 2"),
-    (lambda: SuspPoint((F(2), F(0))), "suspension point is not on the unit sphere: |x|^2 = 4"),
     (lambda: JoinPoint((F(3, 5),), (F(4, 5), F(1, 7))),
      "join point is not on the unit sphere: |x|^2 = 50/49"),
     (lambda: JoinPoint((), ()), "join point is not on the unit sphere: |x|^2 = 0"),
@@ -149,44 +147,46 @@ def test_exact_sqrt():
         exact_sqrt(F(2))
 
 
-# --- suspension negation and conjugation ------------------------------------
+# --- suspension negation and conjugation on the suspension carrier ----------
 
-def test_poles_swap_under_negation_and_fix_under_conjugation():
-    n = SuspPoint.north(3)
-    s = SuspPoint.south(3)
-    assert susp_neg(n).coords == s.coords
-    assert susp_neg(s).coords == n.coords
-    assert susp_conj(n).coords == n.coords
-    assert susp_conj(s).coords == s.coords
+MERIDIAN_PARAMS = ((F(5, 13), F(12, 13)), (F(-3, 5), F(4, 5)), (F(8, 17), F(-15, 17)))
 
 
-def test_meridian_formulas():
-    a = rational_unit(3, 11)
-    c, s = F(5, 13), F(12, 13)
-    m = SuspPoint.meridian(a, c, s)
-    assert susp_neg(m).coords == SuspPoint.meridian(-a, -c, s).coords
-    assert susp_conj(m).coords == SuspPoint.meridian(-a, c, s).coords
-
-
-def test_involutions_commute():
-    for idx in range(8):
-        x = SuspPoint(rand_unit(CounterRng(13, "test/susp", idx), 4, "exact"))
-        assert susp_neg(susp_neg(x)).coords == x.coords
-        assert susp_conj(susp_conj(x)).coords == x.coords
-        assert susp_conj(susp_neg(x)).coords == susp_neg(susp_conj(x)).coords
-        assert sum(c * c for c in susp_neg(x).coords) == 1
+@pytest.mark.parametrize("name", ["empty", "s0", "s2"])
+def test_suspension_carrier_maps_follow_the_meridians(name):
+    # the spheroid structure on susp(A) that the imaginaroid suites run: conj fixes
+    # both poles and sends the meridian through a to the one through -a, neg swaps
+    # the poles; (c, s) runs over the full circle
+    inst = imaginaroid_instance(name)
+    carrier = _sphere_carrier(f"susp({name})", inst.susp_dim)
+    conj, neg = carrier.conj, carrier.neg
+    north, south = (basis_coords(inst.susp_dim, 0, F(sign)) for sign in (1, -1))
+    assert conj(north) == north and conj(south) == south
+    assert neg(north) == south and neg(south) == north
+    points = [north, south]
+    for idx in range(4 if inst.base_dim else 0):
+        a = rand_unit(CounterRng(13, "test/meridian", idx), inst.base_dim, "exact")
+        for c, s in MERIDIAN_PARAMS:
+            x = (c,) + tuple(s * t for t in a)
+            assert conj(x) == (c,) + tuple(-s * t for t in a)
+            assert neg(x) == (-c,) + tuple(-s * t for t in a)
+            points.append(x)
+    for x in points:
+        assert conj(conj(x)) == x and neg(neg(x)) == x
+        assert conj(neg(x)) == neg(conj(x))
+        for y in (conj(x), neg(x)):
+            assert norm_coeffs(y) == 1 and is_exact(y)
 
 
 # --- suspension as join with S^0 --------------------------------------------
 
 def test_suspension_agrees_with_s0_join():
+    # join(S^0, S^n) embeds as S^(n+1) with the axis coordinate first
     a = rational_unit(3, 17)
     for pole, c, s in [(1, F(3, 5), F(4, 5)), (-1, F(8, 17), F(15, 17))]:
         u = SpherePoint((F(pole),))
         j = join_embed(u, a, c, s)
-        m = join_to_susp(j)
-        assert m.coords == (pole * c,) + tuple(s * x for x in a.coords)
-        assert susp_to_join(m).flatten() == j.flatten()
+        assert SpherePoint(tuple(j)).coords == (pole * c,) + tuple(s * x for x in a.coords)
 
 
 # --- join associativity via the flat embedding ------------------------------
@@ -290,15 +290,14 @@ def test_basis_coords_takes_the_scalar_type():
 
 
 def test_basis_callers_keep_their_scalar_types():
-    fractions = [SpherePoint.basis(4, 2, -1).coords, SuspPoint.north(3).coords,
-                 SuspPoint.south(3).coords, CDElement.basis(2, 3, -1).coeffs,
+    poles = [exact for exact, _ in hopf._poles(3)]
+    fractions = [SpherePoint.basis(4, 2, -1).coords, *poles, spheroid_instance("s3").unit,
                  imaginaroid_instance("s2").unit,
                  reduced_diamond_filler(SpherePoint.basis(4, 1)).problem.b.coords,
                  *_signed_basis(3)]
     for coords in fractions:
         assert _types(coords) == (Fraction,) * len(coords)
-    assert SuspPoint.south(2).coords == (-1, 0, 0)
-    assert CDElement.basis(2, 3, -1).coeffs == (0, 0, 0, -1)
+    assert hopf._poles(2)[1][0] == (-1, 0, 0)
     assert _signed_basis(2) == ((1, 0), (-1, 0), (0, 1), (0, -1))
     singles, _ = _structured_elements(2)
     assert all(_types(c) == (int,) * 4 for c in singles)
