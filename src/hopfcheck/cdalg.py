@@ -53,13 +53,14 @@ MAX_LEVEL = 5
 STRUCTURED_CAP = 6000   # structured inputs scanned per ladder law
 
 # The property ladder: which laws are expected to hold at each level.
-_LADDER = {
+LADDER = {
     "realness": lambda level: level == 0,
     "commutativity": lambda level: level <= 1,
     "associativity": lambda level: level <= 2,
     "alternativity": lambda level: level <= 3,
     "nicely-normed": lambda level: True,
     "norm-multiplicativity": lambda level: level <= 3,
+    "zero-divisor-search": lambda level: level <= 3,
 }
 
 
@@ -364,7 +365,7 @@ def law_suite(level: int,
         structured=lambda arity: structured_tuples(level, arity, STRUCTURED_CAP),
         draw=lambda rng, arity, i: tuple(rand_coeffs(rng, n, mode) for _ in range(arity)),
         suite=lambda law: f"cdalg/{law}/level-{level}/{mode}",
-        expect=lambda law: _LADDER[law](level), samples=samples, seed=seed,
+        expect=lambda law: LADDER[law](level), samples=samples, seed=seed,
         mode=mode, tolerance=tolerance)
 
 

@@ -233,10 +233,11 @@ def max_abs_diff(a: Iterable, b: Iterable):
     Equal exact coordinates are skipped without subtracting, so all-equal
     sides give int 0.  Float coordinates are always subtracted, so inf
     against inf still gives NaN.  A NaN difference is returned as soon as
-    it is seen, so it cannot hide behind a larger finite one.
+    it is seen, so it cannot hide behind a larger finite one.  Sides of
+    different lengths raise ValueError, which fails the law evaluating them.
     """
     worst = 0
-    for x, y in zip(a, b):
+    for x, y in zip(a, b, strict=True):
         if type(x) is not float and x == y:   # a float never meets Fraction.__eq__
             continue
         d = x - y

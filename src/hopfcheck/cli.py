@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from . import __version__
 from .checks import (REPORT_FIELDS, STATUS_FAILS, STATUS_HOLDS_EXACT, LawReport,
                      ReportDocument, coeffs_to_json)
-from .cdalg import law_suite, zero_divisor_search
+from .cdalg import LADDER, law_suite, zero_divisor_search
 from .errors import InvariantViolation, PreconditionError, UsageError
 from .hopf import FIBRATIONS, fiber_check, fibration_report, hopf_instance
 from .joinmul import diamond_suite, join_hspace_carrier, oracle_equivalence_suite
@@ -68,7 +68,6 @@ class RunConfig:
 def _zerodiv(config: RunConfig, kw: dict) -> list:
     t0 = time.perf_counter()
     witness = zero_divisor_search(config.level, mode=config.mode)
-    expect_none = config.level <= 3
     duration = (time.perf_counter() - t0) * 1000.0
     if witness is not None:
         a, b = witness
@@ -78,8 +77,8 @@ def _zerodiv(config: RunConfig, kw: dict) -> list:
     return [LawReport(
         law="zero-divisor-search", instance=f"level-{config.level}",
         status=STATUS_HOLDS_EXACT if witness is None else STATUS_FAILS, samples=0,
-        tolerance=None, max_residual=0.0, witness=witness, seed=config.seed,
-        duration_ms=duration, expected=(witness is None) == expect_none)]
+        tolerance=None, max_residual=0.0, witness=witness, seed=config.seed, duration_ms=duration,
+        expected=(witness is None) == LADDER["zero-divisor-search"](config.level))]
 
 
 def _hspace(config: RunConfig, kw: dict) -> list:
@@ -169,8 +168,6 @@ def run(config: RunConfig) -> ReportDocument:
         raise UsageError("samples must be >= 1")
     if config.workers < 1:
         raise UsageError("workers must be >= 1")
-    if config.grid < 1:
-        raise UsageError("grid must be >= 1")
     if not 0 <= config.tolerance < math.inf:
         raise UsageError("tolerance must be a finite number >= 0")
     if config.mode not in ("exact", "float"):

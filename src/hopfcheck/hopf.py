@@ -12,8 +12,9 @@ quaternionic fibrations S^0->S^1->S^1, S^1->S^3->S^2, S^3->S^7->S^4;
 hopf_map lands in a `SpherePoint` of the base, axis coordinate first.
 The fiber over a non-polar point is the translate family
 (u, v) -> (u w, w* v); membership, completeness, separation and the polar
-fibers are checked concretely.  fibration_report returns the aggregate
-suite as a report list, like every other suite.
+fibers are checked concretely, and the dimensions are measured on the
+model's points.  fibration_report returns the aggregate suite as a report
+list, like every other suite.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .checks import LawReport, compare, execute_check, max_abs_diff, run_laws, w
 from .errors import UsageError
 from .laws import (ImaginaroidInstance, assoc_check, hspace_check, imaginaroid_instance,
                    spheroid_instance)
-from .joinmul import oracle_equivalence_suite, unit_law_check
+from .joinmul import join_hspace_carrier, oracle_equivalence_suite, unit_law_check
 from .sampling import rand_quarter_pair, rand_unit
 from .spheremodel import JoinPoint, SpherePoint, arc_point, basis_coords, block_dim_error
 
@@ -45,14 +46,6 @@ class HopfInstance:
     @property
     def fiber_dim(self) -> int:
         return self.imag.susp_dim
-
-    @property
-    def total_dim(self) -> int:
-        return 2 * self.fiber_dim
-
-    @property
-    def base_dim(self) -> int:
-        return self.fiber_dim + 1
 
 
 def hopf_instance(name: str) -> HopfInstance:
@@ -190,11 +183,13 @@ def fiber_check(inst: HopfInstance,
 
 
 def dimension_report(inst: HopfInstance, seed: int = 0) -> LawReport:
-    """Ambient-dimension bookkeeping: fiber S^n gives total 2n+2 and base n+2."""
+    """Ambient dimensions, measured on the model: for fiber S^n, a point of
+    join(G, G) (its unit) has 2n+2 coordinates and its hopf_map image n+2."""
     n = inst.fiber_dim - 1
 
     def evaluate(inputs):
-        got = (inst.total_dim, inst.base_dim)
+        unit = join_hspace_carrier(inst.imag).unit
+        got = (len(unit.flatten()), hopf_map(unit, inst).dim)
         want = (2 * n + 2, n + 2)
         return (0 if got == want else 1), got, want
 

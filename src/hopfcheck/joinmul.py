@@ -125,23 +125,20 @@ def _edge_blocks(sigma, tau, a, a2, b, b2) -> tuple:
     raise UsageError("edge expectation requested off the boundary")
 
 
-def fill_refl_diamond(kind: str, problem: DiamondProblem) -> SquareFiller:
-    """Filler for a diamond with one constant side.
+def fill_refl_diamond(problem: DiamondProblem) -> SquareFiller:
+    """Filler for a diamond with one constant side, chosen by its corners.
 
-    kind="horizontal" needs equal right corners (b = b2) and either equal
-    or antipodal left corners; kind="vertical" dually.  These are the two
+    Both sides constant (a = a2, b = b2) gives the degenerate filler;
+    b = b2 with antipodal left corners gives the horizontal one, and
+    a = a2 with antipodal right corners the vertical one.  These are the
     configurations the pole diamonds produce, and the only ones for which
-    the bilinear filler stays on the unit sphere.
+    the bilinear filler stays on the unit sphere; any other raises.
     """
     a, a2, b, b2 = (problem.a.coords, problem.a2.coords,
                     problem.b.coords, problem.b2.coords)
-    if kind == "horizontal":
-        if b != b2:
-            raise UsageError("horizontal filler needs b = b2")
-        if a == a2:
-            return _degenerate_filler(problem)
-        if a2 != _neg(a):
-            raise UsageError("horizontal filler needs left corners equal or antipodal")
+    if a == a2 and b == b2:
+        return _degenerate_filler(problem)
+    if b == b2 and a2 == _neg(a):
 
         def evaluate(sigma, tau):
             cs, ss = sigma
@@ -152,13 +149,7 @@ def fill_refl_diamond(kind: str, problem: DiamondProblem) -> SquareFiller:
 
         return SquareFiller(problem, evaluate)
 
-    if kind == "vertical":
-        if a != a2:
-            raise UsageError("vertical filler needs a = a2")
-        if b == b2:
-            return _degenerate_filler(problem)
-        if b2 != _neg(b):
-            raise UsageError("vertical filler needs right corners equal or antipodal")
+    if a == a2 and b2 == _neg(b):
 
         def evaluate(sigma, tau):
             cs, ss = sigma
@@ -169,7 +160,7 @@ def fill_refl_diamond(kind: str, problem: DiamondProblem) -> SquareFiller:
 
         return SquareFiller(problem, evaluate)
 
-    raise UsageError(f"unknown filler kind {kind!r}")
+    raise UsageError("one side must be constant and the other's corners equal or antipodal")
 
 
 def _degenerate_filler(problem: DiamondProblem) -> SquareFiller:
@@ -314,12 +305,12 @@ def _arc_blocks(P, Q, R, W, p2, q2, r2, d) -> tuple:
 def join_mul_alg(X: JoinPoint, Y: JoinPoint, level: int) -> JoinPoint:
     """Oracle: multiply the embedded pairs as one element of the doubled algebra.
 
-    Valid through level 3, where the product of unit vectors is still a
-    unit vector; beyond that the output would leave the join model.  Every
-    block must have dimension 2^(level - 1).
+    Valid at levels 1..3: level 0 has no halves, and beyond level 3 the
+    product of unit vectors leaves the unit sphere, so the output would
+    leave the join model.  Every block must have dimension 2^(level - 1).
     """
-    if level > 3:
-        raise UsageError("doubled product does not preserve the norm beyond level 3")
+    if not 1 <= level <= 3:
+        raise UsageError(f"doubled product level must be within 1..3, not {level}")
     half = 1 << (level - 1)
     if not len(X.left) == len(X.right) == len(Y.left) == len(Y.right) == half:
         raise block_dim_error(half, X, Y)
@@ -467,16 +458,11 @@ def _filler_boundary(params, inputs):
 
 def _filler_pole_reduction(params, inputs):
     (x,) = inputs
-    unit_pt = SpherePoint.basis(x.dim, 0)
-    if x.coords == unit_pt.coords:
-        ref = fill_refl_diamond("horizontal", DiamondProblem(
-            a=-unit_pt, a2=unit_pt, b=unit_pt, b2=unit_pt))
-    elif x.coords == (-unit_pt).coords:
-        ref = fill_refl_diamond("vertical", DiamondProblem(
-            a=-unit_pt, a2=-unit_pt, b=unit_pt, b2=-unit_pt))
-    else:
+    if x.coords not in (basis_coords(x.dim, 0, 1), basis_coords(x.dim, 0, -1)):
         return 0, None, None
+    # at a pole D_x's diamond has one constant side, whose filler is written apart from D_x
     filler = reduced_diamond_filler(x)
+    ref = fill_refl_diamond(filler.problem)
     return _worst_pair(
         (filler.evaluate(sigma, tau), ref.evaluate(sigma, tau))
         for sigma in params for tau in params)
@@ -500,6 +486,8 @@ def diamond_suite(inst: ImaginaroidInstance,
 
     Samples 0 and 1 are the poles; the rest are random unit corners.
     """
+    if grid < 1:
+        raise UsageError("grid must be >= 1")
     instance = JOIN_INSTANCE.get(inst.name, inst.name)
     dim = inst.susp_dim
 

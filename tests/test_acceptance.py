@@ -112,7 +112,7 @@ def test_criterion_04_corner_transport_identities():
     ok = report.status == "holds-exact"
     control = corner_transport_suite(
         imaginaroid_instance("octonion-control"), samples=500, seed=4,
-        allow_unverified=True, expect_holds=False)
+        allow_unverified=True)
     ok &= control.status == "fails" and control.witness is not None
     record(4, ok, "corner identities exact on 1000 quaternion 4-tuples; "
                   "octonion control fails with witness")

@@ -33,6 +33,17 @@ def test_max_abs_diff_finite():
     assert max_abs_diff((), ()) == 0
 
 
+@pytest.mark.parametrize("lhs,rhs", [((1, 2), (1,)), ((1,), (1, 2))])
+def test_compare_rejects_sides_of_different_lengths(lhs, rhs):
+    # the sides agree on the shorter one's prefix, which must not pass the law
+    with pytest.raises(ValueError):
+        compare(lhs, rhs)
+    report = execute_check("short-side", "test", lambda inputs: compare(lhs, rhs),
+                           structured=[()])
+    assert report.status == STATUS_FAILS and not report.expected
+    assert report.witness["error"].startswith("ValueError: ")
+
+
 def _typed(x):
     return type(x), x
 

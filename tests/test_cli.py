@@ -97,6 +97,18 @@ def test_raising_sampler_fails_each_sampled_law(error, tmp_path, monkeypatch, ca
         assert r["witness"] == {"sample": 0, "error": f"{error.__name__}: no draw"}
 
 
+def test_truncating_kernel_fails_the_spheroid_laws(tmp_path, monkeypatch):
+    # a product one coordinate short must not be compared on its prefix alone
+    original = laws.mul_coeffs
+    monkeypatch.setattr(laws, "mul_coeffs", lambda a, b: original(a, b)[:-1])
+    code, doc = run_cli_json(tmp_path, "spheroid", "--instance", "s3", "--samples", "20")
+    assert code == 1 and doc["overall"] == "fail"
+    by_law = {r["law"]: r for r in doc["reports"]}
+    for law in ("star-left-inverse", "star-right-inverse"):
+        assert by_law[law]["status"] == "fails" and not by_law[law]["expected"]
+        assert by_law[law]["witness"]["error"].startswith("ValueError: ")
+
+
 @pytest.mark.parametrize("mode", ["exact", "float"])
 def test_broken_filler_fails_every_grid_law(mode, tmp_path, monkeypatch):
     original = joinmul._reduced_blocks

@@ -102,9 +102,9 @@ def _library_suites(mode: str) -> dict:
             corner_transport_suite(_verified(name), **kw)]
         suites[f"unit/{name}"] = lambda name=name: unit_law_check(_verified(name), **kw)
     suites[f"assoc/{octonion}"] = lambda: [
-        assoc_check(imaginaroid_instance(octonion), expect_holds=False, **kw)]
+        assoc_check(imaginaroid_instance(octonion), **kw)]
     suites[f"corner-suite/{octonion}"] = lambda: [corner_transport_suite(
-        imaginaroid_instance(octonion), allow_unverified=True, expect_holds=False, **kw)]
+        imaginaroid_instance(octonion), allow_unverified=True, **kw)]
     suites[f"imaginaroid/{octonion}"] = lambda: imaginaroid_check(
         imaginaroid_instance(octonion), **kw)
     suites[f"diamond/{octonion}"] = lambda: diamond_suite(

@@ -7,7 +7,7 @@ import pytest
 from hopfcheck import hopf
 from hopfcheck.cdalg import mul_coeffs
 from hopfcheck.checks import STATUS_FAILS, coeffs_to_json, execute_check, max_abs_diff, worst_of
-from hopfcheck.hopf import (dimension_report, fiber_check, fibration_report,
+from hopfcheck.hopf import (FIBRATIONS, dimension_report, fiber_check, fibration_report,
                             hopf_instance, hopf_map)
 from hopfcheck.sampling import CounterRng, rand_quarter_pair, rand_unit
 from hopfcheck.errors import UsageError
@@ -234,8 +234,19 @@ def test_dimension_bookkeeping():
     expectations = {"real": (2, 2), "complex": (4, 3), "quaternionic": (8, 5)}
     for name, (total, base) in expectations.items():
         inst = hopf_instance(name)
-        assert (inst.total_dim, inst.base_dim) == (total, base)
+        X = JoinPoint(basis_coords(inst.fiber_dim, 0, F(1)), (F(0),) * inst.fiber_dim)
+        assert (len(X.flatten()), hopf_map(X, inst).dim) == (total, base)
         assert dimension_report(inst).holds
+
+
+def test_dimension_bookkeeping_measures_the_model(monkeypatch):
+    original = hopf.hopf_map
+    monkeypatch.setattr(hopf, "hopf_map",
+                        lambda x, inst: SpherePoint(original(x, inst).coords[:-1]))
+    for name in FIBRATIONS:
+        report = dimension_report(hopf_instance(name))
+        assert report.status == STATUS_FAILS and not report.expected
+        assert report.witness["lhs"][1] == report.witness["rhs"][1] - 1
 
 
 @pytest.mark.parametrize("name", ["real", "complex", "quaternionic"])

@@ -46,8 +46,7 @@ def unit_sphere(dim, seed, index=0):
 
 def test_horizontal_pole_filler():
     one = SpherePoint(E0)
-    filler = fill_refl_diamond("horizontal", DiamondProblem(
-        a=-one, a2=one, b=one, b2=one))
+    filler = fill_refl_diamond(DiamondProblem(a=-one, a2=one, b=one, b2=one))
     corner = filler.evaluate((F(1), F(0)), (F(1), F(0)))
     assert join_view(corner).kind == "inl"
     assert join_view(corner).u.coords == (-one).coords
@@ -60,8 +59,7 @@ def test_horizontal_pole_filler():
 
 def test_vertical_pole_filler():
     one = SpherePoint(E0)
-    filler = fill_refl_diamond("vertical", DiamondProblem(
-        a=-one, a2=-one, b=one, b2=-one))
+    filler = fill_refl_diamond(DiamondProblem(a=-one, a2=-one, b=one, b2=-one))
     # left factor is constantly -1 away from the right-factor locus
     pt = filler.evaluate(ARC, ARC2)
     view = join_view(pt)
@@ -77,7 +75,7 @@ def test_vertical_pole_filler():
 def test_degenerate_filler_constant_on_each_side():
     a = unit_sphere(2, 1)
     b = unit_sphere(2, 2)
-    filler = fill_refl_diamond("horizontal", DiamondProblem(a=a, a2=a, b=b, b2=b))
+    filler = fill_refl_diamond(DiamondProblem(a=a, a2=a, b=b, b2=b))
     for sigma in (ARC, ARC2):
         for tau in (ARC, ARC2):
             view = join_view(filler.evaluate(sigma, tau))
@@ -91,21 +89,59 @@ def test_refl_filler_preconditions():
     a = unit_sphere(2, 3)
     b = unit_sphere(2, 4)
     other = unit_sphere(2, 5)
-    with pytest.raises(UsageError):
-        fill_refl_diamond("horizontal", DiamondProblem(a=a, a2=other, b=b, b2=other))
-    with pytest.raises(UsageError):
-        fill_refl_diamond("horizontal", DiamondProblem(a=a, a2=other, b=b, b2=b))
-    with pytest.raises(UsageError):
-        fill_refl_diamond("vertical", DiamondProblem(a=a, a2=a, b=b, b2=other))
-    with pytest.raises(UsageError):
-        fill_refl_diamond("sideways", DiamondProblem(a=a, a2=a, b=b, b2=b))
+    for a2, b2 in ((other, other), (other, b), (a, other), (-a, -b)):
+        with pytest.raises(UsageError):
+            fill_refl_diamond(DiamondProblem(a=a, a2=a2, b=b, b2=b2))
+
+
+def _kind_filler(kind, problem):
+    """The reference: the filler of the named kind, with that kind's preconditions."""
+    a, a2, b, b2 = (problem.a.coords, problem.a2.coords,
+                    problem.b.coords, problem.b2.coords)
+    if kind == "horizontal":
+        if b != b2 or a2 not in (a, tuple(-c for c in a)):
+            raise UsageError("horizontal filler needs b = b2 and a2 = +-a")
+        if a == a2:
+            return joinmul._degenerate_filler(problem)
+
+        def evaluate(sigma, tau):
+            (cs, ss), (ct, st) = sigma, tau
+            return JoinPoint(tuple(cs * ct * p + ss * st * p2 for p, p2 in zip(a, a2)),
+                             tuple((ss * ct + cs * st) * q for q in b))
+
+        return joinmul.SquareFiller(problem, evaluate)
+    if a != a2 or b2 not in (b, tuple(-c for c in b)):
+        raise UsageError("vertical filler needs a = a2 and b2 = +-b")
+    if b == b2:
+        return joinmul._degenerate_filler(problem)
+
+    def evaluate(sigma, tau):
+        (cs, ss), (ct, st) = sigma, tau
+        return JoinPoint(tuple((cs * ct + ss * st) * p for p in a),
+                         tuple(ss * ct * q + cs * st * q2 for q, q2 in zip(b, b2)))
+
+    return joinmul.SquareFiller(problem, evaluate)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 4])
+def test_refl_filler_matches_the_kind_reference(dim):
+    # every configuration some kind accepts gives that kind's values on a grid
+    a, b = unit_sphere(dim, 8), unit_sphere(dim, 9)
+    cases = [("horizontal", (a, -a, b, b)), ("horizontal", (a, a, b, b)),
+             ("vertical", (a, a, b, -b)), ("vertical", (a, a, b, b))]
+    for kind, corners in cases:
+        problem = DiamondProblem(*corners)
+        got, want = fill_refl_diamond(problem), _kind_filler(kind, problem)
+        for sigma in quarter_grid(6):
+            for tau in quarter_grid(6):
+                assert got.evaluate(sigma, tau).flatten() == want.evaluate(sigma, tau).flatten()
 
 
 def test_refl_fillers_meet_boundary_contract():
     one = SpherePoint(E0)
     fillers = [
-        fill_refl_diamond("horizontal", DiamondProblem(a=-one, a2=one, b=one, b2=one)),
-        fill_refl_diamond("vertical", DiamondProblem(a=-one, a2=-one, b=one, b2=-one)),
+        fill_refl_diamond(DiamondProblem(a=-one, a2=one, b=one, b2=one)),
+        fill_refl_diamond(DiamondProblem(a=-one, a2=-one, b=one, b2=-one)),
     ]
     params = quarter_grid(8)
     ends = [(F(1), F(0)), (F(0), F(1))]
@@ -155,8 +191,10 @@ def test_reduced_filler_pole_reductions():
     one = SpherePoint(E0)
     north = reduced_diamond_filler(one)
     south = reduced_diamond_filler(-one)
-    horiz = fill_refl_diamond("horizontal", DiamondProblem(a=-one, a2=one, b=one, b2=one))
-    vert = fill_refl_diamond("vertical", DiamondProblem(a=-one, a2=-one, b=one, b2=-one))
+    horiz = fill_refl_diamond(DiamondProblem(a=-one, a2=one, b=one, b2=one))
+    vert = fill_refl_diamond(DiamondProblem(a=-one, a2=-one, b=one, b2=-one))
+    # the pole row builds its reference from these diamonds
+    assert (north.problem, south.problem) == (horiz.problem, vert.problem)
     for sigma in quarter_grid(7):
         for tau in quarter_grid(7):
             assert north.evaluate(sigma, tau).flatten() == \
@@ -222,8 +260,9 @@ def test_syn_requires_verified_associativity():
 def test_alg_oracle_level_cap():
     inst = verified("s2")
     X = sample_join_point(CounterRng(0, "t", 2), inst, "inl", "exact")
-    with pytest.raises(UsageError):
-        join_mul_alg(X, X, 4)
+    for level in (0, 4):    # level 0 has no halves to double
+        with pytest.raises(UsageError, match="within 1..3"):
+            join_mul_alg(X, X, level)
 
 
 def test_alg_oracle_unit_case():
@@ -496,6 +535,13 @@ def test_diamond_suite_exact():
         "filler-unit-norm", "filler-boundary", "filler-pole-reduction"}
     assert all(r.holds for r in reports)
     assert all(r.status == "holds-exact" for r in reports)
+
+
+@pytest.mark.parametrize("grid", [0, -3])
+def test_diamond_suite_rejects_an_empty_grid(grid):
+    # an empty grid would pass every law on zero grid points
+    with pytest.raises(UsageError, match="grid must be >= 1"):
+        diamond_suite(imaginaroid_instance("s2"), grid=grid, samples=2)
 
 
 # --- the exact grid laws against the Fraction bodies they replaced -------------

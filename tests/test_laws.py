@@ -100,7 +100,7 @@ def test_assoc_holds_for_circle_and_quaternions():
 
 def test_assoc_fails_for_octonions_with_exact_witness():
     inst = imaginaroid_instance("octonion-control")
-    report = assoc_check(inst, samples=50, seed=6, expect_holds=False)
+    report = assoc_check(inst, samples=50, seed=6)
     assert not report.holds
     assert report.expected
     assert report.witness is not None
@@ -147,8 +147,7 @@ def test_corner_transport_requires_verified_associativity():
 
 def test_corner_transport_octonion_negative_control():
     inst = imaginaroid_instance("octonion-control")
-    report = corner_transport_suite(inst, samples=200, seed=9,
-                                    allow_unverified=True, expect_holds=False)
+    report = corner_transport_suite(inst, samples=200, seed=9, allow_unverified=True)
     assert not report.holds
     assert report.witness is not None
     assert report.expected
