@@ -14,4 +14,4 @@ from .joinmul import (DiamondProblem, SquareFiller, diamond_suite, fill_refl_dia
 from .laws import (Carrier, ImaginaroidInstance, assoc_check, corner_transport_check,
                    corner_transport_suite, hspace_check, imaginaroid_check,
                    imaginaroid_instance, spheroid_check, spheroid_instance)
-from .spheremodel import JoinPoint, JoinView, SpherePoint, join_embed, join_functor, join_view
+from .spheremodel import JoinPoint, SpherePoint, join_embed

@@ -28,10 +28,12 @@ built only for a nonzero residual and its witness.  A float corner runs
 the same body over denominator 1 with its Fraction grid pairs unlifted, so
 its values are SquareFiller's bit for bit, and a broken filler fails.
 
-join_mul_syn works the same way on all-Fraction operands: each point is
-lifted once, the view cases and the arc formula run on integer numerators
-through the sign-table kernel, and each output coordinate is built as a
-Fraction once (see `_arc_blocks`).
+join_mul_syn is the one place a join point's constructor view is
+decided: a block is zero when its squared norm is at most
+`zero_norm_bound`.  It works the same way on all-Fraction operands: each
+point is lifted once, the view cases and the arc formula run on integer
+numerators through the sign-table kernel, and each output coordinate is
+built as a Fraction once (see `_arc_blocks`).
 """
 
 from __future__ import annotations
@@ -97,12 +99,6 @@ class SquareFiller:
     problem: DiamondProblem
     evaluate: Callable          # (sigma, tau) -> JoinPoint
 
-    def edge_expectation(self, sigma, tau) -> JoinPoint:
-        """Boundary value demanded at parameters on the square's edges."""
-        p = self.problem
-        return JoinPoint(*_edge_blocks(sigma, tau, p.a.coords, p.a2.coords,
-                                       p.b.coords, p.b2.coords))
-
 
 def _edge_blocks(sigma, tau, a, a2, b, b2) -> tuple:
     """Blocks (left, right) that the glue-arc edges a->b, a2->b2, a->b2, a2->b demand.
@@ -128,16 +124,13 @@ def _edge_blocks(sigma, tau, a, a2, b, b2) -> tuple:
 def fill_refl_diamond(problem: DiamondProblem) -> SquareFiller:
     """Filler for a diamond with one constant side, chosen by its corners.
 
-    Both sides constant (a = a2, b = b2) gives the degenerate filler;
-    b = b2 with antipodal left corners gives the horizontal one, and
+    b = b2 with antipodal left corners gives the horizontal filler, and
     a = a2 with antipodal right corners the vertical one.  These are the
-    configurations the pole diamonds produce, and the only ones for which
-    the bilinear filler stays on the unit sphere; any other raises.
+    configurations the pole diamonds produce; any other, a diamond with
+    both sides constant included, raises.
     """
     a, a2, b, b2 = (problem.a.coords, problem.a2.coords,
                     problem.b.coords, problem.b2.coords)
-    if a == a2 and b == b2:
-        return _degenerate_filler(problem)
     if b == b2 and a2 == _neg(a):
 
         def evaluate(sigma, tau):
@@ -160,23 +153,7 @@ def fill_refl_diamond(problem: DiamondProblem) -> SquareFiller:
 
         return SquareFiller(problem, evaluate)
 
-    raise UsageError("one side must be constant and the other's corners equal or antipodal")
-
-
-def _degenerate_filler(problem: DiamondProblem) -> SquareFiller:
-    # both sides constant: slide along the single glue arc a -> b
-    a, b = problem.a.coords, problem.b.coords
-
-    def evaluate(sigma, tau):
-        cs, ss = sigma
-        ct, st = tau
-        c = cs * ct + ss * st
-        s = ss * ct - cs * st
-        if s < 0:
-            s = -s
-        return JoinPoint(_scale(c, a), _scale(s, b))
-
-    return SquareFiller(problem, evaluate)
+    raise UsageError("one side must be constant and the other's corners antipodal")
 
 
 def reduced_diamond_filler(x: SpherePoint) -> SquareFiller:

@@ -308,12 +308,14 @@ def _corner_transport(carrier, inputs):
 
 def corner_transport_check(inst: ImaginaroidInstance, a, b, c, d,
                            *, allow_unverified: bool = False) -> LawReport:
-    """Check the four corner identities for one 4-tuple of suspension points."""
+    """Check the four corner identities for one 4-tuple of suspension points,
+    expected where the ladder expects associativity, as in the suite."""
     _require_assoc(inst, allow_unverified)
     return execute_check(
         "corner-transport", inst.name,
         partial(_corner_transport, _sphere_carrier(inst.name, inst.susp_dim)),
-        structured=[(a, b, c, d)], samples=0)
+        structured=[(a, b, c, d)], samples=0,
+        expect_holds=LADDER["associativity"](inst.level))
 
 
 def corner_transport_suite(inst: ImaginaroidInstance,

@@ -2,8 +2,9 @@
 
 A point of join(X, Y) is stored directly in embedded coordinates: a pair
 (p, q) of ambient vectors with |p|^2 + |q|^2 = 1.  The constructor view
-(inl / inr / glue) is derived from the pair, never stored, which keeps
-every comparison exact in rational mode.  The suspension of S^n is
+(inl / inr / glue) is never stored: `joinmul.join_mul_syn` reads it off
+the pair by its zero-block test (`zero_norm_bound`), which keeps every
+comparison exact in rational mode.  The suspension of S^n is
 join(S^0, S^n), realized as S^(n+1): a `SpherePoint` whose first
 coordinate is the suspension axis, with poles N = (1, 0, ...) and
 S = (-1, 0, ...) and the meridian through a base point a
@@ -13,9 +14,8 @@ negation swaps the poles.  `hopf.hopf_map` lands in a `SpherePoint`.
 
 Every point is checked for unit norm when it is built.  Exact
 coordinates are lifted to integer numerators over a common denominator
-(`lift`), so the check compares integers; float sums of squares and the
-orthonormality probes' dot products run left to right, so float results
-do not depend on the Python version.
+(`lift`), so the check compares integers; float sums of squares run
+left to right, so float results do not depend on the Python version.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
 
 from .errors import UsageError
 
@@ -60,14 +59,6 @@ def _sum_squares(a):
     return total
 
 
-def _dot(a, b):
-    # left to right, as _sum_squares
-    total = 0
-    for x, y in zip(a, b):
-        total += x * y
-    return total
-
-
 def norm_coeffs(a: tuple):
     """Sum of squared coefficients; equals the real part of a a* at every level.
 
@@ -93,18 +84,6 @@ def _check_unit(coords, what: str):
     total = _sum_squares(coords)
     if not abs(total - 1) <= FLOAT_POINT_EPS:   # NaN and infinities fail too
         raise UsageError(f"{what} is off the unit sphere by {abs(total - 1):.3e}")
-
-
-def exact_sqrt(x: Fraction) -> Fraction:
-    """Square root of a rational, raising when it is irrational."""
-    x = Fraction(x)
-    if x < 0:
-        raise UsageError("negative radicand")
-    pn = math.isqrt(x.numerator)
-    pd = math.isqrt(x.denominator)
-    if pn * pn != x.numerator or pd * pd != x.denominator:
-        raise UsageError(f"{x} has no rational square root")
-    return Fraction(pn, pd)
 
 
 @dataclass(frozen=True)
@@ -158,17 +137,6 @@ def block_dim_error(dim: int, *points: JoinPoint) -> UsageError:
     return UsageError(f"join point blocks must have dimension {dim}, got {got}")
 
 
-@dataclass(frozen=True)
-class JoinView:
-    """Derived constructor view of a join point."""
-
-    kind: str                      # "inl" | "inr" | "glue"
-    u: Optional[SpherePoint] = None
-    v: Optional[SpherePoint] = None
-    c: object = None
-    s: object = None
-
-
 def _quarter_pair_ok(c, s) -> bool:
     if c < 0 or s < 0:
         return False
@@ -198,54 +166,3 @@ def zero_norm_bound(coords):
     """Squared norm at or below which a block of a join point with these coordinates
     is zero: exactly zero, or for floats a norm up to FLOAT_VIEW_EPS."""
     return 0 if is_exact(coords) else FLOAT_VIEW_EPS ** 2
-
-
-def join_view(x: JoinPoint) -> JoinView:
-    """Recover the constructor view from the embedded coordinates."""
-    p2 = norm_coeffs(x.left)
-    q2 = norm_coeffs(x.right)
-    eps2 = zero_norm_bound(x.flatten())
-    if eps2 == 0:
-        if q2 <= eps2:
-            return JoinView("inl", u=SpherePoint(x.left))
-        if p2 <= eps2:
-            return JoinView("inr", v=SpherePoint(x.right))
-        c = exact_sqrt(p2)
-        s = exact_sqrt(q2)
-    else:
-        c = math.sqrt(p2)
-        s = math.sqrt(q2)
-        if q2 <= eps2:
-            return JoinView("inl", u=SpherePoint(tuple(v / c for v in x.left)))
-        if p2 <= eps2:
-            return JoinView("inr", v=SpherePoint(tuple(v / s for v in x.right)))
-    return JoinView(
-        "glue",
-        u=SpherePoint(tuple(v / c for v in x.left)),
-        v=SpherePoint(tuple(v / s for v in x.right)),
-        c=c, s=s)
-
-
-def join_functor(f: Callable, g: Callable, x: JoinPoint) -> JoinPoint:
-    """Apply maps factorwise: (p, q) -> (f p, g q).
-
-    f and g take and return raw coordinate tuples and must be linear and
-    norm-preserving for the image to stay in the join; their images of the
-    standard basis are probed for orthonormality.
-    """
-    _check_orthonormal(f, len(x.left), "left map")
-    _check_orthonormal(g, len(x.right), "right map")
-    return JoinPoint(tuple(f(x.left)), tuple(g(x.right)))
-
-
-def _check_orthonormal(f: Callable, dim: int, what: str):
-    images = [tuple(f(basis_coords(dim, i, Fraction(1)))) for i in range(dim)]
-    for i in range(dim):
-        for j in range(i, dim):
-            dot = _dot(images[i], images[j])
-            want = 1 if i == j else 0
-            bad = (dot != want) if is_exact(images[i] + images[j]) \
-                else abs(dot - want) > 1e-9
-            if bad:
-                raise UsageError(f"{what} is not norm-preserving on the probe basis")
-

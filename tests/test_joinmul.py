@@ -19,7 +19,7 @@ from hopfcheck.joinmul import (DIAMOND_LAWS, VIEW_KINDS, DiamondProblem, diamond
                                sample_join_point, unit_law_check)
 from hopfcheck.laws import _signed_basis, assoc_check, imaginaroid_instance
 from hopfcheck.sampling import CounterRng, quarter_grid, rand_unit
-from hopfcheck.spheremodel import FLOAT_VIEW_EPS, JoinPoint, SpherePoint, is_exact, join_view
+from hopfcheck.spheremodel import FLOAT_VIEW_EPS, JoinPoint, SpherePoint, is_exact
 
 
 def F(n, d=1):
@@ -48,48 +48,30 @@ def test_horizontal_pole_filler():
     one = SpherePoint(E0)
     filler = fill_refl_diamond(DiamondProblem(a=-one, a2=one, b=one, b2=one))
     corner = filler.evaluate((F(1), F(0)), (F(1), F(0)))
-    assert join_view(corner).kind == "inl"
-    assert join_view(corner).u.coords == (-one).coords
+    assert (corner.left, corner.right) == ((-one).coords, (0, 0))
     # along cs*ct = ss*st the left factor vanishes: a pure inr(1) point
     locus = filler.evaluate((F(3, 5), F(4, 5)), (F(4, 5), F(3, 5)))
-    view = join_view(locus)
-    assert view.kind == "inr"
-    assert view.v.coords == one.coords
+    assert (locus.left, locus.right) == ((0, 0), one.coords)
 
 
 def test_vertical_pole_filler():
     one = SpherePoint(E0)
     filler = fill_refl_diamond(DiamondProblem(a=-one, a2=-one, b=one, b2=-one))
-    # left factor is constantly -1 away from the right-factor locus
+    # left block is a positive multiple of -1: cs*ct + ss*st = 63/65
     pt = filler.evaluate(ARC, ARC2)
-    view = join_view(pt)
-    assert view.kind == "glue"
-    assert view.u.coords == (-one).coords
-    # right factor flips sign across sigma = tau
-    before = join_view(filler.evaluate(ARC2, ARC))   # sigma angle > tau angle
-    after = join_view(filler.evaluate(ARC, ARC2))
-    assert before.v.coords == one.coords
-    assert after.v.coords == (-one).coords
-
-
-def test_degenerate_filler_constant_on_each_side():
-    a = unit_sphere(2, 1)
-    b = unit_sphere(2, 2)
-    filler = fill_refl_diamond(DiamondProblem(a=a, a2=a, b=b, b2=b))
-    for sigma in (ARC, ARC2):
-        for tau in (ARC, ARC2):
-            view = join_view(filler.evaluate(sigma, tau))
-            if view.u is not None:
-                assert view.u.coords == a.coords
-            if view.v is not None:
-                assert view.v.coords == b.coords
+    assert pt.left == (F(-63, 65), 0)
+    # right block is (ss*ct - cs*st) * 1, which flips sign across sigma = tau
+    before = filler.evaluate(ARC2, ARC)   # sigma angle > tau angle
+    assert before.right == (F(16, 65), 0)
+    assert pt.right == (F(-16, 65), 0)
 
 
 def test_refl_filler_preconditions():
     a = unit_sphere(2, 3)
     b = unit_sphere(2, 4)
     other = unit_sphere(2, 5)
-    for a2, b2 in ((other, other), (other, b), (a, other), (-a, -b)):
+    # (a, b) is the diamond with both sides constant
+    for a2, b2 in ((other, other), (other, b), (a, other), (-a, -b), (a, b)):
         with pytest.raises(UsageError):
             fill_refl_diamond(DiamondProblem(a=a, a2=a2, b=b, b2=b2))
 
@@ -99,10 +81,8 @@ def _kind_filler(kind, problem):
     a, a2, b, b2 = (problem.a.coords, problem.a2.coords,
                     problem.b.coords, problem.b2.coords)
     if kind == "horizontal":
-        if b != b2 or a2 not in (a, tuple(-c for c in a)):
-            raise UsageError("horizontal filler needs b = b2 and a2 = +-a")
-        if a == a2:
-            return joinmul._degenerate_filler(problem)
+        if b != b2 or a2 != tuple(-c for c in a):
+            raise UsageError("horizontal filler needs b = b2 and a2 = -a")
 
         def evaluate(sigma, tau):
             (cs, ss), (ct, st) = sigma, tau
@@ -110,10 +90,8 @@ def _kind_filler(kind, problem):
                              tuple((ss * ct + cs * st) * q for q in b))
 
         return joinmul.SquareFiller(problem, evaluate)
-    if a != a2 or b2 not in (b, tuple(-c for c in b)):
-        raise UsageError("vertical filler needs a = a2 and b2 = +-b")
-    if b == b2:
-        return joinmul._degenerate_filler(problem)
+    if a != a2 or b2 != tuple(-c for c in b):
+        raise UsageError("vertical filler needs a = a2 and b2 = -b")
 
     def evaluate(sigma, tau):
         (cs, ss), (ct, st) = sigma, tau
@@ -127,8 +105,7 @@ def _kind_filler(kind, problem):
 def test_refl_filler_matches_the_kind_reference(dim):
     # every configuration some kind accepts gives that kind's values on a grid
     a, b = unit_sphere(dim, 8), unit_sphere(dim, 9)
-    cases = [("horizontal", (a, -a, b, b)), ("horizontal", (a, a, b, b)),
-             ("vertical", (a, a, b, -b)), ("vertical", (a, a, b, b))]
+    cases = [("horizontal", (a, -a, b, b)), ("vertical", (a, a, b, -b))]
     for kind, corners in cases:
         problem = DiamondProblem(*corners)
         got, want = fill_refl_diamond(problem), _kind_filler(kind, problem)
@@ -146,12 +123,13 @@ def test_refl_fillers_meet_boundary_contract():
     params = quarter_grid(8)
     ends = [(F(1), F(0)), (F(0), F(1))]
     for filler in fillers:
+        p = filler.problem
+        corners = (p.a.coords, p.a2.coords, p.b.coords, p.b2.coords)
         for fixed in ends:
             for t in params:
                 for sigma, tau in ((fixed, t), (t, fixed)):
                     got = filler.evaluate(sigma, tau)
-                    want = filler.edge_expectation(sigma, tau)
-                    assert got.flatten() == want.flatten()
+                    assert (got.left, got.right) == joinmul._edge_blocks(sigma, tau, *corners)
 
 
 # --- the reduced diamond filler ------------------------------------------------
@@ -165,16 +143,16 @@ def test_reduced_filler_corners_and_edges():
         pt = filler.evaluate((F(1), F(0)), (ct, st))
         assert pt.left == tuple(-ct * c for c in one)
         assert pt.right == tuple(st * c for c in x.coords)
-    corners = {
-        ((F(1), F(0)), (F(1), F(0))): ("inl", tuple(-c for c in one)),
-        ((F(0), F(1)), (F(1), F(0))): ("inr", one),
-        ((F(1), F(0)), (F(0), F(1))): ("inr", x.coords),
-        ((F(0), F(1)), (F(0), F(1))): ("inl", x.coords),
+    zero = (F(0),) * 4
+    corners = {   # blocks of inl(-1), inr(1), inr(x), inl(x)
+        ((F(1), F(0)), (F(1), F(0))): (tuple(-c for c in one), zero),
+        ((F(0), F(1)), (F(1), F(0))): (zero, one),
+        ((F(1), F(0)), (F(0), F(1))): (zero, x.coords),
+        ((F(0), F(1)), (F(0), F(1))): (x.coords, zero),
     }
-    for (sigma, tau), (kind, coords) in corners.items():
-        view = join_view(filler.evaluate(sigma, tau))
-        assert view.kind == kind
-        assert (view.u or view.v).coords == coords
+    for (sigma, tau), blocks in corners.items():
+        pt = filler.evaluate(sigma, tau)
+        assert (pt.left, pt.right) == blocks
 
 
 def test_reduced_filler_unit_norm_identity():
@@ -388,9 +366,8 @@ def test_glue_degenerates_continuously_to_inl_row():
 
 def test_views_and_products_share_one_zero_block_rule():
     # |q| = 1e-12 is not below FLOAT_VIEW_EPS, but |q|^2 is at most its square:
-    # both the view and the product call this point inl
+    # the product calls this point inl
     X = JoinPoint((1.0, 0.0), (1e-12, 0.0))
-    assert join_view(X).kind == "inl"
     inst = verified("s0")
     Y = sample_join_point(CounterRng(0, "test/zero-block", 0), inst, "glue", "float")
     got = join_mul_syn(X, Y, inst)
@@ -567,13 +544,15 @@ def _fraction_unit_norm(params, inputs):
 def _fraction_boundary(params, inputs):
     (x,) = inputs
     filler = reduced_diamond_filler(x)
+    p = filler.problem
+    corners = (p.a.coords, p.a2.coords, p.b.coords, p.b2.coords)
     worst = 0
     bad = None
     for fixed in ((F(1), F(0)), (F(0), F(1))):
         for t in params:
             for sigma, tau in ((fixed, t), (t, fixed)):
                 got = filler.evaluate(sigma, tau)
-                want = filler.edge_expectation(sigma, tau)
+                want = JoinPoint(*joinmul._edge_blocks(sigma, tau, *corners))
                 r = max_abs_diff(got, want)
                 if r > worst:
                     worst, bad = r, (got, want)

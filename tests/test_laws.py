@@ -148,9 +148,13 @@ def test_corner_transport_requires_verified_associativity():
 def test_corner_transport_octonion_negative_control():
     inst = imaginaroid_instance("octonion-control")
     report = corner_transport_suite(inst, samples=200, seed=9, allow_unverified=True)
-    assert not report.holds
-    assert report.witness is not None
-    assert report.expected
+    e = [tuple(F(int(k == j)) for k in range(8)) for j in range(8)]
+    # one failing tuple: the check reads the ladder as the suite does
+    check = corner_transport_check(inst, e[1], e[2], e[4], e[7], allow_unverified=True)
+    for report in (report, check):
+        assert not report.holds
+        assert report.witness is not None
+        assert report.expected
 
 
 def test_derived_laws_follow_when_primaries_hold():

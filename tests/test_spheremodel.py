@@ -6,14 +6,14 @@ from fractions import Fraction
 import pytest
 
 from hopfcheck import hopf
-from hopfcheck.cdalg import _structured_elements, mul_coeffs
+from hopfcheck.cdalg import _structured_elements
 from hopfcheck.errors import UsageError
 from hopfcheck.sampling import CounterRng, rand_unit, stereographic
 from hopfcheck.joinmul import reduced_diamond_filler
 from hopfcheck.laws import _signed_basis, _sphere_carrier, imaginaroid_instance, spheroid_instance
-from hopfcheck.spheremodel import (FLOAT_POINT_EPS, JoinPoint, SpherePoint, _check_orthonormal,
-                                   _check_unit, _sum_squares, basis_coords, exact_sqrt, is_exact,
-                                   join_embed, join_functor, join_view, lift, norm_coeffs)
+from hopfcheck.spheremodel import (FLOAT_POINT_EPS, JoinPoint, SpherePoint, _check_unit,
+                                   _sum_squares, basis_coords, is_exact, join_embed, lift,
+                                   norm_coeffs)
 
 
 def F(n, d=1):
@@ -101,12 +101,11 @@ def test_stereographic_lands_on_sphere():
 def test_embed_endpoints_give_injections():
     u = rational_unit(2, 1)
     v = rational_unit(2, 2)
+    zero = (F(0),) * 2
     left = join_embed(u, v, F(1), F(0))
-    assert join_view(left).kind == "inl"
-    assert join_view(left).u.coords == u.coords
+    assert (left.left, left.right) == (u.coords, zero)
     right = join_embed(u, v, F(0), F(1))
-    assert join_view(right).kind == "inr"
-    assert join_view(right).v.coords == v.coords
+    assert (right.left, right.right) == (zero, v.coords)
 
 
 def test_embed_interior_is_unit_and_recovers_exactly():
@@ -114,12 +113,8 @@ def test_embed_interior_is_unit_and_recovers_exactly():
     v = rational_unit(4, 4)
     x = join_embed(u, v, F(3, 5), F(4, 5))
     assert x.left == tuple(F(3, 5) * c for c in u.coords)
+    assert x.right == tuple(F(4, 5) * c for c in v.coords)
     assert sum(c * c for c in x.flatten()) == 1
-    view = join_view(x)
-    assert view.kind == "glue"
-    assert view.u.coords == u.coords
-    assert view.v.coords == v.coords
-    assert (view.c, view.s) == (F(3, 5), F(4, 5))
 
 
 def test_embed_rejects_bad_arc_parameters():
@@ -129,22 +124,6 @@ def test_embed_rejects_bad_arc_parameters():
         join_embed(u, v, F(1, 2), F(1, 2))
     with pytest.raises(UsageError):
         join_embed(u, v, F(-3, 5), F(4, 5))
-
-
-def test_view_round_trip_float_mode():
-    rng = CounterRng(9, "test/float-roundtrip", 0)
-    flat = rand_unit(rng, 6, "float")
-    x = JoinPoint(flat[:3], flat[3:])
-    view = join_view(x)
-    assert view.kind == "glue"
-    back = join_embed(view.u, view.v, view.c, view.s)
-    assert max(abs(a - b) for a, b in zip(back.flatten(), x.flatten())) < 1e-12
-
-
-def test_exact_sqrt():
-    assert exact_sqrt(F(9, 25)) == F(3, 5)
-    with pytest.raises(UsageError):
-        exact_sqrt(F(2))
 
 
 # --- suspension negation and conjugation on the suspension carrier ----------
@@ -222,60 +201,6 @@ def test_flat_unit_vector_splits_into_both_nestings():
     assert left_nested.flatten() == right_nested.flatten() == flat
 
 
-# --- sphere-join-sphere round trip ------------------------------------------
-
-def test_join_of_spheres_covers_ambient_sphere():
-    for idx in range(25):
-        rng = CounterRng(29, "test/surjective", idx)
-        flat = rand_unit(rng, 8, "float")
-        x = JoinPoint(flat[:4], flat[4:])
-        view = join_view(x)
-        back = join_embed(view.u, view.v, view.c, view.s) if view.kind == "glue" \
-            else x
-        assert max(abs(a - b) for a, b in zip(back.flatten(), flat)) < 1e-12
-
-
-# --- the functorial action --------------------------------------------------
-
-def test_join_functor_identity_and_inl_preservation():
-    u = rational_unit(2, 31)
-    v = rational_unit(2, 32)
-    x = join_embed(u, v, F(1), F(0))
-    ident = lambda t: t
-    y = join_functor(ident, ident, x)
-    assert y.flatten() == x.flatten()
-    assert join_view(y).kind == "inl"
-
-
-def test_join_functor_rejects_non_isometries():
-    x = join_embed(rational_unit(2, 33), rational_unit(2, 34), F(3, 5), F(4, 5))
-    with pytest.raises(UsageError):
-        join_functor(lambda t: tuple(2 * c for c in t), lambda t: t, x)
-
-
-def test_join_functor_by_unit_quaternion_keeps_norm():
-    w = rational_unit(4, 35).coords
-    x = join_embed(rational_unit(4, 36), rational_unit(4, 37), F(5, 13), F(12, 13))
-    y = join_functor(lambda t: mul_coeffs(w, t), lambda t: mul_coeffs(t, w), x)
-    assert sum(c * c for c in y.flatten()) == 1
-
-
-# probe images whose inner product is 1e-9 plus rounding: summed left to right it
-# lies above the 1e-9 slack, correctly rounded (math.fsum, or the compensated
-# sum() of Python 3.12 and later) it lies below
-SLANTED_IMAGES = ((0.4650124371325089, 0.5225845047530341, 0.4825981172171566, 0.5270369303593118),
-                  (0.5395167758215431, -0.3912165909757872, 0.5038897363514542, -0.5495146596334555))
-
-
-def test_orthonormality_probe_sums_left_to_right():
-    u, w = SLANTED_IMAGES
-    products = [x * y for x, y in zip(u, w)]
-    left_to_right = ((products[0] + products[1]) + products[2]) + products[3]
-    assert math.fsum(products) <= 1e-9 < left_to_right
-    with pytest.raises(UsageError, match="left map is not norm-preserving"):
-        _check_orthonormal(lambda e: SLANTED_IMAGES[e.index(1)], 2, "left map")
-
-
 # --- signed basis vectors: one builder, each caller's scalar type ------------------
 
 def _types(coords):
@@ -301,8 +226,3 @@ def test_basis_callers_keep_their_scalar_types():
     assert _signed_basis(2) == ((1, 0), (-1, 0), (0, 1), (0, -1))
     singles, _ = _structured_elements(2)
     assert all(_types(c) == (int,) * 4 for c in singles)
-    # the orthonormality probes of join_functor are Fraction basis vectors
-    probes = []
-    join_functor(lambda v: probes.append(v) or v, lambda v: v,
-                 JoinPoint((F(0), F(1)), (F(0),)))
-    assert probes[:2] == [(1, 0), (0, 1)] and all(_types(p) == (Fraction,) * 2 for p in probes)
