@@ -19,7 +19,7 @@ from hopfcheck.joinmul import (DIAMOND_LAWS, VIEW_KINDS, DiamondProblem, diamond
                                sample_join_point, unit_law_check)
 from hopfcheck.laws import _signed_basis, assoc_check, imaginaroid_instance
 from hopfcheck.sampling import CounterRng, quarter_grid, rand_unit
-from hopfcheck.spheremodel import FLOAT_VIEW_EPS, JoinPoint, SpherePoint, is_exact
+from hopfcheck.spheremodel import FLOAT_VIEW_EPS, JoinPoint, SpherePoint, arc_point, is_exact
 
 
 def F(n, d=1):
@@ -130,6 +130,28 @@ def test_refl_fillers_meet_boundary_contract():
                 for sigma, tau in ((fixed, t), (t, fixed)):
                     got = filler.evaluate(sigma, tau)
                     assert (got.left, got.right) == joinmul._edge_blocks(sigma, tau, *corners)
+
+
+def test_edge_blocks_meet_at_the_diamond_corners():
+    # corners inl(a), inr(b), inr(b2), inl(a2), and each edge is its glue arc
+    a, a2, b, b2 = (unit_sphere(2, 40 + i).coords for i in range(4))
+    zero = (F(0),) * 2
+    one, end = (F(1), F(0)), (F(0), F(1))
+    corners = {(one, one): (a, zero), (end, one): (zero, b),
+               (one, end): (zero, b2), (end, end): (a2, zero)}
+    for (sigma, tau), blocks in corners.items():
+        assert joinmul._edge_blocks(sigma, tau, a, a2, b, b2) == blocks
+    c, s = ARC
+    assert joinmul._edge_blocks(ARC, one, a, a2, b, b2) == (
+        tuple(c * t for t in a), tuple(s * t for t in b))
+    assert joinmul._edge_blocks(one, ARC, a, a2, b, b2) == (
+        tuple(c * t for t in a), tuple(s * t for t in b2))
+
+
+def test_edge_blocks_reject_interior_parameters():
+    a, b = unit_sphere(2, 44).coords, unit_sphere(2, 45).coords
+    with pytest.raises(UsageError, match="off the boundary"):
+        joinmul._edge_blocks(ARC, ARC2, a, tuple(-t for t in a), b, b)
 
 
 # --- the reduced diamond filler ------------------------------------------------
@@ -373,6 +395,27 @@ def test_views_and_products_share_one_zero_block_rule():
     got = join_mul_syn(X, Y, inst)
     assert got.left == mul_coeffs(X.left, Y.left)
     assert got.right == mul_coeffs(conj_coeffs(X.left), Y.right)
+
+
+def test_exact_zero_block_rule_has_no_slack():
+    # |q| = 2e-13 / (1 + 1e-26) is under FLOAT_VIEW_EPS: the float copy is inl,
+    # the exact point is an arc and multiplies as one, exactly as the oracle
+    t = F(1, 10 ** 13)
+    c, s = (1 - t * t) / (1 + t * t), 2 * t / (1 + t * t)
+    inst = verified("s0")
+    rng = CounterRng(0, "test/exact-zero-block", 0)
+    X = arc_point(rand_unit(rng, 2, "exact"), rand_unit(rng, 2, "exact"), c, s)
+    Y = sample_join_point(rng, inst, "glue", "exact")
+    inl_row = (mul_coeffs(X.left, Y.left), mul_coeffs(conj_coeffs(X.left), Y.right))
+    got = join_mul_syn(X, Y, inst)
+    assert got.flatten() == join_mul_alg(X, Y, inst.level + 1).flatten()
+    assert (got.left, got.right) != inl_row
+    Xf, Yf = (JoinPoint(tuple(map(float, P.left)), tuple(map(float, P.right)))
+              for P in (X, Y))
+    got_f = join_mul_syn(Xf, Yf, inst)
+    assert got_f.left == mul_coeffs(Xf.left, Yf.left)
+    assert got_f.right == mul_coeffs(conj_coeffs(Xf.left), Yf.right)
+    assert max(abs(a - float(b)) for a, b in zip(got_f, got)) < 1e-12
 
 
 # --- the lifted products against the rational form they replaced ----------------

@@ -11,9 +11,10 @@ from hopfcheck.errors import UsageError
 from hopfcheck.sampling import CounterRng, rand_unit, stereographic
 from hopfcheck.joinmul import reduced_diamond_filler
 from hopfcheck.laws import _signed_basis, _sphere_carrier, imaginaroid_instance, spheroid_instance
-from hopfcheck.spheremodel import (FLOAT_POINT_EPS, JoinPoint, SpherePoint, _check_unit,
-                                   _sum_squares, basis_coords, is_exact, join_embed, lift,
-                                   norm_coeffs)
+from hopfcheck.spheremodel import (FLOAT_POINT_EPS, FLOAT_VIEW_EPS, JoinPoint, SpherePoint,
+                                   _check_unit, _sum_squares, arc_point, basis_coords,
+                                   block_dim_error, is_exact, join_embed, lift, norm_coeffs,
+                                   zero_norm_bound)
 
 
 def F(n, d=1):
@@ -126,6 +127,45 @@ def test_embed_rejects_bad_arc_parameters():
         join_embed(u, v, F(-3, 5), F(4, 5))
 
 
+def test_embed_accepts_float_arc_parameters_within_the_point_slack():
+    u = SpherePoint((1.0, 0.0))
+    v = SpherePoint((0.0, 1.0))
+    c = 0.6
+    s = math.sqrt(1 - c * c + 0.5 * FLOAT_POINT_EPS)
+    x = join_embed(u, v, c, s)
+    assert (x.left, x.right) == ((c, 0.0), (0.0, s))
+    with pytest.raises(UsageError, match="quarter circle"):
+        join_embed(u, v, c, math.sqrt(1 - c * c + 10 * FLOAT_POINT_EPS))
+    with pytest.raises(UsageError, match="quarter circle"):
+        join_embed(u, v, -0.6, 0.8)
+
+
+def test_arc_point_leaves_the_quarter_check_to_join_embed():
+    # a negative parameter still gives a unit point, so only join_embed refuses it
+    u = rational_unit(2, 7)
+    v = rational_unit(2, 8)
+    x = arc_point(u.coords, v.coords, F(-3, 5), F(4, 5))
+    assert x.left == tuple(F(-3, 5) * c for c in u.coords)
+    assert x.right == tuple(F(4, 5) * c for c in v.coords)
+    with pytest.raises(UsageError, match="join point"):
+        arc_point(u.coords, v.coords, F(1, 2), F(1, 2))
+
+
+def test_zero_norm_bound_is_zero_for_exact_blocks_only():
+    assert zero_norm_bound((F(1), F(0), 0)) == 0
+    assert zero_norm_bound((1.0, 0.0)) == FLOAT_VIEW_EPS ** 2
+    # one float coordinate puts the whole pair in float mode
+    assert zero_norm_bound((F(1), 0.0)) == FLOAT_VIEW_EPS ** 2
+
+
+def test_block_dim_error_names_every_operands_blocks():
+    X = JoinPoint((F(1), F(0)), (F(0),))
+    Y = JoinPoint((F(0), F(0), F(1)), (F(0),))
+    err = block_dim_error(2, X, Y)
+    assert isinstance(err, UsageError)
+    assert str(err) == "join point blocks must have dimension 2, got 2 and 1; 3 and 1"
+
+
 # --- suspension negation and conjugation on the suspension carrier ----------
 
 MERIDIAN_PARAMS = ((F(5, 13), F(12, 13)), (F(-3, 5), F(4, 5)), (F(8, 17), F(-15, 17)))
@@ -199,6 +239,20 @@ def test_flat_unit_vector_splits_into_both_nestings():
     left_nested = JoinPoint(flat[:5], flat[5:])   # join(join(2+3), 2)
     right_nested = JoinPoint(flat[:2], flat[2:])  # join(2, join(3+2))
     assert left_nested.flatten() == right_nested.flatten() == flat
+
+
+# --- sphere-join-sphere round trip ------------------------------------------
+
+def test_join_of_spheres_covers_ambient_sphere():
+    # every unit vector of R^8 is join_embed of its normalized blocks at (|p|, |q|)
+    for idx in range(25):
+        rng = CounterRng(29, "test/surjective", idx)
+        flat = rand_unit(rng, 8, "float")
+        p, q = flat[:4], flat[4:]
+        c, s = math.sqrt(_sum_squares(p)), math.sqrt(_sum_squares(q))
+        back = join_embed(SpherePoint(tuple(t / c for t in p)),
+                          SpherePoint(tuple(t / s for t in q)), c, s)
+        assert max(abs(a - b) for a, b in zip(back.flatten(), flat)) < 1e-12
 
 
 # --- signed basis vectors: one builder, each caller's scalar type ------------------
