@@ -16,10 +16,11 @@ at 5).
 
 Basis products satisfy e_i e_j = +-e_(i xor j) at every level, so exact
 multiplication is one loop over a per-level sign table, read off the
-recursion on first use and skipping zero coefficients.  Exact operands are
-lifted to integer numerators over their common denominator, multiplied as
-ints and divided back once; all-int operands give ints, and any Fraction
-operand gives Fractions, as the recursion does.  Float operands, and any
+recursion on first use and skipping zero coefficients.  `Lifted`
+operands multiply there on their numerators, over the product of the
+denominators, and stay `Lifted`, as under `conj_coeffs`; exact tuples
+holding a Fraction are lifted into that path and come back as Fractions,
+all-int ones stay ints, as the recursion gives.  Float operands, and any
 mix that is not all int and Fraction, go through a straight-line kernel
 per level, traced once from the recursion (`_mul_recursive`) on first use:
 it takes every product, sum and difference of the recursion in its order,
@@ -47,7 +48,7 @@ from typing import Callable, Iterator, Optional
 from .checks import compare, max_abs_diff, run_laws, worst_of
 from .errors import InvariantViolation, UsageError
 from .sampling import rand_coeffs
-from .spheremodel import _EXACT, basis_coords, lift, norm_coeffs
+from .spheremodel import _EXACT, Lifted, basis_coords, lifted, norm_coeffs
 
 MAX_LEVEL = 5
 STRUCTURED_CAP = 6000   # structured inputs scanned per ladder law
@@ -68,8 +69,10 @@ LADDER = {
 # kernel on raw coefficient tuples
 
 
-def conj_coeffs(a: tuple) -> tuple:
+def conj_coeffs(a):
     # (a, b)* = (a*, -b) unrolled: negate every coefficient except the real one
+    if type(a) is Lifted:
+        return Lifted(conj_coeffs(a.nums), a.den)
     return (a[0],) + tuple(-c for c in a[1:])
 
 
@@ -93,19 +96,22 @@ def mul_ints(a, b) -> tuple:
     return tuple(out)
 
 
-def mul_coeffs(a: tuple, b: tuple) -> tuple:
-    """Product of two coefficient tuples of one level; the path follows the scalar types."""
+def mul_coeffs(a, b):
+    """Product of two elements of one level; the path follows the scalar types."""
+    if type(a) is Lifted or type(b) is Lifted:
+        return _mul_lifted(lifted(a), lifted(b))
     if type(a[0]) is not float or type(b[0]) is not float:   # float mode skips the type scan
         kinds = {*map(type, a), *map(type, b)}
         if kinds <= _INT:
             return mul_ints(a, b)
         if kinds <= _EXACT:
-            na, da = lift(a)
-            nb, db = lift(b)
-            d = da * db
-            return tuple(Fraction(c, d) for c in mul_ints(na, nb))
+            return tuple(_mul_lifted(lifted(a), lifted(b)))
         a, b = _meet_floats(a, b)
     return _float_kernel(len(a))(a, b)
+
+
+def _mul_lifted(a: Lifted, b: Lifted) -> Lifted:
+    return Lifted(mul_ints(a.nums, b.nums), a.den * b.den)
 
 
 _FLOAT = frozenset((float,))

@@ -5,7 +5,8 @@ capped stream of exact inputs (small integer coefficients) and yields the
 minimal witness when the law fails on one of them.  The sampling phase
 evaluates `samples` random inputs indexed 0..samples-1 in order, on one
 thread; each input is derived from (seed, suite id, index), so sample i is
-the same whatever ran before it.
+the same whatever ran before it.  `Lifted` sides are compared on integers:
+Fractions are built only for a nonzero residual and a witness.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Callable, Iterable, Optional
 
 from .errors import InvariantViolation, PreconditionError
 from .sampling import CounterRng
-from .spheremodel import JoinPoint, SpherePoint
+from .spheremodel import JoinPoint, Lifted, SpherePoint, lifted
 
 STATUS_HOLDS_EXACT = "holds-exact"
 STATUS_HOLDS_SAMPLED = "holds-sampled"
@@ -33,8 +34,9 @@ def scalar_to_json(x):
 
 
 def coeffs_to_json(value):
-    """Coefficient sequences (tuples, lists, sphere and join points) go to lists of scalars."""
-    if isinstance(value, (tuple, list, SpherePoint, JoinPoint)):
+    """Coefficient sequences (tuples, lists, `Lifted` values, sphere and join points) go to
+    lists of scalars; a `Lifted` builds its Fractions here."""
+    if isinstance(value, (tuple, list, Lifted, SpherePoint, JoinPoint)):
         return [coeffs_to_json(v) for v in value]
     return scalar_to_json(value)
 
@@ -117,10 +119,8 @@ def execute_check(law: str,
     first residual above the threshold.  A NaN residual is never within
     the threshold, so it fails the law in either phase, and so does an
     exception from evaluate (see `_scan`) or from the sampler (see
-    `_draws`).  `workers` is
-    accepted and ignored: the scan runs on the calling thread (pure-Python
-    arithmetic gains nothing from threads), and the keyword stays for
-    callers that pass it.
+    `_draws`).  `workers` is accepted and ignored: the scan runs on the
+    calling thread (pure-Python arithmetic gains nothing from threads).
     """
     t0 = time.perf_counter()
     threshold = 0 if mode == "exact" else tolerance
@@ -235,7 +235,17 @@ def max_abs_diff(a: Iterable, b: Iterable):
     against inf still gives NaN.  A NaN difference is returned as soon as
     it is seen, so it cannot hide behind a larger finite one.  Sides of
     different lengths raise ValueError, which fails the law evaluating them.
+
+    A `Lifted` side is compared with the other, lifted, on cross-multiplied
+    integers; only a nonzero residual builds its Fraction, as the loop would.
     """
+    a = a.flatten() if type(a) is JoinPoint else a
+    b = b.flatten() if type(b) is JoinPoint else b
+    if type(a) is Lifted or type(b) is Lifted:
+        a, b = lifted(a), lifted(b)
+        da, db = a.den, b.den
+        top = max([abs(x * db - y * da) for x, y in zip(a.nums, b.nums, strict=True)], default=0)
+        return Fraction(top, da * db) if top else 0
     worst = 0
     for x, y in zip(a, b, strict=True):
         if type(x) is not float and x == y:   # a float never meets Fraction.__eq__

@@ -15,6 +15,10 @@ The fiber over a non-polar point is the translate family
 fibers are checked concretely, and the dimensions are measured on the
 model's points.  fibration_report returns the aggregate suite as a report
 list, like every other suite.
+
+Exact fiber samples are `Lifted`; hopf_map projects on integer numerators,
+lifting a caller's exact point once.  An arc's (c, s) stay Fractions: a
+witness writes them as two scalars.
 """
 
 from __future__ import annotations
@@ -23,14 +27,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
-from .cdalg import conj_coeffs, mul_coeffs, norm_coeffs
+from .cdalg import conj_coeffs, mul_coeffs, mul_ints, norm_coeffs
 from .checks import LawReport, compare, execute_check, max_abs_diff, run_laws, worst_of
 from .errors import UsageError
 from .laws import (ImaginaroidInstance, assoc_check, hspace_check, imaginaroid_instance,
                    spheroid_instance)
 from .joinmul import join_hspace_carrier, oracle_equivalence_suite, unit_law_check
-from .sampling import rand_quarter_pair, rand_unit
-from .spheremodel import JoinPoint, SpherePoint, arc_point, basis_coords, block_dim_error
+from .sampling import rand_point, rand_quarter_pair
+from .spheremodel import (JoinPoint, Lifted, SpherePoint, _sum_squares, arc_point, basis_coords,
+                          block_dim_error, is_exact, lifted)
 
 #: fibration name -> imaginaroid whose suspension is the fiber sphere G
 FIBRATIONS = {"real": "empty", "complex": "s0", "quaternionic": "s2"}
@@ -64,9 +69,16 @@ def hopf_map(x: JoinPoint, inst: HopfInstance) -> SpherePoint:
     p, q = x.left, x.right
     if not len(p) == len(q) == inst.fiber_dim:
         raise block_dim_error(inst.fiber_dim, x)
-    head = norm_coeffs(p) - norm_coeffs(q)
-    tail = tuple(2 * c for c in mul_coeffs(p, q))
-    return SpherePoint((head,) + tail)
+    if type(p) is not Lifted and not is_exact(p + q):
+        head = norm_coeffs(p) - norm_coeffs(q)
+        return SpherePoint((head,) + tuple(2 * c for c in mul_coeffs(p, q)))
+    X = lifted(x)       # (|P|^2 - |Q|^2, 2 P Q) over d^2 on the numerators
+    P, Q = X.left.nums, X.right.nums
+    image = Lifted((_sum_squares(P) - _sum_squares(Q),) + tuple([2 * c for c in mul_ints(P, Q)]),
+                   X.left.den ** 2)
+    if type(p) is not Lifted:   # exact tuples: ints from all ints, as the polynomial gives
+        image = image.nums if all(type(c) is int for c in p + q) else tuple(image)
+    return SpherePoint(image)
 
 
 def _translate(u, v, w):
@@ -112,10 +124,11 @@ def _poles(dim: int) -> tuple:
                  for pole in (basis_coords(dim + 1, 0, Fraction(sign)) for sign in (1, -1)))
 
 
-def _pole_residual(got: tuple, pole: tuple):
+def _pole_residual(got, pole: tuple):
     # float coordinates meet the float pole: x - 1.0 is what x - Fraction(1) evaluates to
     exact, floats = pole
-    return max_abs_diff(got, floats if all(type(x) is float for x in got) else exact)
+    return max_abs_diff(got, floats if type(got) is tuple and all(
+        type(x) is float for x in got) else exact)
 
 
 def _fiber_polar(ctx, inputs):
@@ -128,9 +141,10 @@ def _fiber_polar(ctx, inputs):
     if not r <= 0:      # the pair of the pole that fails, with its exact coordinates
         return r, ends[at], poles[at][0]
     # a genuine arc point must avoid both poles
-    mixed = hopf_map(arc_point(u, v, c, s), inst)
-    if abs(mixed.coords[0]) >= 1:
-        return 1, mixed.coords, "interior"
+    mixed = hopf_map(arc_point(u, v, c, s), inst).coords
+    head, one = (mixed.nums[0], mixed.den) if type(mixed) is Lifted else (mixed[0], 1)
+    if abs(head) >= one:
+        return 1, mixed, "interior"
     return 0, None, None
 
 
@@ -168,10 +182,11 @@ def fiber_check(inst: HopfInstance,
     gap = tolerance if mode == "float" else 0
 
     def draw(rng, arity, i):
-        arc = (rand_unit(rng, dim, mode), rand_unit(rng, dim, mode)) + rand_quarter_pair(rng, mode)
-        ws = [rand_unit(rng, dim, mode)]
+        u, v = rand_point(rng, dim, mode), rand_point(rng, dim, mode)
+        arc = (u, v) + rand_quarter_pair(rng, mode)
+        ws = [rand_point(rng, dim, mode)]
         while len(ws) < arity - 1:
-            w = rand_unit(rng, dim, mode)
+            w = rand_point(rng, dim, mode)
             if max_abs_diff(ws[0], w) > gap:
                 ws.append(w)
         return (arc, *ws)

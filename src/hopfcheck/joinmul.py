@@ -20,38 +20,34 @@ Cayley-Dickson level: join_mul_alg is that product and serves as the
 independent oracle for join_mul_syn.
 
 D_x and the edge values are each written once, for any scalar type, and
-each grid law has one body.  An exact corner and each parameter pair
-(c, s) are lifted once to integer numerators over a common denominator:
-a grid point holds when |L|^2 + |R|^2 equals the squared denominator, and
-a boundary point when its integer vector equals the edge's.  Fractions are
-built only for a nonzero residual and its witness.  A float corner runs
-the same body over denominator 1 with its Fraction grid pairs unlifted, so
-its values are SquareFiller's bit for bit, and a broken filler fails.
+each grid law has one body.  An exact corner and each parameter pair are
+lifted once: a grid point holds when |L|^2 + |R|^2 is the squared
+denominator, a boundary point when its integers equal the edge's, and only
+a failure builds Fractions.  A float corner runs the same body over
+denominator 1, so its values are SquareFiller's and a broken filler fails.
 
 join_mul_syn is the one place a join point's constructor view is
 decided: a block is zero when its squared norm is at most
-`zero_norm_bound`.  It works the same way on all-Fraction operands: each
-point is lifted once, the view cases and the arc formula run on integer
-numerators through the sign-table kernel, and each output coordinate is
-built as a Fraction once (see `_arc_blocks`).
+`zero_norm_bound`.  On lifted points, the form the suites sample, it
+builds no Fraction (`_arc_blocks`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from operator import itemgetter
 from typing import Callable
 
-from .cdalg import conj_coeffs, lift, mul_coeffs, mul_ints, norm_coeffs
+from .cdalg import _meet_floats, conj_coeffs, mul_coeffs, mul_ints, norm_coeffs
 from .checks import compare, max_abs_diff, run_laws, worst_of
 from .errors import UsageError
 from .laws import (HSPACE_UNIT_LAWS, Carrier, ImaginaroidInstance, _require_assoc,
-                   _signed_basis)
-from .sampling import CounterRng, quarter_grid, rand_quarter_pair, rand_unit
-from .spheremodel import (JoinPoint, SpherePoint, arc_point, basis_coords, block_dim_error,
-                          is_exact, zero_norm_bound)
+                   _carrier_laws, _signed_basis)
+from .sampling import CounterRng, quarter_grid, rand_point, rand_quarter, rand_unit
+from .spheremodel import (JoinPoint, Lifted, SpherePoint, _sum_squares, arc_point, basis_coords,
+                          block_dim_error, is_exact, lift, lifted, lifted_arc, neg_coeffs,
+                          zero_norm_bound)
 
 #: report-instance names for the join carriers, keyed by imaginaroid name
 JOIN_INSTANCE = {"empty": "s1", "s0": "s3", "s2": "s7"}
@@ -61,12 +57,9 @@ def _scale(s, vec: tuple) -> tuple:
     return tuple(s * c for c in vec)
 
 
-def _add(u: tuple, v: tuple) -> tuple:
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def _neg(u: tuple) -> tuple:
-    return tuple(-a for a in u)
+def _comb(s, u: tuple, t, v: tuple) -> tuple:
+    """s u + t v, in one pass over the coordinates."""
+    return tuple([s * a + t * b for a, b in zip(u, v)])
 
 
 # ---------------------------------------------------------------------------
@@ -131,25 +124,21 @@ def fill_refl_diamond(problem: DiamondProblem) -> SquareFiller:
     """
     a, a2, b, b2 = (problem.a.coords, problem.a2.coords,
                     problem.b.coords, problem.b2.coords)
-    if b == b2 and a2 == _neg(a):
+    if b == b2 and a2 == neg_coeffs(a):
 
         def evaluate(sigma, tau):
             cs, ss = sigma
             ct, st = tau
-            return JoinPoint(
-                _add(_scale(cs * ct, a), _scale(ss * st, a2)),
-                _scale(ss * ct + cs * st, b))
+            return JoinPoint(_comb(cs * ct, a, ss * st, a2), _scale(ss * ct + cs * st, b))
 
         return SquareFiller(problem, evaluate)
 
-    if a == a2 and b2 == _neg(b):
+    if a == a2 and b2 == neg_coeffs(b):
 
         def evaluate(sigma, tau):
             cs, ss = sigma
             ct, st = tau
-            return JoinPoint(
-                _scale(cs * ct + ss * st, a),
-                _add(_scale(ss * ct, b), _scale(cs * st, b2)))
+            return JoinPoint(_scale(cs * ct + ss * st, a), _comb(ss * ct, b, cs * st, b2))
 
         return SquareFiller(problem, evaluate)
 
@@ -175,7 +164,7 @@ def reduced_diamond_filler(x: SpherePoint) -> SquareFiller:
 
 
 def _reduced_blocks(sigma, tau, one, x) -> tuple:
-    """The blocks (left, right) of D_x(sigma, tau), for any scalar type.
+    """The blocks (left, right) of D_x(sigma, tau), for any scalar type, each in one pass.
 
     Fractions or floats give the point itself.  Integer numerators of
     sigma and tau (over d_sigma, d_tau) and of one and x (over d_x) give
@@ -183,8 +172,7 @@ def _reduced_blocks(sigma, tau, one, x) -> tuple:
     """
     cs, ss = sigma
     ct, st = tau
-    return (_add(_scale(-(cs * ct), one), _scale(ss * st, x)),
-            _add(_scale(ss * ct, one), _scale(cs * st, x)))
+    return _comb(-(cs * ct), one, ss * st, x), _comb(ss * ct, one, cs * st, x)
 
 
 # ---------------------------------------------------------------------------
@@ -202,49 +190,47 @@ def join_mul_syn(X: JoinPoint, Y: JoinPoint, inst: ImaginaroidInstance,
     normalized filler route computes the same vector (see the tests); this
     form merely avoids the square roots of the block norms.
 
-    Operands whose coordinates are all Fractions are lifted once each, X
-    to integer numerators over d_X and Y over d_Y.  Every product of a
-    view case pairs a block of X with one of Y, so it runs on ints and is
-    divided by d_X d_Y once; the views are told apart on the integer
-    squared norms, and two arcs multiply on ints (`_arc_blocks`).  Values
-    and scalar types are those of the rational form.  Other operands
-    (floats, ints, int/Fraction mixes) take the rational form directly.
-    Every block must have the suspension's dimension.
+    One body serves every scalar form.  Lifted points give a lifted point,
+    their views read off the numerators' squared norms; Fraction and int
+    points keep their types through the same `mul_coeffs` view products;
+    two exact arcs are lifted and multiplied on integers (`_arc_blocks`).
+    An exact inl or inr point (the unit) meeting an all-float one becomes
+    floats once, as in `cdalg._meet_floats`.  Every block must have the
+    suspension's dimension.
     """
     _require_assoc(inst, allow_unverified)
     p, q = X.left, X.right
     r, w = Y.left, Y.right
     if not len(p) == len(q) == len(r) == len(w) == inst.susp_dim:
         raise block_dim_error(inst.susp_dim, X, Y)
-    mul, conj = mul_coeffs, conj_coeffs
-    xs, ys = X.flatten(), Y.flatten()
-    eps2 = zero_norm_bound(xs + ys)
-    lifted = eps2 == 0 and all(type(c) is Fraction for c in xs + ys)
-    if lifted:
-        (xn, dx), (yn, dy) = lift(xs), lift(ys)
-        d = dx * dy
-        h = len(p)
-        p, q, r, w = xn[:h], xn[h:], yn[:h], yn[h:]
-        p2, q2, r2, w2 = (sum(c * c for c in v) for v in (p, q, r, w))
-        conj = conj_coeffs
-
-        def mul(a, b):
-            return tuple(Fraction(c, d) for c in mul_ints(a, b))
+    lifted_in = type(p) is Lifted or type(r) is Lifted
+    if lifted_in:
+        X, Y = lifted(X), lifted(Y)
+        p, q, r, w = X.left, X.right, Y.left, Y.right
+        # |b|^2 d^2 on the numerators: a block is zero exactly when its norm is
+        norms, eps2 = [_sum_squares(b.nums) for b in (p, q, r, w)], 0
     else:
-        p2, q2 = norm_coeffs(p), norm_coeffs(q)
-        r2, w2 = norm_coeffs(r), norm_coeffs(w)
-
+        xs, ys = p + q, r + w
+        # an exact inl or inr point (the unit) meeting an all-float one: floats once
+        if is_exact(xs) and not (any(p) and any(q)) or is_exact(ys) and not (any(r) and any(w)):
+            xs, ys = _meet_floats(xs, ys)
+            p, q, r, w = xs[:len(p)], xs[len(p):], ys[:len(r)], ys[len(r):]
+        norms, eps2 = [norm_coeffs(b) for b in (p, q, r, w)], zero_norm_bound(xs + ys)
+    p2, q2, r2, w2 = norms
+    mul, conj = mul_coeffs, conj_coeffs
     if q2 <= eps2:                      # X = inl(p)
         return JoinPoint(mul(p, r), mul(conj(p), w))
     if p2 <= eps2:                      # X = inr(q)
-        return JoinPoint(_neg(mul(w, conj(q))), mul(r, q))
+        return JoinPoint(neg_coeffs(mul(w, conj(q))), mul(r, q))
     if w2 <= eps2:                      # Y = inl(r)
         return JoinPoint(mul(p, r), mul(r, q))
     if r2 <= eps2:                      # Y = inr(w)
-        return JoinPoint(_neg(mul(w, conj(q))), mul(conj(p), w))
-    if lifted:
-        return JoinPoint(*_arc_blocks(p, q, r, w, p2, q2, r2, d))
-
+        return JoinPoint(neg_coeffs(mul(w, conj(q))), mul(conj(p), w))
+    if eps2 == 0:                       # two exact arcs, on integer numerators
+        X, Y = lifted(X), lifted(Y)
+        P, Q, R, W = X.left.nums, X.right.nums, Y.left.nums, Y.right.nums
+        out = _arc_blocks(P, Q, R, W, *map(_sum_squares, (P, Q, R)), X.left.den * Y.left.den)
+        return out if lifted_in else JoinPoint(tuple(out.left), tuple(out.right))
     # two arcs: f, g transport of the reduced diamond, written homogeneously
     K = mul(mul(mul(conj(r), conj(p)), w), conj(q))
     M = mul(p, r)
@@ -254,29 +240,25 @@ def join_mul_syn(X: JoinPoint, Y: JoinPoint, inst: ImaginaroidInstance,
     return JoinPoint(left, right)
 
 
-def _arc_blocks(P, Q, R, W, p2, q2, r2, d) -> tuple:
-    """The two-arc product of join_mul_syn on integer numerators.
+def _arc_blocks(P, Q, R, W, p2, q2, r2, d) -> JoinPoint:
+    """The two-arc product of join_mul_syn on integer numerators, as a lifted point.
 
     P, Q are X's blocks over d_X and R, W are Y's over d_Y, with
     d = d_X d_Y and p2, q2, r2 the squared norms of P, Q, R.  Clearing the
     denominators of the rational form, with M = P R and K = R* P* W Q* on
-    ints, gives
+    ints and N = p2 r2 q2, gives
 
-        left  = (M p2 r2 - M K) / (d p2 r2)
-        right = (R Q r2 q2 + (R K) Q) / (d r2 q2)
+        left  = (M N - (M K) q2) / (d N)
+        right = ((R Q) N + ((R K) Q) p2) / (d N)
 
-    Every product runs through the sign-table kernel, and each output
-    coordinate is built as a Fraction once.
+    Every product runs through the sign-table kernel.
     """
     K = mul_ints(mul_ints(mul_ints(conj_coeffs(R), conj_coeffs(P)), W), conj_coeffs(Q))
     M = mul_ints(P, R)
-    pr2, rq2 = p2 * r2, r2 * q2
-    den = d * pr2
-    left = tuple(Fraction(m * pr2 - t, den) for m, t in zip(M, mul_ints(M, K)))
-    den = d * rq2
-    right = tuple(Fraction(n * rq2 + t, den)
-                  for n, t in zip(mul_ints(R, Q), mul_ints(mul_ints(R, K), Q)))
-    return left, right
+    N = p2 * r2 * q2
+    left = tuple([m * N - t * q2 for m, t in zip(M, mul_ints(M, K))])
+    right = tuple([n * N + t * p2 for n, t in zip(mul_ints(R, Q), mul_ints(mul_ints(R, K), Q))])
+    return JoinPoint(Lifted(left, d * N), Lifted(right, d * N))
 
 
 def join_mul_alg(X: JoinPoint, Y: JoinPoint, level: int) -> JoinPoint:
@@ -301,15 +283,22 @@ def join_mul_alg(X: JoinPoint, Y: JoinPoint, level: int) -> JoinPoint:
 
 def sample_join_point(rng: CounterRng, inst: ImaginaroidInstance, view: str,
                       mode: str) -> JoinPoint:
+    """`join_point_sample`'s point, with Fraction coordinates in exact mode."""
+    X = join_point_sample(rng, inst, view, mode)
+    return JoinPoint(tuple(X.left), tuple(X.right)) if mode == "exact" else X
+
+
+def join_point_sample(rng: CounterRng, inst: ImaginaroidInstance, view: str,
+                      mode: str) -> JoinPoint:
+    """A random point of the view inl, inr or glue; a lifted point in exact mode."""
     dim = inst.susp_dim
-    zero = (Fraction(0) if mode == "exact" else 0.0,) * dim
-    if view == "inl":
-        return JoinPoint(rand_unit(rng, dim, mode), zero)
-    if view == "inr":
-        return JoinPoint(zero, rand_unit(rng, dim, mode))
-    u = rand_unit(rng, dim, mode)
-    v = rand_unit(rng, dim, mode)
-    return arc_point(u, v, *rand_quarter_pair(rng, mode))
+    if view == "glue":
+        u, v = rand_point(rng, dim, mode), rand_point(rng, dim, mode)
+        cs = rand_quarter(rng, mode)
+        return lifted_arc(u, v, cs) if mode == "exact" else arc_point(u, v, *cs)
+    x = rand_point(rng, dim, mode)
+    zero = Lifted((0,) * dim, x.den) if mode == "exact" else (0.0,) * dim
+    return JoinPoint(x, zero) if view == "inl" else JoinPoint(zero, x)
 
 
 VIEW_KINDS = ("inl", "inr", "glue")
@@ -335,7 +324,7 @@ def oracle_equivalence_suite(inst: ImaginaroidInstance,
     instance = JOIN_INSTANCE.get(inst.name, inst.name)
     return run_laws(
         ORACLE_LAWS, instance, inst,
-        draw=lambda rng, views, i: tuple(sample_join_point(rng, inst, v, mode)
+        draw=lambda rng, views, i: tuple(join_point_sample(rng, inst, v, mode)
                                          for v in views),
         suite=lambda law: f"joinmul/{instance}/{law}/{mode}",
         samples=max(1, samples // 9), seed=seed, mode=mode, tolerance=tolerance)
@@ -353,12 +342,11 @@ def unit_law_check(inst: ImaginaroidInstance,
     through the three views.
     """
     carrier = join_hspace_carrier(inst)
-    return run_laws(
-        HSPACE_UNIT_LAWS, carrier.name, carrier,
-        structured=lambda arity: product(carrier.structured, repeat=arity),
-        draw=lambda rng, arity, i: (sample_join_point(rng, inst, VIEW_KINDS[i % 3], mode),),
+    return _carrier_laws(
+        HSPACE_UNIT_LAWS, carrier, mode=mode,
+        draw=lambda rng, arity, i: (join_point_sample(rng, inst, VIEW_KINDS[i % 3], mode),),
         suite=lambda law: f"joinmul/{carrier.name}/unit/{mode}", samples=samples,
-        seed=seed, mode=mode, tolerance=tolerance)
+        seed=seed, tolerance=tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -375,13 +363,11 @@ def _edge_params(ends, params):
 
 def _lifted_corner(x: SpherePoint) -> tuple:
     """(one, x, d_x, lift_pairs): the corner's reduced-diamond data over d_x, and
-    lift_pairs(pairs), each pair as (numerators, denominator).  An exact corner
-    and its pairs are lifted to integers; a float corner is carried over 1 with
-    `one` and the pairs in Fractions, the operands SquareFiller evaluation uses."""
+    lift_pairs(pairs), each pair as (numerators, denominator): integers for an exact
+    corner, and for a float one d_x = 1 with `one` and the pairs in Fractions."""
     if is_exact(x.coords):
         xn, dx = lift(x.coords)
-        return (basis_coords(len(xn), 0, dx), tuple(xn), dx,
-                lambda pairs: [(tuple(n), d) for n, d in map(lift, pairs)])
+        return basis_coords(len(xn), 0, dx), xn, dx, lambda pairs: list(map(lift, pairs))
     return SpherePoint.basis(x.dim, 0).coords, x.coords, 1, lambda pairs: [(p, 1) for p in pairs]
 
 
@@ -417,7 +403,7 @@ def _worst_pair(pairs):
 def _boundary_pairs(params, x):
     """(filler value, edge value) for each boundary point where the two differ."""
     one, xn, dx, lift_pairs = _lifted_corner(x)
-    minus_one = _neg(one)
+    minus_one = neg_coeffs(one)
     for (ns, ds), (nt, dt) in _edge_params(lift_pairs(_EDGE_ENDPOINTS), lift_pairs(params)):
         # one of ds, dt is 1 (an endpoint), so both sides are over ds * dt * dx
         left, right = _reduced_blocks(ns, nt, one, xn)
@@ -486,7 +472,8 @@ def diamond_suite(inst: ImaginaroidInstance,
 def join_hspace_carrier(inst: ImaginaroidInstance) -> Carrier:
     """join(S, S) with the synthetic multiplication and the doubled conjugation.
 
-    Its laws never negate, so the carrier has no negation.
+    Its laws never negate, so the carrier has no negation.  Its conjugation
+    slices the conjugated coordinates, so a lifted point stays lifted.
     """
     dim = inst.susp_dim
     zero = (Fraction(0),) * dim
@@ -496,7 +483,7 @@ def join_hspace_carrier(inst: ImaginaroidInstance) -> Carrier:
         return JoinPoint(flat[:dim], flat[dim:])
 
     def sample(rng: CounterRng, mode: str) -> JoinPoint:
-        return sample_join_point(rng, inst, VIEW_KINDS[rng.randint(0, 2)], mode)
+        return join_point_sample(rng, inst, VIEW_KINDS[rng.randint(0, 2)], mode)
 
     return Carrier(
         name=JOIN_INSTANCE.get(inst.name, inst.name),

@@ -28,7 +28,8 @@ from typing import Callable, Optional
 from .cdalg import LADDER, basis_coords, conj_coeffs, mul_coeffs
 from .checks import LawReport, compare, execute_check, max_abs_diff, run_laws, worst_of
 from .errors import PreconditionError, UsageError
-from .sampling import rand_unit
+from .sampling import rand_point
+from .spheremodel import is_exact, lifted, neg_coeffs
 
 
 def _signed_basis(dim: int) -> tuple:
@@ -65,8 +66,8 @@ def _sphere_carrier(name: str, dim: int) -> Carrier:
     the module global then, so a profiler that rebinds mul_coeffs sees it."""
     return Carrier(
         name=name, unit=basis_coords(dim, 0, Fraction(1)), mul=mul_coeffs, conj=conj_coeffs,
-        structured=_signed_basis(dim), sample=lambda rng, mode: rand_unit(rng, dim, mode),
-        neg=lambda x: tuple(-c for c in x))
+        structured=_signed_basis(dim), sample=lambda rng, mode: rand_point(rng, dim, mode),
+        neg=neg_coeffs)
 
 
 @dataclass
@@ -204,14 +205,20 @@ IMAGINAROID_LAWS = (
 )
 
 
-def _carrier_laws(rows, carrier: Carrier, *, mode: str, **kw) -> list:
-    """run_laws on a carrier: every arity-tuple of carrier.structured, then
-    sample i as arity points drawn with carrier.sample.  kw goes to run_laws."""
+def _carrier_laws(rows, carrier: Carrier, *, mode: str, draw=None, **kw) -> list:
+    """run_laws on a carrier: every arity-tuple of carrier.structured, then sample i
+    as arity points drawn with carrier.sample, or by draw.  kw goes to run_laws.
+    In exact mode the unit and structured points are `lifted`, as samples are."""
+    if mode == "exact":
+        if not all(is_exact(tuple(x)) for x in (carrier.unit, *carrier.structured)):
+            raise UsageError(f"exact mode needs exact points on carrier {carrier.name}")
+        carrier = replace(carrier, unit=lifted(carrier.unit),
+                          structured=tuple(map(lifted, carrier.structured)))
     return run_laws(
         rows, carrier.name, carrier, mode=mode,
         structured=lambda arity: product(carrier.structured, repeat=arity),
-        draw=lambda rng, arity, i: tuple(carrier.sample(rng, mode) for _ in range(arity)),
-        **kw)
+        draw=draw or (lambda rng, arity, i: tuple(carrier.sample(rng, mode)
+                                                  for _ in range(arity))), **kw)
 
 
 def spheroid_check(carrier: Carrier,

@@ -7,9 +7,9 @@ samples are rationals with bounded numerators and denominators; sphere
 points are generated through the rational parametrization
 y -> ((1 - |y|^2) / (1 + |y|^2), 2y / (1 + |y|^2)), which lands exactly on
 the unit sphere.  Exact sphere points and quarter-circle pairs evaluate
-that map on integer numerators over a common denominator and build each
-output Fraction once; the draws, their order and the values are those of
-the Fraction formulas.
+that map on integers and return the `Lifted` values the suites draw
+(`rand_point`, `rand_quarter`), with the draws, order and values of the
+Fraction formulas; `rand_unit` and `rand_quarter_pair` give Fractions.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import math
 from fractions import Fraction
 from functools import cache
 
-from .spheremodel import norm_coeffs
+from .spheremodel import Lifted, norm_coeffs
 
 _MASK = (1 << 64) - 1
 
@@ -66,14 +66,10 @@ def rand_fraction(rng: CounterRng) -> Fraction:
     return Fraction(rng.randint(-MAGNITUDE, MAGNITUDE), rng.randint(1, MAGNITUDE))
 
 
-def rand_scalar(rng: CounterRng, mode: str):
-    if mode == "exact":
-        return rand_fraction(rng)
-    return rng.uniform(-MAGNITUDE, MAGNITUDE)
-
-
 def rand_coeffs(rng: CounterRng, n: int, mode: str) -> tuple:
-    return tuple(rand_scalar(rng, mode) for _ in range(n))
+    if mode == "exact":
+        return tuple(rand_fraction(rng) for _ in range(n))
+    return tuple(rng.uniform(-MAGNITUDE, MAGNITUDE) for _ in range(n))
 
 
 def stereographic(vec: tuple) -> tuple:
@@ -86,7 +82,12 @@ def stereographic(vec: tuple) -> tuple:
 
 
 def rand_unit(rng: CounterRng, dim: int, mode: str) -> tuple:
-    """Random point on the unit sphere of R^dim (exactly unit in exact mode).
+    """`rand_point` as a coordinate tuple: exactly unit Fractions in exact mode."""
+    return tuple(rand_point(rng, dim, mode))
+
+
+def rand_point(rng: CounterRng, dim: int, mode: str):
+    """Random point on the unit sphere of R^dim: a `Lifted` in exact mode, floats in float mode.
 
     Exact mode draws y_i = a_i / d_i (numerator, then denominator, as
     rand_fraction does) and evaluates the stereographic map on the integer
@@ -95,8 +96,8 @@ def rand_unit(rng: CounterRng, dim: int, mode: str) -> tuple:
     if dim < 1:
         raise ValueError("ambient dimension must be >= 1")
     if dim == 1:
-        one = Fraction(1) if mode == "exact" else 1.0
-        return (rng.sign() * one,)
+        sign = rng.sign()
+        return Lifted((sign,), 1) if mode == "exact" else (sign * 1.0,)
     if mode != "exact":
         return stereographic(tuple(rng.uniform(-MAGNITUDE, MAGNITUDE) for _ in range(dim - 1)))
     drawn = [(rng.randint(-MAGNITUDE, MAGNITUDE), rng.randint(1, MAGNITUDE))
@@ -105,32 +106,33 @@ def rand_unit(rng: CounterRng, dim: int, mode: str) -> tuple:
     return _stereographic_ints([a * (lcm // d) for a, d in drawn], lcm)
 
 
-def _stereographic_ints(nums, den) -> tuple:
+def _stereographic_ints(nums, den) -> Lifted:
     """`stereographic` at y = nums / den, on integers: with S = sum n_i^2 the point
-    is ((den^2 - S) / (den^2 + S), 2 n_i den / (den^2 + S)), one Fraction each."""
+    is (den^2 - S, 2 n_i den) over den^2 + S."""
     d2 = den * den
     s = sum(a * a for a in nums)
-    total = d2 + s
-    return (Fraction(d2 - s, total),) + tuple(Fraction(2 * a * den, total) for a in nums)
+    return Lifted((d2 - s,) + tuple([2 * a * den for a in nums]), d2 + s)
 
 
 def rand_quarter_pair(rng: CounterRng, mode: str) -> tuple:
-    """Random (c, s) with c, s > 0 and c^2 + s^2 = 1.
+    """`rand_quarter` as a pair: Fractions in exact mode."""
+    return tuple(rand_quarter(rng, mode))
 
-    Both components are strictly positive, so the pair parameterizes a
-    genuine glue arc point rather than an endpoint.  Exact mode draws
-    t = k / den and returns its `quarter_point`.
-    """
+
+def rand_quarter(rng: CounterRng, mode: str):
+    """Random (c, s) with c, s > 0 and c^2 + s^2 = 1, a `Lifted` pair in exact mode:
+    a genuine glue arc point, not an endpoint.  Exact mode draws t = k / den and
+    returns the quarter-circle point at t (`quarter_point`)."""
     if mode == "exact":
         den = rng.randint(2, 4 * MAGNITUDE)
-        return quarter_point(rng.randint(1, den - 1), den)
+        return _stereographic_ints((rng.randint(1, den - 1),), den)
     return stereographic((0.5 * rng.uniform(0.0, 1.0) + 0.25,))
 
 
 def quarter_point(k: int, den: int) -> tuple:
     """The quarter-circle point ((1 - t^2) / (1 + t^2), 2t / (1 + t^2)) at t = k / den,
     computed on integers over den^2 + k^2."""
-    return _stereographic_ints((k,), den)
+    return tuple(_stereographic_ints((k,), den))
 
 
 def quarter_grid(n: int) -> list:

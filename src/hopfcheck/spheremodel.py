@@ -12,10 +12,12 @@ theta -> (cos theta, sin theta * a).  The Cayley-Dickson conjugation fixes
 both poles and sends the meridian through a to the one through -a;
 negation swaps the poles.  `hopf.hopf_map` lands in a `SpherePoint`.
 
-Every point is checked for unit norm when it is built.  Exact
-coordinates are lifted to integer numerators over a common denominator
-(`lift`), so the check compares integers; float sums of squares run
-left to right, so float results do not depend on the Python version.
+Exact values of the sphere, H-space, join and fiber suites are `Lifted`:
+integer numerators over one positive denominator.  Fractions are built only
+for a witness, a report, or the result of a public function given them,
+which lifts them once (`lifted`); float mode never carries a `Lifted`.
+Every point is checked for unit norm when built: |n|^2 = d^2 on integers,
+or a float sum of squares taken left to right (Python-version independent).
 """
 
 from __future__ import annotations
@@ -41,7 +43,41 @@ def is_exact(coords: tuple) -> bool:
 def lift(a: tuple):
     """Integer numerators of exact `a` over their least common denominator."""
     d = math.lcm(*(c.denominator for c in a))
-    return [c.numerator * (d // c.denominator) for c in a], d
+    return tuple([c.numerator * (d // c.denominator) for c in a]), d
+
+
+class Lifted:
+    """Exact coordinates nums[i] / den, ints over one positive int, never reassigned.
+    Length, indexing and iteration (which builds Fractions, for reports) are those
+    of the Fraction tuple; terms need not be lowest, so compare with `max_abs_diff`."""
+
+    __slots__ = ("nums", "den")
+
+    def __init__(self, nums: tuple, den: int):
+        self.nums = nums
+        self.den = den
+
+    def __len__(self) -> int:
+        return len(self.nums)
+
+    def __getitem__(self, key):
+        if type(key) is slice:
+            return Lifted(self.nums[key], self.den)
+        return Fraction(self.nums[key], self.den)
+
+    def __iter__(self):
+        d = self.den
+        return (Fraction(n, d) for n in self.nums)
+
+
+def lifted(x):
+    """An exact tuple as a `Lifted`, a join point as two Lifted blocks over one denominator."""
+    if type(x) is JoinPoint:
+        if type(x.left) is not Lifted:
+            (n, d), h = lift(x.left + x.right), len(x.left)
+            x = JoinPoint(Lifted(n[:h], d), Lifted(n[h:], d))
+        return x
+    return x if type(x) is Lifted else Lifted(*lift(x))
 
 
 def basis_coords(dim: int, i: int, scalar) -> tuple:
@@ -59,27 +95,31 @@ def _sum_squares(a):
     return total
 
 
-def norm_coeffs(a: tuple):
+def norm_coeffs(a):
     """Sum of squared coefficients; equals the real part of a a* at every level.
-
-    Exact operands holding a Fraction are lifted once and squared on
-    integer numerators; the result is the same Fraction the direct sum
-    gives.  Every other operand is summed left to right.
-    """
+    A `Lifted` gives the Fraction |n|^2 / d^2, as do exact tuples holding a Fraction,
+    lifted into that path; others are summed left to right."""
+    if type(a) is Lifted:
+        return Fraction(_sum_squares(a.nums), a.den * a.den)
     if a and type(a[0]) is not float:
         kinds = set(map(type, a))
         if Fraction in kinds and kinds <= _EXACT:
-            n, d = lift(a)
-            return Fraction(_sum_squares(n), d * d)
+            return norm_coeffs(lifted(a))
     return _sum_squares(a)
 
 
+def neg_coeffs(a):
+    """-a, for a `Lifted` or a coordinate tuple."""
+    if type(a) is Lifted:
+        return Lifted(tuple([-n for n in a.nums]), a.den)
+    return tuple([-c for c in a])
+
+
 def _check_unit(coords, what: str):
-    if is_exact(coords):
-        n, d = lift(coords)
-        if _sum_squares(n) != d * d:
-            raise UsageError(
-                f"{what} is not on the unit sphere: |x|^2 = {norm_coeffs(coords)}")
+    if type(coords) is Lifted or is_exact(coords):
+        x = lifted(coords)
+        if _sum_squares(x.nums) != x.den * x.den:
+            raise UsageError(f"{what} is not on the unit sphere: |x|^2 = {norm_coeffs(x)}")
         return
     total = _sum_squares(coords)
     if not abs(total - 1) <= FLOAT_POINT_EPS:   # NaN and infinities fail too
@@ -107,27 +147,32 @@ class SpherePoint:
         return cls(basis_coords(dim, i, Fraction(sign)))
 
     def __neg__(self) -> "SpherePoint":
-        return SpherePoint(tuple(-c for c in self.coords))
+        return SpherePoint(neg_coeffs(self.coords))
 
 
 @dataclass(frozen=True)
 class JoinPoint:
     """Embedded point of join(X, Y): vectors (p, q) with |p|^2 + |q|^2 = 1.
 
-    It iterates as its coordinates p + q, so laws compare and report it like a tuple.
+    The blocks are tuples or two `Lifted` over one denominator.  It iterates as
+    its coordinates p + q, so laws compare and report it like a tuple.
     """
 
     left: tuple
     right: tuple
 
     def __post_init__(self):
-        _check_unit(self.left + self.right, "join point")
+        left = self.left
+        _check_unit(self.flatten() if type(left) is Lifted else left + self.right, "join point")
 
     def __iter__(self):
-        return iter(self.left + self.right)
+        return iter(self.flatten())
 
-    def flatten(self) -> tuple:
-        return self.left + self.right
+    def flatten(self):
+        left, right = self.left, self.right
+        if type(left) is not Lifted:
+            return left + right
+        return Lifted(left.nums + right.nums, left.den)
 
 
 def block_dim_error(dim: int, *points: JoinPoint) -> UsageError:
@@ -158,8 +203,18 @@ def join_embed(u: SpherePoint, v: SpherePoint, c, s) -> JoinPoint:
 
 
 def arc_point(u, v, c, s) -> JoinPoint:
-    """The glue-arc point (c*u, s*v) of coordinate sequences u, v, unchecked (c, s)."""
+    """The glue-arc point (c*u, s*v) of coordinate sequences u, v, unchecked (c, s);
+    Lifted u and v give a lifted point."""
+    if type(u) is Lifted:
+        return lifted_arc(u, v, Lifted(*lift((c, s))))
     return JoinPoint(tuple(c * x for x in u), tuple(s * y for y in v))
+
+
+def lifted_arc(u: Lifted, v: Lifted, cs: Lifted) -> JoinPoint:
+    """`arc_point` of lifted u and v at the lifted pair cs, over cs.den * u.den * v.den."""
+    (cn, sn), du, dv, d = cs.nums, u.den, v.den, cs.den * u.den * v.den
+    return JoinPoint(Lifted(tuple([cn * dv * x for x in u.nums]), d),
+                     Lifted(tuple([sn * du * y for y in v.nums]), d))
 
 
 def zero_norm_bound(coords):

@@ -26,6 +26,7 @@ from hopfcheck.cdalg import (_eval_alternativity, _eval_associativity, _eval_com
 from hopfcheck.checks import STATUS_FAILS, compare, execute_check, max_abs_diff, worst_of
 from hopfcheck.errors import UsageError
 from hopfcheck.sampling import CounterRng, rand_coeffs
+from hopfcheck.spheremodel import Lifted, lifted
 
 
 def frac(n, d=1):
@@ -736,3 +737,31 @@ def test_ladder_bodies_match_per_product_bodies(level, kind):
         for inputs in _ladder_inputs(level, arity, kind):
             got = evaluate(None, inputs)
             assert repr(got) == repr(PER_PRODUCT_BODIES[law](inputs)), (law, inputs)
+
+
+# --- Lifted operands against the Fraction path they replace ---------------------
+
+def _exact_elements(level, count):
+    """count elements of one level with Fraction and int coordinates."""
+    scalar = st.one_of(st.fractions(min_value=-10, max_value=10, max_denominator=12),
+                       st.integers(-3, 3))
+    n = 1 << level
+    return st.tuples(*(st.tuples(*(scalar,) * n),) * count)
+
+
+@pytest.mark.parametrize("level", range(4))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_lifted_kernel_matches_the_fraction_path(level, data):
+    # the product, conjugate and norm of Lifted operands are the values of the
+    # tuple path and of the recursion; a Lifted meeting a tuple lifts the tuple
+    a, b = data.draw(_exact_elements(level, 2))
+    la, lb = lifted(a), lifted(b)
+    product = mul_coeffs(la, lb)
+    assert type(product) is Lifted and product.den == la.den * lb.den
+    assert tuple(product) == mul_coeffs(a, b) == _mul_recursive(a, b)
+    assert tuple(mul_coeffs(la, b)) == tuple(mul_coeffs(a, lb)) == mul_coeffs(a, b)
+    assert all(type(c) is Fraction for c in tuple(mul_coeffs(tuple(la), tuple(lb))))
+    conj = conj_coeffs(la)
+    assert type(conj) is Lifted and tuple(conj) == conj_coeffs(a)
+    assert repr(norm_coeffs(la)) == repr(norm_coeffs(tuple(la))) == repr(Fraction(sum(c * c for c in a)))

@@ -9,12 +9,14 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hopfcheck import cdalg, hopf, joinmul, laws
 from hopfcheck.checks import (REPORT_FIELDS, STATUS_FAILS, compare, execute_check,
                               max_abs_diff, worst_of)
 from hopfcheck.errors import PreconditionError, UsageError
 from hopfcheck.sampling import CounterRng, _suite_key
+from hopfcheck.spheremodel import Lifted, lifted
 
 NAN = math.nan
 
@@ -235,3 +237,37 @@ def test_suite_key_and_samples_unchanged():
     rng = CounterRng(3, suite, 5)
     assert [rng.next_u64() for _ in range(3)] == [
         4144119804681957531, 8941811449772818689, 14897237573122354821]
+
+
+def _lifted_pair(data, n):
+    """Two exact n-vectors, the second equal to the first or not, each maybe scaled
+    to a larger common denominator when lifted."""
+    scalar = st.fractions(min_value=-5, max_value=5, max_denominator=9)
+    a = data.draw(st.tuples(*(scalar,) * n))
+    b = a if data.draw(st.booleans()) else data.draw(st.tuples(*(scalar,) * n))
+
+    def lift_scaled(x):
+        k = data.draw(st.integers(1, 4))
+        lx = lifted(x)
+        return Lifted(tuple(k * c for c in lx.nums), k * lx.den)
+    return a, b, lift_scaled(a), lift_scaled(b)
+
+
+@pytest.mark.parametrize("level", range(4))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_lifted_residual_matches_the_coordinate_loop(level, data):
+    # equal sides give int 0, unequal ones the loop's Fraction, whichever side is lifted
+    a, b, la, lb = _lifted_pair(data, 1 << level)
+    want = _typed(max_abs_diff(a, b))
+    assert want == _typed(_max_abs_diff_before(a, b))
+    for x, y in ((la, lb), (la, b), (a, lb)):
+        assert repr(_typed(max_abs_diff(x, y))) == repr(want)
+
+
+def test_lifted_sides_of_different_lengths_raise():
+    a = Lifted((1, 0), 1)
+    with pytest.raises(ValueError):
+        max_abs_diff(a, a[:1])
+    with pytest.raises(ValueError):
+        max_abs_diff((Fraction(1),), a)

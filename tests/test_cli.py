@@ -82,10 +82,10 @@ def test_kernel_without_zero_products_is_an_internal_error(monkeypatch, capsys):
 @pytest.mark.parametrize("error", [ValueError, UsageError])
 def test_raising_sampler_fails_each_sampled_law(error, tmp_path, monkeypatch, capsys):
     # neither a traceback nor a usage error: the sampled phase fails at sample 0
-    def rand_unit(rng, dim, mode):
+    def rand_point(rng, dim, mode):
         raise error("no draw")
 
-    monkeypatch.setattr(laws, "rand_unit", rand_unit)
+    monkeypatch.setattr(laws, "rand_point", rand_point)
     code, doc = run_cli_json(tmp_path, "spheroid", "--instance", "s1", "--samples", "5")
     assert code == 1 and doc["overall"] == "fail"
     assert capsys.readouterr().err == ""

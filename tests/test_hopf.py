@@ -3,15 +3,18 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hopfcheck import hopf
-from hopfcheck.cdalg import mul_coeffs
+from hopfcheck.cdalg import mul_coeffs, norm_coeffs
 from hopfcheck.checks import STATUS_FAILS, coeffs_to_json, execute_check, max_abs_diff, worst_of
-from hopfcheck.hopf import (FIBRATIONS, dimension_report, fiber_check, fibration_report,
-                            hopf_instance, hopf_map)
+from hopfcheck.hopf import (FIBRATIONS, HopfInstance, dimension_report, fiber_check,
+                            fibration_report, hopf_instance, hopf_map)
 from hopfcheck.sampling import CounterRng, rand_quarter_pair, rand_unit
 from hopfcheck.errors import UsageError
-from hopfcheck.spheremodel import JoinPoint, SpherePoint, arc_point, basis_coords
+from hopfcheck.joinmul import join_point_sample
+from hopfcheck.laws import imaginaroid_instance
+from hopfcheck.spheremodel import JoinPoint, Lifted, SpherePoint, arc_point, basis_coords
 
 
 def F(n, d=1):
@@ -258,3 +261,39 @@ def test_fibration_report_passes(name):
     assert "left-unit" in laws
     assert "dimension-bookkeeping" in laws
     assert any(law.startswith("oracle-equivalence") for law in laws)
+
+
+# --- the projection of lifted points against the formula it replaced ---------------
+
+def _hopf_map_before(x):
+    """hopf_map's body before exact points were lifted: (|p|^2 - |q|^2, 2 p q)."""
+    return (norm_coeffs(x.left) - norm_coeffs(x.right),) + tuple(
+        2 * c for c in mul_coeffs(x.left, x.right))
+
+
+@pytest.mark.parametrize("view", ["inl", "inr", "glue"])
+@pytest.mark.parametrize("name", ["empty", "s0", "s2", "octonion-control"])
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2 ** 32))
+def test_lifted_projection_matches_the_formula(name, view, seed):
+    # levels 0-3; the lifted image has the Fraction point's values, and the
+    # public path keeps Fractions in, Fractions out
+    imag = imaginaroid_instance(name)
+    inst = HopfInstance(name, imag)
+    X = join_point_sample(CounterRng(seed, "test/lifted-hopf", 0), imag, view, "exact")
+    image = hopf_map(X, inst).coords
+    assert type(image) is Lifted
+    public = hopf_map(JoinPoint(tuple(X.left), tuple(X.right)), inst).coords
+    assert _typed(public) == _typed(_hopf_map_before(JoinPoint(tuple(X.left), tuple(X.right))))
+    assert tuple(image) == public
+
+
+def test_projection_keeps_int_points_int():
+    inst = hopf_instance("complex")
+    assert _typed(hopf_map(JoinPoint((0, 1), (0, 0)), inst).coords) == _typed((1, 0, 0))
+    assert _typed(hopf_map(JoinPoint((0, F(1)), (0, 0)), inst).coords) == _typed(
+        (F(1), F(0), F(0)))
+
+
+def _typed(values):
+    return tuple((type(c), c) for c in values)

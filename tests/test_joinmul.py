@@ -8,18 +8,22 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hopfcheck import joinmul
+from hopfcheck import cdalg, checks, hopf, joinmul, laws, sampling, spheremodel
 from hopfcheck.cdalg import conj_coeffs, mul_coeffs, norm_coeffs
-from hopfcheck.checks import max_abs_diff, run_laws
+from hopfcheck.checks import compare, max_abs_diff, run_laws
 from hopfcheck.cli import main
 from hopfcheck.errors import PreconditionError, UsageError
+from hopfcheck.hopf import fiber_check, hopf_instance
 from hopfcheck.joinmul import (DIAMOND_LAWS, VIEW_KINDS, DiamondProblem, diamond_suite,
                                fill_refl_diamond, join_mul_alg, join_mul_syn,
+                               join_hspace_carrier, join_point_sample,
                                oracle_equivalence_suite, reduced_diamond_filler,
                                sample_join_point, unit_law_check)
-from hopfcheck.laws import _signed_basis, assoc_check, imaginaroid_instance
+from hopfcheck.laws import (_signed_basis, assoc_check, hspace_check, imaginaroid_instance,
+                            spheroid_instance)
 from hopfcheck.sampling import CounterRng, quarter_grid, rand_unit
-from hopfcheck.spheremodel import FLOAT_VIEW_EPS, JoinPoint, SpherePoint, arc_point, is_exact
+from hopfcheck.spheremodel import (FLOAT_VIEW_EPS, JoinPoint, Lifted, SpherePoint, arc_point,
+                                   is_exact, lift)
 
 
 def F(n, d=1):
@@ -514,6 +518,85 @@ def test_lifted_arc_without_k_terms_leaves_the_sphere(monkeypatch):
             for i in range(2))
     with pytest.raises(UsageError, match="not on the unit sphere"):
         join_mul_syn(X, Y, inst)
+
+
+#: level -> imaginaroid for the lifted tests, levels 0-3
+LIFTED_INSTANCES = {0: "empty", **LEVEL_INSTANCES}
+
+
+@pytest.mark.parametrize("view_y", VIEW_KINDS)
+@pytest.mark.parametrize("view_x", VIEW_KINDS)
+@pytest.mark.parametrize("level", sorted(LIFTED_INSTANCES))
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2 ** 32))
+def test_lifted_operands_give_the_rational_form(level, view_x, view_y, seed):
+    # lifted points multiply to a lifted point with the rational form's values;
+    # their Fraction copies take the same path and come back as Fractions
+    inst = imaginaroid_instance(LIFTED_INSTANCES[level])
+    X, Y = (join_point_sample(CounterRng(seed, "test/lifted-operands", i), inst, view, "exact")
+            for i, view in enumerate((view_x, view_y)))
+    got = join_mul_syn(X, Y, inst, allow_unverified=True)
+    assert type(got.left) is Lifted and got.left.den == got.right.den
+    fx, fy = (JoinPoint(tuple(P.left), tuple(P.right)) for P in (X, Y))
+    want = _rational_join_mul(fx, fy, inst)
+    assert tuple(got) == tuple(want)
+    assert _typed(join_mul_syn(fx, fy, inst, allow_unverified=True)) == _typed(want)
+    assert max_abs_diff(got, want) == 0
+
+
+def test_lifted_products_build_no_fraction(monkeypatch):
+    # three chained products and a compare on lifted s7 points: no Fraction is
+    # built and nothing is lifted again; a report then builds the Fractions
+    inst = verified("s2")
+    X, Y, Z = (join_point_sample(CounterRng(7, "test/no-fraction", i), inst, "glue", "exact")
+               for i in range(3))
+    counts = {"Fraction": 0, "lift": 0}
+
+    class CountingFraction(Fraction):
+        def __new__(cls, *args):
+            counts["Fraction"] += 1
+            return super().__new__(cls, *args)
+
+    def counting_lift(a):
+        counts["lift"] += 1
+        return lift(a)
+
+    for module in (spheremodel, cdalg, joinmul, checks, hopf, laws, sampling):
+        for name, stand_in in (("Fraction", CountingFraction), ("lift", counting_lift)):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, stand_in)
+    level = inst.level + 1
+    lhs = join_mul_syn(join_mul_syn(join_mul_syn(X, Y, inst), Z, inst), X, inst)
+    rhs = join_mul_alg(join_mul_alg(join_mul_alg(X, Y, level), Z, level), X, level)
+    residual, _, _ = compare(lhs, rhs)
+    assert residual == 0 and counts == {"Fraction": 0, "lift": 0}
+    assert len(checks.coeffs_to_json(lhs)) == 8 and counts == {"Fraction": 8, "lift": 0}
+
+
+def _sign_flipped(original):
+    def flipped(a, b):      # one output coordinate with the wrong sign
+        out = original(a, b)
+        return out[:-1] + (-out[-1],)
+    return flipped
+
+
+def test_broken_kernel_fails_the_lifted_suites(monkeypatch):
+    inst = verified("s2")
+    flipped = _sign_flipped(cdalg.mul_ints)
+    for module in (cdalg, joinmul, hopf):
+        monkeypatch.setattr(module, "mul_ints", flipped)
+    reports = (hspace_check(join_hspace_carrier(inst), samples=20, seed=4)
+               + hspace_check(spheroid_instance("s3"), samples=20, seed=4)
+               + fiber_check(hopf_instance("quaternionic"), samples=20, seed=4))
+    failed = [r for r in reports if not r.holds]
+    assert {r.law for r in failed} >= {"left-unit", "right-unit", "fiber-completeness"}
+    for r in failed:
+        assert not r.expected and {"inputs", "lhs", "rhs"} <= set(r.witness)
+        assert all("/" in c for x in r.witness["inputs"] for c in _scalars(x))
+
+
+def _scalars(value):
+    return [c for v in value for c in _scalars(v)] if isinstance(value, list) else [value]
 
 
 @pytest.mark.parametrize("argv", [("hspace", "--instance", "s7"),

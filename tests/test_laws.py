@@ -9,7 +9,7 @@ import pytest
 from hopfcheck.cdalg import mul_coeffs
 from hopfcheck.checks import ReportDocument
 from hopfcheck.cli import emit
-from hopfcheck.errors import PreconditionError
+from hopfcheck.errors import PreconditionError, UsageError
 from hopfcheck.joinmul import join_hspace_carrier
 from hopfcheck.laws import (assoc_check, corner_transport_check,
                             corner_transport_suite,
@@ -199,3 +199,18 @@ def test_hspace_detects_broken_unit(kind):
     (x,) = left_unit["witness"]["inputs"]
     assert len(x) == len(tuple(unit))
     assert all(isinstance(c, str) for c in x + left_unit["witness"]["lhs"])
+
+
+@pytest.mark.parametrize("kind", ["sphere", "join"])
+def test_exact_suites_refuse_a_carrier_with_float_points(kind):
+    # exact suites carry integer numerators; a float unit cannot be lifted
+    if kind == "sphere":
+        carrier, unit = spheroid_instance("s1"), (1.0, 0.0)
+    else:
+        inst = imaginaroid_instance("s0")
+        assert assoc_check(inst, samples=20, seed=12).holds
+        carrier, unit = join_hspace_carrier(inst), JoinPoint((1.0, 0.0), (0.0, 0.0))
+    carrier = replace(carrier, unit=unit)
+    with pytest.raises(UsageError, match="exact mode needs exact points"):
+        hspace_check(carrier, samples=4, seed=12)
+    assert all(r.holds for r in hspace_check(carrier, samples=4, seed=12, mode="float"))

@@ -4,17 +4,18 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hopfcheck import hopf
 from hopfcheck.cdalg import _structured_elements
 from hopfcheck.errors import UsageError
-from hopfcheck.sampling import CounterRng, rand_unit, stereographic
+from hopfcheck.sampling import CounterRng, rand_point, rand_quarter_pair, rand_unit, stereographic
 from hopfcheck.joinmul import reduced_diamond_filler
 from hopfcheck.laws import _signed_basis, _sphere_carrier, imaginaroid_instance, spheroid_instance
-from hopfcheck.spheremodel import (FLOAT_POINT_EPS, FLOAT_VIEW_EPS, JoinPoint, SpherePoint,
-                                   _check_unit, _sum_squares, arc_point, basis_coords,
-                                   block_dim_error, is_exact, join_embed, lift, norm_coeffs,
-                                   zero_norm_bound)
+from hopfcheck.spheremodel import (FLOAT_POINT_EPS, FLOAT_VIEW_EPS, JoinPoint, Lifted,
+                                   SpherePoint, _check_unit, _sum_squares, arc_point,
+                                   basis_coords, block_dim_error, is_exact, join_embed, lift,
+                                   lifted, neg_coeffs, norm_coeffs, zero_norm_bound)
 
 
 def F(n, d=1):
@@ -280,3 +281,40 @@ def test_basis_callers_keep_their_scalar_types():
     assert _signed_basis(2) == ((1, 0), (-1, 0), (0, 1), (0, -1))
     singles, _ = _structured_elements(2)
     assert all(_types(c) == (int,) * 4 for c in singles)
+
+
+# --- the Lifted form -------------------------------------------------------------
+
+def test_lifted_stands_for_its_fraction_tuple():
+    x = Lifted((3, -4, 0), 5)
+    assert (len(x), x[1], tuple(x)) == (3, F(-4, 5), (F(3, 5), F(-4, 5), F(0)))
+    assert (x[1:].nums, x[1:].den) == ((-4, 0), 5)
+    assert tuple(neg_coeffs(x)) == (F(-3, 5), F(4, 5), F(0))
+    y = lifted((F(1, 2), 3, F(-1, 3)))
+    assert (y.nums, y.den, lifted(y)) == ((3, 18, -2), 6, y)
+    SpherePoint(x)
+    with pytest.raises(UsageError, match=r"\|x\|\^2 = 26/25"):
+        SpherePoint(Lifted((3, -4, 1), 5))
+
+
+def test_lifted_join_point_blocks_over_one_denominator():
+    X = JoinPoint(Lifted((3, 0), 5), Lifted((0, 4), 5))
+    assert tuple(X) == (F(3, 5), F(0), F(0), F(4, 5))
+    assert lifted(JoinPoint(tuple(X.left), tuple(X.right))).flatten().nums == (3, 0, 0, 4)
+    assert lifted(X) is X
+    with pytest.raises(UsageError, match="not on the unit sphere"):
+        JoinPoint(Lifted((3, 0), 5), Lifted((0, 3), 5))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 4, 8])
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), ends=st.sampled_from(["sampled", (1, 0), (0, 1)]))
+def test_lifted_arc_point_matches_the_tuple_form(dim, seed, ends):
+    # levels 0-3: factor points of dimension 1, 2, 4 and 8
+    rng = CounterRng(seed, "test/lifted-arc", 0)
+    u, v = rand_point(rng, dim, "exact"), rand_point(rng, dim, "exact")
+    c, s = rand_quarter_pair(rng, "exact") if ends == "sampled" else ends
+    X = arc_point(u, v, c, s)
+    assert type(X.left) is Lifted and X.left.den == X.right.den
+    want = arc_point(tuple(u), tuple(v), c, s)
+    assert (tuple(X.left), tuple(X.right)) == (want.left, want.right)
