@@ -208,11 +208,14 @@ IMAGINAROID_LAWS = (
 def _carrier_laws(rows, carrier: Carrier, *, mode: str, draw=None, **kw) -> list:
     """run_laws on a carrier: every arity-tuple of carrier.structured, then sample i
     as arity points drawn with carrier.sample, or by draw.  kw goes to run_laws.
-    In exact mode the unit and structured points are `lifted`, as samples are."""
-    if mode == "exact":
-        if not all(is_exact(tuple(x)) for x in (carrier.unit, *carrier.structured)):
-            raise UsageError(f"exact mode needs exact points on carrier {carrier.name}")
-        carrier = replace(carrier, unit=lifted(carrier.unit),
+    When the unit and structured points are all exact, the structured points are
+    `lifted` in either mode, and the unit in exact mode only: float samples meet
+    an exact unit as floats (`cdalg._meet_floats`), never as a `Lifted`."""
+    exact = all(is_exact(tuple(x)) for x in (carrier.unit, *carrier.structured))
+    if mode == "exact" and not exact:
+        raise UsageError(f"exact mode needs exact points on carrier {carrier.name}")
+    if exact:
+        carrier = replace(carrier, unit=lifted(carrier.unit) if mode == "exact" else carrier.unit,
                           structured=tuple(map(lifted, carrier.structured)))
     return run_laws(
         rows, carrier.name, carrier, mode=mode,

@@ -10,6 +10,8 @@ the unit sphere.  Exact sphere points and quarter-circle pairs evaluate
 that map on integers and return the `Lifted` values the suites draw
 (`rand_point`, `rand_quarter`), with the draws, order and values of the
 Fraction formulas; `rand_unit` and `rand_quarter_pair` give Fractions.
+Float points and coefficients are drawn in one pass (`_float_draw`), bit for
+bit the floats of `CounterRng.uniform` and `stereographic`.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ def rand_fraction(rng: CounterRng) -> Fraction:
 def rand_coeffs(rng: CounterRng, n: int, mode: str) -> tuple:
     if mode == "exact":
         return tuple(rand_fraction(rng) for _ in range(n))
-    return tuple(rng.uniform(-MAGNITUDE, MAGNITUDE) for _ in range(n))
+    return _float_draw(rng, n, sphere=False)
 
 
 def stereographic(vec: tuple) -> tuple:
@@ -99,11 +101,25 @@ def rand_point(rng: CounterRng, dim: int, mode: str):
         sign = rng.sign()
         return Lifted((sign,), 1) if mode == "exact" else (sign * 1.0,)
     if mode != "exact":
-        return stereographic(tuple(rng.uniform(-MAGNITUDE, MAGNITUDE) for _ in range(dim - 1)))
+        return _float_draw(rng, dim - 1, sphere=True)
     drawn = [(rng.randint(-MAGNITUDE, MAGNITUDE), rng.randint(1, MAGNITUDE))
              for _ in range(dim - 1)]
     lcm = math.lcm(*(d for _, d in drawn))
     return _stereographic_ints([a * (lcm // d) for a, d in drawn], lcm)
+
+
+def _float_draw(rng: CounterRng, n: int, *, sphere: bool) -> tuple:
+    """n draws of rng.uniform(-MAGNITUDE, MAGNITUDE), or with sphere their image under
+    `stereographic`, each with the operations and order of those functions."""
+    next_u64, lo, span = rng.next_u64, -MAGNITUDE, 2 * MAGNITUDE
+    ys = [lo + span * (next_u64() / 2.0**64) for _ in range(n)]
+    if not sphere:
+        return tuple(ys)
+    n2 = 0
+    for y in ys:
+        n2 += y * y
+    denom = 1 + n2
+    return ((1 - n2) / denom,) + tuple([2 * y / denom for y in ys])
 
 
 def _stereographic_ints(nums, den) -> Lifted:

@@ -15,7 +15,8 @@ negation swaps the poles.  `hopf.hopf_map` lands in a `SpherePoint`.
 Exact values of the sphere, H-space, join and fiber suites are `Lifted`:
 integer numerators over one positive denominator.  Fractions are built only
 for a witness, a report, or the result of a public function given them,
-which lifts them once (`lifted`); float mode never carries a `Lifted`.
+which lifts them once (`lifted`).  A carrier's structured points are `Lifted`
+in both modes, its unit in exact mode only; float samples are float tuples.
 Every point is checked for unit norm when built: |n|^2 = d^2 on integers,
 or a float sum of squares taken left to right (Python-version independent).
 """

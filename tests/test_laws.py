@@ -3,14 +3,16 @@
 import json
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+from hopfcheck import joinmul, laws, spheremodel
 from hopfcheck.cdalg import mul_coeffs
-from hopfcheck.checks import ReportDocument
+from hopfcheck.checks import ReportDocument, run_laws
 from hopfcheck.cli import emit
 from hopfcheck.errors import PreconditionError, UsageError
-from hopfcheck.joinmul import join_hspace_carrier
+from hopfcheck.joinmul import join_hspace_carrier, unit_law_check
 from hopfcheck.laws import (assoc_check, corner_transport_check,
                             corner_transport_suite,
                             hspace_check, imaginaroid_check, imaginaroid_instance,
@@ -202,7 +204,7 @@ def test_hspace_detects_broken_unit(kind):
 
 
 @pytest.mark.parametrize("kind", ["sphere", "join"])
-def test_exact_suites_refuse_a_carrier_with_float_points(kind):
+def test_exact_suites_refuse_a_carrier_with_float_points(kind, monkeypatch):
     # exact suites carry integer numerators; a float unit cannot be lifted
     if kind == "sphere":
         carrier, unit = spheroid_instance("s1"), (1.0, 0.0)
@@ -213,4 +215,95 @@ def test_exact_suites_refuse_a_carrier_with_float_points(kind):
     carrier = replace(carrier, unit=unit)
     with pytest.raises(UsageError, match="exact mode needs exact points"):
         hspace_check(carrier, samples=4, seed=12)
-    assert all(r.holds for r in hspace_check(carrier, samples=4, seed=12, mode="float"))
+    # in float mode the Fraction structured points stay unlifted: a Lifted
+    # operand would lift the float unit in every product with it
+    seen = []
+
+    def recording_run_laws(rows, *args, structured, **kw):
+        seen.extend(x for (x,) in structured(1))
+        return run_laws(rows, *args, structured=structured, **kw)
+
+    monkeypatch.setattr(laws, "run_laws", recording_run_laws)
+    reports = hspace_check(carrier, samples=4, seed=12, mode="float")
+    assert all(r.holds for r in reports)
+    assert not any("error" in (r.witness or ()) for r in reports)
+    assert all(x is p for x, p in zip(seen, carrier.structured, strict=True))
+    assert all(type(c) is Fraction for x in carrier.structured for c in x)
+
+
+# --- the float structured phase on lifted points ------------------------------
+
+def _unlifted_carrier_laws(rows, carrier, *, mode, draw=None, **kw):
+    """`laws._carrier_laws` in float mode as it was: the structured points unlifted."""
+    assert mode == "float"
+    return run_laws(
+        rows, carrier.name, carrier, mode=mode,
+        structured=lambda arity: product(carrier.structured, repeat=arity),
+        draw=draw or (lambda rng, arity, i: tuple(carrier.sample(rng, mode)
+                                                  for _ in range(arity))), **kw)
+
+
+FLOAT = dict(samples=30, seed=9, mode="float")
+
+
+def _verified(name):
+    inst = imaginaroid_instance(name)
+    assert assoc_check(inst, **FLOAT).holds
+    return inst
+
+
+FLOAT_SUITES = {
+    "spheroid-s1": lambda: (spheroid_check(spheroid_instance("s1"), **FLOAT)
+                            + hspace_check(spheroid_instance("s1"), **FLOAT)),
+    "spheroid-s3": lambda: (spheroid_check(spheroid_instance("s3"), **FLOAT)
+                            + hspace_check(spheroid_instance("s3"), **FLOAT)),
+    "imaginaroid-s0": lambda: (imaginaroid_check(imaginaroid_instance("s0"), **FLOAT)
+                               + [assoc_check(imaginaroid_instance("s0"), **FLOAT)]),
+    "imaginaroid-s2": lambda: (imaginaroid_check(imaginaroid_instance("s2"), **FLOAT)
+                               + [assoc_check(imaginaroid_instance("s2"), **FLOAT)]),
+    "join-s0": lambda: (hspace_check(join_hspace_carrier(_verified("s0")), **FLOAT)
+                        + unit_law_check(_verified("s0"), **FLOAT)),
+    "join-s2": lambda: (hspace_check(join_hspace_carrier(_verified("s2")), **FLOAT)
+                        + unit_law_check(_verified("s2"), **FLOAT)),
+}
+# negative controls: each fails on a structured input
+FLOAT_CONTROLS = {
+    "octonion-assoc": lambda: [assoc_check(imaginaroid_instance("octonion-control"), **FLOAT)],
+    "broken-conj": lambda: spheroid_check(
+        replace(spheroid_instance("s1"), name="broken", conj=lambda x: x), **FLOAT),
+    "inr-unit": lambda: hspace_check(
+        replace(join_hspace_carrier(_verified("s0")), name="broken",
+                unit=JoinPoint((F(0), F(0)), (F(1), F(0)))), **FLOAT),
+}
+
+
+def _without_durations(reports):
+    return [json.dumps({k: v for k, v in r.to_dict().items() if k != "duration_ms"})
+            for r in reports]
+
+
+@pytest.mark.parametrize("name", sorted({**FLOAT_SUITES, **FLOAT_CONTROLS}))
+def test_lifted_float_structured_phase_matches_the_unlifted_path(name, monkeypatch):
+    suite = {**FLOAT_SUITES, **FLOAT_CONTROLS}[name]
+    lifted_reports = suite()
+    for module in (laws, joinmul):
+        monkeypatch.setattr(module, "_carrier_laws", _unlifted_carrier_laws)
+    assert _without_durations(lifted_reports) == _without_durations(suite())
+    failed = [r for r in lifted_reports if not r.holds]
+    assert bool(failed) == (name in FLOAT_CONTROLS)
+    for r in failed:    # structured witnesses keep their exact "p/q" strings
+        values = [c for x in r.witness["inputs"] + [r.witness["lhs"], r.witness["rhs"]]
+                  for c in x]
+        assert values and all(isinstance(c, str) and "/" in c for c in values)
+
+
+def test_float_structured_phase_lifts_each_point_once(monkeypatch):
+    # each structured point is lifted once, and the Fraction unit once for each
+    # unit-law input it meets; before, every product lifted its operands
+    carrier = join_hspace_carrier(_verified("s2"))
+    calls = []
+    original = spheremodel.lift
+    monkeypatch.setattr(spheremodel, "lift", lambda a: calls.append(a) or original(a))
+    reports = hspace_check(carrier, samples=20, seed=3, mode="float")
+    assert all(r.holds for r in reports)
+    assert 0 < len(calls) <= 3 * len(carrier.structured)

@@ -1,6 +1,6 @@
 """The samplers against the formulas they replaced: the exact ones against the
 Fraction formulas and the integer code written out per sampler, the float
-quarter pair against its inline formula."""
+quarter pair, sphere points and coefficients against their inline formulas."""
 
 from fractions import Fraction
 
@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 import math
 
 from hopfcheck.sampling import (MAGNITUDE, CounterRng, quarter_grid, quarter_point,
-                                rand_quarter_pair, rand_unit)
+                                rand_coeffs, rand_point, rand_quarter_pair, rand_unit,
+                                stereographic)
 
 
 def _fraction_rand_unit(rng, dim):
@@ -51,6 +52,18 @@ def _inline_float_quarter_pair(rng):
     t = 0.5 * rng.uniform(0.0, 1.0) + 0.25
     t2 = t * t
     return ((1 - t2) / (1 + t2), 2 * t / (1 + t2))
+
+
+def _uniform_float_point(rng, dim):
+    """Float rand_point as it was: a stereographic map of rng.uniform draws."""
+    if dim == 1:
+        return (rng.sign() * 1.0,)
+    return stereographic(tuple(rng.uniform(-MAGNITUDE, MAGNITUDE) for _ in range(dim - 1)))
+
+
+def _uniform_float_coeffs(rng, n):
+    """Float rand_coeffs as it was."""
+    return tuple(rng.uniform(-MAGNITUDE, MAGNITUDE) for _ in range(n))
 
 
 def _typed(values):
@@ -107,3 +120,16 @@ def test_float_quarter_pair_matches_its_inline_formula():
         assert repr(rand_quarter_pair(fast, "float")) == repr(
             _inline_float_quarter_pair(reference))
         assert fast.next_u64() == reference.next_u64()
+
+
+def test_float_draws_match_their_uniform_formulas():
+    # one pass per point gives the floats of one uniform call per coordinate
+    for n in range(1, 17):
+        for i in range(500):
+            for draw, reference in ((lambda rng: rand_point(rng, n, "float"),
+                                     lambda rng: _uniform_float_point(rng, n)),
+                                    (lambda rng: rand_coeffs(rng, n, "float"),
+                                     lambda rng: _uniform_float_coeffs(rng, n))):
+                fast, slow = (CounterRng(11, "test/float-draw", i) for _ in range(2))
+                assert repr(draw(fast)) == repr(reference(slow))
+                assert fast.next_u64() == slow.next_u64()
