@@ -10,8 +10,8 @@ the unit sphere.  Exact sphere points and quarter-circle pairs evaluate
 that map on integers and return the `Lifted` values the suites draw
 (`rand_point`, `rand_quarter`), with the draws, order and values of the
 Fraction formulas; `rand_unit` and `rand_quarter_pair` give Fractions.
-Float points and coefficients are drawn in one pass (`_float_draw`), bit for
-bit the floats of `CounterRng.uniform` and `stereographic`.
+Float points and coefficients draw all their coordinates in one call
+(`CounterRng.uniforms`).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import math
 from fractions import Fraction
 from functools import cache
 
-from .spheremodel import Lifted, norm_coeffs
+from .spheremodel import Lifted, _sum_squares
 
 _MASK = (1 << 64) - 1
 
@@ -58,7 +58,12 @@ class CounterRng:
         return lo + self.next_u64() % (hi - lo + 1)
 
     def uniform(self, lo: float, hi: float) -> float:
-        return lo + (hi - lo) * (self.next_u64() / 2.0**64)
+        return self.uniforms(lo, hi, 1)[0]
+
+    def uniforms(self, lo: float, hi: float, n: int) -> tuple:
+        """n draws of `uniform`, in one call."""
+        next_u64, span = self.next_u64, hi - lo
+        return tuple([lo + span * (next_u64() / 2.0**64) for _ in range(n)])
 
     def sign(self) -> int:
         return 1 if self.next_u64() & 1 else -1
@@ -71,16 +76,16 @@ def rand_fraction(rng: CounterRng) -> Fraction:
 def rand_coeffs(rng: CounterRng, n: int, mode: str) -> tuple:
     if mode == "exact":
         return tuple(rand_fraction(rng) for _ in range(n))
-    return _float_draw(rng, n, sphere=False)
+    return rng.uniforms(-MAGNITUDE, MAGNITUDE, n)
 
 
 def stereographic(vec: tuple) -> tuple:
     """Map a vector in R^(d-1) to the unit sphere of R^d, exactly for rationals."""
     if not vec:
         raise ValueError("stereographic needs a source vector of dim >= 1")
-    n2 = norm_coeffs(vec)
+    n2 = _sum_squares(vec)
     denom = 1 + n2
-    return ((1 - n2) / denom,) + tuple(2 * c / denom for c in vec)
+    return ((1 - n2) / denom,) + tuple([2 * c / denom for c in vec])
 
 
 def rand_unit(rng: CounterRng, dim: int, mode: str) -> tuple:
@@ -101,25 +106,11 @@ def rand_point(rng: CounterRng, dim: int, mode: str):
         sign = rng.sign()
         return Lifted((sign,), 1) if mode == "exact" else (sign * 1.0,)
     if mode != "exact":
-        return _float_draw(rng, dim - 1, sphere=True)
+        return stereographic(rng.uniforms(-MAGNITUDE, MAGNITUDE, dim - 1))
     drawn = [(rng.randint(-MAGNITUDE, MAGNITUDE), rng.randint(1, MAGNITUDE))
              for _ in range(dim - 1)]
     lcm = math.lcm(*(d for _, d in drawn))
     return _stereographic_ints([a * (lcm // d) for a, d in drawn], lcm)
-
-
-def _float_draw(rng: CounterRng, n: int, *, sphere: bool) -> tuple:
-    """n draws of rng.uniform(-MAGNITUDE, MAGNITUDE), or with sphere their image under
-    `stereographic`, each with the operations and order of those functions."""
-    next_u64, lo, span = rng.next_u64, -MAGNITUDE, 2 * MAGNITUDE
-    ys = [lo + span * (next_u64() / 2.0**64) for _ in range(n)]
-    if not sphere:
-        return tuple(ys)
-    n2 = 0
-    for y in ys:
-        n2 += y * y
-    denom = 1 + n2
-    return ((1 - n2) / denom,) + tuple([2 * y / denom for y in ys])
 
 
 def _stereographic_ints(nums, den) -> Lifted:

@@ -48,22 +48,28 @@ def _integer_quarter_point(k, den):
     return Fraction(den * den - k * k, total), Fraction(2 * k * den, total)
 
 
+def _one_uniform(rng, lo, hi):
+    """CounterRng.uniform as it was: one generator step per float."""
+    return lo + (hi - lo) * (rng.next_u64() / 2.0**64)
+
+
 def _inline_float_quarter_pair(rng):
-    t = 0.5 * rng.uniform(0.0, 1.0) + 0.25
+    t = 0.5 * _one_uniform(rng, 0.0, 1.0) + 0.25
     t2 = t * t
     return ((1 - t2) / (1 + t2), 2 * t / (1 + t2))
 
 
 def _uniform_float_point(rng, dim):
-    """Float rand_point as it was: a stereographic map of rng.uniform draws."""
+    """Float rand_point as it was: a stereographic map of one uniform call per coordinate."""
     if dim == 1:
         return (rng.sign() * 1.0,)
-    return stereographic(tuple(rng.uniform(-MAGNITUDE, MAGNITUDE) for _ in range(dim - 1)))
+    return stereographic(tuple(_one_uniform(rng, -MAGNITUDE, MAGNITUDE)
+                               for _ in range(dim - 1)))
 
 
 def _uniform_float_coeffs(rng, n):
     """Float rand_coeffs as it was."""
-    return tuple(rng.uniform(-MAGNITUDE, MAGNITUDE) for _ in range(n))
+    return tuple(_one_uniform(rng, -MAGNITUDE, MAGNITUDE) for _ in range(n))
 
 
 def _typed(values):
@@ -123,7 +129,7 @@ def test_float_quarter_pair_matches_its_inline_formula():
 
 
 def test_float_draws_match_their_uniform_formulas():
-    # one pass per point gives the floats of one uniform call per coordinate
+    # one uniforms call per point gives the floats of one uniform call per coordinate
     for n in range(1, 17):
         for i in range(500):
             for draw, reference in ((lambda rng: rand_point(rng, n, "float"),
