@@ -14,28 +14,28 @@ orientation-independent).  An element is a tuple of its 2^n coefficients,
 e0 first; coefficients are exact rationals or floats (levels are capped
 at 5).
 
-Basis products satisfy e_i e_j = +-e_(i xor j) at every level, so exact
-multiplication is one loop over a per-level sign table, read off the
-recursion on first use and skipping zero coefficients.  `Lifted`
-operands multiply there on their numerators, over the product of the
-denominators, and stay `Lifted`, as under `conj_coeffs`; exact tuples
-holding a Fraction are lifted into that path and come back as Fractions,
-all-int ones stay ints, as the recursion gives.  Float operands, and any
-mix that is not all int and Fraction, go through a straight-line kernel
-per level, traced once from the recursion (`_mul_recursive`) on first use:
-it takes every product, sum and difference of the recursion in its order,
+One module picks the kernel, by operand form.  `mul_coeffs` sends
+`Lifted` numerators (over the product of the denominators, staying
+`Lifted`), int tuples and float tuples through a straight-line kernel per
+level, traced once from the recursion (`_mul_recursive`) on first use: it
+takes every product, sum and difference of the recursion in its order,
 because float addition does not associate and the summation order is part
-of the result.  An exact operand meeting an all-float one (a Fraction unit
-against a float sample) is converted to floats once at the entry, exact
-zeros kept as int 0 (`_meet_floats`); when both operands hold an exact
-coordinate, the mix enters the kernel as it is.  Both kernels give what
-the recursion gives, bit for bit.
+of the result.  Exact tuples holding a Fraction are lifted once, multiplied
+on their numerators and come back as Fractions.  An exact operand meeting
+an all-float one (a Fraction unit against a float sample) is converted to
+floats once at the entry, exact zeros kept as int 0 (`_meet_floats`); when
+both operands hold an exact coordinate, the mix enters the kernel as it
+is.  The kernel gives what the recursion gives, bit for bit.
 
-A ladder law chooses its kernel once per evaluation (`_kernel_for`): on
-all-int inputs every product of the body calls `mul_ints` directly, since
-products of ints stay ints; any other input takes `mul_coeffs` for each
-product.  The zero-divisor search reads products of two-term sums off the
-sign table (`zero_pairs`) and confirms its witness with one kernel product.
+Basis products satisfy e_i e_j = +-e_(i xor j) at every level, so a
+per-level sign table, read off the recursion on first use, gives products
+of sparse ints in one loop that skips zero coefficients (`mul_ints`).
+Only the ladder's structured scan takes it: a ladder law chooses its
+kernel once per evaluation (`_kernel_for`), `mul_ints` on all-int inputs,
+whose products stay ints, and `mul_coeffs` on any other.  The zero-divisor
+search reads products of two-term sums off the sign table (`zero_pairs`)
+and confirms its witness with one traced-kernel product, which does not
+read the table.
 """
 
 from __future__ import annotations
@@ -97,21 +97,16 @@ def mul_ints(a, b) -> tuple:
 
 
 def mul_coeffs(a, b):
-    """Product of two elements of one level; the path follows the scalar types."""
+    """Product of two elements of one level on the traced kernel, in the operands' form."""
     if type(a) is Lifted or type(b) is Lifted:
-        return _mul_lifted(lifted(a), lifted(b))
+        a, b = lifted(a), lifted(b)
+        return Lifted(_traced_kernel(len(a))(a.nums, b.nums), a.den * b.den)
     if type(a[0]) is not float or type(b[0]) is not float:   # float mode skips the type scan
         kinds = {*map(type, a), *map(type, b)}
-        if kinds <= _INT:
-            return mul_ints(a, b)
-        if kinds <= _EXACT:
-            return tuple(_mul_lifted(lifted(a), lifted(b)))
+        if Fraction in kinds and kinds <= _EXACT:
+            return tuple(mul_coeffs(lifted(a), lifted(b)))
         a, b = _meet_floats(a, b)
-    return _float_kernel(len(a))(a, b)
-
-
-def _mul_lifted(a: Lifted, b: Lifted) -> Lifted:
-    return Lifted(mul_ints(a.nums, b.nums), a.den * b.den)
+    return _traced_kernel(len(a))(a, b)
 
 
 _FLOAT = frozenset((float,))
@@ -140,7 +135,7 @@ def _as_floats(a: tuple) -> tuple:
 
 
 def _mul_recursive(a: tuple, b: tuple) -> tuple:
-    """The doubling formula applied recursively; traced into `_float_kernel`."""
+    """The doubling formula applied recursively; traced into `_traced_kernel`."""
     n = len(a)
     if n == 1:
         return (a[0] * b[0],)
@@ -205,7 +200,7 @@ class _Traced:
 
 
 @cache
-def _float_kernel(n: int):
+def _traced_kernel(n: int):
     """`_mul_recursive` at dimension n, traced once into a straight-line function.
 
     kernel(a, b) unpacks both operands into locals, computes each distinct
@@ -225,7 +220,7 @@ def _float_kernel(n: int):
              f"return ({', '.join(x.src for x in out)},)"]
     source = "def kernel(a, b):\n" + "".join(f"    {line}\n" for line in lines)
     scope = {}
-    exec(compile(source, f"<cdalg float kernel, dim {n}>", "exec"), scope)
+    exec(compile(source, f"<cdalg traced kernel, dim {n}>", "exec"), scope)
     return scope["kernel"]
 
 
@@ -278,7 +273,8 @@ def _kernel_for(inputs) -> Callable:
     every product the law body takes.  Both names are read as module
     globals at call time, so a replaced kernel is the one that runs.
     """
-    if type(inputs[0][0]) is int and set(map(type, chain.from_iterable(inputs))) <= _INT:
+    if (type(inputs[0]) is not Lifted and type(inputs[0][0]) is int
+            and set(map(type, chain.from_iterable(inputs))) <= _INT):
         return mul_ints
     return mul_coeffs
 
@@ -361,15 +357,17 @@ def law_suite(level: int,
     """Check the whole property ladder at one level.
 
     Returns one report per law.  Expected failures (e.g. associativity at
-    level 3) are marked expected and do not count against the run.
+    level 3) are marked expected and do not count against the run.  An
+    exact sample is lifted once, so its products stay `Lifted`.
     """
     if not 0 <= level <= MAX_LEVEL:
         raise UsageError(f"level must be within 0..{MAX_LEVEL}")
     n = 1 << level
+    form = lifted if mode == "exact" else tuple
     return run_laws(
         LADDER_LAWS, f"level-{level}", None,
         structured=lambda arity: structured_tuples(level, arity, STRUCTURED_CAP),
-        draw=lambda rng, arity, i: tuple(rand_coeffs(rng, n, mode) for _ in range(arity)),
+        draw=lambda rng, arity, i: tuple(form(rand_coeffs(rng, n, mode)) for _ in range(arity)),
         suite=lambda law: f"cdalg/{law}/level-{level}/{mode}",
         expect=lambda law: LADDER[law](level), samples=samples, seed=seed,
         mode=mode, tolerance=tolerance)
@@ -414,11 +412,11 @@ def zero_divisor_search(level: int, mode: str = "exact") -> Optional[tuple]:
     Scans (e_i +/- e_j)(e_k +/- e_l) in lexicographic order over indices
     and signs, reading the product off the sign table (`zero_pairs`: only
     pairs with i xor j = k xor l can vanish), and confirms the first hit
-    with one kernel product; a kernel that disagrees raises
-    InvariantViolation.  Returns the pair as two coefficient tuples of
-    Fractions, or None when the whole family multiplies without a zero
-    (levels <= 3).  In float mode the pair is scaled to unit norm floats
-    for reporting.
+    with one `mul_coeffs` product, on the traced kernel, which does not
+    read the table; a product that disagrees raises InvariantViolation.
+    Returns the pair as two coefficient tuples of Fractions, or None when
+    the whole family multiplies without a zero (levels <= 3).  In float
+    mode the pair is scaled to unit norm floats for reporting.
     """
     if not 0 <= level <= MAX_LEVEL:
         raise UsageError(f"level must be within 0..{MAX_LEVEL}")

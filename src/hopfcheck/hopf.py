@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
-from .cdalg import conj_coeffs, mul_coeffs, mul_ints, norm_coeffs
+from .cdalg import conj_coeffs, mul_coeffs, norm_coeffs
 from .checks import LawReport, compare, execute_check, max_abs_diff, run_laws, worst_of
 from .errors import UsageError
 from .laws import (ImaginaroidInstance, assoc_check, hspace_check, imaginaroid_instance,
@@ -73,9 +73,9 @@ def hopf_map(x: JoinPoint, inst: HopfInstance) -> SpherePoint:
         head = norm_coeffs(p) - norm_coeffs(q)
         return SpherePoint((head,) + tuple(2 * c for c in mul_coeffs(p, q)))
     X = lifted(x)       # (|P|^2 - |Q|^2, 2 P Q) over d^2 on the numerators
-    P, Q = X.left.nums, X.right.nums
-    image = Lifted((_sum_squares(P) - _sum_squares(Q),) + tuple([2 * c for c in mul_ints(P, Q)]),
-                   X.left.den ** 2)
+    PQ = mul_coeffs(X.left, X.right)
+    image = Lifted((_sum_squares(X.left.nums) - _sum_squares(X.right.nums),)
+                   + tuple([2 * c for c in PQ.nums]), PQ.den)
     if type(p) is not Lifted:   # exact tuples: ints from all ints, as the polynomial gives
         image = image.nums if all(type(c) is int for c in p + q) else tuple(image)
     return SpherePoint(image)
@@ -119,16 +119,15 @@ def _fiber_separation(ctx, inputs):
 
 @cache
 def _poles(dim: int) -> tuple:
-    """The north and south poles of susp(G) for G in R^dim, as (exact, float) pairs."""
-    return tuple((pole, tuple(map(float, pole)))
+    """The north and south poles of susp(G) for G in R^dim, as (lifted, float) pairs."""
+    return tuple((lifted(pole), tuple(map(float, pole)))
                  for pole in (basis_coords(dim + 1, 0, Fraction(sign)) for sign in (1, -1)))
 
 
 def _pole_residual(got, pole: tuple):
     # float coordinates meet the float pole: x - 1.0 is what x - Fraction(1) evaluates to
     exact, floats = pole
-    return max_abs_diff(got, floats if type(got) is tuple and all(
-        type(x) is float for x in got) else exact)
+    return max_abs_diff(got, floats if type(got) is tuple and not is_exact(got) else exact)
 
 
 def _fiber_polar(ctx, inputs):
@@ -139,7 +138,7 @@ def _fiber_polar(ctx, inputs):
     poles = _poles(len(u))
     r, at = worst_of((0, 1), lambda k: _pole_residual(ends[k], poles[k]))
     if not r <= 0:      # the pair of the pole that fails, with its exact coordinates
-        return r, ends[at], poles[at][0]
+        return r, ends[at], tuple(poles[at][0])
     # a genuine arc point must avoid both poles
     mixed = hopf_map(arc_point(u, v, c, s), inst).coords
     head, one = (mixed.nums[0], mixed.den) if type(mixed) is Lifted else (mixed[0], 1)

@@ -39,7 +39,7 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Callable
 
-from .cdalg import _meet_floats, conj_coeffs, mul_coeffs, mul_ints, norm_coeffs
+from .cdalg import _meet_floats, conj_coeffs, mul_coeffs, norm_coeffs
 from .checks import compare, max_abs_diff, run_laws, worst_of
 from .errors import UsageError
 from .laws import (HSPACE_UNIT_LAWS, Carrier, ImaginaroidInstance, _require_assoc,
@@ -250,14 +250,13 @@ def _arc_blocks(P, Q, R, W, p2, q2, r2, d) -> JoinPoint:
 
         left  = (M N - (M K) q2) / (d N)
         right = ((R Q) N + ((R K) Q) p2) / (d N)
-
-    Every product runs through the sign-table kernel.
     """
-    K = mul_ints(mul_ints(mul_ints(conj_coeffs(R), conj_coeffs(P)), W), conj_coeffs(Q))
-    M = mul_ints(P, R)
+    mul = mul_coeffs
+    K = mul(mul(mul(conj_coeffs(R), conj_coeffs(P)), W), conj_coeffs(Q))
+    M = mul(P, R)
     N = p2 * r2 * q2
-    left = tuple([m * N - t * q2 for m, t in zip(M, mul_ints(M, K))])
-    right = tuple([n * N + t * p2 for n, t in zip(mul_ints(R, Q), mul_ints(mul_ints(R, K), Q))])
+    left = tuple([m * N - t * q2 for m, t in zip(M, mul(M, K))])
+    right = tuple([n * N + t * p2 for n, t in zip(mul(R, Q), mul(mul(R, K), Q))])
     return JoinPoint(Lifted(left, d * N), Lifted(right, d * N))
 
 

@@ -6,6 +6,7 @@ sign convention it encodes (e1 e2 = -e3, cyclic) is what the doubling
 formula literally produces.
 """
 
+import json
 import math
 import random
 import subprocess
@@ -19,12 +20,13 @@ from hypothesis import given, settings, strategies as st
 
 from hopfcheck import cdalg
 from hopfcheck.cdalg import (_eval_alternativity, _eval_associativity, _eval_commutativity,
-                             _eval_norm_multiplicativity, _float_kernel, _mul_recursive,
-                             _sign_table, _structured_elements, basis_coords, conj_coeffs,
-                             law_suite, mul_coeffs, norm_coeffs, structured_tuples,
+                             _eval_norm_multiplicativity, _mul_recursive, _sign_table,
+                             _structured_elements, _traced_kernel, basis_coords, conj_coeffs,
+                             law_suite, mul_coeffs, mul_ints, norm_coeffs, structured_tuples,
                              zero_divisor_search)
-from hopfcheck.checks import STATUS_FAILS, compare, execute_check, max_abs_diff, worst_of
-from hopfcheck.errors import UsageError
+from hopfcheck.checks import (STATUS_FAILS, compare, execute_check, max_abs_diff, run_laws,
+                              worst_of)
+from hopfcheck.errors import InvariantViolation, UsageError
 from hopfcheck.sampling import CounterRng, rand_coeffs
 from hopfcheck.spheremodel import Lifted, lifted
 
@@ -139,7 +141,10 @@ def test_kernel_matches_recursion(kind, data):
     # equal values and the same scalar type in every coordinate: repr tells
     # 0, Fraction(0), 0.0 and -0.0 apart
     a, b = data.draw(operand_pairs(SCALARS[kind]))
-    assert repr(mul_coeffs(a, b)) == repr(_mul_recursive(a, b))
+    want = repr(_mul_recursive(a, b))
+    assert repr(mul_coeffs(a, b)) == want
+    if kind == "int":   # the sign-table loop the ladder's structured scan runs
+        assert repr(mul_ints(a, b)) == want
 
 
 def test_kernel_sparse_and_zero_operands_keep_types():
@@ -160,12 +165,13 @@ def _basis(level, i):
 def test_basis_products_are_signed_xor(level):
     # agreeing with the recursion also pins its convention e1 e2 = -e3
     n = 1 << level
-    for i in range(n):
-        for j in range(n):
-            got = mul_coeffs(_basis(level, i), _basis(level, j))
-            assert got == _mul_recursive(_basis(level, i), _basis(level, j))
-            support = [k for k, c in enumerate(got) if c]
-            assert support == [i ^ j] and got[i ^ j] in (1, -1)
+    for mul in (mul_coeffs, mul_ints):
+        for i in range(n):
+            for j in range(n):
+                got = mul(_basis(level, i), _basis(level, j))
+                assert got == _mul_recursive(_basis(level, i), _basis(level, j))
+                support = [k for k, c in enumerate(got) if c]
+                assert support == [i ^ j] and got[i ^ j] in (1, -1)
 
 
 def _doubling_rule_sign_table(n):
@@ -193,11 +199,15 @@ def _float_operands():
             tuple(-0.0 if i % 5 else rng.uniform(-5, 5) for i in range(32)))
 
 
-@pytest.mark.parametrize("table,operands", [
-    (_sign_table, (tuple(range(1, 33)), tuple(range(32, 0, -1)))),
-    (_float_kernel, _float_operands()),
-], ids=["sign-table", "float-kernel"])
-def test_lazy_tables_are_safe_across_threads(table, operands):
+_RAMPS = (tuple(range(1, 33)), tuple(range(32, 0, -1)))
+
+
+@pytest.mark.parametrize("table,mul,operands", [
+    (_sign_table, mul_ints, _RAMPS),
+    (_traced_kernel, mul_coeffs, _float_operands()),
+    (_traced_kernel, mul_coeffs, _RAMPS),
+], ids=["sign-table", "float-kernel", "traced-kernel-ints"])
+def test_lazy_tables_are_safe_across_threads(table, mul, operands):
     # threads that call the library may build the same level's table at once
     a, b = operands
     want = repr(_mul_recursive(a, b))
@@ -206,7 +216,7 @@ def test_lazy_tables_are_safe_across_threads(table, operands):
     sys.setswitchinterval(1e-6)
     try:
         table.cache_clear()
-        threads = [threading.Thread(target=lambda: results.append(repr(mul_coeffs(a, b))))
+        threads = [threading.Thread(target=lambda: results.append(repr(mul(a, b))))
                    for _ in range(8)]
         for t in threads:
             t.start()
@@ -216,6 +226,7 @@ def test_lazy_tables_are_safe_across_threads(table, operands):
         sys.setswitchinterval(saved)
     assert not any(t.is_alive() for t in threads)
     assert results == [want] * 8
+    assert table.cache_info().currsize == 1     # the table the threads ran on was built
 
 
 # --- the traced float kernel against the recursion -------------------------
@@ -263,23 +274,23 @@ def test_exact_operand_meets_all_float_operand_as_floats(scalars, exact_first, d
     exact = data.draw(st.tuples(*[exact_scalar] * n))
     floats = data.draw(st.tuples(*[float_scalar] * n))
     a, b = (exact, floats) if exact_first else (floats, exact)
-    assert repr(mul_coeffs(a, b)) == repr(_float_kernel(n)(a, b))
+    assert repr(mul_coeffs(a, b)) == repr(_traced_kernel(n)(a, b))
 
 
 def test_exact_zero_is_not_converted_to_a_float_zero():
     # the kernel negates a1; -Fraction(0) is +0 but -0.0 is not
     a = (Fraction(1), Fraction(0), Fraction(0), Fraction(0))
     b = (-0.0, 1.0, -0.0, 1.0)
-    want = repr(_float_kernel(4)(a, b))
+    want = repr(_traced_kernel(4)(a, b))
     assert repr(mul_coeffs(a, b)) == want
-    assert repr(_float_kernel(4)(tuple(map(float, a)), b)) != want
+    assert repr(_traced_kernel(4)(tuple(map(float, a)), b)) != want
 
 
 def test_operands_both_holding_exact_coordinates_stay_unconverted():
     # the exact product 1/10 * 1/10 rounds once; 0.1 * 0.1 would round twice
     a = b = (Fraction(1, 10), 0.0)
-    assert repr(mul_coeffs(a, b)) == repr(_float_kernel(2)(a, b)) == "(0.01, 0.0)"
-    assert repr(_float_kernel(2)(tuple(map(float, a)), tuple(map(float, b)))) != "(0.01, 0.0)"
+    assert repr(mul_coeffs(a, b)) == repr(_traced_kernel(2)(a, b)) == "(0.01, 0.0)"
+    assert repr(_traced_kernel(2)(tuple(map(float, a)), tuple(map(float, b)))) != "(0.01, 0.0)"
 
 
 def test_float_kernel_is_built_on_first_use(child_env):
@@ -288,9 +299,9 @@ def test_float_kernel_is_built_on_first_use(child_env):
             "from hopfcheck import cdalg, cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    cli.main(['--version'])\n"
-            "assert cdalg._float_kernel.cache_info().currsize == 0\n"
+            "assert cdalg._traced_kernel.cache_info().currsize == 0\n"
             "cdalg.mul_coeffs((1.0, 2.0), (3.0, 4.0))\n"
-            "assert cdalg._float_kernel.cache_info().currsize == 1\n")
+            "assert cdalg._traced_kernel.cache_info().currsize == 1\n")
     subprocess.run([sys.executable, "-c", code], check=True, env=child_env)
 
 
@@ -332,12 +343,12 @@ def test_two_term_zero_divisor_census(level, pairs, assessors):
 def test_level5_zero_pairs_vanish_under_the_recursion():
     # 20,160 ordered pairs at level 5 (Moreno, "The zero divisors of the
     # Cayley-Dickson algebras over the real numbers", 1998).  The recursion
-    # runs traced into straight-line code (`_float_kernel`, the same
+    # runs traced into straight-line code (`_traced_kernel`, the same
     # operations in the same order, checked against `_mul_recursive` above):
     # the literal recursion takes about 0.5 ms a product at level 5.
     hits = list(cdalg.zero_pairs(5))
     assert len(hits) == 20160
-    recursion = _float_kernel(32)
+    recursion = _traced_kernel(32)
     assert all(not any(recursion(a, b)) for a, b in hits)
     assert all(not any(_mul_recursive(a, b)) for a, b in hits[::97])
     a, b = hits[0]
@@ -628,6 +639,20 @@ def test_level4_zero_divisor_witness():
     assert list(b) == want_b
 
 
+def test_every_single_sign_table_flip_fails_the_confirmation(monkeypatch):
+    # the witness comes off the table and its confirming product off the traced
+    # kernel, so a table with one wrong entry cannot confirm what it reads
+    original = _sign_table(16)
+    for i in range(16):
+        for j in range(16):
+            table = [list(row) for row in original]
+            table[i][j] = not table[i][j]
+            flipped = tuple(map(tuple, table))
+            monkeypatch.setattr(cdalg, "_sign_table", lambda n: flipped)
+            with pytest.raises(InvariantViolation, match="the sign table zeroes"):
+                zero_divisor_search(4)
+
+
 def test_level5_zero_divisor_witness_is_the_level4_one():
     a, b = zero_divisor_search(5)
     assert (_sparse(a), _sparse(b)) == FIRST_WITNESS
@@ -765,3 +790,49 @@ def test_lifted_kernel_matches_the_fraction_path(level, data):
     conj = conj_coeffs(la)
     assert type(conj) is Lifted and tuple(conj) == conj_coeffs(a)
     assert repr(norm_coeffs(la)) == repr(norm_coeffs(tuple(la))) == repr(Fraction(sum(c * c for c in a)))
+
+
+# --- the traced kernel on ints and numerators, lifted ladder samples -----------
+
+def _dense_ints(rng, n, bits):
+    return tuple(rng.choice((1, -1)) * rng.getrandbits(bits) for _ in range(n))
+
+
+@pytest.mark.parametrize("level", range(6))
+def test_traced_kernel_on_ints_and_numerators_matches_the_sign_table(level):
+    # chained join products carry numerators and denominators of thousands of bits
+    n = 1 << level
+    rng = random.Random(f"test/traced-ints/{level}")
+    for bits in (1, 3, 64, 1000, 10000):
+        a, b = _dense_ints(rng, n, bits), _dense_ints(rng, n, bits)
+        want = mul_ints(a, b)
+        got = mul_coeffs(a, b)
+        assert got == _mul_recursive(a, b) == want and all(type(c) is int for c in got)
+        da, db = rng.getrandbits(bits) + 1, rng.getrandbits(bits) + 1
+        product = mul_coeffs(Lifted(a, da), Lifted(b, db))
+        assert type(product) is Lifted and product.den == da * db
+        assert type(product.nums) is tuple and product.nums == want
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+@pytest.mark.parametrize("level", range(6))
+def test_lifted_ladder_samples_keep_the_fraction_draws_reports(level, seed, monkeypatch):
+    # law_suite lifts each exact sample once; the reports, durations aside, are those
+    # of the Fraction draw it replaced.  A short structured scan leaves more failures,
+    # with their witnesses, to the sampled phase.
+    monkeypatch.setattr(cdalg, "STRUCTURED_CAP", 300)
+    n = 1 << level
+    before = run_laws(
+        cdalg.LADDER_LAWS, f"level-{level}", None,
+        structured=lambda arity: structured_tuples(level, arity, 300),
+        draw=lambda rng, arity, i: tuple(rand_coeffs(rng, n, "exact") for _ in range(arity)),
+        suite=lambda law: f"cdalg/{law}/level-{level}/exact",
+        expect=lambda law: cdalg.LADDER[law](level), samples=40, seed=seed)
+    after = law_suite(level, "exact", samples=40, seed=seed)
+
+    def doc(reports):
+        return json.dumps([{**r.to_dict(), "duration_ms": 0} for r in reports])
+
+    assert doc(after) == doc(before)
+    sampled = [r for r in after if r.witness and "/" in str(r.witness["inputs"])]
+    assert level < 3 or sampled

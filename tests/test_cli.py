@@ -13,6 +13,7 @@ from hopfcheck import __version__, cdalg, cli, joinmul, laws
 from hopfcheck.checks import ReportDocument
 from hopfcheck.cli import emit, main
 from hopfcheck.errors import InvariantViolation, PreconditionError, UsageError
+from hopfcheck.spheremodel import Lifted
 
 REPORT_KEYS = {"law", "instance", "status", "samples", "tolerance",
                "max_residual", "seed", "duration_ms", "expected"}
@@ -49,13 +50,13 @@ def test_broken_kernel_fails_the_ladder_with_witnesses(tmp_path, monkeypatch):
 
 
 def test_broken_exact_kernel_fails_the_ladder_in_the_sampled_phase(tmp_path, monkeypatch):
-    # structured inputs are ints and take `mul_ints`; the sampled Fractions
-    # go through the flipped `mul_coeffs`
+    # structured inputs are ints and take `mul_ints`; the sampled elements are
+    # lifted, and their products go through the flipped `mul_coeffs`
     original = cdalg.mul_coeffs
 
-    def flipped(a, b):
+    def flipped(a, b):      # the last numerator with the wrong sign
         out = original(a, b)
-        return out[:-1] + (-out[-1],)
+        return Lifted(out.nums[:-1] + (-out.nums[-1],), out.den)
 
     monkeypatch.setattr(cdalg, "mul_coeffs", flipped)
     code, doc = run_cli_json(tmp_path, "laws", "--level", "2", "--samples", "30")
@@ -64,19 +65,43 @@ def test_broken_exact_kernel_fails_the_ladder_in_the_sampled_phase(tmp_path, mon
     assert unexpected
     for r in unexpected:
         assert r["status"] == "fails"
+        assert {"inputs", "lhs", "rhs"} <= set(r["witness"]) and "error" not in r["witness"]
         assert all("/" in c for x in r["witness"]["inputs"] for c in x)
 
 
-def test_kernel_without_zero_products_is_an_internal_error(monkeypatch, capsys):
-    # the sign table finds (e1 + e10)(e4 - e15); a kernel that disagrees is a fault
-    original = cdalg.mul_ints
-    monkeypatch.setattr(cdalg, "mul_ints", lambda a, b: tuple(c or 1 for c in original(a, b)))
-    assert run_cli("zerodiv", "--level", "4") == 1
+def _assert_internal_error(capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("hopfcheck: internal error: ")
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err
+
+
+def test_kernel_without_zero_products_is_an_internal_error(monkeypatch, capsys):
+    # the sign table finds (e1 + e10)(e4 - e15); a confirming product that disagrees is a fault
+    original = cdalg._traced_kernel
+
+    def kernel(n):
+        product = original(n)
+        return lambda a, b: tuple(c or 1 for c in product(a, b))
+
+    monkeypatch.setattr(cdalg, "_traced_kernel", kernel)
+    assert run_cli("zerodiv", "--level", "4") == 1
+    _assert_internal_error(capsys)
+
+
+def test_wrong_sign_table_cannot_confirm_its_own_witness(monkeypatch, capsys):
+    # one flipped entry makes the table zero (e0 + e1)(e4 - e5), whose product is -2 e5;
+    # the confirming product runs on the traced kernel, which does not read the table
+    table = [list(row) for row in cdalg._sign_table(16)]
+    table[1][4] = not table[1][4]
+    flipped = tuple(map(tuple, table))
+    original = cdalg._sign_table
+    monkeypatch.setattr(cdalg, "_sign_table", lambda n: flipped if n == 16 else original(n))
+    a, b = next(cdalg.zero_pairs(4))
+    assert cdalg.mul_coeffs(a, b) == (0,) * 5 + (-2,) + (0,) * 10
+    assert run_cli("zerodiv", "--level", "4") == 1
+    _assert_internal_error(capsys)
 
 
 @pytest.mark.parametrize("error", [ValueError, UsageError])

@@ -277,7 +277,7 @@ def test_basis_callers_keep_their_scalar_types():
                  *_signed_basis(3)]
     for coords in fractions:
         assert _types(coords) == (Fraction,) * len(coords)
-    assert hopf._poles(2)[1][0] == (-1, 0, 0)
+    assert tuple(hopf._poles(2)[1][0]) == (-1, 0, 0)
     assert _signed_basis(2) == ((1, 0), (-1, 0), (0, 1), (0, -1))
     singles, _ = _structured_elements(2)
     assert all(_types(c) == (int,) * 4 for c in singles)
