@@ -49,7 +49,8 @@ def _cli_cases() -> list:
     per_mode += [("fibration", "--instance", n) for n in tuple(FIBRATIONS) + ("all",)]
     # zero float tolerance turns rounding into witnesses found by sampling
     zero_tolerance = [argv + ("--tolerance", "0") for argv in (
-        ("laws", "--level", "3"), ("hspace", "--instance", "s3"),
+        ("laws", "--level", "3"), ("spheroid", "--instance", "s3"),
+        ("hspace", "--instance", "s3"), ("hspace", "--instance", "s7"),
         ("fiber", "--instance", "complex"))]
     runs = [(argv, mode) for mode in MODES for argv in per_mode]
     runs += [(argv, "float") for argv in zero_tolerance]
