@@ -22,10 +22,13 @@ takes every product, sum and difference of the recursion in its order,
 because float addition does not associate and the summation order is part
 of the result.  Exact tuples holding a Fraction are lifted once, multiplied
 on their numerators and come back as Fractions.  An exact operand meeting
-an all-float one (a Fraction unit against a float sample) is converted to
-floats once at the entry, exact zeros kept as int 0 (`_meet_floats`); when
-both operands hold an exact coordinate, the mix enters the kernel as it
-is.  The kernel gives what the recursion gives, bit for bit.
+an all-float one is converted to floats once at the entry, exact zeros
+kept as int 0 (`_meet_floats`, skipped when neither operand holds a
+float); when both operands hold an exact coordinate, the mix enters the
+kernel as it is.  A float-mode carrier suite converts its Fraction unit so
+once per suite (`laws._suite_carrier`), and its float points, a float
+first coordinate each, skip the type scan.  The kernel gives what the
+recursion gives, bit for bit.
 
 Basis products satisfy e_i e_j = +-e_(i xor j) at every level, so a
 per-level sign table, read off the recursion on first use, gives products
@@ -73,7 +76,7 @@ def conj_coeffs(a):
     # (a, b)* = (a*, -b) unrolled: negate every coefficient except the real one
     if type(a) is Lifted:
         return Lifted(conj_coeffs(a.nums), a.den)
-    return (a[0],) + tuple(-c for c in a[1:])
+    return (a[0],) + tuple([-c for c in a[1:]])
 
 
 _INT = frozenset((int,))
@@ -105,7 +108,8 @@ def mul_coeffs(a, b):
         kinds = {*map(type, a), *map(type, b)}
         if Fraction in kinds and kinds <= _EXACT:
             return tuple(mul_coeffs(lifted(a), lifted(b)))
-        a, b = _meet_floats(a, b)
+        if float in kinds:
+            a, b = _meet_floats(a, b)
     return _traced_kernel(len(a))(a, b)
 
 
@@ -308,22 +312,30 @@ def _eval_alternativity(_, inputs):
     return compare(mul(xy, y), mul(x, mul(y, y)))
 
 
+def _nums(x):
+    """A `Lifted`'s numerators, over its positive denominator, or x itself: which
+    coefficients vanish and their signs read the same on both."""
+    return x.nums if type(x) is Lifted else x
+
+
 def _eval_nicely_normed(_, inputs):
     (a,) = inputs
-    # (i) a + a* is real: non-real coefficients of the sum must vanish
-    tail = tuple(c + d for c, d in zip(a[1:], conj_coeffs(a)[1:]))
-    worst, _ = worst_of(tail, abs)
-    if not worst <= 0:
+    star = conj_coeffs(a)
+    # (i) a + a* is real: non-real coefficients of the sum must vanish;
+    # a Lifted a is summed on its numerators, and builds Fractions only to fail
+    if any(c + d for c, d in zip(_nums(a)[1:], _nums(star)[1:])):
+        tail = tuple(c + d for c, d in zip(a[1:], star[1:]))
+        worst, _ = worst_of(tail, abs)
         return worst, tail, tuple(0 * c for c in tail)
     # (ii) a a* = a* a
     mul = _kernel_for(inputs)
-    lhs = mul(a, conj_coeffs(a))
-    rhs = mul(conj_coeffs(a), a)
+    lhs = mul(a, star)
+    rhs = mul(star, a)
     r = max_abs_diff(lhs, rhs)
     if not r <= 0:
         return r, lhs, rhs
     # (iii) a a* > 0 for nonzero a
-    if any(a) and lhs[0] <= 0:
+    if any(_nums(a)) and _nums(lhs)[0] <= 0:
         return 1, lhs[0], "positive"
     return 0, lhs, rhs
 

@@ -69,9 +69,9 @@ def hopf_map(x: JoinPoint, inst: HopfInstance) -> SpherePoint:
     p, q = x.left, x.right
     if not len(p) == len(q) == inst.fiber_dim:
         raise block_dim_error(inst.fiber_dim, x)
-    if type(p) is not Lifted and not is_exact(p + q):
+    if type(p) is not Lifted and (type(p[0]) is float or not is_exact(p + q)):
         head = norm_coeffs(p) - norm_coeffs(q)
-        return SpherePoint((head,) + tuple(2 * c for c in mul_coeffs(p, q)))
+        return SpherePoint((head,) + tuple([2 * c for c in mul_coeffs(p, q)]))
     X = lifted(x)       # (|P|^2 - |Q|^2, 2 P Q) over d^2 on the numerators
     PQ = mul_coeffs(X.left, X.right)
     image = Lifted((_sum_squares(X.left.nums) - _sum_squares(X.right.nums),)

@@ -45,9 +45,9 @@ from .errors import UsageError
 from .laws import (HSPACE_UNIT_LAWS, Carrier, ImaginaroidInstance, _require_assoc,
                    _carrier_laws, _signed_basis)
 from .sampling import CounterRng, quarter_grid, rand_point, rand_quarter, rand_unit
-from .spheremodel import (JoinPoint, Lifted, SpherePoint, _sum_squares, arc_point, basis_coords,
-                          block_dim_error, is_exact, lift, lifted, lifted_arc, neg_coeffs,
-                          zero_norm_bound)
+from .spheremodel import (FLOAT_VIEW_EPS, JoinPoint, Lifted, SpherePoint, _sum_squares, arc_point,
+                          basis_coords, block_dim_error, is_exact, lift, lifted, lifted_arc,
+                          neg_coeffs, zero_norm_bound)
 
 #: report-instance names for the join carriers, keyed by imaginaroid name
 JOIN_INSTANCE = {"empty": "s1", "s0": "s3", "s2": "s7"}
@@ -194,9 +194,12 @@ def join_mul_syn(X: JoinPoint, Y: JoinPoint, inst: ImaginaroidInstance,
     their views read off the numerators' squared norms; Fraction and int
     points keep their types through the same `mul_coeffs` view products;
     two exact arcs are lifted and multiplied on integers (`_arc_blocks`).
-    An exact inl or inr point (the unit) meeting an all-float one becomes
-    floats once, as in `cdalg._meet_floats`.  Every block must have the
-    suspension's dimension.
+    Two float points, a float first coordinate each as in `is_exact`, read
+    their views off float sums of squares with no scan.  An exact inl or
+    inr point (the unit, unless a float-mode suite already converted it)
+    meeting an all-float one becomes floats once, as in
+    `cdalg._meet_floats`.  Every block must have the suspension's
+    dimension.
     """
     _require_assoc(inst, allow_unverified)
     p, q = X.left, X.right
@@ -209,6 +212,8 @@ def join_mul_syn(X: JoinPoint, Y: JoinPoint, inst: ImaginaroidInstance,
         p, q, r, w = X.left, X.right, Y.left, Y.right
         # |b|^2 d^2 on the numerators: a block is zero exactly when its norm is
         norms, eps2 = [_sum_squares(b.nums) for b in (p, q, r, w)], 0
+    elif type(p[0]) is float and type(r[0]) is float:     # two float points: no scans
+        norms, eps2 = [_sum_squares(b) for b in (p, q, r, w)], FLOAT_VIEW_EPS ** 2
     else:
         xs, ys = p + q, r + w
         # an exact inl or inr point (the unit) meeting an all-float one: floats once

@@ -25,11 +25,11 @@ from functools import partial
 from itertools import product
 from typing import Callable, Optional
 
-from .cdalg import LADDER, basis_coords, conj_coeffs, mul_coeffs
+from .cdalg import LADDER, _as_floats, basis_coords, conj_coeffs, mul_coeffs
 from .checks import LawReport, compare, execute_check, max_abs_diff, run_laws, worst_of
 from .errors import PreconditionError, UsageError
 from .sampling import rand_point
-from .spheremodel import is_exact, lifted, neg_coeffs
+from .spheremodel import JoinPoint, Lifted, is_exact, lifted, neg_coeffs
 
 
 def _signed_basis(dim: int) -> tuple:
@@ -208,20 +208,56 @@ IMAGINAROID_LAWS = (
 def _carrier_laws(rows, carrier: Carrier, *, mode: str, draw=None, **kw) -> list:
     """run_laws on a carrier: every arity-tuple of carrier.structured, then sample i
     as arity points drawn with carrier.sample, or by draw.  kw goes to run_laws.
-    When the unit and structured points are all exact, the structured points are
-    `lifted` in either mode, and the unit in exact mode only: float samples meet
-    an exact unit as floats (`cdalg._meet_floats`), never as a `Lifted`."""
-    exact = all(is_exact(tuple(x)) for x in (carrier.unit, *carrier.structured))
-    if mode == "exact" and not exact:
-        raise UsageError(f"exact mode needs exact points on carrier {carrier.name}")
-    if exact:
-        carrier = replace(carrier, unit=lifted(carrier.unit) if mode == "exact" else carrier.unit,
-                          structured=tuple(map(lifted, carrier.structured)))
+    The suite runs on `_suite_carrier(carrier, mode)`."""
+    carrier = _suite_carrier(carrier, mode)
     return run_laws(
         rows, carrier.name, carrier, mode=mode,
         structured=lambda arity: product(carrier.structured, repeat=arity),
-        draw=draw or (lambda rng, arity, i: tuple(carrier.sample(rng, mode)
-                                                  for _ in range(arity))), **kw)
+        draw=draw or (lambda rng, arity, i: tuple([carrier.sample(rng, mode)
+                                                   for _ in range(arity)])), **kw)
+
+
+def _suite_carrier(carrier: Carrier, mode: str) -> Carrier:
+    """The carrier a suite runs on.  When the unit and structured points are all
+    exact, the structured points are `lifted` in either mode, and so is the unit
+    in exact mode.  In float mode the unit stays exact for comparisons, witness
+    sides and the structured phase, and the product meets float operands with
+    its float form, converted once here (`_float_unit_product`)."""
+    exact = all(is_exact(tuple(x)) for x in (carrier.unit, *carrier.structured))
+    if mode == "exact" and not exact:
+        raise UsageError(f"exact mode needs exact points on carrier {carrier.name}")
+    if not exact:
+        return carrier
+    structured = tuple(map(lifted, carrier.structured))
+    if mode == "exact":
+        return replace(carrier, unit=lifted(carrier.unit), structured=structured)
+    return replace(carrier, mul=_float_unit_product(carrier.mul, carrier.unit),
+                   structured=structured)
+
+
+def _float_unit_product(mul: Callable, unit) -> Callable:
+    """mul with the exact unit taken in its float form, `cdalg._as_floats` per block,
+    wherever it meets a float operand: the conversion `cdalg._meet_floats` made in
+    every such product, made once.  A `Lifted` operand meets the exact unit."""
+    if type(unit) is JoinPoint:
+        float_unit = JoinPoint(_as_floats(unit.left), _as_floats(unit.right))
+    else:
+        float_unit = _as_floats(unit)
+
+    def product(x, y):
+        if x is unit and _is_float(y):
+            x = float_unit
+        elif y is unit and _is_float(x):
+            y = float_unit
+        return mul(x, y)
+
+    return product
+
+
+def _is_float(x) -> bool:
+    # a float first coordinate, the rule `is_exact` uses
+    head = x.left if type(x) is JoinPoint else x
+    return type(head) is not Lifted and type(head[0]) is float
 
 
 def spheroid_check(carrier: Carrier,

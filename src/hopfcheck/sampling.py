@@ -10,8 +10,10 @@ the unit sphere.  Exact sphere points and quarter-circle pairs evaluate
 that map on integers and return the `Lifted` values the suites draw
 (`rand_point`, `rand_quarter`), with the draws, order and values of the
 Fraction formulas; `rand_unit` and `rand_quarter_pair` give Fractions.
-Float points and coefficients draw all their coordinates in one call
-(`CounterRng.uniforms`).
+Every point and coefficient tuple draws all its coordinates in one call
+(`CounterRng.uniforms` for floats, `CounterRng.randints` for the
+numerators and denominators of rationals), which steps the generator in
+one loop over a local state; `next_u64` takes the same step once.
 """
 
 from __future__ import annotations
@@ -46,36 +48,50 @@ class CounterRng:
         state = (state * 0x9E3779B97F4A7C15 + index + 1) & _MASK
         self._state = state
 
+    def _u64s(self, n: int) -> list:
+        """The next n outputs: the splitmix64 step, in one loop over a local state."""
+        state, out = self._state, [0] * n
+        for k in range(n):
+            state = (state + 0x9E3779B97F4A7C15) & _MASK
+            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+            out[k] = z ^ (z >> 31)
+        self._state = state
+        return out
+
     def next_u64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-        return z ^ (z >> 31)
+        return self._u64s(1)[0]
 
     def randint(self, lo: int, hi: int) -> int:
         """Uniform integer in [lo, hi]. Spans here are tiny; modulo bias is negligible."""
         return lo + self.next_u64() % (hi - lo + 1)
+
+    def randints(self, bounds) -> list:
+        """One `randint(lo, hi)` for each (lo, hi) of bounds, in turn, in one call."""
+        return [lo + u % (hi - lo + 1) for (lo, hi), u in zip(bounds, self._u64s(len(bounds)))]
 
     def uniform(self, lo: float, hi: float) -> float:
         return self.uniforms(lo, hi, 1)[0]
 
     def uniforms(self, lo: float, hi: float, n: int) -> tuple:
         """n draws of `uniform`, in one call."""
-        next_u64, span = self.next_u64, hi - lo
-        return tuple([lo + span * (next_u64() / 2.0**64) for _ in range(n)])
+        span = hi - lo
+        return tuple([lo + span * (u / 2.0**64) for u in self._u64s(n)])
 
     def sign(self) -> int:
         return 1 if self.next_u64() & 1 else -1
 
 
-def rand_fraction(rng: CounterRng) -> Fraction:
-    return Fraction(rng.randint(-MAGNITUDE, MAGNITUDE), rng.randint(1, MAGNITUDE))
+def _fraction_draws(rng: CounterRng, n: int) -> list:
+    """(numerator, denominator) of n random rationals, each numerator drawn
+    before its denominator, in one call."""
+    ints = rng.randints(((-MAGNITUDE, MAGNITUDE), (1, MAGNITUDE)) * n)
+    return list(zip(ints[::2], ints[1::2]))
 
 
 def rand_coeffs(rng: CounterRng, n: int, mode: str) -> tuple:
     if mode == "exact":
-        return tuple(rand_fraction(rng) for _ in range(n))
+        return tuple([Fraction(a, d) for a, d in _fraction_draws(rng, n)])
     return rng.uniforms(-MAGNITUDE, MAGNITUDE, n)
 
 
@@ -97,7 +113,7 @@ def rand_point(rng: CounterRng, dim: int, mode: str):
     """Random point on the unit sphere of R^dim: a `Lifted` in exact mode, floats in float mode.
 
     Exact mode draws y_i = a_i / d_i (numerator, then denominator, as
-    rand_fraction does) and evaluates the stereographic map on the integer
+    rand_coeffs does) and evaluates the stereographic map on the integer
     numerators a_i L / d_i over L = lcm(d_i).
     """
     if dim < 1:
@@ -107,8 +123,7 @@ def rand_point(rng: CounterRng, dim: int, mode: str):
         return Lifted((sign,), 1) if mode == "exact" else (sign * 1.0,)
     if mode != "exact":
         return stereographic(rng.uniforms(-MAGNITUDE, MAGNITUDE, dim - 1))
-    drawn = [(rng.randint(-MAGNITUDE, MAGNITUDE), rng.randint(1, MAGNITUDE))
-             for _ in range(dim - 1)]
+    drawn = _fraction_draws(rng, dim - 1)
     lcm = math.lcm(*(d for _, d in drawn))
     return _stereographic_ints([a * (lcm // d) for a, d in drawn], lcm)
 

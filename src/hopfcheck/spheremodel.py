@@ -16,7 +16,8 @@ Exact values of the sphere, H-space, join and fiber suites are `Lifted`:
 integer numerators over one positive denominator.  Fractions are built only
 for a witness, a report, or the result of a public function given them,
 which lifts them once (`lifted`).  A carrier's structured points are `Lifted`
-in both modes, its unit in exact mode only; float samples are float tuples.
+in both modes, its unit in exact mode only (a float-mode suite multiplies
+float points by the unit's float form); float samples are float tuples.
 Every point is checked for unit norm when built: |n|^2 = d^2 on integers,
 or a float sum of squares taken left to right (Python-version independent).
 """
@@ -208,7 +209,7 @@ def arc_point(u, v, c, s) -> JoinPoint:
     Lifted u and v give a lifted point."""
     if type(u) is Lifted:
         return lifted_arc(u, v, Lifted(*lift((c, s))))
-    return JoinPoint(tuple(c * x for x in u), tuple(s * y for y in v))
+    return JoinPoint(tuple([c * x for x in u]), tuple([s * y for y in v]))
 
 
 def lifted_arc(u: Lifted, v: Lifted, cs: Lifted) -> JoinPoint:

@@ -16,7 +16,7 @@ from hopfcheck.joinmul import (join_hspace_carrier, oracle_equivalence_suite,
                                unit_law_check)
 from hopfcheck.laws import (assoc_check, corner_transport_suite, hspace_check,
                             imaginaroid_check, imaginaroid_instance)
-from hopfcheck.sampling import CounterRng, rand_fraction
+from hopfcheck.sampling import CounterRng, rand_coeffs
 
 
 def record(num, ok, text):
@@ -68,8 +68,8 @@ def test_criterion_02_norm_multiplicativity_and_zero_divisors(tmp_path):
         n = 1 << level
         for i in range(1000):
             rng = CounterRng(2, f"acceptance/norm-mult/{level}", i)
-            a = tuple(rand_fraction(rng) for _ in range(n))
-            b = tuple(rand_fraction(rng) for _ in range(n))
+            a = rand_coeffs(rng, n, "exact")
+            b = rand_coeffs(rng, n, "exact")
             if norm_coeffs(mul_coeffs(a, b)) != norm_coeffs(a) * norm_coeffs(b):
                 ok = False
                 break

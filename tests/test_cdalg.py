@@ -18,7 +18,7 @@ from itertools import combinations, islice
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hopfcheck import cdalg
+from hopfcheck import cdalg, spheremodel
 from hopfcheck.cdalg import (_eval_alternativity, _eval_associativity, _eval_commutativity,
                              _eval_norm_multiplicativity, _mul_recursive, _sign_table,
                              _structured_elements, _traced_kernel, basis_coords, conj_coeffs,
@@ -28,7 +28,7 @@ from hopfcheck.checks import (STATUS_FAILS, compare, execute_check, max_abs_diff
                               worst_of)
 from hopfcheck.errors import InvariantViolation, UsageError
 from hopfcheck.sampling import CounterRng, rand_coeffs
-from hopfcheck.spheremodel import Lifted, lifted
+from hopfcheck.spheremodel import Lifted, lifted, neg_coeffs
 
 
 def frac(n, d=1):
@@ -594,12 +594,15 @@ def test_structured_stream_matches_list_stacks(level, arity):
 
 def _first_ignored(original):
     # a b -> 1 b: a a* = a* and a* a = a differ for a non-real a, breaking (ii)
-    return lambda a, b: original((1,) + (0,) * (len(a) - 1), b)
+    def mul(a, b):
+        one = (1,) + (0,) * (len(a) - 1)
+        return original(Lifted(one, 1) if type(a) is Lifted else one, b)
+    return mul
 
 
 def _negated(original):
     # -(a b): a a* = a* a still holds, but a a* is no longer positive, breaking (iii)
-    return lambda a, b: tuple(-c for c in original(a, b))
+    return lambda a, b: neg_coeffs(original(a, b))
 
 
 @pytest.mark.parametrize("perturb, lhs, rhs", [
@@ -836,3 +839,67 @@ def test_lifted_ladder_samples_keep_the_fraction_draws_reports(level, seed, monk
     assert doc(after) == doc(before)
     sampled = [r for r in after if r.witness and "/" in str(r.witness["inputs"])]
     assert level < 3 or sampled
+
+
+# --- nicely-normed on numerators, against the Fraction body it replaced -------
+
+def _fraction_nicely_normed(inputs):
+    """`cdalg._eval_nicely_normed` as it was: part (i) and the positivity test on Fractions."""
+    (a,) = inputs
+    tail = tuple(c + d for c, d in zip(a[1:], cdalg.conj_coeffs(a)[1:]))
+    worst, _ = worst_of(tail, abs)
+    if not worst <= 0:
+        return worst, tail, tuple(0 * c for c in tail)
+    mul = cdalg._kernel_for(inputs)
+    lhs = mul(a, cdalg.conj_coeffs(a))
+    rhs = mul(cdalg.conj_coeffs(a), a)
+    r = max_abs_diff(lhs, rhs)
+    if not r <= 0:
+        return r, lhs, rhs
+    if any(a) and lhs[0] <= 0:
+        return 1, lhs[0], "positive"
+    return 0, lhs, rhs
+
+
+def _spelled(result):
+    # a Lifted side by its integers, everything else by repr (types and signed zeros kept)
+    return tuple((x.nums, x.den) if type(x) is Lifted else repr(x) for x in result)
+
+
+@pytest.mark.parametrize("break_with", [None, "conj", "first-ignored", "negated"])
+@pytest.mark.parametrize("level", range(6))
+def test_nicely_normed_on_numerators_matches_the_fraction_body(level, break_with, monkeypatch):
+    # reports on Lifted, Fraction, int and float inputs are those of the Fraction body,
+    # bit for bit, and a Lifted input that passes builds no Fraction
+    n = 1 << level
+    if break_with == "conj":    # a* = a: part (i) fails for every non-real a
+        monkeypatch.setattr(cdalg, "conj_coeffs", lambda a: a)
+    elif break_with is not None:
+        perturb = _negated if break_with == "negated" else _first_ignored
+        monkeypatch.setattr(cdalg, "mul_coeffs", perturb(cdalg.mul_coeffs))
+    built, failures = [], 0
+
+    class CountedFraction(Fraction):
+        def __new__(cls, *args):
+            built.append(args)
+            return Fraction(*args)
+
+    for i in range(30):
+        rng = CounterRng(4, f"test/nicely-normed/{level}", i)
+        exact = rand_coeffs(rng, n, "exact")
+        inputs = [(lifted(exact),), (exact,), (lifted(basis(level, i % n, 1 - 2 * (i % 2))),)]
+        if break_with is None:
+            inputs += [(rand_coeffs(rng, n, "float"),), (tuple(c.numerator for c in exact),)]
+        for x in inputs:
+            with monkeypatch.context() as m:
+                m.setattr(spheremodel, "Fraction", CountedFraction)
+                want = _spelled(_fraction_nicely_normed(x))
+                built_before = len(built)
+                built.clear()
+                got = cdalg._eval_nicely_normed(None, x)
+            assert _spelled(got) == want
+            failures += got[0] != 0
+            if type(x[0]) is Lifted and got[0] == 0:
+                assert built_before and not built
+    # conjugation is the identity at level 0, so a* = a breaks nothing there
+    assert bool(failures) == (break_with is not None and (level, break_with) != (0, "conj"))

@@ -799,3 +799,46 @@ def test_broken_filler_fails_its_grid_laws(target, perturb, failing, mode, monke
         left, right = joinmul._reduced_blocks(sigma, tau, one, x)
         assert unit.witness["rhs"] == "unit"
         assert float(abs(norm_coeffs(left) + norm_coeffs(right) - 1)) == unit.max_residual
+
+
+# --- the float branch of join_mul_syn against the generic one it skips ------------
+
+def _float_view_points(inst, seed):
+    """Float join points of each view: samples, signed zero blocks, a block whose
+    squared norm is exactly FLOAT_VIEW_EPS ** 2 (zero) or just above it (an arc),
+    and a suite's float unit, whose zeros are ints (`cdalg._as_floats`)."""
+    dim = inst.susp_dim
+    rng = CounterRng(seed, "test/float-syn", dim)
+    points = {view: [join_point_sample(rng, inst, view, "float") for _ in range(4)]
+              for view in VIEW_KINDS}
+    u = sampling.rand_point(rng, dim, "float")
+    signed = ((-0.0,) * dim, tuple(-0.0 if k % 2 else 0.0 for k in range(dim)))
+    at_eps = (FLOAT_VIEW_EPS,) + (-0.0,) * (dim - 1)
+    above = (FLOAT_VIEW_EPS * (1 + 2 ** -40),) + (0.0,) * (dim - 1)
+    assert spheremodel._sum_squares(at_eps) == FLOAT_VIEW_EPS ** 2
+    points["inl"] += [JoinPoint(u, z) for z in signed + (at_eps,)]
+    points["inl"].append(JoinPoint(cdalg._as_floats(inst.unit), (0,) * dim))
+    points["inr"] += [JoinPoint(z, u) for z in signed + (at_eps,)]
+    points["glue"] += [JoinPoint(u, above), JoinPoint(above, u)]
+    return points
+
+
+@pytest.mark.parametrize("view_y", VIEW_KINDS)
+@pytest.mark.parametrize("view_x", VIEW_KINDS)
+@pytest.mark.parametrize("level", sorted(LEVEL_INSTANCES))
+def test_float_join_mul_matches_the_generic_branch(level, view_x, view_y, monkeypatch):
+    # two float points skip the scans; the product is the generic branch's, bit for
+    # bit, signed zeros included (the reference reads norms through norm_coeffs and
+    # the zero-block bound through is_exact)
+    inst = imaginaroid_instance(LEVEL_INSTANCES[level])
+    points = _float_view_points(inst, level)
+
+    def scanned(*args):
+        raise AssertionError("the float branch scanned an operand")
+
+    for name in ("norm_coeffs", "zero_norm_bound", "is_exact", "_meet_floats"):
+        monkeypatch.setattr(joinmul, name, scanned)
+    for X in points[view_x]:
+        for Y in points[view_y]:
+            got = join_mul_syn(X, Y, inst, allow_unverified=True)
+            assert repr(tuple(got)) == repr(tuple(_rational_join_mul(X, Y, inst)))

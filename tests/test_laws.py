@@ -17,6 +17,7 @@ from hopfcheck.laws import (assoc_check, corner_transport_check,
                             corner_transport_suite,
                             hspace_check, imaginaroid_check, imaginaroid_instance,
                             spheroid_check, spheroid_instance)
+from hopfcheck.sampling import CounterRng
 from hopfcheck.spheremodel import JoinPoint
 
 
@@ -309,3 +310,57 @@ def test_float_structured_phase_lifts_each_point_once(monkeypatch):
     reports = hspace_check(carrier, samples=20, seed=3, mode="float")
     assert all(r.holds for r in reports)
     assert 0 < len(calls) <= 3 * len(carrier.structured)
+
+
+# --- the float unit, converted once per suite ------------------------------------
+
+FLOAT_UNIT_CARRIERS = {
+    "s0": lambda: spheroid_instance("s0"),
+    "s1": lambda: spheroid_instance("s1"),
+    "s3": lambda: spheroid_instance("s3"),
+    "join-s1": lambda: join_hspace_carrier(_verified("empty")),
+    "join-s3": lambda: join_hspace_carrier(_verified("s0")),
+    "join-s7": lambda: join_hspace_carrier(_verified("s2")),
+}
+
+
+def _spelled(x):
+    # a Lifted value (or join point of two) by its integers, anything else by repr
+    if type(x) is JoinPoint:
+        return _spelled(x.left), _spelled(x.right)
+    return (x.nums, x.den) if type(x) is spheremodel.Lifted else repr(x)
+
+
+@pytest.mark.parametrize("name", sorted(FLOAT_UNIT_CARRIERS))
+def test_float_unit_product_matches_the_per_product_conversion(name, monkeypatch):
+    # the suite's product meets float points with the float unit and gives, bit for
+    # bit, what the carrier's product gives the exact unit, which each product
+    # converted (`cdalg._meet_floats`); a Lifted operand still meets the exact unit
+    carrier = FLOAT_UNIT_CARRIERS[name]()
+    suite = laws._suite_carrier(carrier, "float")
+    assert suite.unit is carrier.unit
+    meets = []
+    original = cdalg._meet_floats
+    dim = len(carrier.unit.left if type(carrier.unit) is JoinPoint else carrier.unit)
+    # signed zeros tell the float unit's int zeros from float ones
+    signed = [tuple(1.0 if k == i else -0.0 for k in range(dim)) for i in range(dim)]
+    if type(carrier.unit) is JoinPoint:
+        signed = [JoinPoint(*pair) for x in signed for pair in ((x, (-0.0,) * dim),
+                                                               ((-0.0,) * dim, x))]
+    samples = [carrier.sample(CounterRng(2, f"test/float-unit/{name}", i), "float")
+               for i in range(60)]
+    for x in signed + samples:
+        for args in ((carrier.unit, x), (x, carrier.unit)):
+            want = _spelled(carrier.mul(*args))
+            with monkeypatch.context() as m:
+                m.setattr(cdalg, "_meet_floats", lambda a, b: meets.append(a) or original(a, b))
+                got = suite.mul(*args)
+            assert _spelled(got) == want
+            assert type(got) is JoinPoint or all(type(c) is float for c in got)
+    if not name.startswith("join"):     # a join unit's zero block is int zeros
+        assert not meets
+    for p in suite.structured:
+        for args in ((carrier.unit, p), (p, carrier.unit)):
+            got = suite.mul(*args)
+            assert _spelled(got) == _spelled(carrier.mul(*args))
+            assert spheremodel.Lifted in {type(got), type(getattr(got, "left", None))}

@@ -1,6 +1,7 @@
 """The samplers against the formulas they replaced: the exact ones against the
 Fraction formulas and the integer code written out per sampler, the float
-quarter pair, sphere points and coefficients against their inline formulas."""
+quarter pair, sphere points and coefficients against their inline formulas,
+and the one-loop generator draw against one generator step per coordinate."""
 
 from fractions import Fraction
 
@@ -14,7 +15,7 @@ from hopfcheck.sampling import (MAGNITUDE, CounterRng, quarter_grid, quarter_poi
 
 
 def _fraction_rand_unit(rng, dim):
-    """The stereographic image of rand_fraction draws, in Fraction arithmetic."""
+    """The stereographic image of random Fraction draws, in Fraction arithmetic."""
     if dim == 1:
         return (rng.sign() * Fraction(1),)
     vec = tuple(Fraction(rng.randint(-MAGNITUDE, MAGNITUDE), rng.randint(1, MAGNITUDE))
@@ -139,3 +140,43 @@ def test_float_draws_match_their_uniform_formulas():
                 fast, slow = (CounterRng(11, "test/float-draw", i) for _ in range(2))
                 assert repr(draw(fast)) == repr(reference(slow))
                 assert fast.next_u64() == slow.next_u64()
+
+
+def _one_step(rng):
+    """CounterRng.next_u64 as it was: one splitmix64 step, through the generator's state."""
+    mask = (1 << 64) - 1
+    rng._state = (rng._state + 0x9E3779B97F4A7C15) & mask
+    z = rng._state
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    return z ^ (z >> 31)
+
+
+def test_uniforms_match_one_step_per_coordinate():
+    # the one-loop draw gives the floats, bit for bit, and the stream position of
+    # one method call per coordinate; next_u64 takes the same step
+    for seed in (0, 1, 7, 2 ** 64 - 1):
+        for suite in ("", "hspace/s7/left-unit/float", "fiber/quaternionic/fiber-polar/float"):
+            for i in range(40):
+                for lo, hi, n in ((-MAGNITUDE, MAGNITUDE, i % 17), (0.0, 1.0, 1), (-1.5, 2.5, 8)):
+                    fast, slow = CounterRng(seed, suite, i), CounterRng(seed, suite, i)
+                    want = tuple(lo + (hi - lo) * (_one_step(slow) / 2.0**64) for _ in range(n))
+                    assert repr(fast.uniforms(lo, hi, n)) == repr(want)
+                    assert [fast.next_u64() for _ in range(3)] == [_one_step(slow)
+                                                                   for _ in range(3)]
+
+
+def test_batched_rationals_match_one_step_per_integer():
+    # exact coefficients draw numerator, then denominator, in one randints call
+    def one_randint(rng, lo, hi):
+        return lo + _one_step(rng) % (hi - lo + 1)
+
+    for seed in (0, 3, 2 ** 63):
+        for i in range(60):
+            fast, slow = (CounterRng(seed, "cdalg/associativity/level-3/exact", i)
+                          for _ in range(2))
+            n = 1 + i % 16
+            want = tuple(Fraction(one_randint(slow, -MAGNITUDE, MAGNITUDE),
+                                  one_randint(slow, 1, MAGNITUDE)) for _ in range(n))
+            assert _typed(rand_coeffs(fast, n, "exact")) == _typed(want)
+            assert fast.randint(-5, 5) == one_randint(slow, -5, 5)
