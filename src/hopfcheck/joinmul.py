@@ -20,11 +20,13 @@ Cayley-Dickson level: join_mul_alg is that product and serves as the
 independent oracle for join_mul_syn.
 
 D_x and the edge values are each written once, for any scalar type, and
-each grid law has one body.  An exact corner and each parameter pair are
-lifted once: a grid point holds when |L|^2 + |R|^2 is the squared
-denominator, a boundary point when its integers equal the edge's, and only
-a failure builds Fractions.  A float corner runs the same body over
-denominator 1, so its values are SquareFiller's and a broken filler fails.
+each grid law has one body.  A suite lifts its parameter pairs once and
+each exact corner once: a grid point holds when |L|^2 + |R|^2 is the
+squared denominator, a boundary point when its integers equal the edge's,
+and at an exact pole D_x and the constant-side filler are evaluated on the
+lifted pairs, as Lifted points.  Only a failure builds Fractions.  A float
+corner runs the same bodies over denominator 1 and the Fraction pairs, so
+its values are SquareFiller's and a broken filler fails.
 
 join_mul_syn is the one place a join point's constructor view is
 decided: a block is zero when its squared norm is at most
@@ -41,7 +43,7 @@ from typing import Callable
 
 from .cdalg import _meet_floats, conj_coeffs, mul_coeffs, norm_coeffs
 from .checks import compare, max_abs_diff, run_laws, worst_of
-from .errors import UsageError
+from .errors import InvariantViolation, UsageError
 from .laws import (HSPACE_UNIT_LAWS, Carrier, ImaginaroidInstance, _require_assoc,
                    _carrier_laws, _signed_basis)
 from .sampling import CounterRng, quarter_grid, rand_point, rand_quarter, rand_unit
@@ -87,10 +89,37 @@ class SquareFiller:
 
     sigma and tau are exact quarter-circle pairs (c, s); the evaluator must
     agree with the four glue-arc edges of the underlying diamond problem.
+    The fillers built here also take two `Lifted` pairs when their corners
+    are exact, and then give the point as two `Lifted` blocks: the pole row
+    of `diamond_suite` evaluates them that way.
     """
 
     problem: DiamondProblem
     evaluate: Callable          # (sigma, tau) -> JoinPoint
+
+
+def _blocks_filler(problem: DiamondProblem, blocks: Callable, corners: tuple) -> SquareFiller:
+    """The filler whose point at (sigma, tau) is JoinPoint(*blocks(sigma, tau, *corners)).
+
+    blocks is scalar-generic.  Exact corners are lifted once over one
+    denominator d, so two `Lifted` pairs give the same point on integer
+    numerators, as `Lifted` blocks over d_sigma * d_tau * d; the point's
+    unit check is then |n|^2 = den^2.
+    """
+    flat, ints = sum(corners, ()), None
+    if is_exact(flat):
+        nums, d = lift(flat)
+        k = len(corners[0])
+        ints = tuple(nums[i:i + k] for i in range(0, len(nums), k))
+
+    def evaluate(sigma, tau):
+        if ints is not None and type(sigma) is Lifted:
+            den = sigma.den * tau.den * d
+            left, right = blocks(sigma.nums, tau.nums, *ints)
+            return JoinPoint(Lifted(left, den), Lifted(right, den))
+        return JoinPoint(*blocks(sigma, tau, *corners))
+
+    return SquareFiller(problem, evaluate)
 
 
 def _edge_blocks(sigma, tau, a, a2, b, b2) -> tuple:
@@ -99,7 +128,8 @@ def _edge_blocks(sigma, tau, a, a2, b, b2) -> tuple:
     Scalar-generic.  On integer numerators the endpoints (1, 0) and (0, 1)
     lift to themselves over denominator 1, so the endpoint comparisons
     still find the edge, and the value comes out over the moving
-    parameter's denominator times the corners' one.
+    parameter's denominator times the corners' one.  Only the boundary
+    law calls it, always on boundary pairs: an interior pair is a bug.
     """
     cs, ss = sigma
     ct, st = tau
@@ -111,7 +141,19 @@ def _edge_blocks(sigma, tau, a, a2, b, b2) -> tuple:
         return _scale(ct, a), _scale(st, b2)
     if sigma == (0, 1):
         return _scale(st, a2), _scale(ct, b)
-    raise UsageError("edge expectation requested off the boundary")
+    raise InvariantViolation("edge expectation requested off the boundary")
+
+
+def _horizontal_blocks(sigma, tau, a, a2, b):
+    cs, ss = sigma
+    ct, st = tau
+    return _comb(cs * ct, a, ss * st, a2), _scale(ss * ct + cs * st, b)
+
+
+def _vertical_blocks(sigma, tau, a, b, b2):
+    cs, ss = sigma
+    ct, st = tau
+    return _scale(cs * ct + ss * st, a), _comb(ss * ct, b, cs * st, b2)
 
 
 def fill_refl_diamond(problem: DiamondProblem) -> SquareFiller:
@@ -125,23 +167,9 @@ def fill_refl_diamond(problem: DiamondProblem) -> SquareFiller:
     a, a2, b, b2 = (problem.a.coords, problem.a2.coords,
                     problem.b.coords, problem.b2.coords)
     if b == b2 and a2 == neg_coeffs(a):
-
-        def evaluate(sigma, tau):
-            cs, ss = sigma
-            ct, st = tau
-            return JoinPoint(_comb(cs * ct, a, ss * st, a2), _scale(ss * ct + cs * st, b))
-
-        return SquareFiller(problem, evaluate)
-
+        return _blocks_filler(problem, _horizontal_blocks, (a, a2, b))
     if a == a2 and b2 == neg_coeffs(b):
-
-        def evaluate(sigma, tau):
-            cs, ss = sigma
-            ct, st = tau
-            return JoinPoint(_scale(cs * ct + ss * st, a), _comb(ss * ct, b, cs * st, b2))
-
-        return SquareFiller(problem, evaluate)
-
+        return _blocks_filler(problem, _vertical_blocks, (a, b, b2))
     raise UsageError("one side must be constant and the other's corners antipodal")
 
 
@@ -150,17 +178,13 @@ def reduced_diamond_filler(x: SpherePoint) -> SquareFiller:
 
     D_x(sigma, tau) = (-cs*ct * 1 + ss*st * x, ss*ct * 1 + cs*st * x); the
     embedded norms satisfy |left|^2 + |right|^2 = 1 identically, and at
-    the poles x = +-1 this reduces to the two constant-side fillers.
+    the poles x = +-1 this reduces to the two constant-side fillers.  An
+    exact x also takes lifted pairs (see `SquareFiller`); either way the
+    point is `_reduced_blocks`.
     """
     unit = SpherePoint.basis(x.dim, 0)
-    one = unit.coords
     problem = DiamondProblem(a=-unit, a2=x, b=unit, b2=x)
-    xc = x.coords
-
-    def evaluate(sigma, tau):
-        return JoinPoint(*_reduced_blocks(sigma, tau, one, xc))
-
-    return SquareFiller(problem, evaluate)
+    return _blocks_filler(problem, _reduced_blocks, (unit.coords, x.coords))
 
 
 def _reduced_blocks(sigma, tau, one, x) -> tuple:
@@ -172,7 +196,9 @@ def _reduced_blocks(sigma, tau, one, x) -> tuple:
     """
     cs, ss = sigma
     ct, st = tau
-    return _comb(-(cs * ct), one, ss * st, x), _comb(ss * ct, one, cs * st, x)
+    m, n, p, q = -(cs * ct), ss * st, ss * ct, cs * st
+    return (tuple([m * u + n * v for u, v in zip(one, x)]),
+            tuple([p * u + q * v for u, v in zip(one, x)]))
 
 
 # ---------------------------------------------------------------------------
@@ -365,32 +391,54 @@ def _edge_params(ends, params):
     return (pair for end in ends for t in params for pair in ((end, t), (t, end)))
 
 
+class _LiftedGrid:
+    """A quarter grid's pairs, lifted once for every corner and law of a suite.
+
+    `rows[exact]` holds (pair, (numerators, denominator)) for each Fraction
+    pair: integers for an exact corner, the pair itself over 1 for a float
+    one.  `edges[exact]` holds the boundary parameters in scan order in the
+    second form.
+    """
+
+    def __init__(self, pairs: list):
+        self.rows, self.edges = {}, {}
+        for exact, lift_pair in ((True, lift), (False, lambda pair: (pair, 1))):
+            lifted_pairs = list(map(lift_pair, pairs))
+            self.rows[exact] = list(zip(pairs, lifted_pairs))
+            self.edges[exact] = list(_edge_params(map(lift_pair, _EDGE_ENDPOINTS), lifted_pairs))
+
+
+def _lifted_grid(params) -> _LiftedGrid:
+    """The suite's grid, or the grid of a list of Fraction pairs."""
+    return params if type(params) is _LiftedGrid else _LiftedGrid(params)
+
+
 def _lifted_corner(x: SpherePoint) -> tuple:
-    """(one, x, d_x, lift_pairs): the corner's reduced-diamond data over d_x, and
-    lift_pairs(pairs), each pair as (numerators, denominator): integers for an exact
-    corner, and for a float one d_x = 1 with `one` and the pairs in Fractions."""
+    """(one, x, d_x, exact): the corner's reduced-diamond data over d_x, on integers
+    for an exact corner, and for a float one with d_x = 1 and `one` in Fractions."""
     if is_exact(x.coords):
         xn, dx = lift(x.coords)
-        return basis_coords(len(xn), 0, dx), xn, dx, lambda pairs: list(map(lift, pairs))
-    return SpherePoint.basis(x.dim, 0).coords, x.coords, 1, lambda pairs: [(p, 1) for p in pairs]
+        return basis_coords(len(xn), 0, dx), xn, dx, True
+    return SpherePoint.basis(x.dim, 0).coords, x.coords, 1, False
 
 
-def _unit_residuals(params, x):
+def _unit_residuals(grid: _LiftedGrid, x):
     """(residual, sigma, tau) for each grid point where |D_x|^2 is not 1."""
-    one, xn, dx, lift_pairs = _lifted_corner(x)
-    grid = list(zip(params, lift_pairs(params)))
-    for sigma, (ns, ds) in grid:
-        for tau, (nt, dt) in grid:
+    one, xn, dx, exact = _lifted_corner(x)
+    rows = grid.rows[exact]
+    for sigma, (ns, ds) in rows:
+        dsx = ds * dx
+        for tau, (nt, dt) in rows:
             left, right = _reduced_blocks(ns, nt, one, xn)
-            d2 = (ds * dt * dx) ** 2    # |D_x|^2 = 1 scaled by the squared denominator
-            diff = norm_coeffs(left) + norm_coeffs(right) - d2
+            d = dsx * dt
+            diff = _sum_squares(left) + _sum_squares(right) - d * d     # |D_x|^2 = 1, times d^2
             if diff:
-                yield abs(diff) / Fraction(d2), sigma, tau
+                yield abs(diff) / Fraction(d * d), sigma, tau
 
 
 def _filler_unit_norm(params, inputs):
     (x,) = inputs
-    worst, at = worst_of(_unit_residuals(params, x), itemgetter(0))
+    worst, at = worst_of(_unit_residuals(_lifted_grid(params), x), itemgetter(0))
     if at is None:
         return 0, None, None
     return worst, at[1:], "unit"
@@ -404,11 +452,11 @@ def _worst_pair(pairs):
     return worst, bad[0], bad[1]
 
 
-def _boundary_pairs(params, x):
+def _boundary_pairs(grid: _LiftedGrid, x):
     """(filler value, edge value) for each boundary point where the two differ."""
-    one, xn, dx, lift_pairs = _lifted_corner(x)
+    one, xn, dx, exact = _lifted_corner(x)
     minus_one = neg_coeffs(one)
-    for (ns, ds), (nt, dt) in _edge_params(lift_pairs(_EDGE_ENDPOINTS), lift_pairs(params)):
+    for (ns, ds), (nt, dt) in grid.edges[exact]:
         # one of ds, dt is 1 (an endpoint), so both sides are over ds * dt * dx
         left, right = _reduced_blocks(ns, nt, one, xn)
         edge_left, edge_right = _edge_blocks(ns, nt, minus_one, xn, one, xn)
@@ -420,7 +468,7 @@ def _boundary_pairs(params, x):
 
 def _filler_boundary(params, inputs):
     (x,) = inputs
-    return _worst_pair(_boundary_pairs(params, x))
+    return _worst_pair(_boundary_pairs(_lifted_grid(params), x))
 
 
 def _filler_pole_reduction(params, inputs):
@@ -430,9 +478,12 @@ def _filler_pole_reduction(params, inputs):
     # at a pole D_x's diamond has one constant side, whose filler is written apart from D_x
     filler = reduced_diamond_filler(x)
     ref = fill_refl_diamond(filler.problem)
+    exact = is_exact(x.coords)
+    # an exact pole is evaluated on the lifted pairs, a float one on the Fraction pairs
+    pairs = [Lifted(*n) if exact else pair for pair, n in _lifted_grid(params).rows[True]]
     return _worst_pair(
         (filler.evaluate(sigma, tau), ref.evaluate(sigma, tau))
-        for sigma in params for tau in params)
+        for sigma in pairs for tau in pairs)
 
 
 DIAMOND_LAWS = (
@@ -464,7 +515,7 @@ def diamond_suite(inst: ImaginaroidInstance,
         return (SpherePoint(rand_unit(rng, dim, mode)),)
 
     return run_laws(
-        DIAMOND_LAWS, instance, quarter_grid(grid), draw=draw,
+        DIAMOND_LAWS, instance, _LiftedGrid(quarter_grid(grid)), draw=draw,
         suite=lambda law: f"diamond/{instance}/x/{mode}", samples=max(samples, 2),
         seed=seed, mode=mode, tolerance=tolerance)
 

@@ -6,13 +6,13 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hopfcheck import cdalg, checks, hopf, joinmul, laws, sampling, spheremodel
 from hopfcheck.cdalg import conj_coeffs, mul_coeffs, norm_coeffs
 from hopfcheck.checks import compare, max_abs_diff, run_laws
 from hopfcheck.cli import main
-from hopfcheck.errors import PreconditionError, UsageError
+from hopfcheck.errors import InvariantViolation, PreconditionError, UsageError
 from hopfcheck.hopf import fiber_check, hopf_instance
 from hopfcheck.joinmul import (DIAMOND_LAWS, VIEW_KINDS, DiamondProblem, diamond_suite,
                                fill_refl_diamond, join_mul_alg, join_mul_syn,
@@ -23,7 +23,7 @@ from hopfcheck.laws import (_signed_basis, assoc_check, hspace_check, imaginaroi
                             spheroid_instance)
 from hopfcheck.sampling import CounterRng, quarter_grid, rand_unit
 from hopfcheck.spheremodel import (FLOAT_VIEW_EPS, JoinPoint, Lifted, SpherePoint, arc_point,
-                                   is_exact, lift)
+                                   basis_coords, is_exact, lift)
 
 
 def F(n, d=1):
@@ -153,8 +153,9 @@ def test_edge_blocks_meet_at_the_diamond_corners():
 
 
 def test_edge_blocks_reject_interior_parameters():
+    # only the boundary law asks, always on boundary pairs: reaching this is a bug
     a, b = unit_sphere(2, 44).coords, unit_sphere(2, 45).coords
-    with pytest.raises(UsageError, match="off the boundary"):
+    with pytest.raises(InvariantViolation, match="off the boundary"):
         joinmul._edge_blocks(ARC, ARC2, a, tuple(-t for t in a), b, b)
 
 
@@ -687,6 +688,30 @@ def _fraction_boundary(params, inputs):
     return 0, None, None
 
 
+def _fraction_pole_reduction(params, inputs):
+    (x,) = inputs
+    if x.coords not in (basis_coords(x.dim, 0, 1), basis_coords(x.dim, 0, -1)):
+        return 0, None, None
+    filler = reduced_diamond_filler(x)
+    ref = fill_refl_diamond(filler.problem)
+    worst = 0
+    bad = None
+    for sigma in params:
+        for tau in params:
+            got, want = filler.evaluate(sigma, tau), ref.evaluate(sigma, tau)
+            r = max_abs_diff(got, want)
+            if r > worst:
+                worst, bad = r, (got, want)
+    if worst > 0:
+        return worst, bad[0], bad[1]
+    return 0, None, None
+
+
+_GRID_LAW_REFERENCES = ((joinmul._filler_unit_norm, _fraction_unit_norm),
+                        (joinmul._filler_boundary, _fraction_boundary),
+                        (joinmul._filler_pole_reduction, _fraction_pole_reduction))
+
+
 def _typed(value):
     """The value with each scalar tagged by its type; points and pairs become tuples."""
     if value is None or isinstance(value, str):
@@ -716,31 +741,36 @@ def test_exact_grid_laws_match_fraction_bodies(x, grid, perturbed):
     params = quarter_grid(grid)
     patch = mock.patch.object(joinmul, "_reduced_blocks", _swapped_blocks)
     with patch if perturbed else nullcontext():
-        for fast, reference in ((joinmul._filler_unit_norm, _fraction_unit_norm),
-                                (joinmul._filler_boundary, _fraction_boundary)):
+        for fast, reference in _GRID_LAW_REFERENCES:
             assert _typed(fast(params, (x,))) == _typed(reference(params, (x,)))
         if perturbed:
             assert joinmul._filler_boundary(params, (x,))[0] > 0
+            if x.coords in (basis_coords(x.dim, 0, 1), basis_coords(x.dim, 0, -1)):
+                assert joinmul._filler_pole_reduction(params, (x,))[0] > 0
 
 
 @st.composite
 def float_corners(draw):
     dim = draw(st.sampled_from((1, 2, 4)))
     if draw(st.booleans()):
-        return SpherePoint(tuple(float(c) for c in SpherePoint.basis(dim, 0).coords))
+        sign = draw(st.sampled_from((1, -1)))
+        return SpherePoint(tuple(float(c) for c in SpherePoint.basis(dim, 0, sign).coords))
     rng = CounterRng(draw(st.integers(0, 2 ** 32)), "test/filler-grid/float", 0)
     return SpherePoint(rand_unit(rng, dim, "float"))
 
 
 @settings(max_examples=40, deadline=None)
 @given(float_corners(), st.integers(1, 8), st.booleans())
+@example(SpherePoint((1.0,)), 6, False)
+@example(SpherePoint((-1.0,)), 6, True)
+@example(SpherePoint((1.0, 0.0, 0.0, 0.0)), 5, True)
+@example(SpherePoint((-1.0, 0.0, 0.0, 0.0)), 5, False)
 def test_float_grid_laws_match_square_filler_bodies(x, grid, perturbed):
     # the reference bodies evaluate through SquareFiller: same values, bit for bit
     params = quarter_grid(grid)
     patch = mock.patch.object(joinmul, "_reduced_blocks", _swapped_blocks)
     with patch if perturbed else nullcontext():
-        for fast, reference in ((joinmul._filler_unit_norm, _fraction_unit_norm),
-                                (joinmul._filler_boundary, _fraction_boundary)):
+        for fast, reference in _GRID_LAW_REFERENCES:
             assert _typed(fast(params, (x,))) == _typed(reference(params, (x,)))
 
 
@@ -799,6 +829,70 @@ def test_broken_filler_fails_its_grid_laws(target, perturb, failing, mode, monke
         left, right = joinmul._reduced_blocks(sigma, tau, one, x)
         assert unit.witness["rhs"] == "unit"
         assert float(abs(norm_coeffs(left) + norm_coeffs(right) - 1)) == unit.max_residual
+
+
+def _lifted_pair(pair):
+    return Lifted(*lift(pair))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 4])
+def test_lifted_evaluate_matches_the_fraction_one(dim):
+    # the pole row evaluates both fillers on lifted pairs: same points, as Lifted blocks
+    a, b = unit_sphere(dim, 8), unit_sphere(dim, 9)
+    corners = (unit_sphere(dim, 10), SpherePoint.basis(dim, 0), SpherePoint.basis(dim, 0, -1))
+    fillers = [reduced_diamond_filler(x) for x in corners] + [
+        fill_refl_diamond(DiamondProblem(a, -a, b, b)),
+        fill_refl_diamond(DiamondProblem(a, a, b, -b))]
+    params = quarter_grid(8)
+    for filler in fillers:
+        for sigma in params:
+            for tau in params:
+                got = filler.evaluate(_lifted_pair(sigma), _lifted_pair(tau))
+                assert type(got.left) is Lifted and type(got.right) is Lifted
+                assert tuple(got) == tuple(filler.evaluate(sigma, tau))
+
+
+def test_lifted_evaluate_reports_an_off_sphere_point_as_the_fraction_one(monkeypatch):
+    monkeypatch.setattr(joinmul, "_reduced_blocks", _dropped_left(joinmul._reduced_blocks))
+    filler = reduced_diamond_filler(unit_sphere(4, 11))
+    for sigma, tau in ((ARC, ARC2), (E0, ARC), (ARC2, E0)):
+        with pytest.raises(UsageError) as fraction_route:
+            filler.evaluate(sigma, tau)
+        with pytest.raises(UsageError) as lifted_route:
+            filler.evaluate(_lifted_pair(sigma), _lifted_pair(tau))
+        message = str(lifted_route.value)
+        assert message == str(fraction_route.value)
+        assert message.startswith("join point is not on the unit sphere: |x|^2 = ")
+
+
+@pytest.mark.parametrize("x", [SpherePoint.basis(dim, 0, sign) for dim in (1, 4) for sign in (1, -1)]
+                         + [unit_sphere(dim, 12) for dim in (2, 4)],
+                         ids=["n1", "s1", "n4", "s4", "r2", "r4"])
+def test_exact_grid_laws_stay_on_integers(x, monkeypatch):
+    # a correct filler on an exact corner builds no Fraction, takes no generic norm,
+    # and the pole row evaluates both fillers on lifted pairs
+    def fallback(*args):
+        raise AssertionError("an exact grid law left the integer path")
+
+    def on_lifted_pairs(make):
+        def wrapped(*args):
+            filler = make(*args)
+
+            def evaluate(sigma, tau):
+                assert type(sigma) is Lifted and type(tau) is Lifted
+                point = filler.evaluate(sigma, tau)
+                assert type(point.left) is Lifted and type(point.right) is Lifted
+                return point
+
+            return joinmul.SquareFiller(filler.problem, evaluate)
+        return wrapped
+
+    for name in ("norm_coeffs", "Fraction"):
+        monkeypatch.setattr(joinmul, name, fallback)
+    for name in ("reduced_diamond_filler", "fill_refl_diamond"):
+        monkeypatch.setattr(joinmul, name, on_lifted_pairs(getattr(joinmul, name)))
+    for law, evaluate, _ in DIAMOND_LAWS:
+        assert evaluate(quarter_grid(8), (x,)) == (0, None, None), law
 
 
 # --- the float branch of join_mul_syn against the generic one it skips ------------
