@@ -12,7 +12,6 @@ Fractions are built only for a nonzero residual and a witness.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import partial
 from typing import Callable, Iterable, Optional
@@ -41,28 +40,29 @@ def coeffs_to_json(value):
     return scalar_to_json(value)
 
 
-@dataclass
-class LawReport:
-    law: str
-    instance: str
-    status: str
-    samples: int
-    tolerance: Optional[float]
-    max_residual: float
-    seed: int
-    duration_ms: float
-    expected: bool
-    witness: Optional[dict]
+#: the report's field names, in the order JSON and CSV write them
+REPORT_FIELDS = ("law", "instance", "status", "samples", "tolerance", "max_residual", "seed",
+                 "duration_ms", "expected", "witness")
 
-    def __post_init__(self):
-        if self.status == STATUS_FAILS and self.witness is None:
+
+class LawReport:
+    """One law's verdict; its fields are `REPORT_FIELDS`."""
+
+    __slots__ = REPORT_FIELDS
+
+    def __init__(self, law: str, instance: str, status: str, samples: int,
+                 tolerance: Optional[float], max_residual: float, seed: int,
+                 duration_ms: float, expected: bool, witness: Optional[dict]):
+        if status == STATUS_FAILS and witness is None:
             raise InvariantViolation("failing report without witness")
-        if self.status == STATUS_HOLDS_SAMPLED and (
-                self.tolerance is None or self.samples is None):
+        if status == STATUS_HOLDS_SAMPLED and (tolerance is None or samples is None):
             raise InvariantViolation("sampled report without tolerance/sample count")
+        self.law, self.instance, self.status, self.samples = law, instance, status, samples
+        self.tolerance, self.max_residual, self.seed = tolerance, max_residual, seed
+        self.duration_ms, self.expected, self.witness = duration_ms, expected, witness
 
     def to_dict(self) -> dict:
-        """The fields in declaration order, without the witness when there is none."""
+        """The fields in `REPORT_FIELDS` order, without the witness when there is none."""
         return {name: getattr(self, name) for name in REPORT_FIELDS
                 if name != "witness" or self.witness is not None}
 
@@ -71,17 +71,13 @@ class LawReport:
         return self.status != STATUS_FAILS
 
 
-#: the report's field names, in the order JSON and CSV write them
-REPORT_FIELDS = tuple(f.name for f in fields(LawReport))
-
-
-@dataclass
 class ReportDocument:
-    version: str
-    config: dict
-    reports: list
-    overall: str = "pass"
-    duration_ms: float = 0.0
+    __slots__ = ("version", "config", "reports", "overall", "duration_ms")
+
+    def __init__(self, version: str, config: dict, reports: list,
+                 overall: str = "pass", duration_ms: float = 0.0):
+        self.version, self.config, self.reports = version, config, reports
+        self.overall, self.duration_ms = overall, duration_ms
 
     def finalize(self):
         self.reports.sort(key=lambda r: (r.instance, r.law))

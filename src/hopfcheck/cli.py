@@ -16,7 +16,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import __version__
 from .checks import (REPORT_FIELDS, STATUS_FAILS, STATUS_HOLDS_EXACT, LawReport,
@@ -33,8 +33,7 @@ EXIT_UNEXPECTED = 1
 EXIT_USAGE = 2
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     subcommand: str
     instance: str = ""
     level: int = 0

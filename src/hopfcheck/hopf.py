@@ -23,9 +23,9 @@ witness writes them as two scalars.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from typing import NamedTuple
 
 from .cdalg import conj_coeffs, mul_coeffs, norm_coeffs
 from .checks import LawReport, compare, execute_check, max_abs_diff, run_laws, worst_of
@@ -41,8 +41,7 @@ from .spheremodel import (JoinPoint, Lifted, SpherePoint, _sum_squares, arc_poin
 FIBRATIONS = {"real": "empty", "complex": "s0", "quaternionic": "s2"}
 
 
-@dataclass(frozen=True)
-class HopfInstance:
+class HopfInstance(NamedTuple):
     """One fibration G -> join(G, G) -> susp(G) with G a multiplicative sphere."""
 
     name: str

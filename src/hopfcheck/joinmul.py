@@ -36,10 +36,9 @@ builds no Fraction (`_arc_blocks`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .cdalg import _meet_floats, conj_coeffs, mul_coeffs, norm_coeffs
 from .checks import compare, max_abs_diff, run_laws, worst_of
@@ -68,8 +67,7 @@ def _comb(s, u: tuple, t, v: tuple) -> tuple:
 # diamond problems and square fillers
 
 
-@dataclass(frozen=True)
-class DiamondProblem:
+class DiamondProblem(NamedTuple):
     """Corner data of a square in a join whose edges are glue arcs.
 
     a, a2 are the left-factor corners, b, b2 the right-factor corners; the
@@ -83,8 +81,7 @@ class DiamondProblem:
     b2: SpherePoint
 
 
-@dataclass(frozen=True)
-class SquareFiller:
+class SquareFiller(NamedTuple):
     """A map from parameter pairs (sigma, tau) into a join, with its boundary contract.
 
     sigma and tau are exact quarter-circle pairs (c, s); the evaluator must

@@ -19,11 +19,10 @@ structured and sampled inputs off its carrier.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import partial
 from itertools import product
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .cdalg import LADDER, _as_floats, basis_coords, conj_coeffs, mul_coeffs
 from .checks import LawReport, compare, execute_check, max_abs_diff, run_laws, worst_of
@@ -40,8 +39,7 @@ def _signed_basis(dim: int) -> tuple:
 # carriers and instances
 
 
-@dataclass(frozen=True)
-class Carrier:
+class Carrier(NamedTuple):
     """A pointed structure with product, conjugation and negation, and its inputs.
 
     Points are coordinate sequences (tuples or join points), so the laws
@@ -70,7 +68,6 @@ def _sphere_carrier(name: str, dim: int) -> Carrier:
         neg=neg_coeffs)
 
 
-@dataclass
 class ImaginaroidInstance:
     """A base sphere with involutive negation plus multiplication on its suspension.
 
@@ -78,12 +75,18 @@ class ImaginaroidInstance:
     the base sphere sits in ambient dimension 2^level - 1.  The suites
     check both spheres as carriers (`_sphere_carrier`).  assoc_verified
     is set by a passing assoc_check and gates the operations that assume
-    an associative suspension.
+    an associative suspension; equality ignores it.
     """
 
-    name: str
-    level: int
-    assoc_verified: bool = field(default=False, compare=False)
+    __slots__ = ("name", "level", "assoc_verified")
+
+    def __init__(self, name: str, level: int, assoc_verified: bool = False):
+        self.name, self.level, self.assoc_verified = name, level, assoc_verified
+
+    def __eq__(self, other):
+        if type(other) is not ImaginaroidInstance:
+            return NotImplemented
+        return (self.name, self.level) == (other.name, other.level)
 
     @property
     def susp_dim(self) -> int:
@@ -230,9 +233,9 @@ def _suite_carrier(carrier: Carrier, mode: str) -> Carrier:
         return carrier
     structured = tuple(map(lifted, carrier.structured))
     if mode == "exact":
-        return replace(carrier, unit=lifted(carrier.unit), structured=structured)
-    return replace(carrier, mul=_float_unit_product(carrier.mul, carrier.unit),
-                   structured=structured)
+        return carrier._replace(unit=lifted(carrier.unit), structured=structured)
+    return carrier._replace(mul=_float_unit_product(carrier.mul, carrier.unit),
+                            structured=structured)
 
 
 def _float_unit_product(mul: Callable, unit) -> Callable:
@@ -376,7 +379,7 @@ def corner_transport_suite(inst: ImaginaroidInstance,
     _require_assoc(inst, allow_unverified)
     (report,) = _carrier_laws(
         (("corner-transport", _corner_transport, 4),),
-        replace(_sphere_carrier(inst.name, inst.susp_dim), structured=()),
+        _sphere_carrier(inst.name, inst.susp_dim)._replace(structured=()),
         suite=lambda law: f"laws/{inst.name}/corner/{mode}",
         expect=lambda law: LADDER["associativity"](inst.level),
         samples=samples, seed=seed, mode=mode, tolerance=tolerance)

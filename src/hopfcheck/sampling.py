@@ -18,7 +18,6 @@ one loop over a local state; `next_u64` takes the same step once.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from fractions import Fraction
 from functools import cache
@@ -33,6 +32,7 @@ MAGNITUDE = 10
 
 @cache   # hashed once per suite id, not once per sample
 def _suite_key(suite: str) -> int:
+    import hashlib      # here, not at import: it loads OpenSSL, and --version draws no sample
     return int.from_bytes(hashlib.sha256(suite.encode()).digest()[:8], "big")
 
 

@@ -25,7 +25,6 @@ or a float sum of squares taken left to right (Python-version independent).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import UsageError
@@ -88,10 +87,9 @@ def basis_coords(dim: int, i: int, scalar) -> tuple:
     return (zero,) * i + (scalar,) + (zero,) * (dim - 1 - i)
 
 
-def _sum_squares(a):
-    # left to right: Python 3.12 made sum() of floats compensated, and float
-    # reports must not depend on the Python version
-    total = 0
+def _sum_squares(a, total=0):
+    # left to right from total: Python 3.12 made sum() of floats compensated,
+    # and float reports must not depend on the Python version
     for c in a:
         total += c * c
     return total
@@ -123,16 +121,51 @@ def _check_unit(coords, what: str):
         if _sum_squares(x.nums) != x.den * x.den:
             raise UsageError(f"{what} is not on the unit sphere: |x|^2 = {norm_coeffs(x)}")
         return
-    total = _sum_squares(coords)
+    _check_float_norm(_sum_squares(coords), what)
+
+
+def _check_float_norm(total, what: str):
     if not abs(total - 1) <= FLOAT_POINT_EPS:   # NaN and infinities fail too
         raise UsageError(f"{what} is off the unit sphere by {abs(total - 1):.3e}")
 
 
-@dataclass(frozen=True)
-class SpherePoint:
+class _Point:
+    """An immutable point: its fields are the subclass's __slots__, it compares and
+    hashes by value, and assigning or deleting a field raises AttributeError.
+    Subclasses store their fields through the slot descriptors' __set__ and call
+    __post_init__, looked up on the class at every construction (a profiler may
+    rebind it)."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class SpherePoint(_Point):
     """Unit vector in a fixed ambient space."""
 
-    coords: tuple
+    __slots__ = ("coords",)
+
+    def __init__(self, coords: tuple):
+        _set_coords(self, coords)
+        self.__post_init__()
 
     def __post_init__(self):
         _check_unit(self.coords, "sphere point")
@@ -152,20 +185,28 @@ class SpherePoint:
         return SpherePoint(neg_coeffs(self.coords))
 
 
-@dataclass(frozen=True)
-class JoinPoint:
+class JoinPoint(_Point):
     """Embedded point of join(X, Y): vectors (p, q) with |p|^2 + |q|^2 = 1.
 
     The blocks are tuples or two `Lifted` over one denominator.  It iterates as
     its coordinates p + q, so laws compare and report it like a tuple.
     """
 
-    left: tuple
-    right: tuple
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: tuple, right: tuple):
+        _set_left(self, left)
+        _set_right(self, right)
+        self.__post_init__()
 
     def __post_init__(self):
-        left = self.left
-        _check_unit(self.flatten() if type(left) is Lifted else left + self.right, "join point")
+        left, right = self.left, self.right
+        if type(left) is Lifted:
+            _check_unit(self.flatten(), "join point")
+        elif left and type(left[0]) is float:   # one running sum over p, then q
+            _check_float_norm(_sum_squares(right, _sum_squares(left)), "join point")
+        else:
+            _check_unit(left + right, "join point")
 
     def __iter__(self):
         return iter(self.flatten())
@@ -175,6 +216,12 @@ class JoinPoint:
         if type(left) is not Lifted:
             return left + right
         return Lifted(left.nums + right.nums, left.den)
+
+
+# the slot descriptors' setters: they skip the raising __setattr__, and cost
+# less per point than object.__setattr__
+_set_coords = SpherePoint.coords.__set__
+_set_left, _set_right = JoinPoint.left.__set__, JoinPoint.right.__set__
 
 
 def block_dim_error(dim: int, *points: JoinPoint) -> UsageError:

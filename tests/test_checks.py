@@ -12,9 +12,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hopfcheck import cdalg, hopf, joinmul, laws
-from hopfcheck.checks import (REPORT_FIELDS, STATUS_FAILS, compare, execute_check,
+from hopfcheck.checks import (REPORT_FIELDS, STATUS_FAILS, STATUS_HOLDS_EXACT,
+                              STATUS_HOLDS_SAMPLED, LawReport, compare, execute_check,
                               max_abs_diff, worst_of)
-from hopfcheck.errors import PreconditionError, UsageError
+from hopfcheck.errors import InvariantViolation, PreconditionError, UsageError
 from hopfcheck.sampling import CounterRng, _suite_key
 from hopfcheck.spheremodel import Lifted, lifted
 
@@ -225,6 +226,30 @@ def test_report_dict_follows_the_field_order():
     assert list(holds.to_dict()) == keys
     assert list(fails.to_dict()) == keys + ["witness"]
     assert fails.to_dict()["witness"] == {"inputs": [], "lhs": [1], "rhs": [0]}
+
+
+def _report(status, tolerance=None, samples=0, witness=None):
+    return LawReport("law", "test", status, samples, tolerance, 0.0, 0, 0.0, True, witness)
+
+
+@pytest.mark.parametrize("status,tolerance,samples,message", [
+    (STATUS_FAILS, None, 0, "failing report without witness"),
+    (STATUS_HOLDS_SAMPLED, None, 5, "sampled report without tolerance/sample count"),
+    (STATUS_HOLDS_SAMPLED, 1e-9, None, "sampled report without tolerance/sample count"),
+])
+def test_report_rejects_a_verdict_it_cannot_back(status, tolerance, samples, message):
+    with pytest.raises(InvariantViolation, match=message):
+        _report(status, tolerance, samples)
+
+
+def test_report_takes_its_fields_in_order():
+    witness = {"inputs": [], "lhs": [1], "rhs": [0]}
+    fails = _report(STATUS_FAILS, witness=witness)
+    assert fails.to_dict() == dict(zip(REPORT_FIELDS, (
+        "law", "test", STATUS_FAILS, 0, None, 0.0, 0, 0.0, True, witness)))
+    sampled = _report(STATUS_HOLDS_SAMPLED, 1e-9, 5)
+    assert (sampled.tolerance, sampled.samples, sampled.holds) == (1e-9, 5, True)
+    assert "witness" not in _report(STATUS_HOLDS_EXACT).to_dict()
 
 
 def test_suite_key_and_samples_unchanged():

@@ -6,14 +6,15 @@ import json
 import subprocess
 import sys
 import threading
+from fractions import Fraction
 
 import pytest
 
 from hopfcheck import __version__, cdalg, cli, joinmul, laws
-from hopfcheck.checks import ReportDocument
+from hopfcheck.checks import REPORT_FIELDS, ReportDocument
 from hopfcheck.cli import emit, main
 from hopfcheck.errors import InvariantViolation, PreconditionError, UsageError
-from hopfcheck.spheremodel import Lifted
+from hopfcheck.spheremodel import JoinPoint, Lifted, SpherePoint
 
 REPORT_KEYS = {"law", "instance", "status", "samples", "tolerance",
                "max_residual", "seed", "duration_ms", "expected"}
@@ -319,6 +320,19 @@ def test_csv_has_header_plus_one_row_per_report(tmp_path):
     assert len(rows) == 1 + 6  # six H-space laws
 
 
+def test_json_and_csv_write_the_report_fields_in_order(tmp_path):
+    # hspace s1 at --samples 30 holds in full; laws level 1 has a failing law with a witness
+    for argv in (("hspace", "--instance", "s1"), ("laws", "--level", "1")):
+        code, doc = run_cli_json(tmp_path, *argv, "--samples", "30")
+        assert code == 0
+        for r in doc["reports"]:
+            assert tuple(r) == tuple(f for f in REPORT_FIELDS if f in r)
+            assert set(REPORT_FIELDS) - set(r) <= {"witness"}
+        path = tmp_path / "out.csv"
+        assert run_cli(*argv, "--samples", "30", "--format", "csv", "--output", str(path)) == 0
+        assert tuple(next(csv.reader(io.StringIO(path.read_text())))) == REPORT_FIELDS
+
+
 def test_text_format_mentions_overall(capsys):
     code = run_cli("spheroid", "--instance", "s0", "--samples", "10")
     assert code == 0
@@ -400,6 +414,46 @@ def test_module_invocation_matches_entry_point(child_env):
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["overall"] == "pass"
+
+
+#: run in a child interpreter without site hooks: the modules that --version and
+#: then one sampled suite load, and the suite keys of the deferred hashlib import
+IMPORT_PROBE = """
+import json, sys
+from hopfcheck import cli
+cli.main(["--version"])
+early = sorted(m for m in ("dataclasses", "inspect", "hashlib") if m in sys.modules)
+from hopfcheck.cdalg import law_suite
+from hopfcheck.sampling import _suite_key
+law_suite(1, samples=1)
+late = "hashlib" in sys.modules
+import hashlib
+ids = ("cdalg/associativity/level-1/exact", "laws/s2/assoc/float")
+same = [_suite_key(s) == int.from_bytes(hashlib.sha256(s.encode()).digest()[:8], "big")
+        for s in ids]
+print(json.dumps([early, late, same]))
+"""
+
+
+def test_version_imports_neither_dataclasses_nor_hashlib(child_env):
+    proc = subprocess.run([sys.executable, "-S", "-c", IMPORT_PROBE],
+                          capture_output=True, text=True, env=child_env)
+    assert proc.returncode == 0, proc.stderr
+    version, result = proc.stdout.splitlines()
+    assert version == __version__
+    assert json.loads(result) == [[], True, [True, True]]
+
+
+def test_benchmark_constructors_keep_their_positional_form():
+    problem = joinmul.DiamondProblem(*(SpherePoint.basis(2, 0),) * 4)
+    evaluate = joinmul.reduced_diamond_filler(SpherePoint.basis(2, 1)).evaluate
+    filler = joinmul.SquareFiller(problem, evaluate)
+    assert (filler.problem, filler.evaluate) == (problem, evaluate)
+    assert JoinPoint((Fraction(3, 5),), (Fraction(4, 5),)).right == (Fraction(4, 5),)
+    assert SpherePoint((0.6, 0.8)).coords == (0.6, 0.8)
+    config = cli.RunConfig("fibration", instance="all", samples=1, fmt="json")
+    assert (config.subcommand, config.level, config.grid, config.workers) == ("fibration", 0, 64, 1)
+    assert cli.run(config).overall == "pass"
 
 
 def test_fiber_subcommand_exact(tmp_path):

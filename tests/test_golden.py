@@ -18,7 +18,6 @@ import contextlib
 import io
 import json
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -83,12 +82,12 @@ def _verified(name: str):
 
 
 def _broken_conj_spheroid():
-    return replace(spheroid_instance("s1"), name="broken-conj", conj=lambda x: x)
+    return spheroid_instance("s1")._replace(name="broken-conj", conj=lambda x: x)
 
 
 def _broken_unit_carrier():
-    return replace(spheroid_instance("s1"), name="broken-unit",
-                   unit=(Fraction(0), Fraction(1)))
+    return spheroid_instance("s1")._replace(name="broken-unit",
+                                            unit=(Fraction(0), Fraction(1)))
 
 
 def _library_suites(mode: str) -> dict:

@@ -1,7 +1,6 @@
 """Spheroid, imaginaroid, associativity and H-space suites."""
 
 import json
-from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -65,7 +64,7 @@ def test_spheroid_laws_include_derived_pair():
 
 def test_broken_conjugation_produces_witness():
     # conjugation deliberately wrong
-    broken = replace(spheroid_instance("s1"), name="broken", conj=lambda x: x)
+    broken = spheroid_instance("s1")._replace(name="broken", conj=lambda x: x)
     reports = {r.law: r for r in spheroid_check(broken, samples=50, seed=3)}
     assert not reports["star-left-inverse"].holds
     assert reports["star-left-inverse"].witness is not None
@@ -194,7 +193,7 @@ def test_hspace_detects_broken_unit(kind):
         assert assoc_check(inst, samples=20, seed=12).holds
         # inr(1) in place of the unit inl(1)
         carrier, unit = join_hspace_carrier(inst), JoinPoint((F(0), F(0)), inst.unit)
-    broken = replace(carrier, name="broken", unit=unit)
+    broken = carrier._replace(name="broken", unit=unit)
     reports = hspace_check(broken, samples=40, seed=12)
     assert not {r.law: r for r in reports}["left-unit"].holds
     doc = json.loads(emit(ReportDocument("0", {}, reports).finalize(), "json"))
@@ -213,7 +212,7 @@ def test_exact_suites_refuse_a_carrier_with_float_points(kind, monkeypatch):
         inst = imaginaroid_instance("s0")
         assert assoc_check(inst, samples=20, seed=12).holds
         carrier, unit = join_hspace_carrier(inst), JoinPoint((1.0, 0.0), (0.0, 0.0))
-    carrier = replace(carrier, unit=unit)
+    carrier = carrier._replace(unit=unit)
     with pytest.raises(UsageError, match="exact mode needs exact points"):
         hspace_check(carrier, samples=4, seed=12)
     # in float mode the Fraction structured points stay unlifted: a Lifted
@@ -271,10 +270,10 @@ FLOAT_SUITES = {
 FLOAT_CONTROLS = {
     "octonion-assoc": lambda: [assoc_check(imaginaroid_instance("octonion-control"), **FLOAT)],
     "broken-conj": lambda: spheroid_check(
-        replace(spheroid_instance("s1"), name="broken", conj=lambda x: x), **FLOAT),
+        spheroid_instance("s1")._replace(name="broken", conj=lambda x: x), **FLOAT),
     "inr-unit": lambda: hspace_check(
-        replace(join_hspace_carrier(_verified("s0")), name="broken",
-                unit=JoinPoint((F(0), F(0)), (F(1), F(0)))), **FLOAT),
+        join_hspace_carrier(_verified("s0"))._replace(
+            name="broken", unit=JoinPoint((F(0), F(0)), (F(1), F(0)))), **FLOAT),
 }
 
 

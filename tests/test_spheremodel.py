@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hopfcheck import hopf
+from hopfcheck import hopf, spheremodel
 from hopfcheck.cdalg import _structured_elements
 from hopfcheck.errors import UsageError
 from hopfcheck.sampling import CounterRng, rand_point, rand_quarter_pair, rand_unit, stereographic
@@ -90,6 +90,64 @@ def _unit_message(check, coords):
 def test_check_unit_matches_the_body_it_replaced(coords):
     assert is_exact(coords) == (not any(isinstance(c, float) for c in coords))
     assert _unit_message(_check_unit, coords) == _unit_message(_check_unit_before, coords)
+
+
+def _message(make):
+    try:
+        make()
+    except UsageError as err:
+        return str(err)
+    return None
+
+
+_INSIDE, _OUTSIDE = math.sqrt(0.9 * FLOAT_POINT_EPS), math.sqrt(1.1 * FLOAT_POINT_EPS)
+
+
+@pytest.mark.parametrize("left,right", [
+    ((1.0, 0.0), (0.0, 0.0)), ((0.6,), (0.8,)), ((-0.0, 0.6), (-0.8, -0.0)),
+    ((1.0, 0, 0, 0), (0, 0, 0, 0)),            # the float unit: int zeros from _as_floats
+    ((math.nan, 0.0), (0.0, 0.0)), ((0.6,), (math.nan,)),
+    ((math.inf,), (0.0,)), ((0.0,), (-math.inf,)), ((math.inf,), (-math.inf,)),
+    ((1.0,), (_INSIDE,)), ((1.0,), (_OUTSIDE,)),
+    ((math.sqrt(1 - 0.9 * FLOAT_POINT_EPS),), (0.0,)),
+    ((math.sqrt(1 - 1.1 * FLOAT_POINT_EPS),), (0.0,)),
+    ((0.5, 0.5), (0.5, 0.4)), ((0.6,), (F(4, 5),)), ((0.0,), ()),
+], ids=repr)
+def test_float_join_point_check_matches_the_concatenated_one(left, right, monkeypatch):
+    want = _message(lambda: _check_unit(left + right, "join point"))
+    # a float first coordinate takes one running sum, never the concatenated check
+    monkeypatch.setattr(spheremodel, "_check_unit", None)
+    assert _message(lambda: JoinPoint(left, right)) == want
+
+
+def test_points_are_values():
+    p, q = (F(3, 5), F(4, 5)), (0.6, 0.8)
+    assert SpherePoint(p) == SpherePoint(p) and SpherePoint(p) != SpherePoint(q)
+    assert JoinPoint(p, ()) == JoinPoint(p, ()) != JoinPoint((), p)
+    assert len({SpherePoint(p), SpherePoint(tuple(p)), JoinPoint(p, ()), JoinPoint(p, ())}) == 2
+    assert SpherePoint(p) != p and JoinPoint(p, ()) != (p, ())
+    for x, name in ((SpherePoint(p), "coords"), (JoinPoint(p, ()), "left")):
+        with pytest.raises(AttributeError):
+            setattr(x, name, q)
+        with pytest.raises(AttributeError):
+            delattr(x, name)
+        with pytest.raises(AttributeError):
+            x.other = q
+    assert repr(JoinPoint((1,), ())) == "JoinPoint(left=(1,), right=())"
+
+
+def test_point_check_is_a_class_hook(monkeypatch):
+    # a profiler counts point checks by rebinding __post_init__ on the class
+    seen = []
+    for cls in (SpherePoint, JoinPoint):
+        def hook(self, check=cls.__post_init__):
+            seen.append(type(self))
+            check(self)
+        monkeypatch.setattr(cls, "__post_init__", hook)
+    SpherePoint((1, 0))
+    with pytest.raises(UsageError):
+        JoinPoint((1,), (1,))
+    assert seen == [SpherePoint, JoinPoint]
 
 
 def test_stereographic_lands_on_sphere():
