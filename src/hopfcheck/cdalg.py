@@ -21,14 +21,12 @@ level, traced once from the recursion (`_mul_recursive`) on first use: it
 takes every product, sum and difference of the recursion in its order,
 because float addition does not associate and the summation order is part
 of the result.  Exact tuples holding a Fraction are lifted once, multiplied
-on their numerators and come back as Fractions.  An exact operand meeting
-an all-float one is converted to floats once at the entry, exact zeros
-kept as int 0 (`_meet_floats`, skipped when neither operand holds a
-float); when both operands hold an exact coordinate, the mix enters the
-kernel as it is.  A float-mode carrier suite converts its Fraction unit so
-once per suite (`laws._suite_carrier`), and its float points, a float
-first coordinate each, skip the type scan.  The kernel gives what the
-recursion gives, bit for bit.
+on their numerators and come back as Fractions.  Any other mix enters
+the kernel as it is, on Python's mixed arithmetic (exact x * float y is
+float(x) * y); float points, a float first coordinate each, skip the type
+scan.  The one place an exact value becomes floats is a float-mode suite's
+unit (`laws._suite_carrier`).  The kernel gives what the recursion gives,
+bit for bit.
 
 Basis products satisfy e_i e_j = +-e_(i xor j) at every level, so a
 per-level sign table, read off the recursion on first use, gives products
@@ -108,34 +106,7 @@ def mul_coeffs(a, b):
         kinds = {*map(type, a), *map(type, b)}
         if Fraction in kinds and kinds <= _EXACT:
             return tuple(mul_coeffs(lifted(a), lifted(b)))
-        if float in kinds:
-            a, b = _meet_floats(a, b)
     return _traced_kernel(len(a))(a, b)
-
-
-_FLOAT = frozenset((float,))
-
-
-def _meet_floats(a: tuple, b: tuple) -> tuple:
-    """(a, b) with an exact operand converted to floats once when the other is all float.
-
-    Every product term pairs one coordinate of a with one of b, and
-    Python evaluates exact x * float y as float(x) * y, so the float
-    kernel gives the same result on the converted operand.  Exact zeros
-    stay int 0: -Fraction(0) is +0 where -0.0 is not, and the kernel
-    negates operand coordinates.  An operand pair holding exact
-    coordinates on both sides is returned unchanged.
-    """
-    kinds_a, kinds_b = set(map(type, a)), set(map(type, b))
-    if kinds_a == _FLOAT and float not in kinds_b:
-        return a, _as_floats(b)
-    if kinds_b == _FLOAT and float not in kinds_a:
-        return _as_floats(a), b
-    return a, b
-
-
-def _as_floats(a: tuple) -> tuple:
-    return tuple([float(x) if x else 0 for x in a])
 
 
 def _mul_recursive(a: tuple, b: tuple) -> tuple:

@@ -40,7 +40,7 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Callable, NamedTuple
 
-from .cdalg import _meet_floats, conj_coeffs, mul_coeffs, norm_coeffs
+from .cdalg import conj_coeffs, mul_coeffs, norm_coeffs
 from .checks import compare, max_abs_diff, run_laws, worst_of
 from .errors import InvariantViolation, UsageError
 from .laws import (HSPACE_UNIT_LAWS, Carrier, ImaginaroidInstance, _require_assoc,
@@ -218,11 +218,9 @@ def join_mul_syn(X: JoinPoint, Y: JoinPoint, inst: ImaginaroidInstance,
     points keep their types through the same `mul_coeffs` view products;
     two exact arcs are lifted and multiplied on integers (`_arc_blocks`).
     Two float points, a float first coordinate each as in `is_exact`, read
-    their views off float sums of squares with no scan.  An exact inl or
-    inr point (the unit, unless a float-mode suite already converted it)
-    meeting an all-float one becomes floats once, as in
-    `cdalg._meet_floats`.  Every block must have the suspension's
-    dimension.
+    their views off float sums of squares with no scan.  An exact point
+    meeting a float one is converted nowhere: its products run on mixed
+    arithmetic.  Every block must have the suspension's dimension.
     """
     _require_assoc(inst, allow_unverified)
     p, q = X.left, X.right
@@ -238,12 +236,7 @@ def join_mul_syn(X: JoinPoint, Y: JoinPoint, inst: ImaginaroidInstance,
     elif type(p[0]) is float and type(r[0]) is float:     # two float points: no scans
         norms, eps2 = [_sum_squares(b) for b in (p, q, r, w)], FLOAT_VIEW_EPS ** 2
     else:
-        xs, ys = p + q, r + w
-        # an exact inl or inr point (the unit) meeting an all-float one: floats once
-        if is_exact(xs) and not (any(p) and any(q)) or is_exact(ys) and not (any(r) and any(w)):
-            xs, ys = _meet_floats(xs, ys)
-            p, q, r, w = xs[:len(p)], xs[len(p):], ys[:len(r)], ys[len(r):]
-        norms, eps2 = [norm_coeffs(b) for b in (p, q, r, w)], zero_norm_bound(xs + ys)
+        norms, eps2 = [norm_coeffs(b) for b in (p, q, r, w)], zero_norm_bound(p + q + r + w)
     p2, q2, r2, w2 = norms
     mul, conj = mul_coeffs, conj_coeffs
     if q2 <= eps2:                      # X = inl(p)

@@ -24,7 +24,7 @@ from functools import partial
 from itertools import product
 from typing import Callable, NamedTuple, Optional
 
-from .cdalg import LADDER, _as_floats, basis_coords, conj_coeffs, mul_coeffs
+from .cdalg import LADDER, basis_coords, conj_coeffs, mul_coeffs
 from .checks import LawReport, compare, execute_check, max_abs_diff, run_laws, worst_of
 from .errors import PreconditionError, UsageError
 from .sampling import rand_point
@@ -225,7 +225,8 @@ def _suite_carrier(carrier: Carrier, mode: str) -> Carrier:
     exact, the structured points are `lifted` in either mode, and so is the unit
     in exact mode.  In float mode the unit stays exact for comparisons, witness
     sides and the structured phase, and the product meets float operands with
-    its float form, converted once here (`_float_unit_product`)."""
+    its float form (`_float_unit_product`), the one place an exact value is
+    converted to floats."""
     exact = all(is_exact(tuple(x)) for x in (carrier.unit, *carrier.structured))
     if mode == "exact" and not exact:
         raise UsageError(f"exact mode needs exact points on carrier {carrier.name}")
@@ -239,9 +240,10 @@ def _suite_carrier(carrier: Carrier, mode: str) -> Carrier:
 
 
 def _float_unit_product(mul: Callable, unit) -> Callable:
-    """mul with the exact unit taken in its float form, `cdalg._as_floats` per block,
-    wherever it meets a float operand: the conversion `cdalg._meet_floats` made in
-    every such product, made once.  A `Lifted` operand meets the exact unit."""
+    """mul with the exact unit taken in its float form, `_as_floats` per block,
+    wherever it meets a float operand.  The exact unit would give the same bits on
+    mixed arithmetic (exact x * float y is float(x) * y); the float unit is converted
+    once per suite instead of in every product.  A `Lifted` operand meets the exact unit."""
     if type(unit) is JoinPoint:
         float_unit = JoinPoint(_as_floats(unit.left), _as_floats(unit.right))
     else:
@@ -255,6 +257,11 @@ def _float_unit_product(mul: Callable, unit) -> Callable:
         return mul(x, y)
 
     return product
+
+
+def _as_floats(a: tuple) -> tuple:
+    # exact zeros stay int 0: the kernel negates coordinates, and -0.0 is not +0
+    return tuple([float(x) if x else 0 for x in a])
 
 
 def _is_float(x) -> bool:

@@ -18,7 +18,7 @@ from itertools import combinations, islice
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hopfcheck import cdalg, spheremodel
+from hopfcheck import cdalg, laws, spheremodel
 from hopfcheck.cdalg import (_eval_alternativity, _eval_associativity, _eval_commutativity,
                              _eval_norm_multiplicativity, _mul_recursive, _sign_table,
                              _structured_elements, _traced_kernel, basis_coords, conj_coeffs,
@@ -247,7 +247,7 @@ def test_float_kernel_signed_zeros_and_operand_mixes(level):
             assert repr(mul_coeffs(b, a)) == repr(_mul_recursive(b, a))
 
 
-# --- the kernel entry: an exact operand meets an all-float one as floats ------
+# --- a float suite's unit: an exact operand converted once gives the mixed bits ---
 
 exact_scalars = st.one_of(
     st.sampled_from((0, Fraction(0))),
@@ -268,21 +268,23 @@ sparse_floats = st.sampled_from((0.0, -0.0, 0.0, -0.0, 1.0, -1.0))
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_exact_operand_meets_all_float_operand_as_floats(scalars, exact_first, data):
-    # the converted operands give what the kernel gives on the unconverted ones
+    # the kernel on the operand `laws._as_floats` converted gives what mul_coeffs
+    # gives on the unconverted ones, mixed arithmetic
     exact_scalar, float_scalar, min_level = scalars
     n = 1 << data.draw(st.integers(min_value=min_level, max_value=5))
     exact = data.draw(st.tuples(*[exact_scalar] * n))
     floats = data.draw(st.tuples(*[float_scalar] * n))
     a, b = (exact, floats) if exact_first else (floats, exact)
-    assert repr(mul_coeffs(a, b)) == repr(_traced_kernel(n)(a, b))
+    x, y = (laws._as_floats(a), b) if exact_first else (a, laws._as_floats(b))
+    assert repr(_traced_kernel(n)(x, y)) == repr(mul_coeffs(a, b))
 
 
 def test_exact_zero_is_not_converted_to_a_float_zero():
     # the kernel negates a1; -Fraction(0) is +0 but -0.0 is not
     a = (Fraction(1), Fraction(0), Fraction(0), Fraction(0))
     b = (-0.0, 1.0, -0.0, 1.0)
-    want = repr(_traced_kernel(4)(a, b))
-    assert repr(mul_coeffs(a, b)) == want
+    want = repr(mul_coeffs(a, b))
+    assert repr(_traced_kernel(4)(laws._as_floats(a), b)) == want
     assert repr(_traced_kernel(4)(tuple(map(float, a)), b)) != want
 
 

@@ -105,6 +105,54 @@ def test_wrong_sign_table_cannot_confirm_its_own_witness(monkeypatch, capsys):
     _assert_internal_error(capsys)
 
 
+FLOAT_RUNS = {
+    "hspace-s7": ("hspace", "--instance", "s7"),
+    "fibration-all": ("fibration", "--instance", "all"),
+    "spheroid-s3": ("spheroid", "--instance", "s3"),
+    "imaginaroid-s2": ("imaginaroid", "--instance", "s2"),
+    "laws-3": ("laws", "--level", "3"),
+    "fiber-quaternionic": ("fiber", "--instance", "quaternionic"),
+    "diamond-s2": ("diamond", "--instance", "s2", "--grid", "4"),
+}
+
+
+def _record_mixes(monkeypatch) -> list:
+    """Record the operands of every traced-kernel call that holds both a Fraction and a float."""
+    mixes = []
+    original = cdalg._traced_kernel
+
+    def traced(n):
+        kernel = original(n)
+
+        def recording(a, b):
+            kinds = {*map(type, a), *map(type, b)}
+            if Fraction in kinds and float in kinds:
+                mixes.append((a, b))
+            return kernel(a, b)
+
+        return recording
+
+    monkeypatch.setattr(cdalg, "_traced_kernel", traced)
+    return mixes
+
+
+@pytest.mark.parametrize("argv", FLOAT_RUNS.values(), ids=FLOAT_RUNS.keys())
+def test_float_runs_hand_the_kernel_no_fraction_float_mix(argv, tmp_path, monkeypatch):
+    # an exact value becomes floats in one place, a float suite's unit
+    mixes = _record_mixes(monkeypatch)
+    code, _ = run_cli_json(tmp_path, *argv, "--mode", "float", "--samples", "30")
+    assert code == 0
+    assert mixes == []
+
+
+def test_float_run_without_the_float_unit_mixes(tmp_path, monkeypatch):
+    # the control: the exact unit itself meets the float samples
+    mixes = _record_mixes(monkeypatch)
+    monkeypatch.setattr(laws, "_float_unit_product", lambda mul, unit: mul)
+    run_cli_json(tmp_path, "hspace", "--instance", "s7", "--mode", "float", "--samples", "30")
+    assert mixes
+
+
 @pytest.mark.parametrize("error", [ValueError, UsageError])
 def test_raising_sampler_fails_each_sampled_law(error, tmp_path, monkeypatch, capsys):
     # neither a traceback nor a usage error: the sampled phase fails at sample 0

@@ -900,7 +900,7 @@ def test_exact_grid_laws_stay_on_integers(x, monkeypatch):
 def _float_view_points(inst, seed):
     """Float join points of each view: samples, signed zero blocks, a block whose
     squared norm is exactly FLOAT_VIEW_EPS ** 2 (zero) or just above it (an arc),
-    and a suite's float unit, whose zeros are ints (`cdalg._as_floats`)."""
+    and a suite's float unit, whose zeros are ints (`laws._as_floats`)."""
     dim = inst.susp_dim
     rng = CounterRng(seed, "test/float-syn", dim)
     points = {view: [join_point_sample(rng, inst, view, "float") for _ in range(4)]
@@ -911,7 +911,7 @@ def _float_view_points(inst, seed):
     above = (FLOAT_VIEW_EPS * (1 + 2 ** -40),) + (0.0,) * (dim - 1)
     assert spheremodel._sum_squares(at_eps) == FLOAT_VIEW_EPS ** 2
     points["inl"] += [JoinPoint(u, z) for z in signed + (at_eps,)]
-    points["inl"].append(JoinPoint(cdalg._as_floats(inst.unit), (0,) * dim))
+    points["inl"].append(JoinPoint(laws._as_floats(inst.unit), (0,) * dim))
     points["inr"] += [JoinPoint(z, u) for z in signed + (at_eps,)]
     points["glue"] += [JoinPoint(u, above), JoinPoint(above, u)]
     return points
@@ -930,7 +930,7 @@ def test_float_join_mul_matches_the_generic_branch(level, view_x, view_y, monkey
     def scanned(*args):
         raise AssertionError("the float branch scanned an operand")
 
-    for name in ("norm_coeffs", "zero_norm_bound", "is_exact", "_meet_floats"):
+    for name in ("norm_coeffs", "zero_norm_bound", "is_exact"):
         monkeypatch.setattr(joinmul, name, scanned)
     for X in points[view_x]:
         for Y in points[view_y]:

@@ -331,15 +331,13 @@ def _spelled(x):
 
 
 @pytest.mark.parametrize("name", sorted(FLOAT_UNIT_CARRIERS))
-def test_float_unit_product_matches_the_per_product_conversion(name, monkeypatch):
+def test_float_unit_product_matches_the_per_product_conversion(name):
     # the suite's product meets float points with the float unit and gives, bit for
-    # bit, what the carrier's product gives the exact unit, which each product
-    # converted (`cdalg._meet_floats`); a Lifted operand still meets the exact unit
+    # bit, what the carrier's product gives the exact unit, on which Python converts
+    # each product's exact term; a Lifted operand still meets the exact unit
     carrier = FLOAT_UNIT_CARRIERS[name]()
     suite = laws._suite_carrier(carrier, "float")
     assert suite.unit is carrier.unit
-    meets = []
-    original = cdalg._meet_floats
     dim = len(carrier.unit.left if type(carrier.unit) is JoinPoint else carrier.unit)
     # signed zeros tell the float unit's int zeros from float ones
     signed = [tuple(1.0 if k == i else -0.0 for k in range(dim)) for i in range(dim)]
@@ -350,14 +348,9 @@ def test_float_unit_product_matches_the_per_product_conversion(name, monkeypatch
                for i in range(60)]
     for x in signed + samples:
         for args in ((carrier.unit, x), (x, carrier.unit)):
-            want = _spelled(carrier.mul(*args))
-            with monkeypatch.context() as m:
-                m.setattr(cdalg, "_meet_floats", lambda a, b: meets.append(a) or original(a, b))
-                got = suite.mul(*args)
-            assert _spelled(got) == want
+            got = suite.mul(*args)
+            assert _spelled(got) == _spelled(carrier.mul(*args))
             assert type(got) is JoinPoint or all(type(c) is float for c in got)
-    if not name.startswith("join"):     # a join unit's zero block is int zeros
-        assert not meets
     for p in suite.structured:
         for args in ((carrier.unit, p), (p, carrier.unit)):
             got = suite.mul(*args)
