@@ -21,12 +21,13 @@ level, traced once from the recursion (`_mul_recursive`) on first use: it
 takes every product, sum and difference of the recursion in its order,
 because float addition does not associate and the summation order is part
 of the result.  Exact tuples holding a Fraction are lifted once, multiplied
-on their numerators and come back as Fractions.  Any other mix enters
-the kernel as it is, on Python's mixed arithmetic (exact x * float y is
-float(x) * y); float points, a float first coordinate each, skip the type
-scan.  The one place an exact value becomes floats is a float-mode suite's
-unit (`laws._suite_carrier`).  The kernel gives what the recursion gives,
-bit for bit.
+on their numerators and come back as Fractions: the one lift of a library
+caller's tuples, whose norms, join products and Hopf images take the plain
+formulas.  Any other mix enters the kernel as it is, on Python's mixed
+arithmetic (exact x * float y is float(x) * y); float points, a float first
+coordinate each, skip the type scan.  The one place an exact value becomes
+floats is a float-mode suite's unit (`laws._suite_carrier`).  The kernel
+gives what the recursion gives, bit for bit.
 
 Basis products satisfy e_i e_j = +-e_(i xor j) at every level, so a
 per-level sign table, read off the recursion on first use, gives products
@@ -49,7 +50,7 @@ from typing import Callable, Iterator, Optional
 from .checks import compare, max_abs_diff, run_laws, worst_of
 from .errors import InvariantViolation, UsageError
 from .sampling import rand_coeffs
-from .spheremodel import _EXACT, Lifted, basis_coords, lifted, norm_coeffs
+from .spheremodel import Lifted, basis_coords, lifted, norm_coeffs
 
 MAX_LEVEL = 5
 STRUCTURED_CAP = 6000   # structured inputs scanned per ladder law
@@ -78,6 +79,7 @@ def conj_coeffs(a):
 
 
 _INT = frozenset((int,))
+_EXACT = frozenset((int, Fraction))
 
 
 def mul_ints(a, b) -> tuple:

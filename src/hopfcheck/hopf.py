@@ -16,9 +16,9 @@ fibers are checked concretely, and the dimensions are measured on the
 model's points.  fibration_report returns the aggregate suite as a report
 list, like every other suite.
 
-Exact fiber samples are `Lifted`; hopf_map projects on integer numerators,
-lifting a caller's exact point once.  An arc's (c, s) stay Fractions: a
-witness writes them as two scalars.
+Exact fiber samples are `Lifted`, and hopf_map projects them on integer
+numerators; a tuple point takes the formula above in its own scalars.  An
+arc's (c, s) stay Fractions: a witness writes them as two scalars.
 """
 
 from __future__ import annotations
@@ -62,22 +62,19 @@ def hopf_map(x: JoinPoint, inst: HopfInstance) -> SpherePoint:
     """Project a point of join(G, G) to susp(G), a point of S^(n+1) for G = S^n.
 
     inl points land on the north pole, inr points on the south pole, and
-    the output is independent of the vanishing factor there.  Both blocks
-    must have G's ambient dimension.
+    the output is independent of the vanishing factor there.  A lifted point
+    gives a lifted point, a tuple point its own scalars.  Both blocks must
+    have G's ambient dimension.
     """
     p, q = x.left, x.right
     if not len(p) == len(q) == inst.fiber_dim:
         raise block_dim_error(inst.fiber_dim, x)
-    if type(p) is not Lifted and (type(p[0]) is float or not is_exact(p + q)):
+    if type(p) is not Lifted:
         head = norm_coeffs(p) - norm_coeffs(q)
         return SpherePoint((head,) + tuple([2 * c for c in mul_coeffs(p, q)]))
-    X = lifted(x)       # (|P|^2 - |Q|^2, 2 P Q) over d^2 on the numerators
-    PQ = mul_coeffs(X.left, X.right)
-    image = Lifted((_sum_squares(X.left.nums) - _sum_squares(X.right.nums),)
-                   + tuple([2 * c for c in PQ.nums]), PQ.den)
-    if type(p) is not Lifted:   # exact tuples: ints from all ints, as the polynomial gives
-        image = image.nums if all(type(c) is int for c in p + q) else tuple(image)
-    return SpherePoint(image)
+    PQ = mul_coeffs(p, q)   # (|P|^2 - |Q|^2, 2 P Q) over d^2 on the numerators
+    return SpherePoint(Lifted((_sum_squares(p.nums) - _sum_squares(q.nums),)
+                              + tuple([2 * c for c in PQ.nums]), PQ.den))
 
 
 def _translate(u, v, w):

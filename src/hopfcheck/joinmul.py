@@ -29,9 +29,10 @@ corner runs the same bodies over denominator 1 and the Fraction pairs, so
 its values are SquareFiller's and a broken filler fails.
 
 join_mul_syn is the one place a join point's constructor view is
-decided: a block is zero when its squared norm is at most
-`zero_norm_bound`.  On lifted points, the form the suites sample, it
-builds no Fraction (`_arc_blocks`).
+decided: a block is zero when its squared norm is zero, or at most
+FLOAT_VIEW_EPS^2 once a coordinate is a float.  It has two forms.  On
+lifted points, the form the suites sample, it builds no Fraction
+(`_arc_blocks`); tuples of any scalars run the rational form.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Callable, NamedTuple
 
-from .cdalg import conj_coeffs, mul_coeffs, norm_coeffs
+from .cdalg import conj_coeffs, mul_coeffs
 from .checks import compare, max_abs_diff, run_laws, worst_of
 from .errors import InvariantViolation, UsageError
 from .laws import (HSPACE_UNIT_LAWS, Carrier, ImaginaroidInstance, _require_assoc,
@@ -48,7 +49,7 @@ from .laws import (HSPACE_UNIT_LAWS, Carrier, ImaginaroidInstance, _require_asso
 from .sampling import CounterRng, quarter_grid, rand_point, rand_quarter, rand_unit
 from .spheremodel import (FLOAT_VIEW_EPS, JoinPoint, Lifted, SpherePoint, _sum_squares, arc_point,
                           basis_coords, block_dim_error, is_exact, lift, lifted, lifted_arc,
-                          neg_coeffs, zero_norm_bound)
+                          neg_coeffs)
 
 #: report-instance names for the join carriers, keyed by imaginaroid name
 JOIN_INSTANCE = {"empty": "s1", "s0": "s3", "s2": "s7"}
@@ -213,14 +214,13 @@ def join_mul_syn(X: JoinPoint, Y: JoinPoint, inst: ImaginaroidInstance,
     normalized filler route computes the same vector (see the tests); this
     form merely avoids the square roots of the block norms.
 
-    One body serves every scalar form.  Lifted points give a lifted point,
-    their views read off the numerators' squared norms; Fraction and int
-    points keep their types through the same `mul_coeffs` view products;
-    two exact arcs are lifted and multiplied on integers (`_arc_blocks`).
-    Two float points, a float first coordinate each as in `is_exact`, read
-    their views off float sums of squares with no scan.  An exact point
-    meeting a float one is converted nowhere: its products run on mixed
-    arithmetic.  Every block must have the suspension's dimension.
+    One body serves two forms.  Lifted points give a lifted point, their
+    views read off the numerators' squared norms and two arcs multiplied on
+    integers (`_arc_blocks`).  Tuples of floats, exact scalars or a mix keep
+    their scalars through the same view products and the rational form,
+    their views exact unless a coordinate is a float; two float points, a
+    float first coordinate each as in `is_exact`, need no scan to tell.
+    Every block must have the suspension's dimension.
     """
     _require_assoc(inst, allow_unverified)
     p, q = X.left, X.right
@@ -233,10 +233,10 @@ def join_mul_syn(X: JoinPoint, Y: JoinPoint, inst: ImaginaroidInstance,
         p, q, r, w = X.left, X.right, Y.left, Y.right
         # |b|^2 d^2 on the numerators: a block is zero exactly when its norm is
         norms, eps2 = [_sum_squares(b.nums) for b in (p, q, r, w)], 0
-    elif type(p[0]) is float and type(r[0]) is float:     # two float points: no scans
-        norms, eps2 = [_sum_squares(b) for b in (p, q, r, w)], FLOAT_VIEW_EPS ** 2
     else:
-        norms, eps2 = [norm_coeffs(b) for b in (p, q, r, w)], zero_norm_bound(p + q + r + w)
+        norms = [_sum_squares(b) for b in (p, q, r, w)]
+        floats = type(p[0]) is float and type(r[0]) is float or not is_exact(p + q + r + w)
+        eps2 = FLOAT_VIEW_EPS ** 2 if floats else 0
     p2, q2, r2, w2 = norms
     mul, conj = mul_coeffs, conj_coeffs
     if q2 <= eps2:                      # X = inl(p)
@@ -247,11 +247,8 @@ def join_mul_syn(X: JoinPoint, Y: JoinPoint, inst: ImaginaroidInstance,
         return JoinPoint(mul(p, r), mul(r, q))
     if r2 <= eps2:                      # Y = inr(w)
         return JoinPoint(neg_coeffs(mul(w, conj(q))), mul(conj(p), w))
-    if eps2 == 0:                       # two exact arcs, on integer numerators
-        X, Y = lifted(X), lifted(Y)
-        P, Q, R, W = X.left.nums, X.right.nums, Y.left.nums, Y.right.nums
-        out = _arc_blocks(P, Q, R, W, *map(_sum_squares, (P, Q, R)), X.left.den * Y.left.den)
-        return out if lifted_in else JoinPoint(tuple(out.left), tuple(out.right))
+    if lifted_in:                       # two lifted arcs, on integer numerators
+        return _arc_blocks(p.nums, q.nums, r.nums, w.nums, p2, q2, r2, p.den * r.den)
     # two arcs: f, g transport of the reduced diamond, written homogeneously
     K = mul(mul(mul(conj(r), conj(p)), w), conj(q))
     M = mul(p, r)
@@ -371,7 +368,8 @@ def unit_law_check(inst: ImaginaroidInstance,
 
 # ---------------------------------------------------------------------------
 # filler verification on a parameter grid: law(params, inputs) with params
-# the quarter-circle grid and inputs = (x,), the corner that fixes D_x
+# the quarter-circle grid as a `_LiftedGrid` and inputs = (x,), the corner
+# that fixes D_x
 
 _EDGE_ENDPOINTS = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
 
@@ -396,11 +394,6 @@ class _LiftedGrid:
             lifted_pairs = list(map(lift_pair, pairs))
             self.rows[exact] = list(zip(pairs, lifted_pairs))
             self.edges[exact] = list(_edge_params(map(lift_pair, _EDGE_ENDPOINTS), lifted_pairs))
-
-
-def _lifted_grid(params) -> _LiftedGrid:
-    """The suite's grid, or the grid of a list of Fraction pairs."""
-    return params if type(params) is _LiftedGrid else _LiftedGrid(params)
 
 
 def _lifted_corner(x: SpherePoint) -> tuple:
@@ -428,7 +421,7 @@ def _unit_residuals(grid: _LiftedGrid, x):
 
 def _filler_unit_norm(params, inputs):
     (x,) = inputs
-    worst, at = worst_of(_unit_residuals(_lifted_grid(params), x), itemgetter(0))
+    worst, at = worst_of(_unit_residuals(params, x), itemgetter(0))
     if at is None:
         return 0, None, None
     return worst, at[1:], "unit"
@@ -458,7 +451,7 @@ def _boundary_pairs(grid: _LiftedGrid, x):
 
 def _filler_boundary(params, inputs):
     (x,) = inputs
-    return _worst_pair(_boundary_pairs(_lifted_grid(params), x))
+    return _worst_pair(_boundary_pairs(params, x))
 
 
 def _filler_pole_reduction(params, inputs):
@@ -470,7 +463,7 @@ def _filler_pole_reduction(params, inputs):
     ref = fill_refl_diamond(filler.problem)
     exact = is_exact(x.coords)
     # an exact pole is evaluated on the lifted pairs, a float one on the Fraction pairs
-    pairs = [Lifted(*n) if exact else pair for pair, n in _lifted_grid(params).rows[True]]
+    pairs = [Lifted(*n) if exact else pair for pair, n in params.rows[True]]
     return _worst_pair(
         (filler.evaluate(sigma, tau), ref.evaluate(sigma, tau))
         for sigma in pairs for tau in pairs)
@@ -518,14 +511,13 @@ def join_hspace_carrier(inst: ImaginaroidInstance) -> Carrier:
     """join(S, S) with the synthetic multiplication and the doubled conjugation.
 
     Its laws never negate, so the carrier has no negation.  Its conjugation
-    slices the conjugated coordinates, so a lifted point stays lifted.
+    (p, q)* = (p*, -q) works on the blocks, so a lifted point stays lifted.
     """
     dim = inst.susp_dim
     zero = (Fraction(0),) * dim
 
     def conj(X: JoinPoint) -> JoinPoint:
-        flat = conj_coeffs(X.flatten())
-        return JoinPoint(flat[:dim], flat[dim:])
+        return JoinPoint(conj_coeffs(X.left), neg_coeffs(X.right))
 
     def sample(rng: CounterRng, mode: str) -> JoinPoint:
         return join_point_sample(rng, inst, VIEW_KINDS[rng.randint(0, 2)], mode)

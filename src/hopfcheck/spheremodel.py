@@ -3,9 +3,8 @@
 A point of join(X, Y) is stored directly in embedded coordinates: a pair
 (p, q) of ambient vectors with |p|^2 + |q|^2 = 1.  The constructor view
 (inl / inr / glue) is never stored: `joinmul.join_mul_syn` reads it off
-the pair by its zero-block test (`zero_norm_bound`), which keeps every
-comparison exact in rational mode.  The suspension of S^n is
-join(S^0, S^n), realized as S^(n+1): a `SpherePoint` whose first
+the pair by its zero-block test, exact on exact points.  The suspension
+of S^n is join(S^0, S^n), realized as S^(n+1): a `SpherePoint` whose first
 coordinate is the suspension axis, with poles N = (1, 0, ...) and
 S = (-1, 0, ...) and the meridian through a base point a
 theta -> (cos theta, sin theta * a).  The Cayley-Dickson conjugation fixes
@@ -14,8 +13,9 @@ negation swaps the poles.  `hopf.hopf_map` lands in a `SpherePoint`.
 
 Exact values of the sphere, H-space, join and fiber suites are `Lifted`:
 integer numerators over one positive denominator.  Fractions are built only
-for a witness, a report, or the result of a public function given them,
-which lifts them once (`lifted`).  A carrier's structured points are `Lifted`
+for a witness, a report, or a library caller's Fraction tuples, which norms,
+join products and the Hopf projection take as they are (`cdalg.mul_coeffs`
+alone lifts them, per product).  A carrier's structured points are `Lifted`
 in both modes, its unit in exact mode only (a float-mode suite multiplies
 float points by the unit's float form); float samples are float tuples.
 Every point is checked for unit norm when built: |n|^2 = d^2 on integers,
@@ -31,7 +31,6 @@ from .errors import UsageError
 
 FLOAT_POINT_EPS = 1e-12   # unit-norm slack for float-mode points
 FLOAT_VIEW_EPS = 1e-12    # a float block with norm up to this counts as zero
-_EXACT = frozenset((int, Fraction))
 
 
 def is_exact(coords: tuple) -> bool:
@@ -97,14 +96,10 @@ def _sum_squares(a, total=0):
 
 def norm_coeffs(a):
     """Sum of squared coefficients; equals the real part of a a* at every level.
-    A `Lifted` gives the Fraction |n|^2 / d^2, as do exact tuples holding a Fraction,
-    lifted into that path; others are summed left to right."""
+    A `Lifted` gives the Fraction |n|^2 / d^2; a tuple is summed left to right in
+    its own scalars."""
     if type(a) is Lifted:
         return Fraction(_sum_squares(a.nums), a.den * a.den)
-    if a and type(a[0]) is not float:
-        kinds = set(map(type, a))
-        if Fraction in kinds and kinds <= _EXACT:
-            return norm_coeffs(lifted(a))
     return _sum_squares(a)
 
 
@@ -264,9 +259,3 @@ def lifted_arc(u: Lifted, v: Lifted, cs: Lifted) -> JoinPoint:
     (cn, sn), du, dv, d = cs.nums, u.den, v.den, cs.den * u.den * v.den
     return JoinPoint(Lifted(tuple([cn * dv * x for x in u.nums]), d),
                      Lifted(tuple([sn * du * y for y in v.nums]), d))
-
-
-def zero_norm_bound(coords):
-    """Squared norm at or below which a block of a join point with these coordinates
-    is zero: exactly zero, or for floats a norm up to FLOAT_VIEW_EPS."""
-    return 0 if is_exact(coords) else FLOAT_VIEW_EPS ** 2

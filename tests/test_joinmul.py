@@ -14,8 +14,8 @@ from hopfcheck.checks import compare, max_abs_diff, run_laws
 from hopfcheck.cli import main
 from hopfcheck.errors import InvariantViolation, PreconditionError, UsageError
 from hopfcheck.hopf import fiber_check, hopf_instance
-from hopfcheck.joinmul import (DIAMOND_LAWS, VIEW_KINDS, DiamondProblem, diamond_suite,
-                               fill_refl_diamond, join_mul_alg, join_mul_syn,
+from hopfcheck.joinmul import (DIAMOND_LAWS, VIEW_KINDS, DiamondProblem, _LiftedGrid,
+                               diamond_suite, fill_refl_diamond, join_mul_alg, join_mul_syn,
                                join_hspace_carrier, join_point_sample,
                                oracle_equivalence_suite, reduced_diamond_filler,
                                sample_join_point, unit_law_check)
@@ -515,7 +515,7 @@ def test_broken_lifted_arc_fails_oracle_equivalence(monkeypatch):
 def test_lifted_arc_without_k_terms_leaves_the_sphere(monkeypatch):
     monkeypatch.setattr(joinmul, "_arc_blocks", _without_k_terms(joinmul._arc_blocks))
     inst = verified("s2")
-    X, Y = (sample_join_point(CounterRng(21, "test/no-k", i), inst, "glue", "exact")
+    X, Y = (join_point_sample(CounterRng(21, "test/no-k", i), inst, "glue", "exact")
             for i in range(2))
     with pytest.raises(UsageError, match="not on the unit sphere"):
         join_mul_syn(X, Y, inst)
@@ -532,7 +532,7 @@ LIFTED_INSTANCES = {0: "empty", **LEVEL_INSTANCES}
 @given(seed=st.integers(0, 2 ** 32))
 def test_lifted_operands_give_the_rational_form(level, view_x, view_y, seed):
     # lifted points multiply to a lifted point with the rational form's values;
-    # their Fraction copies take the same path and come back as Fractions
+    # their Fraction copies take the rational form itself, in Fractions
     inst = imaginaroid_instance(LIFTED_INSTANCES[level])
     X, Y = (join_point_sample(CounterRng(seed, "test/lifted-operands", i), inst, view, "exact")
             for i, view in enumerate((view_x, view_y)))
@@ -739,14 +739,15 @@ def _swapped_blocks(sigma, tau, one, x, original=joinmul._reduced_blocks):
 @given(exact_corners(), st.integers(1, 8), st.booleans())
 def test_exact_grid_laws_match_fraction_bodies(x, grid, perturbed):
     params = quarter_grid(grid)
+    lifted_grid = _LiftedGrid(params)
     patch = mock.patch.object(joinmul, "_reduced_blocks", _swapped_blocks)
     with patch if perturbed else nullcontext():
         for fast, reference in _GRID_LAW_REFERENCES:
-            assert _typed(fast(params, (x,))) == _typed(reference(params, (x,)))
+            assert _typed(fast(lifted_grid, (x,))) == _typed(reference(params, (x,)))
         if perturbed:
-            assert joinmul._filler_boundary(params, (x,))[0] > 0
+            assert joinmul._filler_boundary(lifted_grid, (x,))[0] > 0
             if x.coords in (basis_coords(x.dim, 0, 1), basis_coords(x.dim, 0, -1)):
-                assert joinmul._filler_pole_reduction(params, (x,))[0] > 0
+                assert joinmul._filler_pole_reduction(lifted_grid, (x,))[0] > 0
 
 
 @st.composite
@@ -768,10 +769,11 @@ def float_corners(draw):
 def test_float_grid_laws_match_square_filler_bodies(x, grid, perturbed):
     # the reference bodies evaluate through SquareFiller: same values, bit for bit
     params = quarter_grid(grid)
+    lifted_grid = _LiftedGrid(params)
     patch = mock.patch.object(joinmul, "_reduced_blocks", _swapped_blocks)
     with patch if perturbed else nullcontext():
         for fast, reference in _GRID_LAW_REFERENCES:
-            assert _typed(fast(params, (x,))) == _typed(reference(params, (x,)))
+            assert _typed(fast(lifted_grid, (x,))) == _typed(reference(params, (x,)))
 
 
 def _dropped_left(original):
@@ -808,7 +810,7 @@ def test_broken_filler_fails_its_grid_laws(target, perturb, failing, mode, monke
         return (SpherePoint(rand_unit(rng, 4, mode)),)
 
     reports = run_laws(
-        DIAMOND_LAWS, "s7", quarter_grid(6), draw=draw,
+        DIAMOND_LAWS, "s7", _LiftedGrid(quarter_grid(6)), draw=draw,
         suite=lambda law: "test/broken-filler", samples=5, seed=19, mode=mode)
     by_law = {r.law: r for r in reports}
     assert {law for law, r in by_law.items() if r.status == "fails"} == failing
@@ -887,15 +889,15 @@ def test_exact_grid_laws_stay_on_integers(x, monkeypatch):
             return joinmul.SquareFiller(filler.problem, evaluate)
         return wrapped
 
-    for name in ("norm_coeffs", "Fraction"):
-        monkeypatch.setattr(joinmul, name, fallback)
+    monkeypatch.setattr(joinmul, "Fraction", fallback)
     for name in ("reduced_diamond_filler", "fill_refl_diamond"):
         monkeypatch.setattr(joinmul, name, on_lifted_pairs(getattr(joinmul, name)))
+    grid = _LiftedGrid(quarter_grid(8))
     for law, evaluate, _ in DIAMOND_LAWS:
-        assert evaluate(quarter_grid(8), (x,)) == (0, None, None), law
+        assert evaluate(grid, (x,)) == (0, None, None), law
 
 
-# --- the float branch of join_mul_syn against the generic one it skips ------------
+# --- two float points in join_mul_syn against the rational form's scans ----------
 
 def _float_view_points(inst, seed):
     """Float join points of each view: samples, signed zero blocks, a block whose
@@ -921,7 +923,7 @@ def _float_view_points(inst, seed):
 @pytest.mark.parametrize("view_x", VIEW_KINDS)
 @pytest.mark.parametrize("level", sorted(LEVEL_INSTANCES))
 def test_float_join_mul_matches_the_generic_branch(level, view_x, view_y, monkeypatch):
-    # two float points skip the scans; the product is the generic branch's, bit for
+    # two float points skip the scans; the product is the rational form's, bit for
     # bit, signed zeros included (the reference reads norms through norm_coeffs and
     # the zero-block bound through is_exact)
     inst = imaginaroid_instance(LEVEL_INSTANCES[level])
@@ -930,9 +932,33 @@ def test_float_join_mul_matches_the_generic_branch(level, view_x, view_y, monkey
     def scanned(*args):
         raise AssertionError("the float branch scanned an operand")
 
-    for name in ("norm_coeffs", "zero_norm_bound", "is_exact"):
-        monkeypatch.setattr(joinmul, name, scanned)
+    monkeypatch.setattr(joinmul, "is_exact", scanned)
     for X in points[view_x]:
         for Y in points[view_y]:
             got = join_mul_syn(X, Y, inst, allow_unverified=True)
             assert repr(tuple(got)) == repr(tuple(_rational_join_mul(X, Y, inst)))
+
+
+# --- the join carrier's conjugation on blocks ---------------------------------------
+
+def _block_forms(X):
+    """Each block's numerators and denominator if lifted, else its repr (signed zeros
+    and scalar types included)."""
+    return tuple((b.nums, b.den) if type(b) is Lifted else repr(b) for b in (X.left, X.right))
+
+
+@pytest.mark.parametrize("level", sorted(LIFTED_INSTANCES))
+def test_join_carrier_conjugates_as_the_flattened_point(level):
+    # (p, q)* = (p*, -q) on the blocks is the doubled conjugation of the flattened
+    # point, sliced back: float points with signed zeros and the float unit's int
+    # zeros, the carrier's unit and structured points, lifted and Fraction samples
+    inst = imaginaroid_instance(LIFTED_INSTANCES[level])
+    dim, carrier = inst.susp_dim, join_hspace_carrier(inst)
+    points = [X for view_points in _float_view_points(inst, level).values() for X in view_points]
+    points += [carrier.unit, *carrier.structured]
+    rng = CounterRng(level, "test/join-conj", 0)
+    points += [sample(rng, inst, view, "exact") for view in VIEW_KINDS
+               for sample in (join_point_sample, sample_join_point)]
+    for X in points:
+        flat = conj_coeffs(X.flatten())
+        assert _block_forms(carrier.conj(X)) == _block_forms(JoinPoint(flat[:dim], flat[dim:]))

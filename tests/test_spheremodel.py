@@ -12,10 +12,10 @@ from hopfcheck.errors import UsageError
 from hopfcheck.sampling import CounterRng, rand_point, rand_quarter_pair, rand_unit, stereographic
 from hopfcheck.joinmul import reduced_diamond_filler
 from hopfcheck.laws import _signed_basis, _sphere_carrier, imaginaroid_instance, spheroid_instance
-from hopfcheck.spheremodel import (FLOAT_POINT_EPS, FLOAT_VIEW_EPS, JoinPoint, Lifted,
-                                   SpherePoint, _check_unit, _sum_squares, arc_point,
-                                   basis_coords, block_dim_error, is_exact, join_embed, lift,
-                                   lifted, neg_coeffs, norm_coeffs, zero_norm_bound)
+from hopfcheck.spheremodel import (FLOAT_POINT_EPS, JoinPoint, Lifted, SpherePoint,
+                                   _check_unit, _sum_squares, arc_point, basis_coords,
+                                   block_dim_error, is_exact, join_embed, lift, lifted,
+                                   neg_coeffs, norm_coeffs)
 
 
 def F(n, d=1):
@@ -208,13 +208,6 @@ def test_arc_point_leaves_the_quarter_check_to_join_embed():
     assert x.right == tuple(F(4, 5) * c for c in v.coords)
     with pytest.raises(UsageError, match="join point"):
         arc_point(u.coords, v.coords, F(1, 2), F(1, 2))
-
-
-def test_zero_norm_bound_is_zero_for_exact_blocks_only():
-    assert zero_norm_bound((F(1), F(0), 0)) == 0
-    assert zero_norm_bound((1.0, 0.0)) == FLOAT_VIEW_EPS ** 2
-    # one float coordinate puts the whole pair in float mode
-    assert zero_norm_bound((F(1), 0.0)) == FLOAT_VIEW_EPS ** 2
 
 
 def test_block_dim_error_names_every_operands_blocks():
