@@ -31,29 +31,33 @@ gives what the recursion gives, bit for bit.
 
 Basis products satisfy e_i e_j = +-e_(i xor j) at every level, so a
 per-level sign table, read off the recursion on first use, gives products
-of sparse ints in one loop that skips zero coefficients (`mul_ints`).
-Only the ladder's structured scan takes it: a ladder law chooses its
-kernel once per evaluation (`_kernel_for`), `mul_ints` on all-int inputs,
-whose products stay ints, and `mul_coeffs` on any other.  The zero-divisor
+of sparse ints in one loop that skips zero coefficients (`mul_ints`), the
+faster one on two-term sums from dimension 16 on.  So a ladder law picks
+its kernel once per evaluation by dimension (`_kernel_for`): the traced
+kernel on tuples through level 3, `mul_ints` on int tuples at levels 4-5,
+`mul_coeffs` on the rest, `Lifted` samples included.  The zero-divisor
 search reads products of two-term sums off the sign table (`zero_pairs`)
-and confirms its witness with one traced-kernel product, which does not
-read the table.
+and confirms its witness on the traced kernel, which does not read it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from itertools import chain, combinations, islice, product
 from typing import Callable, Iterator, Optional
 
 from .checks import compare, max_abs_diff, run_laws, worst_of
 from .errors import InvariantViolation, UsageError
-from .sampling import rand_coeffs
-from .spheremodel import Lifted, basis_coords, lifted, norm_coeffs
+from .sampling import rand_coeffs, rand_lifted
+from .spheremodel import Lifted, _sum_squares, basis_coords, lifted, norm_coeffs
 
 MAX_LEVEL = 5
 STRUCTURED_CAP = 6000   # structured inputs scanned per ladder law
+# Largest dimension whose ladder tuples take the traced kernel, not `mul_ints`: on two-term
+# int sums the sign table takes 1.9 against 0.4 us a product at dimension 4, 2.1-2.4 against
+# 1.4-1.5 us at 8, and wins at 16, 2.6 against 5.5 us (timeit medians, 2-core machine).
+TRACED_MAX_DIM = 8
 
 # The property ladder: which laws are expected to hold at each level.
 LADDER = {
@@ -83,7 +87,8 @@ _EXACT = frozenset((int, Fraction))
 
 
 def mul_ints(a, b) -> tuple:
-    """Product of int coefficient sequences of one level, through the sign table."""
+    """Product of int coefficient sequences of one level, through the sign table.
+    The ladder takes it for int tuples above `TRACED_MAX_DIM` only (`_kernel_for`)."""
     n = len(a)
     signs = _sign_table(n)
     out = [0] * n
@@ -244,15 +249,18 @@ def structured_tuples(level: int, arity: int, cap: int):
 
 
 def _kernel_for(inputs) -> Callable:
-    """The product for one law evaluation: `mul_ints` on all-int inputs, else `mul_coeffs`.
-
-    Products of ints stay ints, so one type check per evaluation settles
-    every product the law body takes.  Both names are read as module
-    globals at call time, so a replaced kernel is the one that runs.
+    """The product for one law evaluation: the traced kernel on tuples up to
+    `TRACED_MAX_DIM`, `mul_ints` on larger all-int tuples (products of ints stay
+    ints), else `mul_coeffs`.  On tuples the traced kernel gives what `mul_coeffs`
+    gives (an operand's Fraction reaches every output coordinate).  Kernels are
+    read as module globals at call time, so a replaced kernel is the one that runs.
     """
-    if (type(inputs[0]) is not Lifted and type(inputs[0][0]) is int
-            and set(map(type, chain.from_iterable(inputs))) <= _INT):
-        return mul_ints
+    if Lifted not in map(type, inputs):
+        n = len(inputs[0])
+        if n <= TRACED_MAX_DIM:
+            return _traced_kernel(n)
+        if type(inputs[0][0]) is int and set(map(type, chain.from_iterable(inputs))) <= _INT:
+            return mul_ints
     return mul_coeffs
 
 
@@ -315,7 +323,15 @@ def _eval_nicely_normed(_, inputs):
 
 def _eval_norm_multiplicativity(_, inputs):
     a, b = inputs
-    lhs = norm_coeffs(_kernel_for(inputs)(a, b))
+    ab = _kernel_for(inputs)(a, b)
+    if type(a) is Lifted and type(b) is Lifted:
+        # |ab|^2 against |a|^2 |b|^2 on numerators over (d_a d_b)^2; Fractions only to fail
+        top, rhs = _sum_squares(ab.nums), _sum_squares(a.nums) * _sum_squares(b.nums)
+        if top == rhs:
+            return 0, None, None
+        den = (a.den * b.den) ** 2
+        return Fraction(abs(top - rhs), den), (Fraction(top, den),), (Fraction(rhs, den),)
+    lhs = norm_coeffs(ab)
     rhs = norm_coeffs(a) * norm_coeffs(b)
     d = lhs - rhs
     if d < 0:
@@ -342,17 +358,18 @@ def law_suite(level: int,
     """Check the whole property ladder at one level.
 
     Returns one report per law.  Expected failures (e.g. associativity at
-    level 3) are marked expected and do not count against the run.  An
-    exact sample is lifted once, so its products stay `Lifted`.
+    level 3) are marked expected and do not count against the run.  Exact
+    samples are drawn as `Lifted` numerators (`rand_lifted`).
     """
     if not 0 <= level <= MAX_LEVEL:
         raise UsageError(f"level must be within 0..{MAX_LEVEL}")
     n = 1 << level
-    form = lifted if mode == "exact" else tuple
+    element = (partial(rand_lifted, n=n) if mode == "exact"
+               else partial(rand_coeffs, n=n, mode=mode))
     return run_laws(
         LADDER_LAWS, f"level-{level}", None,
         structured=lambda arity: structured_tuples(level, arity, STRUCTURED_CAP),
-        draw=lambda rng, arity, i: tuple(form(rand_coeffs(rng, n, mode)) for _ in range(arity)),
+        draw=lambda rng, arity, i: tuple([element(rng) for _ in range(arity)]),
         suite=lambda law: f"cdalg/{law}/level-{level}/{mode}",
         expect=lambda law: LADDER[law](level), samples=samples, seed=seed,
         mode=mode, tolerance=tolerance)

@@ -9,7 +9,8 @@ y -> ((1 - |y|^2) / (1 + |y|^2), 2y / (1 + |y|^2)), which lands exactly on
 the unit sphere.  Exact sphere points and quarter-circle pairs evaluate
 that map on integers and return the `Lifted` values the suites draw
 (`rand_point`, `rand_quarter`), with the draws, order and values of the
-Fraction formulas; `rand_unit` and `rand_quarter_pair` give Fractions.
+Fraction formulas; `rand_unit` and `rand_quarter_pair` give Fractions.  One integer draw
+(`rand_lifted`) gives both the ladder's exact samples and the sphere points' source vectors.
 Every point and coefficient tuple draws all its coordinates in one call
 (`CounterRng.uniforms` for floats, `CounterRng.randints` for the
 numerators and denominators of rationals), which steps the generator in
@@ -82,17 +83,25 @@ class CounterRng:
         return 1 if self.next_u64() & 1 else -1
 
 
-def _fraction_draws(rng: CounterRng, n: int) -> list:
-    """(numerator, denominator) of n random rationals, each numerator drawn
-    before its denominator, in one call."""
-    ints = rng.randints(((-MAGNITUDE, MAGNITUDE), (1, MAGNITUDE)) * n)
-    return list(zip(ints[::2], ints[1::2]))
+def _rational_draws(rng: CounterRng, n: int) -> list:
+    """Numerator, denominator, numerator, ... of n random rationals, in one call."""
+    return rng.randints(((-MAGNITUDE, MAGNITUDE), (1, MAGNITUDE)) * n)
 
 
 def rand_coeffs(rng: CounterRng, n: int, mode: str) -> tuple:
     if mode == "exact":
-        return tuple([Fraction(a, d) for a, d in _fraction_draws(rng, n)])
+        ints = _rational_draws(rng, n)
+        return tuple([Fraction(a, d) for a, d in zip(ints[::2], ints[1::2])])
     return rng.uniforms(-MAGNITUDE, MAGNITUDE, n)
+
+
+def rand_lifted(rng: CounterRng, n: int) -> Lifted:
+    """Exact `rand_coeffs` as a `Lifted`, from the same draws: the numerators
+    a_i L / d_i over L = lcm(d_i), with no Fraction built."""
+    ints = _rational_draws(rng, n)
+    dens = ints[1::2]
+    lcm = math.lcm(*dens)
+    return Lifted(tuple([a * (lcm // d) for a, d in zip(ints[::2], dens)]), lcm)
 
 
 def stereographic(vec: tuple) -> tuple:
@@ -110,12 +119,8 @@ def rand_unit(rng: CounterRng, dim: int, mode: str) -> tuple:
 
 
 def rand_point(rng: CounterRng, dim: int, mode: str):
-    """Random point on the unit sphere of R^dim: a `Lifted` in exact mode, floats in float mode.
-
-    Exact mode draws y_i = a_i / d_i (numerator, then denominator, as
-    rand_coeffs does) and evaluates the stereographic map on the integer
-    numerators a_i L / d_i over L = lcm(d_i).
-    """
+    """Random point on the unit sphere of R^dim: a `Lifted` in exact mode (the stereographic
+    image of `rand_lifted`, on integers), floats in float mode."""
     if dim < 1:
         raise ValueError("ambient dimension must be >= 1")
     if dim == 1:
@@ -123,9 +128,8 @@ def rand_point(rng: CounterRng, dim: int, mode: str):
         return Lifted((sign,), 1) if mode == "exact" else (sign * 1.0,)
     if mode != "exact":
         return stereographic(rng.uniforms(-MAGNITUDE, MAGNITUDE, dim - 1))
-    drawn = _fraction_draws(rng, dim - 1)
-    lcm = math.lcm(*(d for _, d in drawn))
-    return _stereographic_ints([a * (lcm // d) for a, d in drawn], lcm)
+    y = rand_lifted(rng, dim - 1)
+    return _stereographic_ints(y.nums, y.den)
 
 
 def _stereographic_ints(nums, den) -> Lifted:

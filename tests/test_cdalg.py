@@ -27,7 +27,7 @@ from hopfcheck.cdalg import (_eval_alternativity, _eval_associativity, _eval_com
 from hopfcheck.checks import (STATUS_FAILS, compare, execute_check, max_abs_diff, run_laws,
                               worst_of)
 from hopfcheck.errors import InvariantViolation, UsageError
-from hopfcheck.sampling import CounterRng, rand_coeffs
+from hopfcheck.sampling import CounterRng, rand_coeffs, rand_lifted
 from hopfcheck.spheremodel import Lifted, lifted, neg_coeffs
 
 
@@ -139,11 +139,13 @@ def operand_pairs(scalar):
 @given(data=st.data())
 def test_kernel_matches_recursion(kind, data):
     # equal values and the same scalar type in every coordinate: repr tells
-    # 0, Fraction(0), 0.0 and -0.0 apart
+    # 0, Fraction(0), 0.0 and -0.0 apart.  A ladder law's kernel, picked by
+    # dimension, gives the same.
     a, b = data.draw(operand_pairs(SCALARS[kind]))
     want = repr(_mul_recursive(a, b))
     assert repr(mul_coeffs(a, b)) == want
-    if kind == "int":   # the sign-table loop the ladder's structured scan runs
+    assert repr(cdalg._kernel_for((a, b))(a, b)) == want
+    if kind == "int":   # the sign-table loop the ladder's structured scan runs at levels 4-5
         assert repr(mul_ints(a, b)) == want
 
 
@@ -607,19 +609,30 @@ def _negated(original):
     return lambda a, b: neg_coeffs(original(a, b))
 
 
+@pytest.mark.parametrize("level", [2, 4])
 @pytest.mark.parametrize("perturb, lhs, rhs", [
-    (_first_ignored, [1, -1, 0, 0], [1, 1, 0, 0]),
+    (_first_ignored, [1, -1], [1, 1]),
     (_negated, -2, "positive"),
 ], ids=["part-ii", "part-iii"])
-def test_broken_product_fails_nicely_normed_with_witness(perturb, lhs, rhs, monkeypatch):
-    # int inputs take `mul_ints` for every product of the evaluation
-    monkeypatch.setattr(cdalg, "mul_ints", perturb(cdalg.mul_ints))
-    a = (1, 1, 0, 0)
-    report = execute_check("nicely-normed", "level-2",
+def test_broken_product_fails_nicely_normed_with_witness(perturb, lhs, rhs, level, monkeypatch):
+    # int inputs take the traced kernel through dimension 8 and `mul_ints` above,
+    # for every product of the evaluation
+    if level == 2:
+        traced = cdalg._traced_kernel
+        monkeypatch.setattr(cdalg, "_traced_kernel", lambda n: perturb(traced(n)))
+    else:
+        monkeypatch.setattr(cdalg, "mul_ints", perturb(cdalg.mul_ints))
+    n = 1 << level
+    a = (1, 1) + (0,) * (n - 2)
+
+    def padded(side):     # a coordinate list runs on in zeros
+        return side + [0] * (n - 2) if type(side) is list else side
+
+    report = execute_check("nicely-normed", f"level-{level}",
                            lambda inputs: cdalg._eval_nicely_normed(None, inputs),
                            structured=[(a,)])
     assert report.status == STATUS_FAILS
-    assert report.witness == {"inputs": [list(a)], "lhs": lhs, "rhs": rhs}
+    assert report.witness == {"inputs": [list(a)], "lhs": padded(lhs), "rhs": padded(rhs)}
 
 
 # --- zero divisors ----------------------------------------------------------
@@ -841,6 +854,54 @@ def test_lifted_ladder_samples_keep_the_fraction_draws_reports(level, seed, monk
     assert doc(after) == doc(before)
     sampled = [r for r in after if r.witness and "/" in str(r.witness["inputs"])]
     assert level < 3 or sampled
+
+
+def _fraction_norm_multiplicativity(inputs):
+    """`cdalg._eval_norm_multiplicativity` as it was: both norms as Fractions."""
+    a, b = inputs
+    lhs = norm_coeffs(cdalg._kernel_for(inputs)(a, b))
+    rhs = norm_coeffs(a) * norm_coeffs(b)
+    d = lhs - rhs
+    if d < 0:
+        d = -d
+    return d, (lhs,), (rhs,)
+
+
+@pytest.mark.parametrize("level", range(6))
+def test_norm_multiplicativity_on_numerators_matches_the_fraction_body(level):
+    # a holding pair gives residual 0 and builds no Fraction; a failing one gives
+    # the Fraction body's residual and sides, bit for bit
+    n = 1 << level
+    failing = 0
+    for i in range(40):
+        rng = CounterRng(3, f"test/norm-mult/{level}", i)
+        inputs = (rand_lifted(rng, n), rand_lifted(rng, n))
+        got = _eval_norm_multiplicativity(None, inputs)
+        want = _fraction_norm_multiplicativity(inputs)
+        if want[0]:
+            failing += 1
+            assert repr(got) == repr(want)
+        else:
+            assert got == (0, None, None)
+    assert failing == (0 if level <= 3 else 40)
+
+
+def test_exact_ladder_laws_stay_on_integers(monkeypatch):
+    # through level 3 the structured scan and the lifted samples build no Fraction:
+    # every law holds or fails (as expected) on an int witness
+    def doc(reports):
+        return json.dumps([{**r.to_dict(), "duration_ms": 0} for r in reports])
+
+    want = {level: doc(law_suite(level, "exact", samples=30)) for level in range(4)}
+
+    def built(*args, **kwargs):
+        raise AssertionError("an exact ladder law built a Fraction")
+
+    monkeypatch.setattr(Fraction, "__new__", built)
+    if hasattr(Fraction, "_from_coprime_ints"):     # Python 3.12+ arithmetic skips __new__
+        monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(built))
+    for level in range(4):
+        assert doc(law_suite(level, "exact", samples=30)) == want[level]
 
 
 # --- nicely-normed on numerators, against the Fraction body it replaced -------

@@ -34,25 +34,30 @@ def run_cli_json(tmp_path, *argv, name="out.json"):
 # --- exit codes -----------------------------------------------------------------
 
 def test_broken_kernel_fails_the_ladder_with_witnesses(tmp_path, monkeypatch):
-    original = cdalg.mul_ints
+    # level 2's structured scan takes the traced kernel itself
+    original = cdalg._traced_kernel
 
-    def flipped(a, b):    # one output coordinate with the wrong sign
-        out = original(a, b)
-        return out[:-1] + (-out[-1],)
+    def flipped_kernel(n):
+        kernel = original(n)
 
-    monkeypatch.setattr(cdalg, "mul_ints", flipped)
+        def flipped(a, b):    # one output coordinate with the wrong sign
+            out = kernel(a, b)
+            return out[:-1] + (-out[-1],)
+        return flipped
+
+    monkeypatch.setattr(cdalg, "_traced_kernel", flipped_kernel)
     code, doc = run_cli_json(tmp_path, "laws", "--level", "2", "--samples", "30")
     assert code == 1 and doc["overall"] == "fail"
     unexpected = [r for r in doc["reports"] if not r["expected"]]
-    assert unexpected
+    assert {"alternativity", "associativity"} <= {r["law"] for r in unexpected}
     for r in unexpected:
         assert r["status"] == "fails"
         assert {"inputs", "lhs", "rhs"} <= set(r["witness"])
 
 
 def test_broken_exact_kernel_fails_the_ladder_in_the_sampled_phase(tmp_path, monkeypatch):
-    # structured inputs are ints and take `mul_ints`; the sampled elements are
-    # lifted, and their products go through the flipped `mul_coeffs`
+    # structured inputs are ints and take the traced kernel itself; the sampled
+    # elements are lifted, and their products go through the flipped `mul_coeffs`
     original = cdalg.mul_coeffs
 
     def flipped(a, b):      # the last numerator with the wrong sign

@@ -10,8 +10,9 @@ from hypothesis import given, settings, strategies as st
 import math
 
 from hopfcheck.sampling import (MAGNITUDE, CounterRng, quarter_grid, quarter_point,
-                                rand_coeffs, rand_point, rand_quarter_pair, rand_unit,
-                                stereographic)
+                                rand_coeffs, rand_lifted, rand_point, rand_quarter_pair,
+                                rand_unit, stereographic)
+from hopfcheck.spheremodel import lifted
 
 
 def _fraction_rand_unit(rng, dim):
@@ -180,3 +181,18 @@ def test_batched_rationals_match_one_step_per_integer():
                                   one_randint(slow, 1, MAGNITUDE)) for _ in range(n))
             assert _typed(rand_coeffs(fast, n, "exact")) == _typed(want)
             assert fast.randint(-5, 5) == one_randint(slow, -5, 5)
+
+
+def test_lifted_draw_equals_the_fraction_draw():
+    # the ladder's exact samples: `rand_coeffs`' values on integers, from the same
+    # draws, leaving the generator where `rand_coeffs` leaves it
+    for level in range(6):
+        n = 1 << level
+        for i in range(50):
+            fast, slow = (CounterRng(4, f"cdalg/commutativity/level-{level}/exact", i)
+                          for _ in range(2))
+            got = rand_lifted(fast, n)
+            assert type(got.nums) is tuple and all(type(c) is int for c in got.nums)
+            assert type(got.den) is int and got.den > 0
+            assert tuple(got) == tuple(lifted(rand_coeffs(slow, n, "exact")))
+            assert fast.next_u64() == slow.next_u64()
