@@ -24,10 +24,10 @@ of the result.  Exact tuples holding a Fraction are lifted once, multiplied
 on their numerators and come back as Fractions: the one lift of a library
 caller's tuples, whose norms, join products and Hopf images take the plain
 formulas.  Any other mix enters the kernel as it is, on Python's mixed
-arithmetic (exact x * float y is float(x) * y); float points, a float first
-coordinate each, skip the type scan.  The one place an exact value becomes
-floats is a float-mode suite's unit (`laws._suite_carrier`).  The kernel
-gives what the recursion gives, bit for bit.
+arithmetic (exact x * float y is float(x) * y); an operand with a float
+first coordinate skips the type scan.  No exact value becomes a float: the
+units and poles the package builds are ints, and an int meets a float as
+its float form does.  The kernel gives what the recursion gives, bit for bit.
 
 Basis products satisfy e_i e_j = +-e_(i xor j) at every level, so a
 per-level sign table, read off the recursion on first use, gives products
@@ -109,7 +109,7 @@ def mul_coeffs(a, b):
     if type(a) is Lifted or type(b) is Lifted:
         a, b = lifted(a), lifted(b)
         return Lifted(_traced_kernel(len(a))(a.nums, b.nums), a.den * b.den)
-    if type(a[0]) is not float or type(b[0]) is not float:   # float mode skips the type scan
+    if type(a[0]) is not float and type(b[0]) is not float:   # a float operand skips the scan
         kinds = {*map(type, a), *map(type, b)}
         if Fraction in kinds and kinds <= _EXACT:
             return tuple(mul_coeffs(lifted(a), lifted(b)))

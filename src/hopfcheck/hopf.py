@@ -35,7 +35,7 @@ from .laws import (ImaginaroidInstance, assoc_check, hspace_check, imaginaroid_i
 from .joinmul import join_hspace_carrier, oracle_equivalence_suite, unit_law_check
 from .sampling import rand_point, rand_quarter_pair
 from .spheremodel import (JoinPoint, Lifted, SpherePoint, _sum_squares, arc_point, basis_coords,
-                          block_dim_error, is_exact, lifted)
+                          block_dim_error)
 
 #: fibration name -> imaginaroid whose suspension is the fiber sphere G
 FIBRATIONS = {"real": "empty", "complex": "s0", "quaternionic": "s2"}
@@ -115,15 +115,8 @@ def _fiber_separation(ctx, inputs):
 
 @cache
 def _poles(dim: int) -> tuple:
-    """The north and south poles of susp(G) for G in R^dim, as (lifted, float) pairs."""
-    return tuple((lifted(pole), tuple(map(float, pole)))
-                 for pole in (basis_coords(dim + 1, 0, Fraction(sign)) for sign in (1, -1)))
-
-
-def _pole_residual(got, pole: tuple):
-    # float coordinates meet the float pole: x - 1.0 is what x - Fraction(1) evaluates to
-    exact, floats = pole
-    return max_abs_diff(got, floats if type(got) is tuple and not is_exact(got) else exact)
+    """The north and south poles of susp(G) for G in R^dim, as int tuples."""
+    return basis_coords(dim + 1, 0, 1), basis_coords(dim + 1, 0, -1)
 
 
 def _fiber_polar(ctx, inputs):
@@ -132,9 +125,9 @@ def _fiber_polar(ctx, inputs):
     ends = (hopf_map(arc_point(u, v, 1, 0), inst).coords,
             hopf_map(arc_point(u, v, 0, 1), inst).coords)
     poles = _poles(len(u))
-    r, at = worst_of((0, 1), lambda k: _pole_residual(ends[k], poles[k]))
+    r, at = worst_of((0, 1), lambda k: max_abs_diff(ends[k], poles[k]))
     if not r <= 0:      # the pair of the pole that fails, with its exact coordinates
-        return r, ends[at], tuple(poles[at][0])
+        return r, ends[at], tuple(map(Fraction, poles[at]))
     # a genuine arc point must avoid both poles
     mixed = hopf_map(arc_point(u, v, c, s), inst).coords
     head, one = (mixed.nums[0], mixed.den) if type(mixed) is Lifted else (mixed[0], 1)

@@ -218,8 +218,8 @@ def join_mul_syn(X: JoinPoint, Y: JoinPoint, inst: ImaginaroidInstance,
     views read off the numerators' squared norms and two arcs multiplied on
     integers (`_arc_blocks`).  Tuples of floats, exact scalars or a mix keep
     their scalars through the same view products and the rational form,
-    their views exact unless a coordinate is a float; two float points, a
-    float first coordinate each as in `is_exact`, need no scan to tell.
+    their views exact unless a coordinate is a float; an operand with a
+    float first coordinate, as in `is_exact`, needs no scan to tell.
     Every block must have the suspension's dimension.
     """
     _require_assoc(inst, allow_unverified)
@@ -235,7 +235,7 @@ def join_mul_syn(X: JoinPoint, Y: JoinPoint, inst: ImaginaroidInstance,
         norms, eps2 = [_sum_squares(b.nums) for b in (p, q, r, w)], 0
     else:
         norms = [_sum_squares(b) for b in (p, q, r, w)]
-        floats = type(p[0]) is float and type(r[0]) is float or not is_exact(p + q + r + w)
+        floats = type(p[0]) is float or type(r[0]) is float or not is_exact(p + q + r + w)
         eps2 = FLOAT_VIEW_EPS ** 2 if floats else 0
     p2, q2, r2, w2 = norms
     mul, conj = mul_coeffs, conj_coeffs
@@ -398,11 +398,10 @@ class _LiftedGrid:
 
 def _lifted_corner(x: SpherePoint) -> tuple:
     """(one, x, d_x, exact): the corner's reduced-diamond data over d_x, on integers
-    for an exact corner, and for a float one with d_x = 1 and `one` in Fractions."""
-    if is_exact(x.coords):
-        xn, dx = lift(x.coords)
-        return basis_coords(len(xn), 0, dx), xn, dx, True
-    return SpherePoint.basis(x.dim, 0).coords, x.coords, 1, False
+    for an exact corner, and for a float one with d_x = 1 and x its floats."""
+    exact = is_exact(x.coords)
+    xn, dx = lift(x.coords) if exact else (x.coords, 1)
+    return basis_coords(len(xn), 0, dx), xn, dx, exact
 
 
 def _unit_residuals(grid: _LiftedGrid, x):
@@ -524,7 +523,7 @@ def join_hspace_carrier(inst: ImaginaroidInstance) -> Carrier:
 
     return Carrier(
         name=JOIN_INSTANCE.get(inst.name, inst.name),
-        unit=JoinPoint(inst.unit, zero),
+        unit=JoinPoint(basis_coords(dim, 0, 1), (0,) * dim),
         mul=lambda X, Y: join_mul_syn(X, Y, inst),
         conj=conj,
         structured=tuple(JoinPoint(p, zero) for p in _signed_basis(dim))

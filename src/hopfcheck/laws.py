@@ -28,7 +28,7 @@ from .cdalg import LADDER, basis_coords, conj_coeffs, mul_coeffs
 from .checks import LawReport, compare, execute_check, max_abs_diff, run_laws, worst_of
 from .errors import PreconditionError, UsageError
 from .sampling import rand_point
-from .spheremodel import JoinPoint, Lifted, is_exact, lifted, neg_coeffs
+from .spheremodel import is_exact, lifted, neg_coeffs
 
 
 def _signed_basis(dim: int) -> tuple:
@@ -63,7 +63,7 @@ def _sphere_carrier(name: str, dim: int) -> Carrier:
     basis and uniform samples.  Build it when a suite runs: mul is read from
     the module global then, so a profiler that rebinds mul_coeffs sees it."""
     return Carrier(
-        name=name, unit=basis_coords(dim, 0, Fraction(1)), mul=mul_coeffs, conj=conj_coeffs,
+        name=name, unit=basis_coords(dim, 0, 1), mul=mul_coeffs, conj=conj_coeffs,
         structured=_signed_basis(dim), sample=lambda rng, mode: rand_point(rng, dim, mode),
         neg=neg_coeffs)
 
@@ -223,51 +223,15 @@ def _carrier_laws(rows, carrier: Carrier, *, mode: str, draw=None, **kw) -> list
 def _suite_carrier(carrier: Carrier, mode: str) -> Carrier:
     """The carrier a suite runs on.  When the unit and structured points are all
     exact, the structured points are `lifted` in either mode, and so is the unit
-    in exact mode.  In float mode the unit stays exact for comparisons, witness
-    sides and the structured phase, and the product meets float operands with
-    its float form (`_float_unit_product`), the one place an exact value is
-    converted to floats."""
+    in exact mode.  In float mode the unit stays as it is: no exact value becomes
+    a float, and the package's int unit meets a float as its float form would."""
     exact = all(is_exact(tuple(x)) for x in (carrier.unit, *carrier.structured))
     if mode == "exact" and not exact:
         raise UsageError(f"exact mode needs exact points on carrier {carrier.name}")
     if not exact:
         return carrier
-    structured = tuple(map(lifted, carrier.structured))
-    if mode == "exact":
-        return carrier._replace(unit=lifted(carrier.unit), structured=structured)
-    return carrier._replace(mul=_float_unit_product(carrier.mul, carrier.unit),
-                            structured=structured)
-
-
-def _float_unit_product(mul: Callable, unit) -> Callable:
-    """mul with the exact unit taken in its float form, `_as_floats` per block,
-    wherever it meets a float operand.  The exact unit would give the same bits on
-    mixed arithmetic (exact x * float y is float(x) * y); the float unit is converted
-    once per suite instead of in every product.  A `Lifted` operand meets the exact unit."""
-    if type(unit) is JoinPoint:
-        float_unit = JoinPoint(_as_floats(unit.left), _as_floats(unit.right))
-    else:
-        float_unit = _as_floats(unit)
-
-    def product(x, y):
-        if x is unit and _is_float(y):
-            x = float_unit
-        elif y is unit and _is_float(x):
-            y = float_unit
-        return mul(x, y)
-
-    return product
-
-
-def _as_floats(a: tuple) -> tuple:
-    # exact zeros stay int 0: the kernel negates coordinates, and -0.0 is not +0
-    return tuple([float(x) if x else 0 for x in a])
-
-
-def _is_float(x) -> bool:
-    # a float first coordinate, the rule `is_exact` uses
-    head = x.left if type(x) is JoinPoint else x
-    return type(head) is not Lifted and type(head[0]) is float
+    unit = lifted(carrier.unit) if mode == "exact" else carrier.unit
+    return carrier._replace(unit=unit, structured=tuple(map(lifted, carrier.structured)))
 
 
 def spheroid_check(carrier: Carrier,

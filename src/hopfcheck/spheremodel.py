@@ -16,8 +16,8 @@ integer numerators over one positive denominator.  Fractions are built only
 for a witness, a report, or a library caller's Fraction tuples, which norms,
 join products and the Hopf projection take as they are (`cdalg.mul_coeffs`
 alone lifts them, per product).  A carrier's structured points are `Lifted`
-in both modes, its unit in exact mode only (a float-mode suite multiplies
-float points by the unit's float form); float samples are float tuples.
+in both modes, its unit in exact mode only; float samples are float tuples,
+and no exact value becomes a float (the package's units are ints).
 Every point is checked for unit norm when built: |n|^2 = d^2 on integers,
 or a float sum of squares taken left to right (Python-version independent).
 """

@@ -143,18 +143,21 @@ def _record_mixes(monkeypatch) -> list:
 
 @pytest.mark.parametrize("argv", FLOAT_RUNS.values(), ids=FLOAT_RUNS.keys())
 def test_float_runs_hand_the_kernel_no_fraction_float_mix(argv, tmp_path, monkeypatch):
-    # an exact value becomes floats in one place, a float suite's unit
+    # the package's exact constants are ints, and float runs draw no Fraction
     mixes = _record_mixes(monkeypatch)
     code, _ = run_cli_json(tmp_path, *argv, "--mode", "float", "--samples", "30")
     assert code == 0
     assert mixes == []
 
 
-def test_float_run_without_the_float_unit_mixes(tmp_path, monkeypatch):
-    # the control: the exact unit itself meets the float samples
+def test_float_run_on_a_fraction_unit_mixes(monkeypatch):
+    # the control: a library carrier's Fraction unit meets the float samples as it is
+    inst = laws.imaginaroid_instance("s2")
+    assert laws.assoc_check(inst, samples=30, mode="float").holds
+    carrier = joinmul.join_hspace_carrier(inst)._replace(
+        unit=JoinPoint(inst.unit, (Fraction(0),) * inst.susp_dim))
     mixes = _record_mixes(monkeypatch)
-    monkeypatch.setattr(laws, "_float_unit_product", lambda mul, unit: mul)
-    run_cli_json(tmp_path, "hspace", "--instance", "s7", "--mode", "float", "--samples", "30")
+    assert all(r.holds for r in laws.hspace_check(carrier, samples=30, mode="float"))
     assert mixes
 
 

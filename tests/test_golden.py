@@ -179,15 +179,22 @@ def test_library_reports_match_golden(key, golden_library):
 
 
 def record():
+    """Rewrite the golden files and print the id of each case whose document changed."""
     GOLDEN.mkdir(exist_ok=True)
     cli = {" ".join(argv): run_cli_case(argv) for argv in _cli_cases()}
     library = {key: run_library_case(key) for key in library_cases()}
+    changed = []
     for name, data in (("cli.json", cli), ("library.json", library)):
-        (GOLDEN / name).write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
+        path = GOLDEN / name
+        stored = json.loads(path.read_text()) if path.exists() else {}
+        changed += [f"{name}: {key}" for key in sorted(set(data) | set(stored))
+                    if _canonical(data.get(key)) != _canonical(stored.get(key))]
+        path.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
     n_cli = sum(len(case["doc"]["reports"]) for case in cli.values())
     n_lib = sum(len(reports) for reports in library.values())
     print(f"recorded {len(cli)} CLI cases ({n_cli} reports) and "
           f"{len(library)} library cases ({n_lib} reports)")
+    print("\n".join(f"changed {case}" for case in changed) or "unchanged")
 
 
 if __name__ == "__main__":

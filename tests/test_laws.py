@@ -292,13 +292,16 @@ def test_lifted_float_structured_phase_matches_the_unlifted_path(name, monkeypat
     failed = [r for r in lifted_reports if not r.holds]
     assert bool(failed) == (name in FLOAT_CONTROLS)
     for r in failed:    # structured witnesses keep their exact "p/q" strings
-        values = [c for x in r.witness["inputs"] + [r.witness["lhs"], r.witness["rhs"]]
-                  for c in x]
+        values = [c for x in r.witness["inputs"] + [r.witness["lhs"]] for c in x]
         assert values and all(isinstance(c, str) and "/" in c for c in values)
+        if name == "broken-conj":   # x x* = 1 fails, and 1 is the package's int unit
+            assert r.witness["rhs"] == [1, 0]
+        else:
+            assert all(isinstance(c, str) and "/" in c for c in r.witness["rhs"])
 
 
 def test_float_structured_phase_lifts_each_point_once(monkeypatch):
-    # each structured point is lifted once, and the Fraction unit once for each
+    # each structured point is lifted once, and the int unit once for each
     # unit-law input it meets; before, every product lifted its operands
     carrier = join_hspace_carrier(_verified("s2"))
     calls = []
@@ -311,9 +314,9 @@ def test_float_structured_phase_lifts_each_point_once(monkeypatch):
     assert 0 < len(calls) <= 3 * len(carrier.structured)
 
 
-# --- the float unit, converted once per suite ------------------------------------
+# --- the int unit meets floats as its float form --------------------------------
 
-FLOAT_UNIT_CARRIERS = {
+PACKAGE_CARRIERS = {
     "s0": lambda: spheroid_instance("s0"),
     "s1": lambda: spheroid_instance("s1"),
     "s3": lambda: spheroid_instance("s3"),
@@ -323,36 +326,38 @@ FLOAT_UNIT_CARRIERS = {
 }
 
 
-def _spelled(x):
-    # a Lifted value (or join point of two) by its integers, anything else by repr
-    if type(x) is JoinPoint:
-        return _spelled(x.left), _spelled(x.right)
-    return (x.nums, x.den) if type(x) is spheremodel.Lifted else repr(x)
+def _as_floats(a: tuple) -> tuple:
+    """The reference conversion of an exact point: exact zeros stay int 0."""
+    return tuple([float(x) if x else 0 for x in a])
 
 
-@pytest.mark.parametrize("name", sorted(FLOAT_UNIT_CARRIERS))
-def test_float_unit_product_matches_the_per_product_conversion(name):
-    # the suite's product meets float points with the float unit and gives, bit for
-    # bit, what the carrier's product gives the exact unit, on which Python converts
-    # each product's exact term; a Lifted operand still meets the exact unit
-    carrier = FLOAT_UNIT_CARRIERS[name]()
+@pytest.mark.parametrize("name", sorted(PACKAGE_CARRIERS))
+def test_int_unit_products_match_the_float_unit(name):
+    # the carrier's int unit meets float points with the bits of its float form,
+    # exact zeros kept as int 0, in both operand orders; a suite keeps the unit
+    carrier = PACKAGE_CARRIERS[name]()
+    unit = carrier.unit
+    assert all(type(c) is int for c in unit)
     suite = laws._suite_carrier(carrier, "float")
-    assert suite.unit is carrier.unit
-    dim = len(carrier.unit.left if type(carrier.unit) is JoinPoint else carrier.unit)
+    assert suite.unit is unit
+    if type(unit) is JoinPoint:
+        float_unit = JoinPoint(_as_floats(unit.left), _as_floats(unit.right))
+    else:
+        float_unit = _as_floats(unit)
+    dim = len(unit.left if type(unit) is JoinPoint else unit)
     # signed zeros tell the float unit's int zeros from float ones
     signed = [tuple(1.0 if k == i else -0.0 for k in range(dim)) for i in range(dim)]
-    if type(carrier.unit) is JoinPoint:
+    if type(unit) is JoinPoint:
         signed = [JoinPoint(*pair) for x in signed for pair in ((x, (-0.0,) * dim),
                                                                ((-0.0,) * dim, x))]
     samples = [carrier.sample(CounterRng(2, f"test/float-unit/{name}", i), "float")
                for i in range(60)]
     for x in signed + samples:
-        for args in ((carrier.unit, x), (x, carrier.unit)):
-            got = suite.mul(*args)
-            assert _spelled(got) == _spelled(carrier.mul(*args))
-            assert type(got) is JoinPoint or all(type(c) is float for c in got)
-    for p in suite.structured:
-        for args in ((carrier.unit, p), (p, carrier.unit)):
-            got = suite.mul(*args)
-            assert _spelled(got) == _spelled(carrier.mul(*args))
+        for args, float_args in (((unit, x), (float_unit, x)), ((x, unit), (x, float_unit))):
+            got = carrier.mul(*args)
+            assert repr(got) == repr(carrier.mul(*float_args))
+            assert all(type(c) is float for c in got)
+    for p in suite.structured:      # a Lifted operand meets the int unit on integers
+        for args in ((unit, p), (p, unit)):
+            got = carrier.mul(*args)
             assert spheremodel.Lifted in {type(got), type(getattr(got, "left", None))}

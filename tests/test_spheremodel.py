@@ -10,7 +10,7 @@ from hopfcheck import hopf, spheremodel
 from hopfcheck.cdalg import _structured_elements
 from hopfcheck.errors import UsageError
 from hopfcheck.sampling import CounterRng, rand_point, rand_quarter_pair, rand_unit, stereographic
-from hopfcheck.joinmul import reduced_diamond_filler
+from hopfcheck.joinmul import join_hspace_carrier, reduced_diamond_filler
 from hopfcheck.laws import _signed_basis, _sphere_carrier, imaginaroid_instance, spheroid_instance
 from hopfcheck.spheremodel import (FLOAT_POINT_EPS, JoinPoint, Lifted, SpherePoint,
                                    _check_unit, _sum_squares, arc_point, basis_coords,
@@ -105,7 +105,7 @@ _INSIDE, _OUTSIDE = math.sqrt(0.9 * FLOAT_POINT_EPS), math.sqrt(1.1 * FLOAT_POIN
 
 @pytest.mark.parametrize("left,right", [
     ((1.0, 0.0), (0.0, 0.0)), ((0.6,), (0.8,)), ((-0.0, 0.6), (-0.8, -0.0)),
-    ((1.0, 0, 0, 0), (0, 0, 0, 0)),            # the float unit: int zeros from _as_floats
+    ((1.0, 0, 0, 0), (0, 0, 0, 0)),            # a float unit with int zeros
     ((math.nan, 0.0), (0.0, 0.0)), ((0.6,), (math.nan,)),
     ((math.inf,), (0.0,)), ((0.0,), (-math.inf,)), ((math.inf,), (-math.inf,)),
     ((1.0,), (_INSIDE,)), ((1.0,), (_OUTSIDE,)),
@@ -321,14 +321,17 @@ def test_basis_coords_takes_the_scalar_type():
 
 
 def test_basis_callers_keep_their_scalar_types():
-    poles = [exact for exact, _ in hopf._poles(3)]
-    fractions = [SpherePoint.basis(4, 2, -1).coords, *poles, spheroid_instance("s3").unit,
-                 imaginaroid_instance("s2").unit,
+    # the units and poles the package builds are ints; every other caller keeps Fractions
+    fractions = [SpherePoint.basis(4, 2, -1).coords, imaginaroid_instance("s2").unit,
                  reduced_diamond_filler(SpherePoint.basis(4, 1)).problem.b.coords,
                  *_signed_basis(3)]
     for coords in fractions:
         assert _types(coords) == (Fraction,) * len(coords)
-    assert tuple(hopf._poles(2)[1][0]) == (-1, 0, 0)
+    join_unit = join_hspace_carrier(imaginaroid_instance("s2")).unit
+    ints = [*hopf._poles(3), spheroid_instance("s3").unit, join_unit.left, join_unit.right]
+    for coords in ints:
+        assert _types(coords) == (int,) * len(coords)
+    assert hopf._poles(2) == ((1, 0, 0), (-1, 0, 0))
     assert _signed_basis(2) == ((1, 0), (-1, 0), (0, 1), (0, -1))
     singles, _ = _structured_elements(2)
     assert all(_types(c) == (int,) * 4 for c in singles)
