@@ -17,7 +17,7 @@ from functools import partial
 from typing import Callable, Iterable, Optional
 
 from .errors import InvariantViolation, PreconditionError
-from .sampling import CounterRng
+from .sampling import LawRngs
 from .spheremodel import JoinPoint, Lifted, SpherePoint, lifted
 
 STATUS_HOLDS_EXACT = "holds-exact"
@@ -204,21 +204,24 @@ def run_laws(rows,
     Each row is (law, evaluate, shape).  evaluate(ctx, inputs) returns
     (residual, lhs, rhs); shape describes one input tuple (usually its
     arity) and is handed to structured(shape), which yields the exact
-    inputs, and to draw(rng, shape, i), which builds sample i from
-    rng = CounterRng(seed, suite(law), i).  An empty shape (arity 0) is
-    judged on its structured inputs alone.  expect(law) says whether the
-    law should hold.
+    inputs, and to draw(rng, shape, i), which builds sample i from rng, the
+    generator CounterRng(seed, suite(law), i).  The law's generators come
+    from one `LawRngs`: sample 0 steps, and samples 1.. get their first k
+    words, k the number sample 0 read, from lane passes, then step on, so
+    sample i reads the words of its own generator.  An empty shape (arity
+    0) is judged on its structured inputs alone.  expect(law) says whether
+    the law should hold.
     """
     reports = []
     for law, evaluate, shape in rows:
-        suite_id = suite(law)
+        n = samples if shape else 0
 
-        def sampler(i, shape=shape, suite_id=suite_id):
-            return draw(CounterRng(seed, suite_id, i), shape, i)
+        def sampler(i, shape=shape, rngs=LawRngs(seed, suite(law), n)):
+            return draw(rngs(i), shape, i)
 
         reports.append(execute_check(
             law, instance, partial(evaluate, ctx), structured=structured(shape),
-            sampler=sampler, samples=samples if shape else 0, seed=seed, mode=mode,
+            sampler=sampler, samples=n, seed=seed, mode=mode,
             tolerance=tolerance, expect_holds=expect(law)))
     return reports
 

@@ -33,7 +33,7 @@ from .errors import UsageError
 from .laws import (ImaginaroidInstance, assoc_check, hspace_check, imaginaroid_instance,
                    spheroid_instance)
 from .joinmul import join_hspace_carrier, oracle_equivalence_suite, unit_law_check
-from .sampling import rand_point, rand_quarter_pair
+from .sampling import point_of, point_words, quarter_of, quarter_words, rand_point
 from .spheremodel import (JoinPoint, Lifted, SpherePoint, _sum_squares, arc_point, basis_coords,
                           block_dim_error)
 
@@ -169,13 +169,23 @@ def fiber_check(inst: HopfInstance,
     dim = inst.fiber_dim
     gap = tolerance if mode == "float" else 0
 
+    m = point_words(dim, mode)
+
+    def separated(w1, w) -> bool:
+        """max_abs_diff(w1, w) > gap; exact points differ on cross-multiplied numerators."""
+        if mode == "exact":
+            return any(x * w.den != y * w1.den for x, y in zip(w1.nums, w.nums))
+        return max_abs_diff(w1, w) > gap
+
     def draw(rng, arity, i):
-        u, v = rand_point(rng, dim, mode), rand_point(rng, dim, mode)
-        arc = (u, v) + rand_quarter_pair(rng, mode)
-        ws = [rand_point(rng, dim, mode)]
+        # u, v, the quarter pair and w1 from one slice of words
+        words = rng._u64s(3 * m + quarter_words(mode))
+        u, v = point_of(words[:m], dim, mode), point_of(words[m:2 * m], dim, mode)
+        arc = (u, v) + tuple(quarter_of(words[2 * m:-m], mode))
+        ws = [point_of(words[-m:], dim, mode)]
         while len(ws) < arity - 1:
             w = rand_point(rng, dim, mode)
-            if max_abs_diff(ws[0], w) > gap:
+            if separated(ws[0], w):
                 ws.append(w)
         return (arc, *ws)
 

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import hopfcheck
+from hopfcheck import sampling
 
 
 @pytest.fixture
@@ -15,3 +16,16 @@ def child_env():
     src = str(Path(hopfcheck.__file__).resolve().parent.parent)
     paths = [src, os.environ.get("PYTHONPATH", "")]
     return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+
+
+@pytest.fixture
+def lane_passes(monkeypatch):
+    """The (count, k) of every lane pass the samplers make while the test runs."""
+    passes, original = [], sampling._lane_words
+
+    def recording(start, count, k):
+        passes.append((count, k))
+        return original(start, count, k)
+
+    monkeypatch.setattr(sampling, "_lane_words", recording)
+    return passes

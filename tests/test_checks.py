@@ -1,6 +1,6 @@
 """The check executor and its residual (a NaN or an exception never reads as
-a pass), the report's field order, the residual-combining sites, and the
-sampler's cached suite key."""
+a pass), the report's field order, the residual-combining sites, the sampler's
+cached suite key, and how far the law runner draws words."""
 
 import hashlib
 import itertools
@@ -11,10 +11,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hopfcheck import cdalg, hopf, joinmul, laws
+from hopfcheck import cdalg, hopf, joinmul, laws, sampling
 from hopfcheck.checks import (REPORT_FIELDS, STATUS_FAILS, STATUS_HOLDS_EXACT,
                               STATUS_HOLDS_SAMPLED, LawReport, compare, execute_check,
-                              max_abs_diff, worst_of)
+                              max_abs_diff, run_laws, worst_of)
 from hopfcheck.errors import InvariantViolation, PreconditionError, UsageError
 from hopfcheck.sampling import CounterRng, _suite_key
 from hopfcheck.spheremodel import Lifted, lifted
@@ -263,6 +263,55 @@ def test_suite_key_and_samples_unchanged():
     assert [rng.next_u64() for _ in range(3)] == [
         4144119804681957531, 8941811449772818689, 14897237573122354821]
 
+
+
+def _two_word_law(drawn, fails_at=None, raises_at=None, structured=()):
+    """run_laws' arguments for one law of arity 1 whose sample i is (i, its first two
+    words), appended to drawn; it fails on sample fails_at (and on a structured input
+    (fails_at, ...)), and its draw raises on sample raises_at."""
+    def draw(rng, arity, i):
+        if i == raises_at:
+            raise ArithmeticError("no draw")
+        drawn.append((i, tuple(rng._u64s(2))))
+        return drawn[-1]
+
+    def evaluate(ctx, inputs):
+        return (1 if inputs[0] == fails_at else 0), inputs, inputs
+
+    return dict(rows=(("law", evaluate, 1),), instance="t", ctx=None, draw=draw,
+                suite=lambda law: "test/run-laws", structured=lambda arity: structured,
+                samples=10000, seed=4)
+
+
+def test_run_laws_draws_no_word_past_a_structured_failure(lane_passes):
+    drawn = []
+    (report,) = run_laws(**_two_word_law(drawn, fails_at=-1, structured=[(-1, ())]))
+    assert report.status == STATUS_FAILS and report.witness["inputs"] == [-1, []]
+    assert drawn == lane_passes == []
+
+
+def test_run_laws_draws_at_most_one_chunk_past_a_failure(lane_passes):
+    drawn = []
+    (report,) = run_laws(**_two_word_law(drawn, fails_at=3000))
+    assert report.status == STATUS_FAILS and report.witness["inputs"][0] == 3000
+    chunk = sampling.LANE_WORDS // 2
+    assert lane_passes == [(chunk, 2), (chunk, 2)]        # samples 1..2 chunks
+    assert 3000 < 2 * chunk <= 3000 + chunk
+
+
+def test_run_laws_fails_a_raising_draw_at_its_index(lane_passes):
+    (report,) = run_laws(**_two_word_law([], raises_at=77))
+    assert report.status == STATUS_FAILS
+    assert report.witness == {"sample": 77, "error": "ArithmeticError: no draw"}
+    assert lane_passes == [(sampling.LANE_WORDS // 2, 2)]
+
+
+def test_run_laws_samples_read_their_own_generators(lane_passes):
+    drawn = []
+    run_laws(**_two_word_law(drawn))
+    assert len(lane_passes) == 5
+    assert drawn == [(i, tuple(CounterRng(4, "test/run-laws", i)._u64s(2)))
+                     for i in range(10000)]
 
 def _lifted_pair(data, n):
     """Two exact n-vectors, the second equal to the first or not, each maybe scaled

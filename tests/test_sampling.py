@@ -1,17 +1,20 @@
 """The samplers against the formulas they replaced: the exact ones against the
 Fraction formulas and the integer code written out per sampler, the float
 quarter pair, sphere points and coefficients against their inline formulas,
-and the one-loop generator draw against one generator step per coordinate."""
+the one-loop generator draw against one generator step per coordinate, and
+the lane passes against the stepping generator."""
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import math
 
-from hopfcheck.sampling import (MAGNITUDE, CounterRng, quarter_grid, quarter_point,
-                                rand_coeffs, rand_lifted, rand_point, rand_quarter_pair,
-                                rand_unit, stereographic)
+from hopfcheck import sampling
+from hopfcheck.sampling import (LANE_WORDS, MAGNITUDE, CounterRng, LawRngs, quarter_grid,
+                                quarter_point, rand_coeffs, rand_lifted, rand_point,
+                                rand_quarter_pair, rand_unit, stereographic)
 from hopfcheck.spheremodel import lifted
 
 
@@ -196,3 +199,52 @@ def test_lifted_draw_equals_the_fraction_draw():
             assert type(got.den) is int and got.den > 0
             assert tuple(got) == tuple(lifted(rand_coeffs(slow, n, "exact")))
             assert fast.next_u64() == slow.next_u64()
+
+
+def _law_words(seed, suite, samples, k):
+    """Words 0..k-1 of samples 1..samples-1 as `LawRngs` hands them out, once sample 0
+    has read k words."""
+    rngs = LawRngs(seed, suite, samples)
+    rngs(0)._u64s(k)
+    return [rngs(i)._u64s(k) for i in range(1, samples)]
+
+
+def test_lane_words_are_the_stepped_words():
+    # three passes per law: the second and third start past a chunk boundary
+    for seed in (0, 1, -1, 2 ** 64 + 5):
+        for k in (1, 2, 7, 33):
+            samples = 2 * (LANE_WORDS // k) + 4
+            suite = f"test/lanes/{k}"
+            assert _law_words(seed, suite, samples, k) == [
+                CounterRng(seed, suite, i)._u64s(k) for i in range(1, samples)]
+
+
+def test_lane_passes_cover_chunks_of_samples(lane_passes):
+    _law_words(3, "test/lanes/passes", 2 * (LANE_WORDS // 7) + 4, 7)
+    # samples 1.. in chunks of LANE_WORDS // 7 samples, the last one cut at the sample count
+    assert lane_passes == [(LANE_WORDS // 7, 7), (LANE_WORDS // 7, 7), (3, 7)]
+    with pytest.raises(ValueError):
+        sampling._lane_words(0, LANE_WORDS // 7 + 1, 7)
+
+
+def test_preloaded_generator_steps_on_past_its_prefix():
+    for seed in (0, 1, -1, 2 ** 64 + 5):
+        for k in (1, 2, 7, 33):
+            rngs = LawRngs(seed, "test/lanes/prefix", 50)
+            rngs(0)._u64s(k)
+            for i in (1, 2, 49):
+                rng, want = rngs(i), CounterRng(seed, "test/lanes/prefix", i)._u64s(k + 3)
+                head = 1 + k // 2
+                assert rng._u64s(head) + rng._u64s(k + 3 - head) == want
+                # the stream goes on as the stepping generator's does
+                stepped = CounterRng(seed, "test/lanes/prefix", i)
+                stepped._u64s(k + 3)
+                assert [rng.next_u64() for _ in range(3)] == [stepped.next_u64() for _ in range(3)]
+
+
+def test_law_generators_before_sample_zero_and_without_words_step():
+    rngs = LawRngs(5, "test/lanes/order", 10)
+    assert rngs(3)._u64s(4) == CounterRng(5, "test/lanes/order", 3)._u64s(4)   # k not known
+    rngs(0)     # reads no word: k is 0, and every sample steps from its start
+    assert [rngs(i)._u64s(2) for i in range(1, 10)] == [
+        CounterRng(5, "test/lanes/order", i)._u64s(2) for i in range(1, 10)]
