@@ -16,8 +16,8 @@ from fractions import Fraction
 from functools import partial
 from typing import Callable, Iterable, Optional
 
-from .errors import InvariantViolation, PreconditionError
-from .sampling import LawRngs
+from .errors import InvariantViolation, PreconditionError, UsageError
+from .sampling import law_rngs
 from .spheremodel import JoinPoint, Lifted, SpherePoint, lifted
 
 STATUS_HOLDS_EXACT = "holds-exact"
@@ -110,7 +110,8 @@ def execute_check(law: str,
 
     evaluate(inputs) -> (residual, lhs, rhs); the law holds on the inputs
     when the residual is zero (exact mode) or at most `tolerance` (float
-    mode).  Structured inputs are always judged exactly.  sampler(index)
+    mode); any other mode raises UsageError.  Structured inputs are always
+    judged exactly.  sampler(index), called for index 0, 1, ... in order,
     builds the random inputs for the sampling phase, which stops at the
     first residual above the threshold.  A NaN residual is never within
     the threshold, so it fails the law in either phase, and so does an
@@ -118,6 +119,8 @@ def execute_check(law: str,
     `_draws`).  `workers` is accepted and ignored: the scan runs on the
     calling thread (pure-Python arithmetic gains nothing from threads).
     """
+    if mode not in ("exact", "float"):
+        raise UsageError(f"unknown mode {mode!r}")
     t0 = time.perf_counter()
     threshold = 0 if mode == "exact" else tolerance
     draw_errors = []
@@ -205,8 +208,9 @@ def run_laws(rows,
     (residual, lhs, rhs); shape describes one input tuple (usually its
     arity) and is handed to structured(shape), which yields the exact
     inputs, and to draw(rng, shape, i), which builds sample i from rng, the
-    generator CounterRng(seed, suite(law), i).  The law's generators come
-    from one `LawRngs`: sample 0 steps, and samples 1.. get their first k
+    generator CounterRng(seed, suite(law), i).  Samples are taken in index
+    order, 0, 1, 2, ..., and their generators come from one `law_rngs`
+    stream per law: sample 0 steps, and samples 1.. get their first k
     words, k the number sample 0 read, from lane passes, then step on, so
     sample i reads the words of its own generator.  An empty shape (arity
     0) is judged on its structured inputs alone.  expect(law) says whether
@@ -216,8 +220,8 @@ def run_laws(rows,
     for law, evaluate, shape in rows:
         n = samples if shape else 0
 
-        def sampler(i, shape=shape, rngs=LawRngs(seed, suite(law), n)):
-            return draw(rngs(i), shape, i)
+        def sampler(i, shape=shape, rngs=law_rngs(seed, suite(law), n)):
+            return draw(next(rngs), shape, i)
 
         reports.append(execute_check(
             law, instance, partial(evaluate, ctx), structured=structured(shape),

@@ -33,7 +33,7 @@ from .errors import UsageError
 from .laws import (ImaginaroidInstance, assoc_check, hspace_check, imaginaroid_instance,
                    spheroid_instance)
 from .joinmul import join_hspace_carrier, oracle_equivalence_suite, unit_law_check
-from .sampling import point_of, point_words, quarter_of, quarter_words, rand_point
+from .sampling import rand_arc, rand_point
 from .spheremodel import (JoinPoint, Lifted, SpherePoint, _sum_squares, arc_point, basis_coords,
                           block_dim_error)
 
@@ -162,14 +162,12 @@ def fiber_check(inst: HopfInstance,
     the first and reports a residual of 0 or 1, so in float mode a
     tolerance of 1 or more is rejected: it would pass every pair, and
     from 2 up the draw could never end (unit coordinates differ by at
-    most 2).
+    most 2).  A NaN tolerance is rejected too: no pair exceeds it.
     """
-    if mode == "float" and tolerance >= 1:
+    if mode == "float" and not tolerance < 1:
         raise UsageError("fiber checks need a float tolerance < 1")
     dim = inst.fiber_dim
     gap = tolerance if mode == "float" else 0
-
-    m = point_words(dim, mode)
 
     def separated(w1, w) -> bool:
         """max_abs_diff(w1, w) > gap; exact points differ on cross-multiplied numerators."""
@@ -178,16 +176,13 @@ def fiber_check(inst: HopfInstance,
         return max_abs_diff(w1, w) > gap
 
     def draw(rng, arity, i):
-        # u, v, the quarter pair and w1 from one slice of words
-        words = rng._u64s(3 * m + quarter_words(mode))
-        u, v = point_of(words[:m], dim, mode), point_of(words[m:2 * m], dim, mode)
-        arc = (u, v) + tuple(quarter_of(words[2 * m:-m], mode))
-        ws = [point_of(words[-m:], dim, mode)]
+        u, v, cs = rand_arc(rng, dim, mode)
+        ws = [rand_point(rng, dim, mode)]
         while len(ws) < arity - 1:
             w = rand_point(rng, dim, mode)
             if separated(ws[0], w):
                 ws.append(w)
-        return (arc, *ws)
+        return ((u, v) + tuple(cs), *ws)
 
     return run_laws(
         FIBER_LAWS, inst.name, (inst, gap), draw=draw,

@@ -46,8 +46,7 @@ from .checks import compare, max_abs_diff, run_laws, worst_of
 from .errors import InvariantViolation, UsageError
 from .laws import (HSPACE_UNIT_LAWS, Carrier, ImaginaroidInstance, _require_assoc,
                    _carrier_laws, _signed_basis)
-from .sampling import (CounterRng, point_of, point_words, quarter_grid, quarter_of,
-                       quarter_words, rand_point, rand_unit)
+from .sampling import CounterRng, quarter_grid, rand_arc, rand_point, rand_unit
 from .spheremodel import (FLOAT_VIEW_EPS, JoinPoint, Lifted, SpherePoint, _sum_squares, arc_point,
                           basis_coords, block_dim_error, is_exact, lift, lifted, lifted_arc,
                           neg_coeffs)
@@ -310,11 +309,8 @@ def join_point_sample(rng: CounterRng, inst: ImaginaroidInstance, view: str,
                       mode: str) -> JoinPoint:
     """A random point of the view inl, inr or glue; a lifted point in exact mode."""
     dim = inst.susp_dim
-    if view == "glue":     # u, v and (c, s) from one slice of words
-        m = point_words(dim, mode)
-        words = rng._u64s(2 * m + quarter_words(mode))
-        u, v = point_of(words[:m], dim, mode), point_of(words[m:2 * m], dim, mode)
-        cs = quarter_of(words[2 * m:], mode)
+    if view == "glue":
+        u, v, cs = rand_arc(rng, dim, mode)
         return lifted_arc(u, v, cs) if mode == "exact" else arc_point(u, v, *cs)
     x = rand_point(rng, dim, mode)
     zero = Lifted((0,) * dim, x.den) if mode == "exact" else (0.0,) * dim

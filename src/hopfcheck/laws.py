@@ -96,10 +96,6 @@ class ImaginaroidInstance:
     def base_dim(self) -> int:
         return (1 << self.level) - 1
 
-    @property
-    def unit(self) -> tuple:
-        return basis_coords(self.susp_dim, 0, Fraction(1))
-
 
 def spheroid_instance(name: str) -> Carrier:
     """Provided spheroids: the sign group s0, the circle s1 and the quaternion sphere s3."""

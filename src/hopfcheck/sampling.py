@@ -15,24 +15,25 @@ state; `_lane_words` computes words 0..k-1 of many consecutive samples in
 one pass of big-int operations, one 128-bit lane per word, bit for bit
 the words of the loop.
 
-`LawRngs` hands out one law's generators.  Sample 0 steps, and the
-number of words it reads becomes the law's prefix length k.  Samples 1..
-come preloaded with their first k words, from lane passes over chunks of
-at most `LANE_WORDS` words, computed when a sample first falls past the
-last chunk; a sample that reads more than k words steps on from the end
-of its prefix.  Every sample thus reads exactly the words of its own
-generator.
+`law_rngs` yields one law's generators in sample order.  Sample 0
+steps, and the number of words it reads becomes the law's prefix length
+k.  Samples 1.. come preloaded with their first k words, from lane passes
+over chunks of at most `LANE_WORDS` words, each computed when its chunk's
+first sample is taken; a sample that reads more than k words steps on
+from the end of its prefix.  Every sample thus reads exactly the words of
+its own generator.
 
-Exact-mode samples are rationals with bounded numerators and
-denominators; sphere points are generated through the rational
-parametrization y -> ((1 - |y|^2) / (1 + |y|^2), 2y / (1 + |y|^2)), which
-lands exactly on the unit sphere, evaluated on integers: exact points and
-quarter-circle pairs are `Lifted` values (`rand_point`, `rand_quarter`);
-`rand_unit` and `rand_quarter_pair` give Fractions.  One integer draw
-(`rand_lifted`) gives both the ladder's exact samples and the sphere
-points' source vectors.  Every point reads its words in one `_u64s` call
-and builds its coordinates from them (`point_of`, `quarter_of`), so a
-caller drawing several inputs can read them all in one slice.
+This module alone turns words into values.  Exact-mode samples are
+rationals with bounded numerators and denominators; sphere points are
+generated through the rational parametrization y -> ((1 - |y|^2) /
+(1 + |y|^2), 2y / (1 + |y|^2)), which lands exactly on the unit sphere,
+evaluated on integers: exact points and glue arcs are `Lifted` values
+(`rand_point`, `rand_arc`); `rand_unit` and `rand_quarter_pair` give
+Fractions.  One integer draw (`rand_lifted`) gives both the ladder's
+exact samples and the sphere points' source vectors, and one float
+decoder (`_floats_of`) both the float coefficients and the float points'
+source vectors.  Every draw reads its words in one `_u64s` call and
+builds its values from them (`point_of`, `quarter_of`).
 """
 
 from __future__ import annotations
@@ -115,21 +116,6 @@ class CounterRng:
         """Uniform integer in [lo, hi]. Spans here are tiny; modulo bias is negligible."""
         return lo + self.next_u64() % (hi - lo + 1)
 
-    def randints(self, bounds) -> list:
-        """One `randint(lo, hi)` for each (lo, hi) of bounds, in turn, in one call."""
-        return [lo + u % (hi - lo + 1) for (lo, hi), u in zip(bounds, self._u64s(len(bounds)))]
-
-    def uniform(self, lo: float, hi: float) -> float:
-        return self.uniforms(lo, hi, 1)[0]
-
-    def uniforms(self, lo: float, hi: float, n: int) -> tuple:
-        """n draws of `uniform`, in one call."""
-        span = hi - lo
-        return tuple([lo + span * (u / 2.0**64) for u in self._u64s(n)])
-
-    def sign(self) -> int:
-        return 1 if self.next_u64() & 1 else -1
-
 
 @cache
 def _low_halves():
@@ -169,43 +155,28 @@ def _lane_words(start: int, count: int, k: int) -> memoryview:
     return words[::2] if sys.byteorder == "little" else words[::-2]
 
 
-class LawRngs:
-    """rngs(i) is the generator of sample i of one law, CounterRng(seed, suite, i), for
-    samples 0..samples-1 drawn in index order.
+def law_rngs(seed: int, suite: str, samples: int):
+    """CounterRng(seed, suite, i) for i = 0, 1, ..., samples - 1, in index order.
 
-    Sample 0 steps; the words it read (at most LANE_WORDS) become the prefix
-    length k.  Sample i >= 1 is preloaded with its first k words: when i falls
-    outside the last pass, one `_lane_words` pass covers samples i.. up to
-    LANE_WORDS words or the last sample.  An index asked before sample 0, or
-    any index when k is 0, steps from its start.
+    Sample 0 steps; the words it has read when sample 1 is taken (its state
+    moves G per word; at most LANE_WORDS) become the prefix length k.
+    Samples 1.. come preloaded with their first k words, one `_lane_words`
+    pass per chunk of LANE_WORDS // k samples, made when the chunk's first
+    sample is taken.  With k = 0 every sample steps from its start.
     """
-
-    __slots__ = ("_seed", "_suite", "_samples", "_first", "_start0", "_k", "_lo", "_count",
-                 "_words")
-
-    def __init__(self, seed: int, suite: str, samples: int):
-        self._seed, self._suite, self._samples = seed, suite, samples
-        self._first = self._k = None
-        self._lo = self._count = 0
-
-    def __call__(self, i: int) -> CounterRng:
-        t = i - self._lo
-        if 0 <= t < self._count:
-            return CounterRng._preloaded(self._start0 + i, self._words[t::self._count].tolist())
-        if i == 0 or self._first is None:
-            rng = CounterRng(self._seed, self._suite, i)
-            if i == 0:
-                self._first = rng
-            return rng
-        k = self._k
-        if k is None:   # the state moves by G per word read
-            self._start0 = start0 = _start(self._seed, self._suite, 0)
-            k = self._k = min(((self._first._state - start0) * _GAMMA_INV) & _MASK, LANE_WORDS)
-        if not k:
-            return CounterRng(self._seed, self._suite, i)
-        self._lo, self._count = i, max(1, min(LANE_WORDS // k, self._samples - i))
-        self._words = _lane_words((self._start0 + i) & _MASK, self._count, k)
-        return self(i)
+    first = CounterRng(seed, suite, 0)
+    yield first
+    start = _start(seed, suite, 0)
+    k = min(((first._state - start) * _GAMMA_INV) & _MASK, LANE_WORDS)
+    if not k:
+        yield from (CounterRng(seed, suite, i) for i in range(1, samples))
+    else:
+        chunk = LANE_WORDS // k
+        for lo in range(1, samples, chunk):
+            count = min(chunk, samples - lo)
+            words = _lane_words((start + lo) & _MASK, count, k)
+            for t in range(count):
+                yield CounterRng._preloaded(start + lo + t, words[t::count].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +190,7 @@ def point_words(dim: int, mode: str) -> int:
 
 
 def quarter_words(mode: str) -> int:
-    """The words `rand_quarter` reads: a denominator and a numerator, or one float."""
+    """The words `rand_quarter_pair` reads: a denominator and a numerator, or one float."""
     return 2 if mode == "exact" else 1
 
 
@@ -231,6 +202,11 @@ def _lifted_of(words) -> Lifted:
                          for u, d in zip(words[::2], dens)]), lcm)
 
 
+def _floats_of(words) -> list:
+    """Float `rand_coeffs` from its words: -MAGNITUDE + 2 MAGNITUDE (u / 2^64) per word u."""
+    return [-MAGNITUDE + 2 * MAGNITUDE * (u / 2.0**64) for u in words]
+
+
 def point_of(words, dim: int, mode: str):
     """`rand_point`'s point of R^dim from its `point_words(dim, mode)` words."""
     if dim == 1:
@@ -239,9 +215,8 @@ def point_of(words, dim: int, mode: str):
     if mode == "exact":
         y = _lifted_of(words)
         return _stereographic_ints(y.nums, y.den)
-    # the float operations of `uniforms` and `stereographic`, in their order, inline
-    lo, span = -MAGNITUDE, 2 * MAGNITUDE
-    y = [lo + span * (u / 2.0**64) for u in words]
+    # the float operations of `stereographic`, in their order, inline
+    y = _floats_of(words)
     n2 = 0
     for c in y:
         n2 += c * c
@@ -250,7 +225,7 @@ def point_of(words, dim: int, mode: str):
 
 
 def quarter_of(words, mode: str):
-    """`rand_quarter`'s pair from its `quarter_words(mode)` words."""
+    """`rand_quarter_pair`'s pair, `Lifted` in exact mode, from `quarter_words(mode)` words."""
     if mode == "exact":
         den = 2 + words[0] % (4 * MAGNITUDE - 1)
         return _stereographic_ints((1 + words[1] % (den - 1),), den)
@@ -266,7 +241,7 @@ def quarter_of(words, mode: str):
 def rand_coeffs(rng: CounterRng, n: int, mode: str) -> tuple:
     if mode == "exact":
         return tuple(rand_lifted(rng, n))
-    return rng.uniforms(-MAGNITUDE, MAGNITUDE, n)
+    return tuple(_floats_of(rng._u64s(n)))
 
 
 def rand_lifted(rng: CounterRng, n: int) -> Lifted:
@@ -297,6 +272,15 @@ def rand_point(rng: CounterRng, dim: int, mode: str):
     return point_of(rng._u64s(point_words(dim, mode)), dim, mode)
 
 
+def rand_arc(rng: CounterRng, dim: int, mode: str) -> tuple:
+    """(u, v, cs): a glue arc's endpoints, two `rand_point`s of R^dim, and its
+    `rand_quarter_pair` (c, s), `Lifted` values in exact mode, from one slice of words."""
+    m = point_words(dim, mode)
+    words = rng._u64s(2 * m + quarter_words(mode))
+    return (point_of(words[:m], dim, mode), point_of(words[m:2 * m], dim, mode),
+            quarter_of(words[2 * m:], mode))
+
+
 def _stereographic_ints(nums, den) -> Lifted:
     """`stereographic` at y = nums / den, on integers: with S = sum n_i^2 the point
     is (den^2 - S, 2 n_i den) over den^2 + S."""
@@ -306,15 +290,10 @@ def _stereographic_ints(nums, den) -> Lifted:
 
 
 def rand_quarter_pair(rng: CounterRng, mode: str) -> tuple:
-    """`rand_quarter` as a pair: Fractions in exact mode."""
-    return tuple(rand_quarter(rng, mode))
-
-
-def rand_quarter(rng: CounterRng, mode: str):
-    """Random (c, s) with c, s > 0 and c^2 + s^2 = 1, a `Lifted` pair in exact mode:
-    a genuine glue arc point, not an endpoint.  Exact mode draws t = k / den and
-    returns the quarter-circle point at t (`quarter_point`)."""
-    return quarter_of(rng._u64s(quarter_words(mode)), mode)
+    """Random (c, s) with c, s > 0 and c^2 + s^2 = 1, Fractions in exact mode: a genuine
+    glue arc point, not an endpoint.  Exact mode draws t = k / den and returns the
+    quarter-circle point at t (`quarter_point`)."""
+    return tuple(quarter_of(rng._u64s(quarter_words(mode)), mode))
 
 
 def quarter_point(k: int, den: int) -> tuple:

@@ -195,10 +195,15 @@ def test_sign_table_equals_the_doubling_rule_table(level):
     assert _sign_table(1 << level) == _doubling_rule_sign_table(1 << level)
 
 
+def _uniform(rng, lo, hi):
+    """A float in [lo, hi) from one generator word."""
+    return lo + (hi - lo) * (rng._u64s(1)[0] / 2.0**64)
+
+
 def _float_operands():
     rng = CounterRng(0, "test/float-kernel-threads", 0)
-    return (tuple(rng.uniform(-5, 5) for _ in range(32)),
-            tuple(-0.0 if i % 5 else rng.uniform(-5, 5) for i in range(32)))
+    return (tuple(_uniform(rng, -5, 5) for _ in range(32)),
+            tuple(-0.0 if i % 5 else _uniform(rng, -5, 5) for i in range(32)))
 
 
 _RAMPS = (tuple(range(1, 33)), tuple(range(32, 0, -1)))
@@ -237,7 +242,7 @@ def test_lazy_tables_are_safe_across_threads(table, mul, operands):
 def test_float_kernel_signed_zeros_and_operand_mixes(level):
     n = 1 << level
     rng = CounterRng(0, "test/float-kernel", level)
-    floats = tuple(rng.uniform(-5, 5) for _ in range(n))
+    floats = tuple(_uniform(rng, -5, 5) for _ in range(n))
     zeros = tuple(-0.0 if i % 3 else 0.0 for i in range(n))
     # Fraction(0) included: -Fraction(0) is +0, while -0.0 keeps its sign
     fractions = tuple(Fraction(i - n // 2, 3) for i in range(n))

@@ -1,6 +1,6 @@
 """The check executor and its residual (a NaN or an exception never reads as
 a pass), the report's field order, the residual-combining sites, the sampler's
-cached suite key, and how far the law runner draws words."""
+cached suite key, how far the law runner draws words, and the modes it accepts."""
 
 import hashlib
 import itertools
@@ -345,3 +345,17 @@ def test_lifted_sides_of_different_lengths_raise():
         max_abs_diff(a, a[:1])
     with pytest.raises(ValueError):
         max_abs_diff((Fraction(1),), a)
+
+
+@pytest.mark.parametrize("run", [
+    lambda mode: execute_check("law", "t", lambda inputs: (0, (), ()), structured=[()],
+                               mode=mode),
+    lambda mode: cdalg.law_suite(2, mode),
+    lambda mode: laws.spheroid_check(laws.spheroid_instance("s1"), mode=mode),
+    lambda mode: hopf.fiber_check(hopf.hopf_instance("complex"), samples=5, mode=mode),
+], ids=["execute_check", "law_suite", "spheroid_check", "fiber_check"])
+@pytest.mark.parametrize("mode", ["Exact", "exakt", "FLOAT", ""])
+def test_a_misspelled_mode_is_refused(run, mode):
+    # it once ran as float mode
+    with pytest.raises(UsageError, match="unknown mode"):
+        run(mode)

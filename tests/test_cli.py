@@ -14,7 +14,7 @@ from hopfcheck import __version__, cdalg, cli, joinmul, laws
 from hopfcheck.checks import REPORT_FIELDS, ReportDocument
 from hopfcheck.cli import emit, main
 from hopfcheck.errors import InvariantViolation, PreconditionError, UsageError
-from hopfcheck.spheremodel import JoinPoint, Lifted, SpherePoint
+from hopfcheck.spheremodel import JoinPoint, Lifted, SpherePoint, basis_coords
 
 REPORT_KEYS = {"law", "instance", "status", "samples", "tolerance",
                "max_residual", "seed", "duration_ms", "expected"}
@@ -155,7 +155,8 @@ def test_float_run_on_a_fraction_unit_mixes(monkeypatch):
     inst = laws.imaginaroid_instance("s2")
     assert laws.assoc_check(inst, samples=30, mode="float").holds
     carrier = joinmul.join_hspace_carrier(inst)._replace(
-        unit=JoinPoint(inst.unit, (Fraction(0),) * inst.susp_dim))
+        unit=JoinPoint(basis_coords(inst.susp_dim, 0, Fraction(1)),
+                       (Fraction(0),) * inst.susp_dim))
     mixes = _record_mixes(monkeypatch)
     assert all(r.holds for r in laws.hspace_check(carrier, samples=30, mode="float"))
     assert mixes

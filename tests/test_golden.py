@@ -29,6 +29,7 @@ from hopfcheck.joinmul import diamond_suite, join_hspace_carrier, unit_law_check
 from hopfcheck.laws import (assoc_check, corner_transport_check, corner_transport_suite,
                             hspace_check, imaginaroid_check, imaginaroid_instance,
                             spheroid_check, spheroid_instance)
+from hopfcheck.spheremodel import basis_coords
 
 GOLDEN = Path(__file__).parent / "golden"
 SAMPLES = 8
@@ -117,7 +118,7 @@ def _library_suites(mode: str) -> dict:
 
 def _corner_check_reports() -> list:
     s0 = _verified("s0")
-    i, one = (Fraction(0), Fraction(1)), s0.unit
+    i, one = (Fraction(0), Fraction(1)), basis_coords(s0.susp_dim, 0, Fraction(1))
     octonion = imaginaroid_instance("octonion-control")
     e = [tuple(Fraction(int(k == j)) for k in range(8)) for j in range(8)]
     return [corner_transport_check(s0, i, one, i, one),

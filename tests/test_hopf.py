@@ -1,5 +1,7 @@
 """The projection join(G, G) -> susp(G) and its fiber structure."""
 
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -297,3 +299,18 @@ def test_projection_keeps_int_points_int():
 
 def _typed(values):
     return tuple((type(c), c) for c in values)
+
+
+@pytest.mark.parametrize("call", ["fiber_check", "fibration_report"])
+@pytest.mark.parametrize("tolerance", ["float('nan')", "1.0"])
+def test_fiber_checks_refuse_a_tolerance_no_pair_exceeds(child_env, call, tolerance):
+    # in a child with a timeout: a NaN tolerance once left the separation draw looping
+    code = ("from hopfcheck.errors import UsageError\n"
+            f"from hopfcheck.hopf import {call}, hopf_instance\n"
+            "try:\n"
+            f"    {call}(hopf_instance('complex'), 5, 1, 'float', tolerance={tolerance})\n"
+            "except UsageError as err:\n"
+            "    print(err)\n")
+    done = subprocess.run([sys.executable, "-c", code], env=child_env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout == "fiber checks need a float tolerance < 1\n"

@@ -1,8 +1,11 @@
-"""No package module imports a name it never uses.
+"""No package module imports a name it never uses, and only `sampling` reads
+generator words.
 
 A deletion tends to leave its imports behind; this guard reads each module
 of the package (bar `__init__.py`, whose imports are the public API) with
-`ast` and lists the imported names that nothing in the module reads.
+`ast` and lists the imported names that nothing in the module reads.  A
+second guard keeps the word layout in one module: no other module calls
+`_u64s` or uses the names that slice words into values.
 """
 
 import ast
@@ -41,3 +44,31 @@ def test_the_guard_finds_a_leftover_import():
 @pytest.mark.parametrize("path", MODULES, ids=[path.stem for path in MODULES])
 def test_module_imports_only_names_it_uses(path):
     assert unused_imports(path.read_text()) == []
+
+
+#: the names that read generator words or lay them out; only `sampling` may use them
+WORD_LEVEL = {"_u64s", "point_of", "quarter_of", "point_words", "quarter_words", "_lane_words"}
+
+
+def word_level_uses(source: str) -> list:
+    """The word-level names the source imports or reads as an attribute, sorted."""
+    used = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            used.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+    return sorted(used & WORD_LEVEL)
+
+
+def test_the_word_guard_finds_words_read_outside_sampling():
+    source = ("from .sampling import point_of, rand_point\n"
+              "def draw(rng):\n"
+              "    return point_of(rng._u64s(3), 4, 'float'), rand_point(rng, 4, 'float')\n")
+    assert word_level_uses(source) == ["_u64s", "point_of"]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "sampling.py"],
+                         ids=[p.stem for p in MODULES if p.name != "sampling.py"])
+def test_only_sampling_reads_generator_words(path):
+    assert word_level_uses(path.read_text()) == []

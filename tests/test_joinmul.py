@@ -918,7 +918,7 @@ def _float_view_points(inst, seed):
     above = (FLOAT_VIEW_EPS * (1 + 2 ** -40),) + (0.0,) * (dim - 1)
     assert spheremodel._sum_squares(at_eps) == FLOAT_VIEW_EPS ** 2
     points["inl"] += [JoinPoint(u, z) for z in signed + (at_eps,)]
-    points["inl"] += [JoinPoint(_as_floats(inst.unit), (0,) * dim),
+    points["inl"] += [JoinPoint(_as_floats(basis_coords(dim, 0, Fraction(1))), (0,) * dim),
                       join_hspace_carrier(inst).unit]
     points["inr"] += [JoinPoint(z, u) for z in signed + (at_eps,)]
     points["glue"] += [JoinPoint(u, above), JoinPoint(above, u)]

@@ -17,7 +17,7 @@ from hopfcheck.laws import (assoc_check, corner_transport_check,
                             hspace_check, imaginaroid_check, imaginaroid_instance,
                             spheroid_check, spheroid_instance)
 from hopfcheck.sampling import CounterRng
-from hopfcheck.spheremodel import JoinPoint
+from hopfcheck.spheremodel import JoinPoint, basis_coords
 
 
 def F(n, d=1):
@@ -114,7 +114,7 @@ def test_assoc_fails_for_octonions_with_exact_witness():
 def test_corner_transport_trivial_tuple():
     inst = imaginaroid_instance("s0")
     assoc_check(inst, samples=50, seed=7)
-    one = inst.unit
+    one = basis_coords(inst.susp_dim, 0, Fraction(1))
     report = corner_transport_check(inst, one, one, one, one)
     assert report.holds
 
@@ -124,7 +124,7 @@ def test_corner_transport_complex_example():
     inst = imaginaroid_instance("s0")
     assoc_check(inst, samples=50, seed=7)
     i = (F(0), F(1))
-    one = inst.unit
+    one = basis_coords(inst.susp_dim, 0, Fraction(1))
     ac = mul_coeffs(i, i)
     assert ac == (F(-1), F(0))
     cb = mul_coeffs(i, one)
@@ -192,7 +192,8 @@ def test_hspace_detects_broken_unit(kind):
         inst = imaginaroid_instance("s0")
         assert assoc_check(inst, samples=20, seed=12).holds
         # inr(1) in place of the unit inl(1)
-        carrier, unit = join_hspace_carrier(inst), JoinPoint((F(0), F(0)), inst.unit)
+        unit = JoinPoint((F(0), F(0)), basis_coords(inst.susp_dim, 0, Fraction(1)))
+        carrier = join_hspace_carrier(inst)
     broken = carrier._replace(name="broken", unit=unit)
     reports = hspace_check(broken, samples=40, seed=12)
     assert not {r.law: r for r in reports}["left-unit"].holds

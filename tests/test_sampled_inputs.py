@@ -1,11 +1,12 @@
 """Every `run_laws` caller's sampled inputs against the per-sample draws they replaced.
 
-The suites draw through `checks.run_laws`, whose `LawRngs` preloads samples
+The suites draw through `checks.run_laws`, whose `law_rngs` preloads samples
 1.. with words from lane passes, and their draws read each input's words in
 one slice.  The references below are the draw closures as they were: one
 generator per sample, CounterRng(seed, suite(law), i), read through one
-`randint`, `randints`, `uniforms`, `uniform` or `sign` call per group of
-coordinates, with the `stereographic` map.  Every sampled input must equal
+`randint` call or one run of words per group of coordinates (the deleted
+`randints`, `uniforms`, `uniform` and `sign` methods, written out over
+`_u64s` here), with the `stereographic` map.  Every sampled input must equal
 its reference in value and type, float bits included.
 """
 
@@ -26,8 +27,21 @@ SEEDS = (1, 7)
 # the draws as they were
 
 
+def old_randints(rng, bounds):
+    return [lo + u % (hi - lo + 1) for (lo, hi), u in zip(bounds, rng._u64s(len(bounds)))]
+
+
+def old_uniforms(rng, lo, hi, n):
+    span = hi - lo
+    return tuple([lo + span * (u / 2.0**64) for u in rng._u64s(n)])
+
+
+def old_sign(rng):
+    return 1 if rng._u64s(1)[0] & 1 else -1
+
+
 def old_lifted(rng, n):
-    ints = rng.randints(((-M, M), (1, M)) * n)
+    ints = old_randints(rng, ((-M, M), (1, M)) * n)
     dens = ints[1::2]
     lcm = math.lcm(*dens)
     return Lifted(tuple(a * (lcm // d) for a, d in zip(ints[::2], dens)), lcm)
@@ -41,10 +55,10 @@ def old_stereographic_ints(nums, den):
 
 def old_point(rng, dim, mode):
     if dim == 1:
-        sign = rng.sign()
+        sign = old_sign(rng)
         return Lifted((sign,), 1) if mode == "exact" else (sign * 1.0,)
     if mode != "exact":
-        return stereographic(rng.uniforms(-M, M, dim - 1))
+        return stereographic(old_uniforms(rng, -M, M, dim - 1))
     y = old_lifted(rng, dim - 1)
     return old_stereographic_ints(y.nums, y.den)
 
@@ -53,7 +67,7 @@ def old_quarter(rng, mode):
     if mode == "exact":
         den = rng.randint(2, 4 * M)
         return old_stereographic_ints((rng.randint(1, den - 1),), den)
-    return stereographic((0.5 * rng.uniform(0.0, 1.0) + 0.25,))
+    return stereographic((0.5 * old_uniforms(rng, 0.0, 1.0, 1)[0] + 0.25,))
 
 
 def old_join_point(rng, inst, view, mode):
@@ -144,7 +158,7 @@ def arities(*tables):
 def test_ladder_draws_as_before(monkeypatch, seed, mode, level):
     n, shape = 1 << level, arities(cdalg.LADDER_LAWS)
     element = ((lambda rng: old_lifted(rng, n)) if mode == "exact"
-               else (lambda rng: rng.uniforms(-M, M, n)))
+               else (lambda rng: old_uniforms(rng, -M, M, n)))
     samples = (40 if level < 4 else 25) if mode == "exact" else 100
     assert_draws_as_before(
         monkeypatch, lambda seed: cdalg.law_suite(level, mode, samples, seed), seed,

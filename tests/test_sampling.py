@@ -1,8 +1,8 @@
 """The samplers against the formulas they replaced: the exact ones against the
 Fraction formulas and the integer code written out per sampler, the float
 quarter pair, sphere points and coefficients against their inline formulas,
-the one-loop generator draw against one generator step per coordinate, and
-the lane passes against the stepping generator."""
+the one-loop generator draw against one generator step per word, and the
+lane passes against the stepping generator."""
 
 from fractions import Fraction
 
@@ -12,16 +12,21 @@ from hypothesis import given, settings, strategies as st
 import math
 
 from hopfcheck import sampling
-from hopfcheck.sampling import (LANE_WORDS, MAGNITUDE, CounterRng, LawRngs, quarter_grid,
+from hopfcheck.sampling import (LANE_WORDS, MAGNITUDE, CounterRng, law_rngs, quarter_grid,
                                 quarter_point, rand_coeffs, rand_lifted, rand_point,
                                 rand_quarter_pair, rand_unit, stereographic)
 from hopfcheck.spheremodel import lifted
 
 
+def _sign(rng):
+    """CounterRng.sign as it was: the low bit of one word."""
+    return 1 if rng.next_u64() & 1 else -1
+
+
 def _fraction_rand_unit(rng, dim):
     """The stereographic image of random Fraction draws, in Fraction arithmetic."""
     if dim == 1:
-        return (rng.sign() * Fraction(1),)
+        return (_sign(rng) * Fraction(1),)
     vec = tuple(Fraction(rng.randint(-MAGNITUDE, MAGNITUDE), rng.randint(1, MAGNITUDE))
                 for _ in range(dim - 1))
     n2 = sum(c * c for c in vec)
@@ -67,7 +72,7 @@ def _inline_float_quarter_pair(rng):
 def _uniform_float_point(rng, dim):
     """Float rand_point as it was: a stereographic map of one uniform call per coordinate."""
     if dim == 1:
-        return (rng.sign() * 1.0,)
+        return (_sign(rng) * 1.0,)
     return stereographic(tuple(_one_uniform(rng, -MAGNITUDE, MAGNITUDE)
                                for _ in range(dim - 1)))
 
@@ -134,7 +139,7 @@ def test_float_quarter_pair_matches_its_inline_formula():
 
 
 def test_float_draws_match_their_uniform_formulas():
-    # one uniforms call per point gives the floats of one uniform call per coordinate
+    # one `_u64s` call per draw gives the floats of one generator step per coordinate
     for n in range(1, 17):
         for i in range(500):
             for draw, reference in ((lambda rng: rand_point(rng, n, "float"),
@@ -156,22 +161,21 @@ def _one_step(rng):
     return z ^ (z >> 31)
 
 
-def test_uniforms_match_one_step_per_coordinate():
-    # the one-loop draw gives the floats, bit for bit, and the stream position of
-    # one method call per coordinate; next_u64 takes the same step
+def test_u64s_match_one_step_per_word():
+    # the one-loop draw gives the words, and the stream position, of one step per
+    # word; next_u64 takes the same step
     for seed in (0, 1, 7, 2 ** 64 - 1):
         for suite in ("", "hspace/s7/left-unit/float", "fiber/quaternionic/fiber-polar/float"):
             for i in range(40):
-                for lo, hi, n in ((-MAGNITUDE, MAGNITUDE, i % 17), (0.0, 1.0, 1), (-1.5, 2.5, 8)):
+                for n in (i % 17, 1, 8):
                     fast, slow = CounterRng(seed, suite, i), CounterRng(seed, suite, i)
-                    want = tuple(lo + (hi - lo) * (_one_step(slow) / 2.0**64) for _ in range(n))
-                    assert repr(fast.uniforms(lo, hi, n)) == repr(want)
+                    assert fast._u64s(n) == [_one_step(slow) for _ in range(n)]
                     assert [fast.next_u64() for _ in range(3)] == [_one_step(slow)
                                                                    for _ in range(3)]
 
 
 def test_batched_rationals_match_one_step_per_integer():
-    # exact coefficients draw numerator, then denominator, in one randints call
+    # exact coefficients draw numerator, then denominator, in one `_u64s` call
     def one_randint(rng, lo, hi):
         return lo + _one_step(rng) % (hi - lo + 1)
 
@@ -202,11 +206,11 @@ def test_lifted_draw_equals_the_fraction_draw():
 
 
 def _law_words(seed, suite, samples, k):
-    """Words 0..k-1 of samples 1..samples-1 as `LawRngs` hands them out, once sample 0
+    """Words 0..k-1 of samples 1..samples-1 as `law_rngs` yields them, once sample 0
     has read k words."""
-    rngs = LawRngs(seed, suite, samples)
-    rngs(0)._u64s(k)
-    return [rngs(i)._u64s(k) for i in range(1, samples)]
+    rngs = law_rngs(seed, suite, samples)
+    next(rngs)._u64s(k)
+    return [rng._u64s(k) for rng in rngs]
 
 
 def test_lane_words_are_the_stepped_words():
@@ -220,7 +224,12 @@ def test_lane_words_are_the_stepped_words():
 
 
 def test_lane_passes_cover_chunks_of_samples(lane_passes):
-    _law_words(3, "test/lanes/passes", 2 * (LANE_WORDS // 7) + 4, 7)
+    rngs = law_rngs(3, "test/lanes/passes", 2 * (LANE_WORDS // 7) + 4)
+    next(rngs)._u64s(7)
+    assert lane_passes == []
+    # each pass is made when its chunk's first sample is taken
+    for i, rng in enumerate(rngs, 1):
+        assert len(lane_passes) == 1 + (i - 1) // (LANE_WORDS // 7)
     # samples 1.. in chunks of LANE_WORDS // 7 samples, the last one cut at the sample count
     assert lane_passes == [(LANE_WORDS // 7, 7), (LANE_WORDS // 7, 7), (3, 7)]
     with pytest.raises(ValueError):
@@ -230,10 +239,12 @@ def test_lane_passes_cover_chunks_of_samples(lane_passes):
 def test_preloaded_generator_steps_on_past_its_prefix():
     for seed in (0, 1, -1, 2 ** 64 + 5):
         for k in (1, 2, 7, 33):
-            rngs = LawRngs(seed, "test/lanes/prefix", 50)
-            rngs(0)._u64s(k)
-            for i in (1, 2, 49):
-                rng, want = rngs(i), CounterRng(seed, "test/lanes/prefix", i)._u64s(k + 3)
+            rngs = law_rngs(seed, "test/lanes/prefix", 50)
+            next(rngs)._u64s(k)
+            for i, rng in enumerate(rngs, 1):
+                if i not in (1, 2, 49):
+                    continue
+                want = CounterRng(seed, "test/lanes/prefix", i)._u64s(k + 3)
                 head = 1 + k // 2
                 assert rng._u64s(head) + rng._u64s(k + 3 - head) == want
                 # the stream goes on as the stepping generator's does
@@ -242,9 +253,9 @@ def test_preloaded_generator_steps_on_past_its_prefix():
                 assert [rng.next_u64() for _ in range(3)] == [stepped.next_u64() for _ in range(3)]
 
 
-def test_law_generators_before_sample_zero_and_without_words_step():
-    rngs = LawRngs(5, "test/lanes/order", 10)
-    assert rngs(3)._u64s(4) == CounterRng(5, "test/lanes/order", 3)._u64s(4)   # k not known
-    rngs(0)     # reads no word: k is 0, and every sample steps from its start
-    assert [rngs(i)._u64s(2) for i in range(1, 10)] == [
+def test_law_generators_without_words_step(lane_passes):
+    rngs = law_rngs(5, "test/lanes/order", 10)
+    next(rngs)      # reads no word: k is 0, and every sample steps from its start
+    assert [rng._u64s(2) for rng in rngs] == [
         CounterRng(5, "test/lanes/order", i)._u64s(2) for i in range(1, 10)]
+    assert lane_passes == []

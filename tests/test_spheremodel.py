@@ -322,7 +322,7 @@ def test_basis_coords_takes_the_scalar_type():
 
 def test_basis_callers_keep_their_scalar_types():
     # the units and poles the package builds are ints; every other caller keeps Fractions
-    fractions = [SpherePoint.basis(4, 2, -1).coords, imaginaroid_instance("s2").unit,
+    fractions = [SpherePoint.basis(4, 2, -1).coords, basis_coords(4, 0, Fraction(1)),
                  reduced_diamond_filler(SpherePoint.basis(4, 1)).problem.b.coords,
                  *_signed_basis(3)]
     for coords in fractions:
