@@ -43,13 +43,12 @@ and confirms its witness on the traced kernel, which does not read it.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache
 from itertools import chain, combinations, islice, product
 from typing import Callable, Iterator, Optional
 
 from .checks import compare, max_abs_diff, run_laws, worst_of
 from .errors import InvariantViolation, UsageError
-from .sampling import rand_coeffs, rand_lifted
 from .spheremodel import Lifted, _sum_squares, basis_coords, lifted, norm_coeffs
 
 MAX_LEVEL = 5
@@ -340,12 +339,12 @@ def _eval_norm_multiplicativity(_, inputs):
 
 
 LADDER_LAWS = (
-    ("realness", _eval_realness, 1),
-    ("commutativity", _eval_commutativity, 2),
-    ("associativity", _eval_associativity, 3),
-    ("alternativity", _eval_alternativity, 2),
-    ("nicely-normed", _eval_nicely_normed, 1),
-    ("norm-multiplicativity", _eval_norm_multiplicativity, 2),
+    ("realness", _eval_realness, ("element",)),
+    ("commutativity", _eval_commutativity, ("element",) * 2),
+    ("associativity", _eval_associativity, ("element",) * 3),
+    ("alternativity", _eval_alternativity, ("element",) * 2),
+    ("nicely-normed", _eval_nicely_normed, ("element",)),
+    ("norm-multiplicativity", _eval_norm_multiplicativity, ("element",) * 2),
 )
 
 
@@ -359,17 +358,13 @@ def law_suite(level: int,
 
     Returns one report per law.  Expected failures (e.g. associativity at
     level 3) are marked expected and do not count against the run.  Exact
-    samples are drawn as `Lifted` numerators (`rand_lifted`).
+    samples are drawn as `Lifted` numerators (`sampling.rand_lifted`).
     """
     if not 0 <= level <= MAX_LEVEL:
         raise UsageError(f"level must be within 0..{MAX_LEVEL}")
-    n = 1 << level
-    element = (partial(rand_lifted, n=n) if mode == "exact"
-               else partial(rand_coeffs, n=n, mode=mode))
     return run_laws(
-        LADDER_LAWS, f"level-{level}", None,
-        structured=lambda arity: structured_tuples(level, arity, STRUCTURED_CAP),
-        draw=lambda rng, arity, i: tuple([element(rng) for _ in range(arity)]),
+        LADDER_LAWS, f"level-{level}", None, dim=1 << level,
+        structured=lambda kinds: structured_tuples(level, len(kinds), STRUCTURED_CAP),
         suite=lambda law: f"cdalg/{law}/level-{level}/{mode}",
         expect=lambda law: LADDER[law](level), samples=samples, seed=seed,
         mode=mode, tolerance=tolerance)

@@ -17,7 +17,7 @@ from functools import partial
 from typing import Callable, Iterable, Optional
 
 from .errors import InvariantViolation, PreconditionError, UsageError
-from .sampling import law_rngs
+from .sampling import draw_input, law_rngs
 from .spheremodel import JoinPoint, Lifted, SpherePoint, lifted
 
 STATUS_HOLDS_EXACT = "holds-exact"
@@ -190,41 +190,47 @@ def _scan(evaluate: Callable, phases) -> tuple:
     return max_residual, None
 
 
+def require_samples(samples: int) -> int:
+    """samples, or UsageError below 1: a suite that clamps its sample count checks first."""
+    if samples < 1:
+        raise UsageError("samples must be >= 1")
+    return samples
+
+
 def run_laws(rows,
              instance: str,
              ctx,
              *,
-             draw: Callable,
+             dim: int,
              suite: Callable,
-             structured: Callable = lambda shape: (),
+             samples: int,
+             structured: Callable = lambda kinds: (),
              expect: Callable = lambda law: True,
-             samples: int = 0,
              seed: int = 0,
              mode: str = "exact",
              tolerance: float = 1e-9) -> list:
     """Check a table of laws and return one report per row, in table order.
 
-    Each row is (law, evaluate, shape).  evaluate(ctx, inputs) returns
-    (residual, lhs, rhs); shape describes one input tuple (usually its
-    arity) and is handed to structured(shape), which yields the exact
-    inputs, and to draw(rng, shape, i), which builds sample i from rng, the
-    generator CounterRng(seed, suite(law), i).  Samples are taken in index
-    order, 0, 1, 2, ..., and their generators come from one `law_rngs`
-    stream per law: sample 0 steps, and samples 1.. get their first k
-    words, k the number sample 0 read, from lane passes, then step on, so
-    sample i reads the words of its own generator.  An empty shape (arity
-    0) is judged on its structured inputs alone.  expect(law) says whether
-    the law should hold.
+    A row is (law, evaluate, kinds): evaluate(ctx, inputs) gives (residual, lhs,
+    rhs), structured(kinds) the exact inputs, and sample i draws one input of each
+    kind in order, in R^dim (`draw_input`), from CounterRng(seed, suite(law), i),
+    taken in index order from one `law_rngs` stream per law.  A row with no kinds,
+    or at dim 0 (R^0 has no point), draws no sample.  expect(law) says whether the
+    law should hold.
     """
+    require_samples(samples)
     reports = []
-    for law, evaluate, shape in rows:
-        n = samples if shape else 0
+    for law, evaluate, kinds in rows:
+        n = samples if kinds and dim else 0
 
-        def sampler(i, shape=shape, rngs=law_rngs(seed, suite(law), n)):
-            return draw(next(rngs), shape, i)
+        def sampler(i, kinds=kinds, rngs=law_rngs(seed, suite(law), n)):
+            rng, drawn = next(rngs), []
+            for kind in kinds:
+                drawn.append(draw_input(kind, rng, dim, mode, i, drawn, tolerance))
+            return tuple(drawn)
 
         reports.append(execute_check(
-            law, instance, partial(evaluate, ctx), structured=structured(shape),
+            law, instance, partial(evaluate, ctx), structured=structured(kinds),
             sampler=sampler, samples=n, seed=seed, mode=mode,
             tolerance=tolerance, expect_holds=expect(law)))
     return reports

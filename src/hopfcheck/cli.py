@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 from . import __version__
 from .checks import (REPORT_FIELDS, STATUS_FAILS, STATUS_HOLDS_EXACT, LawReport,
-                     ReportDocument, coeffs_to_json)
+                     ReportDocument, coeffs_to_json, require_samples)
 from .cdalg import LADDER, law_suite, zero_divisor_search
 from .errors import InvariantViolation, PreconditionError, UsageError
 from .hopf import FIBRATIONS, fiber_check, fibration_report, hopf_instance
@@ -163,8 +163,7 @@ def _parser() -> argparse.ArgumentParser:
 
 def run(config: RunConfig) -> ReportDocument:
     """Execute the configured suite and assemble the report document."""
-    if config.samples < 1:
-        raise UsageError("samples must be >= 1")
+    require_samples(config.samples)
     if config.workers < 1:
         raise UsageError("workers must be >= 1")
     if not 0 <= config.tolerance < math.inf:

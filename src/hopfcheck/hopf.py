@@ -33,7 +33,6 @@ from .errors import UsageError
 from .laws import (ImaginaroidInstance, assoc_check, hspace_check, imaginaroid_instance,
                    spheroid_instance)
 from .joinmul import join_hspace_carrier, oracle_equivalence_suite, unit_law_check
-from .sampling import rand_arc, rand_point
 from .spheremodel import (JoinPoint, Lifted, SpherePoint, _sum_squares, arc_point, basis_coords,
                           block_dim_error)
 
@@ -114,9 +113,10 @@ def _fiber_separation(ctx, inputs):
 
 
 @cache
-def _poles(dim: int) -> tuple:
-    """The north and south poles of susp(G) for G in R^dim, as int tuples."""
-    return basis_coords(dim + 1, 0, 1), basis_coords(dim + 1, 0, -1)
+def _poles(dim: int, exact: bool = False) -> tuple:
+    """The poles of susp(G), G in R^dim, as int tuples, or `Lifted` to meet lifted ends."""
+    poles = basis_coords(dim + 1, 0, 1), basis_coords(dim + 1, 0, -1)
+    return tuple(Lifted(p, 1) for p in poles) if exact else poles
 
 
 def _fiber_polar(ctx, inputs):
@@ -124,7 +124,7 @@ def _fiber_polar(ctx, inputs):
     (u, v, c, s), _ = inputs
     ends = (hopf_map(arc_point(u, v, 1, 0), inst).coords,
             hopf_map(arc_point(u, v, 0, 1), inst).coords)
-    poles = _poles(len(u))
+    poles = _poles(len(u), type(ends[0]) is Lifted)
     r, at = worst_of((0, 1), lambda k: max_abs_diff(ends[k], poles[k]))
     if not r <= 0:      # the pair of the pole that fails, with its exact coordinates
         return r, ends[at], tuple(map(Fraction, poles[at]))
@@ -136,12 +136,12 @@ def _fiber_polar(ctx, inputs):
     return 0, None, None
 
 
-#: the shape is the input arity: an arc point plus one or two translations
+#: the inputs: an arc point, a translation and, for separation, a far second one
 FIBER_LAWS = (
-    ("fiber-membership", _fiber_membership, 2),
-    ("fiber-completeness", _fiber_completeness, 2),
-    ("fiber-separation", _fiber_separation, 3),
-    ("fiber-polar", _fiber_polar, 2),
+    ("fiber-membership", _fiber_membership, ("arc", "point")),
+    ("fiber-completeness", _fiber_completeness, ("arc", "point")),
+    ("fiber-separation", _fiber_separation, ("arc", "point", "far")),
+    ("fiber-polar", _fiber_polar, ("arc", "point")),
 )
 
 
@@ -166,26 +166,8 @@ def fiber_check(inst: HopfInstance,
     """
     if mode == "float" and not tolerance < 1:
         raise UsageError("fiber checks need a float tolerance < 1")
-    dim = inst.fiber_dim
-    gap = tolerance if mode == "float" else 0
-
-    def separated(w1, w) -> bool:
-        """max_abs_diff(w1, w) > gap; exact points differ on cross-multiplied numerators."""
-        if mode == "exact":
-            return any(x * w.den != y * w1.den for x, y in zip(w1.nums, w.nums))
-        return max_abs_diff(w1, w) > gap
-
-    def draw(rng, arity, i):
-        u, v, cs = rand_arc(rng, dim, mode)
-        ws = [rand_point(rng, dim, mode)]
-        while len(ws) < arity - 1:
-            w = rand_point(rng, dim, mode)
-            if separated(ws[0], w):
-                ws.append(w)
-        return ((u, v) + tuple(cs), *ws)
-
     return run_laws(
-        FIBER_LAWS, inst.name, (inst, gap), draw=draw,
+        FIBER_LAWS, inst.name, (inst, tolerance if mode == "float" else 0), dim=inst.fiber_dim,
         suite=lambda law: f"fiber/{inst.name}/{law}/{mode}", samples=samples,
         seed=seed, mode=mode, tolerance=tolerance)
 

@@ -42,14 +42,13 @@ from operator import itemgetter
 from typing import Callable, NamedTuple
 
 from .cdalg import conj_coeffs, mul_coeffs
-from .checks import compare, max_abs_diff, run_laws, worst_of
+from .checks import compare, max_abs_diff, require_samples, run_laws, worst_of
 from .errors import InvariantViolation, UsageError
 from .laws import (HSPACE_UNIT_LAWS, Carrier, ImaginaroidInstance, _require_assoc,
                    _carrier_laws, _signed_basis)
-from .sampling import CounterRng, quarter_grid, rand_arc, rand_point, rand_unit
-from .spheremodel import (FLOAT_VIEW_EPS, JoinPoint, Lifted, SpherePoint, _sum_squares, arc_point,
-                          basis_coords, block_dim_error, is_exact, lift, lifted, lifted_arc,
-                          neg_coeffs)
+from .sampling import VIEW_KINDS, CounterRng, join_point_sample, quarter_grid
+from .spheremodel import (FLOAT_VIEW_EPS, JoinPoint, Lifted, SpherePoint, _sum_squares,
+                          basis_coords, block_dim_error, is_exact, lift, lifted, neg_coeffs)
 
 #: report-instance names for the join carriers, keyed by imaginaroid name
 JOIN_INSTANCE = {"empty": "s1", "s0": "s3", "s2": "s7"}
@@ -300,24 +299,9 @@ def join_mul_alg(X: JoinPoint, Y: JoinPoint, level: int) -> JoinPoint:
 
 def sample_join_point(rng: CounterRng, inst: ImaginaroidInstance, view: str,
                       mode: str) -> JoinPoint:
-    """`join_point_sample`'s point, with Fraction coordinates in exact mode."""
-    X = join_point_sample(rng, inst, view, mode)
+    """`join_point_sample`'s point of inst's join, with Fractions in exact mode."""
+    X = join_point_sample(rng, inst.susp_dim, view, mode)
     return JoinPoint(tuple(X.left), tuple(X.right)) if mode == "exact" else X
-
-
-def join_point_sample(rng: CounterRng, inst: ImaginaroidInstance, view: str,
-                      mode: str) -> JoinPoint:
-    """A random point of the view inl, inr or glue; a lifted point in exact mode."""
-    dim = inst.susp_dim
-    if view == "glue":
-        u, v, cs = rand_arc(rng, dim, mode)
-        return lifted_arc(u, v, cs) if mode == "exact" else arc_point(u, v, *cs)
-    x = rand_point(rng, dim, mode)
-    zero = Lifted((0,) * dim, x.den) if mode == "exact" else (0.0,) * dim
-    return JoinPoint(x, zero) if view == "inl" else JoinPoint(zero, x)
-
-
-VIEW_KINDS = ("inl", "inr", "glue")
 
 
 def _oracle_equivalence(inst, inputs):
@@ -325,7 +309,7 @@ def _oracle_equivalence(inst, inputs):
     return compare(join_mul_syn(X, Y, inst), join_mul_alg(X, Y, inst.level + 1))
 
 
-#: one law per view combination; the shape is the pair of views to sample
+#: one law per view combination, whose inputs are join points of those views
 ORACLE_LAWS = tuple((f"oracle-equivalence[{kx},{ky}]", _oracle_equivalence, (kx, ky))
                     for kx in VIEW_KINDS for ky in VIEW_KINDS)
 
@@ -339,11 +323,9 @@ def oracle_equivalence_suite(inst: ImaginaroidInstance,
     """join_mul_syn against the doubled-algebra product, per view combination."""
     instance = JOIN_INSTANCE.get(inst.name, inst.name)
     return run_laws(
-        ORACLE_LAWS, instance, inst,
-        draw=lambda rng, views, i: tuple(join_point_sample(rng, inst, v, mode)
-                                         for v in views),
+        ORACLE_LAWS, instance, inst, dim=inst.susp_dim, seed=seed, mode=mode,
         suite=lambda law: f"joinmul/{instance}/{law}/{mode}",
-        samples=max(1, samples // 9), seed=seed, mode=mode, tolerance=tolerance)
+        samples=max(1, require_samples(samples) // 9), tolerance=tolerance)
 
 
 def unit_law_check(inst: ImaginaroidInstance,
@@ -355,12 +337,11 @@ def unit_law_check(inst: ImaginaroidInstance,
     """inl(1) X = X = X inl(1), exact on point constructors, sampled on arcs.
 
     The H-space unit laws of the join carrier, with samples cycling
-    through the three views.
+    through the three views (kind `cycle`).
     """
-    carrier = join_hspace_carrier(inst)
+    carrier = join_hspace_carrier(inst)._replace(kind="cycle")
     return _carrier_laws(
         HSPACE_UNIT_LAWS, carrier, mode=mode,
-        draw=lambda rng, arity, i: (join_point_sample(rng, inst, VIEW_KINDS[i % 3], mode),),
         suite=lambda law: f"joinmul/{carrier.name}/unit/{mode}", samples=samples,
         seed=seed, tolerance=tolerance)
 
@@ -468,9 +449,9 @@ def _filler_pole_reduction(params, inputs):
 
 
 DIAMOND_LAWS = (
-    ("filler-unit-norm", _filler_unit_norm, 1),
-    ("filler-boundary", _filler_boundary, 1),
-    ("filler-pole-reduction", _filler_pole_reduction, 1),
+    ("filler-unit-norm", _filler_unit_norm, ("corner",)),
+    ("filler-boundary", _filler_boundary, ("corner",)),
+    ("filler-pole-reduction", _filler_pole_reduction, ("corner",)),
 )
 
 
@@ -488,17 +469,10 @@ def diamond_suite(inst: ImaginaroidInstance,
     if grid < 1:
         raise UsageError("grid must be >= 1")
     instance = JOIN_INSTANCE.get(inst.name, inst.name)
-    dim = inst.susp_dim
-
-    def draw(rng, arity, i):
-        if i < 2:
-            return (SpherePoint.basis(dim, 0, 1 - 2 * i),)
-        return (SpherePoint(rand_unit(rng, dim, mode)),)
-
     return run_laws(
-        DIAMOND_LAWS, instance, _LiftedGrid(quarter_grid(grid)), draw=draw,
-        suite=lambda law: f"diamond/{instance}/x/{mode}", samples=max(samples, 2),
-        seed=seed, mode=mode, tolerance=tolerance)
+        DIAMOND_LAWS, instance, _LiftedGrid(quarter_grid(grid)), dim=inst.susp_dim,
+        suite=lambda law: f"diamond/{instance}/x/{mode}",
+        samples=max(require_samples(samples), 2), seed=seed, mode=mode, tolerance=tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -517,9 +491,6 @@ def join_hspace_carrier(inst: ImaginaroidInstance) -> Carrier:
     def conj(X: JoinPoint) -> JoinPoint:
         return JoinPoint(conj_coeffs(X.left), neg_coeffs(X.right))
 
-    def sample(rng: CounterRng, mode: str) -> JoinPoint:
-        return join_point_sample(rng, inst, VIEW_KINDS[rng.randint(0, 2)], mode)
-
     return Carrier(
         name=JOIN_INSTANCE.get(inst.name, inst.name),
         unit=JoinPoint(basis_coords(dim, 0, 1), (0,) * dim),
@@ -527,4 +498,4 @@ def join_hspace_carrier(inst: ImaginaroidInstance) -> Carrier:
         conj=conj,
         structured=tuple(JoinPoint(p, zero) for p in _signed_basis(dim))
         + tuple(JoinPoint(zero, p) for p in _signed_basis(dim)),
-        sample=sample)
+        kind="join", dim=dim)

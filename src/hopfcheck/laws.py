@@ -13,8 +13,8 @@ plus the octonion sphere S^7, the non-associative control of `cdalg.LADDER`.
 
 Spheroids, an imaginaroid's suspension and base sphere, and H-space
 carriers are each one `Carrier` record (unit, product, conjugation,
-negation, exact points and sampler), and every sphere suite reads its
-structured and sampled inputs off its carrier.
+negation, exact points and the kind of point it samples), and every sphere
+suite reads its structured and sampled inputs off its carrier.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from typing import Callable, NamedTuple, Optional
 from .cdalg import LADDER, basis_coords, conj_coeffs, mul_coeffs
 from .checks import LawReport, compare, execute_check, max_abs_diff, run_laws, worst_of
 from .errors import PreconditionError, UsageError
-from .sampling import rand_point
 from .spheremodel import is_exact, lifted, neg_coeffs
 
 
@@ -43,10 +42,10 @@ class Carrier(NamedTuple):
     """A pointed structure with product, conjugation and negation, and its inputs.
 
     Points are coordinate sequences (tuples or join points), so the laws
-    compare them as coefficient vectors.  A law of arity k scans every
-    k-tuple of the exact points in `structured`, then k points per sample
-    drawn with sample(rng, mode).  neg is None on a carrier whose laws
-    never negate.
+    compare them as coefficient vectors.  A law of k inputs scans every
+    k-tuple of the exact points in `structured`, then draws k points of
+    `kind` per sample (`sampling.draw_input`), coordinates or join blocks in
+    R^dim.  neg is None on a carrier whose laws never negate.
     """
 
     name: str
@@ -54,7 +53,8 @@ class Carrier(NamedTuple):
     mul: Callable
     conj: Callable
     structured: tuple
-    sample: Callable          # (rng, mode) -> point
+    kind: str
+    dim: int
     neg: Optional[Callable] = None
 
 
@@ -64,8 +64,7 @@ def _sphere_carrier(name: str, dim: int) -> Carrier:
     the module global then, so a profiler that rebinds mul_coeffs sees it."""
     return Carrier(
         name=name, unit=basis_coords(dim, 0, 1), mul=mul_coeffs, conj=conj_coeffs,
-        structured=_signed_basis(dim), sample=lambda rng, mode: rand_point(rng, dim, mode),
-        neg=neg_coeffs)
+        structured=_signed_basis(dim), kind="point", dim=dim, neg=neg_coeffs)
 
 
 class ImaginaroidInstance:
@@ -183,37 +182,36 @@ def _associativity(s, inputs):
 
 
 SPHEROID_LAWS = (
-    ("one-star", _one_star, 0),
-    ("neg-star", _neg_star, 1),
-    ("neg-involution", _neg_involution, 1),
-    ("star-involution", _star_involution, 1),
-    ("mul-neg", _mul_neg, 2),
-    ("star-mul", _star_mul, 2),
-    ("star-left-inverse", _star_left_inverse, 1),
+    ("one-star", _one_star, ()),
+    ("neg-star", _neg_star, ("point",)),
+    ("neg-involution", _neg_involution, ("point",)),
+    ("star-involution", _star_involution, ("point",)),
+    ("mul-neg", _mul_neg, ("point",) * 2),
+    ("star-mul", _star_mul, ("point",) * 2),
+    ("star-left-inverse", _star_left_inverse, ("point",)),
     # derived: these follow from the six above, checked independently
-    ("star-right-inverse", _star_right_inverse, 1),
-    ("neg-mul", _neg_mul, 2),
+    ("star-right-inverse", _star_right_inverse, ("point",)),
+    ("neg-mul", _neg_mul, ("point",) * 2),
 )
 
 IMAGINAROID_LAWS = (
-    ("mul-neg", _mul_neg, 2),
-    ("star-right-inverse", _star_right_inverse, 1),
-    ("star-mul", _star_mul, 2),
-    ("one-mul", _one_mul, 1),
-    ("mul-one", _mul_one, 1),
+    ("mul-neg", _mul_neg, ("point",) * 2),
+    ("star-right-inverse", _star_right_inverse, ("point",)),
+    ("star-mul", _star_mul, ("point",) * 2),
+    ("one-mul", _one_mul, ("point",)),
+    ("mul-one", _mul_one, ("point",)),
 )
 
 
-def _carrier_laws(rows, carrier: Carrier, *, mode: str, draw=None, **kw) -> list:
-    """run_laws on a carrier: every arity-tuple of carrier.structured, then sample i
-    as arity points drawn with carrier.sample, or by draw.  kw goes to run_laws.
-    The suite runs on `_suite_carrier(carrier, mode)`."""
+def _carrier_laws(rows, carrier: Carrier, *, mode: str, **kw) -> list:
+    """run_laws on a carrier: a row of k inputs (named as points) scans every
+    k-tuple of carrier.structured, then draws k inputs of carrier.kind per sample.
+    kw goes to run_laws.  The suite runs on `_suite_carrier(carrier, mode)`."""
     carrier = _suite_carrier(carrier, mode)
     return run_laws(
-        rows, carrier.name, carrier, mode=mode,
-        structured=lambda arity: product(carrier.structured, repeat=arity),
-        draw=draw or (lambda rng, arity, i: tuple([carrier.sample(rng, mode)
-                                                   for _ in range(arity)])), **kw)
+        [(law, evaluate, (carrier.kind,) * len(kinds)) for law, evaluate, kinds in rows],
+        carrier.name, carrier, dim=carrier.dim, mode=mode,
+        structured=lambda kinds: product(carrier.structured, repeat=len(kinds)), **kw)
 
 
 def _suite_carrier(carrier: Carrier, mode: str) -> Carrier:
@@ -253,17 +251,16 @@ def imaginaroid_check(inst: ImaginaroidInstance,
     The suspension laws share their bodies with the spheroid suite, which
     runs them again on the suspension under its own instance name.
     """
-    kw = dict(seed=seed, mode=mode, tolerance=tolerance)
-    # base negation must be involutive; an empty base has nothing to sample
+    kw = dict(samples=samples, seed=seed, mode=mode, tolerance=tolerance)
+    # base negation must be involutive; an empty base (dim 0) has nothing to sample
     reports = _carrier_laws(
-        (("base-neg-involution", _neg_involution, 1),), _sphere_carrier(inst.name, inst.base_dim),
-        suite=lambda law: f"laws/{inst.name}/base-neg/{mode}",
-        samples=samples if inst.base_dim else 0, **kw)
+        (("base-neg-involution", _neg_involution, ("point",)),),
+        _sphere_carrier(inst.name, inst.base_dim),
+        suite=lambda law: f"laws/{inst.name}/base-neg/{mode}", **kw)
     reports += _carrier_laws(
         IMAGINAROID_LAWS, _sphere_carrier(inst.name, inst.susp_dim),
-        suite=lambda law: f"laws/{inst.name}/{law}/{mode}", samples=samples, **kw)
-    return reports + spheroid_check(
-        _sphere_carrier(f"susp({inst.name})", inst.susp_dim), samples=samples, **kw)
+        suite=lambda law: f"laws/{inst.name}/{law}/{mode}", **kw)
+    return reports + spheroid_check(_sphere_carrier(f"susp({inst.name})", inst.susp_dim), **kw)
 
 
 def assoc_check(inst: ImaginaroidInstance,
@@ -275,7 +272,8 @@ def assoc_check(inst: ImaginaroidInstance,
     """(xy)z = x(yz) on the suspension; a pass unlocks the join construction.
     Expected as `cdalg.LADDER` says: a pass at levels 0-2, a failure at level 3."""
     (report,) = _carrier_laws(
-        (("associativity", _associativity, 3),), _sphere_carrier(inst.name, inst.susp_dim),
+        (("associativity", _associativity, ("point",) * 3),),
+        _sphere_carrier(inst.name, inst.susp_dim),
         suite=lambda law: f"laws/{inst.name}/assoc/{mode}",
         expect=lambda law: LADDER["associativity"](inst.level),
         samples=samples, seed=seed, mode=mode, tolerance=tolerance)
@@ -345,7 +343,7 @@ def corner_transport_suite(inst: ImaginaroidInstance,
     They follow from associativity, so they are expected where the ladder expects it."""
     _require_assoc(inst, allow_unverified)
     (report,) = _carrier_laws(
-        (("corner-transport", _corner_transport, 4),),
+        (("corner-transport", _corner_transport, ("point",) * 4),),
         _sphere_carrier(inst.name, inst.susp_dim)._replace(structured=()),
         suite=lambda law: f"laws/{inst.name}/corner/{mode}",
         expect=lambda law: LADDER["associativity"](inst.level),
@@ -384,15 +382,15 @@ def _right_inv_alt(c, inputs):
 
 
 HSPACE_UNIT_LAWS = (
-    ("left-unit", _one_mul, 1),
-    ("right-unit", _mul_one, 1),
+    ("left-unit", _one_mul, ("point",)),
+    ("right-unit", _mul_one, ("point",)),
 )
 
 HSPACE_LAWS = HSPACE_UNIT_LAWS + (
-    ("left-translation-inverse", _left_inv, 2),
-    ("left-translation-inverse-alt", _left_inv_alt, 2),
-    ("right-translation-inverse", _right_inv, 2),
-    ("right-translation-inverse-alt", _right_inv_alt, 2),
+    ("left-translation-inverse", _left_inv, ("point",) * 2),
+    ("left-translation-inverse-alt", _left_inv_alt, ("point",) * 2),
+    ("right-translation-inverse", _right_inv, ("point",) * 2),
+    ("right-translation-inverse-alt", _right_inv_alt, ("point",) * 2),
 )
 
 

@@ -33,7 +33,8 @@ Fractions.  One integer draw (`rand_lifted`) gives both the ladder's
 exact samples and the sphere points' source vectors, and one float
 decoder (`_floats_of`) both the float coefficients and the float points'
 source vectors.  Every draw reads its words in one `_u64s` call and
-builds its values from them (`point_of`, `quarter_of`).
+builds its values from them (`point_of`, `quarter_of`).  A law row names
+the kind of each input, and `draw_input` alone draws every kind.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ import math
 import sys
 from functools import cache
 
-from .spheremodel import Lifted, _sum_squares
+from .spheremodel import JoinPoint, Lifted, SpherePoint, _sum_squares, arc_point, lifted_arc
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15                 # splitmix64's increment G
@@ -305,3 +306,50 @@ def quarter_point(k: int, den: int) -> tuple:
 def quarter_grid(n: int) -> list:
     """n+1 exact quarter-circle pairs from t = 0/n ... n/n, endpoints included."""
     return [quarter_point(k, n) for k in range(n + 1)]
+
+
+# ---------------------------------------------------------------------------
+# law inputs
+
+#: a join point's views, in the order a `join` word or a `cycle` index picks them
+VIEW_KINDS = ("inl", "inr", "glue")
+
+
+def join_point_sample(rng: CounterRng, dim: int, view: str, mode: str) -> JoinPoint:
+    """A random join point of the view inl, inr or glue, blocks in R^dim; lifted in exact mode."""
+    if view == "glue":
+        u, v, cs = rand_arc(rng, dim, mode)
+        return lifted_arc(u, v, cs) if mode == "exact" else arc_point(u, v, *cs)
+    x = rand_point(rng, dim, mode)
+    zero = Lifted((0,) * dim, x.den) if mode == "exact" else (0.0,) * dim
+    return JoinPoint(x, zero) if view == "inl" else JoinPoint(zero, x)
+
+
+def draw_input(kind: str, rng: CounterRng, dim: int, mode: str, i: int, drawn: list,
+               tolerance: float):
+    """Input `kind` of sample i in R^dim from rng: a ladder `element`, a `point`, a
+    `corner` (the poles +-e_0 at samples 0 and 1, reading no word, then `SpherePoint`s),
+    an `arc` (u, v, c, s), a join point of the view `inl`, `inr` or `glue`, of a view
+    one word picks (`join`) or of view i % 3 (`cycle`), or a point redrawn until it
+    differs from drawn[-1], the input before it, beyond tolerance in float mode (`far`)."""
+    if kind == "point":
+        return rand_point(rng, dim, mode)
+    if kind == "element":
+        return rand_lifted(rng, dim) if mode == "exact" else rand_coeffs(rng, dim, mode)
+    if kind in ("join", "cycle"):
+        kind = VIEW_KINDS[rng.randint(0, 2) if kind == "join" else i % 3]
+    if kind in VIEW_KINDS:
+        return join_point_sample(rng, dim, kind, mode)
+    if kind == "arc":
+        u, v, cs = rand_arc(rng, dim, mode)
+        return (u, v) + tuple(cs)
+    if kind == "corner":
+        return (SpherePoint.basis(dim, 0, 1 - 2 * i) if i < 2
+                else SpherePoint(rand_unit(rng, dim, mode)))
+    if kind == "far":   # exact points differ on cross-multiplied numerators
+        w1, w = drawn[-1], rand_point(rng, dim, mode)
+        while not (any(x * w.den != y * w1.den for x, y in zip(w1.nums, w.nums))
+                   if mode == "exact" else any(abs(x - y) > tolerance for x, y in zip(w1, w))):
+            w = rand_point(rng, dim, mode)
+        return w
+    raise ValueError(f"unknown input kind {kind!r}")

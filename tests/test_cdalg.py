@@ -18,7 +18,7 @@ from itertools import combinations, islice
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hopfcheck import cdalg, spheremodel
+from hopfcheck import cdalg, checks, spheremodel
 from hopfcheck.cdalg import (_eval_alternativity, _eval_associativity, _eval_commutativity,
                              _eval_norm_multiplicativity, _mul_recursive, _sign_table,
                              _structured_elements, _traced_kernel, basis_coords, conj_coeffs,
@@ -786,8 +786,8 @@ def _ladder_inputs(level, arity, kind):
 @pytest.mark.parametrize("kind", ["sparse-int", "dense-int", "fraction", "int-fraction",
                                   "float", "exact-float"])
 def test_ladder_bodies_match_per_product_bodies(level, kind):
-    for law, evaluate, arity in cdalg.LADDER_LAWS:
-        for inputs in _ladder_inputs(level, arity, kind):
+    for law, evaluate, kinds in cdalg.LADDER_LAWS:
+        for inputs in _ladder_inputs(level, len(kinds), kind):
             got = evaluate(None, inputs)
             assert repr(got) == repr(PER_PRODUCT_BODIES[law](inputs)), (law, inputs)
 
@@ -849,13 +849,15 @@ def test_lifted_ladder_samples_keep_the_fraction_draws_reports(level, seed, monk
     # of the Fraction draw it replaced.  A short structured scan leaves more failures,
     # with their witnesses, to the sampled phase.
     monkeypatch.setattr(cdalg, "STRUCTURED_CAP", 300)
-    n = 1 << level
-    before = run_laws(
-        cdalg.LADDER_LAWS, f"level-{level}", None,
-        structured=lambda arity: structured_tuples(level, arity, 300),
-        draw=lambda rng, arity, i: tuple(rand_coeffs(rng, n, "exact") for _ in range(arity)),
-        suite=lambda law: f"cdalg/{law}/level-{level}/exact",
-        expect=lambda law: cdalg.LADDER[law](level), samples=40, seed=seed)
+    with monkeypatch.context() as m:
+        # the runner draws each element as the Fraction tuple of `rand_coeffs`
+        m.setattr(checks, "draw_input", lambda kind, rng, dim, mode, i, drawn, tolerance:
+                  rand_coeffs(rng, dim, "exact"))
+        before = run_laws(
+            cdalg.LADDER_LAWS, f"level-{level}", None, dim=1 << level,
+            structured=lambda kinds: structured_tuples(level, len(kinds), 300),
+            suite=lambda law: f"cdalg/{law}/level-{level}/exact",
+            expect=lambda law: cdalg.LADDER[law](level), samples=40, seed=seed)
     after = law_suite(level, "exact", samples=40, seed=seed)
 
     def doc(reports):

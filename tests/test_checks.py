@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hopfcheck import cdalg, hopf, joinmul, laws, sampling
+from hopfcheck import cdalg, checks, hopf, joinmul, laws, sampling
 from hopfcheck.checks import (REPORT_FIELDS, STATUS_FAILS, STATUS_HOLDS_EXACT,
                               STATUS_HOLDS_SAMPLED, LawReport, compare, execute_check,
                               max_abs_diff, run_laws, worst_of)
@@ -265,50 +265,53 @@ def test_suite_key_and_samples_unchanged():
 
 
 
-def _two_word_law(drawn, fails_at=None, raises_at=None, structured=()):
-    """run_laws' arguments for one law of arity 1 whose sample i is (i, its first two
-    words), appended to drawn; it fails on sample fails_at (and on a structured input
-    (fails_at, ...)), and its draw raises on sample raises_at."""
-    def draw(rng, arity, i):
+def _two_word_law(monkeypatch, drawn, fails_at=None, raises_at=None, structured=()):
+    """run_laws' arguments for one law of one input; `checks.draw_input`, patched,
+    draws sample i as (i,), reading its first two words and appending (i, words) to
+    drawn.  The law fails on sample fails_at (and on a structured input (fails_at,
+    ...)), and the draw raises on sample raises_at."""
+    def draw_input(kind, rng, dim, mode, i, inputs, tolerance):
         if i == raises_at:
             raise ArithmeticError("no draw")
         drawn.append((i, tuple(rng._u64s(2))))
-        return drawn[-1]
+        return i
 
     def evaluate(ctx, inputs):
         return (1 if inputs[0] == fails_at else 0), inputs, inputs
 
-    return dict(rows=(("law", evaluate, 1),), instance="t", ctx=None, draw=draw,
-                suite=lambda law: "test/run-laws", structured=lambda arity: structured,
+    monkeypatch.setattr(checks, "draw_input", draw_input)
+    return dict(rows=(("law", evaluate, ("point",)),), instance="t", ctx=None, dim=1,
+                suite=lambda law: "test/run-laws", structured=lambda kinds: structured,
                 samples=10000, seed=4)
 
 
-def test_run_laws_draws_no_word_past_a_structured_failure(lane_passes):
+def test_run_laws_draws_no_word_past_a_structured_failure(lane_passes, monkeypatch):
     drawn = []
-    (report,) = run_laws(**_two_word_law(drawn, fails_at=-1, structured=[(-1, ())]))
+    (report,) = run_laws(**_two_word_law(monkeypatch, drawn, fails_at=-1,
+                                         structured=[(-1, ())]))
     assert report.status == STATUS_FAILS and report.witness["inputs"] == [-1, []]
     assert drawn == lane_passes == []
 
 
-def test_run_laws_draws_at_most_one_chunk_past_a_failure(lane_passes):
+def test_run_laws_draws_at_most_one_chunk_past_a_failure(lane_passes, monkeypatch):
     drawn = []
-    (report,) = run_laws(**_two_word_law(drawn, fails_at=3000))
+    (report,) = run_laws(**_two_word_law(monkeypatch, drawn, fails_at=3000))
     assert report.status == STATUS_FAILS and report.witness["inputs"][0] == 3000
     chunk = sampling.LANE_WORDS // 2
     assert lane_passes == [(chunk, 2), (chunk, 2)]        # samples 1..2 chunks
     assert 3000 < 2 * chunk <= 3000 + chunk
 
 
-def test_run_laws_fails_a_raising_draw_at_its_index(lane_passes):
-    (report,) = run_laws(**_two_word_law([], raises_at=77))
+def test_run_laws_fails_a_raising_draw_at_its_index(lane_passes, monkeypatch):
+    (report,) = run_laws(**_two_word_law(monkeypatch, [], raises_at=77))
     assert report.status == STATUS_FAILS
     assert report.witness == {"sample": 77, "error": "ArithmeticError: no draw"}
     assert lane_passes == [(sampling.LANE_WORDS // 2, 2)]
 
 
-def test_run_laws_samples_read_their_own_generators(lane_passes):
+def test_run_laws_samples_read_their_own_generators(lane_passes, monkeypatch):
     drawn = []
-    run_laws(**_two_word_law(drawn))
+    run_laws(**_two_word_law(monkeypatch, drawn))
     assert len(lane_passes) == 5
     assert drawn == [(i, tuple(CounterRng(4, "test/run-laws", i)._u64s(2)))
                      for i in range(10000)]
@@ -359,3 +362,43 @@ def test_a_misspelled_mode_is_refused(run, mode):
     # it once ran as float mode
     with pytest.raises(UsageError, match="unknown mode"):
         run(mode)
+
+
+def _verified(name):
+    inst = laws.imaginaroid_instance(name)
+    inst.assoc_verified = True
+    return inst
+
+
+#: every public suite that takes a sample count, as samples -> its reports
+SAMPLED_SUITES = {
+    "law_suite": lambda n: cdalg.law_suite(2, samples=n),
+    "spheroid_check": lambda n: laws.spheroid_check(laws.spheroid_instance("s1"), samples=n),
+    "imaginaroid_check": lambda n: laws.imaginaroid_check(laws.imaginaroid_instance("empty"),
+                                                          samples=n),
+    "assoc_check": lambda n: [laws.assoc_check(laws.imaginaroid_instance("s0"), samples=n)],
+    "corner_transport_suite": lambda n: [laws.corner_transport_suite(_verified("s0"),
+                                                                     samples=n)],
+    "hspace_check": lambda n: laws.hspace_check(laws.spheroid_instance("s1"), samples=n),
+    "unit_law_check": lambda n: joinmul.unit_law_check(_verified("s0"), samples=n),
+    "oracle_equivalence_suite": lambda n: joinmul.oracle_equivalence_suite(_verified("s0"),
+                                                                           samples=n),
+    "diamond_suite": lambda n: joinmul.diamond_suite(_verified("s0"), grid=4, samples=n),
+    "fiber_check": lambda n: hopf.fiber_check(hopf.hopf_instance("complex"), samples=n,
+                                              mode="float"),
+    "fibration_report": lambda n: hopf.fibration_report(hopf.hopf_instance("real"), samples=n),
+}
+
+
+@pytest.mark.parametrize("samples", [0, -5])
+@pytest.mark.parametrize("name", sorted(SAMPLED_SUITES))
+def test_every_suite_refuses_a_sample_count_below_one(name, samples):
+    # they once reported passes on zero inputs, and "samples: -5"; the suites that
+    # clamp their count (diamond, oracle) check it first
+    with pytest.raises(UsageError, match=r"^samples must be >= 1$"):
+        SAMPLED_SUITES[name](samples)
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLED_SUITES))
+def test_every_suite_runs_on_one_sample(name):
+    assert all(r.expected for r in SAMPLED_SUITES[name](1))

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from hopfcheck import __version__, cdalg, cli, joinmul, laws
+from hopfcheck import __version__, cdalg, cli, joinmul, laws, sampling
 from hopfcheck.checks import REPORT_FIELDS, ReportDocument
 from hopfcheck.cli import emit, main
 from hopfcheck.errors import InvariantViolation, PreconditionError, UsageError
@@ -168,7 +168,7 @@ def test_raising_sampler_fails_each_sampled_law(error, tmp_path, monkeypatch, ca
     def rand_point(rng, dim, mode):
         raise error("no draw")
 
-    monkeypatch.setattr(laws, "rand_point", rand_point)
+    monkeypatch.setattr(sampling, "rand_point", rand_point)
     code, doc = run_cli_json(tmp_path, "spheroid", "--instance", "s1", "--samples", "5")
     assert code == 1 and doc["overall"] == "fail"
     assert capsys.readouterr().err == ""

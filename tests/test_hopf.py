@@ -3,20 +3,21 @@
 import subprocess
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hopfcheck import hopf
+from hopfcheck import checks, hopf
 from hopfcheck.cdalg import mul_coeffs, norm_coeffs
 from hopfcheck.checks import STATUS_FAILS, coeffs_to_json, execute_check, max_abs_diff, worst_of
 from hopfcheck.hopf import (FIBRATIONS, HopfInstance, dimension_report, fiber_check,
                             fibration_report, hopf_instance, hopf_map)
-from hopfcheck.sampling import CounterRng, rand_quarter_pair, rand_unit
+from hopfcheck.sampling import (CounterRng, draw_input, join_point_sample, rand_quarter_pair,
+                                rand_unit)
 from hopfcheck.errors import UsageError
-from hopfcheck.joinmul import join_point_sample
 from hopfcheck.laws import imaginaroid_instance
-from hopfcheck.spheremodel import JoinPoint, Lifted, SpherePoint, arc_point, basis_coords
+from hopfcheck.spheremodel import JoinPoint, Lifted, SpherePoint, arc_point, basis_coords, lifted
 
 
 def F(n, d=1):
@@ -222,6 +223,33 @@ def test_fiber_polar_witness_names_the_failing_pole():
     assert max_abs_diff(lhs_before, rhs_before) == 0
 
 
+def test_exact_fiber_polar_lifts_no_pole(monkeypatch):
+    # lifted ends meet the poles as `Lifted` values, so max_abs_diff lifts no pole
+    handed = []
+
+    def recording(x):
+        handed.append(x)
+        return lifted(x)
+
+    monkeypatch.setattr(checks, "lifted", recording)
+    assert all(r.holds for r in fiber_check(hopf_instance("quaternionic"), samples=20))
+    assert handed and all(type(x) is Lifted for x in handed)
+    # a lifted end that misses its pole still has the pole's Fractions as its rhs
+    inst, rng = hopf_instance("complex"), CounterRng(3, "test/hopf/lifted-polar", 0)
+    inputs = (draw_input("arc", rng, 2, "exact", 0, [], 0),
+              draw_input("point", rng, 2, "exact", 0, [], 0))
+    original = hopf.hopf_map
+
+    def off_pole(x, inst):
+        c = original(x, inst).coords
+        return SimpleNamespace(coords=Lifted((c.nums[0] - 1,) + c.nums[1:], c.den))
+
+    monkeypatch.setattr(hopf, "hopf_map", off_pole)
+    r, lhs, rhs = hopf._fiber_polar((inst, 0), inputs)
+    assert type(lhs) is Lifted and r == F(1, lhs.den)
+    assert _typed(rhs) == _typed((F(1), F(0), F(0)))
+
+
 def test_translate_with_unit_is_identity():
     inst = hopf_instance("complex")
     u, v, c, s = rational_pair(inst, 9)
@@ -282,7 +310,7 @@ def test_lifted_projection_matches_the_formula(name, view, seed):
     # public path keeps Fractions in, Fractions out
     imag = imaginaroid_instance(name)
     inst = HopfInstance(name, imag)
-    X = join_point_sample(CounterRng(seed, "test/lifted-hopf", 0), imag, view, "exact")
+    X = join_point_sample(CounterRng(seed, "test/lifted-hopf", 0), imag.susp_dim, view, "exact")
     image = hopf_map(X, inst).coords
     assert type(image) is Lifted
     public = hopf_map(JoinPoint(tuple(X.left), tuple(X.right)), inst).coords

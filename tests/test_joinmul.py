@@ -16,12 +16,11 @@ from hopfcheck.errors import InvariantViolation, PreconditionError, UsageError
 from hopfcheck.hopf import fiber_check, hopf_instance
 from hopfcheck.joinmul import (DIAMOND_LAWS, VIEW_KINDS, DiamondProblem, _LiftedGrid,
                                diamond_suite, fill_refl_diamond, join_mul_alg, join_mul_syn,
-                               join_hspace_carrier, join_point_sample,
-                               oracle_equivalence_suite, reduced_diamond_filler,
-                               sample_join_point, unit_law_check)
+                               join_hspace_carrier, oracle_equivalence_suite,
+                               reduced_diamond_filler, sample_join_point, unit_law_check)
 from hopfcheck.laws import (_signed_basis, assoc_check, hspace_check, imaginaroid_instance,
                             spheroid_instance)
-from hopfcheck.sampling import CounterRng, quarter_grid, rand_unit
+from hopfcheck.sampling import CounterRng, join_point_sample, quarter_grid, rand_unit
 from hopfcheck.spheremodel import (FLOAT_VIEW_EPS, JoinPoint, Lifted, SpherePoint, arc_point,
                                    basis_coords, is_exact, lift)
 
@@ -515,7 +514,7 @@ def test_broken_lifted_arc_fails_oracle_equivalence(monkeypatch):
 def test_lifted_arc_without_k_terms_leaves_the_sphere(monkeypatch):
     monkeypatch.setattr(joinmul, "_arc_blocks", _without_k_terms(joinmul._arc_blocks))
     inst = verified("s2")
-    X, Y = (join_point_sample(CounterRng(21, "test/no-k", i), inst, "glue", "exact")
+    X, Y = (join_point_sample(CounterRng(21, "test/no-k", i), inst.susp_dim, "glue", "exact")
             for i in range(2))
     with pytest.raises(UsageError, match="not on the unit sphere"):
         join_mul_syn(X, Y, inst)
@@ -534,8 +533,8 @@ def test_lifted_operands_give_the_rational_form(level, view_x, view_y, seed):
     # lifted points multiply to a lifted point with the rational form's values;
     # their Fraction copies take the rational form itself, in Fractions
     inst = imaginaroid_instance(LIFTED_INSTANCES[level])
-    X, Y = (join_point_sample(CounterRng(seed, "test/lifted-operands", i), inst, view, "exact")
-            for i, view in enumerate((view_x, view_y)))
+    X, Y = (join_point_sample(CounterRng(seed, "test/lifted-operands", i), inst.susp_dim, view,
+                              "exact") for i, view in enumerate((view_x, view_y)))
     got = join_mul_syn(X, Y, inst, allow_unverified=True)
     assert type(got.left) is Lifted and got.left.den == got.right.den
     fx, fy = (JoinPoint(tuple(P.left), tuple(P.right)) for P in (X, Y))
@@ -549,8 +548,8 @@ def test_lifted_products_build_no_fraction(monkeypatch):
     # three chained products and a compare on lifted s7 points: no Fraction is
     # built and nothing is lifted again; a report then builds the Fractions
     inst = verified("s2")
-    X, Y, Z = (join_point_sample(CounterRng(7, "test/no-fraction", i), inst, "glue", "exact")
-               for i in range(3))
+    X, Y, Z = (join_point_sample(CounterRng(7, "test/no-fraction", i), inst.susp_dim, "glue",
+                                 "exact") for i in range(3))
     counts = {"Fraction": 0, "lift": 0}
 
     class CountingFraction(Fraction):
@@ -803,14 +802,15 @@ _ALL_GRID_LAWS = {"filler-unit-norm", "filler-boundary", "filler-pole-reduction"
 def test_broken_filler_fails_its_grid_laws(target, perturb, failing, mode, monkeypatch):
     monkeypatch.setattr(joinmul, target, perturb(getattr(joinmul, target)))
 
-    def draw(rng, arity, i):
+    def draw_input(kind, rng, dim, mode, i, drawn, tolerance):
         # samples 3 and 4 are the poles, so the pole row runs on them
         if i >= 3:
-            return (SpherePoint.basis(4, 0, 7 - 2 * i),)
-        return (SpherePoint(rand_unit(rng, 4, mode)),)
+            return SpherePoint.basis(4, 0, 7 - 2 * i)
+        return SpherePoint(rand_unit(rng, 4, mode))
 
+    monkeypatch.setattr(checks, "draw_input", draw_input)
     reports = run_laws(
-        DIAMOND_LAWS, "s7", _LiftedGrid(quarter_grid(6)), draw=draw,
+        DIAMOND_LAWS, "s7", _LiftedGrid(quarter_grid(6)), dim=4,
         suite=lambda law: "test/broken-filler", samples=5, seed=19, mode=mode)
     by_law = {r.law: r for r in reports}
     assert {law for law, r in by_law.items() if r.status == "fails"} == failing
@@ -910,7 +910,7 @@ def _float_view_points(inst, seed):
     the carrier's int unit and its float form, whose zeros are ints."""
     dim = inst.susp_dim
     rng = CounterRng(seed, "test/float-syn", dim)
-    points = {view: [join_point_sample(rng, inst, view, "float") for _ in range(4)]
+    points = {view: [join_point_sample(rng, dim, view, "float") for _ in range(4)]
               for view in VIEW_KINDS}
     u = sampling.rand_point(rng, dim, "float")
     signed = ((-0.0,) * dim, tuple(-0.0 if k % 2 else 0.0 for k in range(dim)))
@@ -965,8 +965,8 @@ def test_join_carrier_conjugates_as_the_flattened_point(level):
     points = [X for view_points in _float_view_points(inst, level).values() for X in view_points]
     points += [carrier.unit, *carrier.structured]
     rng = CounterRng(level, "test/join-conj", 0)
-    points += [sample(rng, inst, view, "exact") for view in VIEW_KINDS
-               for sample in (join_point_sample, sample_join_point)]
+    points += [X for view in VIEW_KINDS for X in (join_point_sample(rng, dim, view, "exact"),
+                                                   sample_join_point(rng, inst, view, "exact"))]
     for X in points:
         flat = conj_coeffs(X.flatten())
         assert _block_forms(carrier.conj(X)) == _block_forms(JoinPoint(flat[:dim], flat[dim:]))

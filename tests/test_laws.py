@@ -221,7 +221,7 @@ def test_exact_suites_refuse_a_carrier_with_float_points(kind, monkeypatch):
     seen = []
 
     def recording_run_laws(rows, *args, structured, **kw):
-        seen.extend(x for (x,) in structured(1))
+        seen.extend(x for (x,) in structured(("point",)))
         return run_laws(rows, *args, structured=structured, **kw)
 
     monkeypatch.setattr(laws, "run_laws", recording_run_laws)
@@ -234,14 +234,13 @@ def test_exact_suites_refuse_a_carrier_with_float_points(kind, monkeypatch):
 
 # --- the float structured phase on lifted points ------------------------------
 
-def _unlifted_carrier_laws(rows, carrier, *, mode, draw=None, **kw):
+def _unlifted_carrier_laws(rows, carrier, *, mode, **kw):
     """`laws._carrier_laws` in float mode as it was: the structured points unlifted."""
     assert mode == "float"
     return run_laws(
-        rows, carrier.name, carrier, mode=mode,
-        structured=lambda arity: product(carrier.structured, repeat=arity),
-        draw=draw or (lambda rng, arity, i: tuple(carrier.sample(rng, mode)
-                                                  for _ in range(arity))), **kw)
+        [(law, evaluate, (carrier.kind,) * len(kinds)) for law, evaluate, kinds in rows],
+        carrier.name, carrier, dim=carrier.dim, mode=mode,
+        structured=lambda kinds: product(carrier.structured, repeat=len(kinds)), **kw)
 
 
 FLOAT = dict(samples=30, seed=9, mode="float")
@@ -351,8 +350,8 @@ def test_int_unit_products_match_the_float_unit(name):
     if type(unit) is JoinPoint:
         signed = [JoinPoint(*pair) for x in signed for pair in ((x, (-0.0,) * dim),
                                                                ((-0.0,) * dim, x))]
-    samples = [carrier.sample(CounterRng(2, f"test/float-unit/{name}", i), "float")
-               for i in range(60)]
+    samples = [sampling.draw_input(carrier.kind, CounterRng(2, f"test/float-unit/{name}", i),
+                                   carrier.dim, "float", i, [], 1e-9) for i in range(60)]
     for x in signed + samples:
         for args, float_args in (((unit, x), (float_unit, x)), ((x, unit), (x, float_unit))):
             got = carrier.mul(*args)

@@ -145,7 +145,9 @@ def assert_draws_as_before(monkeypatch, run, seed, reference):
 
 
 def arities(*tables):
-    return {law: shape for table in tables for law, _, shape in table}
+    """The shape each old draw took: an oracle law's pair of views, else the arity."""
+    return {law: kinds if law.startswith("oracle") else len(kinds)
+            for table in tables for law, _, kinds in table}
 
 
 # ---------------------------------------------------------------------------
