@@ -2,7 +2,7 @@
 compared with reference files in tests/golden/.
 
 The cases cover every CLI subcommand and instance in both modes with one
-and three workers (the ladder and the zero-divisor search at levels 0-3,
+and three workers (the ladder and the zero-divisor search at levels 0-5,
 the diamond suite on a grid of 6, and a few float runs with zero tolerance
 so that sampling finds the witnesses), plus the suites that only the library
 reaches: associativity, corner transport, the join unit laws, the octonion
@@ -39,8 +39,8 @@ IMAGINAROIDS = ("empty", "s0", "s2")
 
 
 def _cli_cases() -> list:
-    per_mode = [("laws", "--level", str(n)) for n in range(4)]
-    per_mode += [("zerodiv", "--level", str(n)) for n in range(4)]
+    per_mode = [("laws", "--level", str(n)) for n in range(6)]
+    per_mode += [("zerodiv", "--level", str(n)) for n in range(6)]
     per_mode += [("spheroid", "--instance", n) for n in ("s0", "s1", "s3")]
     per_mode += [("imaginaroid", "--instance", n) for n in IMAGINAROIDS]
     per_mode += [("hspace", "--instance", n) for n in ("s0", "s1", "s3", "s7")]
