@@ -32,10 +32,10 @@ its float form does.  The kernel gives what the recursion gives, bit for bit.
 Basis products satisfy e_i e_j = +-e_(i xor j) at every level, so a
 per-level sign table, read off the recursion on first use, gives products
 of sparse ints in one loop that skips zero coefficients (`mul_ints`), the
-faster one on two-term sums from dimension 16 on.  So a ladder law picks
-its kernel once per evaluation by dimension (`_kernel_for`): the traced
-kernel on tuples through level 3, `mul_ints` on int tuples at levels 4-5,
-`mul_coeffs` on the rest, `Lifted` samples included.  The zero-divisor
+faster one on two-term sums from dimension 16 on.  Ladder law bodies take
+their product as an argument, and one wrapper (`_ladder_law`) picks it per
+evaluation; a `Lifted` sample is judged on its numerators, and only a
+failing one goes through `mul_coeffs`, for its witness.  The zero-divisor
 search reads products of two-term sums off the sign table (`zero_pairs`)
 and confirms its witness on the traced kernel, which does not read it.
 """
@@ -44,12 +44,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from itertools import chain, combinations, islice, product
+from itertools import combinations, islice, product
 from typing import Callable, Iterator, Optional
 
 from .checks import compare, max_abs_diff, run_laws, worst_of
 from .errors import InvariantViolation, UsageError
-from .spheremodel import Lifted, _sum_squares, basis_coords, lifted, norm_coeffs
+from .spheremodel import Lifted, basis_coords, lifted, norm_coeffs
 
 MAX_LEVEL = 5
 STRUCTURED_CAP = 6000   # structured inputs scanned per ladder law
@@ -81,13 +81,12 @@ def conj_coeffs(a):
     return (a[0],) + tuple([-c for c in a[1:]])
 
 
-_INT = frozenset((int,))
 _EXACT = frozenset((int, Fraction))
 
 
 def mul_ints(a, b) -> tuple:
     """Product of int coefficient sequences of one level, through the sign table.
-    The ladder takes it for int tuples above `TRACED_MAX_DIM` only (`_kernel_for`)."""
+    A ladder row takes it for int tuples above `TRACED_MAX_DIM` only (`_ladder_law`)."""
     n = len(a)
     signs = _sign_table(n)
     out = [0] * n
@@ -244,23 +243,30 @@ def structured_tuples(level: int, arity: int, cap: int):
 
 
 # ---------------------------------------------------------------------------
-# the law suite (the ladder laws need no context)
+# the law suite (a ladder row's context is its dimension)
 
 
-def _kernel_for(inputs) -> Callable:
-    """The product for one law evaluation: the traced kernel on tuples up to
-    `TRACED_MAX_DIM`, `mul_ints` on larger all-int tuples (products of ints stay
-    ints), else `mul_coeffs`.  On tuples the traced kernel gives what `mul_coeffs`
-    gives (an operand's Fraction reaches every output coordinate).  Kernels are
-    read as module globals at call time, so a replaced kernel is the one that runs.
+def _ladder_law(body: Callable) -> Callable:
+    """A ladder row's evaluate(n, inputs) at dimension n, for body(mul, inputs).
+
+    The product, read as a module global at each call, is `mul_ints` on int
+    tuples above `TRACED_MAX_DIM` and the traced kernel on other tuples; the
+    runner gives inputs of one form (int, float or Fraction tuples, or `Lifted`).
+    A `Lifted` sample is judged on its numerators: every ladder law compares
+    sides of equal degree in each input, so over positive denominators they are
+    equal, and a real part is positive, exactly when the numerators' are.  A new
+    row must be homogeneous so.  Only a failing sample runs again on its own
+    values through `mul_coeffs`, for its residual and witness.
     """
-    if Lifted not in map(type, inputs):
-        n = len(inputs[0])
-        if n <= TRACED_MAX_DIM:
-            return _traced_kernel(n)
-        if type(inputs[0][0]) is int and set(map(type, chain.from_iterable(inputs))) <= _INT:
-            return mul_ints
-    return mul_coeffs
+    def evaluate(n, inputs):
+        if type(inputs[0]) is Lifted:
+            if not body(_traced_kernel(n), [x.nums for x in inputs])[0]:
+                return 0, None, None
+            return body(mul_coeffs, inputs)
+        if n > TRACED_MAX_DIM and type(inputs[0][0]) is int:
+            return body(mul_ints, inputs)
+        return body(_traced_kernel(n), inputs)
+    return evaluate
 
 
 def _eval_realness(_, inputs):
@@ -268,20 +274,17 @@ def _eval_realness(_, inputs):
     return compare(conj_coeffs(a), a)
 
 
-def _eval_commutativity(_, inputs):
-    mul = _kernel_for(inputs)
+def _eval_commutativity(mul, inputs):
     a, b = inputs
     return compare(mul(a, b), mul(b, a))
 
 
-def _eval_associativity(_, inputs):
-    mul = _kernel_for(inputs)
+def _eval_associativity(mul, inputs):
     a, b, c = inputs
     return compare(mul(mul(a, b), c), mul(a, mul(b, c)))
 
 
-def _eval_alternativity(_, inputs):
-    mul = _kernel_for(inputs)
+def _eval_alternativity(mul, inputs):
     x, y = inputs
     xy = mul(x, y)
     lhs1 = mul(mul(x, x), y)
@@ -292,45 +295,29 @@ def _eval_alternativity(_, inputs):
     return compare(mul(xy, y), mul(x, mul(y, y)))
 
 
-def _nums(x):
-    """A `Lifted`'s numerators, over its positive denominator, or x itself: which
-    coefficients vanish and their signs read the same on both."""
-    return x.nums if type(x) is Lifted else x
-
-
-def _eval_nicely_normed(_, inputs):
+def _eval_nicely_normed(mul, inputs):
     (a,) = inputs
     star = conj_coeffs(a)
-    # (i) a + a* is real: non-real coefficients of the sum must vanish;
-    # a Lifted a is summed on its numerators, and builds Fractions only to fail
-    if any(c + d for c, d in zip(_nums(a)[1:], _nums(star)[1:])):
+    # (i) a + a* is real: non-real coefficients of the sum must vanish
+    if any(c + d for c, d in zip(a[1:], star[1:])):
         tail = tuple(c + d for c, d in zip(a[1:], star[1:]))
         worst, _ = worst_of(tail, abs)
         return worst, tail, tuple(0 * c for c in tail)
     # (ii) a a* = a* a
-    mul = _kernel_for(inputs)
     lhs = mul(a, star)
     rhs = mul(star, a)
     r = max_abs_diff(lhs, rhs)
     if not r <= 0:
         return r, lhs, rhs
     # (iii) a a* > 0 for nonzero a
-    if any(_nums(a)) and _nums(lhs)[0] <= 0:
+    if any(a) and lhs[0] <= 0:
         return 1, lhs[0], "positive"
     return 0, lhs, rhs
 
 
-def _eval_norm_multiplicativity(_, inputs):
+def _eval_norm_multiplicativity(mul, inputs):
     a, b = inputs
-    ab = _kernel_for(inputs)(a, b)
-    if type(a) is Lifted and type(b) is Lifted:
-        # |ab|^2 against |a|^2 |b|^2 on numerators over (d_a d_b)^2; Fractions only to fail
-        top, rhs = _sum_squares(ab.nums), _sum_squares(a.nums) * _sum_squares(b.nums)
-        if top == rhs:
-            return 0, None, None
-        den = (a.den * b.den) ** 2
-        return Fraction(abs(top - rhs), den), (Fraction(top, den),), (Fraction(rhs, den),)
-    lhs = norm_coeffs(ab)
+    lhs = norm_coeffs(mul(a, b))
     rhs = norm_coeffs(a) * norm_coeffs(b)
     d = lhs - rhs
     if d < 0:
@@ -339,12 +326,12 @@ def _eval_norm_multiplicativity(_, inputs):
 
 
 LADDER_LAWS = (
-    ("realness", _eval_realness, ("element",)),
-    ("commutativity", _eval_commutativity, ("element",) * 2),
-    ("associativity", _eval_associativity, ("element",) * 3),
-    ("alternativity", _eval_alternativity, ("element",) * 2),
-    ("nicely-normed", _eval_nicely_normed, ("element",)),
-    ("norm-multiplicativity", _eval_norm_multiplicativity, ("element",) * 2),
+    ("realness", _ladder_law(_eval_realness), ("element",)),
+    ("commutativity", _ladder_law(_eval_commutativity), ("element",) * 2),
+    ("associativity", _ladder_law(_eval_associativity), ("element",) * 3),
+    ("alternativity", _ladder_law(_eval_alternativity), ("element",) * 2),
+    ("nicely-normed", _ladder_law(_eval_nicely_normed), ("element",)),
+    ("norm-multiplicativity", _ladder_law(_eval_norm_multiplicativity), ("element",) * 2),
 )
 
 
@@ -363,7 +350,7 @@ def law_suite(level: int,
     if not 0 <= level <= MAX_LEVEL:
         raise UsageError(f"level must be within 0..{MAX_LEVEL}")
     return run_laws(
-        LADDER_LAWS, f"level-{level}", None, dim=1 << level,
+        LADDER_LAWS, f"level-{level}", 1 << level, dim=1 << level,
         structured=lambda kinds: structured_tuples(level, len(kinds), STRUCTURED_CAP),
         suite=lambda law: f"cdalg/{law}/level-{level}/{mode}",
         expect=lambda law: LADDER[law](level), samples=samples, seed=seed,

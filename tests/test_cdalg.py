@@ -55,9 +55,14 @@ def scale(s, a):
     return tuple(s * x for x in a)
 
 
+def ladder_row(law_body, *inputs):
+    """A ladder law body's (residual, lhs, rhs) on these inputs, through its row's wrapper."""
+    return cdalg._ladder_law(law_body)(len(inputs[0]), inputs)
+
+
 def holds(law_body, *inputs):
     """True when a ladder law body finds no residual on these inputs."""
-    return law_body(None, inputs)[0] == 0
+    return ladder_row(law_body, *inputs)[0] == 0
 
 
 def mul2_oracle(a, b):
@@ -139,12 +144,13 @@ def operand_pairs(scalar):
 @given(data=st.data())
 def test_kernel_matches_recursion(kind, data):
     # equal values and the same scalar type in every coordinate: repr tells
-    # 0, Fraction(0), 0.0 and -0.0 apart.  A ladder law's kernel, picked by
-    # dimension, gives the same.
+    # 0, Fraction(0), 0.0 and -0.0 apart.  The kernel a ladder row picks for
+    # operands of one scalar form, the only ones the runner gives it, gives the same.
     a, b = data.draw(operand_pairs(SCALARS[kind]))
     want = repr(_mul_recursive(a, b))
     assert repr(mul_coeffs(a, b)) == want
-    assert repr(cdalg._kernel_for((a, b))(a, b)) == want
+    if kind in ("int", "fraction", "float") or len(a) <= cdalg.TRACED_MAX_DIM:
+        assert repr(ladder_row(lambda mul, inputs: mul(*inputs), a, b)) == want
     if kind == "int":   # the sign-table loop the ladder's structured scan runs at levels 4-5
         assert repr(mul_ints(a, b)) == want
 
@@ -464,7 +470,7 @@ def test_level3_associator_witness_from_exhaustive_search():
     for i in range(8):
         for j in range(8):
             for k in range(8):
-                _, lhs, rhs = _eval_associativity(None, (basis(3, i), basis(3, j), basis(3, k)))
+                _, lhs, rhs = ladder_row(_eval_associativity, basis(3, i), basis(3, j), basis(3, k))
                 if lhs != rhs:
                     first = (i, j, k, tuple(x - y for x, y in zip(lhs, rhs)))
                     break
@@ -639,7 +645,7 @@ def test_broken_product_fails_nicely_normed_with_witness(perturb, lhs, rhs, leve
         return side + [0] * (n - 2) if type(side) is list else side
 
     report = execute_check("nicely-normed", f"level-{level}",
-                           lambda inputs: cdalg._eval_nicely_normed(None, inputs),
+                           lambda inputs: ladder_row(cdalg._eval_nicely_normed, *inputs),
                            structured=[(a,)])
     assert report.status == STATUS_FAILS
     assert report.witness == {"inputs": [list(a)], "lhs": padded(lhs), "rhs": padded(rhs)}
@@ -782,13 +788,20 @@ def _ladder_inputs(level, arity, kind):
     return out
 
 
-@pytest.mark.parametrize("level", range(6))
-@pytest.mark.parametrize("kind", ["sparse-int", "dense-int", "fraction", "int-fraction",
-                                  "float", "exact-float"])
+def _row_forms(level):
+    """The input kinds a ladder row takes at a level.  Above `TRACED_MAX_DIM` an int
+    first coordinate picks `mul_ints`, so a row takes operands of one scalar form
+    there, as the runner gives them; float inside an int tuple is not one of them."""
+    kinds = ["sparse-int", "dense-int", "fraction", "int-fraction", "float", "exact-float"]
+    return kinds if 1 << level <= cdalg.TRACED_MAX_DIM else kinds[:-1]
+
+
+@pytest.mark.parametrize("kind, level", [(kind, level) for level in range(6)
+                                         for kind in _row_forms(level)])
 def test_ladder_bodies_match_per_product_bodies(level, kind):
     for law, evaluate, kinds in cdalg.LADDER_LAWS:
         for inputs in _ladder_inputs(level, len(kinds), kind):
-            got = evaluate(None, inputs)
+            got = evaluate(1 << level, inputs)
             assert repr(got) == repr(PER_PRODUCT_BODIES[law](inputs)), (law, inputs)
 
 
@@ -854,7 +867,7 @@ def test_lifted_ladder_samples_keep_the_fraction_draws_reports(level, seed, monk
         m.setattr(checks, "draw_input", lambda kind, rng, dim, mode, i, drawn, tolerance:
                   rand_coeffs(rng, dim, "exact"))
         before = run_laws(
-            cdalg.LADDER_LAWS, f"level-{level}", None, dim=1 << level,
+            cdalg.LADDER_LAWS, f"level-{level}", 1 << level, dim=1 << level,
             structured=lambda kinds: structured_tuples(level, len(kinds), 300),
             suite=lambda law: f"cdalg/{law}/level-{level}/exact",
             expect=lambda law: cdalg.LADDER[law](level), samples=40, seed=seed)
@@ -871,7 +884,7 @@ def test_lifted_ladder_samples_keep_the_fraction_draws_reports(level, seed, monk
 def _fraction_norm_multiplicativity(inputs):
     """`cdalg._eval_norm_multiplicativity` as it was: both norms as Fractions."""
     a, b = inputs
-    lhs = norm_coeffs(cdalg._kernel_for(inputs)(a, b))
+    lhs = norm_coeffs(mul_coeffs(a, b))
     rhs = norm_coeffs(a) * norm_coeffs(b)
     d = lhs - rhs
     if d < 0:
@@ -888,7 +901,7 @@ def test_norm_multiplicativity_on_numerators_matches_the_fraction_body(level):
     for i in range(40):
         rng = CounterRng(3, f"test/norm-mult/{level}", i)
         inputs = (rand_lifted(rng, n), rand_lifted(rng, n))
-        got = _eval_norm_multiplicativity(None, inputs)
+        got = ladder_row(_eval_norm_multiplicativity, *inputs)
         want = _fraction_norm_multiplicativity(inputs)
         if want[0]:
             failing += 1
@@ -916,16 +929,66 @@ def test_exact_ladder_laws_stay_on_integers(monkeypatch):
         assert doc(law_suite(level, "exact", samples=30)) == want[level]
 
 
+def test_passing_ladder_evaluations_build_no_lifted_product(monkeypatch):
+    # through level 3 no lifted sample fails, and `mul_coeffs`, which builds the
+    # Lifted products of a failing sample's witness, is never called
+    calls = []
+    original = cdalg.mul_coeffs
+
+    def counted(a, b):
+        calls.append((a, b))
+        return original(a, b)
+
+    monkeypatch.setattr(cdalg, "mul_coeffs", counted)
+    for level in range(4):
+        law_suite(level, "exact", samples=200, seed=1)
+        assert calls == [], level
+
+
+LADDER_BODIES = {
+    "realness": cdalg._eval_realness,
+    "commutativity": _eval_commutativity,
+    "associativity": _eval_associativity,
+    "alternativity": _eval_alternativity,
+    "nicely-normed": cdalg._eval_nicely_normed,
+    "norm-multiplicativity": _eval_norm_multiplicativity,
+}
+
+
+@pytest.mark.parametrize("level", range(6))
+def test_ladder_rows_judge_lifted_samples_as_their_values(level):
+    # a row judges a lifted sample on its numerators; that is the body's verdict on the
+    # sample's values through `mul_coeffs` because every ladder law is homogeneous in
+    # each input.  A failure gives the body's residual and sides, a pass a zero residual;
+    # a row whose numerators and values disagree fails here
+    assert [law for law, _, _ in cdalg.LADDER_LAWS] == list(LADDER_BODIES)
+    n, failing = 1 << level, 0
+    for law, evaluate, kinds in cdalg.LADDER_LAWS:
+        draws = (tuple(rand_lifted(CounterRng(6, f"test/ladder-row/{level}/{law}", i), n)
+                       for _ in kinds) for i in range(200))
+        # samples whose numerators are not their values
+        samples = list(islice((x for x in draws if all(y.den > 1 for y in x)), 20))
+        assert len(samples) == 20
+        for i, inputs in enumerate(samples):
+            want = LADDER_BODIES[law](mul_coeffs, inputs)
+            got = evaluate(n, inputs)
+            if want[0]:
+                failing += 1
+                assert _spelled(got) == _spelled(want), (law, i)
+            else:
+                assert got == (0, None, None), (law, i)
+    assert (failing > 0) == (level > 0)
+
+
 # --- nicely-normed on numerators, against the Fraction body it replaced -------
 
-def _fraction_nicely_normed(inputs):
+def _fraction_nicely_normed(mul, inputs):
     """`cdalg._eval_nicely_normed` as it was: part (i) and the positivity test on Fractions."""
     (a,) = inputs
     tail = tuple(c + d for c, d in zip(a[1:], cdalg.conj_coeffs(a)[1:]))
     worst, _ = worst_of(tail, abs)
     if not worst <= 0:
         return worst, tail, tuple(0 * c for c in tail)
-    mul = cdalg._kernel_for(inputs)
     lhs = mul(a, cdalg.conj_coeffs(a))
     rhs = mul(cdalg.conj_coeffs(a), a)
     r = max_abs_diff(lhs, rhs)
@@ -945,13 +1008,16 @@ def _spelled(result):
 @pytest.mark.parametrize("level", range(6))
 def test_nicely_normed_on_numerators_matches_the_fraction_body(level, break_with, monkeypatch):
     # reports on Lifted, Fraction, int and float inputs are those of the Fraction body,
-    # bit for bit, and a Lifted input that passes builds no Fraction
+    # bit for bit, and a Lifted input that passes builds no Fraction.  The Fraction body
+    # takes a Lifted sample's values through `mul_coeffs`, a tuple through the traced
+    # kernel (on ints, the values of `mul_ints`); the broken product is the traced kernel.
     n = 1 << level
     if break_with == "conj":    # a* = a: part (i) fails for every non-real a
         monkeypatch.setattr(cdalg, "conj_coeffs", lambda a: a)
     elif break_with is not None:
         perturb = _negated if break_with == "negated" else _first_ignored
-        monkeypatch.setattr(cdalg, "mul_coeffs", perturb(cdalg.mul_coeffs))
+        traced = cdalg._traced_kernel
+        monkeypatch.setattr(cdalg, "_traced_kernel", lambda n: perturb(traced(n)))
     built, failures = [], 0
 
     class CountedFraction(Fraction):
@@ -968,13 +1034,16 @@ def test_nicely_normed_on_numerators_matches_the_fraction_body(level, break_with
         for x in inputs:
             with monkeypatch.context() as m:
                 m.setattr(spheremodel, "Fraction", CountedFraction)
-                want = _spelled(_fraction_nicely_normed(x))
+                mul = cdalg.mul_coeffs if type(x[0]) is Lifted else cdalg._traced_kernel(n)
+                want = _spelled(_fraction_nicely_normed(mul, x))
                 built_before = len(built)
                 built.clear()
-                got = cdalg._eval_nicely_normed(None, x)
-            assert _spelled(got) == want
+                got = ladder_row(cdalg._eval_nicely_normed, *x)
             failures += got[0] != 0
-            if type(x[0]) is Lifted and got[0] == 0:
+            if type(x[0]) is Lifted and want[0] == "0":     # a passing sample reports no sides
+                assert got == (0, None, None)
                 assert built_before and not built
+            else:
+                assert _spelled(got) == want
     # conjugation is the identity at level 0, so a* = a breaks nothing there
     assert bool(failures) == (break_with is not None and (level, break_with) != (0, "conj"))

@@ -14,7 +14,7 @@ from hopfcheck import __version__, cdalg, cli, joinmul, laws, sampling
 from hopfcheck.checks import REPORT_FIELDS, ReportDocument
 from hopfcheck.cli import emit, main
 from hopfcheck.errors import InvariantViolation, PreconditionError, UsageError
-from hopfcheck.spheremodel import JoinPoint, Lifted, SpherePoint, basis_coords
+from hopfcheck.spheremodel import JoinPoint, SpherePoint, basis_coords
 
 REPORT_KEYS = {"law", "instance", "status", "samples", "tolerance",
                "max_residual", "seed", "duration_ms", "expected"}
@@ -56,15 +56,22 @@ def test_broken_kernel_fails_the_ladder_with_witnesses(tmp_path, monkeypatch):
 
 
 def test_broken_exact_kernel_fails_the_ladder_in_the_sampled_phase(tmp_path, monkeypatch):
-    # structured inputs are ints and take the traced kernel itself; the sampled
-    # elements are lifted, and their products go through the flipped `mul_coeffs`
-    original = cdalg.mul_coeffs
+    # the kernel is wrong only on an operand with a coefficient above 2 in magnitude.  A
+    # structured operand is a +-1 input or a product of two, with coefficients up to 2, so
+    # the structured scan passes; the lifted samples' numerators fail
+    original = cdalg._traced_kernel
 
-    def flipped(a, b):      # the last numerator with the wrong sign
-        out = original(a, b)
-        return Lifted(out.nums[:-1] + (-out.nums[-1],), out.den)
+    def flipped_kernel(n):
+        kernel = original(n)
 
-    monkeypatch.setattr(cdalg, "mul_coeffs", flipped)
+        def flipped(a, b):      # the last coordinate with the wrong sign
+            out = kernel(a, b)
+            if any(abs(c) > 2 for c in a + b):
+                return out[:-1] + (-out[-1],)
+            return out
+        return flipped
+
+    monkeypatch.setattr(cdalg, "_traced_kernel", flipped_kernel)
     code, doc = run_cli_json(tmp_path, "laws", "--level", "2", "--samples", "30")
     assert code == 1 and doc["overall"] == "fail"
     unexpected = [r for r in doc["reports"] if not r["expected"]]
@@ -421,14 +428,19 @@ def test_reports_identical_across_worker_counts(tmp_path):
 
 
 def test_sampling_runs_on_one_thread(monkeypatch):
+    # every product of the level-2 ladder runs on the traced kernel
     seen = set()
-    original = cdalg.mul_coeffs
+    original = cdalg._traced_kernel
 
-    def recording(a, b):
-        seen.add(threading.get_ident())
-        return original(a, b)
+    def traced(n):
+        kernel = original(n)
 
-    monkeypatch.setattr(cdalg, "mul_coeffs", recording)
+        def recording(a, b):
+            seen.add(threading.get_ident())
+            return kernel(a, b)
+        return recording
+
+    monkeypatch.setattr(cdalg, "_traced_kernel", traced)
     assert run_cli("laws", "--level", "2", "--samples", "200", "--workers", "4") == 0
     assert seen == {threading.get_ident()}
 
