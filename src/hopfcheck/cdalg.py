@@ -249,14 +249,13 @@ def structured_tuples(level: int, arity: int, cap: int):
 def _ladder_law(body: Callable) -> Callable:
     """A ladder row's evaluate(n, inputs) at dimension n, for body(mul, inputs).
 
-    The product, read as a module global at each call, is `mul_ints` on int
-    tuples above `TRACED_MAX_DIM` and the traced kernel on other tuples; the
-    runner gives inputs of one form (int, float or Fraction tuples, or `Lifted`).
-    A `Lifted` sample is judged on its numerators: every ladder law compares
-    sides of equal degree in each input, so over positive denominators they are
-    equal, and a real part is positive, exactly when the numerators' are.  A new
-    row must be homogeneous so.  Only a failing sample runs again on its own
-    values through `mul_coeffs`, for its residual and witness.
+    The product, a module global read at each call, is `mul_ints` on int tuples
+    above `TRACED_MAX_DIM`, else the traced kernel; inputs have one form (int,
+    float or Fraction tuples, or `Lifted`).  A `Lifted` sample is judged on its
+    numerators: every ladder law compares sides of equal degree in each input, so
+    over positive denominators they agree, and a real part is positive, exactly
+    when the numerators' do (a new row must be homogeneous so).  Only a failing
+    sample runs again on its values through `mul_coeffs`, for its witness.
     """
     def evaluate(n, inputs):
         if type(inputs[0]) is Lifted:
@@ -399,11 +398,13 @@ def zero_divisor_search(level: int, mode: str = "exact") -> Optional[tuple]:
     with one `mul_coeffs` product, on the traced kernel, which does not
     read the table; a product that disagrees raises InvariantViolation.
     Returns the pair as two coefficient tuples of Fractions, or None when
-    the whole family multiplies without a zero (levels <= 3).  In float
-    mode the pair is scaled to unit norm floats for reporting.
+    the whole family multiplies without a zero (levels <= 3).  In float mode
+    the pair is scaled to unit norm floats; an unknown mode raises UsageError.
     """
     if not 0 <= level <= MAX_LEVEL:
         raise UsageError(f"level must be within 0..{MAX_LEVEL}")
+    if mode not in ("exact", "float"):
+        raise UsageError(f"unknown mode {mode!r}")
     hit = next(zero_pairs(level), None)
     if hit is None:
         return None

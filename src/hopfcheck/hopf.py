@@ -102,12 +102,21 @@ def _fiber_completeness(ctx, inputs):
     return r, predicted, v2
 
 
+def _cross_sq(x: Lifted, y: Lifted) -> int:    # |x - y|^2 (x.den y.den)^2
+    return _sum_squares([a * y.den - b * x.den for a, b in zip(x.nums, y.nums)])
+
+
 def _fiber_separation(ctx, inputs):
     _, gap = ctx
     (u, v, c, s), w1, w2 = inputs
     u1, v1 = _translate(u, v, w1)
     u2, v2 = _translate(u, v, w2)
-    if max(max_abs_diff(u1, u2), max_abs_diff(v1, v2)) > gap:
+    if type(u1) is Lifted:    # |p1 - p2|^2 > gap^2, times (du1 du2 dv1 dv2)^2, on integers
+        du, dv = u1.den * u2.den, v1.den * v2.den
+        apart = _cross_sq(u1, u2) * dv * dv + _cross_sq(v1, v2) * du * du > (gap * du * dv) ** 2
+    else:                     # one float sum, left to right
+        apart = _sum_squares(x - y for x, y in zip(u1 + v1, u2 + v2)) > gap * gap
+    if apart:
         return 0, None, None
     return 1, (u1, v1), (u2, v2)
 
@@ -158,11 +167,12 @@ def fiber_check(inst: HopfInstance,
     (3) separation: distinct translations move the point;
     (4) polar fibers: the poles pull back to the inl / inr copies of G.
 
-    Separation draws a second translation farther than `tolerance` from
-    the first and reports a residual of 0 or 1, so in float mode a
-    tolerance of 1 or more is rejected: it would pass every pair, and
-    from 2 up the draw could never end (unit coordinates differ by at
-    most 2).  A NaN tolerance is rejected too: no pair exceeds it.
+    Separation draws a second translation more than `tolerance` from the
+    first in some coordinate, and holds when the translates lie farther apart
+    than that in Euclidean distance, which is never the smaller measure.  Its
+    residual is 0 or 1, so a float tolerance of 1 or more would pass every
+    pair and is rejected (from 2 up the draw could not end: unit coordinates
+    differ by at most 2), and so is a NaN one, which no pair exceeds.
     """
     if mode == "float" and not tolerance < 1:
         raise UsageError("fiber checks need a float tolerance < 1")

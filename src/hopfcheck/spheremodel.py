@@ -183,8 +183,8 @@ class SpherePoint(_Point):
 class JoinPoint(_Point):
     """Embedded point of join(X, Y): vectors (p, q) with |p|^2 + |q|^2 = 1.
 
-    The blocks are tuples or two `Lifted` over one denominator.  It iterates as
-    its coordinates p + q, so laws compare and report it like a tuple.
+    The blocks are tuples or two `Lifted` over one denominator, else UsageError.
+    It iterates as its coordinates p + q, so laws compare and report it like a tuple.
     """
 
     __slots__ = ("left", "right")
@@ -196,7 +196,9 @@ class JoinPoint(_Point):
 
     def __post_init__(self):
         left, right = self.left, self.right
-        if type(left) is Lifted:
+        if type(left) is Lifted or type(right) is Lifted:
+            if type(left) is not type(right) or left.den != right.den:
+                raise UsageError("join point blocks must be tuples or Lifted over one denominator")
             _check_unit(self.flatten(), "join point")
         elif left and type(left[0]) is float:   # one running sum over p, then q
             _check_float_norm(_sum_squares(right, _sum_squares(left)), "join point")

@@ -356,7 +356,8 @@ def test_lifted_sides_of_different_lengths_raise():
     lambda mode: cdalg.law_suite(2, mode),
     lambda mode: laws.spheroid_check(laws.spheroid_instance("s1"), mode=mode),
     lambda mode: hopf.fiber_check(hopf.hopf_instance("complex"), samples=5, mode=mode),
-], ids=["execute_check", "law_suite", "spheroid_check", "fiber_check"])
+    lambda mode: cdalg.zero_divisor_search(4, mode=mode),
+], ids=["execute_check", "law_suite", "spheroid_check", "fiber_check", "zero_divisor_search"])
 @pytest.mark.parametrize("mode", ["Exact", "exakt", "FLOAT", ""])
 def test_a_misspelled_mode_is_refused(run, mode):
     # it once ran as float mode

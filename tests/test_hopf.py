@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from hopfcheck import checks, hopf
 from hopfcheck.cdalg import mul_coeffs, norm_coeffs
+from hopfcheck.cli import main
 from hopfcheck.checks import STATUS_FAILS, coeffs_to_json, execute_check, max_abs_diff, worst_of
 from hopfcheck.hopf import (FIBRATIONS, HopfInstance, dimension_report, fiber_check,
                             fibration_report, hopf_instance, hopf_map)
@@ -151,6 +152,30 @@ def test_equal_translations_fail_fiber_separation_with_witness():
     assert report.max_residual == 1
     translated = coeffs_to_json(hopf._translate(u, v, w))
     assert report.witness["lhs"] == report.witness["rhs"] == translated
+
+
+# the witness of `fiber --instance complex --mode float --tolerance 0.5 --samples 20 --seed 0`
+# while separation compared the translates' largest coordinate difference with the tolerance
+FAR_PAIR = (((-0.71828420308189, -0.6957498139439307), (-0.9353817309191929, -0.35363967178841055),
+             0.7672419743721616, 0.6413577416399583),
+            (-0.9463067698099125, 0.3232700069785773), (-0.9762836476731143, -0.21649535626908606))
+
+
+def test_far_translations_separate_in_euclidean_distance():
+    # w1 - w2 has a largest coordinate of 0.54, the translate differences only 0.41 and 0.49:
+    # a translation keeps the Euclidean distance, not the largest coordinate difference
+    (u, v, _, _), w1, w2 = FAR_PAIR
+    (u1, v1), (u2, v2) = hopf._translate(u, v, w1), hopf._translate(u, v, w2)
+    assert max_abs_diff(w1, w2) > 0.5 > max(max_abs_diff(u1, u2), max_abs_diff(v1, v2))
+    assert hopf._fiber_separation((hopf_instance("complex"), 0.5), FAR_PAIR) == (0, None, None)
+    assert hopf._fiber_separation((hopf_instance("complex"), 0.8), FAR_PAIR)[0] == 1   # 0.76 apart
+
+
+def test_far_float_translations_pass_the_fiber_suite(capsys):
+    # the command once failed fiber-separation on the pair above
+    argv = ["fiber", "--instance", "complex", "--mode", "float", "--tolerance", "0.5",
+            "--samples", "20", "--seed", "0"]
+    assert main(argv) == 0
 
 
 def test_polar_arc_fails_fiber_polar_interior_with_witness():

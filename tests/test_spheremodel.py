@@ -360,6 +360,18 @@ def test_lifted_join_point_blocks_over_one_denominator():
         JoinPoint(Lifted((3, 0), 5), Lifted((0, 3), 5))
 
 
+@pytest.mark.parametrize("left, right", [
+    (Lifted((3, 0), 5), Lifted((4, 0), 10)),     # read as (3/5, 0, 4/5, 0), off the sphere
+    (Lifted((3, 0), 5), Lifted((8, 0), 10)),     # on the sphere, once rejected as |x|^2 = 73/25
+    (Lifted((3, 0), 5), (F(4, 5), F(0))),
+    ((0.6, 0.0), Lifted((4, 0), 5)),
+], ids=["unequal-off", "unequal-on", "lifted-tuple", "tuple-lifted"])
+def test_join_point_blocks_of_two_forms_are_refused(left, right):
+    # every reader of a lifted point takes both blocks over the left one's denominator
+    with pytest.raises(UsageError, match="blocks must be tuples or Lifted over one denominator"):
+        JoinPoint(left, right)
+
+
 @pytest.mark.parametrize("dim", [1, 2, 4, 8])
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2 ** 32), ends=st.sampled_from(["sampled", (1, 0), (0, 1)]))
