@@ -249,9 +249,10 @@ def structured_tuples(level: int, arity: int, cap: int):
 def _ladder_law(body: Callable) -> Callable:
     """A ladder row's evaluate(n, inputs) at dimension n, for body(mul, inputs).
 
-    The product, a module global read at each call, is `mul_ints` on int tuples
-    above `TRACED_MAX_DIM`, else the traced kernel; inputs have one form (int,
-    float or Fraction tuples, or `Lifted`).  A `Lifted` sample is judged on its
+    The product, a module global read at each call, is `mul_ints` on all-int tuples
+    above `TRACED_MAX_DIM` (their sum is an int; a Fraction or float makes it
+    one), else the traced kernel, which gives what `mul_coeffs` gives on tuples.
+    A sample is all tuples or all `Lifted`, and a `Lifted` one is judged on its
     numerators: every ladder law compares sides of equal degree in each input, so
     over positive denominators they agree, and a real part is positive, exactly
     when the numerators' do (a new row must be homogeneous so).  Only a failing
@@ -262,7 +263,7 @@ def _ladder_law(body: Callable) -> Callable:
             if not body(_traced_kernel(n), [x.nums for x in inputs])[0]:
                 return 0, None, None
             return body(mul_coeffs, inputs)
-        if n > TRACED_MAX_DIM and type(inputs[0][0]) is int:
+        if n > TRACED_MAX_DIM and type(sum(map(sum, inputs))) is int:
             return body(mul_ints, inputs)
         return body(_traced_kernel(n), inputs)
     return evaluate

@@ -102,19 +102,14 @@ def _fiber_completeness(ctx, inputs):
     return r, predicted, v2
 
 
-def _cross_sq(x: Lifted, y: Lifted) -> int:    # |x - y|^2 (x.den y.den)^2
-    return _sum_squares([a * y.den - b * x.den for a, b in zip(x.nums, y.nums)])
-
-
 def _fiber_separation(ctx, inputs):
     _, gap = ctx
     (u, v, c, s), w1, w2 = inputs
     u1, v1 = _translate(u, v, w1)
     u2, v2 = _translate(u, v, w2)
-    if type(u1) is Lifted:    # |p1 - p2|^2 > gap^2, times (du1 du2 dv1 dv2)^2, on integers
-        du, dv = u1.den * u2.den, v1.den * v2.den
-        apart = _cross_sq(u1, u2) * dv * dv + _cross_sq(v1, v2) * du * du > (gap * du * dv) ** 2
-    else:                     # one float sum, left to right
+    if type(u1) is Lifted:    # exact: the gap is 0, and any distance tells the points apart
+        apart = max(max_abs_diff(u1, u2), max_abs_diff(v1, v2)) > gap
+    else:                     # squared Euclidean distance, one float sum left to right
         apart = _sum_squares(x - y for x, y in zip(u1 + v1, u2 + v2)) > gap * gap
     if apart:
         return 0, None, None

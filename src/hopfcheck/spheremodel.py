@@ -199,7 +199,8 @@ class JoinPoint(_Point):
         if type(left) is Lifted or type(right) is Lifted:
             if type(left) is not type(right) or left.den != right.den:
                 raise UsageError("join point blocks must be tuples or Lifted over one denominator")
-            _check_unit(self.flatten(), "join point")
+            if _sum_squares(right.nums, _sum_squares(left.nums)) != left.den * left.den:
+                _check_unit(self.flatten(), "join point")    # raises, naming |x|^2
         elif left and type(left[0]) is float:   # one running sum over p, then q
             _check_float_norm(_sum_squares(right, _sum_squares(left)), "join point")
         else:

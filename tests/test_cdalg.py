@@ -144,13 +144,11 @@ def operand_pairs(scalar):
 @given(data=st.data())
 def test_kernel_matches_recursion(kind, data):
     # equal values and the same scalar type in every coordinate: repr tells
-    # 0, Fraction(0), 0.0 and -0.0 apart.  The kernel a ladder row picks for
-    # operands of one scalar form, the only ones the runner gives it, gives the same.
+    # 0, Fraction(0), 0.0 and -0.0 apart.  The kernel a ladder row picks gives the same.
     a, b = data.draw(operand_pairs(SCALARS[kind]))
     want = repr(_mul_recursive(a, b))
     assert repr(mul_coeffs(a, b)) == want
-    if kind in ("int", "fraction", "float") or len(a) <= cdalg.TRACED_MAX_DIM:
-        assert repr(ladder_row(lambda mul, inputs: mul(*inputs), a, b)) == want
+    assert repr(ladder_row(lambda mul, inputs: mul(*inputs), a, b)) == want
     if kind == "int":   # the sign-table loop the ladder's structured scan runs at levels 4-5
         assert repr(mul_ints(a, b)) == want
 
@@ -788,16 +786,9 @@ def _ladder_inputs(level, arity, kind):
     return out
 
 
-def _row_forms(level):
-    """The input kinds a ladder row takes at a level.  Above `TRACED_MAX_DIM` an int
-    first coordinate picks `mul_ints`, so a row takes operands of one scalar form
-    there, as the runner gives them; float inside an int tuple is not one of them."""
-    kinds = ["sparse-int", "dense-int", "fraction", "int-fraction", "float", "exact-float"]
-    return kinds if 1 << level <= cdalg.TRACED_MAX_DIM else kinds[:-1]
-
-
-@pytest.mark.parametrize("kind, level", [(kind, level) for level in range(6)
-                                         for kind in _row_forms(level)])
+@pytest.mark.parametrize("level", range(6))
+@pytest.mark.parametrize("kind", ["sparse-int", "dense-int", "fraction", "int-fraction",
+                                  "float", "exact-float"])
 def test_ladder_bodies_match_per_product_bodies(level, kind):
     for law, evaluate, kinds in cdalg.LADDER_LAWS:
         for inputs in _ladder_inputs(level, len(kinds), kind):

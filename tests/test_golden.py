@@ -54,9 +54,13 @@ def _cli_cases() -> list:
         ("fiber", "--instance", "complex"))]
     runs = [(argv, mode) for mode in MODES for argv in per_mode]
     runs += [(argv, "float") for argv in zero_tolerance]
-    return [argv + ("--mode", mode, "--samples", str(SAMPLES), "--seed", str(SEED),
-                    "--workers", workers)
-            for argv, mode in runs for workers in ("1", "3")]
+    cases = [argv + ("--mode", mode, "--samples", str(SAMPLES), "--seed", str(SEED),
+                     "--workers", workers)
+             for argv, mode in runs for workers in ("1", "3")]
+    # a far pair of translations whose translates differ by less than 0.5 in every
+    # coordinate but lie farther apart than that: separation holds
+    return cases + [("fiber", "--instance", "complex", "--mode", "float", "--tolerance", "0.5",
+                     "--samples", "20", "--seed", "0", "--workers", "1")]
 
 
 def _strip(report_dicts: list) -> list:

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 from hopfcheck import checks, hopf
 from hopfcheck.cdalg import mul_coeffs, norm_coeffs
-from hopfcheck.cli import main
 from hopfcheck.checks import STATUS_FAILS, coeffs_to_json, execute_check, max_abs_diff, worst_of
 from hopfcheck.hopf import (FIBRATIONS, HopfInstance, dimension_report, fiber_check,
                             fibration_report, hopf_instance, hopf_map)
@@ -169,13 +168,6 @@ def test_far_translations_separate_in_euclidean_distance():
     assert max_abs_diff(w1, w2) > 0.5 > max(max_abs_diff(u1, u2), max_abs_diff(v1, v2))
     assert hopf._fiber_separation((hopf_instance("complex"), 0.5), FAR_PAIR) == (0, None, None)
     assert hopf._fiber_separation((hopf_instance("complex"), 0.8), FAR_PAIR)[0] == 1   # 0.76 apart
-
-
-def test_far_float_translations_pass_the_fiber_suite(capsys):
-    # the command once failed fiber-separation on the pair above
-    argv = ["fiber", "--instance", "complex", "--mode", "float", "--tolerance", "0.5",
-            "--samples", "20", "--seed", "0"]
-    assert main(argv) == 0
 
 
 def test_polar_arc_fails_fiber_polar_interior_with_witness():
