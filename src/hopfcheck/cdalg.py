@@ -250,13 +250,12 @@ def _ladder_law(body: Callable) -> Callable:
     """A ladder row's evaluate(n, inputs) at dimension n, for body(mul, inputs).
 
     The product, a module global read at each call, is `mul_ints` on all-int tuples
-    above `TRACED_MAX_DIM` (their sum is an int; a Fraction or float makes it
-    one), else the traced kernel, which gives what `mul_coeffs` gives on tuples.
-    A sample is all tuples or all `Lifted`, and a `Lifted` one is judged on its
-    numerators: every ladder law compares sides of equal degree in each input, so
-    over positive denominators they agree, and a real part is positive, exactly
-    when the numerators' do (a new row must be homogeneous so).  Only a failing
-    sample runs again on its values through `mul_coeffs`, for its witness.
+    above `TRACED_MAX_DIM` (a Fraction or float makes their sum no int), else the
+    traced kernel.  A sample is all tuples or all `Lifted`; a `Lifted` one is judged
+    on its numerators: every ladder law compares sides of equal degree in each
+    input, so over positive denominators they agree, and a real part is positive,
+    exactly when the numerators' do (a new row must be homogeneous so).  Only a
+    failing sample runs again on its values through `mul_coeffs`, for its witness.
     """
     def evaluate(n, inputs):
         if type(inputs[0]) is Lifted:
