@@ -17,7 +17,7 @@ from functools import partial
 from typing import Callable, Iterable, Optional
 
 from .errors import InvariantViolation, PreconditionError, UsageError
-from .sampling import draw_input, law_rngs
+from .sampling import law_samples
 from .spheremodel import JoinPoint, Lifted, SpherePoint, lifted
 
 STATUS_HOLDS_EXACT = "holds-exact"
@@ -212,26 +212,21 @@ def run_laws(rows,
     """Check a table of laws and return one report per row, in table order.
 
     A row is (law, evaluate, kinds): evaluate(ctx, inputs) gives (residual, lhs,
-    rhs), structured(kinds) the exact inputs, and sample i draws one input of each
-    kind in order, in R^dim (`draw_input`), from CounterRng(seed, suite(law), i),
-    taken in index order from one `law_rngs` stream per law.  A row with no kinds,
-    or at dim 0 (R^0 has no point), draws no sample.  expect(law) says whether the
-    law should hold.
+    rhs), structured(kinds) the exact inputs, and sample i is one input of each
+    kind in order, in R^dim, read from the words of CounterRng(seed, suite(law), i):
+    the sampler hands on the tuples of one `law_samples` stream per law, which
+    computes each chunk's words when its first sample is drawn.  A row with no
+    kinds, or at dim 0 (R^0 has no point), draws no sample.  expect(law) says
+    whether the law should hold.
     """
     require_samples(samples)
     reports = []
     for law, evaluate, kinds in rows:
         n = samples if kinds and dim else 0
-
-        def sampler(i, kinds=kinds, rngs=law_rngs(seed, suite(law), n)):
-            rng, drawn = next(rngs), []
-            for kind in kinds:
-                drawn.append(draw_input(kind, rng, dim, mode, i, drawn, tolerance))
-            return tuple(drawn)
-
+        draws = law_samples(seed, suite(law), n, kinds, dim, mode, tolerance)
         reports.append(execute_check(
             law, instance, partial(evaluate, ctx), structured=structured(kinds),
-            sampler=sampler, samples=n, seed=seed, mode=mode,
+            sampler=lambda i, draws=draws: next(draws), samples=n, seed=seed, mode=mode,
             tolerance=tolerance, expect_holds=expect(law)))
     return reports
 

@@ -44,7 +44,7 @@ class Carrier(NamedTuple):
     Points are coordinate sequences (tuples or join points), so the laws
     compare them as coefficient vectors.  A law of k inputs scans every
     k-tuple of the exact points in `structured`, then draws k points of
-    `kind` per sample (`sampling.draw_input`), coordinates or join blocks in
+    `kind` per sample (`sampling.law_samples`), coordinates or join blocks in
     R^dim.  neg is None on a carrier whose laws never negate.
     """
 

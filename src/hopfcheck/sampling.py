@@ -8,33 +8,19 @@ suite's hash and G is splitmix64's odd increment, and its word j is
     word_j(i) = mix(s_i + (j + 1) G)   (mod 2^64),
 
 a pure function of (i, j) (Salmon et al., "Parallel random numbers: as
-easy as 1, 2, 3", SC 2011).  So sample i depends on its index alone, not
-on the samples drawn before it, and many samples' words can be computed
-at once.  `CounterRng._u64s` steps one generator in a loop over a local
-state; `_lane_words` computes words 0..k-1 of many consecutive samples in
-one pass of big-int operations, one 128-bit lane per word, bit for bit
-the words of the loop.
+easy as 1, 2, 3", SC 2011).  `CounterRng._u64s` steps one generator;
+`_lane_words` computes words 0..k-1 of many consecutive samples in one
+pass of big-int operations, bit for bit the stepped words.  `law_samples`
+yields a law's input tuples in sample order from such passes, k being the
+most words its input kinds read, with no generator per sample.
 
-`law_rngs` yields one law's generators in sample order.  Sample 0
-steps, and the number of words it reads becomes the law's prefix length
-k.  Samples 1.. come preloaded with their first k words, from lane passes
-over chunks of at most `LANE_WORDS` words, each computed when its chunk's
-first sample is taken; a sample that reads more than k words steps on
-from the end of its prefix.  Every sample thus reads exactly the words of
-its own generator.
-
-This module alone turns words into values.  Exact-mode samples are
-rationals with bounded numerators and denominators; sphere points are
-generated through the rational parametrization y -> ((1 - |y|^2) /
-(1 + |y|^2), 2y / (1 + |y|^2)), which lands exactly on the unit sphere,
-evaluated on integers: exact points and glue arcs are `Lifted` values
-(`rand_point`, `rand_arc`); `rand_unit` and `rand_quarter_pair` give
-Fractions.  One integer draw (`rand_lifted`) gives both the ladder's
-exact samples and the sphere points' source vectors, and one float
-decoder (`_floats_of`) both the float coefficients and the float points'
-source vectors.  Every draw reads its words in one `_u64s` call and
-builds its values from them (`point_of`, `quarter_of`).  A law row names
-the kind of each input, and `draw_input` alone draws every kind.
+This module alone turns words into values, one reader per input kind, for
+`law_samples` and the single draws (`rand_point`, `rand_arc`, ...) alike.
+Exact sphere points and glue arcs are `Lifted` values: the rational
+parametrization y -> ((1 - |y|^2) / (1 + |y|^2), 2y / (1 + |y|^2)),
+exactly on the unit sphere, on integers (`point_of`, `quarter_of`), where
+y is the ladder's integer draw (`rand_lifted`); float points and
+coefficients share one decoder (`_floats_of`).
 """
 
 from __future__ import annotations
@@ -47,16 +33,15 @@ from .spheremodel import JoinPoint, Lifted, SpherePoint, _sum_squares, arc_point
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15                 # splitmix64's increment G
-_GAMMA_INV = pow(_GAMMA, -1, 1 << 64)       # steps taken = state change / G
 _MIX1, _MIX2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
 
 #: bound on numerators/denominators of random rationals and on random floats
 MAGNITUDE = 10
 
-#: most words in one lane pass (64 KB of 128-bit lanes).  Python 3.11 on a
-#: 2-core Xeon VM, k = 16 words per sample, median of 9: 0.13 µs per word at
-#: 512 words, 0.11 at 1,024, 0.10 at 2,048, 0.09 at 4,096 and 0.13 at 8,192
-#: and 16,384; the stepping loop takes 0.42-0.50 µs per word at every size
+#: most words in one lane pass (64 KB of 128-bit lanes) but for a wider sample.
+#: Python 3.11 on a 2-core Xeon VM, k = 16 words per sample, median of 9: 0.13 µs
+#: per word at 512 words, 0.11 at 1,024, 0.10 at 2,048, 0.09 at 4,096 and 0.13 at
+#: 8,192 and 16,384; the stepping loop takes 0.42-0.50 µs per word at every size
 LANE_WORDS = 4096
 
 
@@ -71,44 +56,28 @@ def _start(seed: int, suite: str, index: int) -> int:
     return (((seed & _MASK) ^ _suite_key(suite)) * _GAMMA + index + 1) & _MASK
 
 
+def _steps(state: int, n: int) -> list:
+    """The n words after state: the splitmix64 step, in one loop over a local state."""
+    out = [0] * n
+    for k in range(n):
+        state = (state + 0x9E3779B97F4A7C15) & _MASK
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+        out[k] = z ^ (z >> 31)
+    return out
+
+
 class CounterRng:
-    """Small splitmix64 stream keyed by (seed, suite, index).
-
-    Pure integer arithmetic: reproducible across platforms and immune to
-    hash randomization.
-    """
-
-    _prefix = ()    # words handed in by `_preloaded`, read back before any step
+    """Sample index's splitmix64 stream in suite, from seed: integer arithmetic alone."""
 
     def __init__(self, seed: int, suite: str, index: int):
         self._state = _start(seed, suite, index)
 
-    @classmethod
-    def _preloaded(cls, start: int, prefix: list) -> "CounterRng":
-        """The generator whose state was start: it reads prefix (its first words) back,
-        then steps on from start + len(prefix) G."""
-        rng = cls.__new__(cls)
-        rng._state = (start + len(prefix) * _GAMMA) & _MASK
-        rng._prefix = prefix
-        return rng
-
     def _u64s(self, n: int) -> list:
-        """The next n outputs: the rest of a preloaded prefix, then the splitmix64
-        step, in one loop over a local state."""
-        head = self._prefix
-        if head:
-            self._prefix = head[n:]
-            if len(head) >= n:
-                return head[:n]
-            n -= len(head)
-        state, out = self._state, [0] * n
-        for k in range(n):
-            state = (state + 0x9E3779B97F4A7C15) & _MASK
-            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-            out[k] = z ^ (z >> 31)
-        self._state = state
-        return head + out if head else out
+        """The next n outputs."""
+        state = self._state
+        self._state = (state + n * _GAMMA) & _MASK
+        return _steps(state, n)
 
     def next_u64(self) -> int:
         return self._u64s(1)[0]
@@ -119,9 +88,9 @@ class CounterRng:
 
 
 @cache
-def _low_halves():
-    """The low 64 bits of each of LANE_WORDS lanes: it masks a pass of any size."""
-    return int.from_bytes((b"\xff" * 8 + bytes(8)) * LANE_WORDS, "little")
+def _low_halves(lanes: int):
+    """The low 64 bits of each of lanes lanes: it masks a pass of at most lanes words."""
+    return int.from_bytes((b"\xff" * 8 + bytes(8)) * lanes, "little")
 
 
 def _lane_words(start: int, count: int, k: int) -> memoryview:
@@ -140,44 +109,18 @@ def _lane_words(start: int, count: int, k: int) -> memoryview:
     big-endian one, whose bytes put the last lane first.
     """
     n = count * k
-    if n > LANE_WORDS:
-        raise ValueError(f"a lane pass takes at most {LANE_WORDS} words, not {n}")
     ramp, blocks = bytearray(16 * count), count // 256 + 1
     ramp[0::16] = (bytes(range(256)) * blocks)[:count]
     ramp[1::16] = b"".join([bytes((b,)) * 256 for b in range(blocks)])[:count]
     rows = b"".join([((start + j * _GAMMA) & _MASK).to_bytes(16, "little") * count
                      for j in range(1, k + 1)])
-    low = _low_halves()
+    low = _low_halves(max(n, LANE_WORDS))
     x = (int.from_bytes(ramp * k, "little") + int.from_bytes(rows, "little")) & low
     x = ((x ^ ((x >> 30) & low)) * _MIX1) & low
     x = ((x ^ ((x >> 27) & low)) * _MIX2) & low
     x ^= x >> 31        # the high halves are never read
     words = memoryview(x.to_bytes(16 * n, sys.byteorder)).cast("Q")
     return words[::2] if sys.byteorder == "little" else words[::-2]
-
-
-def law_rngs(seed: int, suite: str, samples: int):
-    """CounterRng(seed, suite, i) for i = 0, 1, ..., samples - 1, in index order.
-
-    Sample 0 steps; the words it has read when sample 1 is taken (its state
-    moves G per word; at most LANE_WORDS) become the prefix length k.
-    Samples 1.. come preloaded with their first k words, one `_lane_words`
-    pass per chunk of LANE_WORDS // k samples, made when the chunk's first
-    sample is taken.  With k = 0 every sample steps from its start.
-    """
-    first = CounterRng(seed, suite, 0)
-    yield first
-    start = _start(seed, suite, 0)
-    k = min(((first._state - start) * _GAMMA_INV) & _MASK, LANE_WORDS)
-    if not k:
-        yield from (CounterRng(seed, suite, i) for i in range(1, samples))
-    else:
-        chunk = LANE_WORDS // k
-        for lo in range(1, samples, chunk):
-            count = min(chunk, samples - lo)
-            words = _lane_words((start + lo) & _MASK, count, k)
-            for t in range(count):
-                yield CounterRng._preloaded(start + lo + t, words[t::count].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -240,15 +183,13 @@ def quarter_of(words, mode: str):
 
 
 def rand_coeffs(rng: CounterRng, n: int, mode: str) -> tuple:
-    if mode == "exact":
-        return tuple(rand_lifted(rng, n))
-    return tuple(_floats_of(rng._u64s(n)))
+    return tuple(_draw(rng, "element", n, mode))
 
 
 def rand_lifted(rng: CounterRng, n: int) -> Lifted:
     """Exact `rand_coeffs` as a `Lifted`, from the same words: the numerators
     a_i L / d_i over L = lcm(d_i), with no Fraction built."""
-    return _lifted_of(rng._u64s(2 * n))
+    return _draw(rng, "element", n, "exact")
 
 
 def stereographic(vec: tuple) -> tuple:
@@ -266,20 +207,15 @@ def rand_unit(rng: CounterRng, dim: int, mode: str) -> tuple:
 
 
 def rand_point(rng: CounterRng, dim: int, mode: str):
-    """Random point on the unit sphere of R^dim: a `Lifted` in exact mode (the stereographic
-    image of `rand_lifted`, on integers), floats in float mode."""
+    """Random point on the unit sphere of R^dim: a `Lifted` in exact mode, else floats."""
     if dim < 1:
         raise ValueError("ambient dimension must be >= 1")
-    return point_of(rng._u64s(point_words(dim, mode)), dim, mode)
+    return _draw(rng, "point", dim, mode)
 
 
 def rand_arc(rng: CounterRng, dim: int, mode: str) -> tuple:
-    """(u, v, cs): a glue arc's endpoints, two `rand_point`s of R^dim, and its
-    `rand_quarter_pair` (c, s), `Lifted` values in exact mode, from one slice of words."""
-    m = point_words(dim, mode)
-    words = rng._u64s(2 * m + quarter_words(mode))
-    return (point_of(words[:m], dim, mode), point_of(words[m:2 * m], dim, mode),
-            quarter_of(words[2 * m:], mode))
+    """(u, v, cs): a glue arc's endpoints, two `rand_point`s, and its `rand_quarter_pair`."""
+    return _arc_of(rng._u64s(2 * point_words(dim, mode) + quarter_words(mode)), 0, dim, mode)
 
 
 def _stereographic_ints(nums, den) -> Lifted:
@@ -292,8 +228,7 @@ def _stereographic_ints(nums, den) -> Lifted:
 
 def rand_quarter_pair(rng: CounterRng, mode: str) -> tuple:
     """Random (c, s) with c, s > 0 and c^2 + s^2 = 1, Fractions in exact mode: a genuine
-    glue arc point, not an endpoint.  Exact mode draws t = k / den and returns the
-    quarter-circle point at t (`quarter_point`)."""
+    glue arc point, the quarter-circle point at t = k / den (`quarter_point`)."""
     return tuple(quarter_of(rng._u64s(quarter_words(mode)), mode))
 
 
@@ -308,6 +243,17 @@ def quarter_grid(n: int) -> list:
     return [quarter_point(k, n) for k in range(n + 1)]
 
 
+def join_point_sample(rng: CounterRng, dim: int, view: str, mode: str) -> JoinPoint:
+    """A random join point of the view inl, inr or glue, blocks in R^dim; lifted in exact mode."""
+    return _draw(rng, view, dim, mode)
+
+
+def _draw(rng: CounterRng, kind: str, dim: int, mode: str):
+    """Input `kind` of one sample from as many of rng's next words as its reader reads."""
+    need, read = _readers(dim, mode)[kind]
+    return read(rng._u64s(need), 0, 0, ())[0]
+
+
 # ---------------------------------------------------------------------------
 # law inputs
 
@@ -315,41 +261,99 @@ def quarter_grid(n: int) -> list:
 VIEW_KINDS = ("inl", "inr", "glue")
 
 
-def join_point_sample(rng: CounterRng, dim: int, view: str, mode: str) -> JoinPoint:
-    """A random join point of the view inl, inr or glue, blocks in R^dim; lifted in exact mode."""
-    if view == "glue":
-        u, v, cs = rand_arc(rng, dim, mode)
-        return lifted_arc(u, v, cs) if mode == "exact" else arc_point(u, v, *cs)
-    x = rand_point(rng, dim, mode)
-    zero = Lifted((0,) * dim, x.den) if mode == "exact" else (0.0,) * dim
-    return JoinPoint(x, zero) if view == "inl" else JoinPoint(zero, x)
+def _arc_of(words, pos: int, dim: int, mode: str) -> tuple:
+    """`rand_arc`'s (u, v, cs) from words[pos:] (a pair reads at most two words)."""
+    m = point_words(dim, mode)
+    u, v = point_of(words[pos:pos + m], dim, mode), point_of(words[pos + m:pos + 2 * m], dim, mode)
+    return u, v, quarter_of(words[pos + 2 * m:pos + 2 * m + 2], mode)
 
 
-def draw_input(kind: str, rng: CounterRng, dim: int, mode: str, i: int, drawn: list,
-               tolerance: float):
-    """Input `kind` of sample i in R^dim from rng: a ladder `element`, a `point`, a
-    `corner` (the poles +-e_0 at samples 0 and 1, reading no word, then `SpherePoint`s),
-    an `arc` (u, v, c, s), a join point of the view `inl`, `inr` or `glue`, of a view
-    one word picks (`join`) or of view i % 3 (`cycle`), or a point redrawn until it
-    differs from drawn[-1], the input before it, beyond tolerance in float mode (`far`)."""
-    if kind == "point":
-        return rand_point(rng, dim, mode)
-    if kind == "element":
-        return rand_lifted(rng, dim) if mode == "exact" else rand_coeffs(rng, dim, mode)
-    if kind in ("join", "cycle"):
-        kind = VIEW_KINDS[rng.randint(0, 2) if kind == "join" else i % 3]
-    if kind in VIEW_KINDS:
-        return join_point_sample(rng, dim, kind, mode)
-    if kind == "arc":
-        u, v, cs = rand_arc(rng, dim, mode)
-        return (u, v) + tuple(cs)
-    if kind == "corner":
-        return (SpherePoint.basis(dim, 0, 1 - 2 * i) if i < 2
-                else SpherePoint(rand_unit(rng, dim, mode)))
-    if kind == "far":   # exact points differ on cross-multiplied numerators
-        w1, w = drawn[-1], rand_point(rng, dim, mode)
-        while not (any(x * w.den != y * w1.den for x, y in zip(w1.nums, w.nums))
-                   if mode == "exact" else any(abs(x - y) > tolerance for x, y in zip(w1, w))):
-            w = rand_point(rng, dim, mode)
-        return w
-    raise ValueError(f"unknown input kind {kind!r}")
+@cache
+def _readers(dim: int, mode: str) -> dict:
+    """kind -> (need, read) for the input kinds in R^dim but `far` (`_far`): read(words,
+    pos, i, drawn) is sample i's input after those drawn, from words[pos:], and the
+    position past the words it read, at most need.  A `join` word or `cycle`'s i % 3
+    picks a view; a `corner` is a pole +-e_0 at samples 0 and 1, reading no word."""
+    m, exact = point_words(dim, mode), mode == "exact"
+    arc, n = 2 * m + quarter_words(mode), 2 * dim if exact else dim
+
+    def point(words, pos, i, drawn):
+        return point_of(words[pos:pos + m], dim, mode), pos + m
+
+    def element(words, pos, i, drawn):
+        x = words[pos:pos + n]
+        return (_lifted_of(x) if exact else tuple(_floats_of(x))), pos + n
+
+    def arc_input(words, pos, i, drawn):
+        u, v, cs = _arc_of(words, pos, dim, mode)
+        return (u, v) + tuple(cs), pos + arc
+
+    def glue(words, pos, i, drawn):
+        u, v, cs = _arc_of(words, pos, dim, mode)
+        return (lifted_arc(u, v, cs) if exact else arc_point(u, v, *cs)), pos + arc
+
+    def block(left):
+        def read(words, pos, i, drawn):
+            x = point_of(words[pos:pos + m], dim, mode)
+            zero = Lifted((0,) * dim, x.den) if exact else (0.0,) * dim
+            return (JoinPoint(x, zero) if left else JoinPoint(zero, x)), pos + m
+        return read
+
+    views = (block(True), block(False), glue)      # VIEW_KINDS' order
+
+    def join(words, pos, i, drawn):
+        return views[words[pos] % 3](words, pos + 1, i, drawn)
+
+    def cycle(words, pos, i, drawn):
+        return views[i % 3](words, pos, i, drawn)
+
+    def corner(words, pos, i, drawn):
+        if i < 2:
+            return SpherePoint.basis(dim, 0, 1 - 2 * i), pos
+        return SpherePoint(tuple(point_of(words[pos:pos + m], dim, mode))), pos + m
+
+    return {"element": (n, element), "point": (m, point), "arc": (arc, arc_input),
+            "inl": (m, views[0]), "inr": (m, views[1]), "glue": (arc, glue),
+            "join": (1 + arc, join), "cycle": (arc, cycle), "corner": (m, corner)}
+
+
+def _far(dim: int, mode: str, tolerance: float, start: int) -> tuple:
+    """(need, read) for `far`: a point redrawn until it differs from drawn[-1] beyond
+    tolerance in float mode, on cross-multiplied numerators in exact mode; a redraw
+    past the sample's words steps on from their end, sample i's state being start + i."""
+    m, exact = point_words(dim, mode), mode == "exact"
+
+    def read(words, pos, i, drawn):
+        w1 = drawn[-1]
+        while True:
+            if pos + m > len(words):
+                words += _steps((start + i + len(words) * _GAMMA) & _MASK, pos + m - len(words))
+            w = point_of(words[pos:pos + m], dim, mode)
+            pos += m
+            if (any(x * w.den != y * w1.den for x, y in zip(w1.nums, w.nums)) if exact
+                    else any(abs(x - y) > tolerance for x, y in zip(w1, w))):
+                return w, pos
+    return m, read
+
+
+def law_samples(seed: int, suite: str, samples: int, kinds: tuple, dim: int, mode: str,
+                tolerance: float):
+    """The input tuples, of the given kinds in R^dim, of a law's samples 0, 1, ... in turn,
+    read by the kinds' readers from the words of CounterRng(seed, suite, i).  Words
+    0..k-1, k the sum of the most each kind reads, come from one `_lane_words` pass per
+    chunk of LANE_WORDS // k samples (at least one), made at the chunk's first sample."""
+    start, table = _start(seed, suite, 0), _readers(dim, mode)
+    readers = [_far(dim, mode, tolerance, start) if kind == "far" else table[kind]
+               for kind in kinds]
+    k, reads = sum(need for need, _ in readers), [read for _, read in readers]
+    chunk = max(1, LANE_WORDS // (k or 1))
+    for lo in range(0, samples, chunk):
+        count = min(chunk, samples - lo)
+        words = _lane_words((start + lo) & _MASK, count, k)
+        for i in range(lo, lo + count):
+            row, pos, drawn = words[i - lo::count].tolist(), 0, []
+            for read in reads:
+                x, pos = read(row, pos, i, drawn)
+                drawn.append(x)
+            yield tuple(drawn)
+

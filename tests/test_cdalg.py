@@ -855,8 +855,12 @@ def test_lifted_ladder_samples_keep_the_fraction_draws_reports(level, seed, monk
     monkeypatch.setattr(cdalg, "STRUCTURED_CAP", 300)
     with monkeypatch.context() as m:
         # the runner draws each element as the Fraction tuple of `rand_coeffs`
-        m.setattr(checks, "draw_input", lambda kind, rng, dim, mode, i, drawn, tolerance:
-                  rand_coeffs(rng, dim, "exact"))
+        def fraction_samples(seed, suite, samples, kinds, dim, mode, tolerance):
+            for i in range(samples):
+                rng = CounterRng(seed, suite, i)
+                yield tuple(rand_coeffs(rng, dim, "exact") for _ in kinds)
+
+        m.setattr(checks, "law_samples", fraction_samples)
         before = run_laws(
             cdalg.LADDER_LAWS, f"level-{level}", 1 << level, dim=1 << level,
             structured=lambda kinds: structured_tuples(level, len(kinds), 300),

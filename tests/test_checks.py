@@ -266,23 +266,31 @@ def test_suite_key_and_samples_unchanged():
 
 
 def _two_word_law(monkeypatch, drawn, fails_at=None, raises_at=None, structured=()):
-    """run_laws' arguments for one law of one input; `checks.draw_input`, patched,
-    draws sample i as (i,), reading its first two words and appending (i, words) to
-    drawn.  The law fails on sample fails_at (and on a structured input (fails_at,
-    ...)), and the draw raises on sample raises_at."""
-    def draw_input(kind, rng, dim, mode, i, inputs, tolerance):
-        if i == raises_at:
+    """run_laws' arguments for one law of one float `point` of R^3, two words per sample,
+    so LANE_WORDS // 2 samples per lane pass.  `checks.law_samples`, patched, hands on
+    sample i of the real stream as (i,), appending (i, inputs) to drawn, and the real
+    stream's reader raises on sample raises_at (`sampling.point_of`, patched).  The law
+    fails on sample fails_at (and on a structured input (fails_at, ...))."""
+    original = sampling.point_of
+
+    def point_of(words, dim, mode):
+        if len(drawn) == raises_at:
             raise ArithmeticError("no draw")
-        drawn.append((i, tuple(rng._u64s(2))))
-        return i
+        return original(words, dim, mode)
+
+    def law_samples(*args):
+        for i, inputs in enumerate(sampling.law_samples(*args)):
+            drawn.append((i, inputs))
+            yield (i,)
 
     def evaluate(ctx, inputs):
         return (1 if inputs[0] == fails_at else 0), inputs, inputs
 
-    monkeypatch.setattr(checks, "draw_input", draw_input)
-    return dict(rows=(("law", evaluate, ("point",)),), instance="t", ctx=None, dim=1,
+    monkeypatch.setattr(sampling, "point_of", point_of)
+    monkeypatch.setattr(checks, "law_samples", law_samples)
+    return dict(rows=(("law", evaluate, ("point",)),), instance="t", ctx=None, dim=3,
                 suite=lambda law: "test/run-laws", structured=lambda kinds: structured,
-                samples=10000, seed=4)
+                samples=10000, seed=4, mode="float")
 
 
 def test_run_laws_draws_no_word_past_a_structured_failure(lane_passes, monkeypatch):
@@ -298,7 +306,7 @@ def test_run_laws_draws_at_most_one_chunk_past_a_failure(lane_passes, monkeypatc
     (report,) = run_laws(**_two_word_law(monkeypatch, drawn, fails_at=3000))
     assert report.status == STATUS_FAILS and report.witness["inputs"][0] == 3000
     chunk = sampling.LANE_WORDS // 2
-    assert lane_passes == [(chunk, 2), (chunk, 2)]        # samples 1..2 chunks
+    assert lane_passes == [(chunk, 2), (chunk, 2)]        # samples 0..2 chunks
     assert 3000 < 2 * chunk <= 3000 + chunk
 
 
@@ -313,8 +321,8 @@ def test_run_laws_samples_read_their_own_generators(lane_passes, monkeypatch):
     drawn = []
     run_laws(**_two_word_law(monkeypatch, drawn))
     assert len(lane_passes) == 5
-    assert drawn == [(i, tuple(CounterRng(4, "test/run-laws", i)._u64s(2)))
-                     for i in range(10000)]
+    assert drawn == [(i, (sampling.point_of(CounterRng(4, "test/run-laws", i)._u64s(2), 3,
+                                            "float"),)) for i in range(10000)]
 
 def _lifted_pair(data, n):
     """Two exact n-vectors, the second equal to the first or not, each maybe scaled

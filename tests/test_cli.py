@@ -172,10 +172,10 @@ def test_float_run_on_a_fraction_unit_mixes(monkeypatch):
 @pytest.mark.parametrize("error", [ValueError, UsageError])
 def test_raising_sampler_fails_each_sampled_law(error, tmp_path, monkeypatch, capsys):
     # neither a traceback nor a usage error: the sampled phase fails at sample 0
-    def rand_point(rng, dim, mode):
+    def point_of(words, dim, mode):
         raise error("no draw")
 
-    monkeypatch.setattr(sampling, "rand_point", rand_point)
+    monkeypatch.setattr(sampling, "point_of", point_of)
     code, doc = run_cli_json(tmp_path, "spheroid", "--instance", "s1", "--samples", "5")
     assert code == 1 and doc["overall"] == "fail"
     assert capsys.readouterr().err == ""

@@ -13,7 +13,7 @@ from hopfcheck.cdalg import mul_coeffs, norm_coeffs
 from hopfcheck.checks import STATUS_FAILS, coeffs_to_json, execute_check, max_abs_diff, worst_of
 from hopfcheck.hopf import (FIBRATIONS, HopfInstance, dimension_report, fiber_check,
                             fibration_report, hopf_instance, hopf_map)
-from hopfcheck.sampling import (CounterRng, draw_input, join_point_sample, rand_quarter_pair,
+from hopfcheck.sampling import (CounterRng, join_point_sample, law_samples, rand_quarter_pair,
                                 rand_unit)
 from hopfcheck.errors import UsageError
 from hopfcheck.laws import imaginaroid_instance
@@ -252,9 +252,8 @@ def test_exact_fiber_polar_lifts_no_pole(monkeypatch):
     assert all(r.holds for r in fiber_check(hopf_instance("quaternionic"), samples=20))
     assert handed and all(type(x) is Lifted for x in handed)
     # a lifted end that misses its pole still has the pole's Fractions as its rhs
-    inst, rng = hopf_instance("complex"), CounterRng(3, "test/hopf/lifted-polar", 0)
-    inputs = (draw_input("arc", rng, 2, "exact", 0, [], 0),
-              draw_input("point", rng, 2, "exact", 0, [], 0))
+    inst = hopf_instance("complex")
+    inputs = next(law_samples(3, "test/hopf/lifted-polar", 1, ("arc", "point"), 2, "exact", 0))
     original = hopf.hopf_map
 
     def off_pole(x, inst):

@@ -7,7 +7,7 @@ of the package (bar `__init__.py`, whose imports are the public API) with
 second guard keeps the word layout in one module: no other module calls
 `_u64s` or uses the names that slice words into values.  A third keeps the
 draws there: no other module imports the functions that build sampled inputs,
-so a law names its inputs' kinds and `sampling.draw_input` draws them.
+so a law names its inputs' kinds and `sampling.law_samples` draws them.
 """
 
 import ast

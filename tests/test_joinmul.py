@@ -802,13 +802,13 @@ _ALL_GRID_LAWS = {"filler-unit-norm", "filler-boundary", "filler-pole-reduction"
 def test_broken_filler_fails_its_grid_laws(target, perturb, failing, mode, monkeypatch):
     monkeypatch.setattr(joinmul, target, perturb(getattr(joinmul, target)))
 
-    def draw_input(kind, rng, dim, mode, i, drawn, tolerance):
+    def law_samples(seed, suite, samples, kinds, dim, mode, tolerance):
         # samples 3 and 4 are the poles, so the pole row runs on them
-        if i >= 3:
-            return SpherePoint.basis(4, 0, 7 - 2 * i)
-        return SpherePoint(rand_unit(rng, 4, mode))
+        for i in range(samples):
+            yield ((SpherePoint.basis(4, 0, 7 - 2 * i) if i >= 3
+                    else SpherePoint(rand_unit(CounterRng(seed, suite, i), 4, mode))),)
 
-    monkeypatch.setattr(checks, "draw_input", draw_input)
+    monkeypatch.setattr(checks, "law_samples", law_samples)
     reports = run_laws(
         DIAMOND_LAWS, "s7", _LiftedGrid(quarter_grid(6)), dim=4,
         suite=lambda law: "test/broken-filler", samples=5, seed=19, mode=mode)

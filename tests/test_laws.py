@@ -16,7 +16,6 @@ from hopfcheck.laws import (assoc_check, corner_transport_check,
                             corner_transport_suite,
                             hspace_check, imaginaroid_check, imaginaroid_instance,
                             spheroid_check, spheroid_instance)
-from hopfcheck.sampling import CounterRng
 from hopfcheck.spheremodel import JoinPoint, basis_coords
 
 
@@ -350,8 +349,8 @@ def test_int_unit_products_match_the_float_unit(name):
     if type(unit) is JoinPoint:
         signed = [JoinPoint(*pair) for x in signed for pair in ((x, (-0.0,) * dim),
                                                                ((-0.0,) * dim, x))]
-    samples = [sampling.draw_input(carrier.kind, CounterRng(2, f"test/float-unit/{name}", i),
-                                   carrier.dim, "float", i, [], 1e-9) for i in range(60)]
+    samples = [x for (x,) in sampling.law_samples(2, f"test/float-unit/{name}", 60,
+                                                  (carrier.kind,), carrier.dim, "float", 1e-9)]
     for x in signed + samples:
         for args, float_args in (((unit, x), (float_unit, x)), ((x, unit), (x, float_unit))):
             got = carrier.mul(*args)

@@ -1,8 +1,8 @@
 """Every `run_laws` caller's sampled inputs against the per-sample draws they replaced.
 
-The suites draw through `checks.run_laws`, whose `law_rngs` preloads samples
-1.. with words from lane passes, and their draws read each input's words in
-one slice.  The references below are the draw closures as they were: one
+The suites draw through `checks.run_laws`, whose `law_samples` decodes every
+sample from lane-pass words, one reader per input kind, with no generator per
+sample.  The references below are the draw closures as they were: one
 generator per sample, CounterRng(seed, suite(law), i), read through one
 `randint` call or one run of words per group of coordinates (the deleted
 `randints`, `uniforms`, `uniform` and `sign` methods, written out over

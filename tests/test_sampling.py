@@ -1,21 +1,27 @@
 """The samplers against the formulas they replaced: the exact ones against the
 Fraction formulas and the integer code written out per sampler, the float
 quarter pair, sphere points and coefficients against their inline formulas,
-the one-loop generator draw against one generator step per word, and the
-lane passes against the stepping generator."""
+the one-loop generator draw against one generator step per word, the lane
+passes against the stepping generator, and each law's batched samples
+against the per-sample draws of `test_sampled_inputs`."""
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import math
 
-from hopfcheck import sampling
-from hopfcheck.sampling import (LANE_WORDS, MAGNITUDE, CounterRng, law_rngs, quarter_grid,
+from hopfcheck import checks, sampling
+from hopfcheck.checks import max_abs_diff
+from hopfcheck.cli import main
+from hopfcheck.sampling import (LANE_WORDS, MAGNITUDE, VIEW_KINDS, CounterRng, quarter_grid,
                                 quarter_point, rand_coeffs, rand_lifted, rand_point,
                                 rand_quarter_pair, rand_unit, stereographic)
-from hopfcheck.spheremodel import lifted
+from hopfcheck.spheremodel import SpherePoint, lifted
+from test_sampled_inputs import (canon, old_join_point, old_lifted, old_point, old_quarter,
+                                 old_uniforms)
 
 
 def _sign(rng):
@@ -205,57 +211,159 @@ def test_lifted_draw_equals_the_fraction_draw():
             assert fast.next_u64() == slow.next_u64()
 
 
-def _law_words(seed, suite, samples, k):
-    """Words 0..k-1 of samples 1..samples-1 as `law_rngs` yields them, once sample 0
-    has read k words."""
-    rngs = law_rngs(seed, suite, samples)
-    next(rngs)._u64s(k)
-    return [rng._u64s(k) for rng in rngs]
-
-
 def test_lane_words_are_the_stepped_words():
-    # three passes per law: the second and third start past a chunk boundary
+    # word j of generator t at j count + t, bit for bit the stepped words, across
+    # the 2^64 wrap of the start and in a pass wider than LANE_WORDS (one sample)
     for seed in (0, 1, -1, 2 ** 64 + 5):
+        suite = f"test/lanes/{seed}"
         for k in (1, 2, 7, 33):
-            samples = 2 * (LANE_WORDS // k) + 4
-            suite = f"test/lanes/{k}"
-            assert _law_words(seed, suite, samples, k) == [
-                CounterRng(seed, suite, i)._u64s(k) for i in range(1, samples)]
+            count = LANE_WORDS // k
+            for lo in (0, count, 2 ** 64 - 3):
+                words = sampling._lane_words(sampling._start(seed, suite, lo), count, k)
+                for t in (0, 1, count // 2, count - 1):
+                    assert words[t::count].tolist() == CounterRng(seed, suite, lo + t)._u64s(k)
+        wide = sampling._lane_words(sampling._start(seed, suite, 9), 1, LANE_WORDS + 5)
+        assert wide.tolist() == CounterRng(seed, suite, 9)._u64s(LANE_WORDS + 5)
 
 
-def test_lane_passes_cover_chunks_of_samples(lane_passes):
-    rngs = law_rngs(3, "test/lanes/passes", 2 * (LANE_WORDS // 7) + 4)
-    next(rngs)._u64s(7)
+def prefix_words(kinds, dim, mode):
+    """The words a law's samples take from lane passes: per kind, the most it reads."""
+    exact = mode == "exact"
+    m, q = 1 if dim == 1 else (dim - 1) * (2 if exact else 1), 2 if exact else 1
+    most = {"element": 2 * dim if exact else dim, "arc": 2 * m + q,
+            "glue": 2 * m + q, "cycle": 2 * m + q, "join": 1 + 2 * m + q}
+    return sum(most.get(kind, m) for kind in kinds)
+
+
+def reference_draw(kinds, dim, mode, tolerance, seed, suite, i):
+    """Sample i of a law of kinds as the per-sample draws made it: one stepping
+    generator, CounterRng(seed, suite, i), read input by input."""
+    rng, block, drawn = CounterRng(seed, suite, i), SimpleNamespace(susp_dim=dim), []
+    for kind in kinds:
+        if kind in ("join", "cycle"):
+            kind = VIEW_KINDS[rng.randint(0, 2) if kind == "join" else i % 3]
+        if kind == "element":
+            x = old_lifted(rng, dim) if mode == "exact" else old_uniforms(rng, -MAGNITUDE,
+                                                                          MAGNITUDE, dim)
+        elif kind == "point":
+            x = old_point(rng, dim, mode)
+        elif kind == "arc":
+            x = (old_point(rng, dim, mode), old_point(rng, dim, mode)) + tuple(
+                old_quarter(rng, mode))
+        elif kind in VIEW_KINDS:
+            x = old_join_point(rng, block, kind, mode)
+        elif kind == "corner":
+            x = (SpherePoint.basis(dim, 0, 1 - 2 * i) if i < 2
+                 else SpherePoint(tuple(old_point(rng, dim, mode))))
+        else:   # far: redrawn until it differs from the input before it
+            x = old_point(rng, dim, mode)
+            while not max_abs_diff(drawn[-1], x) > (tolerance if mode == "float" else 0):
+                x = old_point(rng, dim, mode)
+        drawn.append(x)
+    return tuple(drawn)
+
+
+EVERY_KIND = ("corner", "element", "point", "far", "arc", "join", "inl", "inr", "glue", "cycle",
+              "join")
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("kinds, dim, tolerance", [
+    (EVERY_KIND, 4, 1e-9),
+    (("join", "join"), 4, 1e-9),
+    (("arc", "point", "far"), 1, 1e-9),      # the real fibration's +-1 points redraw half the time
+    (("arc", "point", "far"), 2, 0.9),
+    (("element",) * 3, 8, 1e-9),
+], ids=["every-kind", "join-join", "far-real", "far-0.9", "elements"])
+def test_law_samples_are_the_per_sample_draws(lane_passes, monkeypatch, kinds, dim, tolerance,
+                                              mode):
+    # three lane passes of LANE_WORDS // k samples, k from the kinds alone, the last
+    # one cut at the sample count; every sample equals its stepping draw, in value
+    # and type, float bits included
+    stepped, steps = [], sampling._steps
+    monkeypatch.setattr(sampling, "_steps", lambda state, n: stepped.append(n) or steps(state, n))
+    k = prefix_words(kinds, dim, mode)
+    chunk = LANE_WORDS // k
+    suite = f"test/law-samples/{'+'.join(kinds)}/{dim}/{mode}"
+    samples = list(sampling.law_samples(3, suite, 2 * chunk + 5, kinds, dim, mode, tolerance))
+    # only a far redraw steps, past the sample's prefix
+    assert bool(stepped) == ("far" in kinds and (dim == 1 or tolerance > 0.5))
+    assert lane_passes == [(chunk, k), (chunk, k), (5, k)]
+    assert [canon(x) for x in samples] == [
+        canon(reference_draw(kinds, dim, mode, tolerance, 3, suite, i))
+        for i in range(len(samples))]
+    if kinds[0] == "corner":
+        assert [x[0] for x in samples[:2]] == [SpherePoint.basis(dim, 0, 1),
+                                                 SpherePoint.basis(dim, 0, -1)]
+    if kinds == ("join", "join"):
+        for j in range(2):      # each input takes every view
+            assert {(any(x[j].left), any(x[j].right)) for x in samples} == {
+                (True, False), (False, True), (True, True)}
+
+
+def test_law_samples_draw_a_pass_per_chunk_when_its_first_sample_is_taken(lane_passes):
+    kinds, count = ("element",), 2 * (LANE_WORDS // 7) + 3
+    samples = sampling.law_samples(3, "test/lanes/passes", count, kinds, 7, "float", 1e-9)
     assert lane_passes == []
-    # each pass is made when its chunk's first sample is taken
-    for i, rng in enumerate(rngs, 1):
-        assert len(lane_passes) == 1 + (i - 1) // (LANE_WORDS // 7)
-    # samples 1.. in chunks of LANE_WORDS // 7 samples, the last one cut at the sample count
+    for i, _ in enumerate(samples):
+        assert len(lane_passes) == 1 + i // (LANE_WORDS // 7)
     assert lane_passes == [(LANE_WORDS // 7, 7), (LANE_WORDS // 7, 7), (3, 7)]
-    with pytest.raises(ValueError):
-        sampling._lane_words(0, LANE_WORDS // 7 + 1, 7)
 
 
-def test_preloaded_generator_steps_on_past_its_prefix():
-    for seed in (0, 1, -1, 2 ** 64 + 5):
-        for k in (1, 2, 7, 33):
-            rngs = law_rngs(seed, "test/lanes/prefix", 50)
-            next(rngs)._u64s(k)
-            for i, rng in enumerate(rngs, 1):
-                if i not in (1, 2, 49):
-                    continue
-                want = CounterRng(seed, "test/lanes/prefix", i)._u64s(k + 3)
-                head = 1 + k // 2
-                assert rng._u64s(head) + rng._u64s(k + 3 - head) == want
-                # the stream goes on as the stepping generator's does
-                stepped = CounterRng(seed, "test/lanes/prefix", i)
-                stepped._u64s(k + 3)
-                assert [rng.next_u64() for _ in range(3)] == [stepped.next_u64() for _ in range(3)]
+def test_law_samples_wider_than_a_pass_take_one_pass_each(lane_passes):
+    # a sample of more than LANE_WORDS words still reads its own generator's words
+    n = LANE_WORDS // 2 + 1
+    samples = list(sampling.law_samples(4, "test/lanes/wide", 3, ("element",), n, "exact", 0))
+    assert lane_passes == [(1, 2 * n)] * 3
+    assert [x.nums for (x,) in samples] == [
+        rand_lifted(CounterRng(4, "test/lanes/wide", i), n).nums for i in range(3)]
 
 
-def test_law_generators_without_words_step(lane_passes):
-    rngs = law_rngs(5, "test/lanes/order", 10)
-    next(rngs)      # reads no word: k is 0, and every sample steps from its start
-    assert [rng._u64s(2) for rng in rngs] == [
-        CounterRng(5, "test/lanes/order", i)._u64s(2) for i in range(1, 10)]
+def test_law_samples_reject_an_unknown_kind_at_the_first_sample(lane_passes):
+    samples = sampling.law_samples(5, "test/lanes/kind", 10, ("point", "torus"), 3, "exact", 0)
+    with pytest.raises(KeyError, match="torus"):
+        next(samples)
     assert lane_passes == []
+
+
+def test_single_draws_read_only_their_words():
+    # the single draws read through the law readers, leaving the generator where
+    # the stepping draws left it
+    for mode in ("exact", "float"):
+        for view in VIEW_KINDS:
+            fast, slow = (CounterRng(8, f"test/single/{view}", 0) for _ in range(2))
+            got = sampling.join_point_sample(fast, 4, view, mode)
+            assert canon(got) == canon(old_join_point(slow, SimpleNamespace(susp_dim=4), view,
+                                                      mode))
+            assert fast.next_u64() == slow.next_u64()
+        fast, slow = (CounterRng(9, "test/single/arc", 0) for _ in range(2))
+        u, v, cs = sampling.rand_arc(fast, 3, mode)
+        assert canon((u, v, cs)) == canon((old_point(slow, 3, mode), old_point(slow, 3, mode),
+                                           old_quarter(slow, mode)))
+        assert fast.next_u64() == slow.next_u64()
+
+
+def test_join_float_draws_no_generator_per_sample(monkeypatch, tmp_path):
+    # the two join-float benchmark commands at seed 1: every sample from lane passes,
+    # no generator built, and only the fibers' far redraws step
+    built, stepped, calls = [], [], []
+    steps, init, execute = sampling._steps, CounterRng.__init__, checks.execute_check
+    monkeypatch.setattr(sampling, "_steps", lambda state, n: stepped.append(n) or steps(state, n))
+    monkeypatch.setattr(CounterRng, "__init__", lambda rng, *key: built.append(key) or init(
+        rng, *key))
+
+    def counting(*args, sampler=None, **kw):
+        if sampler is not None:
+            draw = sampler
+
+            def sampler(i):
+                calls.append(i)
+                return draw(i)
+        return execute(*args, sampler=sampler, **kw)
+
+    monkeypatch.setattr(checks, "execute_check", counting)
+    for argv in (("hspace", "--instance", "s7", "--samples", "2000"),
+                 ("fibration", "--instance", "all", "--samples", "1000")):
+        assert main([*argv, "--mode", "float", "--workers", "2", "--seed", "1",
+                     "--output", str(tmp_path / "out.json")]) == 0
+    assert (len(calls), len(built), sum(stepped)) == (57995, 0, 942)
