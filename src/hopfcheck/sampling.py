@@ -88,9 +88,9 @@ class CounterRng:
 
 
 @cache
-def _low_halves(lanes: int):
-    """The low 64 bits of each of lanes lanes: it masks a pass of at most lanes words."""
-    return int.from_bytes((b"\xff" * 8 + bytes(8)) * lanes, "little")
+def _low_halves():
+    """The low 64 bits of each of LANE_WORDS lanes: it masks a pass of any size."""
+    return int.from_bytes((b"\xff" * 8 + bytes(8)) * LANE_WORDS, "little")
 
 
 def _lane_words(start: int, count: int, k: int) -> memoryview:
@@ -109,12 +109,14 @@ def _lane_words(start: int, count: int, k: int) -> memoryview:
     big-endian one, whose bytes put the last lane first.
     """
     n = count * k
+    if n > LANE_WORDS:
+        raise ValueError(f"a lane pass takes at most {LANE_WORDS} words, not {n}")
     ramp, blocks = bytearray(16 * count), count // 256 + 1
     ramp[0::16] = (bytes(range(256)) * blocks)[:count]
     ramp[1::16] = b"".join([bytes((b,)) * 256 for b in range(blocks)])[:count]
     rows = b"".join([((start + j * _GAMMA) & _MASK).to_bytes(16, "little") * count
                      for j in range(1, k + 1)])
-    low = _low_halves(max(n, LANE_WORDS))
+    low = _low_halves()
     x = (int.from_bytes(ramp * k, "little") + int.from_bytes(rows, "little")) & low
     x = ((x ^ ((x >> 30) & low)) * _MIX1) & low
     x = ((x ^ ((x >> 27) & low)) * _MIX2) & low
@@ -187,8 +189,7 @@ def rand_coeffs(rng: CounterRng, n: int, mode: str) -> tuple:
 
 
 def rand_lifted(rng: CounterRng, n: int) -> Lifted:
-    """Exact `rand_coeffs` as a `Lifted`, from the same words: the numerators
-    a_i L / d_i over L = lcm(d_i), with no Fraction built."""
+    """Exact `rand_coeffs` as a `Lifted`: numerators a_i L / d_i over L = lcm(d_i)."""
     return _draw(rng, "element", n, "exact")
 
 
@@ -270,10 +271,9 @@ def _arc_of(words, pos: int, dim: int, mode: str) -> tuple:
 
 @cache
 def _readers(dim: int, mode: str) -> dict:
-    """kind -> (need, read) for the input kinds in R^dim but `far` (`_far`): read(words,
-    pos, i, drawn) is sample i's input after those drawn, from words[pos:], and the
-    position past the words it read, at most need.  A `join` word or `cycle`'s i % 3
-    picks a view; a `corner` is a pole +-e_0 at samples 0 and 1, reading no word."""
+    """kind -> (need, read) for the kinds in R^dim but `far`: read(words, pos, i, drawn) is
+    sample i's input after those drawn, from at most need words from pos, and the position
+    past them.  A `join` word or `cycle`'s i % 3 picks a view; `corner` at i < 2 is +-e_0."""
     m, exact = point_words(dim, mode), mode == "exact"
     arc, n = 2 * m + quarter_words(mode), 2 * dim if exact else dim
 
@@ -318,9 +318,8 @@ def _readers(dim: int, mode: str) -> dict:
 
 
 def _far(dim: int, mode: str, tolerance: float, start: int) -> tuple:
-    """(need, read) for `far`: a point redrawn until it differs from drawn[-1] beyond
-    tolerance in float mode, on cross-multiplied numerators in exact mode; a redraw
-    past the sample's words steps on from their end, sample i's state being start + i."""
+    """(need, read) for `far`: a point redrawn, from sample i's words stepped on from state
+    start + i, until it differs from drawn[-1]: beyond tolerance in float mode, at all in exact."""
     m, exact = point_words(dim, mode), mode == "exact"
 
     def read(words, pos, i, drawn):
@@ -339,20 +338,22 @@ def _far(dim: int, mode: str, tolerance: float, start: int) -> tuple:
 def law_samples(seed: int, suite: str, samples: int, kinds: tuple, dim: int, mode: str,
                 tolerance: float):
     """The input tuples, of the given kinds in R^dim, of a law's samples 0, 1, ... in turn,
-    read by the kinds' readers from the words of CounterRng(seed, suite, i).  Words
-    0..k-1, k the sum of the most each kind reads, come from one `_lane_words` pass per
-    chunk of LANE_WORDS // k samples (at least one), made at the chunk's first sample."""
+    read from the words of CounterRng(seed, suite, i): words 0..k-1, k the sum of the most
+    each kind reads (at most LANE_WORDS), from one `_lane_words` pass per chunk of
+    LANE_WORDS // k samples, made at its first sample; any further words by stepping."""
     start, table = _start(seed, suite, 0), _readers(dim, mode)
     readers = [_far(dim, mode, tolerance, start) if kind == "far" else table[kind]
                for kind in kinds]
-    k, reads = sum(need for need, _ in readers), [read for _, read in readers]
-    chunk = max(1, LANE_WORDS // (k or 1))
+    k = min(sum(need for need, _ in readers), LANE_WORDS)
+    chunk = LANE_WORDS // (k or 1)
     for lo in range(0, samples, chunk):
         count = min(chunk, samples - lo)
         words = _lane_words((start + lo) & _MASK, count, k)
         for i in range(lo, lo + count):
             row, pos, drawn = words[i - lo::count].tolist(), 0, []
-            for read in reads:
+            for need, read in readers:
+                if pos + need > len(row):     # after a far redraw, or past a capped k
+                    row += _steps((start + i + len(row) * _GAMMA) & _MASK, pos + need - len(row))
                 x, pos = read(row, pos, i, drawn)
                 drawn.append(x)
             yield tuple(drawn)

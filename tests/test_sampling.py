@@ -212,18 +212,21 @@ def test_lifted_draw_equals_the_fraction_draw():
 
 
 def test_lane_words_are_the_stepped_words():
-    # word j of generator t at j count + t, bit for bit the stepped words, across
-    # the 2^64 wrap of the start and in a pass wider than LANE_WORDS (one sample)
+    # word j of generator t at j count + t, bit for bit the stepped words, in every
+    # lane of full passes at samples 0 and count, and of a pass whose first row's
+    # states start + t + G pass 2^64 from lane count // 2 on
+    mask = (1 << 64) - 1
     for seed in (0, 1, -1, 2 ** 64 + 5):
         suite = f"test/lanes/{seed}"
         for k in (1, 2, 7, 33):
             count = LANE_WORDS // k
-            for lo in (0, count, 2 ** 64 - 3):
-                words = sampling._lane_words(sampling._start(seed, suite, lo), count, k)
-                for t in (0, 1, count // 2, count - 1):
-                    assert words[t::count].tolist() == CounterRng(seed, suite, lo + t)._u64s(k)
-        wide = sampling._lane_words(sampling._start(seed, suite, 9), 1, LANE_WORDS + 5)
-        assert wide.tolist() == CounterRng(seed, suite, 9)._u64s(LANE_WORDS + 5)
+            starts = [sampling._start(seed, suite, lo) for lo in (0, count)]
+            for start in starts + [(-sampling._GAMMA - count // 2) & mask]:
+                words = sampling._lane_words(start, count, k)
+                assert [words[t::count].tolist() for t in range(count)] == [
+                    sampling._steps((start + t) & mask, k) for t in range(count)]
+    with pytest.raises(ValueError):
+        sampling._lane_words(0, LANE_WORDS // 7 + 1, 7)
 
 
 def prefix_words(kinds, dim, mode):
@@ -273,8 +276,9 @@ EVERY_KIND = ("corner", "element", "point", "far", "arc", "join", "inl", "inr", 
     (("join", "join"), 4, 1e-9),
     (("arc", "point", "far"), 1, 1e-9),      # the real fibration's +-1 points redraw half the time
     (("arc", "point", "far"), 2, 0.9),
+    (("point", "far", "point"), 1, 1e-9),   # a redraw takes the later point's prefix word
     (("element",) * 3, 8, 1e-9),
-], ids=["every-kind", "join-join", "far-real", "far-0.9", "elements"])
+], ids=["every-kind", "join-join", "far-real", "far-0.9", "far-then-point", "elements"])
 def test_law_samples_are_the_per_sample_draws(lane_passes, monkeypatch, kinds, dim, tolerance,
                                               mode):
     # three lane passes of LANE_WORDS // k samples, k from the kinds alone, the last
@@ -310,11 +314,15 @@ def test_law_samples_draw_a_pass_per_chunk_when_its_first_sample_is_taken(lane_p
     assert lane_passes == [(LANE_WORDS // 7, 7), (LANE_WORDS // 7, 7), (3, 7)]
 
 
-def test_law_samples_wider_than_a_pass_take_one_pass_each(lane_passes):
-    # a sample of more than LANE_WORDS words still reads its own generator's words
+def test_law_samples_wider_than_a_pass_take_one_pass_each(lane_passes, monkeypatch):
+    # a sample of more than LANE_WORDS words takes LANE_WORDS of them from its own
+    # pass and steps on for the rest, reading its own generator's words
+    stepped, steps = [], sampling._steps
+    monkeypatch.setattr(sampling, "_steps", lambda state, n: stepped.append(n) or steps(state, n))
     n = LANE_WORDS // 2 + 1
     samples = list(sampling.law_samples(4, "test/lanes/wide", 3, ("element",), n, "exact", 0))
-    assert lane_passes == [(1, 2 * n)] * 3
+    assert lane_passes == [(1, LANE_WORDS)] * 3
+    assert stepped == [2 * n - LANE_WORDS] * 3
     assert [x.nums for (x,) in samples] == [
         rand_lifted(CounterRng(4, "test/lanes/wide", i), n).nums for i in range(3)]
 
