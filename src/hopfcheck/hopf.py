@@ -16,9 +16,9 @@ fibers are checked concretely, and the dimensions are measured on the
 model's points.  fibration_report returns the aggregate suite as a report
 list, like every other suite.
 
-Exact fiber samples are `Lifted`, and hopf_map projects them on integer
-numerators; a tuple point takes the formula above in its own scalars.  An
-arc's (c, s) stay Fractions: a witness writes them as two scalars.
+`_projection` is the formula, once, on numerators: exact fiber samples are
+`Lifted` and project over d^2, a tuple point in its own scalars.  An arc's
+(c, s) stay Fractions: a witness writes them as two scalars.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import cache
 from typing import NamedTuple
 
-from .cdalg import conj_coeffs, mul_coeffs, norm_coeffs
+from .cdalg import conj_coeffs, mul_coeffs
 from .checks import LawReport, compare, execute_check, max_abs_diff, run_laws, worst_of
 from .errors import UsageError
 from .laws import (ImaginaroidInstance, assoc_check, hspace_check, imaginaroid_instance,
@@ -68,12 +68,14 @@ def hopf_map(x: JoinPoint, inst: HopfInstance) -> SpherePoint:
     p, q = x.left, x.right
     if not len(p) == len(q) == inst.fiber_dim:
         raise block_dim_error(inst.fiber_dim, x)
-    if type(p) is not Lifted:
-        head = norm_coeffs(p) - norm_coeffs(q)
-        return SpherePoint((head,) + tuple([2 * c for c in mul_coeffs(p, q)]))
-    PQ = mul_coeffs(p, q)   # (|P|^2 - |Q|^2, 2 P Q) over d^2 on the numerators
-    return SpherePoint(Lifted((_sum_squares(p.nums) - _sum_squares(q.nums),)
-                              + tuple([2 * c for c in PQ.nums]), PQ.den))
+    if type(p) is Lifted:   # both blocks over d: the image is over d^2
+        return SpherePoint(Lifted(_projection(p.nums, q.nums), p.den * q.den))
+    return SpherePoint(_projection(p, q))
+
+
+def _projection(p, q) -> tuple:
+    """(|p|^2 - |q|^2, 2 p q) for blocks p, q in any scalars."""
+    return (_sum_squares(p) - _sum_squares(q),) + tuple([2 * c for c in mul_coeffs(p, q)])
 
 
 def _translate(u, v, w):

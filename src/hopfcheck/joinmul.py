@@ -30,9 +30,9 @@ its values are SquareFiller's and a broken filler fails.
 
 join_mul_syn is the one place a join point's constructor view is
 decided: a block is zero when its squared norm is zero, or at most
-FLOAT_VIEW_EPS^2 once a coordinate is a float.  It has two forms.  On
-lifted points, the form the suites sample, it builds no Fraction
-(`_arc_blocks`); tuples of any scalars run the rational form.
+FLOAT_VIEW_EPS^2 once a coordinate is a float.  Two arcs multiply by one
+formula on numerators, `_arc_blocks`: lifted points' integers, which build
+no Fraction, or a tuple's own scalars; the form decides only the wrap.
 """
 
 from __future__ import annotations
@@ -209,14 +209,12 @@ def join_mul_syn(X: JoinPoint, Y: JoinPoint, inst: ImaginaroidInstance,
     The case split follows the constructor views, but every case is
     evaluated on the raw embedded blocks: the filler-transport expression
     for two arcs is homogeneous in the factor norms, so it collapses to
-    the rational form below and products can be chained exactly.  The
-    normalized filler route computes the same vector (see the tests); this
-    form merely avoids the square roots of the block norms.
+    `_arc_blocks`, with no square root of a block norm (the tests check it
+    against the normalized filler route), and products chain exactly.
 
-    One body serves two forms.  Lifted points give a lifted point, their
-    views read off the numerators' squared norms and two arcs multiplied on
-    integers (`_arc_blocks`).  Tuples of floats, exact scalars or a mix keep
-    their scalars through the same view products and the rational form,
+    Lifted points give a lifted point, their views read off the numerators'
+    squared norms and two arcs multiplied on integers.  Tuples of floats,
+    exact scalars or a mix keep their scalars through the same formulas,
     their views exact unless a coordinate is a float; an operand with a
     float first coordinate, as in `is_exact`, needs no scan to tell.
     Every block must have the suspension's dimension.
@@ -246,27 +244,26 @@ def join_mul_syn(X: JoinPoint, Y: JoinPoint, inst: ImaginaroidInstance,
         return JoinPoint(mul(p, r), mul(r, q))
     if r2 <= eps2:                      # Y = inr(w)
         return JoinPoint(neg_coeffs(mul(w, conj(q))), mul(conj(p), w))
-    if lifted_in:                       # two lifted arcs, on integer numerators
-        return _arc_blocks(p.nums, q.nums, r.nums, w.nums, p2, q2, r2, p.den * r.den)
-    # two arcs: f, g transport of the reduced diamond, written homogeneously
-    K = mul(mul(mul(conj(r), conj(p)), w), conj(q))
-    M = mul(p, r)
-    left = tuple(m - t / (p2 * r2) for m, t in zip(M, mul(M, K)))
-    rq = mul(r, q)
-    right = tuple(n + t / (r2 * q2) for n, t in zip(rq, mul(mul(r, K), q)))
-    return JoinPoint(left, right)
+    blocks = (p.nums, q.nums, r.nums, w.nums) if lifted_in else (p, q, r, w)   # two arcs
+    left, right, N = _arc_blocks(*blocks, p2, q2, r2)
+    if not lifted_in:
+        return JoinPoint(tuple([c / N for c in left]), tuple([c / N for c in right]))
+    d = p.den * r.den * N
+    return JoinPoint(Lifted(left, d), Lifted(right, d))
 
 
-def _arc_blocks(P, Q, R, W, p2, q2, r2, d) -> JoinPoint:
-    """The two-arc product of join_mul_syn on integer numerators, as a lifted point.
+def _arc_blocks(P, Q, R, W, p2, q2, r2) -> tuple:
+    """The two-arc product of join_mul_syn as numerators (left, right) over N.
 
-    P, Q are X's blocks over d_X and R, W are Y's over d_Y, with
-    d = d_X d_Y and p2, q2, r2 the squared norms of P, Q, R.  Clearing the
-    denominators of the rational form, with M = P R and K = R* P* W Q* on
-    ints and N = p2 r2 q2, gives
+    P, Q are X's blocks and R, W are Y's, in any scalars, with p2, q2, r2
+    the squared norms of P, Q, R.  The f, g transport of the reduced
+    diamond, written homogeneously with M = P R and K = R* P* W Q*, is
 
-        left  = (M N - (M K) q2) / (d N)
-        right = ((R Q) N + ((R K) Q) p2) / (d N)
+        left  = (M N - (M K) q2) / N
+        right = ((R Q) N + ((R K) Q) p2) / N,    N = p2 r2 q2
+
+    so integer numerators of X over d_X and Y over d_Y give the product
+    over d_X d_Y N, and Fractions or floats give it over N.
     """
     mul = mul_coeffs
     K = mul(mul(mul(conj_coeffs(R), conj_coeffs(P)), W), conj_coeffs(Q))
@@ -274,7 +271,7 @@ def _arc_blocks(P, Q, R, W, p2, q2, r2, d) -> JoinPoint:
     N = p2 * r2 * q2
     left = tuple([m * N - t * q2 for m, t in zip(M, mul(M, K))])
     right = tuple([n * N + t * p2 for n, t in zip(mul(R, Q), mul(mul(R, K), Q))])
-    return JoinPoint(Lifted(left, d * N), Lifted(right, d * N))
+    return left, right, N
 
 
 def join_mul_alg(X: JoinPoint, Y: JoinPoint, level: int) -> JoinPoint:

@@ -1,14 +1,17 @@
 """Traffic report: which statement lines of the package the golden cases run.
 
-Line-traces src/hopfcheck while it is imported, then while running every
-golden CLI case (`test_golden._cli_cases`), then every library-only case
-(`test_golden.library_cases`), and prints, per module, the statement lines
-inside function bodies that no CLI case ran: those that only a library case
-ran, and those that no case ran.  A line the import runs (a function called
-while a module builds its tables) counts as run by every case, since every
-run imports the package.  Docstrings are not statements here.  A line the
-CLI never runs is either a library path or code that no run takes.  The
-report is informational and always exits 0.
+Line-traces src/hopfcheck while it is imported, then while running the
+golden CLI cases (`test_golden._cli_cases`) of each mode, then every
+library-only case (`test_golden.library_cases`), and prints, per module, the
+statement lines inside function bodies that no CLI case ran: those that only
+a library case ran, and those that no case ran.  A second line per module
+gives the lines that only exact CLI cases ran and those that only float ones
+ran.  Every `@cache`d function of the package is cleared before each mode's
+pass, so a table or kernel built on first use counts in both modes.  A line
+the import runs (a function called while a module builds its tables) counts
+as run by every case, since every run imports the package.  Docstrings are
+not statements here.  A line the CLI never runs is either a library path or
+code that no run takes.  The report is informational and always exits 0.
 
     PYTHONPATH=src python tests/traffic.py
 """
@@ -76,16 +79,35 @@ def main() -> int:
     # test_golden imports the package (it needs the tests directory on the path)
     imported = traced(["test_golden"], importlib.import_module)
     test_golden = sys.modules["test_golden"]
-    cli = traced(test_golden._cli_cases(), test_golden.run_cli_case)
+    by_mode = defaultdict(list)
+    for argv in test_golden._cli_cases():
+        by_mode[argv[argv.index("--mode") + 1]].append(argv)
+    modes = {}
+    for mode in ("exact", "float"):
+        clear_caches()
+        modes[mode] = traced(by_mode[mode], test_golden.run_cli_case)
     library = traced(sorted(test_golden.library_cases()), test_golden.run_library_case)
-    print("statement lines in function bodies that no golden CLI case ran")
+    print("statement lines in function bodies that no golden CLI case ran,")
+    print("then those that only the exact or only the float CLI cases ran")
     for path in sorted(Path(PACKAGE).glob("*.py")):
         lines = body_lines(path.read_text())
-        unrun = lines - cli[str(path)] - imported[str(path)]
+        body = lines - imported[str(path)]
+        exact, floats = (modes[mode][str(path)] & body for mode in ("exact", "float"))
+        unrun = body - exact - floats
         library_only = unrun & library[str(path)]
         print(f"{path.name}: {len(unrun)} of {len(lines)}; "
               f"library only: {spans(library_only)}; no case: {spans(unrun - library_only)}")
+        print(f"  exact only: {spans(exact - floats)}; float only: {spans(floats - exact)}")
     return 0
+
+
+def clear_caches():
+    """Empty every `functools.cache` of the package's modules."""
+    for name, module in list(sys.modules.items()):
+        if name.startswith("hopfcheck."):
+            for value in vars(module).values():
+                if callable(getattr(value, "cache_clear", None)):
+                    value.cache_clear()
 
 
 if __name__ == "__main__":
