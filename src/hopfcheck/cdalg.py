@@ -35,7 +35,11 @@ of sparse ints in one loop that skips zero coefficients (`mul_ints`), the
 faster one on two-term sums from dimension 16 on.  Ladder law bodies take
 their product as an argument, and one wrapper (`_ladder_law`) picks it per
 evaluation; a `Lifted` sample is judged on its numerators, and only a
-failing one goes through `mul_coeffs`, for its witness.  The zero-divisor
+failing one goes through `mul_coeffs`, for its witness.  A row expected to
+hold whose body is polynomial (all but `nicely-normed`) first runs once on
+symbolic variables through the product its structured phase takes
+(`_proved`); a zero residual proves it on every structured tuple, so the
+scan is skipped, and the sampled phase runs as before.  The zero-divisor
 search reads products of two-term sums off the sign table (`zero_pairs`)
 and confirms its witness on the traced kernel, which does not read it.
 """
@@ -324,14 +328,49 @@ def _eval_norm_multiplicativity(mul, inputs):
     return d, (lhs,), (rhs,)
 
 
-LADDER_LAWS = (
-    ("realness", _ladder_law(_eval_realness), ("element",)),
-    ("commutativity", _ladder_law(_eval_commutativity), ("element",) * 2),
-    ("associativity", _ladder_law(_eval_associativity), ("element",) * 3),
-    ("alternativity", _ladder_law(_eval_alternativity), ("element",) * 2),
-    ("nicely-normed", _ladder_law(_eval_nicely_normed), ("element",)),
-    ("norm-multiplicativity", _ladder_law(_eval_norm_multiplicativity), ("element",) * 2),
-)
+#: law -> (body, arity, polynomial): a polynomial body reaches its residual by ring
+#: operations and `max_abs_diff` alone; `nicely-normed` branches on positivity
+_LADDER_ROWS = {
+    "realness": (_eval_realness, 1, True),
+    "commutativity": (_eval_commutativity, 2, True),
+    "associativity": (_eval_associativity, 3, True),
+    "alternativity": (_eval_alternativity, 2, True),
+    "nicely-normed": (_eval_nicely_normed, 1, False),
+    "norm-multiplicativity": (_eval_norm_multiplicativity, 2, True),
+}
+LADDER_LAWS = tuple((law, _ladder_law(body), ("element",) * arity)
+                    for law, (body, arity, _) in _LADDER_ROWS.items())
+
+
+def _proved(law: str, level: int) -> bool:
+    """Whether a ladder row's body is an identity at the level, through the product
+    that its structured phase takes there.
+
+    The body runs once, with no `_ladder_law`, on `symbolic.Poly` variables and the
+    product `_ladder_law` gives an int tuple: `_traced_kernel(n)` up to
+    `TRACED_MAX_DIM`, else `mul_ints`, both read as module globals at call time.
+    Both kernels use only +, -, *, unary - and truth tests that skip a zero
+    coefficient, so each output coordinate is a polynomial whose value at any int
+    tuples is what the kernel computes on them (a term skipped there is zero).
+    `max_abs_diff` returns 0 only when every coordinate polynomial is equal, and
+    orders any other difference, which raises TypeError unless it is a constant;
+    norm multiplicativity orders its difference the same way.  So a residual of
+    exactly 0 with nothing raised means the body gives residual 0 on every
+    structured tuple.  A nonzero residual, an exception or a row whose body is not
+    polynomial proves nothing.
+    """
+    body, arity, polynomial = _LADDER_ROWS[law]
+    if not polynomial:
+        return False
+    from .symbolic import elements
+
+    n = 1 << level
+    mul = _traced_kernel(n) if n <= TRACED_MAX_DIM else mul_ints
+    try:
+        return body(mul, elements(arity, n))[0] == 0
+    except Exception:   # an identity never raises; anything that does is scanned
+        return False
+
 
 
 def law_suite(level: int,
@@ -351,6 +390,7 @@ def law_suite(level: int,
     return run_laws(
         LADDER_LAWS, f"level-{level}", 1 << level, dim=1 << level,
         structured=lambda kinds: structured_tuples(level, len(kinds), STRUCTURED_CAP),
+        proved=lambda law: LADDER[law](level) and _proved(law, level),
         suite=lambda law: f"cdalg/{law}/level-{level}/{mode}",
         expect=lambda law: LADDER[law](level), samples=samples, seed=seed,
         mode=mode, tolerance=tolerance)

@@ -2,7 +2,9 @@
 
 A check runs in two phases.  The structured phase scans a deterministic,
 capped stream of exact inputs (small integer coefficients) and yields the
-minimal witness when the law fails on one of them.  The sampling phase
+minimal witness when the law fails on one of them; a suite that has proved
+the law on every such input gives none (the ladder's polynomial identities,
+`cdalg._proved`), and the sampled phase still runs.  The sampling phase
 evaluates `samples` random inputs indexed 0..samples-1 in order, on one
 thread; each input is derived from (seed, suite id, index), so sample i is
 the same whatever ran before it.  `Lifted` sides are compared on integers:
@@ -111,13 +113,15 @@ def execute_check(law: str,
     evaluate(inputs) -> (residual, lhs, rhs); the law holds on the inputs
     when the residual is zero (exact mode) or at most `tolerance` (float
     mode); any other mode raises UsageError.  Structured inputs are always
-    judged exactly.  sampler(index), called for index 0, 1, ... in order,
-    builds the random inputs for the sampling phase, which stops at the
-    first residual above the threshold.  A NaN residual is never within
-    the threshold, so it fails the law in either phase, and so does an
-    exception from evaluate (see `_scan`) or from the sampler (see
-    `_draws`).  `workers` is accepted and ignored: the scan runs on the
-    calling thread (pure-Python arithmetic gains nothing from threads).
+    judged exactly; an empty stream (a law its suite has proved on every
+    structured input) leaves the sampled phase as it is.  sampler(index),
+    called for index 0, 1, ... in order, builds the random inputs for the
+    sampling phase, which stops at the first residual above the threshold.
+    A NaN residual is never within the threshold, so it fails the law in
+    either phase, and so does an exception from evaluate (see `_scan`) or
+    from the sampler (see `_draws`).  `workers` is accepted and ignored: the
+    scan runs on the calling thread (pure-Python arithmetic gains nothing
+    from threads).
     """
     if mode not in ("exact", "float"):
         raise UsageError(f"unknown mode {mode!r}")
@@ -205,6 +209,7 @@ def run_laws(rows,
              suite: Callable,
              samples: int,
              structured: Callable = lambda kinds: (),
+             proved: Callable = lambda law: False,
              expect: Callable = lambda law: True,
              seed: int = 0,
              mode: str = "exact",
@@ -217,7 +222,10 @@ def run_laws(rows,
     the sampler hands on the tuples of one `law_samples` stream per law, which
     computes each chunk's words when its first sample is drawn.  A row with no
     kinds, or at dim 0 (R^0 has no point), draws no sample.  expect(law) says
-    whether the law should hold.
+    whether the law should hold.  A row for which proved(law), called just before
+    the row's check, is true has shown that every structured input passes (the
+    ladder's `cdalg._proved`): its structured phase is skipped, and its sampled
+    phase runs as for any row.
     """
     require_samples(samples)
     reports = []
@@ -225,7 +233,8 @@ def run_laws(rows,
         n = samples if kinds and dim else 0
         draws = law_samples(seed, suite(law), n, kinds, dim, mode, tolerance)
         reports.append(execute_check(
-            law, instance, partial(evaluate, ctx), structured=structured(kinds),
+            law, instance, partial(evaluate, ctx),
+            structured=() if proved(law) else structured(kinds),
             sampler=lambda i, draws=draws: next(draws), samples=n, seed=seed, mode=mode,
             tolerance=tolerance, expect_holds=expect(law)))
     return reports

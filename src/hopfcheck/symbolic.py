@@ -4,12 +4,16 @@ The traced kernel, `mul_ints`, `_arc_blocks` and the Hopf projection use only
 `+`, `-`, `*`, unary `-` and truth tests on their scalars.  Handed `Poly`
 variables, they run their own code on symbols and return polynomials, and
 two sides that come out as the same polynomial are equal for all real
-inputs, with no sampling and no degree bookkeeping.
+inputs, with no sampling and no degree bookkeeping.  The ladder proves its
+polynomial rows this way (`cdalg._proved`); the module loads with the first
+proof, not at start-up.
 
 A monomial is the sorted tuple of its variables' indices, one entry per
 factor: x0^2 x3 is (0, 0, 3) and the constant monomial is ().  A truth test
 asks whether the polynomial is nonzero, which is what a kernel that skips
-zero coefficients means by it.
+zero coefficients means by it.  A constant polynomial orders as its
+constant; ordering any other one raises TypeError, since its sign depends
+on the point.
 """
 
 
@@ -51,6 +55,24 @@ class Poly:
     def __eq__(self, other):
         return self.terms == _poly(other).terms
 
+    def constant(self) -> int:
+        """The value of a constant polynomial; any other raises TypeError."""
+        if not self.terms.keys() <= {()}:
+            raise TypeError("a non-constant polynomial has no order")
+        return self.terms.get((), 0)
+
+    def __lt__(self, other):
+        return self.constant() < _poly(other).constant()
+
+    def __le__(self, other):
+        return self.constant() <= _poly(other).constant()
+
+    def __gt__(self, other):
+        return self.constant() > _poly(other).constant()
+
+    def __ge__(self, other):
+        return self.constant() >= _poly(other).constant()
+
     def __bool__(self):
         return bool(self.terms)
 
@@ -66,14 +88,6 @@ def _poly(x) -> Poly:
 
 
 def elements(count: int, dim: int) -> list:
-    """count coordinate tuples of dim variables each, no variable shared."""
+    """count coordinate tuples of dim variables each, no variable shared: variable
+    k * dim + i is coordinate i of tuple k."""
     return [tuple(Poly({(k * dim + i,): 1}) for i in range(dim)) for k in range(count)]
-
-
-def sum_squares(a) -> Poly:
-    return sum((c * c for c in a), Poly({}))
-
-
-def total_terms(a) -> int:
-    """The number of terms in all coordinates of a coordinate tuple together."""
-    return sum(len(_poly(c)) for c in a)

@@ -486,21 +486,26 @@ def test_module_invocation_matches_entry_point(child_env):
 
 
 #: run in a child interpreter without site hooks: the modules that --version and
-#: then one sampled suite load, and the suite keys of the deferred hashlib import
+#: then one sampled suite load, and the suite keys of the deferred hashlib import;
+#: the ladder's symbolic scalar loads with its first proof, which level 4 (the
+#: benchmark's peak-memory process, `laws --level 4`) never attempts and level 3 does
 IMPORT_PROBE = """
 import json, sys
 from hopfcheck import cli
 cli.main(["--version"])
-early = sorted(m for m in ("dataclasses", "inspect", "hashlib") if m in sys.modules)
+early = sorted(m for m in ("dataclasses", "inspect", "hashlib", "hopfcheck.symbolic")
+               if m in sys.modules)
 from hopfcheck.cdalg import law_suite
 from hopfcheck.sampling import _suite_key
-law_suite(1, samples=1)
-late = "hashlib" in sys.modules
+law_suite(4, samples=1)
+late = sorted(m for m in ("hashlib", "hopfcheck.symbolic") if m in sys.modules)
+law_suite(3, samples=1)
+proof = "hopfcheck.symbolic" in sys.modules
 import hashlib
 ids = ("cdalg/associativity/level-1/exact", "laws/s2/assoc/float")
 same = [_suite_key(s) == int.from_bytes(hashlib.sha256(s.encode()).digest()[:8], "big")
         for s in ids]
-print(json.dumps([early, late, same]))
+print(json.dumps([early, late, proof, same]))
 """
 
 
@@ -510,7 +515,7 @@ def test_version_imports_neither_dataclasses_nor_hashlib(child_env):
     assert proc.returncode == 0, proc.stderr
     version, result = proc.stdout.splitlines()
     assert version == __version__
-    assert json.loads(result) == [[], True, [True, True]]
+    assert json.loads(result) == [[], ["hashlib"], True, [True, True]]
 
 
 def test_benchmark_constructors_keep_their_positional_form():

@@ -1,21 +1,43 @@
 """Symbolic identities through the code that runs.
 
-`symbolic.Poly` variables go through the package's own kernels and formulas,
-so an identity whose residual is the zero polynomial holds for all real
-inputs of that dimension, and a nonzero residual is a polynomial that some
-real input does not zero.  The ladder identities run the two products the
-ladder takes, the traced kernel and the sign table's `mul_ints`, both read
-from `cdalg` at call time; `nicely-normed` branches on values and is left to
-the sampled ladder.  The join product's arc formula and the Hopf projection
-run `joinmul._arc_blocks` and `hopf._projection` themselves.
+`hopfcheck.symbolic.Poly` variables go through the package's own kernels and
+formulas, so an identity whose residual is the zero polynomial holds for all
+real inputs of that dimension, and a nonzero residual is a polynomial that
+some real input does not zero.  The ladder identities run the two products
+the ladder takes, the traced kernel and the sign table's `mul_ints`, both
+read from `cdalg` at call time; `nicely-normed` branches on values and is
+left to the sampled ladder.  The ladder's own proof (`cdalg._proved`) is
+tested against the structured scan it replaces.  The join product's arc
+formula and the Hopf projection run `joinmul._arc_blocks` and
+`hopf._projection` themselves.
 """
 
+import json
+from math import prod
+
 import pytest
-from symbolic import elements, sum_squares, total_terms
 from test_joinmul import _operands_swapped, _sign_flipped
 
-from hopfcheck import cdalg, hopf, joinmul
-from hopfcheck.cdalg import LADDER, MAX_LEVEL, mul_coeffs
+from hopfcheck import cdalg, cli, hopf, joinmul
+from hopfcheck.cdalg import LADDER, MAX_LEVEL, STRUCTURED_CAP, mul_coeffs, structured_tuples
+from hopfcheck.checks import run_laws
+from hopfcheck.symbolic import Poly, elements
+
+
+def sum_squares(a) -> Poly:
+    return sum((c * c for c in a), Poly({}))
+
+
+def total_terms(a) -> int:
+    """The number of terms in all coordinates of a coordinate tuple together."""
+    return sum(len(c) if type(c) is Poly else int(c != 0) for c in a)
+
+
+def value(p, point):
+    """The polynomial p at point, whose entry k is the value of variable k."""
+    if type(p) is not Poly:
+        return p
+    return sum(c * prod(point[i] for i in m) for m, c in p.terms.items())
 
 
 def _diff(lhs, rhs) -> tuple:
@@ -106,3 +128,114 @@ def _projection_residual(dim: int):
 def test_hopf_projection_keeps_the_squared_norm(dim):
     assert total_terms([_projection_residual(dim)]) == 0
 
+
+# --- the ladder's proof against the structured scan it replaces ------------------
+
+def test_poly_orders_only_as_a_constant():
+    x, = elements(1, 1)[0]
+    assert Poly({}) <= 0 and not Poly({}) < 0 and Poly({(): 3}) > 2 and -3 < Poly({(): 2})
+    for compare in (lambda: x < 0, lambda: x <= 0, lambda: x > 0, lambda: x >= 0,
+                    lambda: 0 < x - x + x):
+        with pytest.raises(TypeError):
+            compare()
+
+
+@pytest.mark.parametrize("level", range(MAX_LEVEL + 1))
+def test_the_proof_accepts_exactly_the_polynomial_rows_that_hold(level):
+    for law, (_, _, polynomial) in cdalg._LADDER_ROWS.items():
+        assert cdalg._proved(law, level) == (polynomial and LADDER[law](level)), law
+    assert level <= 3 or not any(cdalg._proved(law, level) for law in cdalg._LADDER_ROWS)
+
+
+@pytest.mark.parametrize("level", range(4))
+def test_a_proved_row_passes_its_whole_structured_scan(level):
+    n = 1 << level
+    proved = [row for row in cdalg.LADDER_LAWS if cdalg._proved(row[0], level)]
+    assert proved
+    for law, evaluate, kinds in proved:
+        tuples = list(structured_tuples(level, len(kinds), STRUCTURED_CAP))
+        assert tuples and all(evaluate(n, t)[0] == 0 for t in tuples), law
+
+
+def _forced_scan(level, seed, samples):
+    """`law_suite(level)` with every row's structured scan, proved or not."""
+    return run_laws(
+        cdalg.LADDER_LAWS, f"level-{level}", 1 << level, dim=1 << level,
+        structured=lambda kinds: structured_tuples(level, len(kinds), cdalg.STRUCTURED_CAP),
+        suite=lambda law: f"cdalg/{law}/level-{level}/exact",
+        expect=lambda law: LADDER[law](level), samples=samples, seed=seed)
+
+
+def _doc(reports):
+    return json.dumps([{**r.to_dict(), "duration_ms": 0} for r in reports])
+
+
+@pytest.mark.parametrize("level", range(4))
+def test_proved_rows_report_what_the_scan_reports(level):
+    assert _doc(cdalg.law_suite(level, samples=30, seed=7)) == _doc(_forced_scan(level, 7, 30))
+
+
+def _last_two_swapped(original):
+    def swapped(a, b):      # the last two output coordinates exchanged
+        out = original(a, b)
+        return out[:-2] + (out[-1], out[-2])
+    return swapped
+
+
+# (level, patched kernel at its dimension, the rows it breaks there); a sign flip
+# and a swap keep every |ab|^2, so norm multiplicativity is still proved
+KERNEL_MUTANTS = {
+    "sign-flipped-dim-4": (2, _sign_flipped, {"associativity", "alternativity"}),
+    "last-two-swapped-dim-8": (3, _last_two_swapped, {"alternativity"}),
+}
+
+
+@pytest.mark.parametrize("mutant", KERNEL_MUTANTS)
+def test_a_patched_kernel_reaches_the_proof_and_the_scan_finds_it(mutant, monkeypatch):
+    level, patch, broken = KERNEL_MUTANTS[mutant]
+    original, n = cdalg._traced_kernel, 1 << level
+    monkeypatch.setattr(cdalg, "_traced_kernel",
+                        lambda dim: patch(original(dim)) if dim == n else original(dim))
+    rejected = {law for law in cdalg._LADDER_ROWS
+                if LADDER[law](level) and not cdalg._proved(law, level)}
+    assert rejected == broken | {"nicely-normed"}
+    reports = cdalg.law_suite(level, samples=30, seed=1)
+    assert _doc(reports) == _doc(_forced_scan(level, 1, 30))
+    failed = {r.law: r for r in reports if not r.expected}
+    assert set(failed) == broken
+    for r in failed.values():
+        assert not r.holds and r.max_residual > 0 and {"inputs", "lhs", "rhs"} <= set(r.witness)
+        assert all(type(c) is int for x in r.witness["inputs"] for c in x)   # a structured witness
+
+
+@pytest.mark.parametrize("level", (4, 5))
+def test_the_proof_multiplies_with_mul_ints_above_the_traced_dimension(level, monkeypatch):
+    calls = {"mul_ints": 0, "traced": 0}
+    mul_ints, traced = cdalg.mul_ints, cdalg._traced_kernel
+
+    def recording_mul_ints(a, b):
+        calls["mul_ints"] += 1
+        return mul_ints(a, b)
+
+    def recording_traced(dim):
+        calls["traced"] += 1
+        return traced(dim)
+
+    monkeypatch.setattr(cdalg, "mul_ints", recording_mul_ints)
+    monkeypatch.setattr(cdalg, "_traced_kernel", recording_traced)
+    assert not cdalg._proved("commutativity", level)
+    assert calls == {"mul_ints": 2, "traced": 0}
+
+
+def test_the_associativity_residual_gives_the_reported_level_3_witness():
+    # the nonzero residual polynomial, evaluated at the structured witness that
+    # `laws --level 3` reports, is that witness's lhs - rhs
+    residual = BY_NAME["associativity"][3](cdalg._traced_kernel(8), *elements(3, 8))
+    assert total_terms(residual) == 168
+    doc = cli.run(cli.RunConfig("laws", level=3, samples=1)).to_dict()
+    (report,) = [r for r in doc["reports"] if r["law"] == "associativity"]
+    witness = report["witness"]
+    point = [x for element in witness["inputs"] for x in element]
+    assert all(type(x) is int for x in point)
+    assert tuple(value(p, point) for p in residual) == _diff(witness["lhs"], witness["rhs"])
+    assert report["max_residual"] == max(abs(value(p, point)) for p in residual) > 0
