@@ -28,6 +28,9 @@ arithmetic (exact x * float y is float(x) * y); an operand with a float
 first coordinate skips the type scan.  No exact value becomes a float: the
 units and poles the package builds are ints, and an int meets a float as
 its float form does.  The kernel gives what the recursion gives, bit for bit.
+The same tracer (`_Traced`, `_straight_line`) compiles `sampling`'s float
+readers, which divide, take constants and reuse values; the recursion uses
+no value twice, so the kernel has no local but its negations.
 
 Basis products satisfy e_i e_j = +-e_(i xor j) at every level, so a
 per-level sign table, read off the recursion on first use, gives products
@@ -151,36 +154,146 @@ def _sign_table(n: int) -> tuple:
 
 
 class _Traced:
-    """A value inside a traced product, held as the source text of its expression.
+    """A value inside a traced function, held as the source text of its expression.
 
-    `*`, `+` and `-` return the combined expression.  Unary `-` returns a
-    local that holds the negation, one per distinct operand, recorded in
-    `negs` (expression -> local name, in the order first needed).
+    `*`, `+`, `-` and `/` combine two values, or a value and an int or float
+    constant on either side (written as its `repr`, which reads back as the
+    same float); `call(name, *args)` calls the traced function's global name
+    on values and tuples of them.  `tape` maps each expression, in the order
+    first built, to [operator, arguments, uses, the expressions among the
+    arguments], each argument written as its text, and uses counting the
+    expressions built on it; an expression built again is the same value.
+    Unary `-` returns a local that holds the negation, one per distinct
+    operand, recorded in `negs` (expression -> local name, in the order first
+    needed) and on the tape.  `_straight_line` makes a local of each
+    expression used more than once too, so none is computed twice, and
+    writes every other one where it is used.
     """
 
-    __slots__ = ("src", "negs")
+    __slots__ = ("src", "tape", "negs")
 
-    def __init__(self, src: str, negs: dict):
+    def __init__(self, src: str, tape: dict, negs: dict):
         self.src = src
+        self.tape = tape
         self.negs = negs
 
-    def _op(self, op: str, other: "_Traced") -> "_Traced":
-        return _Traced(f"({self.src} {op} {other.src})", self.negs)
+    def _node(self, src: str, op: str, args: tuple, operands: tuple) -> "_Traced":
+        tape = self.tape
+        if src not in tape:
+            for x in operands:
+                entry = tape.get(x)
+                if entry is not None:
+                    entry[2] += 1
+            tape[src] = [op, args, 0, operands]
+        return _Traced(src, tape, self.negs)
+
+    def _op(self, op: str, reflected: bool, other):
+        if type(other) is _Traced:
+            y = other.src
+        elif type(other) in (int, float):
+            y = repr(other)
+        else:
+            return NotImplemented
+        args = (y, self.src) if reflected else (self.src, y)
+        return self._node(f"({args[0]} {op} {args[1]})", op, args, args)
 
     def __mul__(self, other):
-        return self._op("*", other)
+        return self._op("*", False, other)
+
+    def __rmul__(self, other):
+        return self._op("*", True, other)
 
     def __add__(self, other):
-        return self._op("+", other)
+        return self._op("+", False, other)
+
+    def __radd__(self, other):
+        return self._op("+", True, other)
 
     def __sub__(self, other):
-        return self._op("-", other)
+        return self._op("-", False, other)
+
+    def __rsub__(self, other):
+        return self._op("-", True, other)
+
+    def __truediv__(self, other):
+        return self._op("/", False, other)
+
+    def __rtruediv__(self, other):
+        return self._op("/", True, other)
 
     def __neg__(self):
         name = self.negs.get(self.src)
         if name is None:
             name = self.negs[self.src] = f"n{len(self.negs)}"
-        return _Traced(name, self.negs)
+            self._node(name, "-", (self.src,), (self.src,))
+        return _Traced(name, self.tape, self.negs)
+
+    def call(self, name: str, *args) -> "_Traced":
+        args = _text(args)
+        return self._node(_written(name, args, lambda x: x), name, args, tuple(_texts_in(args)))
+
+
+def _text(x):
+    """x, a traced value, an int, a float or a tuple of them, with each value as its text."""
+    if type(x) is tuple:
+        return tuple([_text(y) for y in x])
+    return x.src if type(x) is _Traced else repr(x)
+
+
+def _texts_in(x):
+    """The texts in x, a text or a tuple of texts and tuples."""
+    if type(x) is tuple:
+        for y in x:
+            yield from _texts_in(y)
+    else:
+        yield x
+
+
+def _source(x, text) -> str:
+    """x, a text or a tuple of them, as source, each text written as text(x)."""
+    if type(x) is tuple:
+        return f"({''.join(f'{_source(y, text)}, ' for y in x)})"
+    return text(x)
+
+
+def _written(op: str, args: tuple, text) -> str:
+    """The expression op makes of args: a call, unary - or a binary operator."""
+    srcs = [_source(x, text) for x in args]
+    if op not in ("+", "-", "*", "/"):
+        return f"{op}({', '.join(srcs)})"
+    return f"-{srcs[0]}" if len(srcs) == 1 else f"({srcs[0]} {op} {srcs[1]})"
+
+
+def _straight_line(signature: str, unpacks: list, out, tape: dict, filename: str, scope=None):
+    """The function `def signature:` running a trace straight through: it unpacks
+    each (leaves, source) of unpacks, computes the negations and the expressions
+    used more than once (counting out) as locals, in tape order, and returns out,
+    a traced value or a tuple of them and constants, every other expression inline."""
+    out = _text(out)
+    for x in _texts_in(out):
+        if x in tape:
+            tape[x][2] += 1
+    written = {}    # an expression -> its text, where that is not the expression itself
+
+    def text(x):
+        return written.get(x, x)
+
+    lines = [f"{_source(_text(tuple(leaves)), text)} = {source}" for leaves, source in unpacks]
+    for src, (op, args, uses, operands) in tape.items():
+        negation = op == "-" and len(args) == 1     # named on the tape
+        if negation or uses > 1:
+            name = src if negation else f"v{len(lines)}"
+            lines.append(f"{name} = {_written(op, args, text)}")
+            if name != src:
+                written[src] = name
+        elif written and any(x in written for x in operands):
+            written[src] = _written(op, args, text)
+    lines.append(f"return {_source(out, text)}")
+    tape.clear()    # spent: free it before `compile` takes its own memory
+    source = f"def {signature}:\n" + "".join(f"    {line}\n" for line in lines)
+    scope = dict(scope or {})
+    exec(compile(source, filename, "exec"), scope)
+    return scope[signature[:signature.index("(")]]
 
 
 @cache
@@ -192,20 +305,14 @@ def _traced_kernel(n: int):
     expressions.  Every product, sum and difference has the recursion's
     operands in its order, and negation is exact, so results are
     bit-identical to the recursion's for every scalar type, signed zeros and
-    Fraction-float mixes included.
+    Fraction-float mixes included.  The recursion builds and uses every other
+    expression once, so the kernel has no local but its negations.
     """
-    negs = {}
-    a = tuple(_Traced(f"a{i}", negs) for i in range(n))
-    b = tuple(_Traced(f"b{i}", negs) for i in range(n))
-    out = _mul_recursive(a, b)
-    lines = [f"({', '.join(x.src for x in a)},) = a",
-             f"({', '.join(x.src for x in b)},) = b",
-             *(f"{name} = -{src}" for src, name in negs.items()),
-             f"return ({', '.join(x.src for x in out)},)"]
-    source = "def kernel(a, b):\n" + "".join(f"    {line}\n" for line in lines)
-    scope = {}
-    exec(compile(source, f"<cdalg traced kernel, dim {n}>", "exec"), scope)
-    return scope["kernel"]
+    tape, negs = {}, {}
+    a = tuple(_Traced(f"a{i}", tape, negs) for i in range(n))
+    b = tuple(_Traced(f"b{i}", tape, negs) for i in range(n))
+    return _straight_line("kernel(a, b)", [(a, "a"), (b, "b")], _mul_recursive(a, b), tape,
+                          f"<cdalg traced kernel, dim {n}>")
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,14 @@ Exact sphere points and glue arcs are `Lifted` values: the rational
 parametrization y -> ((1 - |y|^2) / (1 + |y|^2), 2y / (1 + |y|^2)),
 exactly on the unit sphere, on integers (`point_of`, `quarter_of`), where
 y is the ladder's integer draw (`rand_lifted`); float points and
-coefficients share one decoder (`_floats_of`).
+coefficients share one decoder (`_floats_of`).  Each reader is a Python
+recipe (`_recipes`).  In float mode, from dimension 2 on, a recipe is
+compiled on its first use: traced, `_floats_of` and the stereographic map
+included, into one straight-line function with the recipe's float
+operations in its order (`_compiled`, through `cdalg`'s tracer), so it
+gives the recipe's values bit for bit, and its join points are still built
+and checked by `JoinPoint`.  The exact readers stay Python: they take
+`%`, `//` and `math.lcm`.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ from __future__ import annotations
 import math
 import sys
 from functools import cache
+from types import FunctionType
 
 from .spheremodel import JoinPoint, Lifted, SpherePoint, _sum_squares, arc_point, lifted_arc
 
@@ -43,6 +51,10 @@ MAGNITUDE = 10
 #: per word at 512 words, 0.11 at 1,024, 0.10 at 2,048, 0.09 at 4,096 and 0.13 at
 #: 8,192 and 16,384; the stepping loop takes 0.42-0.50 µs per word at every size
 LANE_WORDS = 4096
+
+#: largest dimension whose float readers are compiled: a point's sum of squares nests
+#: dim - 1 parentheses, and the parser takes at most 200
+COMPILED_MAX_DIM = 64
 
 
 @cache   # hashed once per suite id, not once per sample
@@ -251,7 +263,7 @@ def join_point_sample(rng: CounterRng, dim: int, view: str, mode: str) -> JoinPo
 
 def _draw(rng: CounterRng, kind: str, dim: int, mode: str):
     """Input `kind` of one sample from as many of rng's next words as its reader reads."""
-    need, read = _readers(dim, mode)[kind]
+    need, read = _reader(kind, dim, mode)
     return read(rng._u64s(need), 0, 0, ())[0]
 
 
@@ -269,11 +281,10 @@ def _arc_of(words, pos: int, dim: int, mode: str) -> tuple:
     return u, v, quarter_of(words[pos + 2 * m:pos + 2 * m + 2], mode)
 
 
-@cache
-def _readers(dim: int, mode: str) -> dict:
-    """kind -> (need, read) for the kinds in R^dim but `far`: read(words, pos, i, drawn) is
-    sample i's input after those drawn, from at most need words from pos, and the position
-    past them.  A `join` word or `cycle`'s i % 3 picks a view; `corner` at i < 2 is +-e_0."""
+def _recipes(dim: int, mode: str) -> dict:
+    """kind -> (need, read) for the kinds decoded from their words alone, in Python:
+    read(words, pos, i, drawn) is the input from need words from pos, and the position
+    past them."""
     m, exact = point_words(dim, mode), mode == "exact"
     arc, n = 2 * m + quarter_words(mode), 2 * dim if exact else dim
 
@@ -299,7 +310,61 @@ def _readers(dim: int, mode: str) -> dict:
             return (JoinPoint(x, zero) if left else JoinPoint(zero, x)), pos + m
         return read
 
-    views = (block(True), block(False), glue)      # VIEW_KINDS' order
+    return {"element": (n, element), "point": (m, point), "arc": (arc, arc_input),
+            "inl": (m, block(True)), "inr": (m, block(False)), "glue": (arc, glue)}
+
+
+def _rebound(f, **names):
+    """f running its own code, with the globals in names replaced."""
+    return FunctionType(f.__code__, {**f.__globals__, **names}, f.__name__, f.__defaults__,
+                        f.__closure__)
+
+
+def _compiled(read, need: int, name: str):
+    """A float recipe traced on need words into one straight-line reader, as
+    `cdalg._traced_kernel` traces the product: the recipe's float operations in its
+    order, each value it uses more than once computed once.  Its join points, traced
+    through `arc_point` and the recipe's own code, are built and checked by `JoinPoint`."""
+    from .cdalg import _Traced, _straight_line      # here: cdalg imports checks, which imports us
+
+    tape, negs = {}, {}
+    words = tuple(_Traced(f"w{j}", tape, negs) for j in range(need))
+    pos = _Traced("pos", tape, negs)
+
+    def join_point(left, right):
+        return pos.call("JoinPoint", left, right)
+
+    traced_arc = _rebound(arc_point, JoinPoint=join_point)
+    value, used = _rebound(read, JoinPoint=join_point, arc_point=traced_arc)(words, 0, 0, ())
+    return _straight_line("read(words, pos, i, drawn)", [(words, f"words[pos:pos + {need}]")],
+                          (value, pos + used), tape, f"<sampling traced reader, {name}>",
+                          {"JoinPoint": JoinPoint})
+
+
+@cache
+def _reader(kind: str, dim: int, mode: str) -> tuple:
+    """(need, read) for input kind in R^dim, any kind but `far`: read(words, pos, i, drawn)
+    is sample i's input after those drawn, from at most need words from pos, and the
+    position past them.  A recipe is compiled on its first use in float mode, from dimension
+    2 to COMPILED_MAX_DIM (at dimension 1 a point is a sign, read off a word's value).  A
+    `join` word or `cycle`'s i % 3 picks a view; `corner` at i < 2 is +-e_0."""
+    recipes = _recipes(dim, mode)
+    if kind in recipes:
+        need, read = recipes[kind]
+        if mode == "float" and 1 < dim <= COMPILED_MAX_DIM:
+            read = _compiled(read, need, f"{kind}, dim {dim}")
+        return need, read
+    m, point = _reader("point", dim, mode)
+    if kind == "corner":
+        def corner(words, pos, i, drawn):
+            if i < 2:
+                return SpherePoint.basis(dim, 0, 1 - 2 * i), pos
+            x, pos = point(words, pos, i, drawn)
+            return SpherePoint(tuple(x)), pos
+        return m, corner
+    if kind not in ("join", "cycle"):
+        raise KeyError(kind)
+    arc, views = recipes["glue"][0], tuple(_reader(view, dim, mode)[1] for view in VIEW_KINDS)
 
     def join(words, pos, i, drawn):
         return views[words[pos] % 3](words, pos + 1, i, drawn)
@@ -307,28 +372,21 @@ def _readers(dim: int, mode: str) -> dict:
     def cycle(words, pos, i, drawn):
         return views[i % 3](words, pos, i, drawn)
 
-    def corner(words, pos, i, drawn):
-        if i < 2:
-            return SpherePoint.basis(dim, 0, 1 - 2 * i), pos
-        return SpherePoint(tuple(point_of(words[pos:pos + m], dim, mode))), pos + m
-
-    return {"element": (n, element), "point": (m, point), "arc": (arc, arc_input),
-            "inl": (m, views[0]), "inr": (m, views[1]), "glue": (arc, glue),
-            "join": (1 + arc, join), "cycle": (arc, cycle), "corner": (m, corner)}
+    return (1 + arc, join) if kind == "join" else (arc, cycle)
 
 
 def _far(dim: int, mode: str, tolerance: float, start: int) -> tuple:
     """(need, read) for `far`: a point redrawn, from sample i's words stepped on from state
     start + i, until it differs from drawn[-1]: beyond tolerance in float mode, at all in exact."""
-    m, exact = point_words(dim, mode), mode == "exact"
+    m, point = _reader("point", dim, mode)
+    exact = mode == "exact"
 
     def read(words, pos, i, drawn):
         w1 = drawn[-1]
         while True:
             if pos + m > len(words):
                 words += _steps((start + i + len(words) * _GAMMA) & _MASK, pos + m - len(words))
-            w = point_of(words[pos:pos + m], dim, mode)
-            pos += m
+            w, pos = point(words, pos, i, drawn)
             if (any(x * w.den != y * w1.den for x, y in zip(w1.nums, w.nums)) if exact
                     else any(abs(x - y) > tolerance for x, y in zip(w1, w))):
                 return w, pos
@@ -341,8 +399,8 @@ def law_samples(seed: int, suite: str, samples: int, kinds: tuple, dim: int, mod
     read from the words of CounterRng(seed, suite, i): words 0..k-1, k the sum of the most
     each kind reads (at most LANE_WORDS), from one `_lane_words` pass per chunk of
     LANE_WORDS // k samples, made at its first sample; any further words by stepping."""
-    start, table = _start(seed, suite, 0), _readers(dim, mode)
-    readers = [_far(dim, mode, tolerance, start) if kind == "far" else table[kind]
+    start = _start(seed, suite, 0)
+    readers = [_far(dim, mode, tolerance, start) if kind == "far" else _reader(kind, dim, mode)
                for kind in kinds]
     k = min(sum(need for need, _ in readers), LANE_WORDS)
     chunk = LANE_WORDS // (k or 1)

@@ -323,6 +323,60 @@ def test_float_kernel_is_built_on_first_use(child_env):
     subprocess.run([sys.executable, "-c", code], check=True, env=child_env)
 
 
+class _PlainTraced:
+    """The kernel's tracer before it took division, constants and shared values:
+    `*`, `+` and `-` write the combined expression, and unary `-` returns a local,
+    one per distinct operand, recorded in negs in the order first needed."""
+
+    __slots__ = ("src", "negs")
+
+    def __init__(self, src, negs):
+        self.src, self.negs = src, negs
+
+    def _op(self, op, other):
+        return _PlainTraced(f"({self.src} {op} {other.src})", self.negs)
+
+    def __mul__(self, other):
+        return self._op("*", other)
+
+    def __add__(self, other):
+        return self._op("+", other)
+
+    def __sub__(self, other):
+        return self._op("-", other)
+
+    def __neg__(self):
+        name = self.negs.get(self.src)
+        if name is None:
+            name = self.negs[self.src] = f"n{len(self.negs)}"
+        return _PlainTraced(name, self.negs)
+
+
+def _plain_kernel(n):
+    """`_traced_kernel(n)` as the plain tracer builds it."""
+    negs = {}
+    a = tuple(_PlainTraced(f"a{i}", negs) for i in range(n))
+    b = tuple(_PlainTraced(f"b{i}", negs) for i in range(n))
+    out = _mul_recursive(a, b)
+    lines = [f"({', '.join(x.src for x in a)},) = a",
+             f"({', '.join(x.src for x in b)},) = b",
+             *(f"{name} = -{src}" for src, name in negs.items()),
+             f"return ({', '.join(x.src for x in out)},)"]
+    scope = {}
+    exec("def kernel(a, b):\n" + "".join(f"    {line}\n" for line in lines), scope)
+    return scope["kernel"]
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8, 16, 32])
+def test_kernel_code_is_the_plain_tracers(n):
+    # the tracer's shared locals and constants serve the float readers; the kernel,
+    # which uses no value twice, keeps its bytecode, so no float sum can move
+    want, got = _plain_kernel(n).__code__, _traced_kernel(n).__code__
+    assert got.co_code == want.co_code
+    assert got.co_consts == want.co_consts
+    assert got.co_varnames == want.co_varnames
+
+
 # --- zero-divisor census (de Marrais, "The 42 Assessors", 2000) -------------
 
 def _two_term_sums(level):

@@ -269,14 +269,19 @@ def _two_word_law(monkeypatch, drawn, fails_at=None, raises_at=None, structured=
     """run_laws' arguments for one law of one float `point` of R^3, two words per sample,
     so LANE_WORDS // 2 samples per lane pass.  `checks.law_samples`, patched, hands on
     sample i of the real stream as (i,), appending (i, inputs) to drawn, and the real
-    stream's reader raises on sample raises_at (`sampling.point_of`, patched).  The law
-    fails on sample fails_at (and on a structured input (fails_at, ...))."""
-    original = sampling.point_of
+    stream's reader raises on sample raises_at (`sampling._reader`, patched to wrap the
+    compiled reader).  The law fails on sample fails_at (and on a structured input
+    (fails_at, ...))."""
+    original = sampling._reader
 
-    def point_of(words, dim, mode):
-        if len(drawn) == raises_at:
-            raise ArithmeticError("no draw")
-        return original(words, dim, mode)
+    def reader(kind, dim, mode):
+        need, read = original(kind, dim, mode)
+
+        def raising(words, pos, i, drawn):
+            if i == raises_at:
+                raise ArithmeticError("no draw")
+            return read(words, pos, i, drawn)
+        return need, raising
 
     def law_samples(*args):
         for i, inputs in enumerate(sampling.law_samples(*args)):
@@ -286,7 +291,7 @@ def _two_word_law(monkeypatch, drawn, fails_at=None, raises_at=None, structured=
     def evaluate(ctx, inputs):
         return (1 if inputs[0] == fails_at else 0), inputs, inputs
 
-    monkeypatch.setattr(sampling, "point_of", point_of)
+    monkeypatch.setattr(sampling, "_reader", reader)
     monkeypatch.setattr(checks, "law_samples", law_samples)
     return dict(rows=(("law", evaluate, ("point",)),), instance="t", ctx=None, dim=3,
                 suite=lambda law: "test/run-laws", structured=lambda kinds: structured,

@@ -2,9 +2,12 @@
 Fraction formulas and the integer code written out per sampler, the float
 quarter pair, sphere points and coefficients against their inline formulas,
 the one-loop generator draw against one generator step per word, the lane
-passes against the stepping generator, and each law's batched samples
-against the per-sample draws of `test_sampled_inputs`."""
+passes against the stepping generator, each law's batched samples against
+the per-sample draws of `test_sampled_inputs`, and the compiled float readers
+against their Python recipes and those draws at every dimension."""
 
+import subprocess
+import sys
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -303,6 +306,118 @@ def test_law_samples_are_the_per_sample_draws(lane_passes, monkeypatch, kinds, d
         for j in range(2):      # each input takes every view
             assert {(any(x[j].left), any(x[j].right)) for x in samples} == {
                 (True, False), (False, True), (True, True)}
+
+
+FLOAT_KINDS = ("point", "element", "arc", "glue", "inl", "inr")
+DIMS = (1, 2, 3, 4, 8, 16)
+
+
+class _Words:
+    """A generator stand-in for the old draws: `_u64s` hands out the given words in turn."""
+
+    def __init__(self, words):
+        self.words = list(words)
+
+    def _u64s(self, n):
+        out, self.words = self.words[:n], self.words[n:]
+        return out
+
+
+def old_float_input(kind, words, dim):
+    """The float input of kind that the old per-sample draws decode from words."""
+    rng = _Words(words)
+    if kind == "element":
+        return old_uniforms(rng, -MAGNITUDE, MAGNITUDE, dim)
+    if kind == "point":
+        return old_point(rng, dim, "float")
+    if kind == "arc":
+        return (old_point(rng, dim, "float"), old_point(rng, dim, "float")) + tuple(
+            old_quarter(rng, "float"))
+    return old_join_point(rng, SimpleNamespace(susp_dim=dim), kind, "float")
+
+
+def word_rows(need):
+    """Rows of need words: all 0, all 2^64 - 1, the two alternating either way, then
+    300 rows of generator words."""
+    top = 2 ** 64 - 1
+    fixed = [[0] * need, [top] * need, [0, top] * need, [top, 0] * need]
+    return [row[:need] for row in fixed] + [sampling._steps(977 * t, need) for t in range(300)]
+
+
+@pytest.mark.parametrize("kind, dim", [(kind, dim) for kind in FLOAT_KINDS for dim in DIMS]
+                         + [("element", 32)])
+def test_compiled_float_readers_are_their_recipes_bit_for_bit(kind, dim):
+    # from dimension 2 each reader is its recipe traced into straight-line code; read
+    # from position 1, it gives the recipe's and the old draw's value, float bits
+    # included, and the position past its words
+    need, read = sampling._reader(kind, dim, "float")
+    recipe = sampling._recipes(dim, "float")[kind][1]
+    compiled = read.__code__.co_filename.startswith("<sampling traced reader")
+    assert compiled == (dim > 1) and (read.__code__ is recipe.__code__) == (dim == 1)
+    for words in word_rows(need):
+        row = [5] + words
+        got, pos = read(row, 1, 0, ())
+        assert pos == 1 + need
+        assert canon(got) == canon(recipe(row, 1, 0, ())[0]) == canon(
+            old_float_input(kind, words, dim))
+
+
+def test_float_readers_past_the_compiled_dimensions_are_their_recipes():
+    # a compiled point nests its sum of squares dim - 1 parentheses deep, and the
+    # parser takes at most 200: the widest points keep their recipe
+    top = sampling.COMPILED_MAX_DIM
+    for dim in (top, top + 1, 250):
+        need, read = sampling._reader("point", dim, "float")
+        assert read.__code__.co_filename.startswith("<sampling traced reader") == (dim == top)
+        for words in word_rows(need)[:12]:
+            assert canon(read(words, 0, 0, ())[0]) == canon(old_float_input("point", words, dim))
+
+
+@pytest.mark.parametrize("kinds, dim", [(EVERY_KIND, dim) for dim in DIMS]
+                         + [(("element",) * 2, 32)])
+def test_float_law_samples_are_the_old_draws_at_every_dimension(lane_passes, kinds, dim):
+    # three lane passes, the last cut short, through the compiled readers
+    chunk = LANE_WORDS // prefix_words(kinds, dim, "float")
+    suite = f"test/float-law-samples/{dim}"
+    samples = list(sampling.law_samples(1, suite, 2 * chunk + 3, kinds, dim, "float", 1e-9))
+    assert [count for count, _ in lane_passes] == [chunk, chunk, 3]
+    assert [canon(x) for x in samples] == [
+        canon(reference_draw(kinds, dim, "float", 1e-9, 1, suite, i))
+        for i in range(len(samples))]
+
+
+@pytest.mark.parametrize("dim", DIMS)
+def test_single_float_draws_are_the_old_draws_at_every_dimension(dim):
+    # rand_point, rand_coeffs and join_point_sample read through the compiled readers,
+    # rand_arc through the recipe; each leaves the generator where the old draw left it
+    block = SimpleNamespace(susp_dim=dim)
+    draws = [(lambda rng: rand_point(rng, dim, "float"),
+              lambda rng: old_point(rng, dim, "float")),
+             (lambda rng: rand_coeffs(rng, 2 * dim, "float"),
+              lambda rng: old_uniforms(rng, -MAGNITUDE, MAGNITUDE, 2 * dim)),
+             (lambda rng: sampling.rand_arc(rng, dim, "float"),
+              lambda rng: (old_point(rng, dim, "float"), old_point(rng, dim, "float"),
+                           old_quarter(rng, "float")))]
+    draws += [(lambda rng, view=view: sampling.join_point_sample(rng, dim, view, "float"),
+               lambda rng, view=view: old_join_point(rng, block, view, "float"))
+              for view in VIEW_KINDS]
+    for i in range(100):
+        for draw, old in draws:
+            fast, slow = (CounterRng(2, f"test/single-float/{dim}", i) for _ in range(2))
+            assert canon(draw(fast)) == canon(old(slow))
+            assert fast.next_u64() == slow.next_u64()
+
+
+def test_float_readers_are_compiled_on_first_use(child_env):
+    # answering --version compiles no reader; a float draw compiles the one it reads
+    code = ("import contextlib, io\n"
+            "from hopfcheck import cli, sampling\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    cli.main(['--version'])\n"
+            "assert sampling._reader.cache_info().currsize == 0\n"
+            "sampling.rand_point(sampling.CounterRng(1, 'test/first-use', 0), 4, 'float')\n"
+            "assert sampling._reader.cache_info().currsize == 1\n")
+    subprocess.run([sys.executable, "-c", code], check=True, env=child_env)
 
 
 def test_law_samples_draw_a_pass_per_chunk_when_its_first_sample_is_taken(lane_passes):
