@@ -29,7 +29,8 @@ first coordinate skips the type scan.  No exact value becomes a float: the
 units and poles the package builds are ints, and an int meets a float as
 its float form does.  The kernel gives what the recursion gives, bit for bit.
 The same tracer (`_Traced`, `_straight_line`) compiles `sampling`'s float
-readers, which divide, take constants and reuse values; the recursion uses
+readers, which divide, take constants and reuse values; it records
+arithmetic alone, so the code it writes names nothing.  The recursion uses
 no value twice, so the kernel has no local but its negations.
 
 Basis products satisfy e_i e_j = +-e_(i xor j) at every level, so a
@@ -157,17 +158,16 @@ class _Traced:
     """A value inside a traced function, held as the source text of its expression.
 
     `*`, `+`, `-` and `/` combine two values, or a value and an int or float
-    constant on either side (written as its `repr`, which reads back as the
-    same float); `call(name, *args)` calls the traced function's global name
-    on values and tuples of them.  `tape` maps each expression, in the order
-    first built, to [operator, arguments, uses, the expressions among the
-    arguments], each argument written as its text, and uses counting the
-    expressions built on it; an expression built again is the same value.
-    Unary `-` returns a local that holds the negation, one per distinct
-    operand, recorded in `negs` (expression -> local name, in the order first
-    needed) and on the tape.  `_straight_line` makes a local of each
-    expression used more than once too, so none is computed twice, and
-    writes every other one where it is used.
+    constant (written as its `repr`, which reads back as the same float), on
+    either side of `*`, `+` and `-` and on the right of `/`.  `tape` maps each
+    expression, in the order first built, to [operator, operands, uses], each
+    operand written as its text, and uses counting the expressions built on
+    it; an expression built again is the same value.  Unary `-` returns a
+    local that holds the negation, one per distinct operand, recorded in
+    `negs` (expression -> local name, in the order first needed) and on the
+    tape.  `_straight_line` makes a local of each expression used more than
+    once too, so none is computed twice, and writes every other one where it
+    is used.
     """
 
     __slots__ = ("src", "tape", "negs")
@@ -177,14 +177,14 @@ class _Traced:
         self.tape = tape
         self.negs = negs
 
-    def _node(self, src: str, op: str, args: tuple, operands: tuple) -> "_Traced":
+    def _node(self, src: str, op: str, args: tuple) -> "_Traced":
         tape = self.tape
         if src not in tape:
-            for x in operands:
+            for x in args:
                 entry = tape.get(x)
                 if entry is not None:
                     entry[2] += 1
-            tape[src] = [op, args, 0, operands]
+            tape[src] = [op, args, 0]
         return _Traced(src, tape, self.negs)
 
     def _op(self, op: str, reflected: bool, other):
@@ -195,7 +195,7 @@ class _Traced:
         else:
             return NotImplemented
         args = (y, self.src) if reflected else (self.src, y)
-        return self._node(f"({args[0]} {op} {args[1]})", op, args, args)
+        return self._node(f"({args[0]} {op} {args[1]})", op, args)
 
     def __mul__(self, other):
         return self._op("*", False, other)
@@ -218,19 +218,12 @@ class _Traced:
     def __truediv__(self, other):
         return self._op("/", False, other)
 
-    def __rtruediv__(self, other):
-        return self._op("/", True, other)
-
     def __neg__(self):
         name = self.negs.get(self.src)
         if name is None:
             name = self.negs[self.src] = f"n{len(self.negs)}"
-            self._node(name, "-", (self.src,), (self.src,))
+            self._node(name, "-", (self.src,))
         return _Traced(name, self.tape, self.negs)
-
-    def call(self, name: str, *args) -> "_Traced":
-        args = _text(args)
-        return self._node(_written(name, args, lambda x: x), name, args, tuple(_texts_in(args)))
 
 
 def _text(x):
@@ -256,19 +249,12 @@ def _source(x, text) -> str:
     return text(x)
 
 
-def _written(op: str, args: tuple, text) -> str:
-    """The expression op makes of args: a call, unary - or a binary operator."""
-    srcs = [_source(x, text) for x in args]
-    if op not in ("+", "-", "*", "/"):
-        return f"{op}({', '.join(srcs)})"
-    return f"-{srcs[0]}" if len(srcs) == 1 else f"({srcs[0]} {op} {srcs[1]})"
-
-
-def _straight_line(signature: str, unpacks: list, out, tape: dict, filename: str, scope=None):
+def _straight_line(signature: str, unpacks: list, out, tape: dict, filename: str):
     """The function `def signature:` running a trace straight through: it unpacks
     each (leaves, source) of unpacks, computes the negations and the expressions
     used more than once (counting out) as locals, in tape order, and returns out,
-    a traced value or a tuple of them and constants, every other expression inline."""
+    a traced value or a tuple of them and constants, every other expression inline.
+    It names no global: the trace is arithmetic alone."""
     out = _text(out)
     for x in _texts_in(out):
         if x in tape:
@@ -278,20 +264,24 @@ def _straight_line(signature: str, unpacks: list, out, tape: dict, filename: str
     def text(x):
         return written.get(x, x)
 
+    def expression(op, args):     # unary - or a binary operator
+        x = [text(y) for y in args]
+        return f"-{x[0]}" if len(x) == 1 else f"({x[0]} {op} {x[1]})"
+
     lines = [f"{_source(_text(tuple(leaves)), text)} = {source}" for leaves, source in unpacks]
-    for src, (op, args, uses, operands) in tape.items():
+    for src, (op, args, uses) in tape.items():
         negation = op == "-" and len(args) == 1     # named on the tape
         if negation or uses > 1:
             name = src if negation else f"v{len(lines)}"
-            lines.append(f"{name} = {_written(op, args, text)}")
+            lines.append(f"{name} = {expression(op, args)}")
             if name != src:
                 written[src] = name
-        elif written and any(x in written for x in operands):
-            written[src] = _written(op, args, text)
+        elif written and any(x in written for x in args):
+            written[src] = expression(op, args)
     lines.append(f"return {_source(out, text)}")
     tape.clear()    # spent: free it before `compile` takes its own memory
     source = f"def {signature}:\n" + "".join(f"    {line}\n" for line in lines)
-    scope = dict(scope or {})
+    scope = {}
     exec(compile(source, filename, "exec"), scope)
     return scope[signature[:signature.index("(")]]
 

@@ -20,14 +20,15 @@ Exact sphere points and glue arcs are `Lifted` values: the rational
 parametrization y -> ((1 - |y|^2) / (1 + |y|^2), 2y / (1 + |y|^2)),
 exactly on the unit sphere, on integers (`point_of`, `quarter_of`), where
 y is the ladder's integer draw (`rand_lifted`); float points and
-coefficients share one decoder (`_floats_of`).  Each reader is a Python
-recipe (`_recipes`).  In float mode, from dimension 2 on, a recipe is
-compiled on its first use: traced, `_floats_of` and the stereographic map
-included, into one straight-line function with the recipe's float
-operations in its order (`_compiled`, through `cdalg`'s tracer), so it
-gives the recipe's values bit for bit, and its join points are still built
-and checked by `JoinPoint`.  The exact readers stay Python: they take
-`%`, `//` and `math.lcm`.
+coefficients share one decoder (`_floats_of`).  Each value is decoded by a
+Python recipe (`_recipes`), a glue point's by its blocks (c u, s v).  In
+float mode, from dimension 2 on, a recipe is compiled on its first use:
+traced, `_floats_of` and the stereographic map included, into one
+straight-line function of its float operations in their order
+(`_compiled`, through `cdalg`'s tracer), which calls nothing and gives the
+recipe's values bit for bit.  The exact readers stay Python: they take
+`%`, `//` and `math.lcm`.  One function builds and checks every drawn join
+point (`_join_points`), from the glue blocks or a point and a zero block.
 """
 
 from __future__ import annotations
@@ -35,9 +36,8 @@ from __future__ import annotations
 import math
 import sys
 from functools import cache
-from types import FunctionType
 
-from .spheremodel import JoinPoint, Lifted, SpherePoint, _sum_squares, arc_point, lifted_arc
+from .spheremodel import JoinPoint, Lifted, SpherePoint, _sum_squares, glue_blocks
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15                 # splitmix64's increment G
@@ -227,8 +227,9 @@ def rand_point(rng: CounterRng, dim: int, mode: str):
 
 
 def rand_arc(rng: CounterRng, dim: int, mode: str) -> tuple:
-    """(u, v, cs): a glue arc's endpoints, two `rand_point`s, and its `rand_quarter_pair`."""
-    return _arc_of(rng._u64s(2 * point_words(dim, mode) + quarter_words(mode)), 0, dim, mode)
+    """(u, v, c, s): a glue arc's endpoints, two `rand_point`s, and its `rand_quarter_pair`,
+    the `arc` input of a law."""
+    return _draw(rng, "arc", dim, mode)
 
 
 def _stereographic_ints(nums, den) -> Lifted:
@@ -274,17 +275,10 @@ def _draw(rng: CounterRng, kind: str, dim: int, mode: str):
 VIEW_KINDS = ("inl", "inr", "glue")
 
 
-def _arc_of(words, pos: int, dim: int, mode: str) -> tuple:
-    """`rand_arc`'s (u, v, cs) from words[pos:] (a pair reads at most two words)."""
-    m = point_words(dim, mode)
-    u, v = point_of(words[pos:pos + m], dim, mode), point_of(words[pos + m:pos + 2 * m], dim, mode)
-    return u, v, quarter_of(words[pos + 2 * m:pos + 2 * m + 2], mode)
-
-
 def _recipes(dim: int, mode: str) -> dict:
-    """kind -> (need, read) for the kinds decoded from their words alone, in Python:
-    read(words, pos, i, drawn) is the input from need words from pos, and the position
-    past them."""
+    """kind -> (need, read) for the values decoded from their words alone, in Python:
+    read(words, pos, i, drawn) is the value from need words from pos, and the position
+    past them.  `glue` is a glue point's blocks (c u, s v), which `_join_points` joins."""
     m, exact = point_words(dim, mode), mode == "exact"
     arc, n = 2 * m + quarter_words(mode), 2 * dim if exact else dim
 
@@ -295,84 +289,97 @@ def _recipes(dim: int, mode: str) -> dict:
         x = words[pos:pos + n]
         return (_lifted_of(x) if exact else tuple(_floats_of(x))), pos + n
 
+    def arc_of(words, pos):     # an arc's endpoints u, v and its pair cs
+        u = point_of(words[pos:pos + m], dim, mode)
+        v = point_of(words[pos + m:pos + 2 * m], dim, mode)
+        return u, v, quarter_of(words[pos + 2 * m:pos + arc], mode)
+
     def arc_input(words, pos, i, drawn):
-        u, v, cs = _arc_of(words, pos, dim, mode)
+        u, v, cs = arc_of(words, pos)
         return (u, v) + tuple(cs), pos + arc
 
     def glue(words, pos, i, drawn):
-        u, v, cs = _arc_of(words, pos, dim, mode)
-        return (lifted_arc(u, v, cs) if exact else arc_point(u, v, *cs)), pos + arc
-
-    def block(left):
-        def read(words, pos, i, drawn):
-            x = point_of(words[pos:pos + m], dim, mode)
-            zero = Lifted((0,) * dim, x.den) if exact else (0.0,) * dim
-            return (JoinPoint(x, zero) if left else JoinPoint(zero, x)), pos + m
-        return read
+        return glue_blocks(*arc_of(words, pos)), pos + arc
 
     return {"element": (n, element), "point": (m, point), "arc": (arc, arc_input),
-            "inl": (m, block(True)), "inr": (m, block(False)), "glue": (arc, glue)}
-
-
-def _rebound(f, **names):
-    """f running its own code, with the globals in names replaced."""
-    return FunctionType(f.__code__, {**f.__globals__, **names}, f.__name__, f.__defaults__,
-                        f.__closure__)
+            "glue": (arc, glue)}
 
 
 def _compiled(read, need: int, name: str):
     """A float recipe traced on need words into one straight-line reader, as
     `cdalg._traced_kernel` traces the product: the recipe's float operations in its
-    order, each value it uses more than once computed once.  Its join points, traced
-    through `arc_point` and the recipe's own code, are built and checked by `JoinPoint`."""
+    order, each value it uses more than once computed once, and nothing called."""
     from .cdalg import _Traced, _straight_line      # here: cdalg imports checks, which imports us
 
     tape, negs = {}, {}
     words = tuple(_Traced(f"w{j}", tape, negs) for j in range(need))
     pos = _Traced("pos", tape, negs)
-
-    def join_point(left, right):
-        return pos.call("JoinPoint", left, right)
-
-    traced_arc = _rebound(arc_point, JoinPoint=join_point)
-    value, used = _rebound(read, JoinPoint=join_point, arc_point=traced_arc)(words, 0, 0, ())
+    value, used = read(words, 0, 0, ())
     return _straight_line("read(words, pos, i, drawn)", [(words, f"words[pos:pos + {need}]")],
-                          (value, pos + used), tape, f"<sampling traced reader, {name}>",
-                          {"JoinPoint": JoinPoint})
+                          (value, pos + used), tape, f"<sampling traced reader, {name}>")
+
+
+@cache
+def _decoder(kind: str, dim: int, mode: str) -> tuple:
+    """A recipe's (need, read), compiled on its first use in float mode, from dimension 2
+    to COMPILED_MAX_DIM (at dimension 1 a point is a sign, read off a word's value)."""
+    need, read = _recipes(dim, mode)[kind]
+    if mode == "float" and 1 < dim <= COMPILED_MAX_DIM:
+        read = _compiled(read, need, f"{kind}, dim {dim}")
+    return need, read
 
 
 @cache
 def _reader(kind: str, dim: int, mode: str) -> tuple:
     """(need, read) for input kind in R^dim, any kind but `far`: read(words, pos, i, drawn)
     is sample i's input after those drawn, from at most need words from pos, and the
-    position past them.  A recipe is compiled on its first use in float mode, from dimension
-    2 to COMPILED_MAX_DIM (at dimension 1 a point is a sign, read off a word's value).  A
-    `join` word or `cycle`'s i % 3 picks a view; `corner` at i < 2 is +-e_0."""
-    recipes = _recipes(dim, mode)
-    if kind in recipes:
-        need, read = recipes[kind]
-        if mode == "float" and 1 < dim <= COMPILED_MAX_DIM:
-            read = _compiled(read, need, f"{kind}, dim {dim}")
-        return need, read
-    m, point = _reader("point", dim, mode)
+    position past them.  `element`, `point` and `arc` are their decoders; `corner` at
+    i < 2 is +-e_0; the join point kinds are `_join_points`."""
+    if kind in ("element", "point", "arc"):
+        return _decoder(kind, dim, mode)
     if kind == "corner":
+        m, point = _decoder("point", dim, mode)
+
         def corner(words, pos, i, drawn):
             if i < 2:
                 return SpherePoint.basis(dim, 0, 1 - 2 * i), pos
             x, pos = point(words, pos, i, drawn)
             return SpherePoint(tuple(x)), pos
         return m, corner
-    if kind not in ("join", "cycle"):
+    return _join_points(kind, dim, mode)
+
+
+def _join_points(kind: str, dim: int, mode: str) -> tuple:
+    """(need, read) for a join point kind: a view of VIEW_KINDS, `join`, whose first word
+    picks the view, or `cycle`, whose sample i takes view i % 3.  Every drawn join point
+    is built here, once: from the glue decoder's blocks, or from a point and a zero block."""
+    if kind not in VIEW_KINDS + ("join", "cycle"):
         raise KeyError(kind)
-    arc, views = recipes["glue"][0], tuple(_reader(view, dim, mode)[1] for view in VIEW_KINDS)
+    m, point = _decoder("point", dim, mode) if kind != "glue" else (0, None)
+    arc, glue = _decoder("glue", dim, mode) if kind not in ("inl", "inr") else (m, None)
+    exact, picked = mode == "exact", kind == "join"
+    zeros = (0 if exact else 0.0,) * dim
+    fixed = VIEW_KINDS.index(kind) if kind in VIEW_KINDS else None
 
-    def join(words, pos, i, drawn):
-        return views[words[pos] % 3](words, pos + 1, i, drawn)
+    def read(words, pos, i, drawn):
+        if picked:
+            view, pos = words[pos] % 3, pos + 1
+        else:
+            view = i % 3 if fixed is None else fixed
+        if view == 2:
+            (left, right), pos = glue(words, pos, i, drawn)
+        else:
+            x, pos = point(words, pos, i, drawn)
+            zero = Lifted(zeros, x.den) if exact else zeros
+            left, right = (x, zero) if view == 0 else (zero, x)
+        return JoinPoint(left, right), pos
 
-    def cycle(words, pos, i, drawn):
-        return views[i % 3](words, pos, i, drawn)
+    return (1 + arc if picked else arc), read
 
-    return (1 + arc, join) if kind == "join" else (arc, cycle)
+
+def _step_on(words: list, state: int, end: int):
+    """Extend words, the first words of the generator at state, to its first end words."""
+    words += _steps((state + len(words) * _GAMMA) & _MASK, end - len(words))
 
 
 def _far(dim: int, mode: str, tolerance: float, start: int) -> tuple:
@@ -385,7 +392,7 @@ def _far(dim: int, mode: str, tolerance: float, start: int) -> tuple:
         w1 = drawn[-1]
         while True:
             if pos + m > len(words):
-                words += _steps((start + i + len(words) * _GAMMA) & _MASK, pos + m - len(words))
+                _step_on(words, start + i, pos + m)
             w, pos = point(words, pos, i, drawn)
             if (any(x * w.den != y * w1.den for x, y in zip(w1.nums, w.nums)) if exact
                     else any(abs(x - y) > tolerance for x, y in zip(w1, w))):
@@ -411,7 +418,7 @@ def law_samples(seed: int, suite: str, samples: int, kinds: tuple, dim: int, mod
             row, pos, drawn = words[i - lo::count].tolist(), 0, []
             for need, read in readers:
                 if pos + need > len(row):     # after a far redraw, or past a capped k
-                    row += _steps((start + i + len(row) * _GAMMA) & _MASK, pos + need - len(row))
+                    _step_on(row, start + i, pos + need)
                 x, pos = read(row, pos, i, drawn)
                 drawn.append(x)
             yield tuple(drawn)

@@ -252,13 +252,15 @@ def join_embed(u: SpherePoint, v: SpherePoint, c, s) -> JoinPoint:
 def arc_point(u, v, c, s) -> JoinPoint:
     """The glue-arc point (c*u, s*v) of coordinate sequences u, v, unchecked (c, s);
     Lifted u and v give a lifted point."""
+    return JoinPoint(*glue_blocks(u, v, Lifted(*lift((c, s))) if type(u) is Lifted else (c, s)))
+
+
+def glue_blocks(u, v, cs) -> tuple:
+    """The blocks (c*u, s*v) of the glue-arc point at the pair cs = (c, s): two `Lifted`
+    over cs.den * u.den * v.den for lifted u, v and cs, else tuples in their own scalars."""
     if type(u) is Lifted:
-        return lifted_arc(u, v, Lifted(*lift((c, s))))
-    return JoinPoint(tuple([c * x for x in u]), tuple([s * y for y in v]))
-
-
-def lifted_arc(u: Lifted, v: Lifted, cs: Lifted) -> JoinPoint:
-    """`arc_point` of lifted u and v at the lifted pair cs, over cs.den * u.den * v.den."""
-    (cn, sn), du, dv, d = cs.nums, u.den, v.den, cs.den * u.den * v.den
-    return JoinPoint(Lifted(tuple([cn * dv * x for x in u.nums]), d),
-                     Lifted(tuple([sn * du * y for y in v.nums]), d))
+        (cn, sn), du, dv, d = cs.nums, u.den, v.den, cs.den * u.den * v.den
+        return (Lifted(tuple([cn * dv * x for x in u.nums]), d),
+                Lifted(tuple([sn * du * y for y in v.nums]), d))
+    c, s = cs
+    return tuple([c * x for x in u]), tuple([s * y for y in v])

@@ -18,7 +18,7 @@ from hopfcheck import checks, cdalg, hopf, joinmul, laws
 from hopfcheck.checks import max_abs_diff
 from hopfcheck.joinmul import VIEW_KINDS, JOIN_INSTANCE
 from hopfcheck.sampling import MAGNITUDE as M, CounterRng, stereographic
-from hopfcheck.spheremodel import JoinPoint, Lifted, SpherePoint, arc_point, lifted_arc
+from hopfcheck.spheremodel import JoinPoint, Lifted, SpherePoint, glue_blocks
 
 SEEDS = (1, 7)
 
@@ -74,8 +74,7 @@ def old_join_point(rng, inst, view, mode):
     dim = inst.susp_dim
     if view == "glue":
         u, v = old_point(rng, dim, mode), old_point(rng, dim, mode)
-        cs = old_quarter(rng, mode)
-        return lifted_arc(u, v, cs) if mode == "exact" else arc_point(u, v, *cs)
+        return JoinPoint(*glue_blocks(u, v, old_quarter(rng, mode)))
     x = old_point(rng, dim, mode)
     zero = Lifted((0,) * dim, x.den) if mode == "exact" else (0.0,) * dim
     return JoinPoint(x, zero) if view == "inl" else JoinPoint(zero, x)

@@ -22,7 +22,7 @@ from hopfcheck.cli import main
 from hopfcheck.sampling import (LANE_WORDS, MAGNITUDE, VIEW_KINDS, CounterRng, quarter_grid,
                                 quarter_point, rand_coeffs, rand_lifted, rand_point,
                                 rand_quarter_pair, rand_unit, stereographic)
-from hopfcheck.spheremodel import SpherePoint, lifted
+from hopfcheck.spheremodel import JoinPoint, SpherePoint, lifted
 from test_sampled_inputs import (canon, old_join_point, old_lifted, old_point, old_quarter,
                                  old_uniforms)
 
@@ -347,19 +347,44 @@ def word_rows(need):
 @pytest.mark.parametrize("kind, dim", [(kind, dim) for kind in FLOAT_KINDS for dim in DIMS]
                          + [("element", 32)])
 def test_compiled_float_readers_are_their_recipes_bit_for_bit(kind, dim):
-    # from dimension 2 each reader is its recipe traced into straight-line code; read
-    # from position 1, it gives the recipe's and the old draw's value, float bits
-    # included, and the position past its words
+    # from dimension 2 each recipe is traced into straight-line code that names nothing
+    # (inl and inr decode a point, glue its blocks); read from position 1, the decoder
+    # gives the recipe's value and end position, float bits included, and the input
+    # kind's reader gives the recipe's value as an input and the old draw's
+    decoded = "point" if kind in ("inl", "inr") else kind
     need, read = sampling._reader(kind, dim, "float")
-    recipe = sampling._recipes(dim, "float")[kind][1]
-    compiled = read.__code__.co_filename.startswith("<sampling traced reader")
-    assert compiled == (dim > 1) and (read.__code__ is recipe.__code__) == (dim == 1)
+    decode = sampling._decoder(decoded, dim, "float")[1]
+    recipe = sampling._recipes(dim, "float")[decoded][1]
+    compiled = decode.__code__.co_filename.startswith("<sampling traced reader")
+    assert compiled == (dim > 1) and (decode.__code__ is recipe.__code__) == (dim == 1)
+    assert not compiled or decode.__code__.co_names == ()
+    zero = (0.0,) * dim
     for words in word_rows(need):
         row = [5] + words
         got, pos = read(row, 1, 0, ())
         assert pos == 1 + need
-        assert canon(got) == canon(recipe(row, 1, 0, ())[0]) == canon(
-            old_float_input(kind, words, dim))
+        value, end = recipe(row, 1, 0, ())
+        assert end == pos and canon(decode(row, 1, 0, ())) == canon((value, end))
+        blocks = {"glue": value, "inl": (value, zero), "inr": (zero, value)}.get(kind)
+        want = JoinPoint(*blocks) if blocks else value
+        assert canon(got) == canon(want) == canon(old_float_input(kind, words, dim))
+
+
+@pytest.mark.parametrize("dim", (1, 4))
+@pytest.mark.parametrize("mode", ("exact", "float"))
+@pytest.mark.parametrize("kind", VIEW_KINDS + ("join", "cycle"))
+def test_each_drawn_join_point_is_built_once(kind, mode, dim, monkeypatch):
+    # law_samples and join_point_sample build and unit-check every join point they
+    # draw in one JoinPoint, the one they return
+    built, check = [], JoinPoint.__post_init__
+    monkeypatch.setattr(JoinPoint, "__post_init__", lambda x: built.append(x) or check(x))
+    samples = list(sampling.law_samples(6, f"test/built/{kind}", 30, (kind, kind), dim, mode,
+                                        1e-9))
+    assert list(map(id, built)) == [id(x) for inputs in samples for x in inputs]
+    built.clear()
+    points = [sampling.join_point_sample(CounterRng(6, f"test/built/{kind}", i), dim, kind, mode)
+              for i in range(30)]
+    assert list(map(id, built)) == list(map(id, points))
 
 
 def test_float_readers_past_the_compiled_dimensions_are_their_recipes():
@@ -388,16 +413,16 @@ def test_float_law_samples_are_the_old_draws_at_every_dimension(lane_passes, kin
 
 @pytest.mark.parametrize("dim", DIMS)
 def test_single_float_draws_are_the_old_draws_at_every_dimension(dim):
-    # rand_point, rand_coeffs and join_point_sample read through the compiled readers,
-    # rand_arc through the recipe; each leaves the generator where the old draw left it
+    # rand_point, rand_coeffs, rand_arc and join_point_sample read through the compiled
+    # readers; each leaves the generator where the old draw left it
     block = SimpleNamespace(susp_dim=dim)
     draws = [(lambda rng: rand_point(rng, dim, "float"),
               lambda rng: old_point(rng, dim, "float")),
              (lambda rng: rand_coeffs(rng, 2 * dim, "float"),
               lambda rng: old_uniforms(rng, -MAGNITUDE, MAGNITUDE, 2 * dim)),
              (lambda rng: sampling.rand_arc(rng, dim, "float"),
-              lambda rng: (old_point(rng, dim, "float"), old_point(rng, dim, "float"),
-                           old_quarter(rng, "float")))]
+              lambda rng: (old_point(rng, dim, "float"), old_point(rng, dim, "float"))
+              + tuple(old_quarter(rng, "float")))]
     draws += [(lambda rng, view=view: sampling.join_point_sample(rng, dim, view, "float"),
                lambda rng, view=view: old_join_point(rng, block, view, "float"))
               for view in VIEW_KINDS]
@@ -460,9 +485,9 @@ def test_single_draws_read_only_their_words():
                                                       mode))
             assert fast.next_u64() == slow.next_u64()
         fast, slow = (CounterRng(9, "test/single/arc", 0) for _ in range(2))
-        u, v, cs = sampling.rand_arc(fast, 3, mode)
-        assert canon((u, v, cs)) == canon((old_point(slow, 3, mode), old_point(slow, 3, mode),
-                                           old_quarter(slow, mode)))
+        u, v, c, s = sampling.rand_arc(fast, 3, mode)
+        assert canon((u, v, c, s)) == canon((old_point(slow, 3, mode), old_point(slow, 3, mode))
+                                            + tuple(old_quarter(slow, mode)))
         assert fast.next_u64() == slow.next_u64()
 
 
