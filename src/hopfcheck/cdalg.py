@@ -35,17 +35,18 @@ no value twice, so the kernel has no local but its negations.
 
 Basis products satisfy e_i e_j = +-e_(i xor j) at every level, so a
 per-level sign table, read off the recursion on first use, gives products
-of sparse ints in one loop that skips zero coefficients (`mul_ints`), the
-faster one on two-term sums from dimension 16 on.  Ladder law bodies take
-their product as an argument, and one wrapper (`_ladder_law`) picks it per
-evaluation; a `Lifted` sample is judged on its numerators, and only a
-failing one goes through `mul_coeffs`, for its witness.  A row expected to
-hold whose body is polynomial (all but `nicely-normed`) first runs once on
-symbolic variables through the product its structured phase takes
-(`_proved`); a zero residual proves it on every structured tuple, so the
-scan is skipped, and the sampled phase runs as before.  The zero-divisor
-search reads products of two-term sums off the sign table (`zero_pairs`)
-and confirms its witness on the traced kernel, which does not read it.
+of ints in one loop that skips zero coefficients (`mul_ints`).  Ladder law
+bodies take their product as an argument, and one wrapper (`_ladder_law`)
+picks it by operand form alone: an all-int tuple, as every structured one
+is, takes the sign table at every level; a sample takes the traced kernel,
+a `Lifted` one on its numerators, and only a failing one goes through
+`mul_coeffs`, for its witness.  A row expected to hold whose body is
+polynomial (all but `nicely-normed`) first runs once on symbolic variables
+through `mul_ints` (`_proved`); a zero residual proves it on every
+structured tuple, so `law_suite` hands the row none, and the sampled phase
+runs as before.  The zero-divisor search reads products of two-term sums
+off the sign table (`zero_pairs`) and confirms its witness on the traced
+kernel, which does not read it.
 """
 
 from __future__ import annotations
@@ -61,10 +62,6 @@ from .spheremodel import Lifted, basis_coords, lifted, norm_coeffs
 
 MAX_LEVEL = 5
 STRUCTURED_CAP = 6000   # structured inputs scanned per ladder law
-# Largest dimension whose ladder tuples take the traced kernel, not `mul_ints`: on two-term
-# int sums the sign table takes 1.9 against 0.4 us a product at dimension 4, 2.1-2.4 against
-# 1.4-1.5 us at 8, and wins at 16, 2.6 against 5.5 us (timeit medians, 2-core machine).
-TRACED_MAX_DIM = 8
 
 # The property ladder: which laws are expected to hold at each level.
 LADDER = {
@@ -94,7 +91,8 @@ _EXACT = frozenset((int, Fraction))
 
 def mul_ints(a, b) -> tuple:
     """Product of int coefficient sequences of one level, through the sign table.
-    A ladder row takes it for int tuples above `TRACED_MAX_DIM` only (`_ladder_law`)."""
+    A ladder row takes it for every all-int tuple (`_ladder_law`), and proves with it
+    (`_proved`)."""
     n = len(a)
     signs = _sign_table(n)
     out = [0] * n
@@ -351,19 +349,19 @@ def _ladder_law(body: Callable) -> Callable:
     """A ladder row's evaluate(n, inputs) at dimension n, for body(mul, inputs).
 
     The product, a module global read at each call, is `mul_ints` on all-int tuples
-    above `TRACED_MAX_DIM` (a Fraction or float makes their sum no int), else the
-    traced kernel.  A sample is all tuples or all `Lifted`; a `Lifted` one is judged
-    on its numerators: every ladder law compares sides of equal degree in each
-    input, so over positive denominators they agree, and a real part is positive,
-    exactly when the numerators' do (a new row must be homogeneous so).  Only a
-    failing sample runs again on its values through `mul_coeffs`, for its witness.
+    at every level (a Fraction or float makes their sum no int), else the traced
+    kernel.  A sample is all tuples or all `Lifted`; a `Lifted` one is judged on its
+    numerators: every ladder law compares sides of equal degree in each input, so
+    over positive denominators they agree, and a real part is positive, exactly
+    when the numerators' do (a new row must be homogeneous so).  Only a failing
+    sample runs again on its values through `mul_coeffs`, for its witness.
     """
     def evaluate(n, inputs):
         if type(inputs[0]) is Lifted:
             if not body(_traced_kernel(n), [x.nums for x in inputs])[0]:
                 return 0, None, None
             return body(mul_coeffs, inputs)
-        if n > TRACED_MAX_DIM and type(sum(map(sum, inputs))) is int:
+        if type(sum(map(sum, inputs))) is int:
             return body(mul_ints, inputs)
         return body(_traced_kernel(n), inputs)
     return evaluate
@@ -440,15 +438,14 @@ LADDER_LAWS = tuple((law, _ladder_law(body), ("element",) * arity)
 
 
 def _proved(law: str, level: int) -> bool:
-    """Whether a ladder row's body is an identity at the level, through the product
-    that its structured phase takes there.
+    """Whether a ladder row's body is an identity at the level, through `mul_ints`,
+    the product its structured phase takes.
 
-    The body runs once, with no `_ladder_law`, on `symbolic.Poly` variables and the
-    product `_ladder_law` gives an int tuple: `_traced_kernel(n)` up to
-    `TRACED_MAX_DIM`, else `mul_ints`, both read as module globals at call time.
-    Both kernels use only +, -, *, unary - and truth tests that skip a zero
-    coefficient, so each output coordinate is a polynomial whose value at any int
-    tuples is what the kernel computes on them (a term skipped there is zero).
+    The body runs once, with no `_ladder_law`, on `symbolic.Poly` variables and
+    `mul_ints`, read as a module global at call time.  It uses only +, -, * and
+    truth tests that skip a zero coefficient, so each output coordinate is a
+    polynomial whose value at any int tuples is what `mul_ints` computes on them
+    (a term skipped there is zero).
     `max_abs_diff` returns 0 only when every coordinate polynomial is equal, and
     orders any other difference, which raises TypeError unless it is a constant;
     norm multiplicativity orders its difference the same way.  So a residual of
@@ -461,13 +458,10 @@ def _proved(law: str, level: int) -> bool:
         return False
     from .symbolic import elements
 
-    n = 1 << level
-    mul = _traced_kernel(n) if n <= TRACED_MAX_DIM else mul_ints
     try:
-        return body(mul, elements(arity, n))[0] == 0
+        return body(mul_ints, elements(arity, 1 << level))[0] == 0
     except Exception:   # an identity never raises; anything that does is scanned
         return False
-
 
 
 def law_suite(level: int,
@@ -479,15 +473,17 @@ def law_suite(level: int,
     """Check the whole property ladder at one level.
 
     Returns one report per law.  Expected failures (e.g. associativity at
-    level 3) are marked expected and do not count against the run.  Exact
-    samples are drawn as `Lifted` numerators (`sampling.rand_lifted`).
+    level 3) are marked expected and do not count against the run.  A row
+    expected to hold that `_proved` proves scans no structured tuple.  Samples
+    are read by `sampling.law_samples`' `element` reader: `Lifted` numerators in
+    exact mode, floats in float mode.
     """
     if not 0 <= level <= MAX_LEVEL:
         raise UsageError(f"level must be within 0..{MAX_LEVEL}")
     return run_laws(
         LADDER_LAWS, f"level-{level}", 1 << level, dim=1 << level,
-        structured=lambda kinds: structured_tuples(level, len(kinds), STRUCTURED_CAP),
-        proved=lambda law: LADDER[law](level) and _proved(law, level),
+        structured=lambda law, kinds: () if LADDER[law](level) and _proved(law, level)
+        else structured_tuples(level, len(kinds), STRUCTURED_CAP),
         suite=lambda law: f"cdalg/{law}/level-{level}/{mode}",
         expect=lambda law: LADDER[law](level), samples=samples, seed=seed,
         mode=mode, tolerance=tolerance)

@@ -2,13 +2,13 @@
 
 A check runs in two phases.  The structured phase scans a deterministic,
 capped stream of exact inputs (small integer coefficients) and yields the
-minimal witness when the law fails on one of them; a suite that has proved
-the law on every such input gives none (the ladder's polynomial identities,
-`cdalg._proved`), and the sampled phase still runs.  The sampling phase
-evaluates `samples` random inputs indexed 0..samples-1 in order, on one
-thread; each input is derived from (seed, suite id, index), so sample i is
-the same whatever ran before it.  `Lifted` sides are compared on integers:
-Fractions are built only for a nonzero residual and a witness.
+minimal witness when the law fails on one of them; a suite may give a row
+none, as the ladder does for a row it has proved, and the sampled phase
+still runs.  The sampling phase evaluates `samples` random inputs indexed
+0..samples-1 in order, on one thread; each input is derived from (seed,
+suite id, index), so sample i is the same whatever ran before it.  `Lifted`
+sides are compared on integers: Fractions are built only for a nonzero
+residual and a witness.
 """
 
 from __future__ import annotations
@@ -208,8 +208,7 @@ def run_laws(rows,
              dim: int,
              suite: Callable,
              samples: int,
-             structured: Callable = lambda kinds: (),
-             proved: Callable = lambda law: False,
+             structured: Callable = lambda law, kinds: (),
              expect: Callable = lambda law: True,
              seed: int = 0,
              mode: str = "exact",
@@ -217,15 +216,13 @@ def run_laws(rows,
     """Check a table of laws and return one report per row, in table order.
 
     A row is (law, evaluate, kinds): evaluate(ctx, inputs) gives (residual, lhs,
-    rhs), structured(kinds) the exact inputs, and sample i is one input of each
+    rhs), structured(law, kinds), called just before the row's check, its exact
+    inputs (none for a row the suite has proved), and sample i is one input of each
     kind in order, in R^dim, read from the words of CounterRng(seed, suite(law), i):
     the sampler hands on the tuples of one `law_samples` stream per law, which
     computes each chunk's words when its first sample is drawn.  A row with no
     kinds, or at dim 0 (R^0 has no point), draws no sample.  expect(law) says
-    whether the law should hold.  A row for which proved(law), called just before
-    the row's check, is true has shown that every structured input passes (the
-    ladder's `cdalg._proved`): its structured phase is skipped, and its sampled
-    phase runs as for any row.
+    whether the law should hold.
     """
     require_samples(samples)
     reports = []
@@ -234,7 +231,7 @@ def run_laws(rows,
         draws = law_samples(seed, suite(law), n, kinds, dim, mode, tolerance)
         reports.append(execute_check(
             law, instance, partial(evaluate, ctx),
-            structured=() if proved(law) else structured(kinds),
+            structured=structured(law, kinds),
             sampler=lambda i, draws=draws: next(draws), samples=n, seed=seed, mode=mode,
             tolerance=tolerance, expect_holds=expect(law)))
     return reports

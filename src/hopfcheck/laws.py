@@ -211,7 +211,7 @@ def _carrier_laws(rows, carrier: Carrier, *, mode: str, **kw) -> list:
     return run_laws(
         [(law, evaluate, (carrier.kind,) * len(kinds)) for law, evaluate, kinds in rows],
         carrier.name, carrier, dim=carrier.dim, mode=mode,
-        structured=lambda kinds: product(carrier.structured, repeat=len(kinds)), **kw)
+        structured=lambda law, kinds: product(carrier.structured, repeat=len(kinds)), **kw)
 
 
 def _suite_carrier(carrier: Carrier, mode: str) -> Carrier:

@@ -19,7 +19,7 @@ This module alone turns words into values, one reader per input kind, for
 Exact sphere points and glue arcs are `Lifted` values: the rational
 parametrization y -> ((1 - |y|^2) / (1 + |y|^2), 2y / (1 + |y|^2)),
 exactly on the unit sphere, on integers (`point_of`, `quarter_of`), where
-y is the ladder's integer draw (`rand_lifted`); float points and
+y is the ladder's integer draw (`_lifted_of`); float points and
 coefficients share one decoder (`_floats_of`).  Each value is decoded by a
 Python recipe (`_recipes`), a glue point's by its blocks (c u, s v).  In
 float mode, from dimension 2 on, a recipe is compiled on its first use:
@@ -37,6 +37,7 @@ import math
 import sys
 from functools import cache
 
+from .errors import UsageError
 from .spheremodel import JoinPoint, Lifted, SpherePoint, _sum_squares, glue_blocks
 
 _MASK = (1 << 64) - 1
@@ -258,7 +259,10 @@ def quarter_grid(n: int) -> list:
 
 
 def join_point_sample(rng: CounterRng, dim: int, view: str, mode: str) -> JoinPoint:
-    """A random join point of the view inl, inr or glue, blocks in R^dim; lifted in exact mode."""
+    """A random join point of the view inl, inr or glue, blocks in R^dim; lifted in exact mode.
+    Any other view raises UsageError."""
+    if view not in VIEW_KINDS:
+        raise UsageError(f"unknown join point view {view!r}")
     return _draw(rng, view, dim, mode)
 
 

@@ -683,13 +683,8 @@ def _negated(original):
     (_negated, -2, "positive"),
 ], ids=["part-ii", "part-iii"])
 def test_broken_product_fails_nicely_normed_with_witness(perturb, lhs, rhs, level, monkeypatch):
-    # int inputs take the traced kernel through dimension 8 and `mul_ints` above,
-    # for every product of the evaluation
-    if level == 2:
-        traced = cdalg._traced_kernel
-        monkeypatch.setattr(cdalg, "_traced_kernel", lambda n: perturb(traced(n)))
-    else:
-        monkeypatch.setattr(cdalg, "mul_ints", perturb(cdalg.mul_ints))
+    # int inputs take `mul_ints` at every level, for every product of the evaluation
+    monkeypatch.setattr(cdalg, "mul_ints", perturb(cdalg.mul_ints))
     n = 1 << level
     a = (1, 1) + (0,) * (n - 2)
 
@@ -917,7 +912,7 @@ def test_lifted_ladder_samples_keep_the_fraction_draws_reports(level, seed, monk
         m.setattr(checks, "law_samples", fraction_samples)
         before = run_laws(
             cdalg.LADDER_LAWS, f"level-{level}", 1 << level, dim=1 << level,
-            structured=lambda kinds: structured_tuples(level, len(kinds), 300),
+            structured=lambda law, kinds: structured_tuples(level, len(kinds), 300),
             suite=lambda law: f"cdalg/{law}/level-{level}/exact",
             expect=lambda law: cdalg.LADDER[law](level), samples=40, seed=seed)
     after = law_suite(level, "exact", samples=40, seed=seed)

@@ -294,7 +294,7 @@ def _two_word_law(monkeypatch, drawn, fails_at=None, raises_at=None, structured=
     monkeypatch.setattr(sampling, "_reader", reader)
     monkeypatch.setattr(checks, "law_samples", law_samples)
     return dict(rows=(("law", evaluate, ("point",)),), instance="t", ctx=None, dim=3,
-                suite=lambda law: "test/run-laws", structured=lambda kinds: structured,
+                suite=lambda law: "test/run-laws", structured=lambda law, kinds: structured,
                 samples=10000, seed=4, mode="float")
 
 

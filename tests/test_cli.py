@@ -34,7 +34,7 @@ def run_cli_json(tmp_path, *argv, name="out.json"):
 # --- exit codes -----------------------------------------------------------------
 
 def test_broken_kernel_fails_the_ladder_with_witnesses(tmp_path, monkeypatch):
-    # level 2's structured scan takes the traced kernel itself
+    # level 2's samples take the traced kernel; its structured scan takes `mul_ints`
     original = cdalg._traced_kernel
 
     def flipped_kernel(n):
@@ -53,6 +53,34 @@ def test_broken_kernel_fails_the_ladder_with_witnesses(tmp_path, monkeypatch):
     for r in unexpected:
         assert r["status"] == "fails"
         assert {"inputs", "lhs", "rhs"} <= set(r["witness"])
+
+
+@pytest.mark.parametrize("level, broken", [
+    (0, {"nicely-normed"}),
+    (1, {"associativity", "alternativity"}),
+    (2, {"associativity", "alternativity"}),
+    (3, {"alternativity"}),
+])
+def test_broken_sign_table_fails_the_ladder_with_structured_witnesses(level, broken, monkeypatch,
+                                                                      capsys):
+    # every all-int tuple, the structured scan and the proofs, takes `mul_ints`
+    original = cdalg.mul_ints
+
+    def flipped(a, b):      # the last output coordinate with the wrong sign
+        out = original(a, b)
+        return out[:-1] + (-out[-1],)
+
+    monkeypatch.setattr(cdalg, "mul_ints", flipped)
+    code = main(["laws", "--level", str(level), "--samples", "30", "--seed", "1",
+                 "--format", "json"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 1 and doc["overall"] == "fail"
+    unexpected = [r for r in doc["reports"] if not r["expected"]]
+    assert {r["law"] for r in unexpected} == broken
+    for r in unexpected:
+        assert r["status"] == "fails"
+        assert {"inputs", "lhs", "rhs"} <= set(r["witness"])
+        assert all(type(c) is int for x in r["witness"]["inputs"] for c in x)
 
 
 def test_broken_exact_kernel_fails_the_ladder_in_the_sampled_phase(tmp_path, monkeypatch):

@@ -220,7 +220,7 @@ def test_exact_suites_refuse_a_carrier_with_float_points(kind, monkeypatch):
     seen = []
 
     def recording_run_laws(rows, *args, structured, **kw):
-        seen.extend(x for (x,) in structured(("point",)))
+        seen.extend(x for (x,) in structured(rows[0][0], ("point",)))
         return run_laws(rows, *args, structured=structured, **kw)
 
     monkeypatch.setattr(laws, "run_laws", recording_run_laws)
@@ -239,7 +239,7 @@ def _unlifted_carrier_laws(rows, carrier, *, mode, **kw):
     return run_laws(
         [(law, evaluate, (carrier.kind,) * len(kinds)) for law, evaluate, kinds in rows],
         carrier.name, carrier, dim=carrier.dim, mode=mode,
-        structured=lambda kinds: product(carrier.structured, repeat=len(kinds)), **kw)
+        structured=lambda law, kinds: product(carrier.structured, repeat=len(kinds)), **kw)
 
 
 FLOAT = dict(samples=30, seed=9, mode="float")

@@ -19,6 +19,7 @@ import math
 from hopfcheck import checks, sampling
 from hopfcheck.checks import max_abs_diff
 from hopfcheck.cli import main
+from hopfcheck.errors import UsageError
 from hopfcheck.sampling import (LANE_WORDS, MAGNITUDE, VIEW_KINDS, CounterRng, quarter_grid,
                                 quarter_point, rand_coeffs, rand_lifted, rand_point,
                                 rand_quarter_pair, rand_unit, stereographic)
@@ -382,6 +383,11 @@ def test_each_drawn_join_point_is_built_once(kind, mode, dim, monkeypatch):
                                         1e-9))
     assert list(map(id, built)) == [id(x) for inputs in samples for x in inputs]
     built.clear()
+    if kind not in VIEW_KINDS:      # a single draw takes a view; no other kind is one
+        for other in (kind, "point"):
+            with pytest.raises(UsageError, match="view"):
+                sampling.join_point_sample(CounterRng(6, "test/built", 0), dim, other, mode)
+        return
     points = [sampling.join_point_sample(CounterRng(6, f"test/built/{kind}", i), dim, kind, mode)
               for i in range(30)]
     assert list(map(id, built)) == list(map(id, points))

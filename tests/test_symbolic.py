@@ -4,12 +4,12 @@
 formulas, so an identity whose residual is the zero polynomial holds for all
 real inputs of that dimension, and a nonzero residual is a polynomial that
 some real input does not zero.  The ladder identities run the two products
-the ladder takes, the traced kernel and the sign table's `mul_ints`, both
-read from `cdalg` at call time; `nicely-normed` branches on values and is
-left to the sampled ladder.  The ladder's own proof (`cdalg._proved`) is
-tested against the structured scan it replaces.  The join product's arc
-formula and the Hopf projection run `joinmul._arc_blocks` and
-`hopf._projection` themselves.
+the ladder takes, the traced kernel (samples) and the sign table's
+`mul_ints` (int tuples and the proofs), both read from `cdalg` at call
+time; `nicely-normed` branches on values and is left to the sampled
+ladder.  The ladder's own proof (`cdalg._proved`) is tested against the
+structured scan it replaces.  The join product's arc formula and the Hopf
+projection run `joinmul._arc_blocks` and `hopf._projection` themselves.
 """
 
 import json
@@ -161,7 +161,7 @@ def _forced_scan(level, seed, samples):
     """`law_suite(level)` with every row's structured scan, proved or not."""
     return run_laws(
         cdalg.LADDER_LAWS, f"level-{level}", 1 << level, dim=1 << level,
-        structured=lambda kinds: structured_tuples(level, len(kinds), cdalg.STRUCTURED_CAP),
+        structured=lambda law, kinds: structured_tuples(level, len(kinds), cdalg.STRUCTURED_CAP),
         suite=lambda law: f"cdalg/{law}/level-{level}/exact",
         expect=lambda law: LADDER[law](level), samples=samples, seed=seed)
 
@@ -192,10 +192,12 @@ KERNEL_MUTANTS = {
 
 @pytest.mark.parametrize("mutant", KERNEL_MUTANTS)
 def test_a_patched_kernel_reaches_the_proof_and_the_scan_finds_it(mutant, monkeypatch):
+    # the proof and the structured scan multiply with `mul_ints`
     level, patch, broken = KERNEL_MUTANTS[mutant]
-    original, n = cdalg._traced_kernel, 1 << level
-    monkeypatch.setattr(cdalg, "_traced_kernel",
-                        lambda dim: patch(original(dim)) if dim == n else original(dim))
+    original, n = cdalg.mul_ints, 1 << level
+    patched = patch(original)
+    monkeypatch.setattr(cdalg, "mul_ints",
+                        lambda a, b: (patched if len(a) == n else original)(a, b))
     rejected = {law for law in cdalg._LADDER_ROWS
                 if LADDER[law](level) and not cdalg._proved(law, level)}
     assert rejected == broken | {"nicely-normed"}
@@ -208,8 +210,26 @@ def test_a_patched_kernel_reaches_the_proof_and_the_scan_finds_it(mutant, monkey
         assert all(type(c) is int for x in r.witness["inputs"] for c in x)   # a structured witness
 
 
-@pytest.mark.parametrize("level", (4, 5))
-def test_the_proof_multiplies_with_mul_ints_above_the_traced_dimension(level, monkeypatch):
+@pytest.mark.parametrize("mutant", KERNEL_MUTANTS)
+def test_a_patched_traced_kernel_fails_the_sampled_phase(mutant, monkeypatch):
+    # the samples multiply with the traced kernel, which the proof does not take
+    level, patch, broken = KERNEL_MUTANTS[mutant]
+    original, n = cdalg._traced_kernel, 1 << level
+    monkeypatch.setattr(cdalg, "_traced_kernel",
+                        lambda dim: patch(original(dim)) if dim == n else original(dim))
+    rejected = {law for law in cdalg._LADDER_ROWS
+                if LADDER[law](level) and not cdalg._proved(law, level)}
+    assert rejected == {"nicely-normed"}
+    reports = cdalg.law_suite(level, samples=30, seed=1)
+    failed = {r.law: r for r in reports if not r.expected}
+    assert set(failed) == broken
+    for r in failed.values():
+        assert not r.holds and r.max_residual > 0 and {"inputs", "lhs", "rhs"} <= set(r.witness)
+        assert all("/" in c for x in r.witness["inputs"] for c in x)   # a sampled witness
+
+
+@pytest.mark.parametrize("level", range(MAX_LEVEL + 1))
+def test_the_proof_multiplies_with_mul_ints_alone(level, monkeypatch):
     calls = {"mul_ints": 0, "traced": 0}
     mul_ints, traced = cdalg.mul_ints, cdalg._traced_kernel
 
@@ -223,7 +243,7 @@ def test_the_proof_multiplies_with_mul_ints_above_the_traced_dimension(level, mo
 
     monkeypatch.setattr(cdalg, "mul_ints", recording_mul_ints)
     monkeypatch.setattr(cdalg, "_traced_kernel", recording_traced)
-    assert not cdalg._proved("commutativity", level)
+    assert cdalg._proved("commutativity", level) == LADDER["commutativity"](level)
     assert calls == {"mul_ints": 2, "traced": 0}
 
 
