@@ -26,7 +26,10 @@ squared denominator, a boundary point when its integers equal the edge's,
 and at an exact pole D_x and the constant-side filler are evaluated on the
 lifted pairs, as Lifted points.  Only a failure builds Fractions.  A float
 corner runs the same bodies over denominator 1 and the Fraction pairs, so
-its values are SquareFiller's and a broken filler fails.
+its values are SquareFiller's and a broken filler fails.  An exact suite
+first proves the unit-norm and boundary rows once per dimension, running
+those bodies' functions on symbolic variables (`_grid_proved`), and a
+proved row skips its grid at every exact corner.
 
 join_mul_syn is the one place a join point's constructor view is
 decided: a block is zero when its squared norm is zero, or at most
@@ -38,6 +41,7 @@ no Fraction, or a tuple's own scalars; the form decides only the wrap.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from operator import itemgetter
 from typing import Callable, NamedTuple
 
@@ -362,15 +366,19 @@ class _LiftedGrid:
     `rows[exact]` holds (pair, (numerators, denominator)) for each Fraction
     pair: integers for an exact corner, the pair itself over 1 for a float
     one.  `edges[exact]` holds the boundary parameters in scan order in the
-    second form.
+    second form.  `proofs` names the rows whose identity may stand in for
+    the grid (`_grid_proved`): none unless prove (an exact suite), and the
+    unit norm only if every lifted pair is on its circle, c^2 + s^2 = d^2.
     """
 
-    def __init__(self, pairs: list):
+    def __init__(self, pairs: list, prove: bool = True):
         self.rows, self.edges = {}, {}
         for exact, lift_pair in ((True, lift), (False, lambda pair: (pair, 1))):
             lifted_pairs = list(map(lift_pair, pairs))
             self.rows[exact] = list(zip(pairs, lifted_pairs))
             self.edges[exact] = list(_edge_params(map(lift_pair, _EDGE_ENDPOINTS), lifted_pairs))
+        on_circle = all(c * c + s * s == d * d for _, ((c, s), d) in self.rows[True])
+        self.proofs = (("filler-boundary",) + ("filler-unit-norm",) * on_circle) if prove else ()
 
 
 def _lifted_corner(x: SpherePoint) -> tuple:
@@ -396,7 +404,11 @@ def _unit_residuals(grid: _LiftedGrid, x):
 
 
 def _filler_unit_norm(params, inputs):
+    """|D_x|^2 = 1 on the grid: the worst residual with its (sigma, tau), or 0
+    with no point evaluated when the row's proof covers the corner."""
     (x,) = inputs
+    if _grid_proved(params, "filler-unit-norm", x):
+        return 0, None, None
     worst, at = worst_of(_unit_residuals(params, x), itemgetter(0))
     if at is None:
         return 0, None, None
@@ -414,19 +426,27 @@ def _worst_pair(pairs):
 def _boundary_pairs(grid: _LiftedGrid, x):
     """(filler value, edge value) for each boundary point where the two differ."""
     one, xn, dx, exact = _lifted_corner(x)
-    minus_one = neg_coeffs(one)
     for (ns, ds), (nt, dt) in grid.edges[exact]:
         # one of ds, dt is 1 (an endpoint), so both sides are over ds * dt * dx
-        left, right = _reduced_blocks(ns, nt, one, xn)
-        edge_left, edge_right = _edge_blocks(ns, nt, minus_one, xn, one, xn)
-        got, want = left + right, edge_left + edge_right
+        got, want = _boundary_sides(ns, nt, one, xn)
         if got != want:
             d = Fraction(ds * dt * dx)
             yield tuple(c / d for c in got), tuple(c / d for c in want)
 
 
+def _boundary_sides(sigma, tau, one, x) -> tuple:
+    """(filler value, edge value) of D_x at a boundary point, each flattened."""
+    left, right = _reduced_blocks(sigma, tau, one, x)
+    edge_left, edge_right = _edge_blocks(sigma, tau, neg_coeffs(one), x, one, x)
+    return left + right, edge_left + edge_right
+
+
 def _filler_boundary(params, inputs):
+    """D_x against the glue-arc edges on the grid's boundary: the worst pair of
+    values, or 0 with no point evaluated when the row's proof covers the corner."""
     (x,) = inputs
+    if _grid_proved(params, "filler-boundary", x):
+        return 0, None, None
     return _worst_pair(_boundary_pairs(params, x))
 
 
@@ -445,6 +465,81 @@ def _filler_pole_reduction(params, inputs):
         for sigma in pairs for tau in pairs)
 
 
+# ---------------------------------------------------------------------------
+# the two exact grid rows as identities, run once per dimension on symbolic
+# variables through the functions the grid calls
+
+
+def _symbols(dim: int) -> tuple:
+    """(one, x, d_x, sigma, d_sigma, tau, d_tau) on `symbolic` variables, one as
+    `_lifted_corner` builds it, d_x e_0."""
+    from .symbolic import elements
+
+    (cs, ss, ds, ct, st, dt, dx, *x) = elements(1, 7 + dim)[0]
+    return (dx,) + (0,) * (dim - 1), tuple(x), dx, (cs, ss), ds, (ct, st), dt
+
+
+def _unit_norm_identity(dim: int) -> bool:
+    """Whether `_unit_residuals` finds no residual at any point of the spheres.
+
+    Its residual |left|^2 + |right|^2 - (d_sigma d_tau d_x)^2, on variables,
+    reduces to 0 modulo c^2 + s^2 = d^2 for sigma and tau and |x|^2 = d_x^2
+    for the corner.  Every point the grid evaluates satisfies them: a corner
+    is a checked `SpherePoint` and `_LiftedGrid` checks its pairs.
+    """
+    from .symbolic import reduce_squares, sphere_rule
+
+    one, x, dx, sigma, ds, tau, dt = _symbols(dim)
+    left, right = _reduced_blocks(sigma, tau, one, x)
+    d = ds * dt * dx
+    rules = dict(sphere_rule(p, dp) for p, dp in ((sigma, ds), (tau, dt), (x, dx)))
+    return not reduce_squares(_sum_squares(left) + _sum_squares(right) - d * d, rules)
+
+
+def _boundary_identity(dim: int) -> bool:
+    """Whether `_boundary_pairs` finds no difference at any boundary point.
+
+    (end, t) and (t, end) agree for each endpoint and a symbolic t, and so do
+    the four corners (end, end'), where `_edge_blocks` takes other branches, as
+    polynomials in x: no sphere equation is used.
+    """
+    one, x, _, t, *_ = _symbols(dim)
+    ends = [lift(end)[0] for end in _EDGE_ENDPOINTS]
+    return all(got == want for got, want in (
+        _boundary_sides(sigma, tau, one, x) for sigma, tau in _edge_params(ends, ends + [t])))
+
+
+_GRID_IDENTITIES = {"filler-unit-norm": _unit_norm_identity,
+                    "filler-boundary": _boundary_identity}
+
+
+def _grid_proved(grid: _LiftedGrid, law: str, x) -> bool:
+    """Whether the row's identity stands in for grid at corner x: an exact corner,
+    a row the grid allows (`_LiftedGrid.proofs`) and an identity that holds.
+
+    The identity runs once per dimension and code (`_identity_holds`): the
+    functions it calls, read here at call time, are part of the cache key, so
+    a patched function is proved afresh.
+    """
+    return law in grid.proofs and is_exact(x.coords) and _identity_holds(
+        law, x.dim, _reduced_blocks, _edge_blocks, _boundary_sides, _scale, _sum_squares,
+        neg_coeffs, lift)
+
+
+@cache
+def _identity_holds(law: str, dim: int, *code) -> bool:
+    """Whether law's identity holds at dim; code, the functions it calls, keys the cache.
+
+    Those are straight-line in their scalars but for `_edge_blocks`' endpoint
+    tests, so an identity on variables holds at every integer point.  A
+    nonzero normal form or an exception proves nothing.
+    """
+    try:
+        return _GRID_IDENTITIES[law](dim)
+    except Exception:   # an identity never raises; anything that does runs the grid
+        return False
+
+
 DIAMOND_LAWS = (
     ("filler-unit-norm", _filler_unit_norm, ("corner",)),
     ("filler-boundary", _filler_boundary, ("corner",)),
@@ -461,13 +556,18 @@ def diamond_suite(inst: ImaginaroidInstance,
                   tolerance: float = 1e-9) -> list:
     """Grid checks of the reduced filler: norms, boundary edges, pole reductions.
 
-    Samples 0 and 1 are the poles; the rest are random unit corners.
+    Samples 0 and 1 are the poles; the rest are random unit corners.  In exact
+    mode the unit-norm and boundary rows are proved once per dimension and
+    then give residual 0 at each corner with no grid point evaluated
+    (`_grid_proved`); a row whose proof fails runs its grid.  Float mode and
+    the pole row run every grid, the float suite's exact poles included.
     """
     if grid < 1:
         raise UsageError("grid must be >= 1")
     instance = JOIN_INSTANCE.get(inst.name, inst.name)
+    params = _LiftedGrid(quarter_grid(grid), prove=mode == "exact")
     return run_laws(
-        DIAMOND_LAWS, instance, _LiftedGrid(quarter_grid(grid)), dim=inst.susp_dim,
+        DIAMOND_LAWS, instance, params, dim=inst.susp_dim,
         suite=lambda law: f"diamond/{instance}/x/{mode}",
         samples=max(require_samples(samples), 2), seed=seed, mode=mode, tolerance=tolerance)
 

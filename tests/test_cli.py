@@ -515,8 +515,11 @@ def test_module_invocation_matches_entry_point(child_env):
 
 #: run in a child interpreter without site hooks: the modules that --version and
 #: then one sampled suite load, and the suite keys of the deferred hashlib import;
-#: the ladder's symbolic scalar loads with its first proof, which level 4 (the
-#: benchmark's peak-memory process, `laws --level 4`) never attempts and level 3 does
+#: the symbolic scalar loads with the ladder's first proof, which level 4 (the
+#: benchmark's peak-memory process, `laws --level 4`) never attempts and level 3
+#: does, or with the first exact diamond, whose grid rows are proved; a float
+#: diamond attempts no proof.  The last suite is the ladder's or the diamond's, by
+#: the probe's argument, since the module cannot be unloaded between them
 IMPORT_PROBE = """
 import json, sys
 from hopfcheck import cli
@@ -524,26 +527,34 @@ cli.main(["--version"])
 early = sorted(m for m in ("dataclasses", "inspect", "hashlib", "hopfcheck.symbolic")
                if m in sys.modules)
 from hopfcheck.cdalg import law_suite
+from hopfcheck.joinmul import diamond_suite
+from hopfcheck.laws import imaginaroid_instance
 from hopfcheck.sampling import _suite_key
 law_suite(4, samples=1)
 late = sorted(m for m in ("hashlib", "hopfcheck.symbolic") if m in sys.modules)
-law_suite(3, samples=1)
+diamond_suite(imaginaroid_instance("s2"), grid=2, samples=3, mode="float")
+float_diamond = "hopfcheck.symbolic" in sys.modules
+if sys.argv[1] == "ladder":
+    law_suite(3, samples=1)
+else:
+    diamond_suite(imaginaroid_instance("s2"), grid=2, samples=3, mode="exact")
 proof = "hopfcheck.symbolic" in sys.modules
 import hashlib
 ids = ("cdalg/associativity/level-1/exact", "laws/s2/assoc/float")
 same = [_suite_key(s) == int.from_bytes(hashlib.sha256(s.encode()).digest()[:8], "big")
         for s in ids]
-print(json.dumps([early, late, proof, same]))
+print(json.dumps([early, late, float_diamond, proof, same]))
 """
 
 
 def test_version_imports_neither_dataclasses_nor_hashlib(child_env):
-    proc = subprocess.run([sys.executable, "-S", "-c", IMPORT_PROBE],
-                          capture_output=True, text=True, env=child_env)
-    assert proc.returncode == 0, proc.stderr
-    version, result = proc.stdout.splitlines()
-    assert version == __version__
-    assert json.loads(result) == [[], ["hashlib"], True, [True, True]]
+    for last in ("ladder", "exact-diamond"):
+        proc = subprocess.run([sys.executable, "-S", "-c", IMPORT_PROBE, last],
+                              capture_output=True, text=True, env=child_env)
+        assert proc.returncode == 0, proc.stderr
+        version, result = proc.stdout.splitlines()
+        assert version == __version__
+        assert json.loads(result) == [[], ["hashlib"], False, True, [True, True]], last
 
 
 def test_benchmark_constructors_keep_their_positional_form():

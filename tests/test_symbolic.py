@@ -9,19 +9,27 @@ the ladder takes, the traced kernel (samples) and the sign table's
 time; `nicely-normed` branches on values and is left to the sampled
 ladder.  The ladder's own proof (`cdalg._proved`) is tested against the
 structured scan it replaces.  The join product's arc formula and the Hopf
-projection run `joinmul._arc_blocks` and `hopf._projection` themselves.
+projection run `joinmul._arc_blocks` and `hopf._projection` themselves.  The
+exact diamond's proofs of its unit-norm and boundary rows
+(`joinmul._grid_proved`) are tested against the grids they replace, which a
+test forces by patching the proof to False.
 """
 
 import json
+from fractions import Fraction
 from math import prod
 
 import pytest
-from test_joinmul import _operands_swapped, _sign_flipped
+from test_joinmul import (_dropped_left, _negated_right, _operands_swapped, _sign_flipped,
+                          _swapped_blocks)
 
 from hopfcheck import cdalg, cli, hopf, joinmul
 from hopfcheck.cdalg import LADDER, MAX_LEVEL, STRUCTURED_CAP, mul_coeffs, structured_tuples
 from hopfcheck.checks import run_laws
-from hopfcheck.symbolic import Poly, elements
+from hopfcheck.laws import imaginaroid_instance
+from hopfcheck.sampling import CounterRng, quarter_grid, rand_unit
+from hopfcheck.spheremodel import SpherePoint, basis_coords
+from hopfcheck.symbolic import Poly, elements, reduce_squares, sphere_rule
 
 
 def sum_squares(a) -> Poly:
@@ -259,3 +267,166 @@ def test_the_associativity_residual_gives_the_reported_level_3_witness():
     assert all(type(x) is int for x in point)
     assert tuple(value(p, point) for p in residual) == _diff(witness["lhs"], witness["rhs"])
     assert report["max_residual"] == max(abs(value(p, point)) for p in residual) > 0
+
+
+# --- the exact diamond's grid rows: proofs against the grids they replace --------
+
+DIAMOND_DIMS = (1, 2, 4, 8)
+GRID_ROWS = ("filler-unit-norm", "filler-boundary")
+
+
+def test_reduce_squares_rewrites_each_square_by_its_rule():
+    x0, x1, d = elements(1, 3)[0]
+    rules = dict([sphere_rule((x0, x1), d)])
+    assert rules == {0: d * d - x1 * x1}
+    assert not reduce_squares(x0 * x0 + x1 * x1 - d * d, rules)
+    assert reduce_squares(x0 * x0 * x0 * x1, rules) == x0 * x1 * (d * d - x1 * x1)
+    assert reduce_squares(x0 * x1 - d, rules) == x0 * x1 - d    # no square, no change
+
+
+def _proved_at(law, dim):
+    """Whether the row's proof stands in for an exact grid at an exact corner of dim."""
+    grid = joinmul._LiftedGrid(quarter_grid(2))
+    return joinmul._grid_proved(grid, law, SpherePoint.basis(dim, 0))
+
+
+@pytest.mark.parametrize("dim", DIAMOND_DIMS)
+def test_both_diamond_proofs_hold(dim):
+    assert joinmul._unit_norm_identity(dim) and joinmul._boundary_identity(dim)
+    assert all(_proved_at(law, dim) for law in GRID_ROWS)
+
+
+@pytest.mark.parametrize("dim", DIAMOND_DIMS)
+def test_the_proof_builds_the_corner_as_the_grid_does(dim):
+    # at a corner's lifted values the symbolic (one, x, d_x) is `_lifted_corner`'s
+    one, x, dx, *_ = joinmul._symbols(dim)
+    for i in range(4):
+        corner = (SpherePoint.basis(dim, 0, 1 - 2 * i) if i < 2
+                  else SpherePoint(rand_unit(CounterRng(3, "test/diamond-corner", i), dim, "exact")))
+        want_one, want_x, want_dx, exact = joinmul._lifted_corner(corner)
+        point = [0] * 6 + [want_dx] + list(want_x)      # variable 6 is d_x, 7 on are x
+        assert exact and value(dx, point) == want_dx
+        assert tuple(value(c, point) for c in x) == want_x
+        assert tuple(value(c, point) for c in one) == want_one == basis_coords(dim, 0, want_dx)
+
+
+def _forced_grid(monkeypatch):
+    monkeypatch.setattr(joinmul, "_grid_proved", lambda grid, law, x: False)
+
+
+def _diamond_json(argv, capsys):
+    code = cli.main(argv + ["--format", "json"])
+    doc = json.loads(capsys.readouterr().out)
+    del doc["duration_ms"]
+    return code, _doc_reports(doc.pop("reports")), doc
+
+
+def _doc_reports(reports):
+    return [{**(r if type(r) is dict else r.to_dict()), "duration_ms": 0} for r in reports]
+
+
+@pytest.mark.parametrize("seed", (1, 7))
+@pytest.mark.parametrize("grid", (1, 8, 16))
+@pytest.mark.parametrize("instance", ("empty", "s0", "s2", "octonion-control"))
+def test_proved_rows_report_what_the_grid_reports(instance, grid, seed, monkeypatch, capsys):
+    # octonion-control is no CLI instance, so it runs through the library suite
+    if instance == "octonion-control":
+        def run():
+            return _doc_reports(joinmul.diamond_suite(
+                imaginaroid_instance(instance), grid=grid, samples=30, seed=seed))
+    else:
+        def run():
+            return _diamond_json(["diamond", "--instance", instance, "--grid", str(grid),
+                                  "--samples", "30", "--seed", str(seed)], capsys)
+    proved = run()
+    with monkeypatch.context() as patch:
+        _forced_grid(patch)
+        assert run() == proved
+
+
+@pytest.mark.parametrize("mode", ("exact", "float"))
+def test_only_an_exact_diamond_skips_its_grids(mode, monkeypatch):
+    proofs, calls = [], {"_unit_residuals": 0, "_boundary_pairs": 0}
+    original = joinmul._grid_proved
+
+    def recording_proof(grid, law, x):
+        proofs.append(original(grid, law, x))
+        return proofs[-1]
+
+    def recording(name):
+        grid_body = getattr(joinmul, name)
+
+        def recorded(grid, x):
+            calls[name] += 1
+            return grid_body(grid, x)
+        return recorded
+
+    monkeypatch.setattr(joinmul, "_grid_proved", recording_proof)
+    for name in calls:
+        monkeypatch.setattr(joinmul, name, recording(name))
+    reports = joinmul.diamond_suite(imaginaroid_instance("s2"), grid=8, samples=6, mode=mode)
+    assert all(r.holds for r in reports) and len(proofs) == 12    # two rows, six corners
+    if mode == "exact":
+        assert all(proofs) and calls == {"_unit_residuals": 0, "_boundary_pairs": 0}
+    else:       # the float poles are exact corners, and run their grids too
+        assert not any(proofs) and calls == {"_unit_residuals": 6, "_boundary_pairs": 6}
+
+
+def _m_flipped(sigma, tau, one, x):
+    # `_reduced_blocks` with +cs*ct in place of m = -cs*ct: off the sphere inside
+    # the square, and off the edges sigma = (1, 0) and tau = (1, 0)
+    cs, ss = sigma
+    ct, st = tau
+    m, n, p, q = cs * ct, ss * st, ss * ct, cs * st
+    return (tuple([m * u + n * v for u, v in zip(one, x)]),
+            tuple([p * u + q * v for u, v in zip(one, x)]))
+
+
+#: (patched function, its mutant, the grid rows whose proofs it breaks)
+DIAMOND_MUTANTS = {
+    "m-sign-flipped": ("_reduced_blocks", lambda original: _m_flipped, set(GRID_ROWS)),
+    "dropped-left": ("_reduced_blocks", _dropped_left, set(GRID_ROWS)),
+    "swapped-blocks": ("_reduced_blocks", lambda original: _swapped_blocks, {"filler-boundary"}),
+    "edge-right-negated": ("_edge_blocks", _negated_right, {"filler-boundary"}),
+}
+
+
+@pytest.mark.parametrize("mutant", DIAMOND_MUTANTS)
+def test_a_mutant_fails_exactly_the_proofs_it_breaks(mutant, monkeypatch, capsys):
+    target, perturb, broken = DIAMOND_MUTANTS[mutant]
+    argv = ["diamond", "--instance", "s2", "--grid", "8", "--samples", "12", "--seed", "1"]
+    sound = _diamond_json(argv, capsys)
+    monkeypatch.setattr(joinmul, target, perturb(getattr(joinmul, target)))
+    for dim in DIAMOND_DIMS:
+        assert {law for law in GRID_ROWS if not _proved_at(law, dim)} == broken
+    proved = _diamond_json(argv, capsys)
+    with monkeypatch.context() as patch:
+        _forced_grid(patch)
+        assert _diamond_json(argv, capsys) == proved
+    code, reports, _ = proved
+    failed = {r["law"] for r in reports if r["status"] == "fails"}
+    assert code == 1 and sound[0] == 0 and broken <= failed
+    for r in reports:
+        assert (r["status"] == "fails") == ("witness" in r)
+
+
+def test_an_off_circle_grid_pair_fails_the_unit_norm_with_its_witness(monkeypatch):
+    pairs = quarter_grid(4)
+    pairs[2] = (Fraction(3, 5), Fraction(3, 5))         # 9 + 9 != 25
+    grid = joinmul._LiftedGrid(pairs)
+    assert grid.proofs == ("filler-boundary",)
+    assert set(joinmul._LiftedGrid(quarter_grid(4)).proofs) == set(GRID_ROWS)
+    assert joinmul._LiftedGrid(quarter_grid(4), prove=False).proofs == ()
+
+    def run():
+        return run_laws(joinmul.DIAMOND_LAWS, "s7", grid, dim=4,
+                        suite=lambda law: "diamond/s7/x/exact", samples=6, seed=1)
+
+    reports = run()
+    with monkeypatch.context() as patch:
+        _forced_grid(patch)
+        assert _doc_reports(run()) == _doc_reports(reports)
+    unit = {r.law: r for r in reports}["filler-unit-norm"]
+    assert unit.status == "fails" and unit.max_residual > 0
+    assert ["3/5", "3/5"] in unit.witness["lhs"] and unit.witness["rhs"] == "unit"
+    assert {r.law: r for r in reports}["filler-boundary"].status == "holds-exact"
